@@ -86,7 +86,9 @@ from .symfun import (
     eval_monomial,
     eval_monomial_ones,
     eval_power_sum,
+    monomial_table,
     p_in_m_basis,
+    power_sums,
     to_monomial,
 )
 

@@ -16,6 +16,7 @@ import io
 import json
 import sys
 from fractions import Fraction
+from math import factorial
 
 from . import closedform as cf
 from . import forests as fo
@@ -57,7 +58,7 @@ def cmd_coeffs(args) -> int:
                         "mu": format_partition(mu),
                         "r": r,
                         "L": value,
-                        "b": 2**n * _factorial(n) * value,
+                        "b": 2**n * factorial(n) * value,
                         "c": value if r == 0 else 0,
                     }
                 )
@@ -94,13 +95,6 @@ def cmd_coeffs(args) -> int:
             )
     _emit(_format_rows(rows, args.format), args.out)
     return 0
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
 
 
 def _format_rows(rows: list[dict], fmt: str) -> str:

@@ -225,6 +225,8 @@ def _trace_power(t: np.ndarray, n: int) -> np.ndarray:
 def _mc_moment(
     n: int, x: MatrixSpec, y: MatrixSpec, samples: int, seed: int, complex_field: bool
 ) -> MCEstimate:
+    if n < 1:
+        raise ValueError("moment order n must be >= 1")
     if samples < 2:
         raise ValueError("need at least 2 samples for a standard error")
     if x.dim != y.dim:

@@ -1,6 +1,11 @@
 """Monomial / power-sum symmetric function evaluation and the p -> m basis
 change for bilinear series in two matrix alphabets.
 
+Evaluation goes through one table per alphabet: :func:`monomial_table`
+gives every ``m_lam`` of one degree in a single pass over the letters and
+:func:`power_sums` every ``p_k`` up to that degree, so a bilinear series
+evaluates each alphabet once, not once per term.
+
 Expansions are stored sparsely: a missing ``(lam, mu)`` key means the
 coefficient is 0.  Canonical key order everywhere is (reverse-lex ``lam``,
 reverse-lex ``mu``), i.e. plain descending tuple order.
@@ -8,9 +13,9 @@ reverse-lex ``mu``), i.e. plain descending tuple order.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from .partitions import (
@@ -22,6 +27,7 @@ from .partitions import (
     format_rational,
     parse_partition,
     parse_rational,
+    partitions_of,
 )
 
 __all__ = [
@@ -29,6 +35,8 @@ __all__ = [
     "PowerSumExpansion",
     "p_in_m_basis",
     "to_monomial",
+    "monomial_table",
+    "power_sums",
     "eval_monomial",
     "eval_monomial_ones",
     "eval_power_sum",
@@ -53,11 +61,15 @@ class _BilinearExpansion:
     coeffs: dict[Key, Fraction] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        for (lam, mu), c in self.coeffs.items():
+        for lam, mu in self.coeffs:
             if lam.n != self.n or mu.n != self.n:
                 raise ValueError(f"key ({lam}, {mu}) does not index order {self.n}")
+        # A private copy: the caller's dict is neither converted nor shared.
+        coeffs = dict(self.coeffs)
+        for key, c in coeffs.items():
             if not isinstance(c, Fraction):
-                self.coeffs[(lam, mu)] = Fraction(c)
+                coeffs[key] = Fraction(c)
+        object.__setattr__(self, "coeffs", coeffs)
 
     def coeff(self, lam: Partition, mu: Partition) -> Fraction:
         return self.coeffs.get((Partition(lam), Partition(mu)), Fraction(0))
@@ -100,18 +112,19 @@ class MonomialExpansion(_BilinearExpansion):
     """Expansion in m_lam(X) m_mu(Y)."""
 
     def evaluate(self, xs: Sequence[Fraction], ys: Sequence[Fraction]) -> Fraction:
-        return sum(
-            (c * eval_monomial(lam, xs) * eval_monomial(mu, ys) for (lam, mu), c in self.items()),
-            Fraction(0),
-        )
+        mx = monomial_table(self.n, xs)
+        my = monomial_table(self.n, ys)
+        return sum((c * mx[lam] * my[mu] for (lam, mu), c in self.items()), Fraction(0))
 
 
 class PowerSumExpansion(_BilinearExpansion):
     """Expansion in p_lam(X) p_mu(Y)."""
 
     def evaluate(self, xs: Sequence[Fraction], ys: Sequence[Fraction]) -> Fraction:
+        px = power_sums(self.n, xs)
+        py = power_sums(self.n, ys)
         return sum(
-            (c * eval_power_sum(lam, xs) * eval_power_sum(mu, ys) for (lam, mu), c in self.items()),
+            (c * _product(px, lam) * _product(py, mu) for (lam, mu), c in self.items()),
             Fraction(0),
         )
 
@@ -139,23 +152,60 @@ def to_monomial(series: PowerSumExpansion) -> MonomialExpansion:
     return MonomialExpansion(series.n, {k: v for k, v in out.items() if v != 0})
 
 
+def monomial_table(n: int, eigs: Sequence[Fraction]) -> dict[Partition, Fraction]:
+    """``m_lam(eigs)`` for every partition ``lam`` of ``n``, in one pass.
+
+    The state after a prefix of the letters is the multiset of exponents
+    placed so far, a partition of some ``j <= n``.  The next letter takes
+    no exponent or exactly one exponent ``k <= n - j``, weighted by its
+    ``k``-th power, so every monomial of degree ``n`` arises from exactly
+    one path.  The cost is ``O(d * n * sum_{j<=n} p(j))`` for ``d``
+    letters.  Letters are scaled to integers over their common
+    denominator, so the pass is pure integer arithmetic; ``m_lam`` is
+    homogeneous of degree ``n`` and takes the denominator ``den**n``.
+    """
+    if n < 0:
+        raise ValueError("degree must be >= 0")
+    xs = [Fraction(e) for e in eigs]
+    den = lcm(*(x.denominator for x in xs))
+    states: dict[tuple[int, ...], int] = {(): 1}
+    for x in xs:
+        a = x.numerator * (den // x.denominator)
+        if a == 0:  # a zero letter can only take no exponent
+            continue
+        powers = [a**k for k in range(n + 1)]
+        nxt = dict(states)
+        for state, value in states.items():
+            for k in range(1, n - sum(state) + 1):
+                key = tuple(sorted(state + (k,), reverse=True))
+                nxt[key] = nxt.get(key, 0) + value * powers[k]
+        states = nxt
+    scale = den**n
+    return {lam: Fraction(states.get(lam, 0), scale) for lam in partitions_of(n)}
+
+
+def power_sums(n: int, eigs: Sequence[Fraction]) -> list[Fraction]:
+    """``[1, p_1, ..., p_n]`` at a finite alphabet: index ``k`` holds ``p_k``."""
+    xs = [Fraction(e) for e in eigs]
+    sums = [Fraction(1)]
+    powers = xs
+    for _ in range(n):
+        sums.append(sum(powers, Fraction(0)))
+        powers = [p * x for p, x in zip(powers, xs)]
+    return sums
+
+
+def _product(values: Sequence[Fraction], lam: Partition) -> Fraction:
+    prod = Fraction(1)
+    for part in lam:
+        prod *= values[part]
+    return prod
+
+
 def eval_monomial(lam: Partition, eigs: Sequence[Fraction]) -> Fraction:
     """m_lam at a finite alphabet: sum of the distinct monomials with
     exponent multiset ``lam``."""
-    xs = [Fraction(e) for e in eigs]
-    ell = lam.length
-    if ell == 0:
-        return Fraction(1)
-    if ell > len(xs):
-        return Fraction(0)
-    total = Fraction(0)
-    # Injective placements over-count each monomial Aut_lam times.
-    for pos in itertools.permutations(range(len(xs)), ell):
-        term = Fraction(1)
-        for part, j in zip(lam, pos):
-            term *= xs[j] ** part
-        total += term
-    return total / aut(lam)
+    return monomial_table(lam.n, eigs)[lam]
 
 
 def eval_monomial_ones(lam: Partition, l: int) -> Fraction:
@@ -167,8 +217,4 @@ def eval_monomial_ones(lam: Partition, l: int) -> Fraction:
 
 def eval_power_sum(lam: Partition, eigs: Sequence[Fraction]) -> Fraction:
     """p_lam at a finite alphabet: product of the power sums of the parts."""
-    xs = [Fraction(e) for e in eigs]
-    prod = Fraction(1)
-    for part in lam:
-        prod *= sum((x**part for x in xs), Fraction(0))
-    return prod
+    return _product(power_sums(max(lam, default=0), eigs), lam)

@@ -6,6 +6,7 @@ Shared by the command-line ``verify`` subcommand and the acceptance tests.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -113,7 +114,18 @@ def suite_bijection(n_max: int = 5, forest_n_max: int = 4) -> list[CheckResult]:
 
 def suite_strata(n_max: int = 5) -> list[CheckResult]:
     """Per-stratum formula against the enumeration oracle, the flagged-set
-    sanity, the full expansion assembly, and the aggregated counts."""
+    sanity, the full expansion assembly, and the aggregated counts.
+
+    The oracle is the partitioned-hypermap enumeration, so ``n_max`` is
+    clamped to its bound; the clamp is noted on stderr."""
+    bound = hm.DEFAULT_PARTITIONED_BOUND
+    if n_max > bound:
+        print(
+            f"note: strata suite clamps n_max={n_max} to the partitioned-hypermap "
+            f"oracle bound {bound}",
+            file=sys.stderr,
+        )
+        n_max = bound
     results = []
     flagged_seen = []
     for n in range(1, n_max + 1):

@@ -85,6 +85,17 @@ def test_verify_suite_exit_zero(capsys):
     assert "PASS" in out and "FAIL" not in out
 
 
+def test_verify_strata_clamps_n_max_to_oracle_bound(capsys):
+    code = main(["verify", "--suite", "strata", "--n-max", "6"])
+    captured = capsys.readouterr()
+    assert code == 0
+    lines = captured.out.splitlines()
+    assert all(line.startswith("PASS") for line in lines[:-1])
+    assert "n=6" not in captured.out
+    assert lines[-1] == "16/16 checks passed"
+    assert len(captured.err.splitlines()) == 1 and "bound 5" in captured.err
+
+
 def test_verify_mc_small(capsys):
     code, out = run_cli(
         ["verify", "--suite", "mc", "--samples", "20000", "--seed", "7"], capsys

@@ -139,3 +139,10 @@ def test_mc_dense_matches_eigenvalue_form():
     exact = moment_real_exact(2, x_eigs, x_eigs)
     est = mc_moment_real(2, x_dense, MatrixSpec.from_dense(diag), 200_000, seed=8)
     assert abs(est.z_score(float(exact))) <= 5
+
+
+@pytest.mark.parametrize("estimator", [mc_moment_real, mc_moment_complex])
+@pytest.mark.parametrize("n", [0, -3])
+def test_mc_rejects_order_below_one(estimator, n):
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        estimator(n, I2, I2, 100, 1)

@@ -1,18 +1,39 @@
 """Symmetric-function layer: basis change against direct evaluation."""
 
+import itertools
 import random
 from fractions import Fraction
 
-from octamoment.partitions import Partition, partitions_of
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from octamoment.closedform import pairing_power_sum_series
+from octamoment.moments import MatrixSpec, moment_complex_exact, moment_real_exact
+from octamoment.partitions import Partition, aut, partitions_of
 from octamoment.symfun import (
     MonomialExpansion,
     PowerSumExpansion,
     eval_monomial,
     eval_monomial_ones,
     eval_power_sum,
+    monomial_table,
     p_in_m_basis,
+    power_sums,
     to_monomial,
 )
+
+
+def placement_walk(lam, eigs):
+    """Reference m_lam: every injective placement of the parts on the
+    letters, d!/(d-l)! of them, over-counting each monomial Aut_lam times."""
+    xs = [Fraction(e) for e in eigs]
+    total = Fraction(0)
+    for pos in itertools.permutations(range(len(xs)), lam.length):
+        term = Fraction(1)
+        for part, j in zip(lam, pos):
+            term *= xs[j] ** part
+        total += term
+    return total / aut(lam)
 
 
 def test_p_in_m_examples():
@@ -105,3 +126,50 @@ def test_records_round_trip_and_order():
     assert keys == [("2", "2"), ("2", "1,1")]
     back = MonomialExpansion.from_records(2, records)
     assert back == exp
+
+
+# A small pool makes repeated letters and zeros common; st.fractions adds
+# letters outside it.
+LETTERS = st.one_of(
+    st.sampled_from([0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4)]),
+    st.fractions(min_value=-3, max_value=3, max_denominator=5),
+)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(n=st.integers(0, 6), xs=st.lists(LETTERS, max_size=7))
+@example(n=3, xs=[])
+@example(n=0, xs=[])
+@example(n=6, xs=[Fraction(1, 2), -1])  # d < l(lam) for most lam
+@example(n=4, xs=[2, 2, 0, 2, Fraction(-1, 3)])
+@example(n=6, xs=[Fraction(-2, 3), 0, 1, 1, -1, Fraction(3, 2), 2])
+def test_monomial_table_matches_placement_walk(n, xs):
+    table = monomial_table(n, xs)
+    assert set(table) == set(partitions_of(n))
+    for lam in partitions_of(n):
+        assert table[lam] == placement_walk(lam, xs), (lam, xs)
+        assert eval_monomial(lam, xs) == table[lam]
+    expected = [sum((Fraction(x) ** k for x in xs), Fraction(0)) for k in range(1, n + 1)]
+    assert power_sums(n, xs) == [1] + expected
+
+
+def test_evaluators_scale_to_large_dimension():
+    """n = 5 at dim = 40: the placement walk would visit 40!/35! ~ 7.9e7
+    placements per m_lam; the table evaluates each alphabet once."""
+    xs = [Fraction((-1) ** i * (i % 7 + 1), i % 5 + 1) for i in range(40)]
+    ys = [Fraction((-1) ** (i // 3) * (i % 4 + 1), i % 3 + 2) for i in range(40)]
+    x, y = MatrixSpec.from_eigs(xs), MatrixSpec.from_eigs(ys)
+    assert moment_real_exact(5, x, y) == pairing_power_sum_series(5, "real").evaluate(xs, ys)
+    assert moment_complex_exact(5, x, y) == pairing_power_sum_series(5, "complex").evaluate(
+        xs, ys
+    )
+
+
+def test_constructor_leaves_caller_dict_unchanged():
+    p2, p11 = Partition([2]), Partition([1, 1])
+    coeffs = {(p2, p11): 3}
+    expansion = MonomialExpansion(2, coeffs)
+    assert coeffs == {(p2, p11): 3} and type(coeffs[(p2, p11)]) is int
+    assert type(expansion.coeff(p2, p11)) is Fraction
+    coeffs[(p2, p2)] = 5
+    assert expansion.coeff(p2, p2) == 0
