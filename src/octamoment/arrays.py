@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from math import factorial
 from typing import Iterable, Iterator, Mapping
 
@@ -231,6 +232,17 @@ def _side_distributions(
     yield from rec(0, 0, {}, {})
 
 
+@lru_cache(maxsize=None)
+def _sides(mult: tuple[tuple[int, int], ...], budget: int) -> tuple[tuple[Cells, Cells, int], ...]:
+    """:func:`_side_distributions` of the sorted multiplicity items ``mult``
+    with root cells carrying a loop, as normalized (non-root, root, weight)
+    cells.  Memoized: one side serves every stratum it appears in."""
+    return tuple(
+        (cells_of(nonroot), cells_of(root), weight)
+        for nonroot, root, weight in _side_distributions(dict(mult), budget, 1)
+    )
+
+
 def enumerate_M(lam: Partition, mu: Partition, r: int) -> list[ArrayTuple]:
     """All strata for white type ``lam``, black type ``mu`` and ``r``
     same-kind pairs.
@@ -243,29 +255,20 @@ def enumerate_M(lam: Partition, mu: Partition, r: int) -> list[ArrayTuple]:
         raise ValueError("lam and mu must partition the same n")
     if r < 0:
         raise ValueError("r must be >= 0")
-    out: list[ArrayTuple] = []
-    mu_mult = mu.multiplicities()
     lam_mult = lam.multiplicities()
-    for black, black_root, wq in _side_distributions(mu_mult, r, 1):
+    white_sides = []
+    for i0 in sorted(lam_mult):
+        reduced = dict(lam_mult)
+        reduced[i0] -= 1
+        white_sides.append((i0, _sides(tuple(sorted((i, c) for i, c in reduced.items() if c)), r)))
+    out: list[ArrayTuple] = []
+    for black, black_root, wq in _sides(tuple(sorted(mu.multiplicities().items())), r):
         if wq != r:
             continue
-        for i0 in sorted(lam_mult):
-            reduced = dict(lam_mult)
-            reduced[i0] -= 1
-            if not reduced[i0]:
-                del reduced[i0]
-            for white, white_root, wp in _side_distributions(reduced, r, 1):
+        for i0, sides in white_sides:
+            for white, white_root, wp in sides:
                 j0 = r - wp
                 if j0 < 0 or 2 * j0 > i0:
                     continue
-                out.append(
-                    ArrayTuple.make(
-                        white=white,
-                        white_root=white_root,
-                        black=black,
-                        black_root=black_root,
-                        seed_degree=i0,
-                        seed_loops=j0,
-                    )
-                )
+                out.append(ArrayTuple(white, white_root, black, black_root, i0, j0))
     return out

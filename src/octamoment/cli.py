@@ -5,7 +5,9 @@ report.
 Every subcommand is deterministic given its arguments (seeds included);
 identical invocations produce byte-identical output.  Exit codes:
 0 success, 1 verification/validation failure, 2 flagged strata in strict
-mode.
+mode, 3 an argument outside the domain of the computation (such as
+``n < 1``, or an enumeration beyond its size bound), reported as one
+``octamoment: error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -149,7 +151,7 @@ def cmd_expansion(args) -> int:
                 }
                 _emit(_json_dumps(payload), args.out)
                 return 2
-            report = [d.to_json() for d in cf.real_expansion_report(n, args.oracle_max_n)]
+            report = [d.to_json() for d in expansion.degenerate_strata]
     payload = {
         "n": n,
         "field": args.field,
@@ -349,7 +351,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as err:
+        print(f"octamoment: error: {err}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -25,12 +25,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
+
 from .arrays import ArrayTuple, enumerate_M
 from .hypermaps import DEFAULT_PARTITIONED_BOUND, lp_by_array
 from .partitions import (
     Partition,
     aut,
+    falling,
     format_partition,
     inv_factorial,
     multinomial,
@@ -46,6 +49,7 @@ __all__ = [
     "F_formula",
     "F_counts",
     "alpha",
+    "RealExpansion",
     "real_expansion",
     "real_expansion_strict",
     "real_expansion_report",
@@ -76,12 +80,31 @@ class StratumValue:
     diagnostics: tuple[str, ...] = ()
 
 
-def _sum_q_root(a: ArrayTuple, weight) -> Fraction:
-    return sum((Fraction(weight(i, j)) * c for i, j, c in a.black_root), Fraction(0))
+@lru_cache(maxsize=None)
+def _multinomial2(top: int, j: int, k: int) -> int:
+    """The integer ``top!/(j! k! (top-j-k)!)``, 0 when ``j`` or ``k`` is
+    negative; equal to ``multinomial(top, [j, k])`` for integer ``top``."""
+    if j < 0 or k < 0:
+        return 0
+    return falling(top, j + k) // (factorial(j) * factorial(k))
 
 
-def _sum_white(a: ArrayTuple, weight) -> Fraction:
-    return sum((Fraction(weight(i, j)) * c for i, j, c in a.white), Fraction(0))
+def _seed_bracket(a: ArrayTuple, n: int, r: int) -> tuple[int, int, int, int]:
+    """Integer pieces of the seed bracket for ``r > 0``.
+
+    Returns ``(base, head, s2, s3)``: the seed binomial, ``r**2`` times the
+    head of the bracket, and the black-root and white sums whose product
+    over ``r**2 (n-q-2r)`` is its third term.
+    """
+    i0, j0 = a.seed_degree, a.seed_loops
+    p, q = a.num_white, a.num_black
+    s1 = s2 = 0
+    for i, j, c in a.black_root:
+        s1 += j * c
+        s2 += ((n - q) * j - i * r) * c
+    s3 = sum((i0 * j - j0 * (i - 1)) * c for i, j, c in a.white)
+    head = (i0 - 2 * j0) * r * r + s1 * (j0 * (n - p) - r * i0)
+    return _multinomial2(i0, j0, j0), head, s2, s3
 
 
 def I_of_A(a: ArrayTuple, n: int) -> StratumValue:
@@ -94,39 +117,19 @@ def I_of_A(a: ArrayTuple, n: int) -> StratumValue:
     (also flagged).
     """
     r = a.loop_pairs
-    i0, j0 = a.seed_degree, a.seed_loops
     if r == 0:
-        return StratumValue(Fraction(i0))
-    p, q = a.num_white, a.num_black
-    s1 = _sum_q_root(a, lambda i, j: j)
-    s2 = _sum_q_root(a, lambda i, j: (n - q) * j - i * r)
-    s3 = _sum_white(a, lambda i, j: i0 * j - j0 * (i - 1))
-    base = multinomial(i0, [j0, j0])
-    bracket = Fraction(i0 - 2 * j0) + s1 * (j0 * (n - p) - r * i0) / r**2
-    denom = n - q - 2 * r
+        return StratumValue(Fraction(a.seed_degree))
+    base, head, s2, s3 = _seed_bracket(a, n, r)
+    denom = n - a.num_black - 2 * r
     if denom == 0:
         if s3 == 0:
-            return StratumValue(
-                base * bracket,
-                well_defined=False,
-                diagnostics=("third term 0/0 (n-q-2r = 0, white sum = 0): defined as 0",),
-            )
+            diagnostic = "third term 0/0 (n-q-2r = 0, white sum = 0): defined as 0"
+        else:
+            diagnostic = "third term divides by n-q-2r = 0 with nonzero white sum"
         return StratumValue(
-            base * bracket,
-            well_defined=False,
-            diagnostics=("third term divides by n-q-2r = 0 with nonzero white sum",),
+            Fraction(base * head, r * r), well_defined=False, diagnostics=(diagnostic,)
         )
-    bracket += s2 * s3 / (r**2 * denom)
-    return StratumValue(base * bracket)
-
-
-def _binomial_weight(a: ArrayTuple) -> Fraction:
-    prod = Fraction(1)
-    for i, j, c in a.white + a.black:
-        prod *= multinomial(i - 1, [j, j]) ** c
-    for i, j, c in a.white_root + a.black_root:
-        prod *= multinomial(i - 1, [j, j - 1]) ** c
-    return prod
+    return StratumValue(Fraction(base * (head * denom + s2 * s3), r * r * denom))
 
 
 def F_formula(a: ArrayTuple, n: int) -> StratumValue:
@@ -139,57 +142,48 @@ def F_formula(a: ArrayTuple, n: int) -> StratumValue:
     factorial.  Flags follow the module convention: any negative-argument
     factorial in numerator position marks the stratum degenerate and
     contributes 0 to the reported value.
+
+    Every factor is an integer placed in the numerator or the denominator,
+    and one ``Fraction`` is built at the end.
     """
     r = a.loop_pairs
     p, pp = a.num_white, a.num_white_root
     q, qp = a.num_black, a.num_black_root
-    i0, j0 = a.seed_degree, a.seed_loops
-    weight = _binomial_weight(a)
-    afact = a.factorial_product()
-    thorn = inv_factorial(n - p - q - 2 * r)
+    num = 1
+    for i, j, c in a.white + a.black:
+        num *= _multinomial2(i - 1, j, j) ** c
+    for i, j, c in a.white_root + a.black_root:
+        num *= _multinomial2(i - 1, j, j - 1) ** c
+    den = a.factorial_product()
+    thorn = n - p - q - 2 * r
+    if thorn >= 0:
+        den *= factorial(thorn)
+    else:
+        num = 0
 
     if r == 0:
-        value = (
-            Fraction(i0)
-            * factorial(n - q)
-            * factorial(n - 1 - p)
-            * thorn
-            / afact
-            * weight
-        )
-        return StratumValue(value)
+        num *= a.seed_degree * factorial(n - q) * factorial(n - 1 - p)
+        return StratumValue(Fraction(num, den))
 
     diagnostics: list[str] = []
 
-    def guarded_factorial(arg: int, name: str) -> Fraction:
+    def guarded_factorial(arg: int, name: str) -> int:
         if arg < 0:
             diagnostics.append(f"negative factorial argument {name} = {arg}")
-            return Fraction(0)
-        return Fraction(factorial(arg))
+            return 0
+        return factorial(arg)
 
-    s1 = _sum_q_root(a, lambda i, j: j)
-    s2 = _sum_q_root(a, lambda i, j: (n - q) * j - i * r)
-    s3 = _sum_white(a, lambda i, j: i0 * j - j0 * (i - 1))
-    base = multinomial(i0, [j0, j0])
-    head = Fraction(i0 - 2 * j0) + s1 * (j0 * (n - p) - r * i0) / r**2
-
+    base, head, s2, s3 = _seed_bracket(a, n, r)
     fact_a = guarded_factorial(n - q - 2 * r, "(n-q-2r)!")
     fact_b = guarded_factorial(n - 1 - p - 2 * r, "(n-1-p-2r)!")
-    third = s2 * s3 / r**2
     fact_c = guarded_factorial(n - q - 2 * r - 1, "(n-q-2r-1)!")
 
-    bracket = head * fact_a + third * fact_c
-    value = (
-        base
-        * bracket
-        * factorial(r) ** 2
-        * fact_b
-        * thorn
-        * Fraction(2) ** (pp + qp - 2 * r)
-        * weight
-        / afact
+    num *= base * (head * fact_a + s2 * s3 * fact_c) * factorial(r) ** 2 * fact_b
+    num *= 2 ** (pp + qp)
+    den *= r * r * 4**r
+    return StratumValue(
+        Fraction(num, den), well_defined=not diagnostics, diagnostics=tuple(diagnostics)
     )
-    return StratumValue(value, well_defined=not diagnostics, diagnostics=tuple(diagnostics))
 
 
 def alpha(r: int, p: int, q: int, pp: int, qp: int) -> Fraction:
@@ -308,12 +302,22 @@ def _assemble_real(n: int, oracle_bound: int | None):
     return coeffs, report
 
 
+@dataclass(frozen=True, eq=False)
+class RealExpansion(MonomialExpansion):
+    """A real-moment expansion together with the flagged strata its
+    assembly resolved by the oracle, in assembly order."""
+
+    degenerate_strata: tuple[DegenerateStratum, ...] = ()
+
+
 def real_expansion(
     n: int, oracle_bound: int = DEFAULT_PARTITIONED_BOUND
-) -> MonomialExpansion:
+) -> RealExpansion:
     """Monomial expansion of the order-n real moment, substituting the
     enumeration oracle on flagged strata.
 
+    The substituted strata come with the expansion, so one assembly gives
+    both the coefficients and the report of :func:`real_expansion_report`.
     Raises when a flagged stratum falls beyond the oracle bound; use
     :func:`real_expansion_strict` to inspect such strata instead.
     """
@@ -323,7 +327,7 @@ def real_expansion(
     missing = [d for d in report if d.oracle_value is None]
     if missing:
         raise DegenerateStrataError(missing)
-    return MonomialExpansion(n, coeffs)
+    return RealExpansion(n, coeffs, tuple(report))
 
 
 class DegenerateStrataError(ValueError):
@@ -362,6 +366,10 @@ def real_expansion_report(
     return report
 
 
+def _complex_length_coeff(n: int, k: int, l: int) -> Fraction:
+    return n * factorial(n - k) * factorial(n - l) * inv_factorial(n + 1 - k - l)
+
+
 def complex_coeff(n: int, lam, mu) -> Fraction:
     """Coefficient of m_lam(X) m_mu(Y) in the order-n complex moment:
     ``n (n-len(lam))! (n-len(mu))! / (n+1-len(lam)-len(mu))!``, which is 0
@@ -369,22 +377,23 @@ def complex_coeff(n: int, lam, mu) -> Fraction:
     lam, mu = Partition(lam), Partition(mu)
     if lam.n != n or mu.n != n:
         raise ValueError("lam and mu must partition n")
-    return (
-        n
-        * factorial(n - lam.length)
-        * factorial(n - mu.length)
-        * inv_factorial(n + 1 - lam.length - mu.length)
-    )
+    return _complex_length_coeff(n, lam.length, mu.length)
 
 
 def complex_expansion(n: int) -> MonomialExpansion:
-    """Monomial expansion of the order-n complex moment."""
+    """Monomial expansion of the order-n complex moment.
+
+    The coefficient depends on the two lengths alone, so it is computed
+    once per pair of lengths and looked up for each pair of partitions.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
+    by_length = [[_complex_length_coeff(n, k, l) for l in range(n + 1)] for k in range(n + 1)]
     coeffs = {}
     for lam in partitions_of(n):
+        row = by_length[len(lam)]
         for mu in partitions_of(n):
-            c = complex_coeff(n, lam, mu)
+            c = row[len(mu)]
             if c:
                 coeffs[(lam, mu)] = c
     return MonomialExpansion(n, coeffs)

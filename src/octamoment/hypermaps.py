@@ -21,7 +21,8 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
-from typing import Iterator, Sequence
+from types import MappingProxyType
+from typing import Iterator, Mapping, Sequence
 
 from .arrays import ArrayTuple
 from .partitions import Partition, odd_double_factorial, set_partitions, zee
@@ -477,23 +478,26 @@ def _lp_data(n: int, bound: int = DEFAULT_PARTITIONED_BOUND):
         table[key] = table.get(key, 0) + 1
         arr = degree_array(h)
         by_array[arr] = by_array.get(arr, 0) + 1
-    return table, by_array
+    return MappingProxyType(table), MappingProxyType(by_array)
 
 
-def lp_table(n: int, bound: int = DEFAULT_PARTITIONED_BOUND) -> dict:
-    """Counts of partitioned hypermaps keyed (white type, black type, r)."""
+def lp_table(n: int, bound: int = DEFAULT_PARTITIONED_BOUND) -> Mapping:
+    """Counts of partitioned hypermaps keyed (white type, black type, r);
+    cached and read-only."""
     return _lp_data(n, bound)[0]
 
 
-def lp_by_array(n: int, bound: int = DEFAULT_PARTITIONED_BOUND) -> dict[ArrayTuple, int]:
-    """Counts of partitioned hypermaps keyed by their degree array."""
+def lp_by_array(n: int, bound: int = DEFAULT_PARTITIONED_BOUND) -> Mapping[ArrayTuple, int]:
+    """Counts of partitioned hypermaps keyed by their degree array; cached
+    and read-only."""
     return _lp_data(n, bound)[1]
 
 
 @lru_cache(maxsize=None)
-def class_connection_table(n: int, bound: int = DEFAULT_CLASS_BOUND) -> dict:
+def class_connection_table(n: int, bound: int = DEFAULT_CLASS_BOUND) -> Mapping:
     """For the fixed n-cycle g = (1 2 ... n), the number of ways to write
-    g = a∘b with a, b of prescribed cycle types, keyed (type a, type b)."""
+    g = a∘b with a, b of prescribed cycle types, keyed (type a, type b);
+    cached and read-only."""
     if n > bound:
         raise BoundExceededError("class algebra product", n, bound)
     gamma = tuple((x + 1) % n for x in range(n))
@@ -505,7 +509,7 @@ def class_connection_table(n: int, bound: int = DEFAULT_CLASS_BOUND) -> dict:
         beta = tuple(inv[gamma[x]] for x in range(n))
         key = (cycle_type(alpha), cycle_type(beta))
         table[key] = table.get(key, 0) + 1
-    return table
+    return MappingProxyType(table)
 
 
 def class_connection(n: int, lam, mu, bound: int = DEFAULT_CLASS_BOUND) -> int:

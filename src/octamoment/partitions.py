@@ -11,7 +11,8 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
-from typing import Iterable, Iterator, Sequence
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
     "ExactRational",
@@ -184,15 +185,15 @@ def set_partitions(items: Sequence) -> Iterator[tuple[tuple, ...]]:
 
 
 @lru_cache(maxsize=None)
-def coarsening_counts(lam: Partition) -> dict[Partition, int]:
+def coarsening_counts(lam: Partition) -> Mapping[Partition, int]:
     """For each partition ``nu`` obtainable by merging parts of ``lam``, the
     number of unordered set partitions of the part-index set of ``lam``
-    whose block sums realize ``nu``."""
+    whose block sums realize ``nu``.  The table is cached and read-only."""
     counts: dict[Partition, int] = {}
     for sp in set_partitions(range(lam.length)):
         nu = Partition(sum(lam[i] for i in block) for block in sp)
         counts[nu] = counts.get(nu, 0) + 1
-    return counts
+    return MappingProxyType(counts)
 
 
 def refinement_count(lam: Partition, nu: Partition) -> int:

@@ -196,6 +196,22 @@ def test_byte_identical_reruns(capsys):
     assert first == second
 
 
+def test_mc_domain_error_exits_3_with_one_line(capsys):
+    code = main(["mc", "--n", "0", "--dim", "2", "--samples", "100"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["octamoment: error: moment order n must be >= 1"]
+
+
+def test_expansion_domain_error_exits_3_with_one_line(capsys):
+    code = main(["expansion", "--n", "0", "--field", "complex"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["octamoment: error: n must be >= 1"]
+
+
 def test_console_entry_point():
     result = subprocess.run(
         [sys.executable, "-m", "octamoment.cli", "--help"],

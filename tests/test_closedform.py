@@ -5,11 +5,12 @@ from math import factorial
 
 import pytest
 
-from octamoment.arrays import ArrayTuple, elementary, enumerate_M
+from octamoment.arrays import ArrayTuple, _side_distributions, elementary, enumerate_M
 from octamoment.closedform import (
     F_counts,
     F_formula,
     I_of_A,
+    StratumValue,
     alpha,
     coeff_hook,
     coeff_m_lambda_m_n,
@@ -28,6 +29,7 @@ from octamoment.partitions import (
     Partition,
     aut,
     falling,
+    inv_factorial,
     multinomial,
     partitions_of,
 )
@@ -110,6 +112,172 @@ def test_F_formula_matches_oracle_on_well_defined_strata():
             sv = F_formula(a, n)
             if sv.well_defined:
                 assert sv.value == oracle.get(a, 0), (n, lam, mu, r, str(a))
+
+
+# Reference implementations: the one-Fraction-per-factor F_formula and
+# I_of_A, and the enumeration that rebuilds every side per stratum.
+
+
+def _ref_sum_q_root(a, weight):
+    return sum((Fraction(weight(i, j)) * c for i, j, c in a.black_root), Fraction(0))
+
+
+def _ref_sum_white(a, weight):
+    return sum((Fraction(weight(i, j)) * c for i, j, c in a.white), Fraction(0))
+
+
+def _ref_I_of_A(a, n):
+    r = a.loop_pairs
+    i0, j0 = a.seed_degree, a.seed_loops
+    if r == 0:
+        return StratumValue(Fraction(i0))
+    p, q = a.num_white, a.num_black
+    s1 = _ref_sum_q_root(a, lambda i, j: j)
+    s2 = _ref_sum_q_root(a, lambda i, j: (n - q) * j - i * r)
+    s3 = _ref_sum_white(a, lambda i, j: i0 * j - j0 * (i - 1))
+    base = multinomial(i0, [j0, j0])
+    bracket = Fraction(i0 - 2 * j0) + s1 * (j0 * (n - p) - r * i0) / r**2
+    denom = n - q - 2 * r
+    if denom == 0:
+        if s3 == 0:
+            return StratumValue(
+                base * bracket,
+                well_defined=False,
+                diagnostics=("third term 0/0 (n-q-2r = 0, white sum = 0): defined as 0",),
+            )
+        return StratumValue(
+            base * bracket,
+            well_defined=False,
+            diagnostics=("third term divides by n-q-2r = 0 with nonzero white sum",),
+        )
+    bracket += s2 * s3 / (r**2 * denom)
+    return StratumValue(base * bracket)
+
+
+def _ref_binomial_weight(a):
+    prod = Fraction(1)
+    for i, j, c in a.white + a.black:
+        prod *= multinomial(i - 1, [j, j]) ** c
+    for i, j, c in a.white_root + a.black_root:
+        prod *= multinomial(i - 1, [j, j - 1]) ** c
+    return prod
+
+
+def _ref_F_formula(a, n):
+    r = a.loop_pairs
+    p, pp = a.num_white, a.num_white_root
+    q, qp = a.num_black, a.num_black_root
+    i0, j0 = a.seed_degree, a.seed_loops
+    weight = _ref_binomial_weight(a)
+    afact = a.factorial_product()
+    thorn = inv_factorial(n - p - q - 2 * r)
+
+    if r == 0:
+        value = (
+            Fraction(i0)
+            * factorial(n - q)
+            * factorial(n - 1 - p)
+            * thorn
+            / afact
+            * weight
+        )
+        return StratumValue(value)
+
+    diagnostics = []
+
+    def guarded_factorial(arg, name):
+        if arg < 0:
+            diagnostics.append(f"negative factorial argument {name} = {arg}")
+            return Fraction(0)
+        return Fraction(factorial(arg))
+
+    s1 = _ref_sum_q_root(a, lambda i, j: j)
+    s2 = _ref_sum_q_root(a, lambda i, j: (n - q) * j - i * r)
+    s3 = _ref_sum_white(a, lambda i, j: i0 * j - j0 * (i - 1))
+    base = multinomial(i0, [j0, j0])
+    head = Fraction(i0 - 2 * j0) + s1 * (j0 * (n - p) - r * i0) / r**2
+
+    fact_a = guarded_factorial(n - q - 2 * r, "(n-q-2r)!")
+    fact_b = guarded_factorial(n - 1 - p - 2 * r, "(n-1-p-2r)!")
+    third = s2 * s3 / r**2
+    fact_c = guarded_factorial(n - q - 2 * r - 1, "(n-q-2r-1)!")
+
+    bracket = head * fact_a + third * fact_c
+    value = (
+        base
+        * bracket
+        * factorial(r) ** 2
+        * fact_b
+        * thorn
+        * Fraction(2) ** (pp + qp - 2 * r)
+        * weight
+        / afact
+    )
+    return StratumValue(value, well_defined=not diagnostics, diagnostics=tuple(diagnostics))
+
+
+def _ref_enumerate_M(lam, mu, r):
+    out = []
+    mu_mult = mu.multiplicities()
+    lam_mult = lam.multiplicities()
+    for black, black_root, wq in _side_distributions(mu_mult, r, 1):
+        if wq != r:
+            continue
+        for i0 in sorted(lam_mult):
+            reduced = dict(lam_mult)
+            reduced[i0] -= 1
+            if not reduced[i0]:
+                del reduced[i0]
+            for white, white_root, wp in _side_distributions(reduced, r, 1):
+                j0 = r - wp
+                if j0 < 0 or 2 * j0 > i0:
+                    continue
+                out.append(
+                    ArrayTuple.make(
+                        white=white,
+                        white_root=white_root,
+                        black=black,
+                        black_root=black_root,
+                        seed_degree=i0,
+                        seed_loops=j0,
+                    )
+                )
+    return out
+
+
+def test_F_formula_and_I_of_A_equal_fraction_reference():
+    # Every stratum up to n = 8, flagged ones and their diagnostics included.
+    flagged = 0
+    for n in range(1, 9):
+        for lam, mu, r, a in all_strata(n):
+            sv = F_formula(a, n)
+            assert sv == _ref_F_formula(a, n), (n, str(a))
+            assert I_of_A(a, n) == _ref_I_of_A(a, n), (n, str(a))
+            flagged += not sv.well_defined
+    assert flagged > 0
+
+
+def test_enumerate_M_equals_uncached_enumeration():
+    for n in range(1, 8):
+        for lam in partitions_of(n):
+            for mu in partitions_of(n):
+                for r in range(n // 2 + 2):
+                    assert enumerate_M(lam, mu, r) == _ref_enumerate_M(lam, mu, r)
+
+
+def test_enumerate_M_result_is_the_callers_own():
+    lam, mu = Partition([3, 2, 1]), Partition([4, 2])
+    first = enumerate_M(lam, mu, 1)
+    expected = list(first)
+    first.clear()
+    assert enumerate_M(lam, mu, 1) == expected != []
+
+
+def test_real_expansion_carries_its_report():
+    for n in range(1, 6):
+        expansion = real_expansion(n)
+        assert list(expansion.degenerate_strata) == real_expansion_report(n)
+    assert len(real_expansion(2).degenerate_strata) == 1
 
 
 def test_alpha_values():
@@ -255,6 +423,14 @@ def test_complex_coeff_values():
     assert complex_coeff(1, P1, P1) == 1
     assert complex_coeff(2, P2, P11) == 2
     assert complex_coeff(2, P11, P11) == 0
+
+
+def test_complex_expansion_equals_complex_coeff():
+    for n in range(1, 11):
+        expansion = complex_expansion(n)
+        for lam in partitions_of(n):
+            for mu in partitions_of(n):
+                assert expansion.coeff(lam, mu) == complex_coeff(n, lam, mu)
 
 
 def test_complex_expansion_against_oracle():

@@ -15,6 +15,7 @@ from octamoment.hypermaps import (
     canonical_f1,
     canonical_f2,
     class_connection,
+    class_connection_table,
     compose,
     cycle_type,
     degree_array,
@@ -23,6 +24,7 @@ from octamoment.hypermaps import (
     expected_coset_size,
     half_cycle_type,
     iter_partitioned_hypermaps,
+    lp_by_array,
     lp_table,
     parse_element,
     r_statistic,
@@ -170,6 +172,17 @@ def test_lp_examples_n2():
     assert lp[(two, two, 0)] + lp[(two, two, 1)] == 3
     assert lp[(two, oneone, 0)] == 1
     assert lp[(oneone, two, 0)] == 1
+
+
+@pytest.mark.parametrize("table", [lp_table, lp_by_array, class_connection_table])
+def test_cached_tables_are_read_only(table):
+    contents = dict(table(3))
+    key = next(iter(contents))
+    with pytest.raises(TypeError):
+        table(3)[key] = 0
+    with pytest.raises(TypeError):
+        table(3)[Partition([9])] = 1
+    assert dict(table(3)) == contents
 
 
 def test_degree_array_small_cases():

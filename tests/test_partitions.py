@@ -9,6 +9,7 @@ import pytest
 from octamoment.partitions import (
     Partition,
     aut,
+    coarsening_counts,
     falling,
     format_partition,
     format_rational,
@@ -145,6 +146,17 @@ def test_refinement_positive_iff_merge_reachable():
             reachable = exhaustive_merges(lam)
             for nu in partitions_of(n):
                 assert (refinement_count(lam, nu) > 0) == (nu in reachable)
+
+
+def test_coarsening_counts_is_read_only():
+    lam = Partition([2, 1, 1])
+    contents = dict(coarsening_counts(lam))
+    with pytest.raises(TypeError):
+        coarsening_counts(lam)[Partition([4])] = 0
+    with pytest.raises(TypeError):
+        coarsening_counts(lam)[Partition([1, 1, 1, 1])] = 1
+    assert dict(coarsening_counts(lam)) == contents
+    assert contents[Partition([4])] == 1
 
 
 def test_set_partition_count_is_bell():
