@@ -25,8 +25,6 @@ from .closedform import (
     q_compl,
     q_real,
     real_expansion,
-    real_expansion_report,
-    real_expansion_strict,
     remark_identity_check,
 )
 from .forests import (

@@ -3,11 +3,15 @@ suites, the bijection, Monte Carlo runs, and the degenerate-stratum
 report.
 
 Every subcommand is deterministic given its arguments (seeds included);
-identical invocations produce byte-identical output.  Exit codes:
-0 success, 1 verification/validation failure, 2 flagged strata in strict
-mode, 3 an argument outside the domain of the computation (such as
-``n < 1``, or an enumeration beyond its size bound), reported as one
-``octamoment: error:`` line on stderr.
+identical invocations produce byte-identical output.  ``expansion
+--field real`` and ``report`` make one call to
+:func:`~octamoment.closedform.real_expansion` each; ``--strict`` is its
+``oracle_bound=0``.  Exit codes: 0 success, 1 verification/validation
+failure, 2 flagged strata left unresolved (strict mode, or beyond the
+oracle bound), 3 a usage error, an argument outside the domain of the
+computation (such as ``n < 1``, or an enumeration beyond its size bound)
+or an unreadable input file, reported as one ``octamoment: error:`` line
+on stderr.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from . import forests as fo
 from . import hypermaps as hm
 from . import moments as mo
 from .partitions import format_partition, format_rational, parse_partition
-from .verify import SUITES, coeffs_self_check, lp_from_pairings, run_suite
+from .verify import SUITES, coeffs_self_check, run_suite
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -83,7 +87,7 @@ def cmd_coeffs(args) -> int:
             payload = {a.serialize(): c for a, c in tallies.items()}
             _emit(_json_dumps(payload), args.out)
             return 0
-        lp = lp_from_pairings(n)
+        lp = hm.lp_from_pairings(n)
         for (nu, rho, r), value in sorted(
             lp.items(), key=lambda kv: (kv[0][0], kv[0][1], kv[0][2]), reverse=True
         ):
@@ -132,16 +136,12 @@ def _format_rows(rows: list[dict], fmt: str) -> str:
 def cmd_expansion(args) -> int:
     n = args.n
     if args.field == "complex":
-        expansion = cf.complex_expansion(n)
-        report = []
+        expansion, strata = cf.complex_expansion(n), ()
     else:
-        if args.strict:
-            expansion, strata = cf.real_expansion_strict(n)
-            report = [d.to_json() for d in strata]
-        else:
-            try:
-                expansion = cf.real_expansion(n, oracle_bound=args.oracle_max_n)
-            except cf.DegenerateStrataError as err:
+        try:
+            expansion = cf.real_expansion(n, 0 if args.strict else args.oracle_max_n)
+        except cf.DegenerateStrataError as err:
+            if not args.strict:
                 payload = {
                     "n": n,
                     "field": args.field,
@@ -151,15 +151,16 @@ def cmd_expansion(args) -> int:
                 }
                 _emit(_json_dumps(payload), args.out)
                 return 2
-            report = [d.to_json() for d in expansion.degenerate_strata]
+            expansion = err.expansion
+        strata = expansion.degenerate_strata
     payload = {
         "n": n,
         "field": args.field,
         "terms": expansion.to_records(),
-        "degenerate_strata": report,
+        "degenerate_strata": [d.to_json() for d in strata],
     }
     _emit(_json_dumps(payload), args.out)
-    if args.strict and report:
+    if args.strict and strata:
         return 2
     return 0
 
@@ -250,7 +251,7 @@ def _matrix_from_args(path: str | None, eigs: str | None, dim_hint: int | None):
         return mo.MatrixSpec.from_eigs([Fraction(tok) for tok in eigs.split(",")])
     if dim_hint:
         return mo.MatrixSpec.identity(dim_hint)
-    raise SystemExit("need --x-eigs/--y-eigs, matrix files, or --dim")
+    raise ValueError("need --x-eigs/--y-eigs, matrix files, or --dim")
 
 
 def cmd_mc(args) -> int:
@@ -277,15 +278,26 @@ def cmd_mc(args) -> int:
 
 
 def cmd_report(args) -> int:
-    report = [d.to_json() for d in cf.real_expansion_report(args.n, args.oracle_max_n)]
+    try:
+        strata = cf.real_expansion(args.n, args.oracle_max_n).degenerate_strata
+    except cf.DegenerateStrataError as err:
+        strata = err.strata
+    report = [d.to_json() for d in strata]
     _emit(_json_dumps(report), args.out)
     if args.strict and report:
         return 2
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one line and exit code 3."""
+
+    def error(self, message: str):
+        self.exit(3, f"octamoment: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="octamoment",
         description=(
             "Exact moments of XUYU^t / XUYU^* for Gaussian U: closed formulas "
@@ -353,7 +365,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as err:
+    except (ValueError, OSError) as err:
         print(f"octamoment: error: {err}", file=sys.stderr)
         return 3
 

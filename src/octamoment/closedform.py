@@ -13,8 +13,11 @@ The per-stratum formula is generic: on boundary strata (``q = 0`` with
 ``r > 0``, or ``n - 1 - p - 2r < 0``) it produces 0*inf / 0/0 shapes.  The
 evaluators never guess a limit.  Each such evaluation is returned as a
 :class:`StratumValue` with ``well_defined=False`` and diagnostics naming
-the offending factor; expansion assembly substitutes the enumeration
-oracle for flagged strata (or reports them in strict mode).  Negative
+the offending factor; :func:`real_expansion` substitutes the enumeration
+oracle for flagged strata when ``n`` is within the oracle bound.  Beyond
+it (``oracle_bound=0`` is strict mode) any flagged stratum raises
+:class:`DegenerateStrataError`, which carries the flagged strata and the
+partial expansion without the (lam, mu) pairs they belong to.  Negative
 arguments in numerator-position factorials evaluate to 0 so the reported
 value stays deterministic; the factor ``1/(n-p-q-2r)!`` follows the
 reciprocal-factorial convention (0 at negative integers), which is not a
@@ -28,8 +31,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .arrays import ArrayTuple, enumerate_M
-from .hypermaps import DEFAULT_PARTITIONED_BOUND, lp_by_array
+from .arrays import ArrayTuple, _sides, enumerate_M
+from .hypermaps import DEFAULT_PARTITIONED_BOUND, L_table, lp_by_array
 from .partitions import (
     Partition,
     aut,
@@ -51,8 +54,6 @@ __all__ = [
     "alpha",
     "RealExpansion",
     "real_expansion",
-    "real_expansion_strict",
-    "real_expansion_report",
     "complex_coeff",
     "complex_expansion",
     "q_real",
@@ -272,17 +273,51 @@ class DegenerateStratum:
         return record
 
 
-def _assemble_real(n: int, oracle_bound: int | None):
-    """Common real-moment assembly: per-(lam, mu) coefficients with oracle
-    substitution on flagged strata when an oracle bound permits."""
+@dataclass(frozen=True, eq=False)
+class RealExpansion(MonomialExpansion):
+    """A real-moment expansion together with the flagged strata of its
+    assembly, in assembly order."""
+
+    degenerate_strata: tuple[DegenerateStratum, ...] = ()
+
+
+class DegenerateStrataError(ValueError):
+    """Flagged strata could not be resolved by the oracle.
+
+    ``strata`` lists every flagged stratum of the assembly, and
+    ``expansion`` is the partial :class:`RealExpansion` that leaves out
+    the (lam, mu) pairs those strata belong to.
+    """
+
+    def __init__(self, strata: list[DegenerateStratum], expansion: RealExpansion):
+        super().__init__(
+            f"{len(strata)} flagged strata beyond the oracle bound; "
+            "first: " + "; ".join(strata[0].diagnostics)
+        )
+        self.strata = strata
+        self.expansion = expansion
+
+
+def real_expansion(
+    n: int, oracle_bound: int = DEFAULT_PARTITIONED_BOUND
+) -> RealExpansion:
+    """Monomial expansion of the order-n real moment.
+
+    Flagged strata take their value from the enumeration oracle when
+    ``n <= oracle_bound`` and come with the expansion either way.  Beyond
+    the bound, every (lam, mu) pair with a flagged stratum is left out and
+    :class:`DegenerateStrataError` carries that partial expansion; so
+    ``oracle_bound=0`` is strict mode.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    oracle = lp_by_array(n, bound=oracle_bound) if n <= oracle_bound else None
     coeffs: dict[tuple[Partition, Partition], Fraction] = {}
     report: list[DegenerateStratum] = []
-    oracle = None
-    if oracle_bound is not None and n <= oracle_bound:
-        oracle = lp_by_array(n, bound=oracle_bound)
     for lam in partitions_of(n):
         for mu in partitions_of(n):
             total = Fraction(0)
+            resolved = True
             for r in range(n // 2 + 1):
                 for a in enumerate_M(lam, mu, r):
                     sv = F_formula(a, n)
@@ -295,75 +330,16 @@ def _assemble_real(n: int, oracle_bound: int | None):
                             n, lam, mu, r, a, sv.value, sv.diagnostics, oracle_value
                         )
                     )
-                    if oracle_value is not None:
+                    if oracle_value is None:
+                        resolved = False
+                    else:
                         total += oracle_value
-            if total:
+            if total and resolved:
                 coeffs[(lam, mu)] = aut(lam) * aut(mu) * total
-    return coeffs, report
-
-
-@dataclass(frozen=True, eq=False)
-class RealExpansion(MonomialExpansion):
-    """A real-moment expansion together with the flagged strata its
-    assembly resolved by the oracle, in assembly order."""
-
-    degenerate_strata: tuple[DegenerateStratum, ...] = ()
-
-
-def real_expansion(
-    n: int, oracle_bound: int = DEFAULT_PARTITIONED_BOUND
-) -> RealExpansion:
-    """Monomial expansion of the order-n real moment, substituting the
-    enumeration oracle on flagged strata.
-
-    The substituted strata come with the expansion, so one assembly gives
-    both the coefficients and the report of :func:`real_expansion_report`.
-    Raises when a flagged stratum falls beyond the oracle bound; use
-    :func:`real_expansion_strict` to inspect such strata instead.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    coeffs, report = _assemble_real(n, oracle_bound)
-    missing = [d for d in report if d.oracle_value is None]
-    if missing:
-        raise DegenerateStrataError(missing)
-    return RealExpansion(n, coeffs, tuple(report))
-
-
-class DegenerateStrataError(ValueError):
-    """Flagged strata could not be resolved by the oracle."""
-
-    def __init__(self, strata: list[DegenerateStratum]):
-        super().__init__(
-            f"{len(strata)} flagged strata beyond the oracle bound; "
-            "first: " + "; ".join(strata[0].diagnostics)
-        )
-        self.strata = strata
-
-
-def real_expansion_strict(
-    n: int,
-) -> tuple[MonomialExpansion, list[DegenerateStratum]]:
-    """Real-moment assembly without oracle substitution.
-
-    Refuses to emit any coefficient whose strata include a flagged value;
-    those (lam, mu) pairs appear only in the returned report.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    coeffs, report = _assemble_real(n, oracle_bound=None)
-    tainted = {(d.lam, d.mu) for d in report}
-    clean = {key: value for key, value in coeffs.items() if key not in tainted}
-    return MonomialExpansion(n, clean), report
-
-
-def real_expansion_report(
-    n: int, oracle_bound: int = DEFAULT_PARTITIONED_BOUND
-) -> list[DegenerateStratum]:
-    """Machine-readable discrepancy report for the order-n real assembly."""
-    bound = oracle_bound if n <= oracle_bound else None
-    _, report = _assemble_real(n, bound)
-    return report
+    expansion = RealExpansion(n, coeffs, tuple(report))
+    if oracle is None and report:
+        raise DegenerateStrataError(report, expansion)
+    return expansion
 
 
 def _complex_length_coeff(n: int, k: int, l: int) -> Fraction:
@@ -475,15 +451,6 @@ def coeff_hook(n: int, a: int) -> int:
     return value.numerator
 
 
-def _black_side_distributions(lam: Partition):
-    """All (black, black_root) cell fillings with row sums given by the
-    multiplicities of lam; no weight constraint."""
-    from .arrays import _side_distributions  # shared cell machinery
-
-    max_weight = sum(part // 2 for part in lam)
-    yield from _side_distributions(lam.multiplicities(), max_weight, 1)
-
-
 def remark_identity_check(lam) -> bool:
     """Check that the black-side cell sum collapses to
     ``(2 lam - 1)!! / (lam! Aut_lam)``.
@@ -495,15 +462,16 @@ def remark_identity_check(lam) -> bool:
     """
     lam = Partition(lam)
     lhs = Fraction(0)
-    for black, black_root, _ in _black_side_distributions(lam):
+    mult = tuple(sorted(lam.multiplicities().items()))
+    for black, black_root, _ in _sides(mult, sum(part // 2 for part in lam)):
         term = Fraction(1)
-        for (i, j), c in black.items():
+        for i, j, c in black:
             term *= (
                 Fraction(2) ** (-2 * j * c)
                 * multinomial(i - 1, [j, j]) ** c
                 * inv_factorial(c)
             )
-        for (i, j), c in black_root.items():
+        for i, j, c in black_root:
             term *= (
                 Fraction(2) ** ((1 - 2 * j) * c)
                 * multinomial(i - 1, [j, j - 1]) ** c
@@ -522,8 +490,6 @@ def pairing_power_sum_series(n: int, kind: str = "real") -> PowerSumExpansion:
     """The power-sum series whose basis change reproduces the expansions:
     pairing counts (real) or their orientable slice (complex) as
     coefficients of p_lam(X) p_mu(Y).  Oracle route; small n only."""
-    from .hypermaps import L_table
-
     table = L_table(n)
     coeffs: dict[tuple[Partition, Partition], Fraction] = {}
     for (lam, mu, r), c in table.entries.items():

@@ -25,7 +25,13 @@ from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence
 
 from .arrays import ArrayTuple
-from .partitions import Partition, odd_double_factorial, set_partitions, zee
+from .partitions import (
+    Partition,
+    coarsening_counts,
+    odd_double_factorial,
+    set_partitions,
+    zee,
+)
 
 __all__ = [
     "BoundExceededError",
@@ -39,6 +45,7 @@ __all__ = [
     "iter_pairing_images",
     "ClassTable",
     "L_table",
+    "lp_from_pairings",
     "b_from_L",
     "c_from_L",
     "PartitionedHypermap",
@@ -160,7 +167,8 @@ def compose(g: Sequence[int], h: Sequence[int]) -> tuple[int, ...]:
     return tuple(g[h[x]] for x in range(len(h)))
 
 
-def cycle_type(perm: Sequence[int]) -> Partition:
+def _cycle_lengths(perm: Sequence[int]) -> list[int]:
+    """Cycle lengths of a permutation image list, longest first."""
     m = len(perm)
     seen = bytearray(m)
     lengths: list[int] = []
@@ -174,7 +182,22 @@ def cycle_type(perm: Sequence[int]) -> Partition:
             x = perm[x]
             length += 1
         lengths.append(length)
-    return Partition(lengths)
+    lengths.sort(reverse=True)
+    return lengths
+
+
+def _half_cycle_lengths(perm: Sequence[int]) -> tuple[int, ...]:
+    """Cycle type of ``perm`` halved, as a sorted tuple.  Raises if a
+    cycle length occurs an odd number of times."""
+    lengths = _cycle_lengths(perm)
+    half = lengths[::2]
+    if half != lengths[1::2]:
+        raise ValueError(f"cycle type {Partition(lengths)} has an odd multiplicity")
+    return tuple(half)
+
+
+def cycle_type(perm: Sequence[int]) -> Partition:
+    return Partition(_cycle_lengths(perm))
 
 
 def half_cycle_type(g: Pairing, h: Pairing) -> Partition:
@@ -183,14 +206,7 @@ def half_cycle_type(g: Pairing, h: Pairing) -> Partition:
     does not, which would indicate a composition-convention bug."""
     if g.n != h.n:
         raise ValueError("pairings act on different ground sets")
-    full = cycle_type(compose(g.image, h.image))
-    mult = full.multiplicities()
-    if any(m % 2 for m in mult.values()):
-        raise ValueError(f"cycle type {full} has an odd multiplicity")
-    half: list[int] = []
-    for size, m in mult.items():
-        half.extend([size] * (m // 2))
-    return Partition(half)
+    return Partition(_half_cycle_lengths(compose(g.image, h.image)))
 
 
 def r_statistic(f3: Pairing) -> int:
@@ -235,31 +251,13 @@ def iter_pairing_images(m: int, first_partner: int | None = None) -> Iterator[li
     image[first_partner] = -1
 
 
-def _half_type_key(perm: Sequence[int]) -> tuple[int, ...]:
-    # Cycle type halved, returned as a sorted tuple without Partition overhead.
-    m = len(perm)
-    seen = bytearray(m)
-    lengths: list[int] = []
-    for start in range(m):
-        if seen[start]:
-            continue
-        length = 0
-        x = start
-        while not seen[x]:
-            seen[x] = 1
-            x = perm[x]
-            length += 1
-        lengths.append(length)
-    lengths.sort(reverse=True)
-    return tuple(lengths[::2])
-
-
 @dataclass(frozen=True)
 class ClassTable:
-    """Counts of pairings f3 by (white type, black type, hat-pair count)."""
+    """Counts of pairings f3 by (white type, black type, hat-pair count);
+    ``entries`` is read-only."""
 
     n: int
-    entries: dict[tuple[Partition, Partition, int], int]
+    entries: Mapping[tuple[Partition, Partition, int], int]
 
     def total(self) -> int:
         return sum(self.entries.values())
@@ -285,8 +283,8 @@ def L_table(n: int, bound: int = DEFAULT_PAIRING_BOUND) -> ClassTable:
     raw: dict[tuple[tuple[int, ...], tuple[int, ...], int], int] = {}
     for partner in range(1, m):
         for f3 in iter_pairing_images(m, first_partner=partner):
-            lam = _half_type_key([f3[f1[x]] for x in range(m)])
-            mu = _half_type_key([f3[f2[x]] for x in range(m)])
+            lam = _half_cycle_lengths([f3[f1[x]] for x in range(m)])
+            mu = _half_cycle_lengths([f3[f2[x]] for x in range(m)])
             r = 0
             for x in range(n, m):
                 if f3[x] >= n and f3[x] > x:
@@ -298,7 +296,20 @@ def L_table(n: int, bound: int = DEFAULT_PAIRING_BOUND) -> ClassTable:
     expected = odd_double_factorial(n)
     if sum(entries.values()) != expected:
         raise AssertionError(f"pairing count mismatch: {sum(entries.values())} != {expected}")
-    return ClassTable(n, entries)
+    return ClassTable(n, MappingProxyType(entries))
+
+
+def lp_from_pairings(n: int) -> dict[tuple[Partition, Partition, int], int]:
+    """Partitioned-hypermap counts derived from the pairing classification
+    through the refinement identity; works beyond the direct enumeration
+    bound.  Keys are (white type, black type, r)."""
+    out: dict[tuple[Partition, Partition, int], int] = {}
+    for (lam, mu, r), c in L_table(n).entries.items():
+        for nu, r1 in coarsening_counts(lam).items():
+            for rho, r2 in coarsening_counts(mu).items():
+                key = (nu, rho, r)
+                out[key] = out.get(key, 0) + r1 * r2 * c
+    return out
 
 
 def b_from_L(table: ClassTable) -> dict[tuple[Partition, Partition], int]:
@@ -521,10 +532,10 @@ def class_connection(n: int, lam, mu, bound: int = DEFAULT_CLASS_BOUND) -> int:
 def double_coset_data(n: int, bound: int = DEFAULT_COSET_BOUND):
     """Membership data for the double cosets of the hyperoctahedral group.
 
-    Returns (class_of, members, sizes): the coset type of each permutation
-    of S_{2n} (as an image tuple), the members per type, and the coset
-    sizes.  A permutation w lies in the coset of type lam iff
-    fstar∘w∘fstar∘w^{-1} has cycle type lam lam.
+    Returns read-only mappings (class_of, members, sizes): the coset type
+    of each permutation of S_{2n} (as an image tuple), the members per type
+    (a tuple), and the coset sizes.  A permutation w lies in the coset of
+    type lam iff fstar∘w∘fstar∘w^{-1} has cycle type lam lam.
     """
     if n > bound:
         raise BoundExceededError("double coset product", n, bound)
@@ -537,18 +548,15 @@ def double_coset_data(n: int, bound: int = DEFAULT_COSET_BOUND):
         for x, y in enumerate(omega):
             inv[y] = x
         conj = tuple(fstar[omega[fstar[inv[x]]]] for x in range(m))
-        full = cycle_type(conj)
-        mult = full.multiplicities()
-        half: list[int] = []
-        for size, count in mult.items():
-            if count % 2:
-                raise AssertionError("coset conjugation type has odd multiplicity")
-            half.extend([size] * (count // 2))
-        lam = Partition(half)
+        lam = Partition(_half_cycle_lengths(conj))
         class_of[omega] = lam
         members.setdefault(lam, []).append(omega)
     sizes = {lam: len(ms) for lam, ms in members.items()}
-    return class_of, members, sizes
+    return (
+        MappingProxyType(class_of),
+        MappingProxyType({lam: tuple(ms) for lam, ms in members.items()}),
+        MappingProxyType(sizes),
+    )
 
 
 def double_coset_connection(n: int, lam, mu, bound: int = DEFAULT_COSET_BOUND) -> int:

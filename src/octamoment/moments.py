@@ -30,7 +30,6 @@ from typing import Sequence
 import numpy as np
 
 from .closedform import complex_expansion, real_expansion
-from .hypermaps import DEFAULT_PARTITIONED_BOUND
 from .partitions import parse_rational
 
 __all__ = [
@@ -150,38 +149,11 @@ class MCEstimate:
         return record
 
 
-def moment_real_exact(
-    n: int,
-    x: MatrixSpec,
-    y: MatrixSpec,
-    route: str = "closed",
-    oracle_bound: int = DEFAULT_PARTITIONED_BOUND,
-    strict: bool = False,
-) -> Fraction:
-    """Exact order-n moment of X U Y U^t for real Gaussian U.
-
-    ``route="closed"`` evaluates the closed-form expansion (flagged strata
-    resolved by the enumeration oracle); ``route="oracle"`` evaluates the
-    power-sum series built from the pairing classification.  The two
-    agree; tests pin that down.  With ``strict=True`` flagged strata are
-    not substituted: a nonempty report raises
-    :class:`~octamoment.closedform.DegenerateStrataError`.
-    """
-    xs, ys = x.exact_eigs(), y.exact_eigs()
-    if route == "closed":
-        if strict:
-            from .closedform import DegenerateStrataError, real_expansion_strict
-
-            expansion, report = real_expansion_strict(n)
-            if report:
-                raise DegenerateStrataError(report)
-            return expansion.evaluate(xs, ys)
-        return real_expansion(n, oracle_bound=oracle_bound).evaluate(xs, ys)
-    if route == "oracle":
-        from .closedform import pairing_power_sum_series
-
-        return pairing_power_sum_series(n, "real").evaluate(xs, ys)
-    raise ValueError(f"unknown route {route!r}")
+def moment_real_exact(n: int, x: MatrixSpec, y: MatrixSpec) -> Fraction:
+    """Exact order-n moment of X U Y U^t for real Gaussian U, from the
+    closed-form expansion (flagged strata resolved by the enumeration
+    oracle)."""
+    return real_expansion(n).evaluate(x.exact_eigs(), y.exact_eigs())
 
 
 def moment_complex_exact(n: int, x: MatrixSpec, y: MatrixSpec) -> Fraction:

@@ -18,13 +18,12 @@ from .arrays import enumerate_M
 from .partitions import (
     Partition,
     aut,
-    coarsening_counts,
     falling,
     odd_double_factorial,
     partitions_of,
 )
 
-__all__ = ["CheckResult", "run_suite", "SUITES", "coeffs_self_check", "lp_from_pairings"]
+__all__ = ["CheckResult", "run_suite", "SUITES", "coeffs_self_check"]
 
 
 @dataclass(frozen=True)
@@ -37,20 +36,6 @@ class CheckResult:
         return f"{'PASS' if self.ok else 'FAIL'} {self.name}" + (
             f": {self.detail}" if self.detail else ""
         )
-
-
-def lp_from_pairings(n: int) -> dict:
-    """Partitioned-hypermap counts derived from the pairing classification
-    through the refinement identity; works beyond the direct enumeration
-    bound.  Keys are (white type, black type, r)."""
-    table = hm.L_table(n)
-    out: dict[tuple[Partition, Partition, int], int] = {}
-    for (lam, mu, r), c in table.entries.items():
-        for nu, r1 in coarsening_counts(lam).items():
-            for rho, r2 in coarsening_counts(mu).items():
-                key = (nu, rho, r)
-                out[key] = out.get(key, 0) + r1 * r2 * c
-    return out
 
 
 def _sum_r(lp: dict) -> dict:
@@ -214,7 +199,7 @@ def suite_complex(n_max: int = 7) -> list[CheckResult]:
     """Complex coefficients against the orientable slice of the oracle."""
     results = []
     for n in range(1, n_max + 1):
-        lp = lp_from_pairings(n)
+        lp = hm.lp_from_pairings(n)
         bad = 0
         zero_cases = 0
         for lam in partitions_of(n):
@@ -242,7 +227,7 @@ def suite_corollaries(n_max_real: int = 5, n_max_complex: int = 7, lm_max: int =
     results = []
     for n in range(1, n_max_real + 1):
         table = hm.L_table(n)
-        lp = lp_from_pairings(n)
+        lp = hm.lp_from_pairings(n)
         lp_len: dict[tuple[int, int, int], int] = {}
         for (nu, rho, r), c in lp.items():
             key = (nu.length, rho.length, r)
@@ -286,7 +271,7 @@ def suite_special(n_max: int = 6) -> list[CheckResult]:
     """Single-black-vertex and hook coefficients plus the cell-sum identity."""
     results = []
     for n in range(1, n_max + 1):
-        lp = _sum_r(lp_from_pairings(n))
+        lp = _sum_r(hm.lp_from_pairings(n))
         bad = []
         for lam in partitions_of(n):
             expect = aut(lam) * lp.get((lam, Partition([n])), 0)

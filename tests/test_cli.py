@@ -1,8 +1,11 @@
 """Command-line surface: output shapes, determinism, exit codes."""
 
+import hashlib
 import json
 import subprocess
 import sys
+
+import pytest
 
 from octamoment.cli import main
 from octamoment.forests import forest_to_json, theta_forward
@@ -210,6 +213,96 @@ def test_expansion_domain_error_exits_3_with_one_line(capsys):
     assert code == 3
     assert captured.out == ""
     assert captured.err.splitlines() == ["octamoment: error: n must be >= 1"]
+
+
+# sha256 of stdout and the exit code of each command, recorded before the
+# real assembly was folded into one entry point.  The mc record drops the
+# sampled fields (mean, std_error, z_score): their last bits depend on the
+# BLAS kernel numpy picks for the CPU.  What is left pins the exact path.
+GOLDEN = [
+    ("expansion --n 1 --field real", 0, "ea5551696097350a005af42aabb81750fd3b2aa4367b45d1017e75f30b2a4149"),
+    ("expansion --n 2 --field real", 0, "5658877cac394c85bd6f6f9428671aaaae7dad338b6acfc454c1fe91565cd293"),
+    ("expansion --n 3 --field real", 0, "891d729d0e1ed0b0893f4f4c4764510bcabff1e1db468f4a5d47018ea7780389"),
+    ("expansion --n 4 --field real", 0, "c5d72f0036f22b8f1bb9807342f3d7dd21548df84e720ed5a3d5dea99ea09c5e"),
+    ("expansion --n 5 --field real", 0, "e9865f99374a39afc55c5d42e0d4d802bc664b4aaa7560289e73d07db99b5e83"),
+    ("expansion --n 6 --field real", 2, "d35cc8f78269523da70e8d66dcd7a1799ad5f1c4ebd4f21a2fbab309bc11380f"),
+    ("expansion --n 2 --field real --strict", 2, "2b4cde3d476aaf573a60f025d677dbb426774bd2197e6543b80668adfbc66a18"),
+    ("expansion --n 6 --field real --strict", 2, "cded54b610c4f5a2a314ec2f2cd5c972e945b9f2c2c4cad1eb62a2e0865a457d"),
+    ("report --n 1", 0, "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570"),
+    ("report --n 2", 0, "5e0f36d87287a1ef9e24339326366b9ea840542db4c9d884504dc04fa7f16ed7"),
+    ("report --n 3", 0, "e7922b402613aeec7acbca2ecf1ab273b4544eaa34601c1a5a83ec545afb61e9"),
+    ("report --n 4", 0, "ef4b04355a9e7f6d7b198a38668096a0dbbe3d05b9fc26e72af91fe80015cde2"),
+    ("report --n 5", 0, "cf402b6538912c12161e771739544ffaeeb90a670884f2e6be2c6251dd33929b"),
+    ("report --n 6", 0, "088c0af82ba06885059aa5907f633895f04d273c2eb5f9cf441f1b70059d3a9b"),
+    ("report --n 2 --strict", 2, "5e0f36d87287a1ef9e24339326366b9ea840542db4c9d884504dc04fa7f16ed7"),
+    ("expansion --n 6 --field complex", 0, "f90ccf46768ea752f42ac618830de84596a7b81d907aa305a3b51e48e74d7175"),
+    ("coeffs --n 4 --kind LP --format json", 0, "942d87eb8874f2033bda5360bb517dc87eebef5839fa2e79af0b9c4d18672af0"),
+    ("mc --n 3 --x-eigs 1/2,-2/3,3 --y-eigs 2,1/3,-1 --samples 5000 --seed 1", 0,
+     "6d9f6f093baec4268c19e11aaf92153c0016588ae678961091f11cdcb1a9095c"),
+]
+
+
+def test_golden_stdout_and_exit_codes(capsys):
+    for command, expected_code, expected_digest in GOLDEN:
+        argv = command.split()
+        code, out = run_cli(argv, capsys)
+        if argv[0] == "mc":
+            record = json.loads(out)
+            for key in ("mean", "std_error", "z_score"):
+                del record[key]
+            out = json.dumps(record, sort_keys=True)
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (
+            expected_code,
+            expected_digest,
+        ), command
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["expansion", "--n", "x", "--field", "real"],
+        ["frobnicate"],
+        ["expansion", "--n", "2"],
+    ],
+    ids=["bad-int", "unknown-subcommand", "missing-flag"],
+)
+def test_usage_error_exits_3_with_one_line(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exit_info.value.code == 3
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("octamoment: error: ")
+
+
+def test_mc_without_matrix_source_exits_3_with_one_line(capsys):
+    code = main(["mc", "--n", "2", "--samples", "10"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "octamoment: error: need --x-eigs/--y-eigs, matrix files, or --dim"
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bijection", "--input", "missing.json"],
+        ["mc", "--n", "2", "--samples", "10", "--matrix-x", "missing.json", "--dim", "2"],
+    ],
+    ids=["bijection-input", "matrix-x"],
+)
+def test_missing_input_file_exits_3_with_one_line(argv, tmp_path, capsys):
+    argv = [str(tmp_path / a) if a == "missing.json" else a for a in argv]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("octamoment: error: ")
+    assert "missing.json" in lines[0]
 
 
 def test_console_entry_point():

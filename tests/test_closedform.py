@@ -1,5 +1,6 @@
 """Closed formulas against the enumeration oracles."""
 
+from dataclasses import replace
 from fractions import Fraction
 from math import factorial
 
@@ -7,6 +8,7 @@ import pytest
 
 from octamoment.arrays import ArrayTuple, _side_distributions, elementary, enumerate_M
 from octamoment.closedform import (
+    DegenerateStrataError,
     F_counts,
     F_formula,
     I_of_A,
@@ -20,11 +22,9 @@ from octamoment.closedform import (
     q_compl,
     q_real,
     real_expansion,
-    real_expansion_report,
-    real_expansion_strict,
     remark_identity_check,
 )
-from octamoment.hypermaps import L_table, lp_by_array, lp_table
+from octamoment.hypermaps import L_table, lp_by_array, lp_from_pairings, lp_table
 from octamoment.partitions import (
     Partition,
     aut,
@@ -33,7 +33,6 @@ from octamoment.partitions import (
     multinomial,
     partitions_of,
 )
-from octamoment.verify import lp_from_pairings
 
 
 def all_strata(n):
@@ -273,10 +272,24 @@ def test_enumerate_M_result_is_the_callers_own():
     assert enumerate_M(lam, mu, 1) == expected != []
 
 
+def strict_expansion(n):
+    """``real_expansion(n, 0)``: the partial expansion and its flagged strata."""
+    try:
+        expansion = real_expansion(n, 0)
+    except DegenerateStrataError as err:
+        return err.expansion, err.strata
+    return expansion, list(expansion.degenerate_strata)
+
+
 def test_real_expansion_carries_its_report():
+    # Within the oracle bound the expansion carries the strata that strict
+    # mode flags, in the same order, each with its oracle value.
     for n in range(1, 6):
-        expansion = real_expansion(n)
-        assert list(expansion.degenerate_strata) == real_expansion_report(n)
+        carried = real_expansion(n).degenerate_strata
+        _, strict = strict_expansion(n)
+        assert [replace(d, oracle_value=None) for d in carried] == strict
+        oracle = lp_by_array(n)
+        assert all(d.oracle_value == oracle.get(d.array, 0) for d in carried)
     assert len(real_expansion(2).degenerate_strata) == 1
 
 
@@ -401,13 +414,31 @@ def test_real_expansion_n6_with_raised_oracle_bound():
 
 
 def test_real_expansion_raises_beyond_oracle_bound():
-    with pytest.raises(Exception) as err:
+    with pytest.raises(DegenerateStrataError) as err:
         real_expansion(6, oracle_bound=5)
     assert "flagged strata" in str(err.value)
+    assert err.value.strata and all(d.oracle_value is None for d in err.value.strata)
+
+
+def test_strict_mode_is_oracle_bound_zero():
+    with pytest.raises(DegenerateStrataError) as beyond:
+        real_expansion(6, 5)
+    expansion, strata = strict_expansion(6)
+    assert beyond.value.expansion == expansion
+    assert beyond.value.expansion.degenerate_strata == expansion.degenerate_strata
+    assert beyond.value.strata == strata
+    assert len(strata) == 235
+    # the partial expansion keeps exactly the pairs without a flagged stratum
+    flagged_pairs = {(d.lam, d.mu) for d in strata}
+    oracle = oracle_monomial_expansion(6, "real")
+    for lam in partitions_of(6):
+        for mu in partitions_of(6):
+            expected = 0 if (lam, mu) in flagged_pairs else oracle.coeff(lam, mu)
+            assert expansion.coeff(lam, mu) == expected
 
 
 def test_real_expansion_strict_reports():
-    expansion, report = real_expansion_strict(2)
+    expansion, report = strict_expansion(2)
     assert len(report) == 1
     stratum = report[0]
     assert (stratum.lam, stratum.mu, stratum.r) == (P2, P2, 1)
@@ -415,7 +446,7 @@ def test_real_expansion_strict_reports():
     # strict mode refuses the tainted coefficient entirely
     assert expansion.coeff(P2, P2) == 0
     assert expansion.coeff(P2, P11) == 2
-    full_report = real_expansion_report(2)
+    full_report = real_expansion(2).degenerate_strata
     assert full_report[0].oracle_value == 1
 
 

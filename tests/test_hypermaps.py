@@ -26,6 +26,7 @@ from octamoment.hypermaps import (
     iter_partitioned_hypermaps,
     lp_by_array,
     lp_table,
+    _half_cycle_lengths,
     parse_element,
     r_statistic,
 )
@@ -61,6 +62,14 @@ def test_half_cycle_type():
         assert half_cycle_type(g, g) == Partition([1] * n)
     twist = pairing_from_text(2, [("1", "2"), ("1^", "2^")])
     assert half_cycle_type(twist, canonical_f1(2)) == Partition([2])
+
+
+def test_half_cycle_lengths_rejects_odd_multiplicity():
+    # cycles (0 1)(2 3)(4)(5): lengths 2, 2, 1, 1 halve to (2, 1)
+    assert _half_cycle_lengths([1, 0, 3, 2, 4, 5]) == (2, 1)
+    for perm in ([0, 1, 2], [1, 2, 0], [1, 0, 2, 3, 4, 5]):
+        with pytest.raises(ValueError, match="odd multiplicity"):
+            _half_cycle_lengths(perm)
 
 
 def test_r_statistic():
@@ -183,6 +192,27 @@ def test_cached_tables_are_read_only(table):
     with pytest.raises(TypeError):
         table(3)[Partition([9])] = 1
     assert dict(table(3)) == contents
+
+
+def test_oracle_caches_are_read_only():
+    key = next(iter(L_table(2).entries))
+    with pytest.raises(TypeError):
+        L_table(2).entries[key] += 100
+    assert L_table(2).total() == 3
+    class_of, members, sizes = double_coset_data(1)
+    saved = (dict(class_of), {lam: list(ms) for lam, ms in members.items()}, dict(sizes))
+    lam = Partition([1])
+    with pytest.raises(TypeError):
+        sizes[lam] = 5
+    with pytest.raises(TypeError):
+        class_of[(1, 0)] = Partition([2])
+    with pytest.raises(TypeError):
+        members[lam] = ()
+    with pytest.raises(AttributeError):
+        members[lam].append((1, 0))
+    class_of, members, sizes = double_coset_data(1)
+    assert (dict(class_of), {lam: list(ms) for lam, ms in members.items()}, dict(sizes)) == saved
+    assert sizes == {lam: 2}
 
 
 def test_degree_array_small_cases():

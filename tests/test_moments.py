@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from octamoment.closedform import q_compl, q_real
+from octamoment.closedform import pairing_power_sum_series, q_compl, q_real
 from octamoment.moments import (
     MatrixSpec,
     mc_moment_complex,
@@ -54,15 +54,8 @@ def test_routes_agree():
     x = MatrixSpec.from_eigs([Fraction(1, 2), Fraction(-2, 3), 3])
     y = MatrixSpec.from_eigs([2, Fraction(1, 3), -1])
     for n in range(1, 6):
-        assert moment_real_exact(n, x, y) == moment_real_exact(n, x, y, route="oracle")
-
-
-def test_strict_moment_propagates_report():
-    from octamoment.closedform import DegenerateStrataError
-
-    assert moment_real_exact(1, I2, I2, strict=True) == 4
-    with pytest.raises(DegenerateStrataError):
-        moment_real_exact(2, I2, I2, strict=True)
+        oracle = pairing_power_sum_series(n, "real").evaluate(x.eigs, y.eigs)
+        assert moment_real_exact(n, x, y) == oracle
 
 
 def test_symmetry_and_scaling():
