@@ -3,15 +3,20 @@ suites, the bijection, Monte Carlo runs, and the degenerate-stratum
 report.
 
 Every subcommand is deterministic given its arguments (seeds included);
-identical invocations produce byte-identical output.  ``expansion
---field real`` and ``report`` make one call to
-:func:`~octamoment.closedform.real_expansion` each; ``--strict`` is its
-``oracle_bound=0``.  Exit codes: 0 success, 1 verification/validation
-failure, 2 flagged strata left unresolved (strict mode, or beyond the
-oracle bound), 3 a usage error, an argument outside the domain of the
-computation (such as ``n < 1``, or an enumeration beyond its size bound)
-or an unreadable input file, reported as one ``octamoment: error:`` line
-on stderr.
+identical invocations produce byte-identical output.  JSON output is
+``json.dumps(data, indent=2, sort_keys=True)`` plus a newline, and strict:
+a non-finite float raises ``ValueError`` instead of printing ``NaN`` or
+``Infinity``, and ``mc`` reports a ``z_score`` of ``null`` at zero
+standard error.  ``expansion`` writes its ``"terms"`` (canonical order)
+with :func:`_expansion_json`, the same bytes without a per-term record or
+the pure-Python indenting encoder.  ``expansion --field real`` and
+``report`` make one call to :func:`~octamoment.closedform.real_expansion`
+each; ``--strict`` is its ``oracle_bound=0``.  Exit codes: 0 success, 1
+verification/validation failure, 2 flagged strata left unresolved (strict
+mode, or beyond the oracle bound), 3 a usage error, an argument outside
+the domain of the computation (such as ``n < 1``, or an enumeration beyond
+its size bound) or an unreadable input file, reported as one
+``octamoment: error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -22,13 +27,14 @@ import io
 import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from math import factorial
 
 from . import closedform as cf
 from . import forests as fo
 from . import hypermaps as hm
 from . import moments as mo
-from .partitions import format_partition, format_rational, parse_partition
+from .partitions import format_partition, format_rational, parse_partition, partitions_of
 from .verify import SUITES, coeffs_self_check, run_suite
 
 
@@ -41,7 +47,33 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _json_dumps(data) -> str:
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+    return json.dumps(data, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+# One term of ``"terms"`` exactly as ``_json_dumps`` lays out a
+# {coeff, lambda, mu} record at depth 2, with its leading separator.
+_TERM = '\n    {\n      "coeff": "%s",\n      "lambda": %s,\n      "mu": %s\n    }'
+
+
+def _expansion_json(fields: dict, expansion) -> str:
+    """``_json_dumps({**fields, "terms": expansion.to_records()})``, written
+    without a record per term or the pure-Python indenting encoder.
+
+    ``fields`` is non-empty and every key sorts before ``"terms"``, so the
+    terms block replaces the closing brace of ``_json_dumps(fields)``.  A
+    coefficient is a ``Fraction``, whose ``str`` is ``format_rational``.
+    """
+    head = _json_dumps(fields)[: -len("\n}\n")]
+    names = {
+        lam: encode_basestring_ascii(format_partition(lam))
+        for lam in partitions_of(expansion.n)
+    }
+    terms = ",".join(
+        [_TERM % (c, names[lam], names[mu]) for (lam, mu), c in expansion.items()]
+    )
+    if not terms:
+        return head + ',\n  "terms": []\n}\n'
+    return head + ',\n  "terms": [' + terms + "\n  ]\n}\n"
 
 
 def cmd_coeffs(args) -> int:
@@ -153,13 +185,8 @@ def cmd_expansion(args) -> int:
                 return 2
             expansion = err.expansion
         strata = expansion.degenerate_strata
-    payload = {
-        "n": n,
-        "field": args.field,
-        "terms": expansion.to_records(),
-        "degenerate_strata": [d.to_json() for d in strata],
-    }
-    _emit(_json_dumps(payload), args.out)
+    fields = {"n": n, "field": args.field, "degenerate_strata": [d.to_json() for d in strata]}
+    _emit(_expansion_json(fields, expansion), args.out)
     if args.strict and strata:
         return 2
     return 0

@@ -135,6 +135,8 @@ class MCEstimate:
         return (self.mean - exact) / self.std_error if self.std_error else float("inf")
 
     def to_json(self, exact: Fraction | None = None) -> dict:
+        """JSON-ready record; ``z_score`` is ``None`` (JSON ``null``) when the
+        standard error is 0, because JSON has no infinity."""
         record = {
             "mean": self.mean,
             "std_error": self.std_error,
@@ -145,7 +147,7 @@ class MCEstimate:
         }
         if exact is not None:
             record["exact"] = float(exact)
-            record["z_score"] = self.z_score(float(exact))
+            record["z_score"] = self.z_score(float(exact)) if self.std_error else None
         return record
 
 

@@ -247,7 +247,8 @@ def parse_rational(text: str) -> Fraction:
 
 def format_rational(x: Fraction | int) -> str:
     """Render a rational as ``"num/den"``, or ``"num"`` when integral."""
-    x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    if isinstance(x, Fraction):
+        return str(x)  # Fraction.__str__ is exactly this format
+    if isinstance(x, int):
+        return str(int(x))  # int() renders a bool as 0 or 1
+    return str(Fraction(x))

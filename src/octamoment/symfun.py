@@ -88,12 +88,9 @@ class _BilinearExpansion:
 
     def to_records(self) -> list[dict[str, str]]:
         """JSON-ready records {lambda, mu, coeff} in canonical order."""
+        names = {lam: format_partition(lam) for lam in partitions_of(self.n)}
         return [
-            {
-                "lambda": format_partition(lam),
-                "mu": format_partition(mu),
-                "coeff": format_rational(c),
-            }
+            {"lambda": names[lam], "mu": names[mu], "coeff": format_rational(c)}
             for (lam, mu), c in self.items()
         ]
 

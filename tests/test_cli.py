@@ -7,9 +7,12 @@ import sys
 
 import pytest
 
+from octamoment import cli
 from octamoment.cli import main
+from octamoment.closedform import DegenerateStrataError, complex_expansion, real_expansion
 from octamoment.forests import forest_to_json, theta_forward
 from octamoment.hypermaps import iter_partitioned_hypermaps
+from octamoment.symfun import MonomialExpansion
 
 
 def run_cli(args, capsys):
@@ -188,6 +191,76 @@ def test_mc_subcommand_json(capsys):
     assert abs(payload["z_score"]) <= 5
 
 
+def _reject_constant(token):
+    raise ValueError(f"not JSON: {token}")
+
+
+def test_mc_zero_variance_prints_strict_json(capsys):
+    code, out = run_cli(
+        [
+            "mc", "--n", "2", "--x-eigs", "0,0", "--y-eigs", "1,1",
+            "--samples", "100", "--seed", "1",
+        ],
+        capsys,
+    )
+    assert code == 0
+    record = json.loads(out, parse_constant=_reject_constant)
+    assert record["std_error"] == 0 and record["mean"] == record["exact"] == 0
+    assert record["z_score"] is None
+
+
+def test_json_output_rejects_non_finite_numbers():
+    for value in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(ValueError):
+            cli._json_dumps({"z_score": value})
+
+
+def _expansion_cases():
+    """(head fields, expansion) for every branch of ``expansion``."""
+    for n in range(1, 13):
+        yield {"n": n, "field": "complex", "degenerate_strata": []}, complex_expansion(n)
+    for n in range(1, 6):
+        expansion = real_expansion(n)
+        strata = [d.to_json() for d in expansion.degenerate_strata]
+        yield {"n": n, "field": "real", "degenerate_strata": strata}, expansion
+    for n in range(2, 8):
+        with pytest.raises(DegenerateStrataError) as info:
+            real_expansion(n, 0)
+        strata = [d.to_json() for d in info.value.strata]
+        yield {"n": n, "field": "real", "degenerate_strata": strata}, info.value.expansion
+    yield {"n": 3, "field": "real", "degenerate_strata": []}, MonomialExpansion(3)
+
+
+def test_expansion_writer_equals_json_dumps_of_records():
+    cases = 0
+    for head, expansion in _expansion_cases():
+        reference = {**head, "terms": expansion.to_records()}
+        text = cli._expansion_json(head, expansion)
+        assert text == json.dumps(reference, indent=2, sort_keys=True) + "\n", head
+        cases += 1
+    assert cases == 12 + 5 + 6 + 1
+    assert '"terms": []' in cli._expansion_json({"n": 3, "field": "real"}, MonomialExpansion(3))
+
+
+def test_expansion_terms_never_reach_json_dumps(capsys, monkeypatch):
+    dumped = []
+    real_dumps = json.dumps
+
+    def spy(data, **kwargs):
+        dumped.append(data)
+        return real_dumps(data, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", spy)
+    for argv in (
+        ["expansion", "--n", "4", "--field", "complex"],
+        ["expansion", "--n", "3", "--field", "real"],
+        ["expansion", "--n", "3", "--field", "real", "--strict"],
+    ):
+        code, out = run_cli(argv, capsys)
+        assert json.loads(out)["terms"]
+    assert dumped and not any("terms" in data for data in dumped)
+
+
 def test_byte_identical_reruns(capsys):
     args = ["expansion", "--n", "3", "--field", "real"]
     _, first = run_cli(args, capsys)
@@ -239,6 +312,10 @@ GOLDEN = [
     ("coeffs --n 4 --kind LP --format json", 0, "942d87eb8874f2033bda5360bb517dc87eebef5839fa2e79af0b9c4d18672af0"),
     ("mc --n 3 --x-eigs 1/2,-2/3,3 --y-eigs 2,1/3,-1 --samples 5000 --seed 1", 0,
      "6d9f6f093baec4268c19e11aaf92153c0016588ae678961091f11cdcb1a9095c"),
+    # Recorded before the expansion terms were written without json.dumps.
+    ("expansion --n 12 --field complex", 0, "237cb2c2fad2c5a81eaa7ae531fa50ec09963aec6de4ea3187127d29536258a9"),
+    ("expansion --n 7 --field real --strict", 2, "b37dd33527f56d36fb4cc5728481c0618f16cbfd2aaa7c307a140783d00c2f24"),
+    ("expansion --n 8 --field real --strict", 2, "951c868182f282fa6a6a04a84e0dbe5813885b9f9019df375e8751161fe97818"),
 ]
 
 

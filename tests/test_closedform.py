@@ -5,6 +5,8 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from octamoment.arrays import ArrayTuple, _side_distributions, elementary, enumerate_M
 from octamoment.closedform import (
@@ -462,6 +464,24 @@ def test_complex_expansion_equals_complex_coeff():
         for lam in partitions_of(n):
             for mu in partitions_of(n):
                 assert expansion.coeff(lam, mu) == complex_coeff(n, lam, mu)
+
+
+def _transposed(expansion):
+    return {(mu, lam): c for (lam, mu), c in expansion.coeffs.items()}
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(n=st.integers(1, 10))
+def test_complex_expansion_is_symmetric_in_lambda_mu(n):
+    expansion = complex_expansion(n)
+    assert _transposed(expansion) == expansion.coeffs
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(n=st.integers(1, 5))
+def test_real_expansion_is_symmetric_in_lambda_mu(n):
+    expansion = real_expansion(n)
+    assert _transposed(expansion) == expansion.coeffs
 
 
 def test_complex_expansion_against_oracle():

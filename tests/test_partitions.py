@@ -180,3 +180,13 @@ def test_rational_text_round_trip():
     assert parse_rational("-7") == -7
     assert format_rational(Fraction(6, 4)) == "3/2"
     assert format_rational(Fraction(8, 4)) == "2"
+
+
+def test_format_rational_of_fractions_ints_and_bools():
+    for x in [Fraction(-3, 4), Fraction(0), Fraction(-5), 7, -12, 0]:
+        f = Fraction(x)
+        expected = str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+        assert format_rational(x) == expected
+        assert parse_rational(format_rational(x)) == x
+    assert (format_rational(True), format_rational(False)) == ("1", "0")
+    assert format_rational("6/4") == "3/2"

@@ -153,6 +153,18 @@ def test_monomial_table_matches_placement_walk(n, xs):
     assert power_sums(n, xs) == [1] + expected
 
 
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(
+    n=st.integers(1, 4),
+    kind=st.sampled_from(["real", "complex"]),
+    xs=st.lists(LETTERS, max_size=5),
+    ys=st.lists(LETTERS, max_size=5),
+)
+def test_p_to_m_round_trip_evaluates_equal(n, kind, xs, ys):
+    series = pairing_power_sum_series(n, kind)
+    assert to_monomial(series).evaluate(xs, ys) == series.evaluate(xs, ys)
+
+
 def test_evaluators_scale_to_large_dimension():
     """n = 5 at dim = 40: the placement walk would visit 40!/35! ~ 7.9e7
     placements per m_lam; the table evaluates each alphabet once."""
