@@ -11,6 +11,7 @@ from .arrays import ArrayTuple, elementary, enumerate_M
 from .closedform import (
     DegenerateStrataError,
     DegenerateStratum,
+    F_continued,
     F_counts,
     F_formula,
     I_of_A,
@@ -20,8 +21,6 @@ from .closedform import (
     coeff_m_lambda_m_n,
     complex_coeff,
     complex_expansion,
-    pairing_power_sum_series,
-    oracle_monomial_expansion,
     q_compl,
     q_real,
     real_expansion,
@@ -56,6 +55,8 @@ from .hypermaps import (
     iter_partitioned_hypermaps,
     lp_by_array,
     lp_table,
+    oracle_monomial_expansion,
+    pairing_power_sum_series,
     r_statistic,
 )
 from .moments import (

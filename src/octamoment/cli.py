@@ -11,9 +11,10 @@ standard error.  ``expansion`` writes its ``"terms"`` (canonical order)
 with :func:`_expansion_json`, the same bytes without a per-term record or
 the pure-Python indenting encoder.  ``expansion --field real`` and
 ``report`` make one call to :func:`~octamoment.closedform.real_expansion`
-each; ``--strict`` is its ``oracle_bound=0``.  Exit codes: 0 success, 1
-verification/validation failure, 2 flagged strata left unresolved (strict
-mode, or beyond the oracle bound), 3 a usage error, an argument outside
+each, which resolves flagged strata by continuation in ``n`` for every
+``n``; ``expansion --strict`` is its ``strict=True``.  Exit codes: 0
+success, 1 verification/validation failure, 2 flagged strata under
+``--strict``, 3 a usage error, an argument outside
 the domain of the computation (such as ``n < 1``, or an enumeration beyond
 its size bound) or an unreadable input file, reported as one
 ``octamoment: error:`` line on stderr.
@@ -87,9 +88,7 @@ def cmd_coeffs(args) -> int:
         table = hm.L_table(n)
         b = hm.b_from_L(table)
         if args.kind == "L":
-            for (lam, mu, r), value in sorted(
-                table.entries.items(), key=lambda kv: (kv[0][0], kv[0][1], kv[0][2]), reverse=True
-            ):
+            for (lam, mu, r), value in sorted(table.entries.items(), reverse=True):
                 rows.append(
                     {
                         "lambda": format_partition(lam),
@@ -103,9 +102,7 @@ def cmd_coeffs(args) -> int:
         else:
             c = hm.c_from_L(table)
             source = b if args.kind == "b" else c
-            for (lam, mu), value in sorted(
-                source.items(), key=lambda kv: (kv[0][0], kv[0][1]), reverse=True
-            ):
+            for (lam, mu), value in sorted(source.items(), reverse=True):
                 rows.append(
                     {
                         "lambda": format_partition(lam),
@@ -120,9 +117,7 @@ def cmd_coeffs(args) -> int:
             _emit(_json_dumps(payload), args.out)
             return 0
         lp = hm.lp_from_pairings(n)
-        for (nu, rho, r), value in sorted(
-            lp.items(), key=lambda kv: (kv[0][0], kv[0][1], kv[0][2]), reverse=True
-        ):
+        for (nu, rho, r), value in sorted(lp.items(), reverse=True):
             rows.append(
                 {
                     "lambda": format_partition(nu),
@@ -171,18 +166,8 @@ def cmd_expansion(args) -> int:
         expansion, strata = cf.complex_expansion(n), ()
     else:
         try:
-            expansion = cf.real_expansion(n, 0 if args.strict else args.oracle_max_n)
+            expansion = cf.real_expansion(n, strict=args.strict)
         except cf.DegenerateStrataError as err:
-            if not args.strict:
-                payload = {
-                    "n": n,
-                    "field": args.field,
-                    "error": "flagged strata beyond the oracle bound; "
-                    "raise --oracle-max-n or use --strict for the report",
-                    "degenerate_strata": [d.to_json() for d in err.strata],
-                }
-                _emit(_json_dumps(payload), args.out)
-                return 2
             expansion = err.expansion
         strata = expansion.degenerate_strata
     fields = {"n": n, "field": args.field, "degenerate_strata": [d.to_json() for d in strata]}
@@ -290,13 +275,10 @@ def cmd_mc(args) -> int:
         estimate = mo.mc_moment_complex(args.n, x, y, args.samples, args.seed)
     exact = None
     if x.eigs is not None and y.eigs is not None:
-        try:
-            if args.field == "real":
-                exact = mo.moment_real_exact(args.n, x, y)
-            else:
-                exact = mo.moment_complex_exact(args.n, x, y)
-        except (hm.BoundExceededError, cf.DegenerateStrataError):
-            exact = None
+        if args.field == "real":
+            exact = mo.moment_real_exact(args.n, x, y)
+        else:
+            exact = mo.moment_complex_exact(args.n, x, y)
     payload = estimate.to_json(exact)
     if exact is not None:
         payload["exact_rational"] = format_rational(exact)
@@ -305,11 +287,7 @@ def cmd_mc(args) -> int:
 
 
 def cmd_report(args) -> int:
-    try:
-        strata = cf.real_expansion(args.n, args.oracle_max_n).degenerate_strata
-    except cf.DegenerateStrataError as err:
-        strata = err.strata
-    report = [d.to_json() for d in strata]
+    report = [d.to_json() for d in cf.real_expansion(args.n).degenerate_strata]
     _emit(_json_dumps(report), args.out)
     if args.strict and report:
         return 2
@@ -347,8 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--field", choices=["real", "complex"], required=True)
     p.add_argument("--strict", action="store_true",
-                   help="exit 2 instead of substituting the oracle on flagged strata")
-    p.add_argument("--oracle-max-n", type=int, default=hm.DEFAULT_PARTITIONED_BOUND)
+                   help="leave out the pairs with flagged strata and exit 2")
     p.add_argument("--out")
     p.set_defaults(func=cmd_expansion)
 
@@ -380,7 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="degenerate-stratum report for the real expansion")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--oracle-max-n", type=int, default=hm.DEFAULT_PARTITIONED_BOUND)
     p.add_argument("--strict", action="store_true")
     p.add_argument("--out")
     p.set_defaults(func=cmd_report)

@@ -10,18 +10,19 @@ the special coefficient formulas, all in exact rational arithmetic.
 Degenerate strata
 -----------------
 The per-stratum formula is generic: on boundary strata (``q = 0`` with
-``r > 0``, or ``n - 1 - p - 2r < 0``) it produces 0*inf / 0/0 shapes.  The
-evaluators never guess a limit.  Each such evaluation is returned as a
-:class:`StratumValue` with ``well_defined=False`` and diagnostics naming
-the offending factor; :func:`real_expansion` substitutes the enumeration
-oracle for flagged strata when ``n`` is within the oracle bound.  Beyond
-it (``oracle_bound=0`` is strict mode) any flagged stratum raises
-:class:`DegenerateStrataError`, which carries the flagged strata and the
-partial expansion without the (lam, mu) pairs they belong to.  Negative
-arguments in numerator-position factorials evaluate to 0 so the reported
-value stays deterministic; the factor ``1/(n-p-q-2r)!`` follows the
-reciprocal-factorial convention (0 at negative integers), which is not a
-degeneracy: it encodes the vanishing thorn count.
+``r > 0``, or ``n - 1 - p - 2r < 0``) it produces 0*inf / 0/0 shapes.
+:func:`F_formula` never guesses a limit: such an evaluation is returned
+as a :class:`StratumValue` with ``well_defined=False`` and diagnostics
+naming the offending factor.  :func:`real_expansion` resolves every
+flagged stratum by :func:`F_continued`, the limit of the same formula at
+``n + eps`` as ``eps -> 0``; in strict mode it refuses them instead and
+raises :class:`DegenerateStrataError`, which carries the flagged strata
+and the partial expansion without the (lam, mu) pairs they belong to.
+Negative arguments in numerator-position factorials evaluate to 0 in
+``F_formula`` so the reported value stays deterministic; the factor
+``1/(n-p-q-2r)!`` follows the reciprocal-factorial convention (0 at
+negative integers), which is not a degeneracy: it encodes the vanishing
+thorn count.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from functools import lru_cache
 from math import factorial
 
 from .arrays import ArrayTuple, _sides, enumerate_M
-from .hypermaps import DEFAULT_PARTITIONED_BOUND, L_table, lp_by_array
 from .partitions import (
     Partition,
     aut,
@@ -43,13 +43,14 @@ from .partitions import (
     odd_double_factorial,
     partitions_of,
 )
-from .symfun import MonomialExpansion, PowerSumExpansion, to_monomial
+from .symfun import MonomialExpansion
 
 __all__ = [
     "StratumValue",
     "DegenerateStratum",
     "I_of_A",
     "F_formula",
+    "F_continued",
     "F_counts",
     "alpha",
     "RealExpansion",
@@ -61,8 +62,6 @@ __all__ = [
     "coeff_m_lambda_m_n",
     "coeff_hook",
     "remark_identity_check",
-    "pairing_power_sum_series",
-    "oracle_monomial_expansion",
     "DegenerateStrataError",
 ]
 
@@ -108,6 +107,16 @@ def _seed_bracket(a: ArrayTuple, n: int, r: int) -> tuple[int, int, int, int]:
     return _multinomial2(i0, j0, j0), head, s2, s3
 
 
+def _cells(a: ArrayTuple) -> tuple[int, int]:
+    """The cell binomials and cell factorials of the count, as integers."""
+    num = 1
+    for i, j, c in a.white + a.black:
+        num *= _multinomial2(i - 1, j, j) ** c
+    for i, j, c in a.white_root + a.black_root:
+        num *= _multinomial2(i - 1, j, j - 1) ** c
+    return num, a.factorial_product()
+
+
 def I_of_A(a: ArrayTuple, n: int) -> StratumValue:
     """The seed factor of the per-stratum count.
 
@@ -150,12 +159,7 @@ def F_formula(a: ArrayTuple, n: int) -> StratumValue:
     r = a.loop_pairs
     p, pp = a.num_white, a.num_white_root
     q, qp = a.num_black, a.num_black_root
-    num = 1
-    for i, j, c in a.white + a.black:
-        num *= _multinomial2(i - 1, j, j) ** c
-    for i, j, c in a.white_root + a.black_root:
-        num *= _multinomial2(i - 1, j, j - 1) ** c
-    den = a.factorial_product()
+    num, den = _cells(a)
     thorn = n - p - q - 2 * r
     if thorn >= 0:
         den *= factorial(thorn)
@@ -185,6 +189,59 @@ def F_formula(a: ArrayTuple, n: int) -> StratumValue:
     return StratumValue(
         Fraction(num, den), well_defined=not diagnostics, diagnostics=tuple(diagnostics)
     )
+
+
+def _factorial_leading(x: int) -> tuple[int, Fraction]:
+    """The leading Laurent term ``c eps**v`` of ``Gamma(x+1+eps)/Gamma(1+eps)``
+    as ``(v, c)``: ``x!`` for ``x >= 0``, and the simple pole
+    ``(-1)**m / (m! eps)`` with ``m = -x-1`` for ``x < 0``."""
+    if x >= 0:
+        return 0, Fraction(factorial(x))
+    m = -x - 1
+    return -1, Fraction((-1) ** m, factorial(m))
+
+
+@lru_cache(maxsize=None)
+def F_continued(a: ArrayTuple, n: int) -> int:
+    """The per-stratum count of a flagged stratum: the limit of
+    :func:`F_formula` at ``n + eps`` as ``eps -> 0``.
+
+    Each ``x!`` becomes ``Gamma(x+1+eps)/Gamma(1+eps)``, which has a simple
+    pole at negative ``x``, so the thorn factor ``1/(n-p-q-2r)!`` has a
+    simple zero there.  With ``(n-q-2r)! = (n+eps-q-2r) (n-q-2r-1)!`` the
+    seed bracket is one quadratic in ``eps``, because ``head`` and ``s2``
+    are linear in ``n``.  Every factor then has a nonzero leading Laurent
+    term, so the limit is the product of the leading terms when their
+    orders add up to 0, and 0 when they add up to more.  Every flagged
+    stratum has ``r > 0``, which this requires.  Raises ``ArithmeticError``
+    if a pole survives or the limit is not an integer.
+    """
+    r = a.loop_pairs
+    if r == 0:
+        raise ValueError("F_continued needs a stratum with r > 0")
+    p, q = a.num_white, a.num_black
+    num, den = _cells(a)
+    base, head, s2, s3 = _seed_bracket(a, n, r)
+    _, head_next, s2_next, _ = _seed_bracket(a, n + 1, r)
+    dhead, ds2, d = head_next - head, s2_next - s2, n - q - 2 * r
+    bracket = [head * d + s2 * s3, head + dhead * d + ds2 * s3, dhead]
+    if not any(bracket):
+        return 0
+    order = min(k for k, b in enumerate(bracket) if b)
+    limit = Fraction(bracket[order])
+    for x, s in ((d - 1, 1), (n - 1 - p - 2 * r, 1), (n - p - q - 2 * r, -1)):
+        v, c = _factorial_leading(x)
+        order += s * v
+        limit *= c**s
+    if order < 0:
+        raise ArithmeticError(f"a pole survives the continuation of {a} at n = {n}")
+    if order > 0:
+        return 0
+    num *= base * factorial(r) ** 2 * 2 ** (a.num_white_root + a.num_black_root)
+    value = limit * num / (den * r * r * 4**r)
+    if value.denominator != 1:
+        raise ArithmeticError(f"continued count {value} of {a} at n = {n} is not an integer")
+    return value.numerator
 
 
 def alpha(r: int, p: int, q: int, pp: int, qp: int) -> Fraction:
@@ -248,7 +305,8 @@ def F_counts(p: int, pp: int, q: int, qp: int, r: int, n: int) -> StratumValue:
 
 @dataclass(frozen=True)
 class DegenerateStratum:
-    """One flagged stratum of an expansion assembly."""
+    """One flagged stratum of an expansion assembly; ``oracle_value`` is its
+    continued count (:func:`F_continued`), ``None`` in strict mode."""
 
     n: int
     lam: Partition
@@ -282,7 +340,7 @@ class RealExpansion(MonomialExpansion):
 
 
 class DegenerateStrataError(ValueError):
-    """Flagged strata could not be resolved by the oracle.
+    """Strict mode met flagged strata.
 
     ``strata`` lists every flagged stratum of the assembly, and
     ``expansion`` is the partial :class:`RealExpansion` that leaves out
@@ -291,53 +349,47 @@ class DegenerateStrataError(ValueError):
 
     def __init__(self, strata: list[DegenerateStratum], expansion: RealExpansion):
         super().__init__(
-            f"{len(strata)} flagged strata beyond the oracle bound; "
+            f"{len(strata)} flagged strata in strict mode; "
             "first: " + "; ".join(strata[0].diagnostics)
         )
         self.strata = strata
         self.expansion = expansion
 
 
-def real_expansion(
-    n: int, oracle_bound: int = DEFAULT_PARTITIONED_BOUND
-) -> RealExpansion:
+def real_expansion(n: int, strict: bool = False) -> RealExpansion:
     """Monomial expansion of the order-n real moment.
 
-    Flagged strata take their value from the enumeration oracle when
-    ``n <= oracle_bound`` and come with the expansion either way.  Beyond
-    the bound, every (lam, mu) pair with a flagged stratum is left out and
-    :class:`DegenerateStrataError` carries that partial expansion; so
-    ``oracle_bound=0`` is strict mode.
+    Flagged strata take their value from :func:`F_continued` and come with
+    the expansion.  In strict mode every (lam, mu) pair with a flagged
+    stratum is left out instead, and :class:`DegenerateStrataError`
+    carries that partial expansion.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    oracle = lp_by_array(n, bound=oracle_bound) if n <= oracle_bound else None
     coeffs: dict[tuple[Partition, Partition], Fraction] = {}
     report: list[DegenerateStratum] = []
     for lam in partitions_of(n):
         for mu in partitions_of(n):
             total = Fraction(0)
-            resolved = True
+            tainted = False
             for r in range(n // 2 + 1):
                 for a in enumerate_M(lam, mu, r):
                     sv = F_formula(a, n)
                     if sv.well_defined:
                         total += sv.value
                         continue
-                    oracle_value = oracle.get(a, 0) if oracle is not None else None
+                    value = None if strict else F_continued(a, n)
                     report.append(
-                        DegenerateStratum(
-                            n, lam, mu, r, a, sv.value, sv.diagnostics, oracle_value
-                        )
+                        DegenerateStratum(n, lam, mu, r, a, sv.value, sv.diagnostics, value)
                     )
-                    if oracle_value is None:
-                        resolved = False
+                    if strict:
+                        tainted = True
                     else:
-                        total += oracle_value
-            if total and resolved:
+                        total += value
+            if total and not tainted:
                 coeffs[(lam, mu)] = aut(lam) * aut(mu) * total
     expansion = RealExpansion(n, coeffs, tuple(report))
-    if oracle is None and report:
+    if strict and report:
         raise DegenerateStrataError(report, expansion)
     return expansion
 
@@ -484,23 +536,3 @@ def remark_identity_check(lam) -> bool:
         rhs_num *= odd_double_factorial(part)
         rhs_den *= factorial(part)
     return lhs == Fraction(rhs_num, rhs_den)
-
-
-def pairing_power_sum_series(n: int, kind: str = "real") -> PowerSumExpansion:
-    """The power-sum series whose basis change reproduces the expansions:
-    pairing counts (real) or their orientable slice (complex) as
-    coefficients of p_lam(X) p_mu(Y).  Oracle route; small n only."""
-    table = L_table(n)
-    coeffs: dict[tuple[Partition, Partition], Fraction] = {}
-    for (lam, mu, r), c in table.entries.items():
-        if kind == "complex" and r != 0:
-            continue
-        key = (lam, mu)
-        coeffs[key] = coeffs.get(key, Fraction(0)) + c
-    return PowerSumExpansion(n, coeffs)
-
-
-def oracle_monomial_expansion(n: int, kind: str = "real") -> MonomialExpansion:
-    """Expansion of the oracle power-sum series in monomials; the
-    independent route the closed formulas are compared against."""
-    return to_monomial(pairing_power_sum_series(n, kind))

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 from types import MappingProxyType
@@ -32,6 +33,7 @@ from .partitions import (
     set_partitions,
     zee,
 )
+from .symfun import MonomialExpansion, PowerSumExpansion, to_monomial
 
 __all__ = [
     "BoundExceededError",
@@ -46,6 +48,8 @@ __all__ = [
     "ClassTable",
     "L_table",
     "lp_from_pairings",
+    "pairing_power_sum_series",
+    "oracle_monomial_expansion",
     "b_from_L",
     "c_from_L",
     "PartitionedHypermap",
@@ -310,6 +314,26 @@ def lp_from_pairings(n: int) -> dict[tuple[Partition, Partition, int], int]:
                 key = (nu, rho, r)
                 out[key] = out.get(key, 0) + r1 * r2 * c
     return out
+
+
+def pairing_power_sum_series(n: int, kind: str = "real") -> PowerSumExpansion:
+    """The power-sum series whose basis change reproduces the expansions:
+    pairing counts (real) or their orientable slice (complex) as
+    coefficients of p_lam(X) p_mu(Y).  Oracle route; small n only."""
+    table = L_table(n)
+    coeffs: dict[tuple[Partition, Partition], Fraction] = {}
+    for (lam, mu, r), c in table.entries.items():
+        if kind == "complex" and r != 0:
+            continue
+        key = (lam, mu)
+        coeffs[key] = coeffs.get(key, Fraction(0)) + c
+    return PowerSumExpansion(n, coeffs)
+
+
+def oracle_monomial_expansion(n: int, kind: str = "real") -> MonomialExpansion:
+    """Expansion of the oracle power-sum series in monomials; the
+    independent route the closed formulas are compared against."""
+    return to_monomial(pairing_power_sum_series(n, kind))
 
 
 def b_from_L(table: ClassTable) -> dict[tuple[Partition, Partition], int]:

@@ -132,6 +132,8 @@ class MCEstimate:
     dim: int
 
     def z_score(self, exact: float) -> float:
+        if self.mean == exact:
+            return 0.0
         return (self.mean - exact) / self.std_error if self.std_error else float("inf")
 
     def to_json(self, exact: Fraction | None = None) -> dict:
@@ -153,8 +155,8 @@ class MCEstimate:
 
 def moment_real_exact(n: int, x: MatrixSpec, y: MatrixSpec) -> Fraction:
     """Exact order-n moment of X U Y U^t for real Gaussian U, from the
-    closed-form expansion (flagged strata resolved by the enumeration
-    oracle)."""
+    closed-form expansion, for every ``n >= 1`` (flagged strata resolved
+    by continuation in ``n``)."""
     return real_expansion(n).evaluate(x.exact_eigs(), y.exact_eigs())
 
 

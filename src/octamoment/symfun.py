@@ -8,7 +8,8 @@ evaluates each alphabet once, not once per term.
 
 Expansions are stored sparsely: a missing ``(lam, mu)`` key means the
 coefficient is 0.  Canonical key order everywhere is (reverse-lex ``lam``,
-reverse-lex ``mu``), i.e. plain descending tuple order.
+reverse-lex ``mu``), i.e. plain descending tuple order; an expansion
+stores its coefficients in that order once, at construction.
 """
 
 from __future__ import annotations
@@ -45,14 +46,6 @@ __all__ = [
 Key = tuple[Partition, Partition]
 
 
-def _canonical_items(coeffs: Mapping[Key, Fraction]):
-    return sorted(
-        ((k, v) for k, v in coeffs.items() if v != 0),
-        key=lambda kv: (kv[0][0], kv[0][1]),
-        reverse=True,
-    )
-
-
 @dataclass(frozen=True)
 class _BilinearExpansion:
     """Sparse bilinear series sum coeff(lam, mu) * f_lam(x) f_mu(y)."""
@@ -64,11 +57,12 @@ class _BilinearExpansion:
         for lam, mu in self.coeffs:
             if lam.n != self.n or mu.n != self.n:
                 raise ValueError(f"key ({lam}, {mu}) does not index order {self.n}")
-        # A private copy: the caller's dict is neither converted nor shared.
-        coeffs = dict(self.coeffs)
-        for key, c in coeffs.items():
-            if not isinstance(c, Fraction):
-                coeffs[key] = Fraction(c)
+        # A private copy in canonical order: the caller's dict is neither
+        # converted nor shared.
+        coeffs = {}
+        for key in sorted(self.coeffs, reverse=True):
+            c = self.coeffs[key]
+            coeffs[key] = c if isinstance(c, Fraction) else Fraction(c)
         object.__setattr__(self, "coeffs", coeffs)
 
     def coeff(self, lam: Partition, mu: Partition) -> Fraction:
@@ -76,7 +70,7 @@ class _BilinearExpansion:
 
     def items(self):
         """Nonzero terms in canonical order."""
-        return _canonical_items(self.coeffs)
+        return [(k, v) for k, v in self.coeffs.items() if v]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, _BilinearExpansion):

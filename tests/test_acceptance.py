@@ -165,7 +165,7 @@ def test_06_real_expansion():
     report(
         "6 real expansion n<=5",
         failures == 0 and [d.oracle_value for d in flagged] == [1],
-        "flagged strata reported, oracle-substituted",
+        "flagged strata reported, continued in n",
     )
 
 

@@ -12,6 +12,7 @@ from octamoment.cli import main
 from octamoment.closedform import DegenerateStrataError, complex_expansion, real_expansion
 from octamoment.forests import forest_to_json, theta_forward
 from octamoment.hypermaps import iter_partitioned_hypermaps
+from octamoment.moments import MatrixSpec, moment_real_exact
 from octamoment.symfun import MonomialExpansion
 
 
@@ -209,6 +210,18 @@ def test_mc_zero_variance_prints_strict_json(capsys):
     assert record["z_score"] is None
 
 
+def test_mc_prints_exact_beyond_the_oracle_bound(capsys):
+    code, out = run_cli(
+        ["mc", "--n", "6", "--x-eigs", "1,-1/2", "--y-eigs", "2,1", "--samples", "100"],
+        capsys,
+    )
+    assert code == 0
+    record = json.loads(out)
+    assert record["exact_rational"] == cli.format_rational(
+        moment_real_exact(6, MatrixSpec.from_eigs([1, "-1/2"]), MatrixSpec.from_eigs([2, 1]))
+    )
+
+
 def test_json_output_rejects_non_finite_numbers():
     for value in (float("inf"), float("-inf"), float("nan")):
         with pytest.raises(ValueError):
@@ -225,7 +238,7 @@ def _expansion_cases():
         yield {"n": n, "field": "real", "degenerate_strata": strata}, expansion
     for n in range(2, 8):
         with pytest.raises(DegenerateStrataError) as info:
-            real_expansion(n, 0)
+            real_expansion(n, strict=True)
         strata = [d.to_json() for d in info.value.strata]
         yield {"n": n, "field": "real", "degenerate_strata": strata}, info.value.expansion
     yield {"n": 3, "field": "real", "degenerate_strata": []}, MonomialExpansion(3)
@@ -298,7 +311,6 @@ GOLDEN = [
     ("expansion --n 3 --field real", 0, "891d729d0e1ed0b0893f4f4c4764510bcabff1e1db468f4a5d47018ea7780389"),
     ("expansion --n 4 --field real", 0, "c5d72f0036f22b8f1bb9807342f3d7dd21548df84e720ed5a3d5dea99ea09c5e"),
     ("expansion --n 5 --field real", 0, "e9865f99374a39afc55c5d42e0d4d802bc664b4aaa7560289e73d07db99b5e83"),
-    ("expansion --n 6 --field real", 2, "d35cc8f78269523da70e8d66dcd7a1799ad5f1c4ebd4f21a2fbab309bc11380f"),
     ("expansion --n 2 --field real --strict", 2, "2b4cde3d476aaf573a60f025d677dbb426774bd2197e6543b80668adfbc66a18"),
     ("expansion --n 6 --field real --strict", 2, "cded54b610c4f5a2a314ec2f2cd5c972e945b9f2c2c4cad1eb62a2e0865a457d"),
     ("report --n 1", 0, "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570"),
@@ -306,7 +318,6 @@ GOLDEN = [
     ("report --n 3", 0, "e7922b402613aeec7acbca2ecf1ab273b4544eaa34601c1a5a83ec545afb61e9"),
     ("report --n 4", 0, "ef4b04355a9e7f6d7b198a38668096a0dbbe3d05b9fc26e72af91fe80015cde2"),
     ("report --n 5", 0, "cf402b6538912c12161e771739544ffaeeb90a670884f2e6be2c6251dd33929b"),
-    ("report --n 6", 0, "088c0af82ba06885059aa5907f633895f04d273c2eb5f9cf441f1b70059d3a9b"),
     ("report --n 2 --strict", 2, "5e0f36d87287a1ef9e24339326366b9ea840542db4c9d884504dc04fa7f16ed7"),
     ("expansion --n 6 --field complex", 0, "f90ccf46768ea752f42ac618830de84596a7b81d907aa305a3b51e48e74d7175"),
     ("coeffs --n 4 --kind LP --format json", 0, "942d87eb8874f2033bda5360bb517dc87eebef5839fa2e79af0b9c4d18672af0"),
@@ -316,6 +327,11 @@ GOLDEN = [
     ("expansion --n 12 --field complex", 0, "237cb2c2fad2c5a81eaa7ae531fa50ec09963aec6de4ea3187127d29536258a9"),
     ("expansion --n 7 --field real --strict", 2, "b37dd33527f56d36fb4cc5728481c0618f16cbfd2aaa7c307a140783d00c2f24"),
     ("expansion --n 8 --field real --strict", 2, "951c868182f282fa6a6a04a84e0dbe5813885b9f9019df375e8751161fe97818"),
+    # Re-recorded when flagged strata became resolved by continuation in n
+    # (exit 0 for every n); each equals the earlier output with the
+    # enumeration oracle's bound raised to 6.
+    ("expansion --n 6 --field real", 0, "01c704c107f69ca0e9463a25d2577c35e0989c4dc5ab96d54515f7f362edd23c"),
+    ("report --n 6", 0, "3f3236c1d5cdf80bac54610e4ddb6437737d55e267d8161ef5fefc78c206bc3d"),
 ]
 
 
@@ -340,8 +356,10 @@ def test_golden_stdout_and_exit_codes(capsys):
         ["expansion", "--n", "x", "--field", "real"],
         ["frobnicate"],
         ["expansion", "--n", "2"],
+        ["expansion", "--n", "2", "--field", "real", "--oracle-max-n", "5"],
+        ["report", "--n", "2", "--oracle-max-n", "5"],
     ],
-    ids=["bad-int", "unknown-subcommand", "missing-flag"],
+    ids=["bad-int", "unknown-subcommand", "missing-flag", "no-oracle-bound", "no-report-bound"],
 )
 def test_usage_error_exits_3_with_one_line(argv, capsys):
     with pytest.raises(SystemExit) as exit_info:

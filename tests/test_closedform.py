@@ -2,7 +2,7 @@
 
 from dataclasses import replace
 from fractions import Fraction
-from math import factorial
+from math import factorial, gamma
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from octamoment.arrays import ArrayTuple, _side_distributions, elementary, enumerate_M
 from octamoment.closedform import (
     DegenerateStrataError,
+    _factorial_leading,
+    F_continued,
     F_counts,
     F_formula,
     I_of_A,
@@ -20,13 +22,18 @@ from octamoment.closedform import (
     coeff_m_lambda_m_n,
     complex_coeff,
     complex_expansion,
-    oracle_monomial_expansion,
     q_compl,
     q_real,
     real_expansion,
     remark_identity_check,
 )
-from octamoment.hypermaps import L_table, lp_by_array, lp_from_pairings, lp_table
+from octamoment.hypermaps import (
+    L_table,
+    lp_by_array,
+    lp_from_pairings,
+    lp_table,
+    oracle_monomial_expansion,
+)
 from octamoment.partitions import (
     Partition,
     aut,
@@ -275,9 +282,10 @@ def test_enumerate_M_result_is_the_callers_own():
 
 
 def strict_expansion(n):
-    """``real_expansion(n, 0)``: the partial expansion and its flagged strata."""
+    """``real_expansion(n, strict=True)``: the partial expansion and its
+    flagged strata."""
     try:
-        expansion = real_expansion(n, 0)
+        expansion = real_expansion(n, strict=True)
     except DegenerateStrataError as err:
         return err.expansion, err.strata
     return expansion, list(expansion.degenerate_strata)
@@ -410,32 +418,65 @@ def test_real_expansion_matches_oracle():
                 assert expansion.coeff(lam, mu) == expansion.coeff(mu, lam)
 
 
-def test_real_expansion_n6_with_raised_oracle_bound():
-    # one size beyond the default bound, to catch bound-dependent bugs
-    assert real_expansion(6, oracle_bound=6) == oracle_monomial_expansion(6, "real")
+def test_F_continued_matches_oracle_on_flagged_strata():
+    flagged = 0
+    for n in range(1, 6):
+        oracle = lp_by_array(n)
+        for lam, mu, r, a in all_strata(n):
+            if not F_formula(a, n).well_defined:
+                flagged += 1
+                assert F_continued(a, n) == oracle.get(a, 0), (n, lam, mu, r, str(a))
+    assert flagged == 113
+    with pytest.raises(ValueError):
+        F_continued(enumerate_M(P1, P1, 0)[0], 1)
 
 
-def test_real_expansion_raises_beyond_oracle_bound():
-    with pytest.raises(DegenerateStrataError) as err:
-        real_expansion(6, oracle_bound=5)
-    assert "flagged strata" in str(err.value)
-    assert err.value.strata and all(d.oracle_value is None for d in err.value.strata)
+def test_factorial_leading_term_matches_gamma():
+    eps = 1e-7
+    for x in range(-6, 7):
+        v, c = _factorial_leading(x)
+        assert v == (-1 if x < 0 else 0)
+        approx = gamma(x + 1 + eps) / gamma(1 + eps) * eps**-v
+        assert abs(approx - c) <= 1e-5 * abs(c), x
 
 
-def test_strict_mode_is_oracle_bound_zero():
-    with pytest.raises(DegenerateStrataError) as beyond:
-        real_expansion(6, 5)
+def test_F_continued_matches_F_formula_on_generic_strata():
+    # At a regular point the continuation is the value itself.
+    for n in range(1, 8):
+        for lam, mu, r, a in all_strata(n):
+            sv = F_formula(a, n)
+            if r > 0 and sv.well_defined:
+                assert F_continued(a, n) == sv.value, (n, lam, mu, r, str(a))
+
+
+def test_real_expansion_n6_n7_match_pairing_oracle():
+    # Past the partitioned-hypermap bound: every flagged stratum continued.
+    for n in (6, 7):
+        expansion = real_expansion(n)
+        assert expansion == oracle_monomial_expansion(n, "real")
+        assert expansion.degenerate_strata
+        assert all(isinstance(d.oracle_value, int) for d in expansion.degenerate_strata)
+
+
+def test_real_expansion_n8_n9_match_q_real_at_projectors():
+    for n in (8, 9):
+        expansion = real_expansion(n)
+        for l, m in ((1, 1), (1, 2), (2, 2), (2, 3)):
+            xs = [1] * l + [0] * (m - l)
+            assert expansion.evaluate(xs, [1] * m) == q_real(n, l, m), (n, l, m)
+
+
+def test_strict_mode_refuses_flagged_pairs():
     expansion, strata = strict_expansion(6)
-    assert beyond.value.expansion == expansion
-    assert beyond.value.expansion.degenerate_strata == expansion.degenerate_strata
-    assert beyond.value.strata == strata
     assert len(strata) == 235
+    assert expansion.degenerate_strata == tuple(strata)
+    full = real_expansion(6)
+    assert [replace(d, oracle_value=None) for d in full.degenerate_strata] == strata
     # the partial expansion keeps exactly the pairs without a flagged stratum
     flagged_pairs = {(d.lam, d.mu) for d in strata}
-    oracle = oracle_monomial_expansion(6, "real")
     for lam in partitions_of(6):
         for mu in partitions_of(6):
-            expected = 0 if (lam, mu) in flagged_pairs else oracle.coeff(lam, mu)
+            expected = 0 if (lam, mu) in flagged_pairs else full.coeff(lam, mu)
             assert expansion.coeff(lam, mu) == expected
 
 

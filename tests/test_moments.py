@@ -6,7 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from octamoment.closedform import pairing_power_sum_series, q_compl, q_real
+from octamoment.closedform import q_compl, q_real
+from octamoment.hypermaps import pairing_power_sum_series
 from octamoment.moments import (
     MatrixSpec,
     mc_moment_complex,
@@ -58,6 +59,13 @@ def test_routes_agree():
         assert moment_real_exact(n, x, y) == oracle
 
 
+def test_moment_real_exact_beyond_the_oracle_bound():
+    x = MatrixSpec.from_eigs([Fraction(1, 2), Fraction(-2, 3), 3])
+    y = MatrixSpec.from_eigs([2, Fraction(1, 3), -1])
+    oracle = pairing_power_sum_series(6, "real").evaluate(x.eigs, y.eigs)
+    assert moment_real_exact(6, x, y) == oracle
+
+
 def test_symmetry_and_scaling():
     x = MatrixSpec.from_eigs([Fraction(1, 2), 2])
     y = MatrixSpec.from_eigs([-1, Fraction(5, 3)])
@@ -90,6 +98,16 @@ def test_mc_matches_exact_real():
 def test_mc_matches_exact_complex():
     est = mc_moment_complex(2, I2, I2, 200_000, seed=4321)
     assert abs(est.z_score(16.0)) <= 5
+
+
+def test_z_score_of_an_exact_zero_variance_estimate():
+    zero = MatrixSpec.from_eigs([0, 0])
+    est = mc_moment_real(2, zero, I2, 100, seed=1)
+    exact = moment_real_exact(2, zero, I2)
+    assert est.std_error == 0 and est.mean == exact == 0
+    assert est.z_score(float(exact)) == 0.0
+    assert est.z_score(1.0) == float("inf")
+    assert est.to_json(exact)["z_score"] is None
 
 
 def test_mc_reproducible_and_seed_sensitive():

@@ -7,7 +7,7 @@ from fractions import Fraction
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from octamoment.closedform import pairing_power_sum_series
+from octamoment.hypermaps import pairing_power_sum_series
 from octamoment.moments import MatrixSpec, moment_complex_exact, moment_real_exact
 from octamoment.partitions import Partition, aut, partitions_of
 from octamoment.symfun import (
