@@ -14,7 +14,6 @@ from .closedform import (
     F_continued,
     F_counts,
     F_formula,
-    I_of_A,
     StratumValue,
     alpha,
     coeff_hook,

@@ -78,6 +78,8 @@ def _expansion_json(fields: dict, expansion) -> str:
 
 
 def cmd_coeffs(args) -> int:
+    if args.per_array and args.kind != "LP":
+        raise ValueError("--per-array needs --kind LP")
     n = args.n
     for check in coeffs_self_check(n):
         if not check.ok:

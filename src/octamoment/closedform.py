@@ -48,7 +48,6 @@ from .symfun import MonomialExpansion
 __all__ = [
     "StratumValue",
     "DegenerateStratum",
-    "I_of_A",
     "F_formula",
     "F_continued",
     "F_counts",
@@ -89,12 +88,14 @@ def _multinomial2(top: int, j: int, k: int) -> int:
     return falling(top, j + k) // (factorial(j) * factorial(k))
 
 
-def _seed_bracket(a: ArrayTuple, n: int, r: int) -> tuple[int, int, int, int]:
+def _seed_bracket(a: ArrayTuple, n: int, r: int) -> tuple[int, int, int, int, int]:
     """Integer pieces of the seed bracket for ``r > 0``.
 
-    Returns ``(base, head, s2, s3)``: the seed binomial, ``r**2`` times the
-    head of the bracket, and the black-root and white sums whose product
-    over ``r**2 (n-q-2r)`` is its third term.
+    Returns ``(base, head, s1, s2, s3)``: the seed binomial, ``r**2`` times
+    the head of the bracket, the black-root loop sum ``s1``, and the
+    black-root and white sums whose product over ``r**2 (n-q-2r)`` is its
+    third term.  ``head`` and ``s2`` are linear in ``n``, with slopes
+    ``s1 * j0`` and ``s1``.
     """
     i0, j0 = a.seed_degree, a.seed_loops
     p, q = a.num_white, a.num_black
@@ -104,7 +105,7 @@ def _seed_bracket(a: ArrayTuple, n: int, r: int) -> tuple[int, int, int, int]:
         s2 += ((n - q) * j - i * r) * c
     s3 = sum((i0 * j - j0 * (i - 1)) * c for i, j, c in a.white)
     head = (i0 - 2 * j0) * r * r + s1 * (j0 * (n - p) - r * i0)
-    return _multinomial2(i0, j0, j0), head, s2, s3
+    return _multinomial2(i0, j0, j0), head, s1, s2, s3
 
 
 def _cells(a: ArrayTuple) -> tuple[int, int]:
@@ -115,31 +116,6 @@ def _cells(a: ArrayTuple) -> tuple[int, int]:
     for i, j, c in a.white_root + a.black_root:
         num *= _multinomial2(i - 1, j, j - 1) ** c
     return num, a.factorial_product()
-
-
-def I_of_A(a: ArrayTuple, n: int) -> StratumValue:
-    """The seed factor of the per-stratum count.
-
-    For ``r = 0`` it is the seed degree; for ``r > 0`` it is the bracketed
-    rational expression whose third term divides by ``n - q - 2r``.  When
-    that divisor vanishes the term is defined as 0 (and flagged) if its
-    white-side sum vanishes, otherwise the stratum evaluation is aborted
-    (also flagged).
-    """
-    r = a.loop_pairs
-    if r == 0:
-        return StratumValue(Fraction(a.seed_degree))
-    base, head, s2, s3 = _seed_bracket(a, n, r)
-    denom = n - a.num_black - 2 * r
-    if denom == 0:
-        if s3 == 0:
-            diagnostic = "third term 0/0 (n-q-2r = 0, white sum = 0): defined as 0"
-        else:
-            diagnostic = "third term divides by n-q-2r = 0 with nonzero white sum"
-        return StratumValue(
-            Fraction(base * head, r * r), well_defined=False, diagnostics=(diagnostic,)
-        )
-    return StratumValue(Fraction(base * (head * denom + s2 * s3), r * r * denom))
 
 
 def F_formula(a: ArrayTuple, n: int) -> StratumValue:
@@ -178,7 +154,7 @@ def F_formula(a: ArrayTuple, n: int) -> StratumValue:
             return 0
         return factorial(arg)
 
-    base, head, s2, s3 = _seed_bracket(a, n, r)
+    base, head, _, s2, s3 = _seed_bracket(a, n, r)
     fact_a = guarded_factorial(n - q - 2 * r, "(n-q-2r)!")
     fact_b = guarded_factorial(n - 1 - p - 2 * r, "(n-1-p-2r)!")
     fact_c = guarded_factorial(n - q - 2 * r - 1, "(n-q-2r-1)!")
@@ -210,21 +186,21 @@ def F_continued(a: ArrayTuple, n: int) -> int:
     pole at negative ``x``, so the thorn factor ``1/(n-p-q-2r)!`` has a
     simple zero there.  With ``(n-q-2r)! = (n+eps-q-2r) (n-q-2r-1)!`` the
     seed bracket is one quadratic in ``eps``, because ``head`` and ``s2``
-    are linear in ``n``.  Every factor then has a nonzero leading Laurent
-    term, so the limit is the product of the leading terms when their
-    orders add up to 0, and 0 when they add up to more.  Every flagged
-    stratum has ``r > 0``, which this requires.  Raises ``ArithmeticError``
-    if a pole survives or the limit is not an integer.
+    are linear in ``n`` with slopes ``s1 j0`` and ``s1``.  Every factor
+    then has a nonzero leading Laurent term, so the limit is the product
+    of the leading terms when their orders add up to 0, and 0 when they
+    add up to more.  Every flagged stratum has ``r > 0``, which this
+    requires.  Raises ``ArithmeticError`` if a pole survives or the limit
+    is not an integer.
     """
     r = a.loop_pairs
     if r == 0:
         raise ValueError("F_continued needs a stratum with r > 0")
     p, q = a.num_white, a.num_black
     num, den = _cells(a)
-    base, head, s2, s3 = _seed_bracket(a, n, r)
-    _, head_next, s2_next, _ = _seed_bracket(a, n + 1, r)
-    dhead, ds2, d = head_next - head, s2_next - s2, n - q - 2 * r
-    bracket = [head * d + s2 * s3, head + dhead * d + ds2 * s3, dhead]
+    base, head, s1, s2, s3 = _seed_bracket(a, n, r)
+    d, dhead = n - q - 2 * r, s1 * a.seed_loops
+    bracket = [head * d + s2 * s3, head + dhead * d + s1 * s3, dhead]
     if not any(bracket):
         return 0
     order = min(k for k, b in enumerate(bracket) if b)
@@ -244,6 +220,7 @@ def F_continued(a: ArrayTuple, n: int) -> int:
     return value.numerator
 
 
+@lru_cache(maxsize=None)
 def alpha(r: int, p: int, q: int, pp: int, qp: int) -> Fraction:
     """Loop-placement coefficient of the aggregated forest count.
 
@@ -286,17 +263,10 @@ def F_counts(p: int, pp: int, q: int, qp: int, r: int, n: int) -> StratumValue:
         raise ValueError("p counts the seed root, so p >= 1")
     if min(pp, q, qp, r) < 0 or n < 1:
         raise ValueError("arguments out of range")
-    denominator = multinomial(n + 2 * r - 1, [r, r])
-    if denominator == 0:
-        return StratumValue(
-            Fraction(0),
-            well_defined=False,
-            diagnostics=(f"inverse multinomial vanishes at n = {n}, r = {r}",),
-        )
     value = (
         Fraction(factorial(n), factorial(p) * factorial(pp) * factorial(q) * factorial(qp))
         * multinomial(n + 2 * r - 1, [p + 2 * r - 1, q + 2 * r - 1])
-        / denominator
+        / multinomial(n + 2 * r - 1, [r, r])
         * Fraction(2) ** (2 * r - pp - qp)
         * alpha(r, p, q, pp, qp)
     )
@@ -313,7 +283,6 @@ class DegenerateStratum:
     mu: Partition
     r: int
     array: ArrayTuple
-    formula_value: Fraction
     diagnostics: tuple[str, ...]
     oracle_value: int | None = None
 
@@ -380,7 +349,7 @@ def real_expansion(n: int, strict: bool = False) -> RealExpansion:
                         continue
                     value = None if strict else F_continued(a, n)
                     report.append(
-                        DegenerateStratum(n, lam, mu, r, a, sv.value, sv.diagnostics, value)
+                        DegenerateStratum(n, lam, mu, r, a, sv.diagnostics, value)
                     )
                     if strict:
                         tainted = True
@@ -430,32 +399,28 @@ def complex_expansion(n: int) -> MonomialExpansion:
 def q_real(n: int, l: int, m: int) -> Fraction:
     """Order-n real moment of the pair of projectors (I_l, I_m).
 
-    Finite sum over ``(r, p, q, pp, qp)`` with ``p >= 1`` and
-    ``q + qp >= 1``; all ranges close on their own because the projector
-    multinomials vanish beyond ``p + pp <= l``, ``q + qp <= m`` and the
-    central multinomial vanishes once ``p + q + 2r > n + 1``.
+    The projector sum of the aggregated counts: :func:`F_counts` weighted
+    by ``falling(l, p+pp) falling(m, q+qp)``, the number of injective
+    labelings of the white vertices by ``l`` indices and of the black
+    vertices by ``m``, over ``(r, p, q, pp, qp)`` with ``p >= 1`` and
+    ``q + qp >= 1``.  All ranges close on their own because the falling
+    factorials vanish beyond ``p + pp <= l`` and ``q + qp <= m``, and the
+    central multinomial of ``F_counts`` vanishes once ``p + q + 2r > n + 1``.
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if l < 0 or m < 0:
         raise ValueError("matrix ranks must be >= 0")
     total = Fraction(0)
     for p in range(1, l + 1):
         for pp in range(0, l - p + 1):
+            white = falling(l, p + pp)
             for q in range(0, m + 1):
                 for qp in range(max(0, 1 - q), m - q + 1):
+                    weight = white * falling(m, q + qp)
                     for r in range(0, max(0, (n + 1 - p - q) // 2 + 1)):
-                        a = alpha(r, p, q, pp, qp)
-                        if a == 0:
-                            continue
-                        term = (
-                            multinomial(l, [p, pp])
-                            * multinomial(m, [q, qp])
-                            * multinomial(n + 2 * r - 1, [p + 2 * r - 1, q + 2 * r - 1])
-                            / multinomial(n + 2 * r - 1, [r, r])
-                            * Fraction(2) ** (2 * r - pp - qp)
-                            * a
-                        )
-                        total += term
-    return factorial(n) * total
+                        total += weight * F_counts(p, pp, q, qp, r, n).value
+    return total
 
 
 def q_compl(n: int, l: int, m: int) -> Fraction:

@@ -101,13 +101,6 @@ class Forest:
                     parent[slot[1]] = v
         return parent
 
-    def roots(self) -> list[int]:
-        parent = self.parent_map()
-        return [v for v in range(self.num_vertices) if v not in parent]
-
-    def degree(self, v: int) -> int:
-        return len(self.slots[v]) + (0 if v in self.roots() else 1)
-
     def loops_of(self, v: int) -> int:
         return sum(1 for slot in self.slots[v] if slot[0] == LOOP) // 2
 

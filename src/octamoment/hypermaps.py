@@ -64,7 +64,6 @@ __all__ = [
     "expected_coset_size",
     "element_name",
     "parse_element",
-    "is_hat",
     "DEFAULT_PAIRING_BOUND",
     "DEFAULT_PARTITIONED_BOUND",
     "DEFAULT_CLASS_BOUND",
@@ -84,10 +83,6 @@ class BoundExceededError(ValueError):
         super().__init__(f"{what}: n = {n} exceeds the configured bound {bound}")
         self.n = n
         self.bound = bound
-
-
-def is_hat(x: int, n: int) -> bool:
-    return x >= n
 
 
 def element_name(x: int, n: int) -> str:

@@ -93,17 +93,13 @@ class MatrixSpec:
     @classmethod
     def from_json(cls, data: dict) -> "MatrixSpec":
         if "eigs" in data:
-            return cls.from_eigs([parse_rational(str(e)) for e in data["eigs"]])
-        rows = []
-        for row in data["entries"]:
-            out_row = []
-            for x in row:
-                if isinstance(x, (list, tuple)):
-                    out_row.append(complex(x[0], x[1]))
-                else:
-                    out_row.append(x)
-            rows.append(out_row)
-        spec = cls.from_dense(np.array(rows))
+            spec = cls.from_eigs([parse_rational(str(e)) for e in data["eigs"]])
+        else:
+            rows = [
+                [complex(x[0], x[1]) if isinstance(x, (list, tuple)) else x for x in row]
+                for row in data["entries"]
+            ]
+            spec = cls.from_dense(np.array(rows))
         if spec.dim != data.get("dim", spec.dim):
             raise ValueError("declared dim does not match the matrix")
         return spec

@@ -1,7 +1,10 @@
 """Named verification suites: each cross-checks a closed formula against an
 independent oracle and reports one pass/fail line per check.
 
-Shared by the command-line ``verify`` subcommand and the acceptance tests.
+The command-line ``verify`` subcommand runs them through :func:`run_suite`,
+and ``coeffs`` runs :func:`coeffs_self_check` before it prints a table.
+The acceptance tests in ``tests/test_acceptance.py`` do not import this
+module: they repeat the checks in their own code.
 """
 
 from __future__ import annotations
@@ -100,18 +103,7 @@ def suite_bijection(n_max: int = 5, forest_n_max: int = 4) -> list[CheckResult]:
 def suite_strata(n_max: int = 5) -> list[CheckResult]:
     """Per-stratum formula (its continuation on flagged strata) against the
     enumeration oracle, the flagged-set sanity, the full expansion
-    assembly, and the aggregated counts.
-
-    The oracle is the partitioned-hypermap enumeration, so ``n_max`` is
-    clamped to its bound; the clamp is noted on stderr."""
-    bound = hm.DEFAULT_PARTITIONED_BOUND
-    if n_max > bound:
-        print(
-            f"note: strata suite clamps n_max={n_max} to the partitioned-hypermap "
-            f"oracle bound {bound}",
-            file=sys.stderr,
-        )
-        n_max = bound
+    assembly, and the aggregated counts."""
     results = []
     flagged_seen = []
     for n in range(1, n_max + 1):
@@ -416,7 +408,19 @@ SUITES = {
 }
 
 
+# The enumeration oracle each suite reads, and its size bound.
+_ORACLE_BOUNDS = {
+    "strata": ("partitioned-hypermap", hm.DEFAULT_PARTITIONED_BOUND),
+    "complex": ("pairing", hm.DEFAULT_PAIRING_BOUND),
+    "corollaries": ("pairing", hm.DEFAULT_PAIRING_BOUND),
+    "special": ("pairing", hm.DEFAULT_PAIRING_BOUND),
+}
+
+
 def run_suite(name: str, n_max: int | None = None, **kwargs) -> list[CheckResult]:
+    """Run one suite.  An ``n_max`` beyond the size bound of the suite's
+    enumeration oracle is clamped to that bound, and the clamp is noted on
+    stderr."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     fn = SUITES[name]
@@ -424,6 +428,13 @@ def run_suite(name: str, n_max: int | None = None, **kwargs) -> list[CheckResult
         return fn(**kwargs)
     if n_max is None:
         return fn()
+    oracle, bound = _ORACLE_BOUNDS.get(name, (None, n_max))
+    if n_max > bound:
+        print(
+            f"note: {name} suite clamps n_max={n_max} to the {oracle} oracle bound {bound}",
+            file=sys.stderr,
+        )
+        n_max = bound
     if name == "corollaries":
         return fn(n_max_real=min(n_max, 5), n_max_complex=n_max)
     if name == "bijection":

@@ -103,6 +103,14 @@ def test_verify_strata_clamps_n_max_to_oracle_bound(capsys):
     assert len(captured.err.splitlines()) == 1 and "bound 5" in captured.err
 
 
+def test_verify_clamps_n_max_to_the_pairing_oracle_bound(capsys):
+    code = main(["verify", "--suite", "special", "--n-max", "9"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.out.splitlines()[-1] == "7/7 checks passed"
+    assert len(captured.err.splitlines()) == 1 and "bound 7" in captured.err
+
+
 def test_verify_mc_small(capsys):
     code, out = run_cli(
         ["verify", "--suite", "mc", "--samples", "20000", "--seed", "7"], capsys
@@ -379,6 +387,14 @@ def test_mc_without_matrix_source_exits_3_with_one_line(capsys):
     assert captured.err.splitlines() == [
         "octamoment: error: need --x-eigs/--y-eigs, matrix files, or --dim"
     ]
+
+
+def test_per_array_without_kind_LP_exits_3_with_one_line(capsys):
+    code = main(["coeffs", "--n", "3", "--kind", "L", "--per-array"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["octamoment: error: --per-array needs --kind LP"]
 
 
 @pytest.mark.parametrize(

@@ -15,7 +15,6 @@ from octamoment.closedform import (
     F_continued,
     F_counts,
     F_formula,
-    I_of_A,
     StratumValue,
     alpha,
     coeff_hook,
@@ -88,20 +87,6 @@ def test_stratum_completeness_against_oracle():
             assert a in generated
 
 
-def test_I_of_A():
-    for _, _, _, a in all_strata(3):
-        if a.loop_pairs == 0:
-            assert I_of_A(a, 3).value == a.seed_degree
-    degenerate = ArrayTuple.make(
-        black_root=elementary(2, 1), seed_degree=2, seed_loops=1
-    )
-    sv = I_of_A(degenerate, 2)
-    assert not sv.well_defined
-    clean = ArrayTuple.make(black=elementary(2, 0), seed_degree=2, seed_loops=0)
-    assert I_of_A(clean, 2) == I_of_A(clean, 2)
-    assert I_of_A(clean, 2).value == 2 and I_of_A(clean, 2).well_defined
-
-
 def test_F_formula_examples():
     a1 = ArrayTuple.make(black=elementary(1, 0), seed_degree=1, seed_loops=0)
     assert F_formula(a1, 1).value == 1
@@ -122,8 +107,8 @@ def test_F_formula_matches_oracle_on_well_defined_strata():
                 assert sv.value == oracle.get(a, 0), (n, lam, mu, r, str(a))
 
 
-# Reference implementations: the one-Fraction-per-factor F_formula and
-# I_of_A, and the enumeration that rebuilds every side per stratum.
+# Reference implementations: the one-Fraction-per-factor F_formula and the
+# enumeration that rebuilds every side per stratum.
 
 
 def _ref_sum_q_root(a, weight):
@@ -132,34 +117,6 @@ def _ref_sum_q_root(a, weight):
 
 def _ref_sum_white(a, weight):
     return sum((Fraction(weight(i, j)) * c for i, j, c in a.white), Fraction(0))
-
-
-def _ref_I_of_A(a, n):
-    r = a.loop_pairs
-    i0, j0 = a.seed_degree, a.seed_loops
-    if r == 0:
-        return StratumValue(Fraction(i0))
-    p, q = a.num_white, a.num_black
-    s1 = _ref_sum_q_root(a, lambda i, j: j)
-    s2 = _ref_sum_q_root(a, lambda i, j: (n - q) * j - i * r)
-    s3 = _ref_sum_white(a, lambda i, j: i0 * j - j0 * (i - 1))
-    base = multinomial(i0, [j0, j0])
-    bracket = Fraction(i0 - 2 * j0) + s1 * (j0 * (n - p) - r * i0) / r**2
-    denom = n - q - 2 * r
-    if denom == 0:
-        if s3 == 0:
-            return StratumValue(
-                base * bracket,
-                well_defined=False,
-                diagnostics=("third term 0/0 (n-q-2r = 0, white sum = 0): defined as 0",),
-            )
-        return StratumValue(
-            base * bracket,
-            well_defined=False,
-            diagnostics=("third term divides by n-q-2r = 0 with nonzero white sum",),
-        )
-    bracket += s2 * s3 / (r**2 * denom)
-    return StratumValue(base * bracket)
 
 
 def _ref_binomial_weight(a):
@@ -253,14 +210,13 @@ def _ref_enumerate_M(lam, mu, r):
     return out
 
 
-def test_F_formula_and_I_of_A_equal_fraction_reference():
+def test_F_formula_equals_fraction_reference():
     # Every stratum up to n = 8, flagged ones and their diagnostics included.
     flagged = 0
     for n in range(1, 9):
         for lam, mu, r, a in all_strata(n):
             sv = F_formula(a, n)
             assert sv == _ref_F_formula(a, n), (n, str(a))
-            assert I_of_A(a, n) == _ref_I_of_A(a, n), (n, str(a))
             flagged += not sv.well_defined
     assert flagged > 0
 
@@ -551,6 +507,12 @@ def test_q_real_values_and_identities():
                     for (lam, mu, _), c in table.entries.items()
                 )
                 assert q_real(n, l, m) == via_b, (n, l, m)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(n=st.integers(1, 7), l=st.integers(0, 6), m=st.integers(0, 6))
+def test_q_real_is_the_real_expansion_at_identities(n, l, m):
+    assert real_expansion(n).evaluate([1] * l, [1] * m) == q_real(n, l, m)
 
 
 def test_q_real_partitioned_route():

@@ -41,6 +41,15 @@ def test_matrix_spec_json():
     assert dense.entries[0, 1] == 1j
 
 
+def test_matrix_spec_json_rejects_a_wrong_dim():
+    for data in (
+        {"dim": 3, "eigs": ["1", "2"]},
+        {"dim": 3, "entries": [[1.0, 0.0], [0.0, 2.0]]},
+    ):
+        with pytest.raises(ValueError, match="declared dim"):
+            MatrixSpec.from_json(data)
+
+
 def test_exact_values():
     assert moment_real_exact(1, I2, I2) == 4
     assert moment_real_exact(2, I2, I2) == 20
