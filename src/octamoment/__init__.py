@@ -11,7 +11,6 @@ from .arrays import ArrayTuple, elementary, enumerate_M
 from .closedform import (
     DegenerateStrataError,
     DegenerateStratum,
-    F_continued,
     F_counts,
     F_formula,
     StratumValue,

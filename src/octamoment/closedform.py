@@ -11,17 +11,16 @@ Degenerate strata
 -----------------
 The per-stratum formula is generic: on boundary strata (``q = 0`` with
 ``r > 0``, or ``n - 1 - p - 2r < 0``) it produces 0*inf / 0/0 shapes.
-:func:`F_formula` never guesses a limit: such an evaluation is returned
-as a :class:`StratumValue` with ``well_defined=False`` and diagnostics
-naming the offending factor.  :func:`real_expansion` resolves every
-flagged stratum by :func:`F_continued`, the limit of the same formula at
-``n + eps`` as ``eps -> 0``; in strict mode it refuses them instead and
-raises :class:`DegenerateStrataError`, which carries the flagged strata
-and the partial expansion without the (lam, mu) pairs they belong to.
-Negative arguments in numerator-position factorials evaluate to 0 in
-``F_formula`` so the reported value stays deterministic; the factor
-``1/(n-p-q-2r)!`` follows the reciprocal-factorial convention (0 at
-negative integers), which is not a degeneracy: it encodes the vanishing
+:func:`F_formula` evaluates every stratum as the limit of the formula at
+``n + eps`` as ``eps -> 0``, which on a generic stratum is the formula's
+value, and flags the boundary strata: their :class:`StratumValue` has
+``well_defined=False`` and diagnostics naming the factorials with a
+negative argument, next to the exact count.  :func:`real_expansion` adds
+the flagged strata like any other and lists them; in strict mode it
+refuses them instead and raises :class:`DegenerateStrataError`, which
+carries the flagged strata and the partial expansion without the
+(lam, mu) pairs they belong to.  The factor ``1/(n-p-q-2r)!`` vanishes at
+negative arguments, which is not a degeneracy: it encodes the vanishing
 thorn count.
 """
 
@@ -49,7 +48,6 @@ __all__ = [
     "StratumValue",
     "DegenerateStratum",
     "F_formula",
-    "F_continued",
     "F_counts",
     "alpha",
     "RealExpansion",
@@ -67,11 +65,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class StratumValue:
-    """Result of a guarded formula evaluation.
+    """A per-stratum count from :func:`F_formula`.
 
-    ``well_defined`` is False iff a degenerate evaluation was hit; the
-    value is still reported (with flagged factors evaluated as 0) but must
-    not be trusted without the diagnostics.
+    ``value`` is the exact count.  ``well_defined`` is False iff the
+    generic formula is degenerate on the stratum, so that the value is a
+    limit in ``n``; ``diagnostics`` then names the factorials with a
+    negative argument.
     """
 
     value: Fraction
@@ -88,46 +87,36 @@ def _multinomial2(top: int, j: int, k: int) -> int:
     return falling(top, j + k) // (factorial(j) * factorial(k))
 
 
-def _seed_bracket(a: ArrayTuple, n: int, r: int) -> tuple[int, int, int, int, int]:
-    """Integer pieces of the seed bracket for ``r > 0``.
-
-    Returns ``(base, head, s1, s2, s3)``: the seed binomial, ``r**2`` times
-    the head of the bracket, the black-root loop sum ``s1``, and the
-    black-root and white sums whose product over ``r**2 (n-q-2r)`` is its
-    third term.  ``head`` and ``s2`` are linear in ``n``, with slopes
-    ``s1 * j0`` and ``s1``.
-    """
-    i0, j0 = a.seed_degree, a.seed_loops
-    p, q = a.num_white, a.num_black
-    s1 = s2 = 0
-    for i, j, c in a.black_root:
-        s1 += j * c
-        s2 += ((n - q) * j - i * r) * c
-    s3 = sum((i0 * j - j0 * (i - 1)) * c for i, j, c in a.white)
-    head = (i0 - 2 * j0) * r * r + s1 * (j0 * (n - p) - r * i0)
-    return _multinomial2(i0, j0, j0), head, s1, s2, s3
-
-
-def _cells(a: ArrayTuple) -> tuple[int, int]:
-    """The cell binomials and cell factorials of the count, as integers."""
-    num = 1
-    for i, j, c in a.white + a.black:
-        num *= _multinomial2(i - 1, j, j) ** c
-    for i, j, c in a.white_root + a.black_root:
-        num *= _multinomial2(i - 1, j, j - 1) ** c
-    return num, a.factorial_product()
+def _factorial_leading(x: int) -> tuple[int, int, int]:
+    """The leading Laurent term ``(num/den) eps**v`` of
+    ``Gamma(x+1+eps)/Gamma(1+eps)`` as ``(v, num, den)``: ``x!`` for
+    ``x >= 0``, and the simple pole ``(-1)**m / (m! eps)`` with ``m = -x-1``
+    for ``x < 0``."""
+    if x >= 0:
+        return 0, factorial(x), 1
+    m = -x - 1
+    return -1, (-1) ** m, factorial(m)
 
 
 def F_formula(a: ArrayTuple, n: int) -> StratumValue:
     """Number of forests (equivalently partitioned hypermaps) with degree
-    array ``a``, by the closed formula.
+    array ``a``, by the closed formula continued in ``n``.
 
-    The removable factor ``(n-q-2r)!/(n-q-2r)`` arising between the seed
-    bracket and the factorial prefactor is simplified to ``(n-q-2r-1)!``
-    before any convention is applied, so the third term carries its own
-    factorial.  Flags follow the module convention: any negative-argument
-    factorial in numerator position marks the stratum degenerate and
-    contributes 0 to the reported value.
+    For ``r > 0`` the removable factor ``(n-q-2r)!/(n-q-2r)`` between the
+    seed bracket and the factorial prefactor is simplified to
+    ``(n-q-2r-1)!``, and the count is the limit of the formula at
+    ``n + eps`` as ``eps -> 0``.  Each ``x!`` becomes
+    ``Gamma(x+1+eps)/Gamma(1+eps)``, which has a simple pole at negative
+    ``x``, so the thorn factor ``1/(n-p-q-2r)!`` has a simple zero there.
+    The seed bracket over ``(n-q-2r-1)!`` is one quadratic in ``eps``,
+    because ``head`` and ``s2`` are linear in ``n`` with slopes ``s1 j0``
+    and ``s1``.  The count is the product of the leading Laurent terms
+    when their orders add up to 0, and 0 when they add up to more; on a
+    generic stratum no factorial has a pole, and the count is the
+    formula's value.  A negative factorial argument flags the stratum
+    (``well_defined=False``, diagnostics naming the factor), but its value
+    is still the exact count.  Raises ``ArithmeticError`` if a pole
+    survives or the count is not an integer.
 
     Every factor is an integer placed in the numerator or the denominator,
     and one ``Fraction`` is built at the end.
@@ -135,89 +124,57 @@ def F_formula(a: ArrayTuple, n: int) -> StratumValue:
     r = a.loop_pairs
     p, pp = a.num_white, a.num_white_root
     q, qp = a.num_black, a.num_black_root
-    num, den = _cells(a)
+    i0, j0 = a.seed_degree, a.seed_loops
+    num = 1
+    for i, j, c in a.white + a.black:
+        num *= _multinomial2(i - 1, j, j) ** c
+    for i, j, c in a.white_root + a.black_root:
+        num *= _multinomial2(i - 1, j, j - 1) ** c
+    den = a.factorial_product()
     thorn = n - p - q - 2 * r
-    if thorn >= 0:
-        den *= factorial(thorn)
-    else:
-        num = 0
 
     if r == 0:
-        num *= a.seed_degree * factorial(n - q) * factorial(n - 1 - p)
+        if thorn >= 0:
+            den *= factorial(thorn)
+        else:
+            num = 0
+        num *= i0 * factorial(n - q) * factorial(n - 1 - p)
         return StratumValue(Fraction(num, den))
 
-    diagnostics: list[str] = []
-
-    def guarded_factorial(arg: int, name: str) -> int:
-        if arg < 0:
-            diagnostics.append(f"negative factorial argument {name} = {arg}")
-            return 0
-        return factorial(arg)
-
-    base, head, _, s2, s3 = _seed_bracket(a, n, r)
-    fact_a = guarded_factorial(n - q - 2 * r, "(n-q-2r)!")
-    fact_b = guarded_factorial(n - 1 - p - 2 * r, "(n-1-p-2r)!")
-    fact_c = guarded_factorial(n - q - 2 * r - 1, "(n-q-2r-1)!")
-
-    num *= base * (head * fact_a + s2 * s3 * fact_c) * factorial(r) ** 2 * fact_b
-    num *= 2 ** (pp + qp)
-    den *= r * r * 4**r
-    return StratumValue(
-        Fraction(num, den), well_defined=not diagnostics, diagnostics=tuple(diagnostics)
+    d, e = n - q - 2 * r, n - 1 - p - 2 * r
+    diagnostics = tuple(
+        f"negative factorial argument {name} = {x}"
+        for name, x in (("(n-q-2r)!", d), ("(n-1-p-2r)!", e), ("(n-q-2r-1)!", d - 1))
+        if x < 0
     )
-
-
-def _factorial_leading(x: int) -> tuple[int, Fraction]:
-    """The leading Laurent term ``c eps**v`` of ``Gamma(x+1+eps)/Gamma(1+eps)``
-    as ``(v, c)``: ``x!`` for ``x >= 0``, and the simple pole
-    ``(-1)**m / (m! eps)`` with ``m = -x-1`` for ``x < 0``."""
-    if x >= 0:
-        return 0, Fraction(factorial(x))
-    m = -x - 1
-    return -1, Fraction((-1) ** m, factorial(m))
-
-
-@lru_cache(maxsize=None)
-def F_continued(a: ArrayTuple, n: int) -> int:
-    """The per-stratum count of a flagged stratum: the limit of
-    :func:`F_formula` at ``n + eps`` as ``eps -> 0``.
-
-    Each ``x!`` becomes ``Gamma(x+1+eps)/Gamma(1+eps)``, which has a simple
-    pole at negative ``x``, so the thorn factor ``1/(n-p-q-2r)!`` has a
-    simple zero there.  With ``(n-q-2r)! = (n+eps-q-2r) (n-q-2r-1)!`` the
-    seed bracket is one quadratic in ``eps``, because ``head`` and ``s2``
-    are linear in ``n`` with slopes ``s1 j0`` and ``s1``.  Every factor
-    then has a nonzero leading Laurent term, so the limit is the product
-    of the leading terms when their orders add up to 0, and 0 when they
-    add up to more.  Every flagged stratum has ``r > 0``, which this
-    requires.  Raises ``ArithmeticError`` if a pole survives or the limit
-    is not an integer.
-    """
-    r = a.loop_pairs
-    if r == 0:
-        raise ValueError("F_continued needs a stratum with r > 0")
-    p, q = a.num_white, a.num_black
-    num, den = _cells(a)
-    base, head, s1, s2, s3 = _seed_bracket(a, n, r)
-    d, dhead = n - q - 2 * r, s1 * a.seed_loops
-    bracket = [head * d + s2 * s3, head + dhead * d + s1 * s3, dhead]
-    if not any(bracket):
-        return 0
-    order = min(k for k, b in enumerate(bracket) if b)
-    limit = Fraction(bracket[order])
-    for x, s in ((d - 1, 1), (n - 1 - p - 2 * r, 1), (n - p - q - 2 * r, -1)):
-        v, c = _factorial_leading(x)
-        order += s * v
-        limit *= c**s
+    # r**2 times the seed bracket over (n-q-2r-1)!: r**2 times its head is
+    # ``head * d``, its third term ``s2 * s3``.  ``bracket`` holds the
+    # coefficients of eps**0, eps**1, eps**2 at n + eps.
+    s1 = s2 = 0
+    for i, j, c in a.black_root:
+        s1 += j * c
+        s2 += ((n - q) * j - i * r) * c
+    s3 = sum((i0 * j - j0 * (i - 1)) * c for i, j, c in a.white)
+    head = (i0 - 2 * j0) * r * r + s1 * (j0 * (n - p) - r * i0)
+    bracket = (head * d + s2 * s3, head + s1 * j0 * d + s1 * s3, s1 * j0)
+    order = next((k for k, b in enumerate(bracket) if b), None)
+    if order is None:
+        return StratumValue(Fraction(0), not diagnostics, diagnostics)
+    num *= bracket[order] * _multinomial2(i0, j0, j0) * factorial(r) ** 2 * 2 ** (pp + qp)
+    den *= r * r * 4**r
+    for x, top in ((d - 1, True), (e, True), (thorn, False)):
+        v, c_num, c_den = _factorial_leading(x)
+        if not top:
+            v, c_num, c_den = -v, c_den, c_num
+        order += v
+        num *= c_num
+        den *= c_den
     if order < 0:
         raise ArithmeticError(f"a pole survives the continuation of {a} at n = {n}")
-    if order > 0:
-        return 0
-    num *= base * factorial(r) ** 2 * 2 ** (a.num_white_root + a.num_black_root)
-    value = limit * num / (den * r * r * 4**r)
+    value = Fraction(num, den) if order == 0 else Fraction(0)
     if value.denominator != 1:
-        raise ArithmeticError(f"continued count {value} of {a} at n = {n} is not an integer")
-    return value.numerator
+        raise ArithmeticError(f"count {value} of {a} at n = {n} is not an integer")
+    return StratumValue(value, not diagnostics, diagnostics)
 
 
 @lru_cache(maxsize=None)
@@ -255,7 +212,7 @@ def alpha(r: int, p: int, q: int, pp: int, qp: int) -> Fraction:
     return Fraction(2) ** (pp + qp) * total
 
 
-def F_counts(p: int, pp: int, q: int, qp: int, r: int, n: int) -> StratumValue:
+def F_counts(p: int, pp: int, q: int, qp: int, r: int, n: int) -> Fraction:
     """Total number of forests with ``p`` internal white vertices (the seed
     root counted as internal, so ``p >= 1``), ``pp`` white roots, ``q``
     internal black vertices, ``qp`` black roots and ``r`` loops per side."""
@@ -263,20 +220,19 @@ def F_counts(p: int, pp: int, q: int, qp: int, r: int, n: int) -> StratumValue:
         raise ValueError("p counts the seed root, so p >= 1")
     if min(pp, q, qp, r) < 0 or n < 1:
         raise ValueError("arguments out of range")
-    value = (
+    return (
         Fraction(factorial(n), factorial(p) * factorial(pp) * factorial(q) * factorial(qp))
         * multinomial(n + 2 * r - 1, [p + 2 * r - 1, q + 2 * r - 1])
         / multinomial(n + 2 * r - 1, [r, r])
         * Fraction(2) ** (2 * r - pp - qp)
         * alpha(r, p, q, pp, qp)
     )
-    return StratumValue(value)
 
 
 @dataclass(frozen=True)
 class DegenerateStratum:
     """One flagged stratum of an expansion assembly; ``oracle_value`` is its
-    continued count (:func:`F_continued`), ``None`` in strict mode."""
+    count (:func:`F_formula`), ``None`` in strict mode."""
 
     n: int
     lam: Partition
@@ -328,10 +284,10 @@ class DegenerateStrataError(ValueError):
 def real_expansion(n: int, strict: bool = False) -> RealExpansion:
     """Monomial expansion of the order-n real moment.
 
-    Flagged strata take their value from :func:`F_continued` and come with
-    the expansion.  In strict mode every (lam, mu) pair with a flagged
-    stratum is left out instead, and :class:`DegenerateStrataError`
-    carries that partial expansion.
+    Flagged strata count like the others and come with the expansion.  In
+    strict mode every (lam, mu) pair with a flagged stratum is left out
+    instead, and :class:`DegenerateStrataError` carries that partial
+    expansion.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -344,17 +300,13 @@ def real_expansion(n: int, strict: bool = False) -> RealExpansion:
             for r in range(n // 2 + 1):
                 for a in enumerate_M(lam, mu, r):
                     sv = F_formula(a, n)
-                    if sv.well_defined:
-                        total += sv.value
-                        continue
-                    value = None if strict else F_continued(a, n)
-                    report.append(
-                        DegenerateStratum(n, lam, mu, r, a, sv.diagnostics, value)
-                    )
-                    if strict:
-                        tainted = True
-                    else:
-                        total += value
+                    total += sv.value
+                    if not sv.well_defined:
+                        value = None if strict else int(sv.value)
+                        report.append(
+                            DegenerateStratum(n, lam, mu, r, a, sv.diagnostics, value)
+                        )
+                        tainted = strict
             if total and not tainted:
                 coeffs[(lam, mu)] = aut(lam) * aut(mu) * total
     expansion = RealExpansion(n, coeffs, tuple(report))
@@ -419,7 +371,7 @@ def q_real(n: int, l: int, m: int) -> Fraction:
                 for qp in range(max(0, 1 - q), m - q + 1):
                     weight = white * falling(m, q + qp)
                     for r in range(0, max(0, (n + 1 - p - q) // 2 + 1)):
-                        total += weight * F_counts(p, pp, q, qp, r, n).value
+                        total += weight * F_counts(p, pp, q, qp, r, n)
     return total
 
 

@@ -54,7 +54,7 @@ def suite_bijection(n_max: int = 5, forest_n_max: int = 4) -> list[CheckResult]:
     for n in range(1, n_max + 1):
         count = 0
         bad = None
-        for h in hm.iter_partitioned_hypermaps(n, bound=max(n_max, 5)):
+        for h in hm.iter_partitioned_hypermaps(n):
             forest = fo.theta_forward(h)
             if fo.validate_forest(forest):
                 bad = f"invalid forest for {h}"
@@ -101,9 +101,9 @@ def suite_bijection(n_max: int = 5, forest_n_max: int = 4) -> list[CheckResult]:
 
 
 def suite_strata(n_max: int = 5) -> list[CheckResult]:
-    """Per-stratum formula (its continuation on flagged strata) against the
-    enumeration oracle, the flagged-set sanity, the full expansion
-    assembly, and the aggregated counts."""
+    """Per-stratum count, generic and continued, against the enumeration
+    oracle, the flagged-set sanity, the full expansion assembly, and the
+    aggregated counts."""
     results = []
     flagged_seen = []
     for n in range(1, n_max + 1):
@@ -125,8 +125,7 @@ def suite_strata(n_max: int = 5) -> list[CheckResult]:
                         )
                         groups.setdefault(key, []).append(a)
                         sv = cf.F_formula(a, n)
-                        value = sv.value if sv.well_defined else cf.F_continued(a, n)
-                        if value != oracle.get(a, 0):
+                        if sv.value != oracle.get(a, 0):
                             mismatches += 1
                         if not sv.well_defined:
                             flagged_seen.append((n, lam, mu, r, a, oracle.get(a, 0)))
@@ -140,11 +139,9 @@ def suite_strata(n_max: int = 5) -> list[CheckResult]:
         agg_bad = 0
         for (p, pp, q, qp, r), arrays in groups.items():
             fc = cf.F_counts(p, pp, q, qp, r, n)
-            values = [cf.F_formula(a, n) for a in arrays]
-            if all(v.well_defined for v in values):
-                if fc.value != sum(v.value for v in values):
-                    agg_bad += 1
-            if fc.value != sum(oracle.get(a, 0) for a in arrays):
+            if fc != sum(cf.F_formula(a, n).value for a in arrays):
+                agg_bad += 1
+            if fc != sum(oracle.get(a, 0) for a in arrays):
                 agg_bad += 1
         results.append(
             CheckResult(
@@ -410,6 +407,7 @@ SUITES = {
 
 # The enumeration oracle each suite reads, and its size bound.
 _ORACLE_BOUNDS = {
+    "bijection": ("partitioned-hypermap", hm.DEFAULT_PARTITIONED_BOUND),
     "strata": ("partitioned-hypermap", hm.DEFAULT_PARTITIONED_BOUND),
     "complex": ("pairing", hm.DEFAULT_PAIRING_BOUND),
     "corollaries": ("pairing", hm.DEFAULT_PAIRING_BOUND),
@@ -418,9 +416,9 @@ _ORACLE_BOUNDS = {
 
 
 def run_suite(name: str, n_max: int | None = None, **kwargs) -> list[CheckResult]:
-    """Run one suite.  An ``n_max`` beyond the size bound of the suite's
-    enumeration oracle is clamped to that bound, and the clamp is noted on
-    stderr."""
+    """Run one suite.  An ``n_max`` below 1 raises ``ValueError``; one
+    beyond the size bound of the suite's enumeration oracle is clamped to
+    that bound, and the clamp is noted on stderr."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     fn = SUITES[name]
@@ -428,7 +426,9 @@ def run_suite(name: str, n_max: int | None = None, **kwargs) -> list[CheckResult
         return fn(**kwargs)
     if n_max is None:
         return fn()
-    oracle, bound = _ORACLE_BOUNDS.get(name, (None, n_max))
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    oracle, bound = _ORACLE_BOUNDS[name]
     if n_max > bound:
         print(
             f"note: {name} suite clamps n_max={n_max} to the {oracle} oracle bound {bound}",
@@ -436,7 +436,7 @@ def run_suite(name: str, n_max: int | None = None, **kwargs) -> list[CheckResult
         )
         n_max = bound
     if name == "corollaries":
-        return fn(n_max_real=min(n_max, 5), n_max_complex=n_max)
+        return fn(n_max_real=n_max, n_max_complex=n_max)
     if name == "bijection":
         return fn(n_max=n_max, forest_n_max=min(n_max, 4))
     return fn(n_max)

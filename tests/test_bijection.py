@@ -2,6 +2,8 @@
 exhaustive forest enumeration, and the fully printed 11-edge example."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from octamoment.arrays import ArrayTuple, elementary, enumerate_M
 from octamoment.forests import (
@@ -20,8 +22,12 @@ from octamoment.forests import (
     validate_forest,
 )
 from octamoment.hypermaps import (
+    DEFAULT_PARTITIONED_BOUND,
     Pairing,
     PartitionedHypermap,
+    _orbits,
+    canonical_f1,
+    canonical_f2,
     degree_array,
     iter_partitioned_hypermaps,
     lp_by_array,
@@ -247,3 +253,33 @@ def test_dot_export_mentions_every_vertex():
     assert dot.startswith("digraph")
     for v in range(f.num_vertices):
         assert f"v{v}" in dot
+
+
+@st.composite
+def random_hypermaps(draw):
+    """A partitioned hypermap with 6 to 9 edges, past the enumeration bound:
+    a random pairing f3 and random unions of its white and black orbits."""
+    n = draw(st.integers(DEFAULT_PARTITIONED_BOUND + 1, 9))
+    order = draw(st.permutations(range(2 * n)))
+    f3 = Pairing.from_pairs(n, list(zip(order[::2], order[1::2])))
+    partitions = []
+    for walk in (canonical_f1(n), canonical_f2(n)):
+        orbits = _orbits(f3.image, walk.image)
+        label = st.integers(0, len(orbits) - 1)
+        labels = draw(st.lists(label, min_size=len(orbits), max_size=len(orbits)))
+        blocks = {}
+        for orbit, label in zip(orbits, labels):
+            blocks[label] = blocks.get(label, frozenset()) | orbit
+        partitions.append(list(blocks.values()))
+    return PartitionedHypermap.make(f3, *partitions)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(h=random_hypermaps())
+def test_round_trip_beyond_the_enumeration_bound(h):
+    assert h.validate() == []
+    forest = theta_forward(h)
+    assert validate_forest(forest) == []
+    assert theta_inverse(forest) == h
+    assert forest_degree(forest) == degree_array(h)
+    assert degree_array(h) in enumerate_M(h.white_type(), h.black_type(), h.r)

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from octamoment import cli
+from octamoment import cli, verify
 from octamoment.cli import main
 from octamoment.closedform import DegenerateStrataError, complex_expansion, real_expansion
 from octamoment.forests import forest_to_json, theta_forward
@@ -109,6 +109,47 @@ def test_verify_clamps_n_max_to_the_pairing_oracle_bound(capsys):
     assert code == 0
     assert captured.out.splitlines()[-1] == "7/7 checks passed"
     assert len(captured.err.splitlines()) == 1 and "bound 7" in captured.err
+
+
+def record_suite(monkeypatch, name):
+    """Replace a verification suite by a recorder of its arguments."""
+    calls = []
+    def recorder(*args, **kwargs):
+        calls.append((args, kwargs))
+        return []
+
+    monkeypatch.setitem(verify.SUITES, name, recorder)
+    return calls
+
+
+def test_verify_clamps_bijection_n_max_to_the_partitioned_oracle_bound(monkeypatch, capsys):
+    calls = record_suite(monkeypatch, "bijection")
+    code = main(["verify", "--suite", "bijection", "--n-max", "6"])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert calls == [((), {"n_max": 5, "forest_n_max": 4})]
+    assert captured.err == (
+        "note: bijection suite clamps n_max=6 to the partitioned-hypermap oracle bound 5\n"
+    )
+
+
+@pytest.mark.parametrize("suite, n_max", [("complex", "-3"), ("strata", "0"), ("bijection", "0")])
+def test_verify_n_max_below_1_exits_3_with_one_line(monkeypatch, capsys, suite, n_max):
+    calls = record_suite(monkeypatch, suite)
+    code = main(["verify", "--suite", suite, "--n-max", n_max])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert calls == []
+    assert captured.out == ""
+    assert captured.err == f"octamoment: error: n_max must be >= 1, got {n_max}\n"
+
+
+def test_verify_corollaries_passes_n_max_to_both_halves(monkeypatch, capsys):
+    calls = record_suite(monkeypatch, "corollaries")
+    assert main(["verify", "--suite", "corollaries", "--n-max", "7"]) == 0
+    assert main(["verify", "--suite", "corollaries", "--n-max", "9"]) == 0
+    assert calls == [((), {"n_max_real": 7, "n_max_complex": 7})] * 2
+    assert "bound 7" in capsys.readouterr().err
 
 
 def test_verify_mc_small(capsys):

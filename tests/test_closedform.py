@@ -12,7 +12,6 @@ from octamoment.arrays import ArrayTuple, _side_distributions, elementary, enume
 from octamoment.closedform import (
     DegenerateStrataError,
     _factorial_leading,
-    F_continued,
     F_counts,
     F_formula,
     StratumValue,
@@ -95,7 +94,7 @@ def test_F_formula_examples():
     bad = ArrayTuple.make(black_root=elementary(2, 1), seed_degree=2, seed_loops=1)
     sv = F_formula(bad, 2)
     assert not sv.well_defined
-    assert lp_by_array(2)[bad] == 1
+    assert sv.value == lp_by_array(2)[bad] == 1
 
 
 def test_F_formula_matches_oracle_on_well_defined_strata():
@@ -107,8 +106,10 @@ def test_F_formula_matches_oracle_on_well_defined_strata():
                 assert sv.value == oracle.get(a, 0), (n, lam, mu, r, str(a))
 
 
-# Reference implementations: the one-Fraction-per-factor F_formula and the
-# enumeration that rebuilds every side per stratum.
+# Reference implementations: the one-Fraction-per-factor F_formula (generic
+# strata; flagged ones get 0 for each negative-argument factorial), its
+# continuation in n (flagged strata), and the enumeration that rebuilds
+# every side per stratum.
 
 
 def _ref_sum_q_root(a, weight):
@@ -181,6 +182,49 @@ def _ref_F_formula(a, n):
     return StratumValue(value, well_defined=not diagnostics, diagnostics=tuple(diagnostics))
 
 
+def _ref_factorial_leading(x):
+    if x >= 0:
+        return 0, Fraction(factorial(x))
+    m = -x - 1
+    return -1, Fraction((-1) ** m, factorial(m))
+
+
+def _ref_F_continued(a, n):
+    """The limit of ``_ref_F_formula`` at ``n + eps`` (``r > 0``), as the
+    product of the leading Laurent terms of its factors."""
+    r = a.loop_pairs
+    p, pp = a.num_white, a.num_white_root
+    q, qp = a.num_black, a.num_black_root
+    i0, j0 = a.seed_degree, a.seed_loops
+    s1 = _ref_sum_q_root(a, lambda i, j: j)
+    s2 = _ref_sum_q_root(a, lambda i, j: (n - q) * j - i * r)
+    s3 = _ref_sum_white(a, lambda i, j: i0 * j - j0 * (i - 1))
+    head = (i0 - 2 * j0) * r * r + s1 * (j0 * (n - p) - r * i0)
+    d, dhead = n - q - 2 * r, s1 * j0
+    bracket = [head * d + s2 * s3, head + dhead * d + s1 * s3, dhead]
+    if not any(bracket):
+        return 0
+    order = min(k for k, b in enumerate(bracket) if b)
+    limit = Fraction(bracket[order])
+    for x, s in ((d - 1, 1), (n - 1 - p - 2 * r, 1), (n - p - q - 2 * r, -1)):
+        v, c = _ref_factorial_leading(x)
+        order += s * v
+        limit *= c**s
+    assert order >= 0, "a pole survives"
+    if order > 0:
+        return 0
+    value = (
+        limit
+        * multinomial(i0, [j0, j0])
+        * factorial(r) ** 2
+        * Fraction(2) ** (pp + qp - 2 * r)
+        * _ref_binomial_weight(a)
+        / (a.factorial_product() * r * r)
+    )
+    assert value.denominator == 1
+    return value.numerator
+
+
 def _ref_enumerate_M(lam, mu, r):
     out = []
     mu_mult = mu.multiplicities()
@@ -211,13 +255,16 @@ def _ref_enumerate_M(lam, mu, r):
 
 
 def test_F_formula_equals_fraction_reference():
-    # Every stratum up to n = 8, flagged ones and their diagnostics included.
+    # Every stratum up to n = 8, with its flag and diagnostics: generic ones
+    # against the Fraction formula, flagged ones against its continuation.
     flagged = 0
     for n in range(1, 9):
         for lam, mu, r, a in all_strata(n):
-            sv = F_formula(a, n)
-            assert sv == _ref_F_formula(a, n), (n, str(a))
-            flagged += not sv.well_defined
+            ref = _ref_F_formula(a, n)
+            if not ref.well_defined:
+                ref = replace(ref, value=_ref_F_continued(a, n))
+                flagged += 1
+            assert F_formula(a, n) == ref, (n, str(a))
     assert flagged > 0
 
 
@@ -312,8 +359,8 @@ def test_alpha_against_enumeration():
 
 
 def test_F_counts_examples():
-    assert F_counts(1, 0, 1, 0, 0, 1).value == 1
-    assert F_counts(1, 0, 1, 0, 0, 2).value == 2
+    assert F_counts(1, 0, 1, 0, 0, 1) == 1
+    assert F_counts(1, 0, 1, 0, 0, 2) == 2
     with pytest.raises(ValueError):
         F_counts(0, 0, 1, 0, 0, 2)
 
@@ -327,11 +374,8 @@ def test_F_counts_matches_stratum_sums():
             groups.setdefault(key, []).append(a)
         for (p, pp, q, qp, r), arrays in groups.items():
             fc = F_counts(p, pp, q, qp, r, n)
-            assert fc.well_defined
-            values = [F_formula(a, n) for a in arrays]
-            if all(v.well_defined for v in values):
-                assert fc.value == sum(v.value for v in values), (n, p, pp, q, qp, r)
-            assert fc.value == sum(oracle.get(a, 0) for a in arrays)
+            assert fc == sum(F_formula(a, n).value for a in arrays), (n, p, pp, q, qp, r)
+            assert fc == sum(oracle.get(a, 0) for a in arrays)
 
 
 def test_F_counts_orientable_reduction():
@@ -350,7 +394,7 @@ def test_F_counts_orientable_reduction():
                 reduced = Fraction(
                     factorial(n), factorial(p) * factorial(q)
                 ) * multinomial(n - 1, [p - 1, q - 1])
-                assert F_counts(p, 0, q, 0, 0, n).value == reduced
+                assert F_counts(p, 0, q, 0, 0, n) == reduced
                 assert reduced == by_len.get((p, q), 0)
 
 
@@ -374,35 +418,46 @@ def test_real_expansion_matches_oracle():
                 assert expansion.coeff(lam, mu) == expansion.coeff(mu, lam)
 
 
-def test_F_continued_matches_oracle_on_flagged_strata():
+def test_F_formula_matches_oracle_on_flagged_strata():
     flagged = 0
     for n in range(1, 6):
         oracle = lp_by_array(n)
         for lam, mu, r, a in all_strata(n):
-            if not F_formula(a, n).well_defined:
+            sv = F_formula(a, n)
+            if not sv.well_defined:
                 flagged += 1
-                assert F_continued(a, n) == oracle.get(a, 0), (n, lam, mu, r, str(a))
+                assert sv.value == oracle.get(a, 0), (n, lam, mu, r, str(a))
     assert flagged == 113
-    with pytest.raises(ValueError):
-        F_continued(enumerate_M(P1, P1, 0)[0], 1)
+
+
+def test_F_formula_raises_outside_its_domain():
+    # Strata evaluated below their own order n: a pole survives, or the
+    # limit is not an integer.
+    seed = ArrayTuple.make(black_root=elementary(2, 1), seed_degree=2, seed_loops=1)
+    with pytest.raises(ArithmeticError, match="a pole survives"):
+        F_formula(seed, 1)
+    a = ArrayTuple.make(white={(1, 0): 2}, black_root={(4, 1): 1}, seed_degree=2, seed_loops=1)
+    with pytest.raises(ArithmeticError, match="3/2 .* is not an integer"):
+        F_formula(a, 2)
 
 
 def test_factorial_leading_term_matches_gamma():
     eps = 1e-7
     for x in range(-6, 7):
-        v, c = _factorial_leading(x)
+        v, num, den = _factorial_leading(x)
         assert v == (-1 if x < 0 else 0)
+        c = num / den
         approx = gamma(x + 1 + eps) / gamma(1 + eps) * eps**-v
         assert abs(approx - c) <= 1e-5 * abs(c), x
 
 
-def test_F_continued_matches_F_formula_on_generic_strata():
+def test_continuation_reference_equals_F_formula_on_generic_strata():
     # At a regular point the continuation is the value itself.
     for n in range(1, 8):
         for lam, mu, r, a in all_strata(n):
             sv = F_formula(a, n)
             if r > 0 and sv.well_defined:
-                assert F_continued(a, n) == sv.value, (n, lam, mu, r, str(a))
+                assert _ref_F_continued(a, n) == sv.value, (n, lam, mu, r, str(a))
 
 
 def test_real_expansion_n6_n7_match_pairing_oracle():
