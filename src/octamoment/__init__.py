@@ -9,7 +9,6 @@ hypermap <-> permuted-forest bijection, and Monte Carlo sampling.
 
 from .arrays import ArrayTuple, elementary, enumerate_M
 from .closedform import (
-    DegenerateStrataError,
     DegenerateStratum,
     F_counts,
     F_formula,

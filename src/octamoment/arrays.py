@@ -190,9 +190,7 @@ class ArrayTuple:
         return json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
 
 
-def _side_distributions(
-    mult: Mapping[int, int], budget: int, root_min_loops: int
-) -> Iterator[tuple[dict, dict, int]]:
+def _side_distributions(mult: Mapping[int, int], budget: int) -> Iterator[tuple[dict, dict, int]]:
     """Distribute block multiplicities over (non-root, root) cells.
 
     For half-size ``i``, non-root cells allow ``0 <= j <= (i-1)//2`` (the
@@ -209,7 +207,7 @@ def _side_distributions(
         i = sizes[idx]
         count = mult[i]
         options = [("nr", j) for j in range((i - 1) // 2 + 1)] + [
-            ("r", j) for j in range(root_min_loops, i // 2 + 1)
+            ("r", j) for j in range(1, i // 2 + 1)
         ]
 
         def place(opt_idx: int, left: int, w: int):
@@ -239,7 +237,7 @@ def _sides(mult: tuple[tuple[int, int], ...], budget: int) -> tuple[tuple[Cells,
     cells.  Memoized: one side serves every stratum it appears in."""
     return tuple(
         (cells_of(nonroot), cells_of(root), weight)
-        for nonroot, root, weight in _side_distributions(dict(mult), budget, 1)
+        for nonroot, root, weight in _side_distributions(dict(mult), budget)
     )
 
 

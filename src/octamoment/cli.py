@@ -12,12 +12,14 @@ with :func:`_expansion_json`, the same bytes without a per-term record or
 the pure-Python indenting encoder.  ``expansion --field real`` and
 ``report`` make one call to :func:`~octamoment.closedform.real_expansion`
 each, which resolves flagged strata by continuation in ``n`` for every
-``n``; ``expansion --strict`` is its ``strict=True``.  Exit codes: 0
-success, 1 verification/validation failure, 2 flagged strata under
-``--strict``, 3 a usage error, an argument outside
-the domain of the computation (such as ``n < 1``, or an enumeration beyond
-its size bound) or an unreadable input file, reported as one
-``octamoment: error:`` line on stderr.
+``n``; ``expansion --strict`` is a view of that one result, without the
+(lam, mu) pairs that have a flagged stratum and without the counts of the
+flagged strata.  Exit codes: 0 success, 1 verification/validation
+failure, 2 flagged strata under ``--strict``, 3 a usage error (including a
+``verify`` option the suite does not take), an argument outside the domain
+of the computation (such as ``n < 1``, an enumeration beyond its size
+bound, or a malformed ``OCTAMOMENT_THREADS``) or an unreadable input
+file, reported as one ``octamoment: error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from . import forests as fo
 from . import hypermaps as hm
 from . import moments as mo
 from .partitions import format_partition, format_rational, parse_partition, partitions_of
+from .symfun import MonomialExpansion
 from .verify import SUITES, coeffs_self_check, run_suite
 
 
@@ -165,14 +168,19 @@ def _format_rows(rows: list[dict], fmt: str) -> str:
 def cmd_expansion(args) -> int:
     n = args.n
     if args.field == "complex":
-        expansion, strata = cf.complex_expansion(n), ()
+        expansion, strata = cf.complex_expansion(n), []
     else:
-        try:
-            expansion = cf.real_expansion(n, strict=args.strict)
-        except cf.DegenerateStrataError as err:
-            expansion = err.expansion
-        strata = expansion.degenerate_strata
-    fields = {"n": n, "field": args.field, "degenerate_strata": [d.to_json() for d in strata]}
+        expansion = cf.real_expansion(n)
+        strata = [d.to_json() for d in expansion.degenerate_strata]
+        if args.strict:
+            # The strict view: no pair with a flagged stratum, and no counts.
+            flagged = {(d.lam, d.mu) for d in expansion.degenerate_strata}
+            expansion = MonomialExpansion(
+                n, {key: c for key, c in expansion.items() if key not in flagged}
+            )
+            for record in strata:
+                del record["oracle_value"]
+    fields = {"n": n, "field": args.field, "degenerate_strata": strata}
     _emit(_expansion_json(fields, expansion), args.out)
     if args.strict and strata:
         return 2
@@ -180,12 +188,7 @@ def cmd_expansion(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    kwargs = {}
-    if args.suite == "mc":
-        kwargs = {"samples": args.samples, "seed": args.seed}
-        results = run_suite(args.suite, **kwargs)
-    else:
-        results = run_suite(args.suite, n_max=args.n_max)
+    results = run_suite(args.suite, n_max=args.n_max, samples=args.samples, seed=args.seed)
     failures = 0
     for check in results:
         print(check.line())
@@ -333,9 +336,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", choices=sorted(SUITES), required=True)
-    p.add_argument("--n-max", type=int, default=None)
-    p.add_argument("--samples", type=int, default=200_000)
-    p.add_argument("--seed", type=int, default=20240801)
+    p.add_argument("--n-max", type=int, help="enumerating suites only")
+    p.add_argument("--samples", type=int, help="mc suite only (default 200000)")
+    p.add_argument("--seed", type=int, help="mc suite only (default 20240801)")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("bijection", help="map a hypermap JSON to its forest or back")

@@ -16,10 +16,9 @@ The per-stratum formula is generic: on boundary strata (``q = 0`` with
 value, and flags the boundary strata: their :class:`StratumValue` has
 ``well_defined=False`` and diagnostics naming the factorials with a
 negative argument, next to the exact count.  :func:`real_expansion` adds
-the flagged strata like any other and lists them; in strict mode it
-refuses them instead and raises :class:`DegenerateStrataError`, which
-carries the flagged strata and the partial expansion without the
-(lam, mu) pairs they belong to.  The factor ``1/(n-p-q-2r)!`` vanishes at
+the flagged strata like any other and lists them with their counts; the
+strict view that leaves out their (lam, mu) pairs is ``expansion
+--strict`` in the command line.  The factor ``1/(n-p-q-2r)!`` vanishes at
 negative arguments, which is not a degeneracy: it encodes the vanishing
 thorn count.
 """
@@ -59,7 +58,6 @@ __all__ = [
     "coeff_m_lambda_m_n",
     "coeff_hook",
     "remark_identity_check",
-    "DegenerateStrataError",
 ]
 
 
@@ -232,7 +230,7 @@ def F_counts(p: int, pp: int, q: int, qp: int, r: int, n: int) -> Fraction:
 @dataclass(frozen=True)
 class DegenerateStratum:
     """One flagged stratum of an expansion assembly; ``oracle_value`` is its
-    count (:func:`F_formula`), ``None`` in strict mode."""
+    count (:func:`F_formula`)."""
 
     n: int
     lam: Partition
@@ -240,20 +238,18 @@ class DegenerateStratum:
     r: int
     array: ArrayTuple
     diagnostics: tuple[str, ...]
-    oracle_value: int | None = None
+    oracle_value: int
 
     def to_json(self) -> dict:
-        record = {
+        return {
             "n": self.n,
             "lambda": format_partition(self.lam),
             "mu": format_partition(self.mu),
             "r": self.r,
             "A": self.array.to_json(),
             "formula_status": "; ".join(self.diagnostics) or "degenerate",
+            "oracle_value": self.oracle_value,
         }
-        if self.oracle_value is not None:
-            record["oracle_value"] = self.oracle_value
-        return record
 
 
 @dataclass(frozen=True, eq=False)
@@ -264,30 +260,10 @@ class RealExpansion(MonomialExpansion):
     degenerate_strata: tuple[DegenerateStratum, ...] = ()
 
 
-class DegenerateStrataError(ValueError):
-    """Strict mode met flagged strata.
-
-    ``strata`` lists every flagged stratum of the assembly, and
-    ``expansion`` is the partial :class:`RealExpansion` that leaves out
-    the (lam, mu) pairs those strata belong to.
-    """
-
-    def __init__(self, strata: list[DegenerateStratum], expansion: RealExpansion):
-        super().__init__(
-            f"{len(strata)} flagged strata in strict mode; "
-            "first: " + "; ".join(strata[0].diagnostics)
-        )
-        self.strata = strata
-        self.expansion = expansion
-
-
-def real_expansion(n: int, strict: bool = False) -> RealExpansion:
+def real_expansion(n: int) -> RealExpansion:
     """Monomial expansion of the order-n real moment.
 
-    Flagged strata count like the others and come with the expansion.  In
-    strict mode every (lam, mu) pair with a flagged stratum is left out
-    instead, and :class:`DegenerateStrataError` carries that partial
-    expansion.
+    Flagged strata count like the others and come with the expansion.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -296,23 +272,17 @@ def real_expansion(n: int, strict: bool = False) -> RealExpansion:
     for lam in partitions_of(n):
         for mu in partitions_of(n):
             total = Fraction(0)
-            tainted = False
             for r in range(n // 2 + 1):
                 for a in enumerate_M(lam, mu, r):
                     sv = F_formula(a, n)
                     total += sv.value
                     if not sv.well_defined:
-                        value = None if strict else int(sv.value)
                         report.append(
-                            DegenerateStratum(n, lam, mu, r, a, sv.diagnostics, value)
+                            DegenerateStratum(n, lam, mu, r, a, sv.diagnostics, int(sv.value))
                         )
-                        tainted = strict
-            if total and not tainted:
+            if total:
                 coeffs[(lam, mu)] = aut(lam) * aut(mu) * total
-    expansion = RealExpansion(n, coeffs, tuple(report))
-    if strict and report:
-        raise DegenerateStrataError(report, expansion)
-    return expansion
+    return RealExpansion(n, coeffs, tuple(report))
 
 
 def _complex_length_coeff(n: int, k: int, l: int) -> Fraction:

@@ -104,15 +104,6 @@ class Forest:
     def loops_of(self, v: int) -> int:
         return sum(1 for slot in self.slots[v] if slot[0] == LOOP) // 2
 
-    @property
-    def n(self) -> int:
-        parent = self.parent_map()
-        return sum(
-            len(self.slots[v]) + (1 if v in parent else 0)
-            for v in range(self.num_vertices)
-            if self.colors[v] == "w"
-        )
-
 
 def _full_slots(f: Forest) -> list[list[Slot]]:
     """Descendant slots plus the implicit rightmost parent slot."""
@@ -621,9 +612,7 @@ def _compositions(total: int, caps: Sequence[int]) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-def enumerate_forests(
-    a: ArrayTuple, max_n: int = DEFAULT_FOREST_BOUND
-) -> list[Forest]:
+def enumerate_forests(a: ArrayTuple) -> list[Forest]:
     """Exhaustive list of the non-isomorphic forests with degree array ``a``.
 
     Brute force: vertices are generated distinguishable, every slot
@@ -632,8 +621,8 @@ def enumerate_forests(
     results are deduplicated through the canonical labeling.
     """
     n = a.n
-    if n > max_n:
-        raise BoundExceededError("forest enumeration", n, max_n)
+    if n > DEFAULT_FOREST_BOUND:
+        raise BoundExceededError("forest enumeration", n, DEFAULT_FOREST_BOUND)
     problems = a.validate()
     if problems:
         raise ValueError("inconsistent degree array: " + "; ".join(problems))
@@ -829,17 +818,23 @@ def _latin_names(count: int) -> list[str]:
     return names
 
 
+def _thorn_labels(f: Forest) -> dict[SlotRef, str]:
+    """Latin label of each thorn, shared within a matched pair, in the
+    order of the sorted matching."""
+    label_of: dict[SlotRef, str] = {}
+    for name, (a, b) in zip(_latin_names(len(f.matching)), sorted(f.matching)):
+        label_of[a] = name
+        label_of[b] = name
+    return label_of
+
+
 def forest_to_json(f: Forest) -> dict:
     """JSON form: vertices with slots, loop attributions, thorn matching.
 
     Thorns carry latin labels (shared within a matched pair) for
     readability; the matching list is the authoritative encoding.
     """
-    pairs = sorted(f.matching)
-    label_of: dict[SlotRef, str] = {}
-    for name, (a, b) in zip(_latin_names(len(pairs)), pairs):
-        label_of[a] = name
-        label_of[b] = name
+    label_of = _thorn_labels(f)
     vertices = []
     for v in range(f.num_vertices):
         slots_json = []
@@ -864,7 +859,7 @@ def forest_to_json(f: Forest) -> dict:
             {"vertex": v, "loop": k, "kind": kind, "target": t}
             for v, k, kind, t in f.loop_attr
         ],
-        "thorn_matching": [[list(a), list(b)] for a, b in pairs],
+        "thorn_matching": [[list(a), list(b)] for a, b in sorted(f.matching)],
     }
 
 
@@ -902,11 +897,7 @@ def forest_from_json(data: dict) -> Forest:
 def forest_to_dot(f: Forest) -> str:
     """Graphviz rendering: solid tree edges, dashed arrows, dotted loop
     attributions, thorns as point stubs."""
-    pairs = sorted(f.matching)
-    label_of: dict[SlotRef, str] = {}
-    for name, (a, b) in zip(_latin_names(len(pairs)), pairs):
-        label_of[a] = name
-        label_of[b] = name
+    label_of = _thorn_labels(f)
     lines = ["digraph forest {", "  rankdir=TB;"]
     for v in range(f.num_vertices):
         fill = "white" if f.colors[v] == "w" else "gray20"

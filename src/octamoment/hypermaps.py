@@ -213,9 +213,10 @@ def r_statistic(f3: Pairing) -> int:
     return f3.hat_pair_count()
 
 
-def iter_pairing_images(m: int, first_partner: int | None = None) -> Iterator[list[int]]:
+def iter_pairing_images(m: int) -> Iterator[list[int]]:
     """Yield every fixed-point-free involution of ``range(m)`` as an image
-    list, optionally restricted to those pairing 0 with ``first_partner``.
+    list, ordered by the partner of 0, then by the partner of the next
+    unpaired element, and so on.
 
     The same list object is yielded each time; copy it to keep it.
     """
@@ -237,17 +238,7 @@ def iter_pairing_images(m: int, first_partner: int | None = None) -> Iterator[li
                 image[j] = -1
         image[lo] = -1
 
-    if m == 0:
-        yield image
-        return
-    if first_partner is None:
-        yield from rec(0)
-        return
-    image[0] = first_partner
-    image[first_partner] = 0
-    yield from rec(1)
-    image[0] = -1
-    image[first_partner] = -1
+    yield from rec(0)
 
 
 @dataclass(frozen=True)
@@ -266,30 +257,25 @@ class ClassTable:
 
 
 @lru_cache(maxsize=None)
-def L_table(n: int, bound: int = DEFAULT_PAIRING_BOUND) -> ClassTable:
+def L_table(n: int) -> ClassTable:
     """Exhaustive classification of all (2n-1)!! pairings f3 by the half
-    cycle types of f3∘f1 and f3∘f2 and the hat-pair count r.
-
-    Sharded by the partner of the first half edge; shards are merged in
-    partner order so the result is deterministic.
-    """
-    if n > bound:
-        raise BoundExceededError("pairing classification", n, bound)
+    cycle types of f3∘f1 and f3∘f2 and the hat-pair count r."""
+    if n > DEFAULT_PAIRING_BOUND:
+        raise BoundExceededError("pairing classification", n, DEFAULT_PAIRING_BOUND)
     f1 = canonical_f1(n).image
     f2 = canonical_f2(n).image
     m = 2 * n
     entries: dict[tuple[Partition, Partition, int], int] = {}
     raw: dict[tuple[tuple[int, ...], tuple[int, ...], int], int] = {}
-    for partner in range(1, m):
-        for f3 in iter_pairing_images(m, first_partner=partner):
-            lam = _half_cycle_lengths([f3[f1[x]] for x in range(m)])
-            mu = _half_cycle_lengths([f3[f2[x]] for x in range(m)])
-            r = 0
-            for x in range(n, m):
-                if f3[x] >= n and f3[x] > x:
-                    r += 1
-            key = (lam, mu, r)
-            raw[key] = raw.get(key, 0) + 1
+    for f3 in iter_pairing_images(m):
+        lam = _half_cycle_lengths([f3[f1[x]] for x in range(m)])
+        mu = _half_cycle_lengths([f3[f2[x]] for x in range(m)])
+        r = 0
+        for x in range(n, m):
+            if f3[x] >= n and f3[x] > x:
+                r += 1
+        key = (lam, mu, r)
+        raw[key] = raw.get(key, 0) + 1
     for (lam, mu, r), count in raw.items():
         entries[(Partition(lam), Partition(mu), r)] = count
     expected = odd_double_factorial(n)
@@ -431,30 +417,26 @@ def _orbits(a: Sequence[int], b: Sequence[int]) -> list[frozenset[int]]:
     return orbits
 
 
-def iter_partitioned_hypermaps(
-    n: int, bound: int = DEFAULT_PARTITIONED_BOUND
-) -> Iterator[PartitionedHypermap]:
+def iter_partitioned_hypermaps(n: int) -> Iterator[PartitionedHypermap]:
     """Every partitioned hypermap with n edges, each exactly once.
 
     White vertices are the orbits of <f1, f3>, black vertices the orbits of
     <f2, f3>; the blocks of pi1 (pi2) are arbitrary unions of white (black)
     orbits, which is exactly the stability constraint.
     """
-    if n > bound:
-        raise BoundExceededError("partitioned hypermap enumeration", n, bound)
+    if n > DEFAULT_PARTITIONED_BOUND:
+        raise BoundExceededError("partitioned hypermap enumeration", n, DEFAULT_PARTITIONED_BOUND)
     f1 = canonical_f1(n).image
     f2 = canonical_f2(n).image
-    m = 2 * n
-    for partner in range(1, m):
-        for image in iter_pairing_images(m, first_partner=partner):
-            f3 = Pairing(n, tuple(image))
-            white_orbits = _orbits(image, f1)
-            black_orbits = _orbits(image, f2)
-            for grouping1 in set_partitions(white_orbits):
-                pi1 = tuple(frozenset().union(*g) for g in grouping1)
-                for grouping2 in set_partitions(black_orbits):
-                    pi2 = tuple(frozenset().union(*g) for g in grouping2)
-                    yield PartitionedHypermap.make(f3, pi1, pi2)
+    for image in iter_pairing_images(2 * n):
+        f3 = Pairing(n, tuple(image))
+        white_orbits = _orbits(image, f1)
+        black_orbits = _orbits(image, f2)
+        for grouping1 in set_partitions(white_orbits):
+            pi1 = tuple(frozenset().union(*g) for g in grouping1)
+            for grouping2 in set_partitions(black_orbits):
+                pi2 = tuple(frozenset().union(*g) for g in grouping2)
+                yield PartitionedHypermap.make(f3, pi1, pi2)
 
 
 def degree_array(h: PartitionedHypermap) -> ArrayTuple:
@@ -500,10 +482,10 @@ def degree_array(h: PartitionedHypermap) -> ArrayTuple:
 
 
 @lru_cache(maxsize=8)
-def _lp_data(n: int, bound: int = DEFAULT_PARTITIONED_BOUND):
+def _lp_data(n: int):
     table: dict[tuple[Partition, Partition, int], int] = {}
     by_array: dict[ArrayTuple, int] = {}
-    for h in iter_partitioned_hypermaps(n, bound=bound):
+    for h in iter_partitioned_hypermaps(n):
         key = (h.white_type(), h.black_type(), h.r)
         table[key] = table.get(key, 0) + 1
         arr = degree_array(h)
@@ -511,25 +493,25 @@ def _lp_data(n: int, bound: int = DEFAULT_PARTITIONED_BOUND):
     return MappingProxyType(table), MappingProxyType(by_array)
 
 
-def lp_table(n: int, bound: int = DEFAULT_PARTITIONED_BOUND) -> Mapping:
+def lp_table(n: int) -> Mapping:
     """Counts of partitioned hypermaps keyed (white type, black type, r);
     cached and read-only."""
-    return _lp_data(n, bound)[0]
+    return _lp_data(n)[0]
 
 
-def lp_by_array(n: int, bound: int = DEFAULT_PARTITIONED_BOUND) -> Mapping[ArrayTuple, int]:
+def lp_by_array(n: int) -> Mapping[ArrayTuple, int]:
     """Counts of partitioned hypermaps keyed by their degree array; cached
     and read-only."""
-    return _lp_data(n, bound)[1]
+    return _lp_data(n)[1]
 
 
 @lru_cache(maxsize=None)
-def class_connection_table(n: int, bound: int = DEFAULT_CLASS_BOUND) -> Mapping:
+def class_connection_table(n: int) -> Mapping:
     """For the fixed n-cycle g = (1 2 ... n), the number of ways to write
     g = a∘b with a, b of prescribed cycle types, keyed (type a, type b);
     cached and read-only."""
-    if n > bound:
-        raise BoundExceededError("class algebra product", n, bound)
+    if n > DEFAULT_CLASS_BOUND:
+        raise BoundExceededError("class algebra product", n, DEFAULT_CLASS_BOUND)
     gamma = tuple((x + 1) % n for x in range(n))
     table: dict[tuple[Partition, Partition], int] = {}
     for alpha in itertools.permutations(range(n)):
@@ -542,13 +524,13 @@ def class_connection_table(n: int, bound: int = DEFAULT_CLASS_BOUND) -> Mapping:
     return MappingProxyType(table)
 
 
-def class_connection(n: int, lam, mu, bound: int = DEFAULT_CLASS_BOUND) -> int:
+def class_connection(n: int, lam, mu) -> int:
     """Oracle for the class-algebra connection coefficient at the full cycle."""
-    return class_connection_table(n, bound).get((Partition(lam), Partition(mu)), 0)
+    return class_connection_table(n).get((Partition(lam), Partition(mu)), 0)
 
 
 @lru_cache(maxsize=None)
-def double_coset_data(n: int, bound: int = DEFAULT_COSET_BOUND):
+def double_coset_data(n: int):
     """Membership data for the double cosets of the hyperoctahedral group.
 
     Returns read-only mappings (class_of, members, sizes): the coset type
@@ -556,44 +538,45 @@ def double_coset_data(n: int, bound: int = DEFAULT_COSET_BOUND):
     (a tuple), and the coset sizes.  A permutation w lies in the coset of
     type lam iff fstar∘w∘fstar∘w^{-1} has cycle type lam lam.
     """
-    if n > bound:
-        raise BoundExceededError("double coset product", n, bound)
+    if n > DEFAULT_COSET_BOUND:
+        raise BoundExceededError("double coset product", n, DEFAULT_COSET_BOUND)
     m = 2 * n
     fstar = canonical_f2(n).image
-    class_of: dict[tuple[int, ...], Partition] = {}
-    members: dict[Partition, list[tuple[int, ...]]] = {}
+    raw: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     for omega in itertools.permutations(range(m)):
         inv = [0] * m
         for x, y in enumerate(omega):
             inv[y] = x
         conj = tuple(fstar[omega[fstar[inv[x]]]] for x in range(m))
-        lam = Partition(_half_cycle_lengths(conj))
-        class_of[omega] = lam
-        members.setdefault(lam, []).append(omega)
+        raw.setdefault(_half_cycle_lengths(conj), []).append(omega)
+    members = {Partition(half): tuple(ms) for half, ms in raw.items()}
+    class_of = {omega: lam for lam, ms in members.items() for omega in ms}
     sizes = {lam: len(ms) for lam, ms in members.items()}
-    return (
-        MappingProxyType(class_of),
-        MappingProxyType({lam: tuple(ms) for lam, ms in members.items()}),
-        MappingProxyType(sizes),
-    )
+    return MappingProxyType(class_of), MappingProxyType(members), MappingProxyType(sizes)
 
 
-def double_coset_connection(n: int, lam, mu, bound: int = DEFAULT_COSET_BOUND) -> int:
-    """Coefficient of a fixed representative of the full-cycle coset in the
-    product of the coset sums for ``lam`` and ``mu`` (tiny n only)."""
-    lam, mu = Partition(lam), Partition(mu)
-    class_of, members, _ = double_coset_data(n, bound)
+@lru_cache(maxsize=None)
+def _double_coset_counts(n: int) -> Mapping:
+    """Every double-coset connection coefficient of order ``n``, keyed
+    (type of sigma, type of sigma^{-1}∘rho) for a fixed representative rho
+    of the full-cycle coset: one pass over S_{2n}."""
+    class_of, members, _ = double_coset_data(n)
     rho = members[Partition([n])][0]
     m = 2 * n
-    count = 0
-    for sigma in members.get(lam, []):
+    counts: dict[tuple[Partition, Partition], int] = {}
+    for sigma, lam in class_of.items():
         inv = [0] * m
         for x, y in enumerate(sigma):
             inv[y] = x
-        tau = tuple(inv[rho[x]] for x in range(m))
-        if class_of[tau] == mu:
-            count += 1
-    return count
+        key = (lam, class_of[tuple(inv[rho[x]] for x in range(m))])
+        counts[key] = counts.get(key, 0) + 1
+    return MappingProxyType(counts)
+
+
+def double_coset_connection(n: int, lam, mu) -> int:
+    """Coefficient of a fixed representative of the full-cycle coset in the
+    product of the coset sums for ``lam`` and ``mu`` (tiny n only)."""
+    return _double_coset_counts(n).get((Partition(lam), Partition(mu)), 0)
 
 
 def expected_coset_size(n: int, lam: Partition) -> int:

@@ -15,7 +15,8 @@ alternative E|u|^2 = 2 scales the order-n moment by 2^n.
 Sampling is reproducible and bit-stable: samples are drawn in fixed-size
 shards, shard k of a run with seed s uses the counter-based Philox
 generator keyed by ``s + (k << 64)``, and shard results are reduced in
-shard order.  ``OCTAMOMENT_THREADS`` caps the shard worker pool.
+shard order.  ``OCTAMOMENT_THREADS`` (a positive integer, default 1) caps
+the shard worker pool; any other value raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -164,9 +165,12 @@ def moment_complex_exact(n: int, x: MatrixSpec, y: MatrixSpec) -> Fraction:
 def _worker_count() -> int:
     raw = os.environ.get("OCTAMOMENT_THREADS", "1")
     try:
-        return max(1, int(raw))
+        workers = int(raw)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"OCTAMOMENT_THREADS must be a positive integer, got {raw!r}")
+    return workers
 
 
 def _shard_layout(samples: int) -> list[tuple[int, int]]:

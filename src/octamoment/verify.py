@@ -9,6 +9,7 @@ module: they repeat the checks in their own code.
 
 from __future__ import annotations
 
+import inspect
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -48,8 +49,9 @@ def _sum_r(lp: dict) -> dict:
     return agg
 
 
-def suite_bijection(n_max: int = 5, forest_n_max: int = 4) -> list[CheckResult]:
-    """Round trips both ways plus forest validity and degree preservation."""
+def suite_bijection(n_max: int = 5) -> list[CheckResult]:
+    """Round trips both ways plus forest validity and degree preservation;
+    the forest side stops at the forest enumeration bound."""
     results = []
     for n in range(1, n_max + 1):
         count = 0
@@ -73,7 +75,7 @@ def suite_bijection(n_max: int = 5, forest_n_max: int = 4) -> list[CheckResult]:
                 bad or f"{count} objects",
             )
         )
-    for n in range(1, min(forest_n_max, n_max) + 1):
+    for n in range(1, min(fo.DEFAULT_FOREST_BOUND, n_max) + 1):
         oracle = hm.lp_by_array(n)
         checked = 0
         bad = None
@@ -81,7 +83,7 @@ def suite_bijection(n_max: int = 5, forest_n_max: int = 4) -> list[CheckResult]:
             for mu in partitions_of(n):
                 for r in range(n // 2 + 1):
                     for a in enumerate_M(lam, mu, r):
-                        forests = fo.enumerate_forests(a, max_n=forest_n_max)
+                        forests = fo.enumerate_forests(a)
                         if len(forests) != oracle.get(a, 0):
                             bad = f"count mismatch at {a}"
                             break
@@ -212,10 +214,14 @@ def suite_complex(n_max: int = 7) -> list[CheckResult]:
     return results
 
 
-def suite_corollaries(n_max_real: int = 5, n_max_complex: int = 7, lm_max: int = 5):
-    """Identity-matrix specializations against both oracle routes."""
+def suite_corollaries(n_max: int | None = None) -> list[CheckResult]:
+    """Identity-matrix specializations at ranks ``l, m <= 5`` against both
+    oracle routes, for ``n <= n_max``; without ``n_max`` the real half runs
+    to n = 5 and the complex half to n = 7."""
+    real_top, complex_top = (5, 7) if n_max is None else (n_max, n_max)
+    ranks = range(6)
     results = []
-    for n in range(1, n_max_real + 1):
+    for n in range(1, real_top + 1):
         table = hm.L_table(n)
         lp = hm.lp_from_pairings(n)
         lp_len: dict[tuple[int, int, int], int] = {}
@@ -223,8 +229,8 @@ def suite_corollaries(n_max_real: int = 5, n_max_complex: int = 7, lm_max: int =
             key = (nu.length, rho.length, r)
             lp_len[key] = lp_len.get(key, 0) + c
         bad = 0
-        for l in range(0, lm_max + 1):
-            for m in range(0, lm_max + 1):
+        for l in ranks:
+            for m in ranks:
                 qr = cf.q_real(n, l, m)
                 via_b = sum(
                     Fraction(c) * l**lam.length * m**mu.length
@@ -237,13 +243,13 @@ def suite_corollaries(n_max_real: int = 5, n_max_complex: int = 7, lm_max: int =
                 if not (qr == via_b == via_lp):
                     bad += 1
         results.append(
-            CheckResult(f"corollaries/real n={n}", bad == 0, f"l,m <= {lm_max}")
+            CheckResult(f"corollaries/real n={n}", bad == 0, "l,m <= 5")
         )
-    for n in range(1, n_max_complex + 1):
+    for n in range(1, complex_top + 1):
         table = hm.L_table(n)
         bad = 0
-        for l in range(0, lm_max + 1):
-            for m in range(0, lm_max + 1):
+        for l in ranks:
+            for m in ranks:
                 via_c = sum(
                     Fraction(c) * l**lam.length * m**mu.length
                     for (lam, mu, r), c in table.entries.items()
@@ -252,7 +258,7 @@ def suite_corollaries(n_max_real: int = 5, n_max_complex: int = 7, lm_max: int =
                 if cf.q_compl(n, l, m) != via_c:
                     bad += 1
         results.append(
-            CheckResult(f"corollaries/complex n={n}", bad == 0, f"l,m <= {lm_max}")
+            CheckResult(f"corollaries/complex n={n}", bad == 0, "l,m <= 5")
         )
     return results
 
@@ -415,28 +421,28 @@ _ORACLE_BOUNDS = {
 }
 
 
-def run_suite(name: str, n_max: int | None = None, **kwargs) -> list[CheckResult]:
-    """Run one suite.  An ``n_max`` below 1 raises ``ValueError``; one
-    beyond the size bound of the suite's enumeration oracle is clamped to
-    that bound, and the clamp is noted on stderr."""
+def run_suite(name: str, **options) -> list[CheckResult]:
+    """Run one suite with the options the caller set; an option set to
+    ``None`` is unset.  An option the suite does not take and an ``n_max``
+    below 1 raise ``ValueError``; an ``n_max`` beyond the size bound of the
+    suite's enumeration oracle is clamped to that bound, and the clamp is
+    noted on stderr."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    fn = SUITES[name]
-    if name == "mc":
-        return fn(**kwargs)
-    if n_max is None:
-        return fn()
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
-    oracle, bound = _ORACLE_BOUNDS[name]
-    if n_max > bound:
-        print(
-            f"note: {name} suite clamps n_max={n_max} to the {oracle} oracle bound {bound}",
-            file=sys.stderr,
-        )
-        n_max = bound
-    if name == "corollaries":
-        return fn(n_max_real=n_max, n_max_complex=n_max)
-    if name == "bijection":
-        return fn(n_max=n_max, forest_n_max=min(n_max, 4))
-    return fn(n_max)
+    options = {key: value for key, value in options.items() if value is not None}
+    takes = inspect.signature(SUITES[name]).parameters
+    for option in options:
+        if option not in takes:
+            raise ValueError(f"the {name} suite takes no {option}")
+    n_max = options.get("n_max")
+    if n_max is not None:
+        if n_max < 1:
+            raise ValueError(f"n_max must be >= 1, got {n_max}")
+        oracle, bound = _ORACLE_BOUNDS[name]
+        if n_max > bound:
+            print(
+                f"note: {name} suite clamps n_max={n_max} to the {oracle} oracle bound {bound}",
+                file=sys.stderr,
+            )
+            options["n_max"] = bound
+    return SUITES[name](**options)

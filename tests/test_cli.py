@@ -1,5 +1,6 @@
 """Command-line surface: output shapes, determinism, exit codes."""
 
+import functools
 import hashlib
 import json
 import subprocess
@@ -9,7 +10,7 @@ import pytest
 
 from octamoment import cli, verify
 from octamoment.cli import main
-from octamoment.closedform import DegenerateStrataError, complex_expansion, real_expansion
+from octamoment.closedform import complex_expansion, real_expansion
 from octamoment.forests import forest_to_json, theta_forward
 from octamoment.hypermaps import iter_partitioned_hypermaps
 from octamoment.moments import MatrixSpec, moment_real_exact
@@ -112,8 +113,11 @@ def test_verify_clamps_n_max_to_the_pairing_oracle_bound(capsys):
 
 
 def record_suite(monkeypatch, name):
-    """Replace a verification suite by a recorder of its arguments."""
+    """Replace a verification suite by a recorder of its arguments that has
+    the suite's signature."""
     calls = []
+
+    @functools.wraps(verify.SUITES[name])
     def recorder(*args, **kwargs):
         calls.append((args, kwargs))
         return []
@@ -127,7 +131,7 @@ def test_verify_clamps_bijection_n_max_to_the_partitioned_oracle_bound(monkeypat
     code = main(["verify", "--suite", "bijection", "--n-max", "6"])
     captured = capsys.readouterr()
     assert code == 0
-    assert calls == [((), {"n_max": 5, "forest_n_max": 4})]
+    assert calls == [((), {"n_max": 5})]
     assert captured.err == (
         "note: bijection suite clamps n_max=6 to the partitioned-hypermap oracle bound 5\n"
     )
@@ -148,8 +152,32 @@ def test_verify_corollaries_passes_n_max_to_both_halves(monkeypatch, capsys):
     calls = record_suite(monkeypatch, "corollaries")
     assert main(["verify", "--suite", "corollaries", "--n-max", "7"]) == 0
     assert main(["verify", "--suite", "corollaries", "--n-max", "9"]) == 0
-    assert calls == [((), {"n_max_real": 7, "n_max_complex": 7})] * 2
+    assert calls == [((), {"n_max": 7})] * 2
     assert "bound 7" in capsys.readouterr().err
+
+
+def test_suite_corollaries_n_max_sets_both_halves():
+    names = [check.name for check in verify.suite_corollaries(3)]
+    assert names == [f"corollaries/real n={n}" for n in (1, 2, 3)] + [
+        f"corollaries/complex n={n}" for n in (1, 2, 3)
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("--suite mc --n-max 0 --samples 2000 --seed 3", "the mc suite takes no n_max"),
+        ("--suite special --n-max 2 --samples 5", "the special suite takes no samples"),
+        ("--suite strata --seed 1", "the strata suite takes no seed"),
+    ],
+    ids=["mc-n-max", "special-samples", "strata-seed"],
+)
+def test_verify_option_the_suite_does_not_take_exits_3_with_one_line(capsys, argv, message):
+    code = main(["verify", *argv.split()])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == f"octamoment: error: {message}\n"
 
 
 def test_verify_mc_small(capsys):
@@ -286,10 +314,14 @@ def _expansion_cases():
         strata = [d.to_json() for d in expansion.degenerate_strata]
         yield {"n": n, "field": "real", "degenerate_strata": strata}, expansion
     for n in range(2, 8):
-        with pytest.raises(DegenerateStrataError) as info:
-            real_expansion(n, strict=True)
-        strata = [d.to_json() for d in info.value.strata]
-        yield {"n": n, "field": "real", "degenerate_strata": strata}, info.value.expansion
+        # the strict view: no pair with a flagged stratum, no counts
+        full = real_expansion(n)
+        flagged = {(d.lam, d.mu) for d in full.degenerate_strata}
+        kept = {key: c for key, c in full.items() if key not in flagged}
+        strata = [d.to_json() for d in full.degenerate_strata]
+        for record in strata:
+            del record["oracle_value"]
+        yield {"n": n, "field": "real", "degenerate_strata": strata}, MonomialExpansion(n, kept)
     yield {"n": 3, "field": "real", "degenerate_strata": []}, MonomialExpansion(3)
 
 

@@ -1,5 +1,6 @@
 """Closed formulas against the enumeration oracles."""
 
+import json
 from dataclasses import replace
 from fractions import Fraction
 from math import factorial, gamma
@@ -9,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from octamoment.arrays import ArrayTuple, _side_distributions, elementary, enumerate_M
+from octamoment.cli import main
 from octamoment.closedform import (
-    DegenerateStrataError,
     _factorial_leading,
     F_counts,
     F_formula,
@@ -36,6 +37,7 @@ from octamoment.partitions import (
     Partition,
     aut,
     falling,
+    format_partition,
     inv_factorial,
     multinomial,
     partitions_of,
@@ -229,7 +231,7 @@ def _ref_enumerate_M(lam, mu, r):
     out = []
     mu_mult = mu.multiplicities()
     lam_mult = lam.multiplicities()
-    for black, black_root, wq in _side_distributions(mu_mult, r, 1):
+    for black, black_root, wq in _side_distributions(mu_mult, r):
         if wq != r:
             continue
         for i0 in sorted(lam_mult):
@@ -237,7 +239,7 @@ def _ref_enumerate_M(lam, mu, r):
             reduced[i0] -= 1
             if not reduced[i0]:
                 del reduced[i0]
-            for white, white_root, wp in _side_distributions(reduced, r, 1):
+            for white, white_root, wp in _side_distributions(reduced, r):
                 j0 = r - wp
                 if j0 < 0 or 2 * j0 > i0:
                     continue
@@ -284,23 +286,30 @@ def test_enumerate_M_result_is_the_callers_own():
     assert enumerate_M(lam, mu, 1) == expected != []
 
 
-def strict_expansion(n):
-    """``real_expansion(n, strict=True)``: the partial expansion and its
-    flagged strata."""
-    try:
-        expansion = real_expansion(n, strict=True)
-    except DegenerateStrataError as err:
-        return err.expansion, err.strata
-    return expansion, list(expansion.degenerate_strata)
+def strict_expansion(n, capsys):
+    """``expansion --n n --field real --strict``: its exit code, its terms
+    keyed by (lambda, mu) names, and its flagged-strata records."""
+    code = main(["expansion", "--n", str(n), "--field", "real", "--strict"])
+    data = json.loads(capsys.readouterr().out)
+    terms = {(t["lambda"], t["mu"]): Fraction(t["coeff"]) for t in data["terms"]}
+    return code, terms, data["degenerate_strata"]
 
 
-def test_real_expansion_carries_its_report():
+def without_count(stratum):
+    """The JSON record of a flagged stratum as strict mode prints it."""
+    record = stratum.to_json()
+    del record["oracle_value"]
+    return record
+
+
+def test_real_expansion_carries_its_report(capsys):
     # Within the oracle bound the expansion carries the strata that strict
     # mode flags, in the same order, each with its oracle value.
     for n in range(1, 6):
         carried = real_expansion(n).degenerate_strata
-        _, strict = strict_expansion(n)
-        assert [replace(d, oracle_value=None) for d in carried] == strict
+        code, _, strict = strict_expansion(n, capsys)
+        assert code == (2 if carried else 0)
+        assert [without_count(d) for d in carried] == strict
         oracle = lp_by_array(n)
         assert all(d.oracle_value == oracle.get(d.array, 0) for d in carried)
     assert len(real_expansion(2).degenerate_strata) == 1
@@ -477,29 +486,31 @@ def test_real_expansion_n8_n9_match_q_real_at_projectors():
             assert expansion.evaluate(xs, [1] * m) == q_real(n, l, m), (n, l, m)
 
 
-def test_strict_mode_refuses_flagged_pairs():
-    expansion, strata = strict_expansion(6)
+def test_strict_mode_refuses_flagged_pairs(capsys):
+    code, terms, strata = strict_expansion(6, capsys)
+    assert code == 2
     assert len(strata) == 235
-    assert expansion.degenerate_strata == tuple(strata)
     full = real_expansion(6)
-    assert [replace(d, oracle_value=None) for d in full.degenerate_strata] == strata
+    assert [without_count(d) for d in full.degenerate_strata] == strata
     # the partial expansion keeps exactly the pairs without a flagged stratum
-    flagged_pairs = {(d.lam, d.mu) for d in strata}
+    flagged_pairs = {(d["lambda"], d["mu"]) for d in strata}
     for lam in partitions_of(6):
         for mu in partitions_of(6):
-            expected = 0 if (lam, mu) in flagged_pairs else full.coeff(lam, mu)
-            assert expansion.coeff(lam, mu) == expected
+            key = (format_partition(lam), format_partition(mu))
+            expected = 0 if key in flagged_pairs else full.coeff(lam, mu)
+            assert terms.get(key, 0) == expected
 
 
-def test_real_expansion_strict_reports():
-    expansion, report = strict_expansion(2)
+def test_real_expansion_strict_reports(capsys):
+    code, terms, report = strict_expansion(2, capsys)
+    assert code == 2
     assert len(report) == 1
     stratum = report[0]
-    assert (stratum.lam, stratum.mu, stratum.r) == (P2, P2, 1)
-    assert stratum.oracle_value is None
+    assert (stratum["lambda"], stratum["mu"], stratum["r"]) == ("2", "2", 1)
+    assert "oracle_value" not in stratum
     # strict mode refuses the tainted coefficient entirely
-    assert expansion.coeff(P2, P2) == 0
-    assert expansion.coeff(P2, P11) == 2
+    assert ("2", "2") not in terms
+    assert terms[("2", "1,1")] == 2
     full_report = real_expansion(2).degenerate_strata
     assert full_report[0].oracle_value == 1
 

@@ -6,6 +6,7 @@ import pytest
 
 from octamoment.arrays import ArrayTuple, elementary
 from octamoment.hypermaps import (
+    DEFAULT_PAIRING_BOUND,
     BoundExceededError,
     L_table,
     Pairing,
@@ -94,7 +95,7 @@ def test_L_table_totals_and_bound():
     for n in range(1, 8):
         assert L_table(n).total() == odd_double_factorial(n)
     with pytest.raises(BoundExceededError):
-        L_table(9, bound=8)  # not cached; guards before enumerating
+        L_table(DEFAULT_PAIRING_BOUND + 1)  # guards before enumerating
 
 
 def test_b_and_c_from_L():

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from octamoment.cli import main
 from octamoment.closedform import q_compl, q_real
 from octamoment.hypermaps import pairing_power_sum_series
 from octamoment.moments import (
@@ -132,6 +133,20 @@ def test_mc_threads_do_not_change_results(monkeypatch):
     monkeypatch.setenv("OCTAMOMENT_THREADS", "4")
     threaded = mc_moment_real(2, I2, I2, 60_000, seed=5)
     assert (base.mean, base.std_error) == (threaded.mean, threaded.std_error)
+
+
+@pytest.mark.parametrize("raw", ["abc", "0"])
+def test_mc_rejects_a_malformed_thread_count(monkeypatch, capsys, raw):
+    monkeypatch.setenv("OCTAMOMENT_THREADS", raw)
+    message = f"OCTAMOMENT_THREADS must be a positive integer, got {raw!r}"
+    with pytest.raises(ValueError) as info:
+        mc_moment_real(2, I2, I2, 100, seed=5)
+    assert str(info.value) == message
+    for argv in (["mc", "--n", "2", "--dim", "2", "--samples", "100"], ["verify", "--suite", "mc"]):
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"octamoment: error: {message}\n"
 
 
 def test_mc_error_scales_with_samples():
