@@ -18,8 +18,10 @@ flagged strata.  Exit codes: 0 success, 1 verification/validation
 failure, 2 flagged strata under ``--strict``, 3 a usage error (including a
 ``verify`` option the suite does not take), an argument outside the domain
 of the computation (such as ``n < 1``, an enumeration beyond its size
-bound, or a malformed ``OCTAMOMENT_THREADS``) or an unreadable input
-file, reported as one ``octamoment: error:`` line on stderr.
+bound, or a malformed ``OCTAMOMENT_THREADS``) or an unreadable input (a
+missing file, or a file or ``--x-eigs``/``--y-eigs`` value that its
+reader rejects with ``ValueError``), reported as one ``octamoment:
+error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ import csv
 import io
 import json
 import sys
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from math import factorial
 
@@ -198,17 +199,19 @@ def cmd_verify(args) -> int:
 
 
 def _hypermap_from_json(data: dict) -> hm.PartitionedHypermap:
-    n = data["n"]
-    pairs = [
-        (hm.parse_element(str(a), n), hm.parse_element(str(b), n))
-        for a, b in data["f3"]
-    ]
-    blocks1 = [
-        {hm.parse_element(str(x), n) for x in block} for block in data["pi1"]
-    ]
-    blocks2 = [
-        {hm.parse_element(str(x), n) for x in block} for block in data["pi2"]
-    ]
+    """Read the ``_hypermap_to_json`` form; a malformed record raises
+    ``ValueError``."""
+    try:
+        n = data["n"]
+        if type(n) is not int or n < 1:
+            raise ValueError(f"hypermap 'n' must be a positive integer, got {n!r}")
+        label = lambda x: hm.parse_element(str(x), n)  # noqa: E731
+        pairs = [(label(a), label(b)) for a, b in data["f3"]]
+        blocks1, blocks2 = (
+            [{label(x) for x in block} for block in data[key]] for key in ("pi1", "pi2")
+        )
+    except (KeyError, TypeError) as err:
+        raise ValueError(f"malformed hypermap JSON: {type(err).__name__} {err}") from None
     return hm.PartitionedHypermap.make(hm.Pairing.from_pairs(n, pairs), blocks1, blocks2)
 
 
@@ -226,7 +229,7 @@ def _hypermap_to_json(h: hm.PartitionedHypermap) -> dict:
 def cmd_bijection(args) -> int:
     with open(args.input, "r", encoding="utf-8") as handle:
         data = json.load(handle)
-    if "f3" in data:
+    if isinstance(data, dict) and "f3" in data:
         h = _hypermap_from_json(data)
         problems = h.validate()
         if problems:
@@ -265,7 +268,7 @@ def _matrix_from_args(path: str | None, eigs: str | None, dim_hint: int | None):
         with open(path, "r", encoding="utf-8") as handle:
             return mo.MatrixSpec.from_json(json.load(handle))
     if eigs:
-        return mo.MatrixSpec.from_eigs([Fraction(tok) for tok in eigs.split(",")])
+        return mo.MatrixSpec.from_json({"eigs": eigs.split(",")})
     if dim_hint:
         return mo.MatrixSpec.identity(dim_hint)
     raise ValueError("need --x-eigs/--y-eigs, matrix files, or --dim")

@@ -18,6 +18,11 @@ labels: each next label must sit on the leftmost unrecovered slot of a
 vertex that the current slot determines (matched thorn, attributed
 vertex, arrow target, or edge endpoint).
 
+``validate_forest`` is the one statement of the rules above.
+``enumerate_forests``, the exhaustive oracle that the bijection is
+checked against stratum by stratum, generates candidate forests of a
+degree array and keeps those it accepts.
+
 Forests are kept in a canonical labeling (vertices numbered by traversal
 order, minimized over reorderings of identical non-seed trees), so
 structural equality of :class:`Forest` values is isomorphism.
@@ -37,6 +42,7 @@ from .hypermaps import (
     PartitionedHypermap,
     canonical_f1,
     canonical_f2,
+    iter_pairing_images,
 )
 
 __all__ = [
@@ -566,59 +572,17 @@ def forest_degree(f: Forest) -> ArrayTuple:
     )
 
 
-def _pairings_of(positions: Sequence[int]) -> Iterator[list[tuple[int, int]]]:
-    if not positions:
-        yield []
-        return
-    first, rest = positions[0], list(positions[1:])
-    for k, other in enumerate(rest):
-        remaining = rest[:k] + rest[k + 1 :]
-        for tail in _pairings_of(remaining):
-            yield [(first, other)] + tail
-
-
-def _vertex_layouts(nslots: int, loops: int, edges: int, reserve_last: bool):
-    """All slot templates with the given loop/edge/thorn profile.
-
-    Yields (template, loop_pairs) where loop ids are numbered by first
-    extremity and the template holds ("l", id) / ("e", None) / ("t",).
-    """
-    if 2 * loops + edges > nslots:
-        return
-    positions = list(range(nslots))
-    for loop_pos in itertools.combinations(positions, 2 * loops):
-        if reserve_last and (not loop_pos or loop_pos[-1] != nslots - 1):
-            continue
-        remaining = [p for p in positions if p not in loop_pos]
-        for pairing in _pairings_of(list(loop_pos)):
-            for edge_pos in itertools.combinations(remaining, edges):
-                template: list[Slot | None] = [(THORN,)] * nslots
-                pairs = sorted((min(a, b), max(a, b)) for a, b in pairing)
-                for loop_id, (a, b) in enumerate(pairs):
-                    template[a] = (LOOP, loop_id)
-                    template[b] = (LOOP, loop_id)
-                for p in edge_pos:
-                    template[p] = (EDGE, None)
-                yield template, sorted(pairs)
-
-
-def _compositions(total: int, caps: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    if not caps:
-        if total == 0:
-            yield ()
-        return
-    for first in range(min(total, caps[0]) + 1):
-        for rest in _compositions(total - first, caps[1:]):
-            yield (first,) + rest
-
-
 def enumerate_forests(a: ArrayTuple) -> list[Forest]:
     """Exhaustive list of the non-isomorphic forests with degree array ``a``.
 
-    Brute force: vertices are generated distinguishable, every slot
-    layout / child assignment / attribution / thorn matching combination
-    is tried, filtered by the loop-balance and tree properties, and the
-    results are deduplicated through the canonical labeling.
+    Brute force over one definition: vertices are generated
+    distinguishable, and every candidate is kept iff :func:`validate_forest`
+    accepts it.  A candidate pairs loop positions on each vertex (the last
+    slot of a non-seed root holds a loop), places each internal vertex on a
+    free slot of the other color, makes thorns of the slots left, sends
+    each loop to a vertex of the other color (the maximal loop of a
+    non-seed root by its arrow) and matches the thorns.  The survivors are
+    deduplicated through the canonical labeling.
     """
     n = a.n
     if n > DEFAULT_FOREST_BOUND:
@@ -627,177 +591,60 @@ def enumerate_forests(a: ArrayTuple) -> list[Forest]:
     if problems:
         raise ValueError("inconsistent degree array: " + "; ".join(problems))
 
-    colors: list[str] = []
-    roles: list[str] = []
-    degs: list[int] = []
-    loops: list[int] = []
-
-    def add(color: str, role: str, cells) -> list[int]:
-        ids = []
-        for i, j, count in cells:
-            for _ in range(count):
-                ids.append(len(colors))
-                colors.append(color)
-                roles.append(role)
-                degs.append(i)
-                loops.append(j)
-        return ids
-
-    colors.append("w")
-    roles.append("seed")
-    degs.append(a.seed_degree)
-    loops.append(a.seed_loops)
-    white_internal = add("w", "internal", a.white)
-    add("w", "root", a.white_root)
-    black_internal = add("b", "internal", a.black)
-    add("b", "root", a.black_root)
+    cells = (("w", "internal", a.white), ("w", "root", a.white_root),
+             ("b", "internal", a.black), ("b", "root", a.black_root))
+    colors, roles, nslots, loops = zip(
+        ("w", "seed", a.seed_degree, a.seed_loops),
+        *((color, role, i - (role == "internal"), j)
+          for color, role, counts in cells for i, j, count in counts for _ in range(count)),
+    )
     V = len(colors)
-    whites = [v for v in range(V) if colors[v] == "w"]
-    blacks = [v for v in range(V) if colors[v] == "b"]
-    non_seed_roots = [v for v in range(V) if roles[v] == "root"]
+    of_color = {c: [v for v in range(V) if colors[v] == c] for c in "wb"}
+    opposite = [of_color["b" if c == "w" else "w"] for c in colors]
+    internal = {c: [v for v in of_color[c] if roles[v] == "internal"] for c in "wb"}
 
-    nslots = [degs[v] - (1 if roles[v] == "internal" else 0) for v in range(V)]
-    free = [nslots[v] - 2 * loops[v] for v in range(V)]
-    if any(x < 0 for x in free):
-        return []
+    def layouts(v: int) -> Iterator[list[Slot | None]]:
+        """Rows of ``v`` with its loops numbered by first extremity."""
+        for pos in itertools.combinations(range(nslots[v]), 2 * loops[v]):
+            if roles[v] == "root" and (not pos or pos[-1] != nslots[v] - 1):
+                continue
+            for image in iter_pairing_images(len(pos)):
+                row: list[Slot | None] = [None] * nslots[v]
+                ids = itertools.count()
+                for i, j in enumerate(image):
+                    if i < j:
+                        row[pos[i]] = row[pos[j]] = (LOOP, next(ids))
+                yield row
+
+    def free(rows, color: str) -> list[SlotRef]:
+        return [(v, i) for v in of_color[color] for i, s in enumerate(rows[v]) if s is None]
 
     found: set[Forest] = set()
-
-    def attributions(loop_pairs, children_of):
-        """All greek/arrow targets satisfying the loop-balance property."""
-        arrow_loops = []
-        greek_loops = []
-        for v in range(V):
-            ids = list(range(len(loop_pairs[v])))
-            maximal = None
-            if roles[v] == "root":
-                maximal = next(
-                    k for k, (x, y) in enumerate(loop_pairs[v]) if y == nslots[v] - 1
-                )
-                arrow_loops.append((v, maximal))
-            for k in ids:
-                if maximal is None or k != maximal:
-                    greek_loops.append((v, k))
-        opposite = {v: (blacks if colors[v] == "w" else whites) for v in range(V)}
-        arrow_choices = [opposite[v] for v, _ in arrow_loops]
-        greek_choices = [opposite[v] for v, _ in greek_loops]
-        need = [len(loop_pairs[v]) for v in range(V)]
-        for arrows in itertools.product(*arrow_choices):
-            incoming = [0] * V
-            for t in arrows:
-                incoming[t] += 1
-            if any(incoming[v] > need[v] for v in range(V)):
-                continue
-            for greeks in itertools.product(*greek_choices):
-                named = list(incoming)
-                for t in greeks:
-                    named[t] += 1
-                if named != need:
-                    continue
-                # tree property over edges + arrows
-                link = {}
-                for par, kids in children_of.items():
-                    for c in kids:
-                        link[c] = par
-                for (v, _), t in zip(arrow_loops, arrows):
-                    link[v] = t
-                ok = True
-                for v in range(V):
-                    seen = set()
-                    x = v
-                    while x != 0:
-                        if x in seen or x not in link:
-                            ok = False
-                            break
-                        seen.add(x)
-                        x = link[x]
-                    if not ok:
-                        break
-                if not ok:
-                    continue
-                attr = []
-                for (v, k), t in zip(arrow_loops, arrows):
-                    attr.append((v, k, "arrow", t))
-                for (v, k), t in zip(greek_loops, greeks):
-                    attr.append((v, k, "greek", t))
-                yield tuple(sorted(attr))
-
-    white_edge_caps = [free[v] for v in whites]
-    black_edge_caps = [free[v] for v in blacks]
-    for wcounts in _compositions(len(black_internal), white_edge_caps):
-        for bcounts in _compositions(len(white_internal), black_edge_caps):
-            ecount = [0] * V
-            for v, c in zip(whites, wcounts):
-                ecount[v] = c
-            for v, c in zip(blacks, bcounts):
-                ecount[v] = c
-            layout_options = []
-            for v in range(V):
-                opts = list(
-                    _vertex_layouts(
-                        nslots[v], loops[v], ecount[v], roles[v] == "root"
-                    )
-                )
-                layout_options.append(opts)
-            if any(not opts for opts in layout_options):
-                continue
-            for chosen in itertools.product(*layout_options):
-                templates = [list(t) for t, _ in chosen]
-                loop_pairs = [lp for _, lp in chosen]
-                white_edge_slots = [
-                    (v, i)
-                    for v in whites
-                    for i, slot in enumerate(templates[v])
-                    if slot == (EDGE, None)
-                ]
-                black_edge_slots = [
-                    (v, i)
-                    for v in blacks
-                    for i, slot in enumerate(templates[v])
-                    if slot == (EDGE, None)
-                ]
-                for wperm in itertools.permutations(black_internal):
-                    for bperm in itertools.permutations(white_internal):
-                        slots = [list(t) for t in templates]
-                        children_of: dict[int, list[int]] = {}
-                        for (v, i), child in zip(white_edge_slots, wperm):
-                            slots[v][i] = (EDGE, child)
-                            children_of.setdefault(v, []).append(child)
-                        for (v, i), child in zip(black_edge_slots, bperm):
-                            slots[v][i] = (EDGE, child)
-                            children_of.setdefault(v, []).append(child)
-                        white_thorns = [
-                            (v, i)
-                            for v in whites
-                            for i, slot in enumerate(slots[v])
-                            if slot == (THORN,)
-                        ]
-                        black_thorns = [
-                            (v, i)
-                            for v in blacks
-                            for i, slot in enumerate(slots[v])
-                            if slot == (THORN,)
-                        ]
-                        if len(white_thorns) != len(black_thorns):
-                            continue
-                        for attr in attributions(loop_pairs, children_of):
-                            for tperm in itertools.permutations(black_thorns):
-                                match = frozenset(
-                                    (w, b) for w, b in zip(white_thorns, tperm)
-                                )
-                                forest = Forest(
-                                    tuple(colors),
-                                    tuple(tuple(row) for row in slots),
-                                    0,
-                                    attr,
-                                    match,
-                                )
-                                found.add(canonicalize(forest))
+    for rows in itertools.product(*(list(layouts(v)) for v in range(V))):
+        kinds = [
+            (v, k, "arrow" if roles[v] == "root" and k == rows[v][-1][1] else "greek")
+            for v in range(V)
+            for k in range(loops[v])
+        ]
+        for wplace in itertools.permutations(free(rows, "b"), len(internal["w"])):
+            for bplace in itertools.permutations(free(rows, "w"), len(internal["b"])):
+                slots = [list(row) for row in rows]
+                for (v, i), child in zip(wplace + bplace, internal["w"] + internal["b"]):
+                    slots[v][i] = (EDGE, child)
+                white_thorns, black_thorns = free(slots, "w"), free(slots, "b")
+                for v, i in white_thorns + black_thorns:
+                    slots[v][i] = (THORN,)
+                frozen = tuple(tuple(row) for row in slots)
+                for targets in itertools.product(*(opposite[v] for v, _, _ in kinds)):
+                    attr = tuple((v, k, kind, t) for (v, k, kind), t in zip(kinds, targets))
+                    for tperm in itertools.permutations(black_thorns):
+                        matching = frozenset(zip(white_thorns, tperm))
+                        forest = Forest(colors, frozen, 0, attr, matching)
+                        if not validate_forest(forest):
+                            found.add(canonicalize(forest))
 
     out = sorted(found, key=lambda f: (f.colors, f.slots, f.loop_attr, sorted(f.matching)))
     for f in out:
-        if validate_forest(f):
-            raise AssertionError("enumerated forest fails validation")
         if forest_degree(f) != a:
             raise AssertionError("enumerated forest has the wrong degree array")
     return out
@@ -863,34 +710,49 @@ def forest_to_json(f: Forest) -> dict:
     }
 
 
-def forest_from_json(data: dict) -> Forest:
-    vertices = sorted(data["vertices"], key=lambda rec: rec["id"])
-    if [rec["id"] for rec in vertices] != list(range(len(vertices))):
-        raise ValueError("vertex ids must be 0..V-1")
-    colors = tuple("w" if rec["color"] == "white" else "b" for rec in vertices)
-    slots = []
-    for rec in vertices:
-        row = []
-        for slot in rec["slots"]:
-            kind = slot["kind"]
-            if kind == "edge":
-                row.append((EDGE, slot["child"]))
-            elif kind == "loop":
-                row.append((LOOP, slot["loop"]))
-            elif kind == "thorn":
-                row.append((THORN,))
-            else:
-                raise ValueError(f"unknown slot kind {kind!r}")
-        slots.append(tuple(row))
-    attr = tuple(
-        sorted(
-            (rec["vertex"], rec["loop"], rec["kind"], rec["target"])
-            for rec in data.get("loops", [])
+def forest_from_json(data) -> Forest:
+    """Inverse of :func:`forest_to_json`.
+
+    A record not of that shape raises ``ValueError``; a record of that
+    shape that breaks the forest rules is left to :func:`validate_forest`.
+    """
+    if not isinstance(data, dict) or not {"seed", "vertices"} <= data.keys():
+        raise ValueError("a forest is a JSON object with 'seed' and 'vertices'")
+    try:
+        vertices = sorted(data["vertices"], key=lambda rec: rec["id"])
+        if [rec["id"] for rec in vertices] != list(range(len(vertices))):
+            raise ValueError("vertex ids must be 0..V-1")
+        colors = tuple("w" if rec["color"] == "white" else "b" for rec in vertices)
+        slots = []
+        for rec in vertices:
+            row = []
+            for slot in rec["slots"]:
+                kind = slot["kind"]
+                if kind == "edge":
+                    row.append((EDGE, slot["child"]))
+                elif kind == "loop":
+                    row.append((LOOP, slot["loop"]))
+                elif kind == "thorn":
+                    row.append((THORN,))
+                else:
+                    raise ValueError(f"unknown slot kind {kind!r}")
+            slots.append(tuple(row))
+        attr = tuple(
+            sorted(
+                (rec["vertex"], rec["loop"], rec["kind"], rec["target"])
+                for rec in data.get("loops", [])
+            )
         )
-    )
-    matching = frozenset(
-        (tuple(a), tuple(b)) for a, b in data.get("thorn_matching", [])
-    )
+        matching = frozenset(
+            (tuple(a), tuple(b)) for a, b in data.get("thorn_matching", [])
+        )
+    except (KeyError, TypeError) as err:
+        raise ValueError(f"malformed forest JSON: {type(err).__name__} {err}") from None
+    numbers = [data["seed"], *(slot[1] for row in slots for slot in row if slot[0] != THORN)]
+    numbers += [x for v, k, _, t in attr for x in (v, k, t)]
+    bad = [x for x in numbers if type(x) is not int]
+    if bad:
+        raise ValueError(f"malformed forest JSON: {bad[0]!r} is not an integer")
     return Forest(colors, tuple(slots), data["seed"], attr, matching)
 
 

@@ -90,10 +90,14 @@ def element_name(x: int, n: int) -> str:
 
 
 def parse_element(tok: str, n: int) -> int:
+    """Inverse of :func:`element_name`; a token that names no label of
+    ``1..n`` or ``1^..n^`` raises ``ValueError``."""
     tok = tok.strip()
-    if tok.endswith("^"):
-        return n + int(tok[:-1]) - 1
-    return int(tok) - 1
+    hat = tok.endswith("^")
+    i = int(tok[:-1] if hat else tok)
+    if not 1 <= i <= n:
+        raise ValueError(f"label {tok!r} is not one of 1..{n} or 1^..{n}^")
+    return n * hat + i - 1
 
 
 @dataclass(frozen=True)
@@ -125,6 +129,8 @@ class Pairing:
     def from_pairs(cls, n: int, pairs: Sequence[tuple[int, int]]) -> "Pairing":
         image = [-1] * (2 * n)
         for x, y in pairs:
+            if not (0 <= x < 2 * n and 0 <= y < 2 * n):
+                raise ValueError(f"pair ({x}, {y}) leaves the labels 0..{2 * n - 1}")
             image[x] = y
             image[y] = x
         return cls(n, tuple(image))

@@ -93,6 +93,10 @@ class MatrixSpec:
 
     @classmethod
     def from_json(cls, data: dict) -> "MatrixSpec":
+        """Read ``{dim?, eigs | entries}``; a record without either raises
+        ``ValueError``."""
+        if not isinstance(data, dict) or not data.keys() & {"eigs", "entries"}:
+            raise ValueError("a matrix is a JSON object with 'eigs' or 'entries'")
         if "eigs" in data:
             spec = cls.from_eigs([parse_rational(str(e)) for e in data["eigs"]])
         else:

@@ -241,8 +241,12 @@ def format_partition(lam: Partition, style: str = "parts") -> str:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse ``"num/den"`` or a bare integer string."""
-    return Fraction(text.strip())
+    """Parse ``"num/den"`` or a bare integer string; a zero denominator
+    raises ``ValueError``."""
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"rational {text!r} has a zero denominator") from None
 
 
 def format_rational(x: Fraction | int) -> str:

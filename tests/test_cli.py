@@ -489,6 +489,43 @@ def test_missing_input_file_exits_3_with_one_line(argv, tmp_path, capsys):
     assert "missing.json" in lines[0]
 
 
+_VALID_N2 = {"f3": [["1", "2^"], ["2", "1^"]], "pi1": [["1", "2", "1^", "2^"]],
+             "pi2": [["1", "2", "1^", "2^"]]}
+
+
+@pytest.mark.parametrize(
+    "argv, content",
+    [
+        (["bijection", "--input", "bad.json"], {"n": 2}),
+        (["bijection", "--input", "bad.json"], {"vertices": []}),
+        (["bijection", "--input", "bad.json"], []),
+        (
+            ["bijection", "--input", "bad.json"],
+            {"seed": 0, "vertices": [
+                {"id": 0, "color": "white", "slots": [{"kind": "edge", "child": "x"}]},
+            ]},
+        ),
+        (["bijection", "--input", "bad.json"],
+         {**_VALID_N2, "n": 2, "f3": [["1", "9"], ["2", "1^"]]}),
+        (["bijection", "--input", "bad.json"], {**_VALID_N2, "n": "2"}),
+        (["mc", "--n", "2", "--samples", "10", "--matrix-x", "bad.json", "--dim", "2"],
+         {"dim": 2}),
+        (["mc", "--n", "2", "--samples", "10", "--x-eigs", "1/0", "--y-eigs", "1"], None),
+    ],
+    ids=["hypermap-without-f3", "forest-without-seed", "json-list", "edge-child-x",
+         "label-9-at-n2", "n-as-string", "matrix-dim-only", "eigs-zero-denominator"],
+)
+def test_malformed_input_exits_3_with_one_line(argv, content, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(content), encoding="utf-8")
+    code = main([str(path) if a == "bad.json" else a for a in argv])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("octamoment: error: ")
+
+
 def test_console_entry_point():
     result = subprocess.run(
         [sys.executable, "-m", "octamoment.cli", "--help"],

@@ -55,6 +55,18 @@ def test_canonical_pairings():
         assert t == Partition([n, n])
 
 
+@pytest.mark.parametrize("pairs", [[(0, 3), (1, 8)], [(-1, 0), (1, 2)]], ids=["past-2n", "negative"])
+def test_pairing_from_pairs_rejects_a_label_outside_the_ground_set(pairs):
+    with pytest.raises(ValueError, match="leaves the labels 0..3"):
+        Pairing.from_pairs(2, pairs)
+
+
+@pytest.mark.parametrize("tok", ["0", "3", "3^", "0^", "-1"])
+def test_parse_element_rejects_a_label_outside_1_to_n(tok):
+    with pytest.raises(ValueError, match="is not one of 1..2 or 1\\^..2\\^"):
+        parse_element(tok, 2)
+
+
 def test_half_cycle_type():
     f1, f2 = canonical_f1(2), canonical_f2(2)
     assert half_cycle_type(f2, f1) == Partition([2])

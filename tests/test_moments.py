@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from octamoment.cli import main
 from octamoment.closedform import q_compl, q_real
@@ -108,6 +110,24 @@ def test_mc_matches_exact_real():
 def test_mc_matches_exact_complex():
     est = mc_moment_complex(2, I2, I2, 200_000, seed=4321)
     assert abs(est.z_score(16.0)) <= 5
+
+
+_small_rational = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(
+    n=st.integers(1, 3),
+    eigs=st.integers(1, 3).flatmap(
+        lambda dim: st.tuples(*[st.lists(_small_rational, min_size=dim, max_size=dim)] * 2)
+    ),
+)
+def test_exact_moments_match_mc_at_random_rational_eigenvalues(n, eigs):
+    x, y = (MatrixSpec.from_eigs(e) for e in eigs)
+    for exact, mc in ((moment_real_exact, mc_moment_real),
+                      (moment_complex_exact, mc_moment_complex)):
+        est = mc(n, x, y, 20_000, seed=20240801)
+        assert abs(est.z_score(float(exact(n, x, y)))) <= 5
 
 
 def test_z_score_of_an_exact_zero_variance_estimate():
