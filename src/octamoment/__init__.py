@@ -7,7 +7,7 @@ partitioned-hypermap enumeration, group-algebra products, the
 hypermap <-> permuted-forest bijection, and Monte Carlo sampling.
 """
 
-from .arrays import ArrayTuple, elementary, enumerate_M
+from .arrays import ArrayTuple, black_sides, elementary, enumerate_M, white_sides
 from .closedform import (
     DegenerateStratum,
     F_counts,
@@ -18,6 +18,7 @@ from .closedform import (
     coeff_m_lambda_m_n,
     complex_coeff,
     complex_expansion,
+    degenerate_strata,
     q_compl,
     q_real,
     real_expansion,

@@ -26,7 +26,15 @@ from typing import Iterable, Iterator, Mapping
 
 from .partitions import Partition
 
-__all__ = ["Cells", "ArrayTuple", "elementary", "cells_of", "enumerate_M"]
+__all__ = [
+    "Cells",
+    "ArrayTuple",
+    "elementary",
+    "cells_of",
+    "white_sides",
+    "black_sides",
+    "enumerate_M",
+]
 
 # Sparse nonnegative 2-d array: sorted ((i, j, count), ...) with count >= 1.
 Cells = tuple[tuple[int, int, int], ...]
@@ -241,9 +249,36 @@ def _sides(mult: tuple[tuple[int, int], ...], budget: int) -> tuple[tuple[Cells,
     )
 
 
+def white_sides(lam: Partition, r: int) -> list[tuple[int, int, Cells, Cells]]:
+    """Every white side ``(i0, j0, white, white_root)`` of a stratum with
+    white type ``lam`` and ``r`` same-kind pairs, in stratum order: seed
+    degree ``i0`` ascending, then the cell distributions of the rest."""
+    lam_mult = lam.multiplicities()
+    out = []
+    for i0 in sorted(lam_mult):
+        reduced = dict(lam_mult)
+        reduced[i0] -= 1
+        rest = tuple(sorted((i, c) for i, c in reduced.items() if c))
+        for white, white_root, wp in _sides(rest, r):
+            j0 = r - wp
+            if j0 >= 0 and 2 * j0 <= i0:
+                out.append((i0, j0, white, white_root))
+    return out
+
+
+def black_sides(mu: Partition, r: int) -> list[tuple[Cells, Cells]]:
+    """Every black side ``(black, black_root)`` of a stratum with black
+    type ``mu`` and exactly ``r`` same-kind pairs, in stratum order."""
+    return [
+        (black, black_root)
+        for black, black_root, wq in _sides(tuple(sorted(mu.multiplicities().items())), r)
+        if wq == r
+    ]
+
+
 def enumerate_M(lam: Partition, mu: Partition, r: int) -> list[ArrayTuple]:
     """All strata for white type ``lam``, black type ``mu`` and ``r``
-    same-kind pairs.
+    same-kind pairs: every black side with every white side.
 
     Cells whose binomial weight in the counting formula vanishes are never
     generated: ``j <= (i-1)//2`` for non-root cells, ``1 <= j``,
@@ -253,20 +288,9 @@ def enumerate_M(lam: Partition, mu: Partition, r: int) -> list[ArrayTuple]:
         raise ValueError("lam and mu must partition the same n")
     if r < 0:
         raise ValueError("r must be >= 0")
-    lam_mult = lam.multiplicities()
-    white_sides = []
-    for i0 in sorted(lam_mult):
-        reduced = dict(lam_mult)
-        reduced[i0] -= 1
-        white_sides.append((i0, _sides(tuple(sorted((i, c) for i, c in reduced.items() if c)), r)))
-    out: list[ArrayTuple] = []
-    for black, black_root, wq in _sides(tuple(sorted(mu.multiplicities().items())), r):
-        if wq != r:
-            continue
-        for i0, sides in white_sides:
-            for white, white_root, wp in sides:
-                j0 = r - wp
-                if j0 < 0 or 2 * j0 > i0:
-                    continue
-                out.append(ArrayTuple(white, white_root, black, black_root, i0, j0))
-    return out
+    whites = white_sides(lam, r)
+    return [
+        ArrayTuple(white, white_root, black, black_root, i0, j0)
+        for black, black_root in black_sides(mu, r)
+        for i0, j0, white, white_root in whites
+    ]

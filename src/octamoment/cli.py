@@ -9,19 +9,22 @@ a non-finite float raises ``ValueError`` instead of printing ``NaN`` or
 ``Infinity``, and ``mc`` reports a ``z_score`` of ``null`` at zero
 standard error.  ``expansion`` writes its ``"terms"`` (canonical order)
 with :func:`_expansion_json`, the same bytes without a per-term record or
-the pure-Python indenting encoder.  ``expansion --field real`` and
-``report`` make one call to :func:`~octamoment.closedform.real_expansion`
-each, which resolves flagged strata by continuation in ``n`` for every
-``n``; ``expansion --strict`` is a view of that one result, without the
-(lam, mu) pairs that have a flagged stratum and without the counts of the
-flagged strata.  Exit codes: 0 success, 1 verification/validation
-failure, 2 flagged strata under ``--strict``, 3 a usage error (including a
-``verify`` option the suite does not take), an argument outside the domain
-of the computation (such as ``n < 1``, an enumeration beyond its size
-bound, or a malformed ``OCTAMOMENT_THREADS``) or an unreadable input (a
-missing file, or a file or ``--x-eigs``/``--y-eigs`` value that its
-reader rejects with ``ValueError``), reported as one ``octamoment:
-error:`` line on stderr.
+the pure-Python indenting encoder.  ``expansion --field real`` prints
+:func:`~octamoment.closedform.real_expansion`, which includes the flagged
+strata (resolved by continuation in ``n`` for every ``n``), and lists them
+from :func:`~octamoment.closedform.degenerate_strata`; ``report`` prints
+that list alone and assembles no coefficient.  ``expansion --strict`` is
+a view of the same two results, without the (lam, mu) pairs that have a
+flagged stratum and without the counts of the flagged strata.  A
+``bijection --input`` record with any of ``f3``, ``pi1`` or ``pi2`` is
+read as a hypermap, so a missing key is named.  Exit codes: 0 success, 1
+verification/validation failure, 2 flagged strata under ``--strict``, 3 a
+usage error (including a ``verify`` option the suite does not take), an
+argument outside the domain of the computation (such as ``n < 1``, an
+enumeration beyond its size bound, or a malformed ``OCTAMOMENT_THREADS``)
+or an unreadable input (a missing file, or a file or
+``--x-eigs``/``--y-eigs`` value that its reader rejects with
+``ValueError``), reported as one ``octamoment: error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -171,11 +174,11 @@ def cmd_expansion(args) -> int:
     if args.field == "complex":
         expansion, strata = cf.complex_expansion(n), []
     else:
-        expansion = cf.real_expansion(n)
-        strata = [d.to_json() for d in expansion.degenerate_strata]
+        expansion, degenerate = cf.real_expansion(n), cf.degenerate_strata(n)
+        strata = [d.to_json() for d in degenerate]
         if args.strict:
             # The strict view: no pair with a flagged stratum, and no counts.
-            flagged = {(d.lam, d.mu) for d in expansion.degenerate_strata}
+            flagged = {(d.lam, d.mu) for d in degenerate}
             expansion = MonomialExpansion(
                 n, {key: c for key, c in expansion.items() if key not in flagged}
             )
@@ -229,7 +232,7 @@ def _hypermap_to_json(h: hm.PartitionedHypermap) -> dict:
 def cmd_bijection(args) -> int:
     with open(args.input, "r", encoding="utf-8") as handle:
         data = json.load(handle)
-    if isinstance(data, dict) and "f3" in data:
+    if isinstance(data, dict) and data.keys() & {"f3", "pi1", "pi2"}:
         h = _hypermap_from_json(data)
         problems = h.validate()
         if problems:
@@ -295,7 +298,7 @@ def cmd_mc(args) -> int:
 
 
 def cmd_report(args) -> int:
-    report = [d.to_json() for d in cf.real_expansion(args.n).degenerate_strata]
+    report = [d.to_json() for d in cf.degenerate_strata(args.n)]
     _emit(_json_dumps(report), args.out)
     if args.strict and report:
         return 2

@@ -9,18 +9,28 @@ the special coefficient formulas, all in exact rational arithmetic.
 
 Degenerate strata
 -----------------
-The per-stratum formula is generic: on boundary strata (``q = 0`` with
-``r > 0``, or ``n - 1 - p - 2r < 0``) it produces 0*inf / 0/0 shapes.
+The per-stratum formula is generic: on boundary strata (``r > 0`` and
+``p >= n - 2r`` or ``q >= n - 2r``, where ``(n-1-p-2r)!`` or
+``(n-q-2r-1)!`` has a negative argument) it produces 0*inf / 0/0 shapes.
 :func:`F_formula` evaluates every stratum as the limit of the formula at
 ``n + eps`` as ``eps -> 0``, which on a generic stratum is the formula's
 value, and flags the boundary strata: their :class:`StratumValue` has
 ``well_defined=False`` and diagnostics naming the factorials with a
-negative argument, next to the exact count.  :func:`real_expansion` adds
-the flagged strata like any other and lists them with their counts; the
-strict view that leaves out their (lam, mu) pairs is ``expansion
---strict`` in the command line.  The factor ``1/(n-p-q-2r)!`` vanishes at
-negative arguments, which is not a degeneracy: it encodes the vanishing
-thorn count.
+negative argument, next to the exact count.  :func:`degenerate_strata`
+lists the flagged strata of one order with their counts, building only
+those.  The factor ``1/(n-p-q-2r)!`` vanishes at negative arguments,
+which is not a degeneracy: it encodes the vanishing thorn count.
+
+Real assembly
+-------------
+:func:`real_expansion` does not evaluate strata one by one.  Apart from a
+prefactor of ``(p, q, r, n)`` and the seed bracket, every factor of the
+count belongs to the white or to the black side of a stratum, and the
+bracket is bilinear in white and black sums.  So each ``lam`` gets one
+white vector and each ``mu`` one black vector, and a coefficient is their
+dot product, flagged strata included.  The result is memoized and
+read-only; the strict view that leaves out the (lam, mu) pairs with a
+flagged stratum is ``expansion --strict`` in the command line.
 """
 
 from __future__ import annotations
@@ -28,9 +38,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial
+from operator import mul
 
-from .arrays import ArrayTuple, _sides, enumerate_M
+from .arrays import ArrayTuple, Cells, _sides, _size, black_sides, white_sides
 from .partitions import (
     Partition,
     aut,
@@ -49,7 +60,7 @@ __all__ = [
     "F_formula",
     "F_counts",
     "alpha",
-    "RealExpansion",
+    "degenerate_strata",
     "real_expansion",
     "complex_coeff",
     "complex_expansion",
@@ -96,86 +107,159 @@ def _factorial_leading(x: int) -> tuple[int, int, int]:
     return -1, (-1) ** m, factorial(m)
 
 
+def _flagged(p: int, q: int, r: int, n: int) -> bool:
+    """Whether :func:`F_formula` flags a stratum with ``p`` white and ``q``
+    black non-root vertices and ``r`` loop pairs: exactly when
+    ``(n-1-p-2r)!`` or ``(n-q-2r-1)!`` has a negative argument, that is
+    ``r > 0`` and ``p >= n-2r`` or ``q >= n-2r``."""
+    return r > 0 and (p >= n - 2 * r or q >= n - 2 * r)
+
+
+def _denominator(n: int) -> int:
+    """``n!**3 4**(n//2)``: every stratum of order ``n`` has a
+    :func:`_prefactor` whose denominator divides it."""
+    return factorial(n) ** 3 * 4 ** (n // 2)
+
+
+@lru_cache(maxsize=None)
+def _prefactor(p: int, q: int, r: int, n: int) -> tuple[int, int, int]:
+    """The factor of a stratum that depends on ``(p, q, r, n)`` alone, at
+    ``n + eps``: ``(n-q-2r-1)! (n-1-p-2r)! / (n-p-q-2r)!`` times
+    ``(r-1)!**2 / 4**r`` (1 at ``r = 0``), each ``x!`` continued as
+    ``Gamma(x+1+eps)/Gamma(1+eps)``.  Returns its leading term
+    ``(num/den) eps**v`` as ``(v, num, den)``, with ``v`` in ``-2..1``."""
+    v, num, den = 0, factorial(max(r - 1, 0)) ** 2, 4**r
+    d, e, thorn = n - q - 2 * r, n - 1 - p - 2 * r, n - p - q - 2 * r
+    for x, top in ((d - 1, True), (e, True), (thorn, False)):
+        x_v, x_num, x_den = _factorial_leading(x)
+        if not top:
+            x_v, x_num, x_den = -x_v, x_den, x_num
+        v += x_v
+        num *= x_num
+        den *= x_den
+    return v, num, den
+
+
+def _side_weight(cells: Cells, roots: Cells) -> tuple[int, int]:
+    """The cell factor of one side as ``(num, den)``: ``C(i-1; j, j)**c /
+    c!`` over the non-root cells and ``2**c C(i-1; j, j-1)**c / c!`` over
+    the root cells."""
+    num, den = 1, 1
+    for i, j, c in cells:
+        num *= _multinomial2(i - 1, j, j) ** c
+        den *= factorial(c)
+    for i, j, c in roots:
+        num *= (2 * _multinomial2(i - 1, j, j - 1)) ** c
+        den *= factorial(c)
+    return num, den
+
+
+def _white_terms(i0: int, j0: int, cells: Cells, p: int, r: int, n: int) -> tuple[int, ...]:
+    """``(A, B, s3, j0)`` of a white side: ``r**2`` times the seed bracket
+    at ``n`` is ``(A + s1 B) d + s2 s3`` with ``d = n-q-2r`` and the black
+    sums ``(s1, s2)`` of :func:`_black_terms`.  At ``r = 0``, where there
+    is no black root, the bracket is ``i0 d``."""
+    a = (i0 - 2 * j0) * r * r if r else i0
+    s3 = sum((i0 * j - j0 * (i - 1)) * c for i, j, c in cells)
+    return a, j0 * (n - p) - r * i0, s3, j0
+
+
+def _black_terms(roots: Cells, q: int, r: int, n: int) -> tuple[int, int]:
+    """``(s1, s2)`` of a black side with root cells ``roots``."""
+    s1 = sum(j * c for _, j, c in roots)
+    s2 = sum(((n - q) * j - i * r) * c for i, j, c in roots)
+    return s1, s2
+
+
+def _bracket_rows(a: int, b: int, s3: int, j0: int, d: int):
+    """``r**2`` times the seed bracket at ``n + eps`` over ``(n-q-2r-1)!``,
+    one row per power ``eps**0, eps**1, eps**2``.  ``d = n-q-2r`` becomes
+    ``d + eps``; ``B`` and ``s2`` have the slopes ``j0`` and ``s1`` in
+    ``n``.  Each row holds the coefficients of the black sums ``(1, s1,
+    s2)``, so each power is bilinear in a white and a black vector."""
+    return ((d * a, d * b, s3), (a, b + j0 * d + s3, 0), (0, j0, 0))
+
+
 def F_formula(a: ArrayTuple, n: int) -> StratumValue:
     """Number of forests (equivalently partitioned hypermaps) with degree
     array ``a``, by the closed formula continued in ``n``.
 
-    For ``r > 0`` the removable factor ``(n-q-2r)!/(n-q-2r)`` between the
-    seed bracket and the factorial prefactor is simplified to
-    ``(n-q-2r-1)!``, and the count is the limit of the formula at
-    ``n + eps`` as ``eps -> 0``.  Each ``x!`` becomes
-    ``Gamma(x+1+eps)/Gamma(1+eps)``, which has a simple pole at negative
-    ``x``, so the thorn factor ``1/(n-p-q-2r)!`` has a simple zero there.
-    The seed bracket over ``(n-q-2r-1)!`` is one quadratic in ``eps``,
-    because ``head`` and ``s2`` are linear in ``n`` with slopes ``s1 j0``
-    and ``s1``.  The count is the product of the leading Laurent terms
-    when their orders add up to 0, and 0 when they add up to more; on a
-    generic stratum no factorial has a pole, and the count is the
-    formula's value.  A negative factorial argument flags the stratum
-    (``well_defined=False``, diagnostics naming the factor), but its value
-    is still the exact count.  Raises ``ArithmeticError`` if a pole
-    survives or the count is not an integer.
+    The removable factor ``(n-q-2r)!/(n-q-2r)`` between the seed bracket
+    and the factorial prefactor is simplified to ``(n-q-2r-1)!``, and the
+    count is the limit of the formula at ``n + eps`` as ``eps -> 0``.
+    Each ``x!`` becomes ``Gamma(x+1+eps)/Gamma(1+eps)``, which has a
+    simple pole at negative ``x``, so the thorn factor ``1/(n-p-q-2r)!``
+    has a simple zero there.  The seed bracket over ``(n-q-2r-1)!`` is one
+    quadratic in ``eps`` (:func:`_bracket_rows`).  The count is the
+    product of the leading Laurent terms when their orders add up to 0,
+    and 0 when they add up to more; on a generic stratum no factorial has
+    a pole, and the count is the formula's value.  A negative factorial
+    argument flags the stratum (``well_defined=False``, diagnostics naming
+    the factor), but its value is still the exact count.  Raises
+    ``ArithmeticError`` if a pole survives or the count is not an integer.
 
     Every factor is an integer placed in the numerator or the denominator,
     and one ``Fraction`` is built at the end.
     """
     r = a.loop_pairs
-    p, pp = a.num_white, a.num_white_root
-    q, qp = a.num_black, a.num_black_root
+    p, q = a.num_white, a.num_black
     i0, j0 = a.seed_degree, a.seed_loops
-    num = 1
-    for i, j, c in a.white + a.black:
-        num *= _multinomial2(i - 1, j, j) ** c
-    for i, j, c in a.white_root + a.black_root:
-        num *= _multinomial2(i - 1, j, j - 1) ** c
-    den = a.factorial_product()
-    thorn = n - p - q - 2 * r
-
-    if r == 0:
-        if thorn >= 0:
-            den *= factorial(thorn)
-        else:
-            num = 0
-        num *= i0 * factorial(n - q) * factorial(n - 1 - p)
-        return StratumValue(Fraction(num, den))
-
-    d, e = n - q - 2 * r, n - 1 - p - 2 * r
-    diagnostics = tuple(
-        f"negative factorial argument {name} = {x}"
-        for name, x in (("(n-q-2r)!", d), ("(n-1-p-2r)!", e), ("(n-q-2r-1)!", d - 1))
-        if x < 0
-    )
-    # r**2 times the seed bracket over (n-q-2r-1)!: r**2 times its head is
-    # ``head * d``, its third term ``s2 * s3``.  ``bracket`` holds the
-    # coefficients of eps**0, eps**1, eps**2 at n + eps.
-    s1 = s2 = 0
-    for i, j, c in a.black_root:
-        s1 += j * c
-        s2 += ((n - q) * j - i * r) * c
-    s3 = sum((i0 * j - j0 * (i - 1)) * c for i, j, c in a.white)
-    head = (i0 - 2 * j0) * r * r + s1 * (j0 * (n - p) - r * i0)
-    bracket = (head * d + s2 * s3, head + s1 * j0 * d + s1 * s3, s1 * j0)
+    d = n - q - 2 * r
+    diagnostics = ()
+    if _flagged(p, q, r, n):
+        named = (("(n-q-2r)!", d), ("(n-1-p-2r)!", n - 1 - p - 2 * r), ("(n-q-2r-1)!", d - 1))
+        diagnostics = tuple(
+            f"negative factorial argument {name} = {x}" for name, x in named if x < 0
+        )
+    s1, s2 = _black_terms(a.black_root, q, r, n)
+    rows = _bracket_rows(*_white_terms(i0, j0, a.white, p, r, n), d)
+    bracket = [c0 + c1 * s1 + c2 * s2 for c0, c1, c2 in rows]
     order = next((k for k, b in enumerate(bracket) if b), None)
     if order is None:
         return StratumValue(Fraction(0), not diagnostics, diagnostics)
-    num *= bracket[order] * _multinomial2(i0, j0, j0) * factorial(r) ** 2 * 2 ** (pp + qp)
-    den *= r * r * 4**r
-    for x, top in ((d - 1, True), (e, True), (thorn, False)):
-        v, c_num, c_den = _factorial_leading(x)
-        if not top:
-            v, c_num, c_den = -v, c_den, c_num
-        order += v
-        num *= c_num
-        den *= c_den
-    if order < 0:
+    v, c_num, c_den = _prefactor(p, q, r, n)
+    if order + v < 0:
         raise ArithmeticError(f"a pole survives the continuation of {a} at n = {n}")
-    value = Fraction(num, den) if order == 0 else Fraction(0)
+    value = Fraction(0)
+    if order + v == 0:
+        w_num, w_den = _side_weight(a.white, a.white_root)
+        b_num, b_den = _side_weight(a.black, a.black_root)
+        num = w_num * _multinomial2(i0, j0, j0) * b_num * bracket[order] * c_num
+        value = Fraction(num, w_den * b_den * c_den)
     if value.denominator != 1:
         raise ArithmeticError(f"count {value} of {a} at n = {n} is not an integer")
     return StratumValue(value, not diagnostics, diagnostics)
 
 
 @lru_cache(maxsize=None)
+def _alpha_parts(r: int, p: int, q: int, pp: int, qp: int) -> tuple[int, int]:
+    """:func:`alpha` as an integer ``(num, den)``.
+
+    With ``G(x) = C(-x/2; r) = (-1)**r x (x+2) ... (x+2r-2) / (2**r r!)``
+    each term of the double sum is ``p/(p+a) (1 + a q / ((p+2r)(q+b)))
+    G(p+a) G(q+b)``.  The first factor of ``G(p+a)`` cancels ``p+a`` and
+    the first factor of ``G(q+b)`` cancels ``q+b`` (when ``a q > 0``), so
+    the sum is an integer over ``4**r r!**2 (p+2r)``.
+    """
+    if r == 0:
+        return (1 if pp == 0 and qp == 0 else 0), 1
+
+    def rising(x: int, start: int) -> int:  # x+2*start ... x+2r-2
+        prod = 1
+        for t in range(start, r):
+            prod *= x + 2 * t
+        return prod
+
+    total = 0
+    for a in range(pp + 1):
+        white = p * rising(p + a, 1) * comb(pp, a)
+        for b in range(qp + 1):
+            black = (p + 2 * r) * rising(q + b, 0) + a * q * rising(q + b, 1)
+            sign = -1 if (pp + qp - a - b) % 2 else 1
+            total += sign * white * black * comb(qp, b)
+    return 2 ** (pp + qp) * total, 4**r * factorial(r) ** 2 * (p + 2 * r)
+
+
 def alpha(r: int, p: int, q: int, pp: int, qp: int) -> Fraction:
     """Loop-placement coefficient of the aggregated forest count.
 
@@ -189,48 +273,35 @@ def alpha(r: int, p: int, q: int, pp: int, qp: int) -> Fraction:
     """
     if min(r, p, q, pp, qp) < 0:
         raise ValueError("alpha arguments must be nonnegative")
-    if r == 0:
-        return Fraction(1) if pp == 0 and qp == 0 else Fraction(0)
-    total = Fraction(0)
-    for a in range(pp + 1):
-        for b in range(qp + 1):
-            sign = -1 if (pp + qp - a - b) % 2 else 1
-            inner = Fraction(p, p + a)
-            if a * q:
-                inner *= 1 + Fraction(a * q, (p + 2 * r) * (q + b))
-            term = (
-                sign
-                * inner
-                * multinomial(Fraction(-(p + a), 2), [r])
-                * multinomial(Fraction(-(q + b), 2), [r])
-                * multinomial(pp, [a])
-                * multinomial(qp, [b])
-            )
-            total += term
-    return Fraction(2) ** (pp + qp) * total
+    return Fraction(*_alpha_parts(r, p, q, pp, qp))
+
+
+def _F_counts_parts(p: int, pp: int, q: int, qp: int, r: int, n: int) -> tuple[int, int]:
+    """:func:`F_counts` as an integer ``(num, den)``."""
+    a_num, a_den = _alpha_parts(r, p, q, pp, qp)
+    top = n + 2 * r - 1
+    num = factorial(n) * _multinomial2(top, p + 2 * r - 1, q + 2 * r - 1) * 2 ** (2 * r) * a_num
+    den = factorial(p) * factorial(pp) * factorial(q) * factorial(qp)
+    return num, den * _multinomial2(top, r, r) * 2 ** (pp + qp) * a_den
 
 
 def F_counts(p: int, pp: int, q: int, qp: int, r: int, n: int) -> Fraction:
     """Total number of forests with ``p`` internal white vertices (the seed
     root counted as internal, so ``p >= 1``), ``pp`` white roots, ``q``
-    internal black vertices, ``qp`` black roots and ``r`` loops per side."""
+    internal black vertices, ``qp`` black roots and ``r`` loops per side:
+    ``n!/(p! pp! q! qp!) C(n+2r-1; p+2r-1, q+2r-1) / C(n+2r-1; r, r)
+    2**(2r-pp-qp) alpha``, from one integer numerator and denominator."""
     if p < 1:
         raise ValueError("p counts the seed root, so p >= 1")
     if min(pp, q, qp, r) < 0 or n < 1:
         raise ValueError("arguments out of range")
-    return (
-        Fraction(factorial(n), factorial(p) * factorial(pp) * factorial(q) * factorial(qp))
-        * multinomial(n + 2 * r - 1, [p + 2 * r - 1, q + 2 * r - 1])
-        / multinomial(n + 2 * r - 1, [r, r])
-        * Fraction(2) ** (2 * r - pp - qp)
-        * alpha(r, p, q, pp, qp)
-    )
+    return Fraction(*_F_counts_parts(p, pp, q, qp, r, n))
 
 
 @dataclass(frozen=True)
 class DegenerateStratum:
-    """One flagged stratum of an expansion assembly; ``oracle_value`` is its
-    count (:func:`F_formula`)."""
+    """One flagged stratum of a real moment (:func:`degenerate_strata`);
+    ``oracle_value`` is its count (:func:`F_formula`)."""
 
     n: int
     lam: Partition
@@ -252,37 +323,112 @@ class DegenerateStratum:
         }
 
 
-@dataclass(frozen=True, eq=False)
-class RealExpansion(MonomialExpansion):
-    """A real-moment expansion together with the flagged strata of its
-    assembly, in assembly order."""
+def degenerate_strata(n: int) -> tuple[DegenerateStratum, ...]:
+    """The strata of the order-n real moment that :func:`F_formula` flags,
+    each with its count, in assembly order: ``lam``, then ``mu`` (both
+    from :func:`~octamoment.partitions.partitions_of`), then ``r``, then
+    the order of :func:`~octamoment.arrays.enumerate_M`.  Only the flagged
+    strata are built and evaluated."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    out: list[DegenerateStratum] = []
+    for lam in partitions_of(n):
+        whites = [white_sides(lam, r) for r in range(n // 2 + 1)]
+        for mu in partitions_of(n):
+            for r in range(1, n // 2 + 1):
+                for black, black_root in black_sides(mu, r):
+                    q = _size(black)
+                    for i0, j0, white, white_root in whites[r]:
+                        if _flagged(_size(white), q, r, n):
+                            a = ArrayTuple(white, white_root, black, black_root, i0, j0)
+                            sv = F_formula(a, n)
+                            out.append(
+                                DegenerateStratum(n, lam, mu, r, a, sv.diagnostics, int(sv.value))
+                            )
+    return tuple(out)
 
-    degenerate_strata: tuple[DegenerateStratum, ...] = ()
+
+def _white_vector(lam: Partition, n: int) -> list[int]:
+    """The white factor of every stratum with white type ``lam``, summed
+    per ``(r, q)`` and paired with the bracket row that its prefactor
+    picks: three entries per ``(r, q)`` (the coefficients of the black
+    sums ``(1, s1, s2)``), over ``n! _denominator(n)``."""
+    out, scale = [], _denominator(n)
+    for r in range(n // 2 + 1):
+        by_p: dict[int, list[int]] = {}  # p -> weighted sums of (A, B, s3, j0)
+        for i0, j0, cells, roots in white_sides(lam, r):
+            p = _size(cells)
+            num, den = _side_weight(cells, roots)
+            w = num * _multinomial2(i0, j0, j0) * (factorial(n) // den)
+            sums = by_p.setdefault(p, [0, 0, 0, 0])
+            for k, x in enumerate(_white_terms(i0, j0, cells, p, r, n)):
+                sums[k] += w * x
+        for q in range(n + 1):
+            entry = [0, 0, 0]
+            for p, sums in by_p.items():
+                v, c_num, c_den = _prefactor(p, q, r, n)
+                if v <= 0:  # v = 1: the thorn zero makes the count 0
+                    c = c_num * scale // c_den
+                    row = _bracket_rows(*sums, n - q - 2 * r)[-v]
+                    for k in range(3):
+                        entry[k] += c * row[k]
+            out += entry
+    return out
 
 
-def real_expansion(n: int) -> RealExpansion:
-    """Monomial expansion of the order-n real moment.
+def _black_vector(mu: Partition, n: int) -> list[int]:
+    """The black factor of every stratum with black type ``mu``, summed per
+    ``(r, q)``: the weighted sums of ``(1, s1, s2)``, over ``n!``."""
+    out = []
+    for r in range(n // 2 + 1):
+        by_q = [[0, 0, 0] for _ in range(n + 1)]
+        for cells, roots in black_sides(mu, r):
+            q = _size(cells)
+            num, den = _side_weight(cells, roots)
+            w = num * (factorial(n) // den)
+            s1, s2 = _black_terms(roots, q, r, n)
+            entry = by_q[q]
+            entry[0] += w
+            entry[1] += w * s1
+            entry[2] += w * s2
+        for entry in by_q:
+            out += entry
+    return out
 
-    Flagged strata count like the others and come with the expansion.
+
+@lru_cache(maxsize=None)
+def real_expansion(n: int) -> MonomialExpansion:
+    """Monomial expansion of the order-n real moment, flagged strata
+    included (their counts are limits in ``n``).
+
+    The stratum sum of each coefficient factorizes: apart from the seed
+    bracket and the prefactor (:func:`_prefactor`, a function of ``(p, q,
+    r, n)``), every factor of :func:`F_formula` belongs to the white or to
+    the black side, and each power of ``eps`` in the bracket is bilinear
+    in white and black sums.  So the white sides of each ``lam`` and the
+    black sides of each ``mu`` are summed once (:func:`_white_vector`,
+    :func:`_black_vector`), and the coefficient of ``m_lam m_mu`` is
+    ``aut(lam) aut(mu)`` times their dot product.  Raises
+    ``ArithmeticError`` if a stratum sum is not an integer.  Memoized: the
+    result and its coefficients are read-only.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    coeffs: dict[tuple[Partition, Partition], Fraction] = {}
-    report: list[DegenerateStratum] = []
-    for lam in partitions_of(n):
-        for mu in partitions_of(n):
-            total = Fraction(0)
-            for r in range(n // 2 + 1):
-                for a in enumerate_M(lam, mu, r):
-                    sv = F_formula(a, n)
-                    total += sv.value
-                    if not sv.well_defined:
-                        report.append(
-                            DegenerateStratum(n, lam, mu, r, a, sv.diagnostics, int(sv.value))
-                        )
+    parts = partitions_of(n)
+    blacks = [(mu, _black_vector(mu, n)) for mu in parts]
+    den = factorial(n) ** 2 * _denominator(n)
+    coeffs: dict[tuple[Partition, Partition], int] = {}
+    for lam in parts:
+        white = _white_vector(lam, n)
+        for mu, black in blacks:
+            total, rest = divmod(sum(map(mul, white, black)), den)
+            if rest:
+                raise ArithmeticError(
+                    f"the stratum sum of ({lam}, {mu}) at n = {n} is not an integer"
+                )
             if total:
                 coeffs[(lam, mu)] = aut(lam) * aut(mu) * total
-    return RealExpansion(n, coeffs, tuple(report))
+    return MonomialExpansion(n, coeffs)
 
 
 def _complex_length_coeff(n: int, k: int, l: int) -> Fraction:
@@ -341,7 +487,9 @@ def q_real(n: int, l: int, m: int) -> Fraction:
                 for qp in range(max(0, 1 - q), m - q + 1):
                     weight = white * falling(m, q + qp)
                     for r in range(0, max(0, (n + 1 - p - q) // 2 + 1)):
-                        total += weight * F_counts(p, pp, q, qp, r, n)
+                        num, den = _F_counts_parts(p, pp, q, qp, r, n)
+                        if num:
+                            total += Fraction(weight * num, den)
     return total
 
 

@@ -722,7 +722,14 @@ def forest_from_json(data) -> Forest:
         vertices = sorted(data["vertices"], key=lambda rec: rec["id"])
         if [rec["id"] for rec in vertices] != list(range(len(vertices))):
             raise ValueError("vertex ids must be 0..V-1")
-        colors = tuple("w" if rec["color"] == "white" else "b" for rec in vertices)
+        codes = {"white": "w", "black": "b"}
+        bad_color = next((rec for rec in vertices if rec["color"] not in codes), None)
+        if bad_color is not None:
+            raise ValueError(
+                f"vertex {bad_color['id']} has color {bad_color['color']!r}, "
+                "not 'white' or 'black'"
+            )
+        colors = tuple(codes[rec["color"]] for rec in vertices)
         slots = []
         for rec in vertices:
             row = []

@@ -157,7 +157,8 @@ class MCEstimate:
 def moment_real_exact(n: int, x: MatrixSpec, y: MatrixSpec) -> Fraction:
     """Exact order-n moment of X U Y U^t for real Gaussian U, from the
     closed-form expansion, for every ``n >= 1`` (flagged strata resolved
-    by continuation in ``n``)."""
+    by continuation in ``n``).  The expansion is memoized per ``n``, so
+    only the first call at an order assembles it."""
     return real_expansion(n).evaluate(x.exact_eigs(), y.exact_eigs())
 
 

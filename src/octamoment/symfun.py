@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .partitions import (
@@ -51,19 +52,20 @@ class _BilinearExpansion:
     """Sparse bilinear series sum coeff(lam, mu) * f_lam(x) f_mu(y)."""
 
     n: int
-    coeffs: dict[Key, Fraction] = field(default_factory=dict)
+    coeffs: Mapping[Key, Fraction] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         for lam, mu in self.coeffs:
             if lam.n != self.n or mu.n != self.n:
                 raise ValueError(f"key ({lam}, {mu}) does not index order {self.n}")
-        # A private copy in canonical order: the caller's dict is neither
-        # converted nor shared.
+        # A private read-only copy in canonical order: the caller's dict is
+        # neither converted nor shared, and a cached expansion cannot be
+        # changed through its coefficients.
         coeffs = {}
         for key in sorted(self.coeffs, reverse=True):
             c = self.coeffs[key]
             coeffs[key] = c if isinstance(c, Fraction) else Fraction(c)
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "coeffs", MappingProxyType(coeffs))
 
     def coeff(self, lam: Partition, mu: Partition) -> Fraction:
         return self.coeffs.get((Partition(lam), Partition(mu)), Fraction(0))

@@ -10,7 +10,7 @@ import pytest
 
 from octamoment import cli, verify
 from octamoment.cli import main
-from octamoment.closedform import complex_expansion, real_expansion
+from octamoment.closedform import complex_expansion, degenerate_strata, real_expansion
 from octamoment.forests import forest_to_json, theta_forward
 from octamoment.hypermaps import iter_partitioned_hypermaps
 from octamoment.moments import MatrixSpec, moment_real_exact
@@ -311,14 +311,14 @@ def _expansion_cases():
         yield {"n": n, "field": "complex", "degenerate_strata": []}, complex_expansion(n)
     for n in range(1, 6):
         expansion = real_expansion(n)
-        strata = [d.to_json() for d in expansion.degenerate_strata]
+        strata = [d.to_json() for d in degenerate_strata(n)]
         yield {"n": n, "field": "real", "degenerate_strata": strata}, expansion
     for n in range(2, 8):
         # the strict view: no pair with a flagged stratum, no counts
         full = real_expansion(n)
-        flagged = {(d.lam, d.mu) for d in full.degenerate_strata}
+        flagged = {(d.lam, d.mu) for d in degenerate_strata(n)}
         kept = {key: c for key, c in full.items() if key not in flagged}
-        strata = [d.to_json() for d in full.degenerate_strata]
+        strata = [d.to_json() for d in degenerate_strata(n)]
         for record in strata:
             del record["oracle_value"]
         yield {"n": n, "field": "real", "degenerate_strata": strata}, MonomialExpansion(n, kept)
@@ -516,6 +516,12 @@ _VALID_N2 = {"f3": [["1", "2^"], ["2", "1^"]], "pi1": [["1", "2", "1^", "2^"]],
          "label-9-at-n2", "n-as-string", "matrix-dim-only", "eigs-zero-denominator"],
 )
 def test_malformed_input_exits_3_with_one_line(argv, content, tmp_path, capsys):
+    _one_error_line(argv, content, tmp_path, capsys)
+
+
+def _one_error_line(argv, content, tmp_path, capsys) -> str:
+    """Run ``argv`` on ``content`` written to ``bad.json``; check exit code 3
+    and a one-line error, and return that line."""
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(content), encoding="utf-8")
     code = main([str(path) if a == "bad.json" else a for a in argv])
@@ -524,6 +530,23 @@ def test_malformed_input_exits_3_with_one_line(argv, content, tmp_path, capsys):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("octamoment: error: ")
+    return lines[0]
+
+
+def test_hypermap_without_f3_names_the_missing_key(tmp_path, capsys):
+    record = {"n": 2, "pi1": _VALID_N2["pi1"], "pi2": _VALID_N2["pi2"]}
+    line = _one_error_line(["bijection", "--input", "bad.json"], record, tmp_path, capsys)
+    assert "'f3'" in line
+
+
+def test_forest_color_other_than_white_or_black_is_rejected(tmp_path, capsys):
+    forest = forest_to_json(theta_forward(next(iter_partitioned_hypermaps(3))))
+    red = [rec["id"] for rec in forest["vertices"] if rec["color"] == "black"]
+    for rec in forest["vertices"]:
+        if rec["color"] == "black":
+            rec["color"] = "red"
+    line = _one_error_line(["bijection", "--input", "bad.json"], forest, tmp_path, capsys)
+    assert f"vertex {min(red)} " in line and "'red'" in line
 
 
 def test_console_entry_point():

@@ -20,7 +20,9 @@ from octamoment.closedform import (
     coeff_hook,
     coeff_m_lambda_m_n,
     complex_coeff,
+    DegenerateStratum,
     complex_expansion,
+    degenerate_strata,
     q_compl,
     q_real,
     real_expansion,
@@ -306,13 +308,13 @@ def test_real_expansion_carries_its_report(capsys):
     # Within the oracle bound the expansion carries the strata that strict
     # mode flags, in the same order, each with its oracle value.
     for n in range(1, 6):
-        carried = real_expansion(n).degenerate_strata
+        carried = degenerate_strata(n)
         code, _, strict = strict_expansion(n, capsys)
         assert code == (2 if carried else 0)
         assert [without_count(d) for d in carried] == strict
         oracle = lp_by_array(n)
         assert all(d.oracle_value == oracle.get(d.array, 0) for d in carried)
-    assert len(real_expansion(2).degenerate_strata) == 1
+    assert len(degenerate_strata(2)) == 1
 
 
 def test_alpha_values():
@@ -474,8 +476,8 @@ def test_real_expansion_n6_n7_match_pairing_oracle():
     for n in (6, 7):
         expansion = real_expansion(n)
         assert expansion == oracle_monomial_expansion(n, "real")
-        assert expansion.degenerate_strata
-        assert all(isinstance(d.oracle_value, int) for d in expansion.degenerate_strata)
+        assert degenerate_strata(n)
+        assert all(isinstance(d.oracle_value, int) for d in degenerate_strata(n))
 
 
 def test_real_expansion_n8_n9_match_q_real_at_projectors():
@@ -486,12 +488,49 @@ def test_real_expansion_n8_n9_match_q_real_at_projectors():
             assert expansion.evaluate(xs, [1] * m) == q_real(n, l, m), (n, l, m)
 
 
+def test_real_expansion_is_the_sum_of_F_formula_over_strata():
+    # The factorized assembly against the per-stratum count, stratum by
+    # stratum, and the flagged-strata listing against the filter it replaces.
+    for n in range(1, 10):
+        sums, flagged = {}, []
+        for lam, mu, r, a in all_strata(n):
+            sv = F_formula(a, n)
+            sums[(lam, mu)] = sums.get((lam, mu), 0) + sv.value
+            if n <= 8 and not sv.well_defined:
+                flagged.append(
+                    DegenerateStratum(n, lam, mu, r, a, sv.diagnostics, int(sv.value))
+                )
+        expected = {key: aut(key[0]) * aut(key[1]) * v for key, v in sums.items() if v}
+        assert real_expansion(n).coeffs == expected, n
+        if n <= 8:
+            assert degenerate_strata(n) == tuple(flagged), n
+
+
+def test_real_expansion_reaches_past_n10_at_projectors():
+    for n in (10, 11):
+        expansion = real_expansion(n)
+        for l, m in ((1, 2), (2, 2), (3, 2)):
+            assert expansion.evaluate([1] * l, [1] * m) == q_real(n, l, m), (n, l, m)
+
+
+def test_real_expansion_is_cached_and_read_only():
+    expansion = real_expansion(6)
+    assert real_expansion(6) is expansion
+    before = dict(expansion.coeffs)
+    key = next(iter(before))
+    with pytest.raises(TypeError):
+        expansion.coeffs[key] = 0
+    with pytest.raises(TypeError):
+        del expansion.coeffs[key]
+    assert dict(real_expansion(6).coeffs) == before
+
+
 def test_strict_mode_refuses_flagged_pairs(capsys):
     code, terms, strata = strict_expansion(6, capsys)
     assert code == 2
     assert len(strata) == 235
     full = real_expansion(6)
-    assert [without_count(d) for d in full.degenerate_strata] == strata
+    assert [without_count(d) for d in degenerate_strata(6)] == strata
     # the partial expansion keeps exactly the pairs without a flagged stratum
     flagged_pairs = {(d["lambda"], d["mu"]) for d in strata}
     for lam in partitions_of(6):
@@ -511,7 +550,7 @@ def test_real_expansion_strict_reports(capsys):
     # strict mode refuses the tainted coefficient entirely
     assert ("2", "2") not in terms
     assert terms[("2", "1,1")] == 2
-    full_report = real_expansion(2).degenerate_strata
+    full_report = degenerate_strata(2)
     assert full_report[0].oracle_value == 1
 
 
