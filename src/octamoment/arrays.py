@@ -19,10 +19,12 @@ an array cell.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations_with_replacement, product
 from math import factorial
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 from .partitions import Partition
 
@@ -198,80 +200,60 @@ class ArrayTuple:
         return json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
 
 
-def _side_distributions(mult: Mapping[int, int], budget: int) -> Iterator[tuple[dict, dict, int]]:
-    """Distribute block multiplicities over (non-root, root) cells.
-
-    For half-size ``i``, non-root cells allow ``0 <= j <= (i-1)//2`` (the
-    maximum element needs a mixed pair) and root cells allow
-    ``1 <= j <= i//2``.  Yields (non-root cells, root cells, total j-weight),
-    with the weight capped by ``budget``.
-    """
-    sizes = sorted(mult)
-
-    def rec(idx: int, weight: int, nonroot: dict, root: dict):
-        if idx == len(sizes):
-            yield dict(nonroot), dict(root), weight
-            return
-        i = sizes[idx]
-        count = mult[i]
-        options = [("nr", j) for j in range((i - 1) // 2 + 1)] + [
-            ("r", j) for j in range(1, i // 2 + 1)
-        ]
-
-        def place(opt_idx: int, left: int, w: int):
-            if w > budget:
-                return
-            if opt_idx == len(options):
-                if left == 0:
-                    yield from rec(idx + 1, w, nonroot, root)
-                return
-            kind, j = options[opt_idx]
-            target = nonroot if kind == "nr" else root
-            for c in range(left + 1):
-                if c:
-                    target[(i, j)] = c
-                yield from place(opt_idx + 1, left - c, w + j * c)
-            target.pop((i, j), None)
-
-        yield from place(0, count, weight)
-
-    yield from rec(0, 0, {}, {})
+def _size_sides(i: int, count: int) -> list[tuple[Cells, Cells, int]]:
+    """Every distribution of ``count`` blocks of half-size ``i`` over the
+    non-root cells ``0 <= j <= (i-1)//2`` (the maximum element needs a
+    mixed pair) and the root cells ``1 <= j <= i//2``, as (non-root cells,
+    root cells, j-weight), in lexicographic order of the cell counts: the
+    reverse of the order of the sorted multisets of cells."""
+    cells = [(False, j) for j in range((i - 1) // 2 + 1)]
+    cells += [(True, j) for j in range(1, i // 2 + 1)]
+    out = []
+    for choice in reversed(list(combinations_with_replacement(cells, count))):
+        filled = Counter(choice)
+        nonroot = tuple((i, j, c) for (root, j), c in filled.items() if not root)
+        roots = tuple((i, j, c) for (root, j), c in filled.items() if root)
+        out.append((nonroot, roots, sum(j for _, j in choice)))
+    return out
 
 
 @lru_cache(maxsize=None)
-def _sides(mult: tuple[tuple[int, int], ...], budget: int) -> tuple[tuple[Cells, Cells, int], ...]:
-    """:func:`_side_distributions` of the sorted multiplicity items ``mult``
-    with root cells carrying a loop, as normalized (non-root, root, weight)
-    cells.  Memoized: one side serves every stratum it appears in."""
+def _sides(mult: tuple[tuple[int, int], ...]) -> tuple[tuple[Cells, Cells, int], ...]:
+    """Every (non-root cells, root cells, j-weight) distribution of the
+    blocks with the sorted multiplicity items ``mult``: the product of the
+    per-size distributions, sizes ascending.  Memoized on ``mult`` alone;
+    callers filter by weight, so one list serves every loop count ``r``
+    and every stratum that the side appears in."""
     return tuple(
-        (cells_of(nonroot), cells_of(root), weight)
-        for nonroot, root, weight in _side_distributions(dict(mult), budget)
+        (sum((s[0] for s in sides), ()), sum((s[1] for s in sides), ()), sum(s[2] for s in sides))
+        for sides in product(*(_size_sides(i, c) for i, c in mult))
     )
 
 
 def white_sides(lam: Partition, r: int) -> list[tuple[int, int, Cells, Cells]]:
     """Every white side ``(i0, j0, white, white_root)`` of a stratum with
     white type ``lam`` and ``r`` same-kind pairs, in stratum order: seed
-    degree ``i0`` ascending, then the cell distributions of the rest."""
+    degree ``i0`` ascending, then the sides of the other blocks whose
+    weight leaves the seed ``j0 = r - weight`` loops, ``0 <= j0 <= i0//2``."""
     lam_mult = lam.multiplicities()
     out = []
     for i0 in sorted(lam_mult):
         reduced = dict(lam_mult)
         reduced[i0] -= 1
         rest = tuple(sorted((i, c) for i, c in reduced.items() if c))
-        for white, white_root, wp in _sides(rest, r):
+        for white, white_root, wp in _sides(rest):
             j0 = r - wp
-            if j0 >= 0 and 2 * j0 <= i0:
+            if 0 <= j0 <= i0 // 2:
                 out.append((i0, j0, white, white_root))
     return out
 
 
 def black_sides(mu: Partition, r: int) -> list[tuple[Cells, Cells]]:
     """Every black side ``(black, black_root)`` of a stratum with black
-    type ``mu`` and exactly ``r`` same-kind pairs, in stratum order."""
+    type ``mu``, in stratum order: the sides of ``mu`` of weight ``r``."""
     return [
         (black, black_root)
-        for black, black_root, wq in _sides(tuple(sorted(mu.multiplicities().items())), r)
+        for black, black_root, wq in _sides(tuple(sorted(mu.multiplicities().items())))
         if wq == r
     ]
 

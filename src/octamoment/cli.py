@@ -21,8 +21,9 @@ read as a hypermap, so a missing key is named.  Exit codes: 0 success, 1
 verification/validation failure, 2 flagged strata under ``--strict``, 3 a
 usage error (including a ``verify`` option the suite does not take), an
 argument outside the domain of the computation (such as ``n < 1``, an
-enumeration beyond its size bound, or a malformed ``OCTAMOMENT_THREADS``)
-or an unreadable input (a missing file, or a file or
+enumeration beyond its size bound, a malformed ``OCTAMOMENT_THREADS``, an
+``mc --dim`` below 1, or a matrix with a nonzero imaginary entry under
+``mc --field real``) or an unreadable input (a missing file, or a file or
 ``--x-eigs``/``--y-eigs`` value that its reader rejects with
 ``ValueError``), reported as one ``octamoment: error:`` line on stderr.
 """
@@ -278,6 +279,8 @@ def _matrix_from_args(path: str | None, eigs: str | None, dim_hint: int | None):
 
 
 def cmd_mc(args) -> int:
+    if args.dim is not None and args.dim < 1:
+        raise ValueError("--dim must be >= 1")
     x = _matrix_from_args(args.matrix_x, args.x_eigs, args.dim)
     y = _matrix_from_args(args.matrix_y, args.y_eigs, args.dim)
     if args.field == "real":

@@ -550,7 +550,7 @@ def remark_identity_check(lam) -> bool:
     lam = Partition(lam)
     lhs = Fraction(0)
     mult = tuple(sorted(lam.multiplicities().items()))
-    for black, black_root, _ in _sides(mult, sum(part // 2 for part in lam)):
+    for black, black_root, _ in _sides(mult):
         term = Fraction(1)
         for i, j, c in black:
             term *= (

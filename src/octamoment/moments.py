@@ -97,9 +97,14 @@ class MatrixSpec:
         ``ValueError``."""
         if not isinstance(data, dict) or not data.keys() & {"eigs", "entries"}:
             raise ValueError("a matrix is a JSON object with 'eigs' or 'entries'")
-        if "eigs" in data:
+        key = "eigs" if "eigs" in data else "entries"
+        if not isinstance(data[key], list):
+            raise ValueError(f"'{key}' must be a JSON list")
+        if key == "eigs":
             spec = cls.from_eigs([parse_rational(str(e)) for e in data["eigs"]])
         else:
+            if not all(isinstance(row, list) for row in data["entries"]):
+                raise ValueError("'entries' must be a JSON list of rows")
             rows = [
                 [complex(x[0], x[1]) if isinstance(x, (list, tuple)) else x for x in row]
                 for row in data["entries"]
@@ -214,6 +219,8 @@ def _mc_moment(
         raise ValueError("X and Y must have equal dimension")
     m = x.dim
     xd, yd = x.dense(), y.dense()
+    if not complex_field and (xd.imag.any() or yd.imag.any()):
+        raise ValueError("the real moment needs real matrices: X or Y has an imaginary part")
     if complex_field:
         xd = xd.astype(np.complex128)
         yd = yd.astype(np.complex128)
@@ -232,7 +239,7 @@ def _mc_moment(
             conj = np.transpose(u, (0, 2, 1))
         t = xd @ u @ yd @ conj
         values = _trace_power(t, n)
-        values = values.real if complex_field else values
+        values = values.real
         return float(values.sum()), float(np.square(values).sum())
 
     shards = _shard_layout(samples)
@@ -258,7 +265,8 @@ def mc_moment_real(
     n: int, x: MatrixSpec, y: MatrixSpec, samples: int, seed: int
 ) -> MCEstimate:
     """Monte Carlo estimate of the order-n real moment: U has i.i.d.
-    standard normal entries."""
+    standard normal entries.  A matrix with a nonzero imaginary entry
+    raises ``ValueError``."""
     return _mc_moment(n, x, y, samples, seed, complex_field=False)
 
 

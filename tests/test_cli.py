@@ -462,6 +462,26 @@ def test_mc_without_matrix_source_exits_3_with_one_line(capsys):
     ]
 
 
+@pytest.mark.parametrize("dim", ["-1", "0"])
+def test_mc_dim_below_1_exits_3_naming_dim(dim, capsys):
+    code = main(["mc", "--n", "2", "--samples", "10", "--dim", dim])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["octamoment: error: --dim must be >= 1"]
+
+
+def test_mc_real_field_rejects_a_complex_matrix(tmp_path, capsys):
+    hermitian = {"entries": [[1, [0, 1]], [[0, -1], 2]]}
+    argv = ["mc", "--n", "2", "--samples", "10", "--matrix-x", "bad.json", "--dim", "2"]
+    line = _one_error_line(argv + ["--field", "real"], hermitian, tmp_path, capsys)
+    assert "imaginary" in line
+    assert main([str(tmp_path / a) if a == "bad.json" else a for a in argv]
+                + ["--field", "complex"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record["dim"] == 2 and record["std_error"] > 0
+
+
 def test_per_array_without_kind_LP_exits_3_with_one_line(capsys):
     code = main(["coeffs", "--n", "3", "--kind", "L", "--per-array"])
     captured = capsys.readouterr()
@@ -511,9 +531,16 @@ _VALID_N2 = {"f3": [["1", "2^"], ["2", "1^"]], "pi1": [["1", "2", "1^", "2^"]],
         (["mc", "--n", "2", "--samples", "10", "--matrix-x", "bad.json", "--dim", "2"],
          {"dim": 2}),
         (["mc", "--n", "2", "--samples", "10", "--x-eigs", "1/0", "--y-eigs", "1"], None),
+        (["mc", "--n", "2", "--samples", "10", "--matrix-x", "bad.json", "--dim", "2"],
+         {"entries": 5}),
+        (["mc", "--n", "2", "--samples", "10", "--matrix-x", "bad.json", "--dim", "2"],
+         {"eigs": 5}),
+        (["mc", "--n", "2", "--samples", "10", "--matrix-x", "bad.json", "--dim", "2"],
+         {"entries": [1, 2]}),
     ],
     ids=["hypermap-without-f3", "forest-without-seed", "json-list", "edge-child-x",
-         "label-9-at-n2", "n-as-string", "matrix-dim-only", "eigs-zero-denominator"],
+         "label-9-at-n2", "n-as-string", "matrix-dim-only", "eigs-zero-denominator",
+         "entries-not-a-list", "eigs-not-a-list", "entries-not-rows"],
 )
 def test_malformed_input_exits_3_with_one_line(argv, content, tmp_path, capsys):
     _one_error_line(argv, content, tmp_path, capsys)

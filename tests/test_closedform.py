@@ -1,15 +1,18 @@
 """Closed formulas against the enumeration oracles."""
 
+import hashlib
 import json
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 from math import factorial, gamma
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from octamoment.arrays import ArrayTuple, _side_distributions, elementary, enumerate_M
+from octamoment.arrays import ArrayTuple, _sides, elementary, enumerate_M
 from octamoment.cli import main
 from octamoment.closedform import (
     _factorial_leading,
@@ -233,7 +236,7 @@ def _ref_enumerate_M(lam, mu, r):
     out = []
     mu_mult = mu.multiplicities()
     lam_mult = lam.multiplicities()
-    for black, black_root, wq in _side_distributions(mu_mult, r):
+    for black, black_root, wq in _sides(tuple(sorted(mu_mult.items()))):
         if wq != r:
             continue
         for i0 in sorted(lam_mult):
@@ -241,7 +244,7 @@ def _ref_enumerate_M(lam, mu, r):
             reduced[i0] -= 1
             if not reduced[i0]:
                 del reduced[i0]
-            for white, white_root, wp in _side_distributions(reduced, r):
+            for white, white_root, wp in _sides(tuple(sorted(reduced.items()))):
                 j0 = r - wp
                 if j0 < 0 or 2 * j0 > i0:
                     continue
@@ -278,6 +281,45 @@ def test_enumerate_M_equals_uncached_enumeration():
             for mu in partitions_of(n):
                 for r in range(n // 2 + 2):
                     assert enumerate_M(lam, mu, r) == _ref_enumerate_M(lam, mu, r)
+
+
+# sha256 of the repr of every enumerate_M(lam, mu, r) list for n <= 8 and
+# r <= n//2 + 1, in that loop order, recorded while the sides were still
+# enumerated once per loop budget.
+ENUMERATE_M_DIGEST_N8 = "30cb76396c2459014c140509ef747de50bcafe9bb51f8f6e2b5f1ec75646ff5c"
+
+
+def test_enumerate_M_order_is_pinned_by_digest():
+    h = hashlib.sha256()
+    for n in range(1, 9):
+        for lam in partitions_of(n):
+            for mu in partitions_of(n):
+                for r in range(n // 2 + 2):
+                    h.update(repr(enumerate_M(lam, mu, r)).encode())
+    assert h.hexdigest() == ENUMERATE_M_DIGEST_N8
+
+
+def test_sides_lists_each_distribution_once():
+    # Brute force: put every block in one allowed (root?, j) cell, then
+    # forget which block went where.
+    for n in range(9):
+        for lam in partitions_of(n) if n else [Partition([])]:
+            options = [
+                [(False, i, j) for j in range((i - 1) // 2 + 1)]
+                + [(True, i, j) for j in range(1, i // 2 + 1)]
+                for i in lam
+            ]
+            expected = set()
+            for choice in product(*options):
+                counts = Counter(choice)
+                expected.add((
+                    tuple(sorted((i, j, c) for (root, i, j), c in counts.items() if not root)),
+                    tuple(sorted((i, j, c) for (root, i, j), c in counts.items() if root)),
+                    sum(j for _, _, j in choice),
+                ))
+            listed = _sides(tuple(sorted(lam.multiplicities().items())))
+            assert len(listed) == len(set(listed)), lam
+            assert set(listed) == expected, lam
 
 
 def test_enumerate_M_result_is_the_callers_own():
