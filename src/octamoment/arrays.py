@@ -88,10 +88,10 @@ class ArrayTuple:
     @classmethod
     def make(cls, white=(), white_root=(), black=(), black_root=(), seed_degree=1, seed_loops=0):
         return cls(
-            cells_of(dict(white) if isinstance(white, Mapping) else white),
-            cells_of(dict(white_root) if isinstance(white_root, Mapping) else white_root),
-            cells_of(dict(black) if isinstance(black, Mapping) else black),
-            cells_of(dict(black_root) if isinstance(black_root, Mapping) else black_root),
+            cells_of(white),
+            cells_of(white_root),
+            cells_of(black),
+            cells_of(black_root),
             seed_degree,
             seed_loops,
         )

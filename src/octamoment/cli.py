@@ -21,11 +21,12 @@ read as a hypermap, so a missing key is named.  Exit codes: 0 success, 1
 verification/validation failure, 2 flagged strata under ``--strict``, 3 a
 usage error (including a ``verify`` option the suite does not take), an
 argument outside the domain of the computation (such as ``n < 1``, an
-enumeration beyond its size bound, a malformed ``OCTAMOMENT_THREADS``, an
-``mc --dim`` below 1, or a matrix with a nonzero imaginary entry under
-``mc --field real``) or an unreadable input (a missing file, or a file or
-``--x-eigs``/``--y-eigs`` value that its reader rejects with
-``ValueError``), reported as one ``octamoment: error:`` line on stderr.
+enumeration beyond its size bound, an ``mc --dim`` below 1, or a matrix
+with a nonzero imaginary entry under ``mc --field real``) or an
+unreadable input (a missing file, or a file or ``--x-eigs``/``--y-eigs``
+value that its reader rejects with ``ValueError``, such as a matrix entry
+other than a number or an ``[re, im]`` pair), reported as one
+``octamoment: error:`` line on stderr.
 """
 
 from __future__ import annotations

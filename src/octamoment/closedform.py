@@ -543,28 +543,12 @@ def remark_identity_check(lam) -> bool:
     ``(2 lam - 1)!! / (lam! Aut_lam)``.
 
     The left side sums, over all fillings of the black arrays with row
-    sums the multiplicities of ``lam``, the product of
-    ``2^{root - 2 j (cells)}`` and the cell binomials divided by the cell
-    factorials.
+    sums the multiplicities of ``lam``, the cell factor
+    :func:`_side_weight` times ``4^{-j}`` for the filling's j-weight.
     """
     lam = Partition(lam)
-    lhs = Fraction(0)
     mult = tuple(sorted(lam.multiplicities().items()))
-    for black, black_root, _ in _sides(mult):
-        term = Fraction(1)
-        for i, j, c in black:
-            term *= (
-                Fraction(2) ** (-2 * j * c)
-                * multinomial(i - 1, [j, j]) ** c
-                * inv_factorial(c)
-            )
-        for i, j, c in black_root:
-            term *= (
-                Fraction(2) ** ((1 - 2 * j) * c)
-                * multinomial(i - 1, [j, j - 1]) ** c
-                * inv_factorial(c)
-            )
-        lhs += term
+    lhs = sum(Fraction(*_side_weight(cells, roots)) / 4**w for cells, roots, w in _sides(mult))
     rhs_num = 1
     rhs_den = aut(lam)
     for part in lam:

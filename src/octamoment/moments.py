@@ -12,17 +12,14 @@ N(0, 1/2) real and imaginary parts, so E|u|^2 = 1.  This is the
 convention under which the order-1 moment equals tr(X) tr(Y); the
 alternative E|u|^2 = 2 scales the order-n moment by 2^n.
 
-Sampling is reproducible and bit-stable: samples are drawn in fixed-size
-shards, shard k of a run with seed s uses the counter-based Philox
-generator keyed by ``s + (k << 64)``, and shard results are reduced in
-shard order.  ``OCTAMOMENT_THREADS`` (a positive integer, default 1) caps
-the shard worker pool; any other value raises ``ValueError``.
+Sampling is reproducible and bit-stable: samples are drawn in shards of
+``SHARD_SIZE`` (the last one partial), shard k of a run with seed s uses
+the counter-based Philox generator keyed by ``s + (k << 64)``, and the
+shards are drawn and reduced one after another, in shard order.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
@@ -45,6 +42,20 @@ __all__ = [
 
 SHARD_SIZE = 1 << 14
 HERMITIAN_TOL = 1e-12
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _dense_entry(x, i: int, j: int) -> float | complex:
+    """Entry (i, j) of a JSON matrix: a number, or ``[re, im]`` for a
+    complex one; anything else raises ``ValueError`` naming the entry."""
+    if _is_number(x):
+        return x
+    if isinstance(x, list) and len(x) == 2 and all(map(_is_number, x)):
+        return complex(x[0], x[1])
+    raise ValueError(f"entry ({i}, {j}) must be a number or an [re, im] pair, got {x!r}")
 
 
 @dataclass(frozen=True)
@@ -93,8 +104,9 @@ class MatrixSpec:
 
     @classmethod
     def from_json(cls, data: dict) -> "MatrixSpec":
-        """Read ``{dim?, eigs | entries}``; a record without either raises
-        ``ValueError``."""
+        """Read ``{dim?, eigs | entries}``, each entry a number or an
+        ``[re, im]`` pair; a record without either key, or with any other
+        kind of entry, raises ``ValueError``."""
         if not isinstance(data, dict) or not data.keys() & {"eigs", "entries"}:
             raise ValueError("a matrix is a JSON object with 'eigs' or 'entries'")
         key = "eigs" if "eigs" in data else "entries"
@@ -106,8 +118,8 @@ class MatrixSpec:
             if not all(isinstance(row, list) for row in data["entries"]):
                 raise ValueError("'entries' must be a JSON list of rows")
             rows = [
-                [complex(x[0], x[1]) if isinstance(x, (list, tuple)) else x for x in row]
-                for row in data["entries"]
+                [_dense_entry(x, i, j) for j, x in enumerate(row)]
+                for i, row in enumerate(data["entries"])
             ]
             spec = cls.from_dense(np.array(rows))
         if spec.dim != data.get("dim", spec.dim):
@@ -172,31 +184,6 @@ def moment_complex_exact(n: int, x: MatrixSpec, y: MatrixSpec) -> Fraction:
     return complex_expansion(n).evaluate(x.exact_eigs(), y.exact_eigs())
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("OCTAMOMENT_THREADS", "1")
-    try:
-        workers = int(raw)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ValueError(f"OCTAMOMENT_THREADS must be a positive integer, got {raw!r}")
-    return workers
-
-
-def _shard_layout(samples: int) -> list[tuple[int, int]]:
-    """(shard index, shard sample count) pairs; fixed layout for a given
-    total so reruns are bit-identical regardless of worker count."""
-    shards = []
-    k = 0
-    remaining = samples
-    while remaining > 0:
-        take = min(SHARD_SIZE, remaining)
-        shards.append((k, take))
-        remaining -= take
-        k += 1
-    return shards
-
-
 def _shard_rng(seed: int, shard: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=(seed % (1 << 64)) + (shard << 64)))
 
@@ -225,8 +212,8 @@ def _mc_moment(
         xd = xd.astype(np.complex128)
         yd = yd.astype(np.complex128)
 
-    def run_shard(shard: tuple[int, int]) -> tuple[float, float]:
-        k, count = shard
+    # One call per shard, so each shard's arrays are freed before the next is drawn.
+    def shard_sums(k: int, count: int) -> tuple[float, float]:
         rng = _shard_rng(seed, k)
         if complex_field:
             u = (
@@ -242,17 +229,10 @@ def _mc_moment(
         values = values.real
         return float(values.sum()), float(np.square(values).sum())
 
-    shards = _shard_layout(samples)
-    workers = _worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_shard, shards))
-    else:
-        results = [run_shard(s) for s in shards]
-
     total = 0.0
     total_sq = 0.0
-    for s, sq in results:  # fixed shard order keeps reruns bit-identical
+    for k, start in enumerate(range(0, samples, SHARD_SIZE)):
+        s, sq = shard_sums(k, min(SHARD_SIZE, samples - start))
         total += s
         total_sq += sq
     mean = total / samples

@@ -294,47 +294,34 @@ def suite_special(n_max: int = 6) -> list[CheckResult]:
 def suite_mc(samples: int = 200_000, seed: int = 20240801) -> list[CheckResult]:
     """Monte Carlo estimates against exact values, |z| <= 5."""
     results = []
-    configs = [(1, 2), (2, 2), (2, 3), (3, 2)]
-    for n, m in configs:
-        ident = mo.MatrixSpec.identity(m)
-        exact_r = mo.moment_real_exact(n, ident, ident)
-        est_r = mo.mc_moment_real(n, ident, ident, samples, seed)
-        z_r = est_r.z_score(float(exact_r))
-        results.append(
-            CheckResult(
-                f"mc/real n={n} m={m}",
-                abs(z_r) <= 5,
-                f"mean={est_r.mean:.4f} exact={float(exact_r):.4f} z={z_r:+.2f}",
-            )
-        )
-        exact_c = mo.moment_complex_exact(n, ident, ident)
-        est_c = mo.mc_moment_complex(n, ident, ident, samples, seed + 1)
-        z_c = est_c.z_score(float(exact_c))
-        results.append(
-            CheckResult(
-                f"mc/complex n={n} m={m}",
-                abs(z_c) <= 5,
-                f"mean={est_c.mean:.4f} exact={float(exact_c):.4f} z={z_c:+.2f}",
-            )
-        )
+    fields = (
+        ("real", mo.moment_real_exact, mo.mc_moment_real),
+        ("complex", mo.moment_complex_exact, mo.mc_moment_complex),
+    )
+    ident = {m: mo.MatrixSpec.identity(m) for m in (2, 3)}
+    # (label, n, X, Y, seed per field)
+    cases = [
+        (f"n={n} m={m}", n, ident[m], ident[m], (seed, seed + 1))
+        for n, m in ((1, 2), (2, 2), (2, 3), (3, 2))
+    ]
     # one non-trivial rational-eigenvalue pair
     x = mo.MatrixSpec.from_eigs([Fraction(3, 2), Fraction(-1, 2)])
     y = mo.MatrixSpec.from_eigs([Fraction(1, 3), 2])
-    for field, exact, estimator in (
-        ("real", mo.moment_real_exact(2, x, y), mo.mc_moment_real),
-        ("complex", mo.moment_complex_exact(2, x, y), mo.mc_moment_complex),
-    ):
-        est = estimator(2, x, y, samples, seed + 2)
-        z = est.z_score(float(exact))
-        results.append(
-            CheckResult(
-                f"mc/{field} rational eigenvalues n=2",
-                abs(z) <= 5,
-                f"mean={est.mean:.4f} exact={float(exact):.4f} z={z:+.2f}",
+    cases.append(("rational eigenvalues n=2", 2, x, y, (seed + 2, seed + 2)))
+    for label, n, x, y, seeds in cases:
+        for (field, exact_moment, estimator), field_seed in zip(fields, seeds):
+            exact = float(exact_moment(n, x, y))
+            est = estimator(n, x, y, samples, field_seed)
+            z = est.z_score(exact)
+            results.append(
+                CheckResult(
+                    f"mc/{field} {label}",
+                    abs(z) <= 5,
+                    f"mean={est.mean:.4f} exact={exact:.4f} z={z:+.2f}",
+                )
             )
-        )
-    rerun = mo.mc_moment_real(2, mo.MatrixSpec.identity(2), mo.MatrixSpec.identity(2), samples, seed)
-    rerun2 = mo.mc_moment_real(2, mo.MatrixSpec.identity(2), mo.MatrixSpec.identity(2), samples, seed)
+    rerun = mo.mc_moment_real(2, ident[2], ident[2], samples, seed)
+    rerun2 = mo.mc_moment_real(2, ident[2], ident[2], samples, seed)
     results.append(
         CheckResult(
             "mc/fixed-seed-reproducible",
