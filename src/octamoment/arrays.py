@@ -14,6 +14,10 @@ degree (half block size) and ``j >= 0`` a loop count:
 with ``j`` counting the same-kind matched pairs inside the block.  The
 seed block (the one holding label 1) contributes ``(i0, j0)`` instead of
 an array cell.
+
+A cell entry counts the non-seed vertices of one profile ``(color, root,
+i, j)``; :meth:`ArrayTuple.vertices` and :meth:`ArrayTuple.from_vertices`
+are the one translation between profiles and the four fields.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
 from math import factorial
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .partitions import Partition
 
@@ -40,6 +44,12 @@ __all__ = [
 
 # Sparse nonnegative 2-d array: sorted ((i, j, count), ...) with count >= 1.
 Cells = tuple[tuple[int, int, int], ...]
+
+# A non-seed vertex: (color, root, degree i, loop count j).
+Profile = tuple[str, bool, int, int]
+
+# The (color, root) kind of each ArrayTuple field, in field order.
+_KINDS = (("w", False), ("w", True), ("b", False), ("b", True))
 
 
 def cells_of(entries: Mapping[tuple[int, int], int] | Iterable[tuple[int, int, int]]) -> Cells:
@@ -95,6 +105,23 @@ class ArrayTuple:
             seed_degree,
             seed_loops,
         )
+
+    @classmethod
+    def from_vertices(cls, seed_degree: int, seed_loops: int, vertices: Iterable[Profile]):
+        """Tally the profiles of the non-seed vertices into the four fields."""
+        tally: dict[tuple[str, bool], dict] = {kind: {} for kind in _KINDS}
+        for color, root, i, j in vertices:
+            cell = tally[color, root]
+            cell[i, j] = cell.get((i, j), 0) + 1
+        return cls(*(cells_of(tally[kind]) for kind in _KINDS), seed_degree, seed_loops)
+
+    def vertices(self) -> Iterator[Profile]:
+        """The profile of every non-seed vertex, in field order."""
+        fields = (self.white, self.white_root, self.black, self.black_root)
+        for (color, root), cells in zip(_KINDS, fields):
+            for i, j, c in cells:
+                for _ in range(c):
+                    yield color, root, i, j
 
     # Entry sums; these are the p, p', q, q' of the closed formulas.
     @property
@@ -184,17 +211,6 @@ class ArrayTuple:
             "seed_degree": self.seed_degree,
             "seed_loops": self.seed_loops,
         }
-
-    @classmethod
-    def from_json(cls, data: Mapping) -> "ArrayTuple":
-        return cls.make(
-            white=[tuple(t) for t in data.get("white", [])],
-            white_root=[tuple(t) for t in data.get("white_root", [])],
-            black=[tuple(t) for t in data.get("black", [])],
-            black_root=[tuple(t) for t in data.get("black_root", [])],
-            seed_degree=data["seed_degree"],
-            seed_loops=data["seed_loops"],
-        )
 
     def serialize(self) -> str:
         return json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))

@@ -25,8 +25,9 @@ enumeration beyond its size bound, an ``mc --dim`` below 1, or a matrix
 with a nonzero imaginary entry under ``mc --field real``) or an
 unreadable input (a missing file, or a file or ``--x-eigs``/``--y-eigs``
 value that its reader rejects with ``ValueError``, such as a matrix entry
-other than a number or an ``[re, im]`` pair), reported as one
-``octamoment: error:`` line on stderr.
+other than a number or an ``[re, im]`` pair, a non-finite matrix entry or
+a matrix of dimension 0), reported as one ``octamoment: error:`` line on
+stderr.
 """
 
 from __future__ import annotations
@@ -97,7 +98,6 @@ def cmd_coeffs(args) -> int:
     rows: list[dict] = []
     if args.kind in ("L", "b", "c"):
         table = hm.L_table(n)
-        b = hm.b_from_L(table)
         if args.kind == "L":
             for (lam, mu, r), value in sorted(table.entries.items(), reverse=True):
                 rows.append(
@@ -111,8 +111,7 @@ def cmd_coeffs(args) -> int:
                     }
                 )
         else:
-            c = hm.c_from_L(table)
-            source = b if args.kind == "b" else c
+            source = hm.b_from_L(table) if args.kind == "b" else hm.c_from_L(table)
             for (lam, mu), value in sorted(source.items(), reverse=True):
                 rows.append(
                     {

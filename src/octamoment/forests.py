@@ -71,7 +71,8 @@ SlotRef = tuple[int, int]
 
 
 class MalformedForestError(ValueError):
-    """Label recovery failed; ``step`` is the 1-based label index reached."""
+    """Label recovery failed at the 1-based label index ``step``, or, with
+    ``step`` 0, :func:`validate_forest` rejected the input."""
 
     def __init__(self, step: int, message: str):
         super().__init__(f"step {step}: {message}")
@@ -452,9 +453,10 @@ def theta_inverse(f: Forest) -> PartitionedHypermap:
 
     Label 1 sits on the seed root's leftmost slot; from the slot of a
     non-hat label the matching hat label occupies the leftmost unrecovered
-    slot of the determined black vertex, and dually back.  Premature
-    exhaustion of a vertex (possible only for inputs that skip
-    validation) raises :class:`MalformedForestError` with the step index.
+    slot of the determined black vertex, and dually back.  An invalid
+    forest raises :class:`MalformedForestError` with ``step`` 0; a replay
+    failure (``step`` above 0) would mean that :func:`validate_forest`
+    accepted a forest the replay cannot read.
     """
     problems = validate_forest(f)
     if problems:
@@ -544,32 +546,15 @@ def theta_inverse(f: Forest) -> PartitionedHypermap:
 
 
 def forest_degree(f: Forest) -> ArrayTuple:
-    """Tally vertices by (degree, loop count) into the degree arrays."""
+    """Tally vertices by (degree, loop count) into the degree arrays; a
+    vertex is a root iff it has no parent edge."""
     parent = f.parent_map()
-    white: dict[tuple[int, int], int] = {}
-    white_root: dict[tuple[int, int], int] = {}
-    black: dict[tuple[int, int], int] = {}
-    black_root: dict[tuple[int, int], int] = {}
-    seed_degree = seed_loops = None
-    for v in range(f.num_vertices):
-        deg = len(f.slots[v]) + (1 if v in parent else 0)
-        loops = f.loops_of(v)
-        if v == f.seed:
-            seed_degree, seed_loops = deg, loops
-            continue
-        if f.colors[v] == "w":
-            cell = white if v in parent else white_root
-        else:
-            cell = black if v in parent else black_root
-        cell[(deg, loops)] = cell.get((deg, loops), 0) + 1
-    return ArrayTuple.make(
-        white=white,
-        white_root=white_root,
-        black=black,
-        black_root=black_root,
-        seed_degree=seed_degree,
-        seed_loops=seed_loops,
-    )
+    profiles = [
+        (f.colors[v], v not in parent, len(f.slots[v]) + (v in parent), f.loops_of(v))
+        for v in range(f.num_vertices)
+    ]
+    _, _, seed_degree, seed_loops = profiles.pop(f.seed)
+    return ArrayTuple.from_vertices(seed_degree, seed_loops, profiles)
 
 
 def enumerate_forests(a: ArrayTuple) -> list[Forest]:
@@ -591,12 +576,10 @@ def enumerate_forests(a: ArrayTuple) -> list[Forest]:
     if problems:
         raise ValueError("inconsistent degree array: " + "; ".join(problems))
 
-    cells = (("w", "internal", a.white), ("w", "root", a.white_root),
-             ("b", "internal", a.black), ("b", "root", a.black_root))
     colors, roles, nslots, loops = zip(
         ("w", "seed", a.seed_degree, a.seed_loops),
-        *((color, role, i - (role == "internal"), j)
-          for color, role, counts in cells for i, j, count in counts for _ in range(count)),
+        *((color, "root" if root else "internal", i - (not root), j)
+          for color, root, i, j in a.vertices()),
     )
     V = len(colors)
     of_color = {c: [v for v in range(V) if colors[v] == c] for c in "wb"}

@@ -172,6 +172,14 @@ def compose(g: Sequence[int], h: Sequence[int]) -> tuple[int, ...]:
     return tuple(g[h[x]] for x in range(len(h)))
 
 
+def _inverse(perm: Sequence[int]) -> list[int]:
+    """The inverse of a permutation given by its image list."""
+    inv = [0] * len(perm)
+    for x, y in enumerate(perm):
+        inv[y] = x
+    return inv
+
+
 def _cycle_lengths(perm: Sequence[int]) -> list[int]:
     """Cycle lengths of a permutation image list, longest first."""
     m = len(perm)
@@ -306,7 +314,10 @@ def lp_from_pairings(n: int) -> dict[tuple[Partition, Partition, int], int]:
 def pairing_power_sum_series(n: int, kind: str = "real") -> PowerSumExpansion:
     """The power-sum series whose basis change reproduces the expansions:
     pairing counts (real) or their orientable slice (complex) as
-    coefficients of p_lam(X) p_mu(Y).  Oracle route; small n only."""
+    coefficients of p_lam(X) p_mu(Y).  Oracle route; small n only.
+    ``kind`` other than "real" or "complex" raises ``ValueError``."""
+    if kind not in ("real", "complex"):
+        raise ValueError(f"kind must be 'real' or 'complex', got {kind!r}")
     table = L_table(n)
     coeffs: dict[tuple[Partition, Partition], Fraction] = {}
     for (lam, mu, r), c in table.entries.items():
@@ -448,43 +459,30 @@ def iter_partitioned_hypermaps(n: int) -> Iterator[PartitionedHypermap]:
 def degree_array(h: PartitionedHypermap) -> ArrayTuple:
     """Classify the blocks of a partitioned hypermap into the degree arrays.
 
-    White blocks not containing label 1 go to ``white``/``white_root``
-    according to whether the maximum non-hat element is matched to a hat or
-    non-hat element; black blocks go to ``black``/``black_root`` dually;
-    the block containing 1 provides (i0, j0).
+    A white block not containing label 1 is a root iff its maximum non-hat
+    element is matched to a non-hat element; a black block is a root iff
+    its maximum is matched to a hat element; the block containing 1
+    provides (i0, j0).
     """
     n = h.f3.n
     f3 = h.f3.image
-    white: dict[tuple[int, int], int] = {}
-    white_root: dict[tuple[int, int], int] = {}
-    black: dict[tuple[int, int], int] = {}
-    black_root: dict[tuple[int, int], int] = {}
-    seed_degree = seed_loops = None
+    seed = None
+    vertices = []
     for block in h.pi1:
         i = len(block) // 2
         j = sum(1 for x in block if x < n and f3[x] < n) // 2
         if 0 in block:
-            seed_degree, seed_loops = i, j
+            seed = (i, j)
             continue
         top = max(x for x in block if x < n)
-        cell = white if f3[top] >= n else white_root
-        cell[(i, j)] = cell.get((i, j), 0) + 1
+        vertices.append(("w", f3[top] < n, i, j))
     for block in h.pi2:
         i = len(block) // 2
         j = sum(1 for x in block if x >= n and f3[x] >= n) // 2
-        top = max(block)
-        cell = black if f3[top] < n else black_root
-        cell[(i, j)] = cell.get((i, j), 0) + 1
-    if seed_degree is None:
+        vertices.append(("b", f3[max(block)] >= n, i, j))
+    if seed is None:
         raise ValueError("no block of pi1 contains label 1")
-    return ArrayTuple.make(
-        white=white,
-        white_root=white_root,
-        black=black,
-        black_root=black_root,
-        seed_degree=seed_degree,
-        seed_loops=seed_loops,
-    )
+    return ArrayTuple.from_vertices(*seed, vertices)
 
 
 @lru_cache(maxsize=8)
@@ -521,9 +519,7 @@ def class_connection_table(n: int) -> Mapping:
     gamma = tuple((x + 1) % n for x in range(n))
     table: dict[tuple[Partition, Partition], int] = {}
     for alpha in itertools.permutations(range(n)):
-        inv = [0] * n
-        for x, y in enumerate(alpha):
-            inv[y] = x
+        inv = _inverse(alpha)
         beta = tuple(inv[gamma[x]] for x in range(n))
         key = (cycle_type(alpha), cycle_type(beta))
         table[key] = table.get(key, 0) + 1
@@ -550,9 +546,7 @@ def double_coset_data(n: int):
     fstar = canonical_f2(n).image
     raw: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     for omega in itertools.permutations(range(m)):
-        inv = [0] * m
-        for x, y in enumerate(omega):
-            inv[y] = x
+        inv = _inverse(omega)
         conj = tuple(fstar[omega[fstar[inv[x]]]] for x in range(m))
         raw.setdefault(_half_cycle_lengths(conj), []).append(omega)
     members = {Partition(half): tuple(ms) for half, ms in raw.items()}
@@ -571,9 +565,7 @@ def _double_coset_counts(n: int) -> Mapping:
     m = 2 * n
     counts: dict[tuple[Partition, Partition], int] = {}
     for sigma, lam in class_of.items():
-        inv = [0] * m
-        for x, y in enumerate(sigma):
-            inv[y] = x
+        inv = _inverse(sigma)
         key = (lam, class_of[tuple(inv[rho[x]] for x in range(m))])
         counts[key] = counts.get(key, 0) + 1
     return MappingProxyType(counts)

@@ -70,12 +70,16 @@ class MatrixSpec:
     def __post_init__(self) -> None:
         if (self.eigs is None) == (self.entries is None):
             raise ValueError("exactly one of eigs/entries must be given")
+        if self.dim < 1:
+            raise ValueError("matrix dimension must be >= 1")
         if self.eigs is not None and len(self.eigs) != self.dim:
             raise ValueError("need one eigenvalue per dimension")
         if self.entries is not None:
             m = self.entries
             if m.shape != (self.dim, self.dim):
                 raise ValueError("entries must be a dim x dim matrix")
+            if not np.isfinite(m).all():
+                raise ValueError("matrix entries must be finite")
             if np.abs(m - m.conj().T).max() > HERMITIAN_TOL:
                 raise ValueError("matrix is not symmetric/hermitian within 1e-12")
 

@@ -413,6 +413,9 @@ GOLDEN = [
     # enumeration oracle's bound raised to 6.
     ("expansion --n 6 --field real", 0, "01c704c107f69ca0e9463a25d2577c35e0989c4dc5ab96d54515f7f362edd23c"),
     ("report --n 6", 0, "3f3236c1d5cdf80bac54610e4ddb6437737d55e267d8161ef5fefc78c206bc3d"),
+    # Recorded before the degree arrays were built from vertex profiles.
+    ("coeffs --n 3 --kind LP --per-array", 0, "b14915e737b3db3bb006dc32228843496620f0c7386c6979cdc5b54573261784"),
+    ("coeffs --n 5 --kind LP --per-array", 0, "6b20321bb3d676206c30f9a0a50afadcd080fcaaf62700e4b9a3f09ee38ed0ea"),
 ]
 
 
@@ -545,11 +548,17 @@ _VALID_N2 = {"f3": [["1", "2^"], ["2", "1^"]], "pi1": [["1", "2", "1^", "2^"]],
          {"entries": [[True, 1], [1, 2]]}),
         (["mc", "--n", "2", "--samples", "10", "--matrix-x", "bad.json", "--dim", "2"],
          {"entries": [["1", 1], [1, 2]]}),
+        (["mc", "--n", "2", "--samples", "10", "--matrix-x", "bad.json", "--dim", "2"],
+         {"entries": [[float("inf"), 1], [1, 2]]}),
+        (["mc", "--n", "2", "--samples", "10", "--matrix-x", "bad.json",
+          "--matrix-y", "bad.json"],
+         {"eigs": []}),
     ],
     ids=["hypermap-without-f3", "forest-without-seed", "json-list", "edge-child-x",
          "label-9-at-n2", "n-as-string", "matrix-dim-only", "eigs-zero-denominator",
          "entries-not-a-list", "eigs-not-a-list", "entries-not-rows", "entry-object",
-         "entry-three-numbers", "entry-boolean", "entry-string"],
+         "entry-three-numbers", "entry-boolean", "entry-string", "entry-infinite",
+         "eigs-empty-both"],
 )
 def test_malformed_input_exits_3_with_one_line(argv, content, tmp_path, capsys):
     _one_error_line(argv, content, tmp_path, capsys)
@@ -567,6 +576,13 @@ def _one_error_line(argv, content, tmp_path, capsys) -> str:
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("octamoment: error: ")
     return lines[0]
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_non_finite_matrix_entry_is_rejected_before_sampling(bad, tmp_path, capsys):
+    argv = ["mc", "--n", "2", "--samples", "10", "--matrix-x", "bad.json", "--dim", "2"]
+    line = _one_error_line(argv, {"entries": [[bad, 1], [1, 2]]}, tmp_path, capsys)
+    assert line == "octamoment: error: matrix entries must be finite"
 
 
 def test_hypermap_without_f3_names_the_missing_key(tmp_path, capsys):

@@ -62,6 +62,16 @@ P2 = Partition([2])
 P11 = Partition([1, 1])
 
 
+def test_vertex_profiles_round_trip_every_stratum():
+    for n in range(1, 8):
+        for _, _, _, a in all_strata(n):
+            vertices = list(a.vertices())
+            assert len(vertices) == (
+                a.num_white + a.num_white_root + a.num_black + a.num_black_root
+            )
+            assert ArrayTuple.from_vertices(a.seed_degree, a.seed_loops, vertices) == a
+
+
 def test_enumerate_M_examples():
     assert enumerate_M(P1, P1, 0) == [
         ArrayTuple.make(black=elementary(1, 0), seed_degree=1, seed_loops=0)

@@ -28,6 +28,8 @@ from octamoment.hypermaps import (
     lp_by_array,
     lp_table,
     _half_cycle_lengths,
+    oracle_monomial_expansion,
+    pairing_power_sum_series,
     parse_element,
     r_statistic,
 )
@@ -108,6 +110,13 @@ def test_L_table_totals_and_bound():
         assert L_table(n).total() == odd_double_factorial(n)
     with pytest.raises(BoundExceededError):
         L_table(DEFAULT_PAIRING_BOUND + 1)  # guards before enumerating
+
+
+@pytest.mark.parametrize("kind", ["Complex", "", "orthogonal"])
+def test_power_sum_series_rejects_an_unknown_kind(kind):
+    for series in (pairing_power_sum_series, oracle_monomial_expansion):
+        with pytest.raises(ValueError, match=repr(kind)):
+            series(3, kind)
 
 
 def test_b_and_c_from_L():

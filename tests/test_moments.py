@@ -35,6 +35,21 @@ def test_matrix_spec_validation():
     assert herm.dim == 2
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_matrix_spec_rejects_non_finite_entries(bad):
+    with pytest.raises(ValueError, match="finite"):
+        MatrixSpec.from_dense(np.array([[bad, 1.0], [1.0, 2.0]]))
+    with pytest.raises(ValueError, match="finite"):
+        MatrixSpec.from_dense(np.array([[1.0, complex(0.0, bad)], [complex(0.0, -bad), 2.0]]))
+
+
+def test_matrix_spec_rejects_dimension_zero():
+    with pytest.raises(ValueError, match="dimension"):
+        MatrixSpec.from_eigs([])
+    with pytest.raises(ValueError, match="dimension"):
+        MatrixSpec.from_dense([])
+
+
 def test_matrix_spec_json():
     spec = MatrixSpec.from_json({"dim": 2, "eigs": ["1/2", "3"]})
     assert spec.eigs == (Fraction(1, 2), Fraction(3))
