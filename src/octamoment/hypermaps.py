@@ -142,8 +142,9 @@ class Pairing:
         )
 
 
+@lru_cache(maxsize=None)
 def canonical_f1(n: int) -> Pairing:
-    """The white-vertex walk: (1 n^)(2 1^)(3 2^)...(n n-1^)."""
+    """The white-vertex walk: (1 n^)(2 1^)(3 2^)...(n n-1^); memoized."""
     if n < 1:
         raise ValueError("n must be >= 1")
     image = [0] * (2 * n)
@@ -155,9 +156,10 @@ def canonical_f1(n: int) -> Pairing:
     return Pairing(n, tuple(image))
 
 
+@lru_cache(maxsize=None)
 def canonical_f2(n: int) -> Pairing:
     """The black-vertex walk (1 1^)(2 2^)...(n n^); also the involution
-    whose centralizer in S_{2n} is the hyperoctahedral group."""
+    whose centralizer in S_{2n} is the hyperoctahedral group.  Memoized."""
     if n < 1:
         raise ValueError("n must be >= 1")
     image = [0] * (2 * n)
@@ -273,25 +275,79 @@ class ClassTable:
 @lru_cache(maxsize=None)
 def L_table(n: int) -> ClassTable:
     """Exhaustive classification of all (2n-1)!! pairings f3 by the half
-    cycle types of f3∘f1 and f3∘f2 and the hat-pair count r."""
+    cycle types of f3∘f1 and f3∘f2 and the hat-pair count r.
+
+    One depth-first walk places the pairs of f3 in the order of
+    :func:`iter_pairing_images`.  For each of f1 and f2 it keeps the open
+    alternating paths of <f, f3>: ``end[x]`` is the other endpoint of the
+    path ending at x and ``size[x]`` its number of f-edges.  A pair
+    (lo, b) either closes a path into a vertex of degree k, a part k of
+    the half cycle type (``cnt[k] += 1``), or joins two paths; each change
+    is undone on backtrack.  Every pairing is still visited, so the table
+    stays a brute-force count.
+    """
     if n > DEFAULT_PAIRING_BOUND:
         raise BoundExceededError("pairing classification", n, DEFAULT_PAIRING_BOUND)
-    f1 = canonical_f1(n).image
-    f2 = canonical_f2(n).image
     m = 2 * n
-    entries: dict[tuple[Partition, Partition, int], int] = {}
+    end1 = list(canonical_f1(n).image)
+    end2 = list(canonical_f2(n).image)
+    size1 = [1] * m
+    size2 = [1] * m
+    cnt1 = [0] * (n + 1)
+    cnt2 = [0] * (n + 1)
+    free = [True] * m
     raw: dict[tuple[tuple[int, ...], tuple[int, ...], int], int] = {}
-    for f3 in iter_pairing_images(m):
-        lam = _half_cycle_lengths([f3[f1[x]] for x in range(m)])
-        mu = _half_cycle_lengths([f3[f2[x]] for x in range(m)])
-        r = 0
-        for x in range(n, m):
-            if f3[x] >= n and f3[x] > x:
-                r += 1
-        key = (lam, mu, r)
-        raw[key] = raw.get(key, 0) + 1
-    for (lam, mu, r), count in raw.items():
-        entries[(Partition(lam), Partition(mu), r)] = count
+
+    def place(lo: int, r: int) -> None:
+        while lo < m and not free[lo]:
+            lo += 1
+        if lo == m:
+            key = (tuple(cnt1), tuple(cnt2), r)
+            raw[key] = raw.get(key, 0) + 1
+            return
+        free[lo] = False
+        if lo >= n:
+            r += 1
+        for b in range(lo + 1, m):
+            if not free[b]:
+                continue
+            free[b] = False
+            a1, b1, a2, b2 = end1[lo], end1[b], end2[lo], end2[b]
+            if a1 == b:
+                cnt1[size1[lo]] += 1
+            else:
+                end1[a1], end1[b1] = b1, a1
+                size1[a1] = size1[b1] = size1[lo] + size1[b]
+            if a2 == b:
+                cnt2[size2[lo]] += 1
+            else:
+                end2[a2], end2[b2] = b2, a2
+                size2[a2] = size2[b2] = size2[lo] + size2[b]
+            place(lo + 1, r)
+            if a1 == b:
+                cnt1[size1[lo]] -= 1
+            else:
+                end1[a1], end1[b1] = lo, b
+                size1[a1], size1[b1] = size1[lo], size1[b]
+            if a2 == b:
+                cnt2[size2[lo]] -= 1
+            else:
+                end2[a2], end2[b2] = lo, b
+                size2[a2], size2[b2] = size2[lo], size2[b]
+            free[b] = True
+        free[lo] = True
+
+    place(0, 0)
+
+    def partition(cnt: tuple[int, ...]) -> Partition:
+        return Partition(k for k in range(n, 0, -1) for _ in range(cnt[k]))
+
+    entries: dict[tuple[Partition, Partition, int], int] = {}
+    for (c1, c2, r), count in raw.items():
+        lam, mu = partition(c1), partition(c2)
+        if lam.n != n or mu.n != n:
+            raise AssertionError(f"vertex degrees {lam}, {mu} do not sum to {n}")
+        entries[(lam, mu, r)] = count
     expected = odd_double_factorial(n)
     if sum(entries.values()) != expected:
         raise AssertionError(f"pairing count mismatch: {sum(entries.values())} != {expected}")
@@ -300,8 +356,9 @@ def L_table(n: int) -> ClassTable:
 
 def lp_from_pairings(n: int) -> dict[tuple[Partition, Partition, int], int]:
     """Partitioned-hypermap counts derived from the pairing classification
-    through the refinement identity; works beyond the direct enumeration
-    bound.  Keys are (white type, black type, r)."""
+    through the refinement identity.  Reaches n = DEFAULT_PAIRING_BOUND,
+    past the partitioned enumeration bound but no further, since it reads
+    :func:`L_table`.  Keys are (white type, black type, r)."""
     out: dict[tuple[Partition, Partition, int], int] = {}
     for (lam, mu, r), c in L_table(n).entries.items():
         for nu, r1 in coarsening_counts(lam).items():

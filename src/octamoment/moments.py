@@ -94,7 +94,10 @@ class MatrixSpec:
 
     @classmethod
     def projector(cls, l: int, m: int) -> "MatrixSpec":
-        """Diagonal matrix with l ones then m - l zeros."""
+        """Diagonal matrix with l ones then m - l zeros; ``m >= 1`` and
+        ``0 <= l <= m``, else ``ValueError``."""
+        if not 0 <= l <= m or m < 1:
+            raise ValueError(f"projector needs m >= 1 and 0 <= l <= m, got l = {l}, m = {m}")
         return cls.from_eigs([1] * l + [0] * (m - l))
 
     @classmethod

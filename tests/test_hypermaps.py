@@ -1,5 +1,6 @@
 """Enumeration oracles: pairings, class tables, partitioned hypermaps."""
 
+import hashlib
 from math import factorial
 
 import pytest
@@ -24,6 +25,7 @@ from octamoment.hypermaps import (
     double_coset_data,
     expected_coset_size,
     half_cycle_type,
+    iter_pairing_images,
     iter_partitioned_hypermaps,
     lp_by_array,
     lp_table,
@@ -110,6 +112,36 @@ def test_L_table_totals_and_bound():
         assert L_table(n).total() == odd_double_factorial(n)
     with pytest.raises(BoundExceededError):
         L_table(DEFAULT_PAIRING_BOUND + 1)  # guards before enumerating
+
+
+def test_L_table_matches_the_composition_route():
+    # the pairing-by-pairing reference: compose each f3 with both walks and
+    # halve the cycle types, which also checks every multiplicity is even
+    for n in range(1, 7):
+        f1, f2 = canonical_f1(n), canonical_f2(n)
+        ref: dict = {}
+        for image in iter_pairing_images(2 * n):
+            f3 = Pairing(n, tuple(image))
+            key = (half_cycle_type(f3, f1), half_cycle_type(f3, f2), r_statistic(f3))
+            ref[key] = ref.get(key, 0) + 1
+        assert L_table(n).entries == ref
+
+
+def test_L_table_7_digest():
+    # sha256 of the sorted (lam, mu, r, count) rows of the composition-route table
+    rows = sorted((tuple(lam), tuple(mu), r, c) for (lam, mu, r), c in L_table(7).entries.items())
+    assert len(rows) == 362
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
+        "a59c474b2aa7298e48b41de6479f6b77f5953d01252c740d057558e5135fab46"
+    )
+
+
+@pytest.mark.parametrize("walk", [canonical_f1, canonical_f2])
+def test_canonical_walks_are_memoized_and_reject_nonpositive_n(walk):
+    assert walk(4) is walk(4)
+    for n in (0, -2, 0):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            walk(n)
 
 
 @pytest.mark.parametrize("kind", ["Complex", "", "orthogonal"])

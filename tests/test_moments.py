@@ -115,6 +115,12 @@ def test_projector_specialization():
                 assert moment_complex_exact(n, x, ident) == q_compl(n, l, m)
 
 
+@pytest.mark.parametrize("l, m", [(3, 2), (-1, 2), (0, 0), (1, 0), (0, -1)])
+def test_projector_rejects_a_rank_outside_0_to_m(l, m):
+    with pytest.raises(ValueError, match="0 <= l <= m"):
+        MatrixSpec.projector(l, m)
+
+
 def test_mc_matches_exact_real():
     est = mc_moment_real(2, I2, I2, 200_000, seed=1234)
     assert abs(est.z_score(20.0)) <= 5
