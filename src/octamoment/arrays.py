@@ -24,11 +24,11 @@ from __future__ import annotations
 
 import json
 from collections import Counter
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
 from math import factorial
-from typing import Iterable, Iterator, Mapping
 
 from .partitions import Partition
 
@@ -94,17 +94,6 @@ class ArrayTuple:
     black_root: Cells
     seed_degree: int
     seed_loops: int
-
-    @classmethod
-    def make(cls, white=(), white_root=(), black=(), black_root=(), seed_degree=1, seed_loops=0):
-        return cls(
-            cells_of(white),
-            cells_of(white_root),
-            cells_of(black),
-            cells_of(black_root),
-            seed_degree,
-            seed_loops,
-        )
 
     @classmethod
     def from_vertices(cls, seed_degree: int, seed_loops: int, vertices: Iterable[Profile]):

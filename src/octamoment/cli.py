@@ -7,9 +7,11 @@ identical invocations produce byte-identical output.  JSON output is
 ``json.dumps(data, indent=2, sort_keys=True)`` plus a newline, and strict:
 a non-finite float raises ``ValueError`` instead of printing ``NaN`` or
 ``Infinity``, and ``mc`` reports a ``z_score`` of ``null`` at zero
-standard error.  ``expansion`` writes its ``"terms"`` (canonical order)
-with :func:`_expansion_json`, the same bytes without a per-term record or
-the pure-Python indenting encoder.  ``expansion --field real`` prints
+standard error.  ``expansion`` and ``report`` write the same bytes
+without calling ``json.dumps``: :func:`_expansion_json` fills one fixed
+template for the head (``degenerate_strata``, ``field``, ``n``) and one
+per term (canonical order), and :func:`_strata_json` one per flagged
+stratum.  ``expansion --field real`` prints
 :func:`~octamoment.closedform.real_expansion`, which includes the flagged
 strata (resolved by continuation in ``n`` for every ``n``), and lists them
 from :func:`~octamoment.closedform.degenerate_strata`; ``report`` prints
@@ -37,6 +39,7 @@ import csv
 import io
 import json
 import sys
+from functools import cache
 from json.encoder import encode_basestring_ascii
 from math import factorial
 
@@ -61,30 +64,94 @@ def _json_dumps(data) -> str:
     return json.dumps(data, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
+def _name(lam) -> str:
+    return encode_basestring_ascii(format_partition(lam))
+
+
 # One term of ``"terms"`` exactly as ``_json_dumps`` lays out a
 # {coeff, lambda, mu} record at depth 2, with its leading separator.
 _TERM = '\n    {\n      "coeff": "%s",\n      "lambda": %s,\n      "mu": %s\n    }'
 
+# The head of ``expansion`` exactly as ``_json_dumps`` lays out its keys
+# before ``"terms"``, which sorts last.
+_HEAD = '{\n  "degenerate_strata": %s,\n  "field": %s,\n  "n": %d,\n  "terms": '
 
-def _expansion_json(fields: dict, expansion) -> str:
-    """``_json_dumps({**fields, "terms": expansion.to_records()})``, written
-    without a record per term or the pure-Python indenting encoder.
 
-    ``fields`` is non-empty and every key sorts before ``"terms"``, so the
-    terms block replaces the closing brace of ``_json_dumps(fields)``.  A
+def _strata_json(strata, depth: int, counts: bool = True) -> str:
+    """``json.dumps([d.to_json() for d in strata], indent=2,
+    sort_keys=True)`` as it is laid out at nesting ``depth`` (1 for a
+    top-level list, 2 for the value of a top-level key), leaving out
+    ``"oracle_value"`` unless ``counts``.
+
+    Each :class:`~octamoment.closedform.DegenerateStratum` fills one fixed
+    template; each cell list, status and partition name is encoded once
+    per call.  No record is built and the indenting encoder is not used.
+    """
+    if not strata:
+        return "[]"
+    pad, key, cell = ("  " * (depth + k) for k in (0, 2, 3))
+    record = (
+        f'\n{pad}{{\n{pad}  "A": {{\n'
+        f'{key}"black": %s,\n{key}"black_root": %s,\n'
+        f'{key}"seed_degree": %d,\n{key}"seed_loops": %d,\n'
+        f'{key}"white": %s,\n{key}"white_root": %s\n{pad}  }},\n'
+        f'{pad}  "formula_status": %s,\n{pad}  "lambda": %s,\n{pad}  "mu": %s,\n'
+        f'{pad}  "n": %d,\n%s{pad}  "r": %d\n{pad}}}'
+    )
+    count = f'{pad}  "oracle_value": %d,\n'
+    entry = f"{cell}[\n{cell}  %d,\n{cell}  %d,\n{cell}  %d\n{cell}]"
+
+    @cache
+    def cells_json(cells) -> str:
+        if not cells:
+            return "[]"
+        return "[\n" + ",\n".join([entry % c for c in cells]) + f"\n{key}]"
+
+    @cache
+    def status(diagnostics) -> str:
+        return encode_basestring_ascii("; ".join(diagnostics) or "degenerate")
+
+    name = cache(_name)
+    body = ",".join(
+        [
+            record
+            % (
+                cells_json(a.black),
+                cells_json(a.black_root),
+                a.seed_degree,
+                a.seed_loops,
+                cells_json(a.white),
+                cells_json(a.white_root),
+                status(d.diagnostics),
+                name(d.lam),
+                name(d.mu),
+                d.n,
+                count % d.oracle_value if counts else "",
+                d.r,
+            )
+            for d in strata
+            for a in (d.array,)
+        ]
+    )
+    return "[" + body + "\n" + "  " * (depth - 1) + "]"
+
+
+def _expansion_json(field: str, expansion, strata=(), counts: bool = True) -> str:
+    """``_json_dumps`` of the ``expansion`` record: ``n``, ``field``, the
+    ``degenerate_strata`` (:func:`_strata_json`) and the ``"terms"``
+    (``expansion.to_records()``), written from fixed templates without a
+    record per term or stratum and without the indenting encoder.  A
     coefficient is a ``Fraction``, whose ``str`` is ``format_rational``.
     """
-    head = _json_dumps(fields)[: -len("\n}\n")]
-    names = {
-        lam: encode_basestring_ascii(format_partition(lam))
-        for lam in partitions_of(expansion.n)
-    }
+    n = expansion.n
+    head = _HEAD % (_strata_json(strata, 2, counts), encode_basestring_ascii(field), n)
+    names = {lam: _name(lam) for lam in partitions_of(n)}
     terms = ",".join(
         [_TERM % (c, names[lam], names[mu]) for (lam, mu), c in expansion.items()]
     )
     if not terms:
-        return head + ',\n  "terms": []\n}\n'
-    return head + ',\n  "terms": [' + terms + "\n  ]\n}\n"
+        return head + "[]\n}\n"
+    return head + "[" + terms + "\n  ]\n}\n"
 
 
 def cmd_coeffs(args) -> int:
@@ -173,20 +240,16 @@ def _format_rows(rows: list[dict], fmt: str) -> str:
 def cmd_expansion(args) -> int:
     n = args.n
     if args.field == "complex":
-        expansion, strata = cf.complex_expansion(n), []
+        expansion, strata = cf.complex_expansion(n), ()
     else:
-        expansion, degenerate = cf.real_expansion(n), cf.degenerate_strata(n)
-        strata = [d.to_json() for d in degenerate]
+        expansion, strata = cf.real_expansion(n), cf.degenerate_strata(n)
         if args.strict:
             # The strict view: no pair with a flagged stratum, and no counts.
-            flagged = {(d.lam, d.mu) for d in degenerate}
+            flagged = {(d.lam, d.mu) for d in strata}
             expansion = MonomialExpansion(
                 n, {key: c for key, c in expansion.items() if key not in flagged}
             )
-            for record in strata:
-                del record["oracle_value"]
-    fields = {"n": n, "field": args.field, "degenerate_strata": strata}
-    _emit(_expansion_json(fields, expansion), args.out)
+    _emit(_expansion_json(args.field, expansion, strata, counts=not args.strict), args.out)
     if args.strict and strata:
         return 2
     return 0
@@ -301,9 +364,9 @@ def cmd_mc(args) -> int:
 
 
 def cmd_report(args) -> int:
-    report = [d.to_json() for d in cf.degenerate_strata(args.n)]
-    _emit(_json_dumps(report), args.out)
-    if args.strict and report:
+    strata = cf.degenerate_strata(args.n)
+    _emit(_strata_json(strata, 1) + "\n", args.out)
+    if args.strict and strata:
         return 2
     return 0
 

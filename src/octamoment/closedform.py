@@ -333,18 +333,24 @@ def degenerate_strata(n: int) -> tuple[DegenerateStratum, ...]:
         raise ValueError("n must be >= 1")
     out: list[DegenerateStratum] = []
     for lam in partitions_of(n):
-        whites = [white_sides(lam, r) for r in range(n // 2 + 1)]
+        # _flagged is an "or" of a condition on p and one on q: a black side
+        # whose q flags it meets every white side, any other black side only
+        # the white sides whose p flags them.
+        whites = {}
+        for r in range(1, n // 2 + 1):
+            every = white_sides(lam, r)
+            whites[r] = every, [s for s in every if _flagged(_size(s[2]), 0, r, n)]
         for mu in partitions_of(n):
             for r in range(1, n // 2 + 1):
+                every, own = whites[r]
                 for black, black_root in black_sides(mu, r):
-                    q = _size(black)
-                    for i0, j0, white, white_root in whites[r]:
-                        if _flagged(_size(white), q, r, n):
-                            a = ArrayTuple(white, white_root, black, black_root, i0, j0)
-                            sv = F_formula(a, n)
-                            out.append(
-                                DegenerateStratum(n, lam, mu, r, a, sv.diagnostics, int(sv.value))
-                            )
+                    walk = every if _flagged(0, _size(black), r, n) else own
+                    for i0, j0, white, white_root in walk:
+                        a = ArrayTuple(white, white_root, black, black_root, i0, j0)
+                        sv = F_formula(a, n)
+                        out.append(
+                            DegenerateStratum(n, lam, mu, r, a, sv.diagnostics, int(sv.value))
+                        )
     return tuple(out)
 
 
@@ -449,19 +455,17 @@ def complex_expansion(n: int) -> MonomialExpansion:
     """Monomial expansion of the order-n complex moment.
 
     The coefficient depends on the two lengths alone, so it is computed
-    once per pair of lengths and looked up for each pair of partitions.
+    once per pair of lengths, and the nonzero ``(mu, coefficient)`` row of
+    each length of ``lam`` is built once.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    by_length = [[_complex_length_coeff(n, k, l) for l in range(n + 1)] for k in range(n + 1)]
-    coeffs = {}
-    for lam in partitions_of(n):
-        row = by_length[len(lam)]
-        for mu in partitions_of(n):
-            c = row[len(mu)]
-            if c:
-                coeffs[(lam, mu)] = c
-    return MonomialExpansion(n, coeffs)
+    parts = partitions_of(n)
+    rows = {}
+    for k in range(1, n + 1):
+        by_length = [_complex_length_coeff(n, k, l) for l in range(n + 1)]
+        rows[k] = [(mu, by_length[len(mu)]) for mu in parts if by_length[len(mu)]]
+    return MonomialExpansion(n, {(lam, mu): c for lam in parts for mu, c in rows[len(lam)]})
 
 
 def q_real(n: int, l: int, m: int) -> Fraction:

@@ -428,9 +428,10 @@ class PartitionedHypermap:
         n = self.f3.n
         ground = set(range(2 * n))
         problems: list[str] = []
+        f3 = self.f3.image
         for name, blocks, stab in (
-            ("pi1", self.pi1, canonical_f1(n)),
-            ("pi2", self.pi2, canonical_f2(n)),
+            ("pi1", self.pi1, canonical_f1(n).image),
+            ("pi2", self.pi2, canonical_f2(n).image),
         ):
             covered: set[int] = set()
             for block in blocks:
@@ -438,7 +439,7 @@ class PartitionedHypermap:
                     problems.append(f"{name} blocks overlap")
                 covered |= block
                 for x in block:
-                    if stab(x) not in block or self.f3(x) not in block:
+                    if stab[x] not in block or f3[x] not in block:
                         problems.append(f"{name} block {sorted(block)} is not stable")
                         break
                 hats = sum(1 for x in block if x >= n)

@@ -55,8 +55,9 @@ class _BilinearExpansion:
     coeffs: Mapping[Key, Fraction] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        parts = frozenset(partitions_of(self.n) if self.coeffs and self.n >= 0 else ())
         for lam, mu in self.coeffs:
-            if lam.n != self.n or mu.n != self.n:
+            if lam not in parts or mu not in parts:
                 raise ValueError(f"key ({lam}, {mu}) does not index order {self.n}")
         # A private read-only copy in canonical order: the caller's dict is
         # neither converted nor shared, and a cached expansion cannot be

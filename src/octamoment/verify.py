@@ -58,13 +58,17 @@ def suite_bijection(n_max: int = 5) -> list[CheckResult]:
         bad = None
         for h in hm.iter_partitioned_hypermaps(n):
             forest = fo.theta_forward(h)
-            if fo.validate_forest(forest):
+            try:  # theta_inverse validates the forest first (step 0)
+                back = fo.theta_inverse(forest)
+            except fo.MalformedForestError as err:
+                if err.step:
+                    raise
                 bad = f"invalid forest for {h}"
                 break
             if fo.forest_degree(forest) != hm.degree_array(h):
                 bad = f"degree mismatch for {h}"
                 break
-            if fo.theta_inverse(forest) != h:
+            if back != h:
                 bad = f"round trip failed for {h}"
                 break
             count += 1

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from octamoment.arrays import ArrayTuple, elementary, enumerate_M
+from octamoment.arrays import ArrayTuple, enumerate_M
 from octamoment.forests import (
     EDGE,
     LOOP,
@@ -129,13 +129,11 @@ def test_forest_counts_match_oracle():
 
 
 def test_forest_enumeration_examples():
-    one = ArrayTuple.make(black=elementary(1, 0), seed_degree=1, seed_loops=0)
+    one = ArrayTuple.from_vertices(1, 0, [("b", False, 1, 0)])
     assert len(enumerate_forests(one)) == 1
-    degenerate = ArrayTuple.make(
-        black_root=elementary(2, 1), seed_degree=2, seed_loops=1
-    )
+    degenerate = ArrayTuple.from_vertices(2, 1, [("b", True, 2, 1)])
     assert len(enumerate_forests(degenerate)) == 1
-    plain = ArrayTuple.make(black=elementary(2, 0), seed_degree=2, seed_loops=0)
+    plain = ArrayTuple.from_vertices(2, 0, [("b", False, 2, 0)])
     assert len(enumerate_forests(plain)) == 2
 
 
@@ -180,12 +178,8 @@ def test_worked_11_edge_example():
     returns exactly the printed pairing and blocks."""
     h = worked_example_11()
     assert h.validate() == []
-    expected = ArrayTuple.make(
-        white=elementary(4, 1),
-        black=elementary(7, 2),
-        black_root=elementary(4, 2),
-        seed_degree=7,
-        seed_loops=3,
+    expected = ArrayTuple.from_vertices(
+        7, 3, [("w", False, 4, 1), ("b", False, 7, 2), ("b", True, 4, 2)]
     )
     assert degree_array(h) == expected
     f = theta_forward(h)

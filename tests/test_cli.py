@@ -1,5 +1,6 @@
 """Command-line surface: output shapes, determinism, exit codes."""
 
+import dataclasses
 import functools
 import hashlib
 import json
@@ -163,6 +164,22 @@ def test_suite_corollaries_n_max_sets_both_halves():
     ]
 
 
+def test_suite_bijection_reports_an_invalid_forest(monkeypatch):
+    # theta_inverse's own validation (step 0) is the suite's validity check.
+    forward = verify.fo.theta_forward
+
+    def recolored(h):
+        forest = forward(h)
+        return dataclasses.replace(
+            forest, colors=tuple("b" if c == "w" else "w" for c in forest.colors)
+        )
+
+    monkeypatch.setattr(verify.fo, "theta_forward", recolored)
+    first = verify.suite_bijection(1)[0]
+    assert first.name == "bijection/hypermap-round-trip n=1" and not first.ok
+    assert first.detail.startswith("invalid forest for f3 = ")
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -305,35 +322,69 @@ def test_json_output_rejects_non_finite_numbers():
             cli._json_dumps({"z_score": value})
 
 
+def _records(strata, counts=True):
+    """The ``DegenerateStratum.to_json()`` records, without the counts
+    unless ``counts``."""
+    records = [d.to_json() for d in strata]
+    if not counts:
+        for record in records:
+            del record["oracle_value"]
+    return records
+
+
+def test_strata_writer_equals_json_dumps_of_records():
+    # The report list (depth 1) and the expansion value (depth 2), with and
+    # without the counts, against the encoder on the records.
+    flagged = 0
+    for n in range(1, 10):
+        strata = degenerate_strata(n)
+        flagged += len(strata)
+        for counts in (True, False):
+            records = _records(strata, counts)
+            assert cli._strata_json(strata, 1, counts) == json.dumps(
+                records, indent=2, sort_keys=True
+            ), (n, counts)
+            nested = json.dumps({"degenerate_strata": records}, indent=2, sort_keys=True)
+            assert nested == '{\n  "degenerate_strata": ' + cli._strata_json(
+                strata, 2, counts
+            ) + "\n}", (n, counts)
+    assert flagged > 0 and not degenerate_strata(1)
+    assert cli._strata_json((), 1) == cli._strata_json((), 2, False) == "[]"
+
+
 def _expansion_cases():
-    """(head fields, expansion) for every branch of ``expansion``."""
+    """(field, expansion, strata, counts) for every branch of ``expansion``."""
     for n in range(1, 13):
-        yield {"n": n, "field": "complex", "degenerate_strata": []}, complex_expansion(n)
+        yield "complex", complex_expansion(n), (), True
     for n in range(1, 6):
-        expansion = real_expansion(n)
-        strata = [d.to_json() for d in degenerate_strata(n)]
-        yield {"n": n, "field": "real", "degenerate_strata": strata}, expansion
+        yield "real", real_expansion(n), degenerate_strata(n), True
     for n in range(2, 8):
         # the strict view: no pair with a flagged stratum, no counts
-        full = real_expansion(n)
-        flagged = {(d.lam, d.mu) for d in degenerate_strata(n)}
-        kept = {key: c for key, c in full.items() if key not in flagged}
-        strata = [d.to_json() for d in degenerate_strata(n)]
-        for record in strata:
-            del record["oracle_value"]
-        yield {"n": n, "field": "real", "degenerate_strata": strata}, MonomialExpansion(n, kept)
-    yield {"n": 3, "field": "real", "degenerate_strata": []}, MonomialExpansion(3)
+        strata = degenerate_strata(n)
+        flagged = {(d.lam, d.mu) for d in strata}
+        kept = {key: c for key, c in real_expansion(n).items() if key not in flagged}
+        yield "real", MonomialExpansion(n, kept), strata, False
+    yield "real", MonomialExpansion(3), (), True
 
 
 def test_expansion_writer_equals_json_dumps_of_records():
     cases = 0
-    for head, expansion in _expansion_cases():
-        reference = {**head, "terms": expansion.to_records()}
-        text = cli._expansion_json(head, expansion)
-        assert text == json.dumps(reference, indent=2, sort_keys=True) + "\n", head
+    for field, expansion, strata, counts in _expansion_cases():
+        reference = {
+            "n": expansion.n,
+            "field": field,
+            "degenerate_strata": _records(strata, counts),
+            "terms": expansion.to_records(),
+        }
+        text = cli._expansion_json(field, expansion, strata, counts)
+        assert text == json.dumps(reference, indent=2, sort_keys=True) + "\n", (
+            field,
+            expansion.n,
+            counts,
+        )
         cases += 1
     assert cases == 12 + 5 + 6 + 1
-    assert '"terms": []' in cli._expansion_json({"n": 3, "field": "real"}, MonomialExpansion(3))
+    assert '"terms": []' in cli._expansion_json("real", MonomialExpansion(3))
 
 
 def test_expansion_terms_never_reach_json_dumps(capsys, monkeypatch):
@@ -349,10 +400,13 @@ def test_expansion_terms_never_reach_json_dumps(capsys, monkeypatch):
         ["expansion", "--n", "4", "--field", "complex"],
         ["expansion", "--n", "3", "--field", "real"],
         ["expansion", "--n", "3", "--field", "real", "--strict"],
+        ["report", "--n", "3"],
     ):
         code, out = run_cli(argv, capsys)
-        assert json.loads(out)["terms"]
-    assert dumped and not any("terms" in data for data in dumped)
+        record = json.loads(out)
+        assert record["terms"] if argv[0] == "expansion" else record
+    # Neither command calls json.dumps: no head, no strata record, no term.
+    assert dumped == []
 
 
 def test_byte_identical_reruns(capsys):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from octamoment.arrays import ArrayTuple, _sides, elementary, enumerate_M
+from octamoment.arrays import ArrayTuple, _sides, cells_of, enumerate_M
 from octamoment.cli import main
 from octamoment.closedform import (
     _factorial_leading,
@@ -73,15 +73,9 @@ def test_vertex_profiles_round_trip_every_stratum():
 
 
 def test_enumerate_M_examples():
-    assert enumerate_M(P1, P1, 0) == [
-        ArrayTuple.make(black=elementary(1, 0), seed_degree=1, seed_loops=0)
-    ]
-    assert enumerate_M(P2, P2, 1) == [
-        ArrayTuple.make(black_root=elementary(2, 1), seed_degree=2, seed_loops=1)
-    ]
-    assert enumerate_M(P2, P2, 0) == [
-        ArrayTuple.make(black=elementary(2, 0), seed_degree=2, seed_loops=0)
-    ]
+    assert enumerate_M(P1, P1, 0) == [ArrayTuple.from_vertices(1, 0, [("b", False, 1, 0)])]
+    assert enumerate_M(P2, P2, 1) == [ArrayTuple.from_vertices(2, 1, [("b", True, 2, 1)])]
+    assert enumerate_M(P2, P2, 0) == [ArrayTuple.from_vertices(2, 0, [("b", False, 2, 0)])]
 
 
 def test_enumerate_M_keys_are_consistent():
@@ -104,11 +98,11 @@ def test_stratum_completeness_against_oracle():
 
 
 def test_F_formula_examples():
-    a1 = ArrayTuple.make(black=elementary(1, 0), seed_degree=1, seed_loops=0)
+    a1 = ArrayTuple.from_vertices(1, 0, [("b", False, 1, 0)])
     assert F_formula(a1, 1).value == 1
-    a2 = ArrayTuple.make(black=elementary(2, 0), seed_degree=2, seed_loops=0)
+    a2 = ArrayTuple.from_vertices(2, 0, [("b", False, 2, 0)])
     assert F_formula(a2, 2).value == 2
-    bad = ArrayTuple.make(black_root=elementary(2, 1), seed_degree=2, seed_loops=1)
+    bad = ArrayTuple.from_vertices(2, 1, [("b", True, 2, 1)])
     sv = F_formula(bad, 2)
     assert not sv.well_defined
     assert sv.value == lp_by_array(2)[bad] == 1
@@ -258,16 +252,8 @@ def _ref_enumerate_M(lam, mu, r):
                 j0 = r - wp
                 if j0 < 0 or 2 * j0 > i0:
                     continue
-                out.append(
-                    ArrayTuple.make(
-                        white=white,
-                        white_root=white_root,
-                        black=black,
-                        black_root=black_root,
-                        seed_degree=i0,
-                        seed_loops=j0,
-                    )
-                )
+                fields = (white, white_root, black, black_root)
+                out.append(ArrayTuple(*map(cells_of, fields), i0, j0))
     return out
 
 
@@ -496,10 +482,10 @@ def test_F_formula_matches_oracle_on_flagged_strata():
 def test_F_formula_raises_outside_its_domain():
     # Strata evaluated below their own order n: a pole survives, or the
     # limit is not an integer.
-    seed = ArrayTuple.make(black_root=elementary(2, 1), seed_degree=2, seed_loops=1)
+    seed = ArrayTuple.from_vertices(2, 1, [("b", True, 2, 1)])
     with pytest.raises(ArithmeticError, match="a pole survives"):
         F_formula(seed, 1)
-    a = ArrayTuple.make(white={(1, 0): 2}, black_root={(4, 1): 1}, seed_degree=2, seed_loops=1)
+    a = ArrayTuple.from_vertices(2, 1, [("w", False, 1, 0)] * 2 + [("b", True, 4, 1)])
     with pytest.raises(ArithmeticError, match="3/2 .* is not an integer"):
         F_formula(a, 2)
 
@@ -613,11 +599,10 @@ def test_complex_coeff_values():
 
 
 def test_complex_expansion_equals_complex_coeff():
-    for n in range(1, 11):
-        expansion = complex_expansion(n)
-        for lam in partitions_of(n):
-            for mu in partitions_of(n):
-                assert expansion.coeff(lam, mu) == complex_coeff(n, lam, mu)
+    for n in range(1, 13):
+        parts = partitions_of(n)
+        table = {(lam, mu): complex_coeff(n, lam, mu) for lam in parts for mu in parts}
+        assert dict(complex_expansion(n).coeffs) == {key: c for key, c in table.items() if c}
 
 
 def _transposed(expansion):

@@ -5,7 +5,7 @@ from math import factorial
 
 import pytest
 
-from octamoment.arrays import ArrayTuple, elementary
+from octamoment.arrays import ArrayTuple
 from octamoment.hypermaps import (
     DEFAULT_PAIRING_BOUND,
     BoundExceededError,
@@ -272,15 +272,11 @@ def test_oracle_caches_are_read_only():
 def test_degree_array_small_cases():
     # the unique 1-edge hypermap
     (h1,) = list(iter_partitioned_hypermaps(1))
-    assert degree_array(h1) == ArrayTuple.make(
-        black=elementary(1, 0), seed_degree=1, seed_loops=0
-    )
+    assert degree_array(h1) == ArrayTuple.from_vertices(1, 0, [("b", False, 1, 0)])
     # fully merged twisted pairing at n=2
     f3 = pairing_from_text(2, [("1", "2"), ("1^", "2^")])
     h = PartitionedHypermap.make(f3, [set(range(4))], [set(range(4))])
-    assert degree_array(h) == ArrayTuple.make(
-        black_root=elementary(2, 1), seed_degree=2, seed_loops=1
-    )
+    assert degree_array(h) == ArrayTuple.from_vertices(2, 1, [("b", True, 2, 1)])
 
 
 def figure_blocks_n12():
@@ -342,13 +338,17 @@ def test_worked_12_edge_example_degree_array():
     n, pi1, pi2 = figure_blocks_n12()
     lam = Partition([4, 3, 2, 2, 1])
     mu = Partition([5, 4, 3])
-    expected = ArrayTuple.make(
-        white={(3, 1): 1, (2, 0): 1},
-        white_root={(3, 1): 1},
-        black={(5, 1): 1, (4, 1): 1},
-        black_root={(3, 1): 1},
-        seed_degree=4,
-        seed_loops=1,
+    expected = ArrayTuple.from_vertices(
+        4,
+        1,
+        [
+            ("w", False, 3, 1),
+            ("w", False, 2, 0),
+            ("w", True, 3, 1),
+            ("b", False, 5, 1),
+            ("b", False, 4, 1),
+            ("b", True, 3, 1),
+        ],
     )
     arrays = set()
     witnesses = []

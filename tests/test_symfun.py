@@ -4,6 +4,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -185,3 +186,14 @@ def test_constructor_leaves_caller_dict_unchanged():
     assert type(expansion.coeff(p2, p11)) is Fraction
     coeffs[(p2, p2)] = 5
     assert expansion.coeff(p2, p2) == 0
+
+
+def test_key_of_another_order_is_rejected():
+    p21, p3, p4, p22 = Partition([2, 1]), Partition([3]), Partition([4]), Partition([2, 2])
+    for key in ((p21, p22), (p4, p3), (p4, p22), (Partition(), p3)):
+        for cls in (MonomialExpansion, PowerSumExpansion):
+            with pytest.raises(ValueError, match=r"does not index order 3"):
+                cls(3, {key: 1})
+    with pytest.raises(ValueError, match=r"does not index order -1"):
+        MonomialExpansion(-1, {(p3, p3): 1})
+    assert MonomialExpansion(3, {(p21, p3): 1}).coeff(p21, p3) == 1
