@@ -7,7 +7,7 @@ partitioned-hypermap enumeration, group-algebra products, the
 hypermap <-> permuted-forest bijection, and Monte Carlo sampling.
 """
 
-from .arrays import ArrayTuple, black_sides, elementary, enumerate_M, white_sides
+from .arrays import ArrayTuple, black_sides, enumerate_M, white_sides
 from .closedform import (
     DegenerateStratum,
     F_counts,

@@ -35,7 +35,6 @@ from .partitions import Partition
 __all__ = [
     "Cells",
     "ArrayTuple",
-    "elementary",
     "cells_of",
     "white_sides",
     "black_sides",
@@ -62,11 +61,6 @@ def cells_of(entries: Mapping[tuple[int, int], int] | Iterable[tuple[int, int, i
         if i < 1 or j < 0 or c < 0:
             raise ValueError(f"bad cell ({i}, {j}, {c})")
     return tuple(sorted(items))
-
-
-def elementary(i: int, j: int) -> Cells:
-    """The elementary array with a single 1 at position (i, j)."""
-    return cells_of([(i, j, 1)])
 
 
 def _size(cells: Cells) -> int:

@@ -67,21 +67,22 @@ class _BilinearExpansion:
             c = self.coeffs[key]
             coeffs[key] = c if isinstance(c, Fraction) else Fraction(c)
         object.__setattr__(self, "coeffs", MappingProxyType(coeffs))
+        object.__setattr__(self, "_terms", tuple((k, c) for k, c in coeffs.items() if c))
 
     def coeff(self, lam: Partition, mu: Partition) -> Fraction:
         return self.coeffs.get((Partition(lam), Partition(mu)), Fraction(0))
 
-    def items(self):
-        """Nonzero terms in canonical order."""
-        return [(k, v) for k, v in self.coeffs.items() if v]
+    def items(self) -> tuple[tuple[Key, Fraction], ...]:
+        """Nonzero terms in canonical order, filtered once at construction."""
+        return self._terms
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, _BilinearExpansion):
             return NotImplemented
-        return self.n == other.n and self.items() == other.items()
+        return self.n == other.n and self._terms == other._terms
 
     def __hash__(self):  # pragma: no cover - expansions are not dict keys
-        return hash((self.n, tuple(self.items())))
+        return hash((self.n, self._terms))
 
     def to_records(self) -> list[dict[str, str]]:
         """JSON-ready records {lambda, mu, coeff} in canonical order."""

@@ -12,7 +12,9 @@ from octamoment.cli import main
 from octamoment.closedform import q_compl, q_real
 from octamoment.hypermaps import pairing_power_sum_series
 from octamoment.moments import (
+    SHARD_SIZE,
     MatrixSpec,
+    _shard_rng,
     mc_moment_complex,
     mc_moment_real,
     moment_complex_exact,
@@ -240,6 +242,51 @@ PASS mc/fixed-seed-reproducible
 def test_verify_mc_output_is_pinned(capsys):
     assert main(["verify", "--suite", "mc", "--samples", "20000", "--seed", "3"]) == 0
     assert capsys.readouterr().out == VERIFY_MC_SEED3
+
+
+def _positive_definite(dim: int, complex_field: bool, seed: int) -> MatrixSpec:
+    # Positive definite X and Y make every tr T^n positive, so the means
+    # compare at a relative tolerance without cancellation.
+    rng = np.random.default_rng([dim, seed])
+    a = rng.standard_normal((dim, dim))
+    if complex_field:
+        a = a + 1j * rng.standard_normal((dim, dim))
+    s = a @ a.conj().T / dim + np.eye(dim)
+    return MatrixSpec.from_dense((s + s.conj().T) / 2)
+
+
+def _reference_estimate(n, x, y, samples, seed, complex_field):
+    """mean and std_error of tr (X U Y U^H)^n, one matrix power per sample,
+    over the estimator's Philox shards with N(0, 1/2) complex parts."""
+    xd, yd, m = x.dense(), y.dense(), x.dim
+    values = []
+    for k, start in enumerate(range(0, samples, SHARD_SIZE)):
+        count = min(SHARD_SIZE, samples - start)
+        rng = _shard_rng(seed, k)
+        u = rng.standard_normal((count, m, m))
+        if complex_field:
+            u = (u + 1j * rng.standard_normal((count, m, m))) * math.sqrt(0.5)
+        t = xd @ u @ yd @ np.conj(np.transpose(u, (0, 2, 1)))
+        values.append(np.trace(np.linalg.matrix_power(t, n), axis1=1, axis2=2).real)
+    v = np.concatenate(values)
+    return v.mean(), v.std(ddof=1) / math.sqrt(samples)
+
+
+@pytest.mark.parametrize("samples", [2, 1025, 16385])
+@pytest.mark.parametrize("dim", [1, 2, 5])
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_mc_kernel_matches_a_plain_matrix_power(field, dim, samples):
+    # 1025 samples cross a block of the kernel, 16385 a shard; n = 1..7
+    # covers the trace, odd and even splits of the power.
+    complex_field = field == "complex"
+    x = _positive_definite(dim, complex_field, 0)
+    y = _positive_definite(dim, complex_field, 1)
+    estimator = mc_moment_complex if complex_field else mc_moment_real
+    for n in range(1, 8):
+        est = estimator(n, x, y, samples, seed=13)
+        mean, std_error = _reference_estimate(n, x, y, samples, 13, complex_field)
+        assert est.mean == pytest.approx(mean, rel=1e-10, abs=0), n
+        assert est.std_error == pytest.approx(std_error, rel=1e-10, abs=0), n
 
 
 def test_mc_error_scales_with_samples():

@@ -188,6 +188,15 @@ def test_constructor_leaves_caller_dict_unchanged():
     assert expansion.coeff(p2, p2) == 0
 
 
+def test_items_are_the_nonzero_terms():
+    p2, p11 = Partition([2]), Partition([1, 1])
+    with_zero = MonomialExpansion(2, {(p11, p2): 0, (p2, p11): 3, (p2, p2): Fraction(0)})
+    assert with_zero.items() == (((p2, p11), Fraction(3)),)
+    assert with_zero.coeff(p11, p2) == 0
+    assert with_zero == MonomialExpansion(2, {(p2, p11): 3})
+    assert with_zero != MonomialExpansion(2, {(p2, p11): 3, (p2, p2): 1})
+
+
 def test_key_of_another_order_is_rejected():
     p21, p3, p4, p22 = Partition([2, 1]), Partition([3]), Partition([4]), Partition([2, 2])
     for key in ((p21, p22), (p4, p3), (p4, p22), (Partition(), p3)):
