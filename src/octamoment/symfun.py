@@ -4,7 +4,12 @@ change for bilinear series in two matrix alphabets.
 Evaluation goes through one table per alphabet: :func:`monomial_table`
 gives every ``m_lam`` of one degree in a single pass over the letters and
 :func:`power_sums` every ``p_k`` up to that degree, so a bilinear series
-evaluates each alphabet once, not once per term.
+evaluates each alphabet once, not once per term.  The monomial pass reads
+one memoized transition list per degree (the placement table: the states
+are the partitions of ``j <= n``, a transition places one exponent on
+one letter) and multiplies integers over the common denominator of the
+letters.  :class:`MonomialExpansion` evaluates in integers too, over the
+common denominator of its coefficients, and divides once at the end.
 
 Expansions are stored sparsely: a missing ``(lam, mu)`` key means the
 coefficient is 0.  Canonical key order everywhere is (reverse-lex ``lam``,
@@ -16,7 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property, lru_cache
 from math import lcm
+from operator import mul
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
@@ -45,6 +52,7 @@ __all__ = [
 ]
 
 Key = tuple[Partition, Partition]
+_Row = tuple[int, tuple[int, ...], tuple[int, ...]]  # lam index, mu indices, numerators
 
 
 @dataclass(frozen=True)
@@ -106,10 +114,32 @@ class _BilinearExpansion:
 class MonomialExpansion(_BilinearExpansion):
     """Expansion in m_lam(X) m_mu(Y)."""
 
+    @cached_property
+    def _integer_rows(self) -> tuple[int, tuple[_Row, ...]]:
+        """``(den, rows)``: the common denominator of the coefficients, and
+        one row ``(lam index, mu indices, numerators over den)`` per
+        ``lam``, indices in ``partitions_of(n)`` order.  Built on the first
+        evaluation, so an expansion that is only displayed never pays for
+        it."""
+        den = lcm(*{c.denominator for _, c in self._terms})
+        index = {lam: i for i, lam in enumerate(partitions_of(self.n))}
+        rows: dict[int, list[tuple[int, int]]] = {}
+        for (lam, mu), c in self._terms:
+            scaled = c.numerator * (den // c.denominator)
+            rows.setdefault(index[lam], []).append((index[mu], scaled))
+        return den, tuple((i, *zip(*row)) for i, row in rows.items())
+
     def evaluate(self, xs: Sequence[Fraction], ys: Sequence[Fraction]) -> Fraction:
-        mx = monomial_table(self.n, xs)
-        my = monomial_table(self.n, ys)
-        return sum((c * mx[lam] * my[mu] for (lam, mu), c in self.items()), Fraction(0))
+        """Integer arithmetic over the common denominators of the
+        coefficients and of each alphabet, one division at the end."""
+        mx, den_x = _monomial_numerators(self.n, xs)
+        my, den_y = _monomial_numerators(self.n, ys)
+        den, rows = self._integer_rows
+        total = 0
+        for i, cols, nums in rows:
+            if mx[i]:
+                total += mx[i] * sum(map(mul, nums, map(my.__getitem__, cols)))
+        return Fraction(total, den * den_x * den_y)
 
 
 class PowerSumExpansion(_BilinearExpansion):
@@ -147,36 +177,76 @@ def to_monomial(series: PowerSumExpansion) -> MonomialExpansion:
     return MonomialExpansion(series.n, {k: v for k, v in out.items() if v != 0})
 
 
-def monomial_table(n: int, eigs: Sequence[Fraction]) -> dict[Partition, Fraction]:
-    """``m_lam(eigs)`` for every partition ``lam`` of ``n``, in one pass.
+@lru_cache(maxsize=None)
+def _placements(n: int) -> tuple[int, tuple[tuple[int, tuple[tuple[int, int], ...]], ...]]:
+    """The placement table of degree ``n``: ``(state count, moves)``.
 
-    The state after a prefix of the letters is the multiset of exponents
-    placed so far, a partition of some ``j <= n``.  The next letter takes
-    no exponent or exactly one exponent ``k <= n - j``, weighted by its
-    ``k``-th power, so every monomial of degree ``n`` arises from exactly
-    one path.  The cost is ``O(d * n * sum_{j<=n} p(j))`` for ``d``
-    letters.  Letters are scaled to integers over their common
-    denominator, so the pass is pure integer arithmetic; ``m_lam`` is
-    homogeneous of degree ``n`` and takes the denominator ``den**n``.
+    The states are the partitions of every ``j <= n``, indexed so that the
+    larger ``j`` come first and state ``i < p(n)`` is
+    ``partitions_of(n)[i]``; the empty partition is the last state.  The
+    moves of a state ``src`` with ``j < n`` are its transitions
+    ``(src, k, dst)``, stored as ``(src, ((k, dst), ...))``: one letter
+    takes the exponent ``k``.  Sources come in ascending order and every
+    transition into a state comes from a later one, so a pass in this
+    order reads each state before any move of the same letter writes to
+    it.  Memoized; the table is a read-only tuple.
+    """
+    states = [lam for j in range(n, -1, -1) for lam in partitions_of(j)]
+    index = {lam: i for i, lam in enumerate(states)}
+    moves = []
+    for src, state in enumerate(states):
+        targets = tuple(
+            (k, index[tuple(sorted(state + (k,), reverse=True))])
+            for k in range(1, n - state.n + 1)
+        )
+        if targets:
+            moves.append((src, targets))
+    return len(states), tuple(moves)
+
+
+def _monomial_numerators(n: int, eigs: Sequence[Fraction]) -> tuple[list[int], int]:
+    """``m_lam(eigs)`` for every partition ``lam`` of ``n`` over one common
+    denominator: ``(numerators in partitions_of(n) order, den**n)``.
+
+    The letters are scaled to integers over their common denominator
+    ``den``; ``m_lam`` is homogeneous of degree ``n``, so it takes the
+    denominator ``den**n``.  Each nonzero letter is one in-place pass over
+    the moves of :func:`_placements`, a letter taking no exponent or
+    exactly one, so every monomial of degree ``n`` arises from exactly one
+    path.  A state still 0 (more parts than letters so far) is skipped
+    with all its moves.
     """
     if n < 0:
         raise ValueError("degree must be >= 0")
     xs = [Fraction(e) for e in eigs]
     den = lcm(*(x.denominator for x in xs))
-    states: dict[tuple[int, ...], int] = {(): 1}
+    size, moves = _placements(n)
+    values = [0] * size
+    values[-1] = 1
     for x in xs:
         a = x.numerator * (den // x.denominator)
         if a == 0:  # a zero letter can only take no exponent
             continue
         powers = [a**k for k in range(n + 1)]
-        nxt = dict(states)
-        for state, value in states.items():
-            for k in range(1, n - sum(state) + 1):
-                key = tuple(sorted(state + (k,), reverse=True))
-                nxt[key] = nxt.get(key, 0) + value * powers[k]
-        states = nxt
-    scale = den**n
-    return {lam: Fraction(states.get(lam, 0), scale) for lam in partitions_of(n)}
+        for src, targets in moves:
+            v = values[src]
+            if v:
+                for k, dst in targets:
+                    values[dst] += v * powers[k]
+    return values[: len(partitions_of(n))], den**n
+
+
+def monomial_table(n: int, eigs: Sequence[Fraction]) -> dict[Partition, Fraction]:
+    """``m_lam(eigs)`` for every partition ``lam`` of ``n``, in one pass
+    over the letters (:func:`_monomial_numerators`).
+
+    The state after a prefix of the letters is the multiset of exponents
+    placed so far, a partition of some ``j <= n``, so the cost is
+    ``O(d * n * sum_{j<=n} p(j))`` integer operations for ``d`` letters.
+    The result is a new dict on every call.
+    """
+    nums, scale = _monomial_numerators(n, eigs)
+    return {lam: Fraction(v, scale) for lam, v in zip(partitions_of(n), nums)}
 
 
 def power_sums(n: int, eigs: Sequence[Fraction]) -> list[Fraction]:

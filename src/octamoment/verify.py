@@ -317,19 +317,17 @@ def suite_mc(samples: int = 200_000, seed: int = 20240801) -> list[CheckResult]:
             exact = float(exact_moment(n, x, y))
             est = estimator(n, x, y, samples, field_seed)
             z = est.z_score(exact)
+            name = f"mc/{field} {label}"
+            if name == "mc/real n=2 m=2":
+                kept = est  # the estimate the reproducibility check draws again
             results.append(
-                CheckResult(
-                    f"mc/{field} {label}",
-                    abs(z) <= 5,
-                    f"mean={est.mean:.4f} exact={exact:.4f} z={z:+.2f}",
-                )
+                CheckResult(name, abs(z) <= 5, f"mean={est.mean:.4f} exact={exact:.4f} z={z:+.2f}")
             )
     rerun = mo.mc_moment_real(2, ident[2], ident[2], samples, seed)
-    rerun2 = mo.mc_moment_real(2, ident[2], ident[2], samples, seed)
     results.append(
         CheckResult(
             "mc/fixed-seed-reproducible",
-            (rerun.mean, rerun.std_error) == (rerun2.mean, rerun2.std_error),
+            (rerun.mean, rerun.std_error) == (kept.mean, kept.std_error),
         )
     )
     return results

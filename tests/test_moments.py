@@ -117,6 +117,22 @@ def test_projector_specialization():
                 assert moment_complex_exact(n, x, ident) == q_compl(n, l, m)
 
 
+@pytest.mark.parametrize("n", [12, 16, 20])
+def test_complex_projector_specialization_at_large_n(n):
+    # Ranks up to 3, and full rank n, where every length k <= n contributes.
+    cases = [(l, m, 3) for l in range(0, 4) for m in range(0, 4)] + [(n, n, n), (n, 1, n)]
+    for l, m, dim in cases:
+        x, y = MatrixSpec.projector(l, dim), MatrixSpec.projector(m, dim)
+        assert moment_complex_exact(n, x, y) == q_compl(n, l, m), (l, m)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_exact_moments_reject_an_order_below_1(n):
+    for exact_moment in (moment_real_exact, moment_complex_exact):
+        with pytest.raises(ValueError, match=r"^n must be >= 1$"):
+            exact_moment(n, I2, I2)
+
+
 @pytest.mark.parametrize("l, m", [(3, 2), (-1, 2), (0, 0), (1, 0), (0, -1)])
 def test_projector_rejects_a_rank_outside_0_to_m(l, m):
     with pytest.raises(ValueError, match="0 <= l <= m"):

@@ -8,10 +8,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from octamoment.closedform import complex_expansion
 from octamoment.hypermaps import pairing_power_sum_series
 from octamoment.moments import MatrixSpec, moment_complex_exact, moment_real_exact
 from octamoment.partitions import Partition, aut, partitions_of
 from octamoment.symfun import (
+    _placements,
     MonomialExpansion,
     PowerSumExpansion,
     eval_monomial,
@@ -206,3 +208,59 @@ def test_key_of_another_order_is_rejected():
     with pytest.raises(ValueError, match=r"does not index order -1"):
         MonomialExpansion(-1, {(p3, p3): 1})
     assert MonomialExpansion(3, {(p21, p3): 1}).coeff(p21, p3) == 1
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    n=st.integers(1, 10),
+    xs=st.lists(LETTERS, min_size=1, max_size=6),
+    ys=st.lists(LETTERS, min_size=1, max_size=6),
+)
+@example(n=10, xs=[Fraction(1, 2), -1], ys=[0, 2, 2])  # d < l(lam) for most lam
+@example(n=7, xs=[0, 0, 1], ys=[Fraction(-2, 3), Fraction(-2, 3), 5, 0, 1, 1])
+def test_complex_length_sums_match_the_expansion(n, xs, ys):
+    """The length-sum route against the assembled complex expansion and,
+    for n <= 7, the pairing enumeration in the power-sum basis."""
+    value = moment_complex_exact(n, MatrixSpec.from_eigs(xs), MatrixSpec.from_eigs(ys))
+    assert value == complex_expansion(n).evaluate(xs, ys)
+    if n <= 7:
+        assert value == pairing_power_sum_series(n, "complex").evaluate(xs, ys)
+
+
+def test_evaluate_with_non_integer_coefficients():
+    """Coefficients over a common denominator 21: the integer pass divides
+    once at the end and agrees with the power-sum route and a plain sum."""
+    p3, p21, p111 = Partition([3]), Partition([2, 1]), Partition([1, 1, 1])
+    series = PowerSumExpansion(3, {(p21, p3): Fraction(1, 3), (p111, p21): Fraction(2, 7)})
+    expanded = to_monomial(series)
+    assert {c.denominator for _, c in expanded.items()} == {7, 21}
+    xs = [Fraction(1, 2), -3, Fraction(2, 5)]
+    ys = [Fraction(-4, 3), 1, 0, Fraction(7, 2)]
+    mx, my = monomial_table(3, xs), monomial_table(3, ys)
+    plain = sum((c * mx[lam] * my[mu] for (lam, mu), c in expanded.items()), Fraction(0))
+    assert expanded.evaluate(xs, ys) == series.evaluate(xs, ys) == plain
+
+
+def test_monomial_table_is_a_fresh_dict():
+    xs = [Fraction(1, 2), 2, -1]
+    table = monomial_table(4, xs)
+    expected = dict(table)
+    table[Partition([4])] = Fraction(99)
+    del table[Partition([1, 1, 1, 1])]
+    table.clear()
+    assert monomial_table(4, xs) == expected
+
+
+def test_placement_table_size_and_order():
+    """Transition counts, and the order an in-place pass relies on: each
+    transition targets an earlier state, and the partitions of n come
+    first in ``partitions_of(n)`` order."""
+    for n, count in ((0, 0), (1, 1), (5, 26), (16, 2455), (20, 8266)):
+        size, moves = _placements(n)
+        assert size == sum(len(partitions_of(j)) for j in range(n + 1))
+        assert sum(len(targets) for _, targets in moves) == count
+        assert all(dst < src for src, targets in moves for _, dst in targets)
+        assert [src for src, _ in moves] == sorted(src for src, _ in moves)
+    assert _placements(4) is _placements(4)
+    table = monomial_table(4, [1, 1, 1, 1])
+    assert list(table) == list(partitions_of(4))
