@@ -15,11 +15,13 @@ stratum.  ``expansion --field real`` prints
 :func:`~octamoment.closedform.real_expansion`, which includes the flagged
 strata (resolved by continuation in ``n`` for every ``n``), and lists them
 from :func:`~octamoment.closedform.degenerate_strata`; ``report`` prints
-that list alone and assembles no coefficient.  ``expansion --strict`` is
-a view of the same two results, without the (lam, mu) pairs that have a
-flagged stratum and without the counts of the flagged strata.  A
+that list alone and assembles no coefficient.  ``expansion --strict``
+hands the same two results to the same writer, which leaves out the
+(lam, mu) pairs that have a flagged stratum and the counts of the flagged
+strata as it writes; no second expansion is built.  A
 ``bijection --input`` record with any of ``f3``, ``pi1`` or ``pi2`` is
-read as a hypermap, so a missing key is named.  Exit codes: 0 success, 1
+read as a hypermap, so a missing key is named, and its ``f3`` must list
+exactly ``n`` pairs.  Exit codes: 0 success, 1
 verification/validation failure, 2 flagged strata under ``--strict``, 3 a
 usage error (including a ``verify`` option the suite does not take), an
 argument outside the domain of the computation (such as ``n < 1``, an
@@ -39,7 +41,7 @@ import csv
 import io
 import json
 import sys
-from functools import cache
+from functools import cache, partial
 from json.encoder import encode_basestring_ascii
 from math import factorial
 
@@ -47,8 +49,7 @@ from . import closedform as cf
 from . import forests as fo
 from . import hypermaps as hm
 from . import moments as mo
-from .partitions import format_partition, format_rational, parse_partition, partitions_of
-from .symfun import MonomialExpansion
+from .partitions import format_partition, format_rational, partitions_of
 from .verify import SUITES, coeffs_self_check, run_suite
 
 
@@ -136,18 +137,25 @@ def _strata_json(strata, depth: int, counts: bool = True) -> str:
     return "[" + body + "\n" + "  " * (depth - 1) + "]"
 
 
-def _expansion_json(field: str, expansion, strata=(), counts: bool = True) -> str:
+def _expansion_json(field: str, expansion, strata=(), strict: bool = False) -> str:
     """``_json_dumps`` of the ``expansion`` record: ``n``, ``field``, the
     ``degenerate_strata`` (:func:`_strata_json`) and the ``"terms"``
     (``expansion.to_records()``), written from fixed templates without a
     record per term or stratum and without the indenting encoder.  A
     coefficient is a ``Fraction``, whose ``str`` is ``format_rational``.
+    The ``strict`` view leaves out the counts of the flagged strata and the
+    terms of their (lam, mu) pairs.
     """
     n = expansion.n
-    head = _HEAD % (_strata_json(strata, 2, counts), encode_basestring_ascii(field), n)
+    head = _HEAD % (_strata_json(strata, 2, not strict), encode_basestring_ascii(field), n)
+    flagged = {(d.lam, d.mu) for d in strata} if strict else ()
     names = {lam: _name(lam) for lam in partitions_of(n)}
     terms = ",".join(
-        [_TERM % (c, names[lam], names[mu]) for (lam, mu), c in expansion.items()]
+        [
+            _TERM % (c, names[lam], names[mu])
+            for (lam, mu), c in expansion.items()
+            if (lam, mu) not in flagged
+        ]
     )
     if not terms:
         return head + "[]\n}\n"
@@ -162,77 +170,52 @@ def cmd_coeffs(args) -> int:
         if not check.ok:
             print(check.line(), file=sys.stderr)
             return 1
-    rows: list[dict] = []
-    if args.kind in ("L", "b", "c"):
-        table = hm.L_table(n)
+    if args.per_array:
+        tallies = hm.lp_by_array(n)
+        _emit(_json_dumps({a.serialize(): c for a, c in tallies.items()}), args.out)
+        return 0
+    # One keyed table: (lam, mu, r) for L and LP, (lam, mu) for b and c.
+    if args.kind == "LP":
+        table = hm.lp_from_pairings(n)
+    elif args.kind == "L":
+        table = hm.L_table(n).entries
+    elif args.kind == "b":
+        table = hm.b_from_L(hm.L_table(n))
+    else:
+        table = hm.c_from_L(hm.L_table(n))
+    scale = 2**n * factorial(n)
+    rows = []
+    for key, value in sorted(table.items(), reverse=True):
+        row = dict(zip(("lambda", "mu", "r"), key))
+        row[args.kind] = value
         if args.kind == "L":
-            for (lam, mu, r), value in sorted(table.entries.items(), reverse=True):
-                rows.append(
-                    {
-                        "lambda": format_partition(lam),
-                        "mu": format_partition(mu),
-                        "r": r,
-                        "L": value,
-                        "b": 2**n * factorial(n) * value,
-                        "c": value if r == 0 else 0,
-                    }
-                )
-        else:
-            source = hm.b_from_L(table) if args.kind == "b" else hm.c_from_L(table)
-            for (lam, mu), value in sorted(source.items(), reverse=True):
-                rows.append(
-                    {
-                        "lambda": format_partition(lam),
-                        "mu": format_partition(mu),
-                        args.kind: value,
-                    }
-                )
-    else:  # LP
-        if args.per_array:
-            tallies = hm.lp_by_array(n)
-            payload = {a.serialize(): c for a, c in tallies.items()}
-            _emit(_json_dumps(payload), args.out)
-            return 0
-        lp = hm.lp_from_pairings(n)
-        for (nu, rho, r), value in sorted(lp.items(), reverse=True):
-            rows.append(
-                {
-                    "lambda": format_partition(nu),
-                    "mu": format_partition(rho),
-                    "r": r,
-                    "LP": value,
-                }
-            )
+            row["b"] = scale * value
+            row["c"] = value if row["r"] == 0 else 0
+        rows.append(row)
     _emit(_format_rows(rows, args.format), args.out)
     return 0
 
 
 def _format_rows(rows: list[dict], fmt: str) -> str:
+    """Write the coefficient rows (never empty for n >= 1), whose
+    ``lambda`` and ``mu`` are partitions, each name rendered once: json and
+    csv name them by parts, pretty by multiplicities in aligned columns."""
+    name = cache(partial(format_partition, style="mult" if fmt == "pretty" else "parts"))
+    rows = [{**row, "lambda": name(row["lambda"]), "mu": name(row["mu"])} for row in rows]
     if fmt == "json":
         return _json_dumps(rows)
+    headers = list(rows[0])
     if fmt == "csv":
         buffer = io.StringIO()
-        if rows:
-            writer = csv.DictWriter(buffer, fieldnames=list(rows[0].keys()))
-            writer.writeheader()
-            writer.writerows(rows)
+        writer = csv.DictWriter(buffer, fieldnames=headers)
+        writer.writeheader()
+        writer.writerows(rows)
         return buffer.getvalue()
-    # pretty: multiplicative partition notation, aligned columns
-    if not rows:
-        return "(empty)\n"
-    pretty_rows = []
-    for row in rows:
-        shown = dict(row)
-        for key in ("lambda", "mu"):
-            if key in shown:
-                shown[key] = format_partition(parse_partition(shown[key]), "mult")
-        pretty_rows.append(shown)
-    headers = list(pretty_rows[0].keys())
     widths = {
-        h: max(len(h), *(len(str(r[h])) for r in pretty_rows)) for h in headers
+        h: max(len(h), *(len(str(r[h])) for r in rows)) for h in headers
     }
     lines = ["  ".join(h.ljust(widths[h]) for h in headers)]
-    for row in pretty_rows:
+    for row in rows:
         lines.append("  ".join(str(row[h]).ljust(widths[h]) for h in headers))
     return "\n".join(lines) + "\n"
 
@@ -243,13 +226,7 @@ def cmd_expansion(args) -> int:
         expansion, strata = cf.complex_expansion(n), ()
     else:
         expansion, strata = cf.real_expansion(n), cf.degenerate_strata(n)
-        if args.strict:
-            # The strict view: no pair with a flagged stratum, and no counts.
-            flagged = {(d.lam, d.mu) for d in strata}
-            expansion = MonomialExpansion(
-                n, {key: c for key, c in expansion.items() if key not in flagged}
-            )
-    _emit(_expansion_json(args.field, expansion, strata, counts=not args.strict), args.out)
+    _emit(_expansion_json(args.field, expansion, strata, args.strict), args.out)
     if args.strict and strata:
         return 2
     return 0
@@ -267,13 +244,17 @@ def cmd_verify(args) -> int:
 
 def _hypermap_from_json(data: dict) -> hm.PartitionedHypermap:
     """Read the ``_hypermap_to_json`` form; a malformed record raises
-    ``ValueError``."""
+    ``ValueError``.  ``f3`` must list exactly ``n`` pairs, which is checked
+    before the pairing of ``2n`` labels is built."""
     try:
         n = data["n"]
         if type(n) is not int or n < 1:
             raise ValueError(f"hypermap 'n' must be a positive integer, got {n!r}")
+        f3 = data["f3"]
+        if len(f3) != n:
+            raise ValueError(f"hypermap 'f3' must list n = {n} pairs, got {len(f3)}")
         label = lambda x: hm.parse_element(str(x), n)  # noqa: E731
-        pairs = [(label(a), label(b)) for a, b in data["f3"]]
+        pairs = [(label(a), label(b)) for a, b in f3]
         blocks1, blocks2 = (
             [{label(x) for x in block} for block in data[key]] for key in ("pi1", "pi2")
         )
@@ -296,25 +277,24 @@ def _hypermap_to_json(h: hm.PartitionedHypermap) -> dict:
 def cmd_bijection(args) -> int:
     with open(args.input, "r", encoding="utf-8") as handle:
         data = json.load(handle)
-    if isinstance(data, dict) and data.keys() & {"f3", "pi1", "pi2"}:
+    forward = isinstance(data, dict) and data.keys() & {"f3", "pi1", "pi2"}
+    if forward:
         h = _hypermap_from_json(data)
         problems = h.validate()
-        if problems:
-            print(_json_dumps({"valid": False, "violations": problems}), end="")
-            return 1
+    else:
+        forest = fo.forest_from_json(data)
+        problems = fo.validate_forest(forest)
+    if problems:
+        print(_json_dumps({"valid": False, "violations": problems}), end="")
+        return 1
+    if forward:
         forest = fo.theta_forward(h)
         payload = {
             "direction": "hypermap->forest",
             "degree_array": hm.degree_array(h).to_json(),
             "forest": fo.forest_to_json(forest),
         }
-        dot = fo.forest_to_dot(forest)
     else:
-        forest = fo.forest_from_json(data)
-        problems = fo.validate_forest(forest)
-        if problems:
-            print(_json_dumps({"valid": False, "violations": problems}), end="")
-            return 1
         h = fo.theta_inverse(forest)
         payload = {
             "direction": "forest->hypermap",
@@ -322,10 +302,9 @@ def cmd_bijection(args) -> int:
             "hypermap": _hypermap_to_json(h),
             "pretty": str(h),
         }
-        dot = fo.forest_to_dot(forest)
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as handle:
-            handle.write(dot)
+            handle.write(fo.forest_to_dot(forest))
     _emit(_json_dumps(payload), args.out)
     return 0
 

@@ -20,10 +20,7 @@ shard is drawn whole (real parts, then imaginary parts) and its traces
 are computed in fixed blocks of ``_BLOCK`` samples, as
 ``T = (X U)(U Y^H)^H`` and ``tr T^n = tr(T^(n - h) T^h)`` with
 ``h = n // 2``; the complex traces are scaled by the exact ``2^-n``
-instead of scaling U.  Estimates are bit-identical from run to run and
-match the earlier kernel (``n - 1`` products per power, U scaled by
-``sqrt(1/2)``) to rounding, not bit for bit, at ``n >= 2`` and in the
-complex field.
+instead of scaling U.  Estimates are bit-identical from run to run.
 """
 
 from __future__ import annotations

@@ -353,34 +353,33 @@ def test_strata_writer_equals_json_dumps_of_records():
 
 
 def _expansion_cases():
-    """(field, expansion, strata, counts) for every branch of ``expansion``."""
+    """(field, expansion, strata, strict) for every branch of ``expansion``."""
     for n in range(1, 13):
-        yield "complex", complex_expansion(n), (), True
+        yield "complex", complex_expansion(n), (), False
     for n in range(1, 6):
-        yield "real", real_expansion(n), degenerate_strata(n), True
+        yield "real", real_expansion(n), degenerate_strata(n), False
     for n in range(2, 8):
-        # the strict view: no pair with a flagged stratum, no counts
-        strata = degenerate_strata(n)
-        flagged = {(d.lam, d.mu) for d in strata}
-        kept = {key: c for key, c in real_expansion(n).items() if key not in flagged}
-        yield "real", MonomialExpansion(n, kept), strata, False
-    yield "real", MonomialExpansion(3), (), True
+        yield "real", real_expansion(n), degenerate_strata(n), True
+    yield "real", MonomialExpansion(3), (), False
 
 
 def test_expansion_writer_equals_json_dumps_of_records():
     cases = 0
-    for field, expansion, strata, counts in _expansion_cases():
+    for field, expansion, strata, strict in _expansion_cases():
+        # the strict view: no pair with a flagged stratum, no counts
+        flagged = {(d.lam, d.mu) for d in strata} if strict else set()
+        kept = {key: c for key, c in expansion.items() if key not in flagged}
         reference = {
             "n": expansion.n,
             "field": field,
-            "degenerate_strata": _records(strata, counts),
-            "terms": expansion.to_records(),
+            "degenerate_strata": _records(strata, not strict),
+            "terms": MonomialExpansion(expansion.n, kept).to_records(),
         }
-        text = cli._expansion_json(field, expansion, strata, counts)
+        text = cli._expansion_json(field, expansion, strata, strict)
         assert text == json.dumps(reference, indent=2, sort_keys=True) + "\n", (
             field,
             expansion.n,
-            counts,
+            strict,
         )
         cases += 1
     assert cases == 12 + 5 + 6 + 1
@@ -470,6 +469,24 @@ GOLDEN = [
     # Recorded before the degree arrays were built from vertex profiles.
     ("coeffs --n 3 --kind LP --per-array", 0, "b14915e737b3db3bb006dc32228843496620f0c7386c6979cdc5b54573261784"),
     ("coeffs --n 5 --kind LP --per-array", 0, "6b20321bb3d676206c30f9a0a50afadcd080fcaaf62700e4b9a3f09ee38ed0ea"),
+    # Recorded before the coefficient rows were built in one loop and the
+    # partition names rendered once per row.
+    ("coeffs --n 3 --kind L --format pretty", 0, "a6d32129e25911123ae9292c27471b9d7db2889a79b225b9b59b91d2e410db31"),
+    ("coeffs --n 3 --kind L --format csv", 0, "0b9918baefc8573bde63fe07ef3c4bb1c969058dd57c7daa7ad8f449b78ee0ac"),
+    ("coeffs --n 3 --kind L --format json", 0, "d7279fb8e9c4fd3fe8375dcddaba1c9e9f0a39ec5dc82a845b8a9fa2215b8868"),
+    ("coeffs --n 3 --kind b --format pretty", 0, "7b32b5b484d9d430a7a727c66d223f31498c69890473cb0e438100dc67f21990"),
+    ("coeffs --n 3 --kind b --format csv", 0, "4aa7703057acf3d05397de9fad43641e659582b191a9bdfbdcc6717b8d2e5549"),
+    ("coeffs --n 3 --kind b --format json", 0, "112075a9fecf040f2b752efc995f203fb5b9bb5dafcbca5eee9a317d78cc4b2d"),
+    ("coeffs --n 3 --kind c --format pretty", 0, "25d1fbaf83e13f9491e99dd0f2e5fda7b0c539e3946cc83535e63fc1720ef75d"),
+    ("coeffs --n 3 --kind c --format csv", 0, "c1b02bbcebed6134a27a7e7c42a4be42d747680614b1c600992730375f8c1e24"),
+    ("coeffs --n 3 --kind c --format json", 0, "ed2e59cbb6e8f65b793ca672628f589710520a5a5380d45f572e7b10a9608984"),
+    ("coeffs --n 3 --kind LP --format pretty", 0, "cc3891800fe9916a376f006b4cbce7b965c5d3561f6460bfa7955ad87d3032f3"),
+    ("coeffs --n 3 --kind LP --format csv", 0, "1efe4a0b3ac800ae474b52846ba98a5cff2581960b19e71bac3cd8ec2ab230c3"),
+    ("coeffs --n 3 --kind LP --format json", 0, "0afc2437d11579e27edc8f48765f1605a1bac5e66c26e44abfc5f8c1c41b88db"),
+    ("coeffs --n 5 --kind L", 0, "8b1aebf03942c935cc3d2ceb4af366242298a5c7f8adc8c46463092f76eab439"),
+    ("coeffs --n 5 --kind b", 0, "b2e7a793f5791c95b501eb8bbddb8612ea73bbfd83c58d380fe7c2fac496c3f5"),
+    ("coeffs --n 5 --kind c", 0, "1efac8f77ab3c32f02403a861f19d0fb033b621f7206b256cf8ee41eec991496"),
+    ("coeffs --n 5 --kind LP", 0, "b3493af82e06d3402aa40ccfc5fb13a5cc06d64ce1dbbbbcd043f14059b01822"),
 ]
 
 
@@ -663,3 +680,113 @@ def test_console_entry_point():
     )
     assert result.returncode == 0
     assert "coeffs" in result.stdout
+
+
+# Two n = 3 hypermaps and their forests (one forest with loops and a thorn
+# pair, one with tree edges only), with the sha256 of stdout and of the
+# ``--dot`` file, recorded before ``bijection`` shared one output tail.
+BIJECTION_GOLDEN = [
+    (
+        {"n": 3, "f3": [["1", "1^"], ["2", "3^"], ["3", "2^"]],
+         "pi1": [["1", "2", "1^", "3^"], ["3", "2^"]],
+         "pi2": [["1", "1^"], ["2", "3", "2^", "3^"]]},
+        "fe6ee7848dab3bf163ee17ba331636ff56189b4f8b6352d6a5ca61916b66a566",
+        "852c6e404c075a08409fbc45461117f59e90dc60b5d1e56ede2fbfdb40cb0e45",
+    ),
+    (
+        {"seed": 0, "vertices": [
+            {"id": 0, "color": "white", "slots": [
+                {"kind": "edge", "child": 1}, {"kind": "edge", "child": 2}]},
+            {"id": 1, "color": "black", "slots": []},
+            {"id": 2, "color": "black", "slots": [{"kind": "edge", "child": 3}]},
+            {"id": 3, "color": "white", "slots": []}],
+         "loops": [], "thorn_matching": []},
+        "f0c59f80fa65ba3039c65db6725b0b21f21a22896aab9836753805f9d1ff504a",
+        "852c6e404c075a08409fbc45461117f59e90dc60b5d1e56ede2fbfdb40cb0e45",
+    ),
+    (
+        {"n": 3, "f3": [["1", "2^"], ["2", "3"], ["1^", "3^"]],
+         "pi1": [["1", "2", "3", "1^", "2^", "3^"]],
+         "pi2": [["1", "2", "3", "1^", "2^", "3^"]]},
+        "35690e50c6ba320a055ae09158b41d5185eb5c6ecb1b846ac6d83d585b790db7",
+        "8f184c3676dbf3e366baa240af8ffb781514c1fd0dbe6e4493924ea7a5216b7e",
+    ),
+    (
+        {"seed": 0, "vertices": [
+            {"id": 0, "color": "white", "slots": [
+                {"kind": "thorn", "label": "a"}, {"kind": "loop", "loop": 0},
+                {"kind": "loop", "loop": 0}]},
+            {"id": 1, "color": "black", "slots": [
+                {"kind": "loop", "loop": 0}, {"kind": "thorn", "label": "a"},
+                {"kind": "loop", "loop": 0}]}],
+         "loops": [{"vertex": 0, "loop": 0, "kind": "greek", "target": 1},
+                   {"vertex": 1, "loop": 0, "kind": "arrow", "target": 0}],
+         "thorn_matching": [[[0, 0], [1, 1]]]},
+        "200d676204219b5b8f6cebf391bea62ddeef48c6346ecf2fa952b6125a79e90a",
+        "8f184c3676dbf3e366baa240af8ffb781514c1fd0dbe6e4493924ea7a5216b7e",
+    ),
+]
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("record, stdout_digest, dot_digest", BIJECTION_GOLDEN,
+                         ids=["hypermap-edges", "forest-edges", "hypermap-loops", "forest-loops"])
+def test_golden_bijection_stdout_and_dot(record, stdout_digest, dot_digest, tmp_path, capsys):
+    path, dot = tmp_path / "in.json", tmp_path / "out.dot"
+    path.write_text(json.dumps(record), encoding="utf-8")
+    code, out = run_cli(["bijection", "--input", str(path), "--dot", str(dot)], capsys)
+    assert (code, _sha256(out), _sha256(dot.read_text(encoding="utf-8"))) == (
+        0,
+        stdout_digest,
+        dot_digest,
+    )
+
+
+def test_out_writes_the_stdout_bytes_to_the_file(tmp_path, capsys):
+    for argv, expected_code in (
+        (["coeffs", "--n", "3", "--kind", "c", "--format", "csv"], 0),
+        (["expansion", "--n", "3", "--field", "real", "--strict"], 2),
+    ):
+        code, out = run_cli(argv, capsys)
+        path = tmp_path / "out.txt"
+        assert run_cli([*argv, "--out", str(path)], capsys) == (expected_code, "")
+        assert code == expected_code and path.read_bytes() == out.encode()
+
+
+def test_bijection_rejects_invalid_hypermap(tmp_path, capsys):
+    # Blocks {1, 2} and {1^, 2^} are neither stable nor hat-balanced.
+    record = {**_VALID_N2, "n": 2, "pi1": [["1", "2"], ["1^", "2^"]]}
+    path, dot = tmp_path / "bad.json", tmp_path / "out.dot"
+    path.write_text(json.dumps(record), encoding="utf-8")
+    code = main(["bijection", "--input", str(path), "--dot", str(dot)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err == ""
+    payload = json.loads(captured.out)
+    assert payload["valid"] is False
+    assert payload["violations"] == [
+        "pi1 block [0, 1] is not stable",
+        "pi1 block [0, 1] is hat-unbalanced",
+        "pi1 block [2, 3] is not stable",
+        "pi1 block [2, 3] is hat-unbalanced",
+    ]
+    assert not dot.exists()
+
+
+def test_hypermap_n_beyond_its_pairs_is_rejected_before_allocation(tmp_path, capsys, monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("the pairing was built")
+
+    monkeypatch.setattr(cli.hm.Pairing, "from_pairs", unreachable)
+    record = {"n": 10**9, "f3": [], "pi1": [], "pi2": []}
+    line = _one_error_line(["bijection", "--input", "bad.json"], record, tmp_path, capsys)
+    assert line == "octamoment: error: hypermap 'f3' must list n = 1000000000 pairs, got 0"
+
+
+@pytest.mark.parametrize("suite, n_max", [("complex", 4), ("bijection", 3)])
+def test_suite_passes_at_small_n(suite, n_max):
+    results = verify.run_suite(suite, n_max=n_max)
+    assert len(results) >= n_max
+    assert all(check.ok for check in results), [c.line() for c in results if not c.ok]
