@@ -11,7 +11,11 @@ standard error.  ``expansion`` and ``report`` write the same bytes
 without calling ``json.dumps``: :func:`_expansion_json` fills one fixed
 template for the head (``degenerate_strata``, ``field``, ``n``) and one
 per term (canonical order), and :func:`_strata_json` one per flagged
-stratum.  ``expansion --field real`` prints
+stratum.  ``expansion --field complex`` builds no expansion:
+:func:`_complex_expansion_json` writes the same head and term templates
+per length block, rendering the terms of each length of ``lam`` once from
+the cached length table (:func:`~octamoment.closedform.complex_rows`)
+and filling them once per ``lam``.  ``expansion --field real`` prints
 :func:`~octamoment.closedform.real_expansion`, which includes the flagged
 strata (resolved by continuation in ``n`` for every ``n``), and lists them
 from :func:`~octamoment.closedform.degenerate_strata`; ``report`` prints
@@ -31,7 +35,8 @@ unreadable input (a missing file, or a file or ``--x-eigs``/``--y-eigs``
 value that its reader rejects with ``ValueError``, such as a matrix entry
 other than a number or an ``[re, im]`` pair, a non-finite matrix entry or
 a matrix of dimension 0), reported as one ``octamoment: error:`` line on
-stderr.
+stderr.  The argument parser is built once per process, on the first
+:func:`main` call.
 """
 
 from __future__ import annotations
@@ -137,6 +142,13 @@ def _strata_json(strata, depth: int, counts: bool = True) -> str:
     return "[" + body + "\n" + "  " * (depth - 1) + "]"
 
 
+def _document(head: str, terms: str) -> str:
+    """The ``expansion`` record from its head and its joined terms."""
+    if not terms:
+        return head + "[]\n}\n"
+    return head + "[" + terms + "\n  ]\n}\n"
+
+
 def _expansion_json(field: str, expansion, strata=(), strict: bool = False) -> str:
     """``_json_dumps`` of the ``expansion`` record: ``n``, ``field``, the
     ``degenerate_strata`` (:func:`_strata_json`) and the ``"terms"``
@@ -157,9 +169,24 @@ def _expansion_json(field: str, expansion, strata=(), strict: bool = False) -> s
             if (lam, mu) not in flagged
         ]
     )
-    if not terms:
-        return head + "[]\n}\n"
-    return head + "[" + terms + "\n  ]\n}\n"
+    return _document(head, terms)
+
+
+def _complex_expansion_json(n: int) -> str:
+    """``_expansion_json("complex", complex_expansion(n))`` without the
+    expansion: the terms of every ``lam`` of one length ``k`` differ only
+    in ``lam``, so the text of each row of
+    :func:`~octamoment.closedform.complex_rows` is rendered once, with a
+    placeholder for ``lam``, and filled once per ``lam``."""
+    rows = cf.complex_rows(n)
+    parts = partitions_of(n)
+    names = {lam: _name(lam) for lam in parts}
+    blocks = {
+        k: ",".join([_TERM % (c, "%(lam)s", names[mu]) for mu, c in row])
+        for k, row in rows.items()
+    }
+    terms = ",".join([blocks[len(lam)] % {"lam": names[lam]} for lam in parts])
+    return _document(_HEAD % ("[]", '"complex"', n), terms)
 
 
 def cmd_coeffs(args) -> int:
@@ -223,9 +250,9 @@ def _format_rows(rows: list[dict], fmt: str) -> str:
 def cmd_expansion(args) -> int:
     n = args.n
     if args.field == "complex":
-        expansion, strata = cf.complex_expansion(n), ()
-    else:
-        expansion, strata = cf.real_expansion(n), cf.degenerate_strata(n)
+        _emit(_complex_expansion_json(n), args.out)
+        return 0
+    expansion, strata = cf.real_expansion(n), cf.degenerate_strata(n)
     _emit(_expansion_json(args.field, expansion, strata, args.strict), args.out)
     if args.strict and strata:
         return 2
@@ -326,15 +353,13 @@ def cmd_mc(args) -> int:
     x = _matrix_from_args(args.matrix_x, args.x_eigs, args.dim)
     y = _matrix_from_args(args.matrix_y, args.y_eigs, args.dim)
     if args.field == "real":
-        estimate = mo.mc_moment_real(args.n, x, y, args.samples, args.seed)
+        sample, exact_moment = mo.mc_moment_real, mo.moment_real_exact
     else:
-        estimate = mo.mc_moment_complex(args.n, x, y, args.samples, args.seed)
+        sample, exact_moment = mo.mc_moment_complex, mo.moment_complex_exact
+    estimate = sample(args.n, x, y, args.samples, args.seed)
     exact = None
     if x.eigs is not None and y.eigs is not None:
-        if args.field == "real":
-            exact = mo.moment_real_exact(args.n, x, y)
-        else:
-            exact = mo.moment_complex_exact(args.n, x, y)
+        exact = exact_moment(args.n, x, y)
     payload = estimate.to_json(exact)
     if exact is not None:
         payload["exact_rational"] = format_rational(exact)
@@ -357,7 +382,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(3, f"octamoment: error: {message}\n")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``octamoment`` parser, built on first use and then shared by
+    every :func:`main` call of the process; callers must not change it."""
     parser = _Parser(
         prog="octamoment",
         description=(

@@ -47,7 +47,6 @@ from .partitions import (
     aut,
     falling,
     format_partition,
-    inv_factorial,
     multinomial,
     odd_double_factorial,
     partitions_of,
@@ -63,6 +62,8 @@ __all__ = [
     "degenerate_strata",
     "real_expansion",
     "complex_coeff",
+    "complex_length_coeffs",
+    "complex_rows",
     "complex_expansion",
     "q_real",
     "q_compl",
@@ -437,8 +438,27 @@ def real_expansion(n: int) -> MonomialExpansion:
     return MonomialExpansion(n, coeffs)
 
 
-def _complex_length_coeff(n: int, k: int, l: int) -> Fraction:
-    return n * factorial(n - k) * factorial(n - l) * inv_factorial(n + 1 - k - l)
+def _complex_length_coeff(n: int, k: int, l: int) -> int:
+    """``c(n, k, l) = n (n-k)! (n-l)! / (n+1-k-l)!`` for lengths ``k, l >=
+    1``, an integer (``(n-l)!/(n+1-k-l)!`` is a falling factorial), and 0
+    when ``k + l > n + 1``."""
+    if k + l > n + 1:
+        return 0
+    return n * factorial(n - k) * (factorial(n - l) // factorial(n + 1 - k - l))
+
+
+@lru_cache(maxsize=None)
+def complex_length_coeffs(n: int) -> tuple[tuple[int, int, int], ...]:
+    """The nonzero coefficients of the order-n complex moment by lengths:
+    ``(k, l, c(n, k, l))`` for ``1 <= k, l <= n`` with ``k + l <= n + 1``,
+    ordered by ``k`` then ``l``.  The coefficient of ``m_lam m_mu`` is
+    ``c(n, len(lam), len(mu))`` (:func:`complex_coeff`).  Memoized and
+    read-only."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return tuple(
+        (k, l, _complex_length_coeff(n, k, l)) for k in range(1, n + 1) for l in range(1, n + 2 - k)
+    )
 
 
 def complex_coeff(n: int, lam, mu) -> Fraction:
@@ -448,24 +468,31 @@ def complex_coeff(n: int, lam, mu) -> Fraction:
     lam, mu = Partition(lam), Partition(mu)
     if lam.n != n or mu.n != n:
         raise ValueError("lam and mu must partition n")
-    return _complex_length_coeff(n, lam.length, mu.length)
+    return Fraction(_complex_length_coeff(n, lam.length, mu.length))
+
+
+def complex_rows(n: int) -> dict[int, list[tuple[Partition, Fraction]]]:
+    """The row of each length ``k`` of ``lam`` in the order-n complex
+    moment: the nonzero ``(mu, c(n, k, len(mu)))`` in canonical ``mu``
+    order, read from :func:`complex_length_coeffs`, with one ``Fraction``
+    per pair of lengths.  Every ``lam`` of length ``k`` shares the row."""
+    by_length: dict[int, dict[int, Fraction]] = {}
+    for k, l, c in complex_length_coeffs(n):
+        by_length.setdefault(k, {})[l] = Fraction(c)
+    parts = partitions_of(n)
+    return {
+        k: [(mu, coeffs[len(mu)]) for mu in parts if len(mu) in coeffs]
+        for k, coeffs in by_length.items()
+    }
 
 
 def complex_expansion(n: int) -> MonomialExpansion:
-    """Monomial expansion of the order-n complex moment.
-
-    The coefficient depends on the two lengths alone, so it is computed
-    once per pair of lengths, and the nonzero ``(mu, coefficient)`` row of
-    each length of ``lam`` is built once.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    parts = partitions_of(n)
-    rows = {}
-    for k in range(1, n + 1):
-        by_length = [_complex_length_coeff(n, k, l) for l in range(n + 1)]
-        rows[k] = [(mu, by_length[len(mu)]) for mu in parts if by_length[len(mu)]]
-    return MonomialExpansion(n, {(lam, mu): c for lam in parts for mu, c in rows[len(lam)]})
+    """Monomial expansion of the order-n complex moment, filled from the
+    rows of :func:`complex_rows`."""
+    rows = complex_rows(n)
+    return MonomialExpansion(
+        n, {(lam, mu): c for lam in partitions_of(n) for mu, c in rows[len(lam)]}
+    )
 
 
 def q_real(n: int, l: int, m: int) -> Fraction:

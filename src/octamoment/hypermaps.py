@@ -77,10 +77,11 @@ DEFAULT_COSET_BOUND = 3         # iterates over S_{2n}
 
 
 class BoundExceededError(ValueError):
-    """An enumeration was requested beyond its configured size bound."""
+    """An enumeration oracle was asked for an ``n`` beyond its fixed size
+    bound (a ``DEFAULT_*_BOUND`` constant of its module)."""
 
     def __init__(self, what: str, n: int, bound: int):
-        super().__init__(f"{what}: n = {n} exceeds the configured bound {bound}")
+        super().__init__(f"{what}: n = {n} exceeds the oracle's fixed size bound {bound}")
         self.n = n
         self.bound = bound
 

@@ -27,13 +27,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import sqrt
 from typing import Sequence
 
 import numpy as np
 
-from .closedform import _complex_length_coeff, real_expansion
+from .closedform import complex_length_coeffs, real_expansion
 from .partitions import parse_rational, partitions_of
 from .symfun import _monomial_numerators
 
@@ -198,16 +197,15 @@ def moment_complex_exact(n: int, x: MatrixSpec, y: MatrixSpec) -> Fraction:
     """Exact order-n moment of X U Y U^* for complex Gaussian U.
 
     The coefficient of ``m_lam(X) m_mu(Y)`` depends on the two lengths
-    alone (:func:`~octamoment.closedform.complex_coeff`), so the moment is
-    ``sum_{k,l} c(n, k, l) M_k(X) M_l(Y)`` with ``M_k`` the sum of the
-    ``m_lam`` of length ``k``: at most ``n^2`` terms over one monomial
-    table per matrix, in integer arithmetic, without building
+    alone (:func:`~octamoment.closedform.complex_length_coeffs`), so the
+    moment is ``sum_{k,l} c(n, k, l) M_k(X) M_l(Y)`` with ``M_k`` the sum
+    of the ``m_lam`` of length ``k``: at most ``n^2`` terms over one
+    monomial table per matrix, in integer arithmetic, without building
     ``complex_expansion(n)``."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    coeffs = complex_length_coeffs(n)
     sx, den_x = _length_sums(n, x.exact_eigs())
     sy, den_y = _length_sums(n, y.exact_eigs())
-    total = sum(c * sx[k] * sy[l] for k, l, c in _complex_length_coeffs(n))
+    total = sum(c * sx[k] * sy[l] for k, l, c in coeffs)
     return Fraction(total, den_x * den_y)
 
 
@@ -219,15 +217,6 @@ def _length_sums(n: int, eigs: Sequence[Fraction]) -> tuple[list[int], int]:
     for lam, v in zip(partitions_of(n), nums):
         sums[len(lam)] += v
     return sums, den
-
-
-@lru_cache(maxsize=None)
-def _complex_length_coeffs(n: int) -> tuple[tuple[int, int, int], ...]:
-    """The nonzero ``(k, l, c(n, k, l))`` for lengths ``1 <= k, l <= n``;
-    ``n (n-k)! (n-l)! / (n+1-k-l)!`` is an integer when ``l >= 1``."""
-    lengths = range(1, n + 1)
-    coeffs = ((k, l, _complex_length_coeff(n, k, l)) for k in lengths for l in lengths)
-    return tuple((k, l, c.numerator) for k, l, c in coeffs if c)
 
 
 def _shard_rng(seed: int, shard: int) -> np.random.Generator:

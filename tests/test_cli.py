@@ -386,6 +386,44 @@ def test_expansion_writer_equals_json_dumps_of_records():
     assert '"terms": []' in cli._expansion_json("real", MonomialExpansion(3))
 
 
+def test_complex_writer_equals_json_dumps_of_records(capsys):
+    # The complex command writes per length block without building the
+    # expansion; its stdout is still the encoder's view of the expansion.
+    for n in range(1, 17):
+        reference = {
+            "n": n,
+            "field": "complex",
+            "degenerate_strata": [],
+            "terms": complex_expansion(n).to_records(),
+        }
+        expected = json.dumps(reference, indent=2, sort_keys=True) + "\n"
+        for strict in ([], ["--strict"]):
+            code, out = run_cli(["expansion", "--n", str(n), "--field", "complex", *strict], capsys)
+            assert (code, out) == (0, expected), (n, strict)
+
+
+@pytest.mark.parametrize(
+    "n, digest",
+    [
+        (14, "6687289fe69f444fa9f26fa66793a5a3a95cd63db69433abc7ffa9683f01602b"),
+        (16, "9e203140082fbffae30fb2f39ddc0cafa2e816de7ad814c5d5185f96edd17647"),
+    ],
+)
+def test_complex_expansion_digest_is_unchanged(n, digest, capsys):
+    # Recorded before the complex terms were written per length block.
+    code, out = run_cli(["expansion", "--n", str(n), "--field", "complex"], capsys)
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest)
+
+
+def test_complex_expansion_command_builds_no_expansion(capsys, monkeypatch):
+    def unreachable(n):
+        raise AssertionError("complex_expansion was built")
+
+    monkeypatch.setattr(cli.cf, "complex_expansion", unreachable)
+    code, out = run_cli(["expansion", "--n", "5", "--field", "complex"], capsys)
+    assert code == 0 and json.loads(out)["terms"]
+
+
 def test_expansion_terms_never_reach_json_dumps(capsys, monkeypatch):
     dumped = []
     real_dumps = json.dumps
@@ -433,6 +471,27 @@ def test_expansion_domain_error_exits_3_with_one_line(capsys):
     assert code == 3
     assert captured.out == ""
     assert captured.err.splitlines() == ["octamoment: error: n must be >= 1"]
+
+
+def test_oracle_bound_error_names_the_fixed_bound(capsys):
+    code = main(["coeffs", "--n", "9", "--kind", "L"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "octamoment: error: pairing classification: n = 9 exceeds the oracle's "
+        "fixed size bound 7"
+    ]
+
+
+def test_parser_is_built_once_per_process(capsys):
+    parser = cli.build_parser()
+    assert cli.build_parser() is parser
+    # One shared parser, but a fresh namespace per call: no option leaks.
+    assert main(["expansion", "--n", "2", "--field", "real", "--strict"]) == 2
+    assert main(["expansion", "--n", "2", "--field", "real"]) == 0
+    assert cli.build_parser() is parser
+    capsys.readouterr()
 
 
 # sha256 of stdout and the exit code of each command, recorded before the

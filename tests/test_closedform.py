@@ -25,6 +25,8 @@ from octamoment.closedform import (
     complex_coeff,
     DegenerateStratum,
     complex_expansion,
+    complex_length_coeffs,
+    complex_rows,
     degenerate_strata,
     q_compl,
     q_real,
@@ -603,6 +605,32 @@ def test_complex_expansion_equals_complex_coeff():
         parts = partitions_of(n)
         table = {(lam, mu): complex_coeff(n, lam, mu) for lam in parts for mu in parts}
         assert dict(complex_expansion(n).coeffs) == {key: c for key, c in table.items() if c}
+
+
+def test_complex_length_coeffs_is_the_nonzero_length_table():
+    for n in range(1, 13):
+        table = complex_length_coeffs(n)
+        assert table is complex_length_coeffs(n) and isinstance(table, tuple)
+        by_length = {(k, l): c for k, l, c in table}
+        for lam in partitions_of(n):
+            for mu in partitions_of(n):
+                expected = complex_coeff(n, lam, mu)
+                assert by_length.get((len(lam), len(mu)), 0) == expected
+        assert all(type(c) is int and c > 0 for _, _, c in table)
+        assert [kl[:2] for kl in table] == sorted(by_length)
+        rows = complex_rows(n)
+        assert sorted(rows) == list(range(1, n + 1))
+        for k, row in rows.items():
+            assert row == [
+                (mu, Fraction(by_length[k, len(mu)]))
+                for mu in partitions_of(n)
+                if (k, len(mu)) in by_length
+            ]
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            complex_length_coeffs(n)
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            complex_expansion(n)
 
 
 def _transposed(expansion):
