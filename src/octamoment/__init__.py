@@ -55,7 +55,6 @@ from .hypermaps import (
     lp_table,
     oracle_monomial_expansion,
     pairing_power_sum_series,
-    r_statistic,
 )
 from .moments import (
     MatrixSpec,
@@ -66,26 +65,19 @@ from .moments import (
     moment_real_exact,
 )
 from .partitions import (
-    ExactRational,
     Partition,
     aut,
     falling,
-    inv_factorial,
     multinomial,
     odd_double_factorial,
     partitions_of,
-    refinement_count,
     zee,
 )
 from .symfun import (
     MonomialExpansion,
     PowerSumExpansion,
-    eval_monomial,
-    eval_monomial_ones,
-    eval_power_sum,
     monomial_table,
     p_in_m_basis,
-    power_sums,
     to_monomial,
 )
 

@@ -465,6 +465,8 @@ def complex_coeff(n: int, lam, mu) -> Fraction:
     """Coefficient of m_lam(X) m_mu(Y) in the order-n complex moment:
     ``n (n-len(lam))! (n-len(mu))! / (n+1-len(lam)-len(mu))!``, which is 0
     when the lengths exceed n+1 in total."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     lam, mu = Partition(lam), Partition(mu)
     if lam.n != n or mu.n != n:
         raise ValueError("lam and mu must partition n")
@@ -527,6 +529,8 @@ def q_real(n: int, l: int, m: int) -> Fraction:
 def q_compl(n: int, l: int, m: int) -> Fraction:
     """Order-n complex moment of (I_l, I_m):
     ``n! sum_{p,q>=1} C(l;p) C(m;q) C(n-1; p-1, q-1)``."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if l < 0 or m < 0:
         raise ValueError("matrix ranks must be >= 0")
     total = Fraction(0)
@@ -544,6 +548,8 @@ def coeff_m_lambda_m_n(n: int, lam) -> int:
     """Coefficient of m_lam(X) m_(n)(Y) in the real expansion:
     the multinomial of the parts times the product of odd double
     factorials of the parts."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     lam = Partition(lam)
     if lam.n != n:
         raise ValueError("lam must partition n")
@@ -558,6 +564,8 @@ def coeff_m_lambda_m_n(n: int, lam) -> int:
 def coeff_hook(n: int, a: int) -> int:
     """Coefficient of m_(n-a,1^a)(X) m_(n-a,1^a)(Y) in the real expansion;
     0 unless ``2a <= n - 1``."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if a < 0:
         raise ValueError("a must be >= 0")
     if 2 * a > n - 1:

@@ -43,7 +43,6 @@ __all__ = [
     "compose",
     "cycle_type",
     "half_cycle_type",
-    "r_statistic",
     "iter_pairing_images",
     "ClassTable",
     "L_table",
@@ -123,6 +122,8 @@ class Pairing:
         return [(x, y) for x, y in enumerate(self.image) if x < y]
 
     def hat_pair_count(self) -> int:
+        """The r statistic: the number of hat/hat pairs, which equals the
+        number of non-hat/non-hat pairs."""
         n = self.n
         return sum(1 for x, y in self.pairs() if x >= n and y >= n)
 
@@ -223,11 +224,6 @@ def half_cycle_type(g: Pairing, h: Pairing) -> Partition:
     if g.n != h.n:
         raise ValueError("pairings act on different ground sets")
     return Partition(_half_cycle_lengths(compose(g.image, h.image)))
-
-
-def r_statistic(f3: Pairing) -> int:
-    """Number of hat/hat pairs (equals the number of non-hat/non-hat pairs)."""
-    return f3.hat_pair_count()
 
 
 def iter_pairing_images(m: int) -> Iterator[list[int]]:
@@ -458,7 +454,7 @@ class PartitionedHypermap:
 
     @property
     def r(self) -> int:
-        return r_statistic(self.f3)
+        return self.f3.hat_pair_count()
 
     def __str__(self) -> str:
         n = self.f3.n

@@ -2,10 +2,13 @@
 Gaussian U): exact evaluation of the expansions at eigenvalue lists, and
 Monte Carlo estimation on dense matrices.
 
-The exact layer works in rational arithmetic only; the Monte Carlo layer
-is double precision.  They meet nowhere except in test harnesses, which
-compare estimates against exact values with explicit statistical
-tolerances.
+The exact layer works in integer and rational arithmetic only:
+``moment_real_exact`` evaluates the real expansion through the one
+integer evaluation kernel of :mod:`~octamoment.symfun`, and
+``moment_complex_exact`` sums that kernel's monomial table by length;
+each divides once at the end.  The Monte Carlo layer is double
+precision.  They meet nowhere except in test harnesses, which compare
+estimates against exact values with explicit statistical tolerances.
 
 Complex normalization: the entries of the complex U have independent
 N(0, 1/2) real and imaginary parts, so E|u|^2 = 1.  This is the

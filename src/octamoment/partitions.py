@@ -1,8 +1,7 @@
 """Exact integer/partition combinatorics shared by every other module.
 
 All coefficient arithmetic is done with :class:`fractions.Fraction`;
-nothing in this module ever touches floating point.  ``ExactRational``
-is an alias for ``Fraction`` (always reduced, positive denominator).
+nothing in this module ever touches floating point.
 """
 
 from __future__ import annotations
@@ -15,16 +14,13 @@ from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
 __all__ = [
-    "ExactRational",
     "Partition",
     "partitions_of",
     "aut",
     "zee",
     "falling",
     "multinomial",
-    "inv_factorial",
     "odd_double_factorial",
-    "refinement_count",
     "coarsening_counts",
     "set_partitions",
     "parse_partition",
@@ -32,9 +28,6 @@ __all__ = [
     "parse_rational",
     "format_rational",
 ]
-
-ExactRational = Fraction
-
 
 class Partition(tuple):
     """Integer partition stored as a weakly decreasing tuple of positive parts.
@@ -135,17 +128,6 @@ def multinomial(alpha: int | Fraction, ks: Sequence[int]) -> Fraction:
     return Fraction(num) / den
 
 
-def inv_factorial(x: int) -> Fraction:
-    """``1/x!`` for ``x >= 0`` and 0 for negative integers.
-
-    This is the reciprocal-Gamma convention that makes the closed-form
-    sums terminate on their own support.
-    """
-    if x < 0:
-        return Fraction(0)
-    return Fraction(1, factorial(x))
-
-
 def odd_double_factorial(k: int) -> int:
     """``(2k-1)!! = (2k-1)(2k-3)...1`` with ``(-1)!! = 1``; counts the
     perfect matchings of ``2k`` points."""
@@ -194,14 +176,6 @@ def coarsening_counts(lam: Partition) -> Mapping[Partition, int]:
         nu = Partition(sum(lam[i] for i in block) for block in sp)
         counts[nu] = counts.get(nu, 0) + 1
     return MappingProxyType(counts)
-
-
-def refinement_count(lam: Partition, nu: Partition) -> int:
-    """Number of ways to merge the parts of ``lam`` into the parts of ``nu``
-    (0 when ``lam`` does not refine ``nu``)."""
-    if lam.n != nu.n:
-        raise ValueError(f"|lam| = {lam.n} != |nu| = {nu.n}")
-    return coarsening_counts(lam).get(nu, 0)
 
 
 _MULT_RE = re.compile(r"^\s*\[(.*)\]\s*$")

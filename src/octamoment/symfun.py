@@ -1,15 +1,19 @@
 """Monomial / power-sum symmetric function evaluation and the p -> m basis
 change for bilinear series in two matrix alphabets.
 
-Evaluation goes through one table per alphabet: :func:`monomial_table`
-gives every ``m_lam`` of one degree in a single pass over the letters and
-:func:`power_sums` every ``p_k`` up to that degree, so a bilinear series
-evaluates each alphabet once, not once per term.  The monomial pass reads
+Both bases evaluate through one integer kernel,
+``_BilinearExpansion.evaluate``.  Each basis names only its table: the
+values of every basis function of one degree at one alphabet, as
+integers over one common denominator.  The letters are scaled to
+integers over their common denominator ``den`` once, and each table is
+over ``den**n``.  The monomial table is one pass over the letters through
 one memoized transition list per degree (the placement table: the states
-are the partitions of ``j <= n``, a transition places one exponent on
-one letter) and multiplies integers over the common denominator of the
-letters.  :class:`MonomialExpansion` evaluates in integers too, over the
-common denominator of its coefficients, and divides once at the end.
+are the partitions of ``j <= n``, a transition places one exponent on one
+letter); the power-sum table multiplies the integer power sums of the
+scaled letters per partition.  The kernel evaluates each alphabet once,
+sums integer rows over the common denominator of the coefficients, and
+divides once at the end.  :func:`monomial_table` is the public view of
+the placement pass.
 
 Expansions are stored sparsely: a missing ``(lam, mu)`` key means the
 coefficient is 0.  Canonical key order everywhere is (reverse-lex ``lam``,
@@ -22,20 +26,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import lcm
+from math import lcm, prod
 from operator import mul
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .partitions import (
     Partition,
     aut,
     coarsening_counts,
-    falling,
     format_partition,
     format_rational,
-    parse_partition,
-    parse_rational,
     partitions_of,
 )
 
@@ -45,10 +46,6 @@ __all__ = [
     "p_in_m_basis",
     "to_monomial",
     "monomial_table",
-    "power_sums",
-    "eval_monomial",
-    "eval_monomial_ones",
-    "eval_power_sum",
 ]
 
 Key = tuple[Partition, Partition]
@@ -85,7 +82,7 @@ class _BilinearExpansion:
         return self._terms
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, _BilinearExpansion):
+        if type(other) is not type(self):  # the same coefficients differ across bases
             return NotImplemented
         return self.n == other.n and self._terms == other._terms
 
@@ -99,20 +96,6 @@ class _BilinearExpansion:
             {"lambda": names[lam], "mu": names[mu], "coeff": format_rational(c)}
             for (lam, mu), c in self.items()
         ]
-
-    @classmethod
-    def from_records(cls, n: int, records: Iterable[Mapping[str, str]]):
-        coeffs = {
-            (parse_partition(r["lambda"]), parse_partition(r["mu"])): parse_rational(
-                r["coeff"]
-            )
-            for r in records
-        }
-        return cls(n, coeffs)
-
-
-class MonomialExpansion(_BilinearExpansion):
-    """Expansion in m_lam(X) m_mu(Y)."""
 
     @cached_property
     def _integer_rows(self) -> tuple[int, tuple[_Row, ...]]:
@@ -130,28 +113,33 @@ class MonomialExpansion(_BilinearExpansion):
         return den, tuple((i, *zip(*row)) for i, row in rows.items())
 
     def evaluate(self, xs: Sequence[Fraction], ys: Sequence[Fraction]) -> Fraction:
-        """Integer arithmetic over the common denominators of the
-        coefficients and of each alphabet, one division at the end."""
-        mx, den_x = _monomial_numerators(self.n, xs)
-        my, den_y = _monomial_numerators(self.n, ys)
+        """The one evaluation kernel of both bases: integer arithmetic over
+        the common denominators of the coefficients and of each alphabet,
+        one division at the end.  A basis supplies ``_table(eigs)``, its
+        functions of degree ``n`` at the alphabet as integer numerators in
+        ``partitions_of(n)`` order and their denominator."""
+        fx, den_x = self._table(xs)
+        fy, den_y = self._table(ys)
         den, rows = self._integer_rows
         total = 0
         for i, cols, nums in rows:
-            if mx[i]:
-                total += mx[i] * sum(map(mul, nums, map(my.__getitem__, cols)))
+            if fx[i]:
+                total += fx[i] * sum(map(mul, nums, map(fy.__getitem__, cols)))
         return Fraction(total, den * den_x * den_y)
+
+
+class MonomialExpansion(_BilinearExpansion):
+    """Expansion in m_lam(X) m_mu(Y)."""
+
+    def _table(self, eigs: Sequence[Fraction]) -> tuple[list[int], int]:
+        return _monomial_numerators(self.n, eigs)
 
 
 class PowerSumExpansion(_BilinearExpansion):
     """Expansion in p_lam(X) p_mu(Y)."""
 
-    def evaluate(self, xs: Sequence[Fraction], ys: Sequence[Fraction]) -> Fraction:
-        px = power_sums(self.n, xs)
-        py = power_sums(self.n, ys)
-        return sum(
-            (c * _product(px, lam) * _product(py, mu) for (lam, mu), c in self.items()),
-            Fraction(0),
-        )
+    def _table(self, eigs: Sequence[Fraction]) -> tuple[list[int], int]:
+        return _power_sum_numerators(self.n, eigs)
 
 
 def p_in_m_basis(lam: Partition) -> dict[Partition, int]:
@@ -204,27 +192,32 @@ def _placements(n: int) -> tuple[int, tuple[tuple[int, tuple[tuple[int, int], ..
     return len(states), tuple(moves)
 
 
+def _scaled_letters(eigs: Sequence[Fraction]) -> tuple[list[int], int]:
+    """The letters as integers over their common denominator: ``(a, den)``
+    with ``eigs[i] = a[i] / den``.  A table of degree ``n`` built from
+    these integers is over ``den**n``."""
+    xs = [Fraction(e) for e in eigs]
+    den = lcm(*(x.denominator for x in xs))
+    return [x.numerator * (den // x.denominator) for x in xs], den
+
+
 def _monomial_numerators(n: int, eigs: Sequence[Fraction]) -> tuple[list[int], int]:
     """``m_lam(eigs)`` for every partition ``lam`` of ``n`` over one common
     denominator: ``(numerators in partitions_of(n) order, den**n)``.
 
-    The letters are scaled to integers over their common denominator
-    ``den``; ``m_lam`` is homogeneous of degree ``n``, so it takes the
-    denominator ``den**n``.  Each nonzero letter is one in-place pass over
-    the moves of :func:`_placements`, a letter taking no exponent or
-    exactly one, so every monomial of degree ``n`` arises from exactly one
-    path.  A state still 0 (more parts than letters so far) is skipped
-    with all its moves.
+    Each nonzero scaled letter (:func:`_scaled_letters`) is one in-place
+    pass over the moves of :func:`_placements`, a letter taking no
+    exponent or exactly one, so every monomial of degree ``n`` arises from
+    exactly one path.  A state still 0 (more parts than letters so far) is
+    skipped with all its moves.
     """
     if n < 0:
         raise ValueError("degree must be >= 0")
-    xs = [Fraction(e) for e in eigs]
-    den = lcm(*(x.denominator for x in xs))
+    letters, den = _scaled_letters(eigs)
     size, moves = _placements(n)
     values = [0] * size
     values[-1] = 1
-    for x in xs:
-        a = x.numerator * (den // x.denominator)
+    for a in letters:
         if a == 0:  # a zero letter can only take no exponent
             continue
         powers = [a**k for k in range(n + 1)]
@@ -234,6 +227,18 @@ def _monomial_numerators(n: int, eigs: Sequence[Fraction]) -> tuple[list[int], i
                 for k, dst in targets:
                     values[dst] += v * powers[k]
     return values[: len(partitions_of(n))], den**n
+
+
+def _power_sum_numerators(n: int, eigs: Sequence[Fraction]) -> tuple[list[int], int]:
+    """``p_lam(eigs)`` for every partition ``lam`` of ``n`` over one common
+    denominator: ``(numerators in partitions_of(n) order, den**n)``.
+
+    The power sum ``p_k`` of the scaled letters (:func:`_scaled_letters`)
+    is ``den**k p_k(eigs)``, an integer, and ``p_lam`` is the product of
+    the ``p_k`` of its parts."""
+    letters, den = _scaled_letters(eigs)
+    sums = [sum(a**k for a in letters) for k in range(n + 1)]
+    return [prod(map(sums.__getitem__, lam)) for lam in partitions_of(n)], den**n
 
 
 def monomial_table(n: int, eigs: Sequence[Fraction]) -> dict[Partition, Fraction]:
@@ -247,39 +252,3 @@ def monomial_table(n: int, eigs: Sequence[Fraction]) -> dict[Partition, Fraction
     """
     nums, scale = _monomial_numerators(n, eigs)
     return {lam: Fraction(v, scale) for lam, v in zip(partitions_of(n), nums)}
-
-
-def power_sums(n: int, eigs: Sequence[Fraction]) -> list[Fraction]:
-    """``[1, p_1, ..., p_n]`` at a finite alphabet: index ``k`` holds ``p_k``."""
-    xs = [Fraction(e) for e in eigs]
-    sums = [Fraction(1)]
-    powers = xs
-    for _ in range(n):
-        sums.append(sum(powers, Fraction(0)))
-        powers = [p * x for p, x in zip(powers, xs)]
-    return sums
-
-
-def _product(values: Sequence[Fraction], lam: Partition) -> Fraction:
-    prod = Fraction(1)
-    for part in lam:
-        prod *= values[part]
-    return prod
-
-
-def eval_monomial(lam: Partition, eigs: Sequence[Fraction]) -> Fraction:
-    """m_lam at a finite alphabet: sum of the distinct monomials with
-    exponent multiset ``lam``."""
-    return monomial_table(lam.n, eigs)[lam]
-
-
-def eval_monomial_ones(lam: Partition, l: int) -> Fraction:
-    """m_lam at ``l`` ones: ``(l)_{len(lam)} / Aut_lam``."""
-    if l < 0:
-        raise ValueError("alphabet size must be >= 0")
-    return Fraction(falling(l, lam.length), aut(lam))
-
-
-def eval_power_sum(lam: Partition, eigs: Sequence[Fraction]) -> Fraction:
-    """p_lam at a finite alphabet: product of the power sums of the parts."""
-    return _product(power_sums(max(lam, default=0), eigs), lam)

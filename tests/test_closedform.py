@@ -45,7 +45,6 @@ from octamoment.partitions import (
     aut,
     falling,
     format_partition,
-    inv_factorial,
     multinomial,
     partitions_of,
 )
@@ -149,7 +148,8 @@ def _ref_F_formula(a, n):
     i0, j0 = a.seed_degree, a.seed_loops
     weight = _ref_binomial_weight(a)
     afact = a.factorial_product()
-    thorn = inv_factorial(n - p - q - 2 * r)
+    x = n - p - q - 2 * r
+    thorn = Fraction(1, factorial(x)) if x >= 0 else Fraction(0)  # 1/x! is 0 at x < 0
 
     if r == 0:
         value = (
@@ -631,6 +631,22 @@ def test_complex_length_coeffs_is_the_nonzero_length_table():
             complex_length_coeffs(n)
         with pytest.raises(ValueError, match="n must be >= 1"):
             complex_expansion(n)
+
+
+@pytest.mark.parametrize(
+    "closed_form, args",
+    [
+        (q_compl, (0, 2, 2)),
+        (q_compl, (-1, 1, 1)),
+        (complex_coeff, (0, (), ())),
+        (coeff_m_lambda_m_n, (0, ())),
+        (coeff_hook, (-3, 0)),
+        (q_real, (0, 1, 1)),
+    ],
+)
+def test_closed_forms_reject_an_order_below_1(closed_form, args):
+    with pytest.raises(ValueError, match=r"^n must be >= 1$"):
+        closed_form(*args)
 
 
 def _transposed(expansion):

@@ -33,7 +33,6 @@ from octamoment.hypermaps import (
     oracle_monomial_expansion,
     pairing_power_sum_series,
     parse_element,
-    r_statistic,
 )
 from octamoment.partitions import (
     Partition,
@@ -90,9 +89,9 @@ def test_half_cycle_lengths_rejects_odd_multiplicity():
 
 
 def test_r_statistic():
-    assert r_statistic(canonical_f2(3)) == 0
-    assert r_statistic(canonical_f1(4)) == 0
-    assert r_statistic(pairing_from_text(2, [("1", "2"), ("1^", "2^")])) == 1
+    assert canonical_f2(3).hat_pair_count() == 0
+    assert canonical_f1(4).hat_pair_count() == 0
+    assert pairing_from_text(2, [("1", "2"), ("1^", "2^")]).hat_pair_count() == 1
 
 
 def test_L_table_small():
@@ -122,7 +121,7 @@ def test_L_table_matches_the_composition_route():
         ref: dict = {}
         for image in iter_pairing_images(2 * n):
             f3 = Pairing(n, tuple(image))
-            key = (half_cycle_type(f3, f1), half_cycle_type(f3, f2), r_statistic(f3))
+            key = (half_cycle_type(f3, f1), half_cycle_type(f3, f2), f3.hat_pair_count())
             ref[key] = ref.get(key, 0) + 1
         assert L_table(n).entries == ref
 
@@ -353,7 +352,7 @@ def test_worked_12_edge_example_degree_array():
     arrays = set()
     witnesses = []
     for f3 in compatible_pairings(n, pi1, pi2):
-        if r_statistic(f3) != 3:
+        if f3.hat_pair_count() != 3:
             continue
         if half_cycle_type(f3, canonical_f1(n)) != lam:
             continue

@@ -11,17 +11,21 @@ from hypothesis import strategies as st
 from octamoment.closedform import complex_expansion
 from octamoment.hypermaps import pairing_power_sum_series
 from octamoment.moments import MatrixSpec, moment_complex_exact, moment_real_exact
-from octamoment.partitions import Partition, aut, partitions_of
+from octamoment.partitions import (
+    Partition,
+    aut,
+    falling,
+    parse_partition,
+    parse_rational,
+    partitions_of,
+)
 from octamoment.symfun import (
     _placements,
+    _power_sum_numerators,
     MonomialExpansion,
     PowerSumExpansion,
-    eval_monomial,
-    eval_monomial_ones,
-    eval_power_sum,
     monomial_table,
     p_in_m_basis,
-    power_sums,
     to_monomial,
 )
 
@@ -37,6 +41,15 @@ def placement_walk(lam, eigs):
             term *= xs[j] ** part
         total += term
     return total / aut(lam)
+
+
+def power_sum_product(lam, eigs):
+    """Reference p_lam: the product over the parts k of sum_i x_i^k."""
+    xs = [Fraction(e) for e in eigs]
+    total = Fraction(1)
+    for part in lam:
+        total *= sum((x**part for x in xs), Fraction(0))
+    return total
 
 
 def test_p_in_m_examples():
@@ -56,31 +69,31 @@ def test_p_in_m_matches_direct_evaluation():
     rng = random.Random(2024)
     for n in range(1, 9):
         alphabets = list(random_alphabets(rng))
+        tables = [monomial_table(n, xs) for xs in alphabets]
         for lam in partitions_of(n):
             expansion = p_in_m_basis(lam)
-            for xs in alphabets:
-                direct = eval_power_sum(lam, xs)
-                via_m = sum(
-                    (c * eval_monomial(mu, xs) for mu, c in expansion.items()),
-                    Fraction(0),
-                )
+            for xs, table in zip(alphabets, tables):
+                direct = power_sum_product(lam, xs)
+                via_m = sum((c * table[mu] for mu, c in expansion.items()), Fraction(0))
                 assert direct == via_m, (lam, xs)
 
 
 def test_eval_monomial_examples():
-    assert eval_monomial_ones(Partition([1, 1]), 3) == 3
-    assert eval_monomial(Partition([2]), [1, 1]) == 2
+    assert monomial_table(2, [1, 1, 1])[Partition([1, 1])] == 3
+    assert monomial_table(2, [1, 1])[Partition([2])] == 2
     a, b = Fraction(2, 3), Fraction(-1, 2)
-    assert eval_monomial(Partition([2, 1]), [a, b]) == a**2 * b + a * b**2
-    assert eval_monomial(Partition([1, 1, 1]), [1, 2]) == 0
-    assert eval_monomial(Partition(), [1, 2]) == 1
+    assert monomial_table(3, [a, b])[Partition([2, 1])] == a**2 * b + a * b**2
+    assert monomial_table(3, [1, 2])[Partition([1, 1, 1])] == 0
+    assert monomial_table(0, [1, 2]) == {Partition(): 1}
 
 
 def test_eval_monomial_ones_matches_explicit_alphabet():
+    """m_lam at l ones is (l)_{len(lam)} / Aut_lam."""
     for n in range(1, 9):
-        for lam in partitions_of(n):
-            for l in range(0, 7):
-                assert eval_monomial_ones(lam, l) == eval_monomial(lam, [1] * l)
+        for l in range(0, 7):
+            table = monomial_table(n, [1] * l)
+            for lam in partitions_of(n):
+                assert table[lam] == Fraction(falling(l, lam.length), aut(lam))
 
 
 def test_to_monomial_expands_each_slot():
@@ -127,7 +140,13 @@ def test_records_round_trip_and_order():
     # canonical key order: reverse-lex lambda then reverse-lex mu
     keys = [(r["lambda"], r["mu"]) for r in records]
     assert keys == [("2", "2"), ("2", "1,1")]
-    back = MonomialExpansion.from_records(2, records)
+    back = MonomialExpansion(
+        2,
+        {
+            (parse_partition(r["lambda"]), parse_partition(r["mu"])): parse_rational(r["coeff"])
+            for r in records
+        },
+    )
     assert back == exp
 
 
@@ -151,9 +170,9 @@ def test_monomial_table_matches_placement_walk(n, xs):
     assert set(table) == set(partitions_of(n))
     for lam in partitions_of(n):
         assert table[lam] == placement_walk(lam, xs), (lam, xs)
-        assert eval_monomial(lam, xs) == table[lam]
-    expected = [sum((Fraction(x) ** k for x in xs), Fraction(0)) for k in range(1, n + 1)]
-    assert power_sums(n, xs) == [1] + expected
+    nums, den = _power_sum_numerators(n, xs)
+    for lam, v in zip(partitions_of(n), nums):
+        assert Fraction(v, den) == power_sum_product(lam, xs), (lam, xs)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -264,3 +283,47 @@ def test_placement_table_size_and_order():
     assert _placements(4) is _placements(4)
     table = monomial_table(4, [1, 1, 1, 1])
     assert list(table) == list(partitions_of(4))
+
+
+@st.composite
+def expansions(draw):
+    """A random expansion in either basis with rational coefficients."""
+    n = draw(st.integers(0, 5))
+    parts = partitions_of(n)
+    keys = st.tuples(st.sampled_from(parts), st.sampled_from(parts))
+    coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+    cls = draw(st.sampled_from([MonomialExpansion, PowerSumExpansion]))
+    return cls(n, draw(st.dictionaries(keys, coeffs, max_size=8)))
+
+
+P3, P21, P111 = Partition([3]), Partition([2, 1]), Partition([1, 1, 1])
+P4, P31, P22, P1111 = Partition([4]), Partition([3, 1]), Partition([2, 2]), Partition([1] * 4)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(series=expansions(), xs=st.lists(LETTERS, max_size=5), ys=st.lists(LETTERS, max_size=5))
+@example(series=PowerSumExpansion(3, {(P21, P3): Fraction(1, 3)}), xs=[], ys=[1, 2])
+@example(series=MonomialExpansion(3, {(P111, P21): Fraction(-2, 7)}), xs=[0, 0], ys=[])
+@example(series=PowerSumExpansion(0, {(Partition(), Partition()): Fraction(5, 2)}), xs=[], ys=[])
+@example(
+    series=PowerSumExpansion(4, {(P22, P1111): Fraction(3, 5), (P4, P31): -1}),
+    xs=[0, Fraction(1, 2), 0, Fraction(-2, 3)],
+    ys=[Fraction(5, 4), 0, 2],
+)
+def test_evaluate_matches_a_plain_fraction_sum(series, xs, ys):
+    """The integer kernel of both bases against the term-by-term Fraction
+    sum over the reference basis functions."""
+    f = placement_walk if isinstance(series, MonomialExpansion) else power_sum_product
+    plain = sum(
+        (c * f(lam, xs) * f(mu, ys) for (lam, mu), c in series.items()), Fraction(0)
+    )
+    assert series.evaluate(xs, ys) == plain
+
+
+def test_bases_are_not_equal_with_the_same_coefficients():
+    key = (Partition([1, 1]), Partition([1, 1]))
+    m, p = MonomialExpansion(2, {key: 1}), PowerSumExpansion(2, {key: 1})
+    assert m != p and p != m
+    assert m.evaluate([1, 2], [1, 2]) == 4
+    assert p.evaluate([1, 2], [1, 2]) == 81
+    assert m == MonomialExpansion(2, {key: Fraction(1)})
