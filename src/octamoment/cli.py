@@ -15,10 +15,11 @@ stratum.  ``expansion --field complex`` builds no expansion:
 :func:`_complex_expansion_json` writes the same head and term templates
 per length block, rendering the terms of each length of ``lam`` once from
 the cached length table (:func:`~octamoment.closedform.complex_rows`)
-and filling them once per ``lam``.  ``expansion --field real`` prints
-:func:`~octamoment.closedform.real_expansion`, which includes the flagged
-strata (resolved by continuation in ``n`` for every ``n``), and lists them
-from :func:`~octamoment.closedform.degenerate_strata`; ``report`` prints
+and joining their pieces with the name of each ``lam``.  ``expansion
+--field real`` prints :func:`~octamoment.closedform.real_expansion`,
+which includes the flagged strata (resolved by continuation in ``n`` for
+every ``n``), and lists them from
+:func:`~octamoment.closedform.degenerate_strata`; ``report`` prints
 that list alone and assembles no coefficient.  ``expansion --strict``
 hands the same two results to the same writer, which leaves out the
 (lam, mu) pairs that have a flagged stratum and the counts of the flagged
@@ -176,16 +177,18 @@ def _complex_expansion_json(n: int) -> str:
     """``_expansion_json("complex", complex_expansion(n))`` without the
     expansion: the terms of every ``lam`` of one length ``k`` differ only
     in ``lam``, so the text of each row of
-    :func:`~octamoment.closedform.complex_rows` is rendered once, with a
-    placeholder for ``lam``, and filled once per ``lam``."""
+    :func:`~octamoment.closedform.complex_rows` is rendered once and cut
+    into the pieces between the places of ``lam``, and the block of each
+    ``lam`` is its name joining those pieces."""
     rows = cf.complex_rows(n)
     parts = partitions_of(n)
     names = {lam: _name(lam) for lam in parts}
-    blocks = {
-        k: ",".join([_TERM % (c, "%(lam)s", names[mu]) for mu, c in row])
+    # An encoded name is printable ASCII, so "\0" marks only the places of lam.
+    pieces = {
+        k: ",".join([_TERM % (c, "\0", names[mu]) for mu, c in row]).split("\0")
         for k, row in rows.items()
     }
-    terms = ",".join([blocks[len(lam)] % {"lam": names[lam]} for lam in parts])
+    terms = ",".join([names[lam].join(pieces[len(lam)]) for lam in parts])
     return _document(_HEAD % ("[]", '"complex"', n), terms)
 
 

@@ -18,8 +18,14 @@ value, and flags the boundary strata: their :class:`StratumValue` has
 ``well_defined=False`` and diagnostics naming the factorials with a
 negative argument, next to the exact count.  :func:`degenerate_strata`
 lists the flagged strata of one order with their counts, building only
-those.  The factor ``1/(n-p-q-2r)!`` vanishes at negative arguments,
-which is not a degeneracy: it encodes the vanishing thorn count.
+those.  It reads per-side factors: the factor of each white side is
+computed once per ``(lam, r)`` and that of each black side once per
+``(mu, r)``, and one count core (``_stratum_count``) turns a white and a
+black factor into the count of their stratum.  :func:`F_formula` derives
+the two factors from one array and calls the same core; it is the
+per-stratum route that ``verify --suite strata`` and the tests use.  The
+factor ``1/(n-p-q-2r)!`` vanishes at negative arguments, which is not a
+degeneracy: it encodes the vanishing thorn count.
 
 Real assembly
 -------------
@@ -155,21 +161,30 @@ def _side_weight(cells: Cells, roots: Cells) -> tuple[int, int]:
     return num, den
 
 
-def _white_terms(i0: int, j0: int, cells: Cells, p: int, r: int, n: int) -> tuple[int, ...]:
-    """``(A, B, s3, j0)`` of a white side: ``r**2`` times the seed bracket
-    at ``n`` is ``(A + s1 B) d + s2 s3`` with ``d = n-q-2r`` and the black
-    sums ``(s1, s2)`` of :func:`_black_terms`.  At ``r = 0``, where there
-    is no black root, the bracket is ``i0 d``."""
+def _white_factor(i0: int, j0: int, cells: Cells, roots: Cells, r: int, n: int):
+    """The factor of one white side as ``(p, num, den, (A, B, s3, j0))``:
+    its ``p`` non-root vertices, its cell weight (:func:`_side_weight`)
+    times the seed's ``C(i0; j0, j0)`` as ``num/den``, and its bracket
+    terms: ``r**2`` times the seed bracket at ``n`` is ``(A + s1 B) d + s2
+    s3`` with ``d = n-q-2r`` and the black sums ``(s1, s2)`` of
+    :func:`_black_factor`.  At ``r = 0``, where there is no black root,
+    the bracket is ``i0 d``."""
+    p = _size(cells)
+    num, den = _side_weight(cells, roots)
     a = (i0 - 2 * j0) * r * r if r else i0
     s3 = sum((i0 * j - j0 * (i - 1)) * c for i, j, c in cells)
-    return a, j0 * (n - p) - r * i0, s3, j0
+    return p, num * _multinomial2(i0, j0, j0), den, (a, j0 * (n - p) - r * i0, s3, j0)
 
 
-def _black_terms(roots: Cells, q: int, r: int, n: int) -> tuple[int, int]:
-    """``(s1, s2)`` of a black side with root cells ``roots``."""
+def _black_factor(cells: Cells, roots: Cells, r: int, n: int):
+    """The factor of one black side as ``(q, num, den, (s1, s2))``: its
+    ``q`` non-root vertices, its cell weight as ``num/den`` and the black
+    sums of its root cells."""
+    q = _size(cells)
+    num, den = _side_weight(cells, roots)
     s1 = sum(j * c for _, j, c in roots)
     s2 = sum(((n - q) * j - i * r) * c for i, j, c in roots)
-    return s1, s2
+    return q, num, den, (s1, s2)
 
 
 def _bracket_rows(a: int, b: int, s3: int, j0: int, d: int):
@@ -179,6 +194,45 @@ def _bracket_rows(a: int, b: int, s3: int, j0: int, d: int):
     ``n``.  Each row holds the coefficients of the black sums ``(1, s1,
     s2)``, so each power is bilinear in a white and a black vector."""
     return ((d * a, d * b, s3), (a, b + j0 * d + s3, 0), (0, j0, 0))
+
+
+@lru_cache(maxsize=None)
+def _diagnostics(p: int, q: int, r: int, n: int) -> tuple[str, ...]:
+    """The factorials with a negative argument of a stratum that
+    :func:`_flagged` flags, one string each; ``()`` on any other stratum."""
+    if not _flagged(p, q, r, n):
+        return ()
+    d = n - q - 2 * r
+    named = (("(n-q-2r)!", d), ("(n-1-p-2r)!", n - 1 - p - 2 * r), ("(n-q-2r-1)!", d - 1))
+    return tuple(f"negative factorial argument {name} = {x}" for name, x in named if x < 0)
+
+
+def _stratum_count(a: ArrayTuple, n: int, r: int, white, black) -> int:
+    """The count of stratum ``a`` at order ``n`` from the factors of its
+    sides (:func:`_white_factor`, :func:`_black_factor`): the seed bracket
+    (:func:`_bracket_rows`) at its first nonzero power of ``eps``, times
+    the prefactor (:func:`_prefactor`) and both side weights, in integers.
+    The count is 0 when the orders add up to more than 0.  Raises
+    ``ArithmeticError`` if a pole survives or the count is not an
+    integer."""
+    p, w_num, w_den, terms = white
+    q, b_num, b_den, (s1, s2) = black
+    for order, (c0, c1, c2) in enumerate(_bracket_rows(*terms, n - q - 2 * r)):
+        bracket = c0 + c1 * s1 + c2 * s2
+        if bracket:
+            break
+    else:
+        return 0
+    v, c_num, c_den = _prefactor(p, q, r, n)
+    if order + v < 0:
+        raise ArithmeticError(f"a pole survives the continuation of {a} at n = {n}")
+    if order + v > 0:
+        return 0
+    num, den = w_num * b_num * bracket * c_num, w_den * b_den * c_den
+    count, rest = divmod(num, den)
+    if rest:
+        raise ArithmeticError(f"count {Fraction(num, den)} of {a} at n = {n} is not an integer")
+    return count
 
 
 def F_formula(a: ArrayTuple, n: int) -> StratumValue:
@@ -199,37 +253,16 @@ def F_formula(a: ArrayTuple, n: int) -> StratumValue:
     the factor), but its value is still the exact count.  Raises
     ``ArithmeticError`` if a pole survives or the count is not an integer.
 
-    Every factor is an integer placed in the numerator or the denominator,
-    and one ``Fraction`` is built at the end.
+    This is the per-stratum route: it derives the two side factors from
+    ``a`` and hands them to the count core (:func:`_stratum_count`) that
+    :func:`degenerate_strata` calls with factors computed once per side.
     """
     r = a.loop_pairs
-    p, q = a.num_white, a.num_black
-    i0, j0 = a.seed_degree, a.seed_loops
-    d = n - q - 2 * r
-    diagnostics = ()
-    if _flagged(p, q, r, n):
-        named = (("(n-q-2r)!", d), ("(n-1-p-2r)!", n - 1 - p - 2 * r), ("(n-q-2r-1)!", d - 1))
-        diagnostics = tuple(
-            f"negative factorial argument {name} = {x}" for name, x in named if x < 0
-        )
-    s1, s2 = _black_terms(a.black_root, q, r, n)
-    rows = _bracket_rows(*_white_terms(i0, j0, a.white, p, r, n), d)
-    bracket = [c0 + c1 * s1 + c2 * s2 for c0, c1, c2 in rows]
-    order = next((k for k, b in enumerate(bracket) if b), None)
-    if order is None:
-        return StratumValue(Fraction(0), not diagnostics, diagnostics)
-    v, c_num, c_den = _prefactor(p, q, r, n)
-    if order + v < 0:
-        raise ArithmeticError(f"a pole survives the continuation of {a} at n = {n}")
-    value = Fraction(0)
-    if order + v == 0:
-        w_num, w_den = _side_weight(a.white, a.white_root)
-        b_num, b_den = _side_weight(a.black, a.black_root)
-        num = w_num * _multinomial2(i0, j0, j0) * b_num * bracket[order] * c_num
-        value = Fraction(num, w_den * b_den * c_den)
-    if value.denominator != 1:
-        raise ArithmeticError(f"count {value} of {a} at n = {n} is not an integer")
-    return StratumValue(value, not diagnostics, diagnostics)
+    white = _white_factor(a.seed_degree, a.seed_loops, a.white, a.white_root, r, n)
+    black = _black_factor(a.black, a.black_root, r, n)
+    diagnostics = _diagnostics(white[0], black[0], r, n)
+    count = _stratum_count(a, n, r, white, black)
+    return StratumValue(Fraction(count), not diagnostics, diagnostics)
 
 
 @lru_cache(maxsize=None)
@@ -329,29 +362,38 @@ def degenerate_strata(n: int) -> tuple[DegenerateStratum, ...]:
     each with its count, in assembly order: ``lam``, then ``mu`` (both
     from :func:`~octamoment.partitions.partitions_of`), then ``r``, then
     the order of :func:`~octamoment.arrays.enumerate_M`.  Only the flagged
-    strata are built and evaluated."""
+    strata are built.  The factor of each white side is computed once per
+    ``(lam, r)`` and that of each black side once per ``(mu, r)``, so a
+    flagged stratum costs one call of the count core
+    (:func:`_stratum_count`)."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    parts, rs = partitions_of(n), range(1, n // 2 + 1)
+    blacks = {
+        (mu, r): [(side, _black_factor(*side, r, n)) for side in black_sides(mu, r)]
+        for mu in parts
+        for r in rs
+    }
     out: list[DegenerateStratum] = []
-    for lam in partitions_of(n):
+    for lam in parts:
         # _flagged is an "or" of a condition on p and one on q: a black side
         # whose q flags it meets every white side, any other black side only
         # the white sides whose p flags them.
         whites = {}
-        for r in range(1, n // 2 + 1):
-            every = white_sides(lam, r)
-            whites[r] = every, [s for s in every if _flagged(_size(s[2]), 0, r, n)]
-        for mu in partitions_of(n):
-            for r in range(1, n // 2 + 1):
+        for r in rs:
+            every = [(side, _white_factor(*side, r, n)) for side in white_sides(lam, r)]
+            whites[r] = every, [(side, w) for side, w in every if _flagged(w[0], 0, r, n)]
+        for mu in parts:
+            for r in rs:
                 every, own = whites[r]
-                for black, black_root in black_sides(mu, r):
-                    walk = every if _flagged(0, _size(black), r, n) else own
-                    for i0, j0, white, white_root in walk:
+                for (black, black_root), b in blacks[mu, r]:
+                    q = b[0]
+                    walk = every if _flagged(0, q, r, n) else own
+                    for (i0, j0, white, white_root), w in walk:
                         a = ArrayTuple(white, white_root, black, black_root, i0, j0)
-                        sv = F_formula(a, n)
-                        out.append(
-                            DegenerateStratum(n, lam, mu, r, a, sv.diagnostics, int(sv.value))
-                        )
+                        diagnostics = _diagnostics(w[0], q, r, n)
+                        count = _stratum_count(a, n, r, w, b)
+                        out.append(DegenerateStratum(n, lam, mu, r, a, diagnostics, count))
     return tuple(out)
 
 
@@ -363,12 +405,11 @@ def _white_vector(lam: Partition, n: int) -> list[int]:
     out, scale = [], _denominator(n)
     for r in range(n // 2 + 1):
         by_p: dict[int, list[int]] = {}  # p -> weighted sums of (A, B, s3, j0)
-        for i0, j0, cells, roots in white_sides(lam, r):
-            p = _size(cells)
-            num, den = _side_weight(cells, roots)
-            w = num * _multinomial2(i0, j0, j0) * (factorial(n) // den)
+        for side in white_sides(lam, r):
+            p, num, den, terms = _white_factor(*side, r, n)
+            w = num * (factorial(n) // den)
             sums = by_p.setdefault(p, [0, 0, 0, 0])
-            for k, x in enumerate(_white_terms(i0, j0, cells, p, r, n)):
+            for k, x in enumerate(terms):
                 sums[k] += w * x
         for q in range(n + 1):
             entry = [0, 0, 0]
@@ -389,11 +430,9 @@ def _black_vector(mu: Partition, n: int) -> list[int]:
     out = []
     for r in range(n // 2 + 1):
         by_q = [[0, 0, 0] for _ in range(n + 1)]
-        for cells, roots in black_sides(mu, r):
-            q = _size(cells)
-            num, den = _side_weight(cells, roots)
+        for side in black_sides(mu, r):
+            q, num, den, (s1, s2) = _black_factor(*side, r, n)
             w = num * (factorial(n) // den)
-            s1, s2 = _black_terms(roots, q, r, n)
             entry = by_q[q]
             entry[0] += w
             entry[1] += w * s1

@@ -18,7 +18,9 @@ the placement pass.
 Expansions are stored sparsely: a missing ``(lam, mu)`` key means the
 coefficient is 0.  Canonical key order everywhere is (reverse-lex ``lam``,
 reverse-lex ``mu``), i.e. plain descending tuple order; an expansion
-stores its coefficients in that order once, at construction.
+stores its coefficients in that order once, at construction, keyed by
+:class:`~octamoment.partitions.Partition` pairs whatever tuples the
+caller passed.  Its order ``n`` must be ``>= 0``.
 """
 
 from __future__ import annotations
@@ -64,12 +66,17 @@ class _BilinearExpansion:
         for lam, mu in self.coeffs:
             if lam not in parts or mu not in parts:
                 raise ValueError(f"key ({lam}, {mu}) does not index order {self.n}")
-        # A private read-only copy in canonical order: the caller's dict is
-        # neither converted nor shared, and a cached expansion cannot be
-        # changed through its coefficients.
+        if self.n < 0:  # with no key to name
+            raise ValueError(f"order n = {self.n} must be >= 0")
+        # A private read-only copy in canonical order with Partition keys: the
+        # caller's dict is neither converted nor shared, and a cached
+        # expansion cannot be changed through its coefficients.
         coeffs = {}
         for key in sorted(self.coeffs, reverse=True):
             c = self.coeffs[key]
+            lam, mu = key
+            if type(lam) is not Partition or type(mu) is not Partition:
+                key = Partition(lam), Partition(mu)
             coeffs[key] = c if isinstance(c, Fraction) else Fraction(c)
         object.__setattr__(self, "coeffs", MappingProxyType(coeffs))
         object.__setattr__(self, "_terms", tuple((k, c) for k, c in coeffs.items() if c))

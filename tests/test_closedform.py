@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from octamoment.arrays import ArrayTuple, _sides, cells_of, enumerate_M
+from octamoment import closedform as cf
 from octamoment.cli import main
 from octamoment.closedform import (
     _factorial_leading,
@@ -529,21 +530,48 @@ def test_real_expansion_n8_n9_match_q_real_at_projectors():
 
 
 def test_real_expansion_is_the_sum_of_F_formula_over_strata():
-    # The factorized assembly against the per-stratum count, stratum by
-    # stratum, and the flagged-strata listing against the filter it replaces.
+    # The factorized assembly against the per-stratum count, stratum by stratum.
     for n in range(1, 10):
-        sums, flagged = {}, []
+        sums = {}
         for lam, mu, r, a in all_strata(n):
-            sv = F_formula(a, n)
-            sums[(lam, mu)] = sums.get((lam, mu), 0) + sv.value
-            if n <= 8 and not sv.well_defined:
-                flagged.append(
-                    DegenerateStratum(n, lam, mu, r, a, sv.diagnostics, int(sv.value))
-                )
+            sums[(lam, mu)] = sums.get((lam, mu), 0) + F_formula(a, n).value
         expected = {key: aut(key[0]) * aut(key[1]) * v for key, v in sums.items() if v}
         assert real_expansion(n).coeffs == expected, n
-        if n <= 8:
-            assert degenerate_strata(n) == tuple(flagged), n
+
+
+def test_degenerate_strata_equals_the_per_stratum_reference():
+    # The walk over per-side factors against F_formula stratum by stratum:
+    # the same strata in the same order, with the same diagnostics and counts.
+    for n in range(1, 9):
+        reference = []
+        for lam in partitions_of(n):
+            for mu in partitions_of(n):
+                for r in range(1, n // 2 + 1):
+                    for a in enumerate_M(lam, mu, r):
+                        sv = F_formula(a, n)
+                        if not sv.well_defined:
+                            reference.append(
+                                DegenerateStratum(n, lam, mu, r, a, sv.diagnostics, int(sv.value))
+                            )
+        listed = degenerate_strata(n)
+        assert [(d.array, d.diagnostics, d.oracle_value) for d in listed] == [
+            (d.array, d.diagnostics, d.oracle_value) for d in reference
+        ], n
+        assert listed == tuple(reference), n
+    assert len(degenerate_strata(6)) == 235
+
+
+def test_degenerate_strata_checks_that_each_count_is_an_integer(monkeypatch):
+    # A prefactor that no longer divides the counts must still be caught.
+    exact = cf._prefactor
+
+    def off(p, q, r, n):
+        v, num, den = exact(p, q, r, n)
+        return v, num, den * 1_000_003
+
+    monkeypatch.setattr(cf, "_prefactor", off)
+    with pytest.raises(ArithmeticError, match="is not an integer"):
+        degenerate_strata(6)
 
 
 def test_real_expansion_reaches_past_n10_at_projectors():

@@ -229,6 +229,24 @@ def test_key_of_another_order_is_rejected():
     assert MonomialExpansion(3, {(p21, p3): 1}).coeff(p21, p3) == 1
 
 
+def test_negative_order_is_rejected():
+    for cls in (MonomialExpansion, PowerSumExpansion):
+        with pytest.raises(ValueError, match=r"^order n = -1 must be >= 0$"):
+            cls(-1, {})
+        with pytest.raises(ValueError, match=r"^order n = -2 must be >= 0$"):
+            cls(-2)
+    assert MonomialExpansion(0, {}).evaluate([1], [2]) == 0
+
+
+def test_items_keys_are_partitions():
+    for cls in (MonomialExpansion, PowerSumExpansion):
+        expansion = cls(3, {((1, 1, 1), (2, 1)): 1, (Partition([3]), (3,)): 2})
+        keys = [k for key, _ in expansion.items() for k in key]
+        assert keys == [(3,), (3,), (1, 1, 1), (2, 1)]
+        assert all(type(k) is Partition for k in keys)
+        assert expansion.coeff((1, 1, 1), (2, 1)) == 1
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(
     n=st.integers(1, 10),
