@@ -8,17 +8,19 @@ identical invocations produce byte-identical output.  JSON output is
 a non-finite float raises ``ValueError`` instead of printing ``NaN`` or
 ``Infinity``, and ``mc`` reports a ``z_score`` of ``null`` at zero
 standard error.  ``expansion`` and ``report`` write the same bytes
-without calling ``json.dumps``: :func:`_expansion_json` fills one fixed
-template for the head (``degenerate_strata``, ``field``, ``n``) and one
-per term (canonical order), and :func:`_strata_json` one per flagged
-stratum.  ``expansion --field complex`` builds no expansion:
-:func:`_complex_expansion_json` writes the same head and term templates
-per length block, rendering the terms of each length of ``lam`` once from
-the cached length table (:func:`~octamoment.closedform.complex_rows`)
-and joining their pieces with the name of each ``lam``.  ``expansion
---field real`` prints :func:`~octamoment.closedform.real_expansion`,
-which includes the flagged strata (resolved by continuation in ``n`` for
-every ``n``), and lists them from
+without calling ``json.dumps``: :func:`_expansion_json`, the real
+writer, fills one fixed template for the head (``degenerate_strata``,
+``field``, ``n``) and one per term (canonical order), and
+:func:`_strata_json` one per flagged stratum.  ``expansion --field
+complex`` builds no expansion: :func:`_complex_expansion_json` writes the
+same head and term templates per length block, rendering the terms of
+each length of ``lam`` once from the cached integer length table
+(:func:`~octamoment.closedform.complex_length_coeffs`) and joining their
+pieces with the name of each ``lam``.  ``expansion --field real`` prints
+:func:`~octamoment.closedform.real_expansion`, which includes the flagged
+strata (resolved by continuation in ``n`` for every ``n``: the order of
+each stratum's prefactor picks the one row of the seed bracket that its
+count reads), and lists them from
 :func:`~octamoment.closedform.degenerate_strata`; ``report`` prints
 that list alone and assembles no coefficient.  ``expansion --strict``
 hands the same two results to the same writer, which leaves out the
@@ -150,9 +152,9 @@ def _document(head: str, terms: str) -> str:
     return head + "[" + terms + "\n  ]\n}\n"
 
 
-def _expansion_json(field: str, expansion, strata=(), strict: bool = False) -> str:
-    """``_json_dumps`` of the ``expansion`` record: ``n``, ``field``, the
-    ``degenerate_strata`` (:func:`_strata_json`) and the ``"terms"``
+def _expansion_json(expansion, strata=(), strict: bool = False) -> str:
+    """``_json_dumps`` of the real ``expansion`` record: ``n``, ``field``,
+    the ``degenerate_strata`` (:func:`_strata_json`) and the ``"terms"``
     (``expansion.to_records()``), written from fixed templates without a
     record per term or stratum and without the indenting encoder.  A
     coefficient is a ``Fraction``, whose ``str`` is ``format_rational``.
@@ -160,7 +162,7 @@ def _expansion_json(field: str, expansion, strata=(), strict: bool = False) -> s
     terms of their (lam, mu) pairs.
     """
     n = expansion.n
-    head = _HEAD % (_strata_json(strata, 2, not strict), encode_basestring_ascii(field), n)
+    head = _HEAD % (_strata_json(strata, 2, not strict), '"real"', n)
     flagged = {(d.lam, d.mu) for d in strata} if strict else ()
     names = {lam: _name(lam) for lam in partitions_of(n)}
     terms = ",".join(
@@ -174,18 +176,23 @@ def _expansion_json(field: str, expansion, strata=(), strict: bool = False) -> s
 
 
 def _complex_expansion_json(n: int) -> str:
-    """``_expansion_json("complex", complex_expansion(n))`` without the
+    """The ``expansion`` record of ``complex_expansion(n)`` without the
     expansion: the terms of every ``lam`` of one length ``k`` differ only
-    in ``lam``, so the text of each row of
-    :func:`~octamoment.closedform.complex_rows` is rendered once and cut
-    into the pieces between the places of ``lam``, and the block of each
+    in ``lam``, so the row of ``k`` in
+    :func:`~octamoment.closedform.complex_length_coeffs` (``{l: c}``) is
+    rendered once, its integers over the ``mu`` in canonical order, and cut
+    into the pieces between the places of ``lam``; the block of each
     ``lam`` is its name joining those pieces."""
-    rows = cf.complex_rows(n)
+    rows: dict[int, dict[int, int]] = {}
+    for k, l, c in cf.complex_length_coeffs(n):
+        rows.setdefault(k, {})[l] = c
     parts = partitions_of(n)
     names = {lam: _name(lam) for lam in parts}
     # An encoded name is printable ASCII, so "\0" marks only the places of lam.
     pieces = {
-        k: ",".join([_TERM % (c, "\0", names[mu]) for mu, c in row]).split("\0")
+        k: ",".join(
+            [_TERM % (row[len(mu)], "\0", names[mu]) for mu in parts if len(mu) in row]
+        ).split("\0")
         for k, row in rows.items()
     }
     terms = ",".join([names[lam].join(pieces[len(lam)]) for lam in parts])
@@ -256,7 +263,7 @@ def cmd_expansion(args) -> int:
         _emit(_complex_expansion_json(n), args.out)
         return 0
     expansion, strata = cf.real_expansion(n), cf.degenerate_strata(n)
-    _emit(_expansion_json(args.field, expansion, strata, args.strict), args.out)
+    _emit(_expansion_json(expansion, strata, args.strict), args.out)
     if args.strict and strata:
         return 2
     return 0

@@ -5,7 +5,8 @@ of partitions, and each coefficient splits into strata indexed by an
 :class:`~octamoment.arrays.ArrayTuple`.  This module evaluates the
 per-stratum count ``F_formula``, the aggregated count ``F_counts``, the
 full real and complex expansions, the identity-matrix specializations, and
-the special coefficient formulas, all in exact rational arithmetic.
+the special coefficient formulas.  Every count is an integer, taken as one
+numerator over one denominator with a single exact division.
 
 Degenerate strata
 -----------------
@@ -21,11 +22,14 @@ lists the flagged strata of one order with their counts, building only
 those.  It reads per-side factors: the factor of each white side is
 computed once per ``(lam, r)`` and that of each black side once per
 ``(mu, r)``, and one count core (``_stratum_count``) turns a white and a
-black factor into the count of their stratum.  :func:`F_formula` derives
-the two factors from one array and calls the same core; it is the
-per-stratum route that ``verify --suite strata`` and the tests use.  The
-factor ``1/(n-p-q-2r)!`` vanishes at negative arguments, which is not a
-degeneracy: it encodes the vanishing thorn count.
+black factor into the count of their stratum.  The order ``v`` of the
+prefactor of ``(p, q, r, n)`` picks the row ``eps**(-v)`` of the seed
+bracket that the count core and the real assembly read.
+:func:`F_formula` derives the two factors from one array and calls the
+same core; it is the per-stratum route that ``verify --suite strata`` and
+the tests use.  The factor ``1/(n-p-q-2r)!`` vanishes at negative
+arguments, which is not a degeneracy: it encodes the vanishing thorn
+count.
 
 Real assembly
 -------------
@@ -69,7 +73,6 @@ __all__ = [
     "real_expansion",
     "complex_coeff",
     "complex_length_coeffs",
-    "complex_rows",
     "complex_expansion",
     "q_real",
     "q_compl",
@@ -112,14 +115,6 @@ def _factorial_leading(x: int) -> tuple[int, int, int]:
         return 0, factorial(x), 1
     m = -x - 1
     return -1, (-1) ** m, factorial(m)
-
-
-def _flagged(p: int, q: int, r: int, n: int) -> bool:
-    """Whether :func:`F_formula` flags a stratum with ``p`` white and ``q``
-    black non-root vertices and ``r`` loop pairs: exactly when
-    ``(n-1-p-2r)!`` or ``(n-q-2r-1)!`` has a negative argument, that is
-    ``r > 0`` and ``p >= n-2r`` or ``q >= n-2r``."""
-    return r > 0 and (p >= n - 2 * r or q >= n - 2 * r)
 
 
 def _denominator(n: int) -> int:
@@ -198,9 +193,11 @@ def _bracket_rows(a: int, b: int, s3: int, j0: int, d: int):
 
 @lru_cache(maxsize=None)
 def _diagnostics(p: int, q: int, r: int, n: int) -> tuple[str, ...]:
-    """The factorials with a negative argument of a stratum that
-    :func:`_flagged` flags, one string each; ``()`` on any other stratum."""
-    if not _flagged(p, q, r, n):
+    """The factorials with a negative argument of a stratum with ``p`` white
+    and ``q`` black non-root vertices and ``r`` loop pairs, one string each,
+    where :func:`F_formula` flags it (``r > 0`` and ``p >= n-2r`` or ``q >=
+    n-2r``); ``()`` on any other stratum."""
+    if not (r > 0 and (p >= n - 2 * r or q >= n - 2 * r)):
         return ()
     d = n - q - 2 * r
     named = (("(n-q-2r)!", d), ("(n-1-p-2r)!", n - 1 - p - 2 * r), ("(n-q-2r-1)!", d - 1))
@@ -209,25 +206,22 @@ def _diagnostics(p: int, q: int, r: int, n: int) -> tuple[str, ...]:
 
 def _stratum_count(a: ArrayTuple, n: int, r: int, white, black) -> int:
     """The count of stratum ``a`` at order ``n`` from the factors of its
-    sides (:func:`_white_factor`, :func:`_black_factor`): the seed bracket
-    (:func:`_bracket_rows`) at its first nonzero power of ``eps``, times
-    the prefactor (:func:`_prefactor`) and both side weights, in integers.
-    The count is 0 when the orders add up to more than 0.  Raises
-    ``ArithmeticError`` if a pole survives or the count is not an
+    sides (:func:`_white_factor`, :func:`_black_factor`).  The order ``v``
+    of the prefactor (:func:`_prefactor`) picks the row ``eps**(-v)`` of
+    the seed bracket (:func:`_bracket_rows`), and the count is that row
+    times the prefactor and both side weights, in integers.  The count is
+    0 when ``v > 0`` (the thorn zero).  Raises ``ArithmeticError`` if a
+    row below ``-v`` is nonzero (a pole survives) or the count is not an
     integer."""
     p, w_num, w_den, terms = white
     q, b_num, b_den, (s1, s2) = black
-    for order, (c0, c1, c2) in enumerate(_bracket_rows(*terms, n - q - 2 * r)):
-        bracket = c0 + c1 * s1 + c2 * s2
-        if bracket:
-            break
-    else:
-        return 0
     v, c_num, c_den = _prefactor(p, q, r, n)
-    if order + v < 0:
-        raise ArithmeticError(f"a pole survives the continuation of {a} at n = {n}")
-    if order + v > 0:
+    if v > 0:
         return 0
+    rows = _bracket_rows(*terms, n - q - 2 * r)[: 1 - v]
+    *below, bracket = [c0 + c1 * s1 + c2 * s2 for c0, c1, c2 in rows]
+    if any(below):
+        raise ArithmeticError(f"a pole survives the continuation of {a} at n = {n}")
     num, den = w_num * b_num * bracket * c_num, w_den * b_den * c_den
     count, rest = divmod(num, den)
     if rest:
@@ -335,7 +329,8 @@ def F_counts(p: int, pp: int, q: int, qp: int, r: int, n: int) -> Fraction:
 @dataclass(frozen=True)
 class DegenerateStratum:
     """One flagged stratum of a real moment (:func:`degenerate_strata`);
-    ``oracle_value`` is its count (:func:`F_formula`)."""
+    ``oracle_value`` is its exact count, the limit in ``n`` of the
+    formula."""
 
     n: int
     lam: Partition
@@ -376,19 +371,19 @@ def degenerate_strata(n: int) -> tuple[DegenerateStratum, ...]:
     }
     out: list[DegenerateStratum] = []
     for lam in parts:
-        # _flagged is an "or" of a condition on p and one on q: a black side
-        # whose q flags it meets every white side, any other black side only
-        # the white sides whose p flags them.
+        # At r > 0 a stratum is flagged when p >= n-2r or q >= n-2r
+        # (_diagnostics): a black side whose q flags it meets every white
+        # side, any other black side only the white sides whose p flags them.
         whites = {}
         for r in rs:
             every = [(side, _white_factor(*side, r, n)) for side in white_sides(lam, r)]
-            whites[r] = every, [(side, w) for side, w in every if _flagged(w[0], 0, r, n)]
+            whites[r] = every, [(side, w) for side, w in every if w[0] >= n - 2 * r]
         for mu in parts:
             for r in rs:
                 every, own = whites[r]
                 for (black, black_root), b in blacks[mu, r]:
                     q = b[0]
-                    walk = every if _flagged(0, q, r, n) else own
+                    walk = every if q >= n - 2 * r else own
                     for (i0, j0, white, white_root), w in walk:
                         a = ArrayTuple(white, white_root, black, black_root, i0, j0)
                         diagnostics = _diagnostics(w[0], q, r, n)
@@ -461,19 +456,19 @@ def real_expansion(n: int) -> MonomialExpansion:
     if n < 1:
         raise ValueError("n must be >= 1")
     parts = partitions_of(n)
-    blacks = [(mu, _black_vector(mu, n)) for mu in parts]
+    blacks = [(mu, aut(mu), _black_vector(mu, n)) for mu in parts]
     den = factorial(n) ** 2 * _denominator(n)
     coeffs: dict[tuple[Partition, Partition], int] = {}
     for lam in parts:
-        white = _white_vector(lam, n)
-        for mu, black in blacks:
+        white, aut_lam = _white_vector(lam, n), aut(lam)
+        for mu, aut_mu, black in blacks:
             total, rest = divmod(sum(map(mul, white, black)), den)
             if rest:
                 raise ArithmeticError(
                     f"the stratum sum of ({lam}, {mu}) at n = {n} is not an integer"
                 )
             if total:
-                coeffs[(lam, mu)] = aut(lam) * aut(mu) * total
+                coeffs[(lam, mu)] = aut_lam * aut_mu * total
     return MonomialExpansion(n, coeffs)
 
 
@@ -512,28 +507,19 @@ def complex_coeff(n: int, lam, mu) -> Fraction:
     return Fraction(_complex_length_coeff(n, lam.length, mu.length))
 
 
-def complex_rows(n: int) -> dict[int, list[tuple[Partition, Fraction]]]:
-    """The row of each length ``k`` of ``lam`` in the order-n complex
-    moment: the nonzero ``(mu, c(n, k, len(mu)))`` in canonical ``mu``
-    order, read from :func:`complex_length_coeffs`, with one ``Fraction``
-    per pair of lengths.  Every ``lam`` of length ``k`` shares the row."""
-    by_length: dict[int, dict[int, Fraction]] = {}
-    for k, l, c in complex_length_coeffs(n):
-        by_length.setdefault(k, {})[l] = Fraction(c)
-    parts = partitions_of(n)
-    return {
-        k: [(mu, coeffs[len(mu)]) for mu in parts if len(mu) in coeffs]
-        for k, coeffs in by_length.items()
-    }
-
-
 def complex_expansion(n: int) -> MonomialExpansion:
     """Monomial expansion of the order-n complex moment, filled from the
-    rows of :func:`complex_rows`."""
-    rows = complex_rows(n)
-    return MonomialExpansion(
-        n, {(lam, mu): c for lam in partitions_of(n) for mu, c in rows[len(lam)]}
-    )
+    length table :func:`complex_length_coeffs`: the coefficient of ``m_lam
+    m_mu`` is the entry of ``(len(lam), len(mu))``, one ``Fraction`` per
+    pair of lengths."""
+    rows: dict[int, dict[int, Fraction]] = {}
+    for k, l, c in complex_length_coeffs(n):
+        rows.setdefault(k, {})[l] = Fraction(c)
+    parts, coeffs = partitions_of(n), {}
+    for lam in parts:
+        row = rows[len(lam)]
+        coeffs.update({(lam, mu): row[len(mu)] for mu in parts if len(mu) in row})
+    return MonomialExpansion(n, coeffs)
 
 
 def q_real(n: int, l: int, m: int) -> Fraction:

@@ -353,37 +353,34 @@ def test_strata_writer_equals_json_dumps_of_records():
 
 
 def _expansion_cases():
-    """(field, expansion, strata, strict) for every branch of ``expansion``."""
-    for n in range(1, 13):
-        yield "complex", complex_expansion(n), (), False
+    """(expansion, strata, strict) for every branch of the real writer."""
     for n in range(1, 6):
-        yield "real", real_expansion(n), degenerate_strata(n), False
+        yield real_expansion(n), degenerate_strata(n), False
     for n in range(2, 8):
-        yield "real", real_expansion(n), degenerate_strata(n), True
-    yield "real", MonomialExpansion(3), (), False
+        yield real_expansion(n), degenerate_strata(n), True
+    yield MonomialExpansion(3), (), False
 
 
 def test_expansion_writer_equals_json_dumps_of_records():
     cases = 0
-    for field, expansion, strata, strict in _expansion_cases():
+    for expansion, strata, strict in _expansion_cases():
         # the strict view: no pair with a flagged stratum, no counts
         flagged = {(d.lam, d.mu) for d in strata} if strict else set()
         kept = {key: c for key, c in expansion.items() if key not in flagged}
         reference = {
             "n": expansion.n,
-            "field": field,
+            "field": "real",
             "degenerate_strata": _records(strata, not strict),
             "terms": MonomialExpansion(expansion.n, kept).to_records(),
         }
-        text = cli._expansion_json(field, expansion, strata, strict)
+        text = cli._expansion_json(expansion, strata, strict)
         assert text == json.dumps(reference, indent=2, sort_keys=True) + "\n", (
-            field,
             expansion.n,
             strict,
         )
         cases += 1
-    assert cases == 12 + 5 + 6 + 1
-    assert '"terms": []' in cli._expansion_json("real", MonomialExpansion(3))
+    assert cases == 5 + 6 + 1
+    assert '"terms": []' in cli._expansion_json(MonomialExpansion(3))
 
 
 def test_complex_writer_equals_json_dumps_of_records(capsys):

@@ -27,7 +27,6 @@ from octamoment.closedform import (
     DegenerateStratum,
     complex_expansion,
     complex_length_coeffs,
-    complex_rows,
     degenerate_strata,
     q_compl,
     q_real,
@@ -574,6 +573,21 @@ def test_degenerate_strata_checks_that_each_count_is_an_integer(monkeypatch):
         degenerate_strata(6)
 
 
+def test_degenerate_strata_checks_that_no_pole_survives(monkeypatch):
+    # A prefactor one order lower makes the count read a bracket row below
+    # the one it should: a nonzero row there is a pole that must be caught.
+    # Orders -1 and 0 only, so the order stays in -2..1, the bracket's rows.
+    exact = cf._prefactor
+
+    def lower(p, q, r, n):
+        v, num, den = exact(p, q, r, n)
+        return (v - 1 if v in (-1, 0) else v), num, den
+
+    monkeypatch.setattr(cf, "_prefactor", lower)
+    with pytest.raises(ArithmeticError, match="a pole survives"):
+        degenerate_strata(6)
+
+
 def test_real_expansion_reaches_past_n10_at_projectors():
     for n in (10, 11):
         expansion = real_expansion(n)
@@ -646,14 +660,6 @@ def test_complex_length_coeffs_is_the_nonzero_length_table():
                 assert by_length.get((len(lam), len(mu)), 0) == expected
         assert all(type(c) is int and c > 0 for _, _, c in table)
         assert [kl[:2] for kl in table] == sorted(by_length)
-        rows = complex_rows(n)
-        assert sorted(rows) == list(range(1, n + 1))
-        for k, row in rows.items():
-            assert row == [
-                (mu, Fraction(by_length[k, len(mu)]))
-                for mu in partitions_of(n)
-                if (k, len(mu)) in by_length
-            ]
     for n in (0, -1):
         with pytest.raises(ValueError, match="n must be >= 1"):
             complex_length_coeffs(n)
