@@ -11,6 +11,12 @@ every pairing ``f3`` yields a unicellular hypermap.
 Internally half edges are the integers ``0..2n-1``: label ``i`` is
 ``i - 1`` and the hat label ``i^`` is ``n + i - 1``.
 
+The pairing tables are keyed (white type, black type, r).
+:func:`by_pair` is the one sum over r and the one slice at r = 0; the
+double-coset coefficients (:func:`b_from_L`), the class-algebra
+coefficients (:func:`c_from_L`) and both power-sum series
+(:func:`pairing_power_sum_series`) are its views.
+
 Everything here is brute force by design; these are the oracles the
 closed formulas are checked against.
 """
@@ -19,7 +25,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 from types import MappingProxyType
@@ -47,6 +52,7 @@ __all__ = [
     "ClassTable",
     "L_table",
     "lp_from_pairings",
+    "by_pair",
     "pairing_power_sum_series",
     "oracle_monomial_expansion",
     "b_from_L",
@@ -58,6 +64,7 @@ __all__ = [
     "degree_array",
     "class_connection",
     "class_connection_table",
+    "double_coset_table",
     "double_coset_connection",
     "double_coset_data",
     "expected_coset_size",
@@ -365,6 +372,19 @@ def lp_from_pairings(n: int) -> dict[tuple[Partition, Partition, int], int]:
     return out
 
 
+def by_pair(
+    table: Mapping[tuple[Partition, Partition, int], int], r: int | None = None
+) -> dict[tuple[Partition, Partition], int]:
+    """A table keyed (white type, black type, r), keyed (white type, black
+    type) instead: summed over r, or sliced at ``r`` when it is given.
+    The one place a table is summed or sliced over r."""
+    out: dict[tuple[Partition, Partition], int] = {}
+    for (lam, mu, s), c in table.items():
+        if r is None or s == r:
+            out[(lam, mu)] = out.get((lam, mu), 0) + c
+    return out
+
+
 def pairing_power_sum_series(n: int, kind: str = "real") -> PowerSumExpansion:
     """The power-sum series whose basis change reproduces the expansions:
     pairing counts (real) or their orientable slice (complex) as
@@ -372,14 +392,7 @@ def pairing_power_sum_series(n: int, kind: str = "real") -> PowerSumExpansion:
     ``kind`` other than "real" or "complex" raises ``ValueError``."""
     if kind not in ("real", "complex"):
         raise ValueError(f"kind must be 'real' or 'complex', got {kind!r}")
-    table = L_table(n)
-    coeffs: dict[tuple[Partition, Partition], Fraction] = {}
-    for (lam, mu, r), c in table.entries.items():
-        if kind == "complex" and r != 0:
-            continue
-        key = (lam, mu)
-        coeffs[key] = coeffs.get(key, Fraction(0)) + c
-    return PowerSumExpansion(n, coeffs)
+    return PowerSumExpansion(n, by_pair(L_table(n).entries, 0 if kind == "complex" else None))
 
 
 def oracle_monomial_expansion(n: int, kind: str = "real") -> MonomialExpansion:
@@ -391,17 +404,12 @@ def oracle_monomial_expansion(n: int, kind: str = "real") -> MonomialExpansion:
 def b_from_L(table: ClassTable) -> dict[tuple[Partition, Partition], int]:
     """Double-coset connection coefficients: 2^n n! times the r-summed counts."""
     scale = 2**table.n * factorial(table.n)
-    out: dict[tuple[Partition, Partition], int] = {}
-    for (lam, mu, _), c in table.entries.items():
-        out[(lam, mu)] = out.get((lam, mu), 0) + scale * c
-    return out
+    return {key: scale * c for key, c in by_pair(table.entries).items()}
 
 
 def c_from_L(table: ClassTable) -> dict[tuple[Partition, Partition], int]:
     """Class-algebra connection coefficients: the r = 0 slice."""
-    return {
-        (lam, mu): c for (lam, mu, r), c in table.entries.items() if r == 0 and c
-    }
+    return by_pair(table.entries, 0)
 
 
 @dataclass(frozen=True)
@@ -611,10 +619,11 @@ def double_coset_data(n: int):
 
 
 @lru_cache(maxsize=None)
-def _double_coset_counts(n: int) -> Mapping:
+def double_coset_table(n: int) -> Mapping:
     """Every double-coset connection coefficient of order ``n``, keyed
     (type of sigma, type of sigma^{-1}∘rho) for a fixed representative rho
-    of the full-cycle coset: one pass over S_{2n}."""
+    of the full-cycle coset: one pass over S_{2n}; cached and read-only.
+    The double-coset twin of :func:`class_connection_table`."""
     class_of, members, _ = double_coset_data(n)
     rho = members[Partition([n])][0]
     m = 2 * n
@@ -629,7 +638,7 @@ def _double_coset_counts(n: int) -> Mapping:
 def double_coset_connection(n: int, lam, mu) -> int:
     """Coefficient of a fixed representative of the full-cycle coset in the
     product of the coset sums for ``lam`` and ``mu`` (tiny n only)."""
-    return _double_coset_counts(n).get((Partition(lam), Partition(mu)), 0)
+    return double_coset_table(n).get((Partition(lam), Partition(mu)), 0)
 
 
 def expected_coset_size(n: int, lam: Partition) -> int:

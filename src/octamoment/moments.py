@@ -7,8 +7,10 @@ The exact layer works in integer and rational arithmetic only:
 integer evaluation kernel of :mod:`~octamoment.symfun`, and
 ``moment_complex_exact`` sums that kernel's monomial table by length;
 each divides once at the end.  The Monte Carlo layer is double
-precision.  They meet nowhere except in test harnesses, which compare
-estimates against exact values with explicit statistical tolerances.
+precision.  They meet where an estimate is set against the exact value:
+:meth:`MCEstimate.to_json` and :meth:`MCEstimate.z_score` take the exact
+moment as a float, and the test harnesses compare estimates against exact
+values with explicit statistical tolerances.
 
 Complex normalization: the entries of the complex U have independent
 N(0, 1/2) real and imaginary parts, so E|u|^2 = 1.  This is the
@@ -173,7 +175,8 @@ class MCEstimate:
 
     def to_json(self, exact: Fraction | None = None) -> dict:
         """JSON-ready record; ``z_score`` is ``None`` (JSON ``null``) when the
-        standard error is 0, because JSON has no infinity."""
+        standard error is 0, because JSON has no infinity.  An exact moment
+        beyond the float range raises ``ValueError``."""
         record = {
             "mean": self.mean,
             "std_error": self.std_error,
@@ -183,8 +186,14 @@ class MCEstimate:
             "dim": self.dim,
         }
         if exact is not None:
-            record["exact"] = float(exact)
-            record["z_score"] = self.z_score(float(exact)) if self.std_error else None
+            try:
+                approx = float(exact)
+            except OverflowError:
+                raise ValueError(
+                    f"the exact order-{self.n} moment does not fit in a float"
+                ) from None
+            record["exact"] = approx
+            record["z_score"] = self.z_score(approx) if self.std_error else None
         return record
 
 

@@ -3,6 +3,8 @@ independent oracle and reports one pass/fail line per check.
 
 The command-line ``verify`` subcommand runs them through :func:`run_suite`,
 and ``coeffs`` runs :func:`coeffs_self_check` before it prints a table.
+The self-check compares whole tables, and every (lambda, mu) view of a
+table keyed (lambda, mu, r) comes from :func:`~octamoment.hypermaps.by_pair`.
 The acceptance tests in ``tests/test_acceptance.py`` do not import this
 module: they repeat the checks in their own code.
 """
@@ -40,13 +42,6 @@ class CheckResult:
         return f"{'PASS' if self.ok else 'FAIL'} {self.name}" + (
             f": {self.detail}" if self.detail else ""
         )
-
-
-def _sum_r(lp: dict) -> dict:
-    agg: dict[tuple[Partition, Partition], int] = {}
-    for (nu, rho, _), c in lp.items():
-        agg[(nu, rho)] = agg.get((nu, rho), 0) + c
-    return agg
 
 
 def suite_bijection(n_max: int = 5) -> list[CheckResult]:
@@ -156,7 +151,7 @@ def suite_strata(n_max: int = 5) -> list[CheckResult]:
                 f"{len(groups)} profiles",
             )
         )
-        lp = _sum_r(hm.lp_table(n))
+        lp = hm.by_pair(hm.lp_table(n))
         expansion = cf.real_expansion(n)
         exp_bad = sum(
             1
@@ -195,13 +190,13 @@ def suite_complex(n_max: int = 7) -> list[CheckResult]:
     """Complex coefficients against the orientable slice of the oracle."""
     results = []
     for n in range(1, n_max + 1):
-        lp = hm.lp_from_pairings(n)
+        orientable = hm.by_pair(hm.lp_from_pairings(n), 0)
         bad = 0
         zero_cases = 0
         for lam in partitions_of(n):
             for mu in partitions_of(n):
                 coeff = cf.complex_coeff(n, lam, mu)
-                if coeff != aut(lam) * aut(mu) * lp.get((lam, mu, 0), 0):
+                if coeff != aut(lam) * aut(mu) * orientable.get((lam, mu), 0):
                     bad += 1
                 if lam.length + mu.length > n + 1:
                     zero_cases += 1
@@ -226,11 +221,10 @@ def suite_corollaries(n_max: int | None = None) -> list[CheckResult]:
     ranks = range(6)
     results = []
     for n in range(1, real_top + 1):
-        table = hm.L_table(n)
-        lp = hm.lp_from_pairings(n)
-        lp_len: dict[tuple[int, int, int], int] = {}
-        for (nu, rho, r), c in lp.items():
-            key = (nu.length, rho.length, r)
+        summed = hm.by_pair(hm.L_table(n).entries)
+        lp_len: dict[tuple[int, int], int] = {}
+        for (nu, rho), c in hm.by_pair(hm.lp_from_pairings(n)).items():
+            key = (nu.length, rho.length)
             lp_len[key] = lp_len.get(key, 0) + c
         bad = 0
         for l in ranks:
@@ -238,11 +232,11 @@ def suite_corollaries(n_max: int | None = None) -> list[CheckResult]:
                 qr = cf.q_real(n, l, m)
                 via_b = sum(
                     Fraction(c) * l**lam.length * m**mu.length
-                    for (lam, mu, _), c in table.entries.items()
+                    for (lam, mu), c in summed.items()
                 )
                 via_lp = sum(
                     Fraction(c) * falling(l, p) * falling(m, q)
-                    for (p, q, _), c in lp_len.items()
+                    for (p, q), c in lp_len.items()
                 )
                 if not (qr == via_b == via_lp):
                     bad += 1
@@ -250,14 +244,13 @@ def suite_corollaries(n_max: int | None = None) -> list[CheckResult]:
             CheckResult(f"corollaries/real n={n}", bad == 0, "l,m <= 5")
         )
     for n in range(1, complex_top + 1):
-        table = hm.L_table(n)
+        c_table = hm.c_from_L(hm.L_table(n))
         bad = 0
         for l in ranks:
             for m in ranks:
                 via_c = sum(
                     Fraction(c) * l**lam.length * m**mu.length
-                    for (lam, mu, r), c in table.entries.items()
-                    if r == 0
+                    for (lam, mu), c in c_table.items()
                 )
                 if cf.q_compl(n, l, m) != via_c:
                     bad += 1
@@ -271,7 +264,7 @@ def suite_special(n_max: int = 6) -> list[CheckResult]:
     """Single-black-vertex and hook coefficients plus the cell-sum identity."""
     results = []
     for n in range(1, n_max + 1):
-        lp = _sum_r(hm.lp_from_pairings(n))
+        lp = hm.by_pair(hm.lp_from_pairings(n))
         bad = []
         for lam in partitions_of(n):
             expect = aut(lam) * lp.get((lam, Partition([n])), 0)
@@ -334,9 +327,10 @@ def suite_mc(samples: int = 200_000, seed: int = 20240801) -> list[CheckResult]:
 
 
 def coeffs_self_check(n: int) -> list[CheckResult]:
-    """Internal cross-checks behind the coefficient tables: pairing totals,
-    the class-algebra route (n <= 8), the double-coset route and coset
-    sizes (n <= 3)."""
+    """Internal cross-checks behind the coefficient tables, each a
+    comparison of whole tables: pairing totals, the class-algebra route
+    (n <= 8), the double-coset route and coset sizes (n <= 3), and the
+    symmetry of the r-summed table and of its r = 0 slice."""
     results = []
     table = hm.L_table(n)
     expected = odd_double_factorial(n)
@@ -347,46 +341,31 @@ def coeffs_self_check(n: int) -> list[CheckResult]:
             f"{table.total()} == (2n-1)!! = {expected}",
         )
     )
+    orientable = hm.c_from_L(table)
     if n <= hm.DEFAULT_CLASS_BOUND:
-        c_direct = hm.c_from_L(table)
-        bad = sum(
-            1
-            for lam in partitions_of(n)
-            for mu in partitions_of(n)
-            if hm.class_connection(n, lam, mu) != c_direct.get((lam, mu), 0)
+        results.append(
+            CheckResult(
+                f"coeffs/class-algebra n={n}",
+                dict(hm.class_connection_table(n)) == orientable,
+            )
         )
-        results.append(CheckResult(f"coeffs/class-algebra n={n}", bad == 0))
     if n <= hm.DEFAULT_COSET_BOUND:
-        b_direct = hm.b_from_L(table)
         _, _, sizes = hm.double_coset_data(n)
-        bad = sum(
-            1
-            for lam in partitions_of(n)
-            for mu in partitions_of(n)
-            if hm.double_coset_connection(n, lam, mu) != b_direct.get((lam, mu), 0)
-        )
-        size_bad = sum(
-            1
-            for lam in partitions_of(n)
-            if sizes.get(lam, 0) != hm.expected_coset_size(n, lam)
-        )
+        expected_sizes = {lam: hm.expected_coset_size(n, lam) for lam in partitions_of(n)}
         results.append(
             CheckResult(
                 f"coeffs/double-coset n={n}",
-                bad == 0 and size_bad == 0,
-                f"coset sizes verified for {len(partitions_of(n))} types",
+                dict(hm.double_coset_table(n)) == hm.b_from_L(table)
+                and dict(sizes) == expected_sizes,
+                f"coset sizes verified for {len(expected_sizes)} types",
             )
         )
     # commutativity of both algebras
-    sym_bad = sum(
-        1
-        for lam in partitions_of(n)
-        for mu in partitions_of(n)
-        if sum(table.get(lam, mu, r) for r in range(n + 1))
-        != sum(table.get(mu, lam, r) for r in range(n + 1))
-        or table.get(lam, mu, 0) != table.get(mu, lam, 0)
+    symmetric = all(
+        pairs == {(mu, lam): c for (lam, mu), c in pairs.items()}
+        for pairs in (hm.by_pair(table.entries), orientable)
     )
-    results.append(CheckResult(f"coeffs/symmetry n={n}", sym_bad == 0))
+    results.append(CheckResult(f"coeffs/symmetry n={n}", symmetric))
     return results
 
 

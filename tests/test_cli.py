@@ -10,6 +10,7 @@ import sys
 import pytest
 
 from octamoment import cli, verify
+from octamoment import hypermaps as hm
 from octamoment.cli import main
 from octamoment.closedform import complex_expansion, degenerate_strata, real_expansion
 from octamoment.forests import forest_to_json, theta_forward
@@ -460,6 +461,57 @@ def test_mc_domain_error_exits_3_with_one_line(capsys):
     assert code == 3
     assert captured.out == ""
     assert captured.err.splitlines() == ["octamoment: error: moment order n must be >= 1"]
+
+
+def test_mc_exact_moment_beyond_the_float_range_exits_3_with_one_line(capsys):
+    argv = "mc --n 30 --field complex --x-eigs 1000000 --y-eigs 1000000 --samples 2 --seed 1"
+    code = main(argv.split())
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "octamoment: error: the exact order-30 moment does not fit in a float"
+    ]
+
+
+def _raise_one_count(table):
+    key = next(iter(table))
+    return {**table, key: table[key] + 1}
+
+
+def _move_one_r1_count(table):
+    """Move one r = 1 count to an r = 1 key that is not its transpose: the
+    total and the r = 0 slice stay, the r-summed table is no longer
+    symmetric."""
+    entries = dict(table.entries)
+    ones = [key for key in entries if key[2] == 1]
+    src = next(key for key in ones if key[0] != key[1])
+    dst = next(key for key in ones if key not in (src, (src[1], src[0], 1)))
+    entries[src] -= 1
+    entries[dst] += 1
+    return hm.ClassTable(table.n, entries)
+
+
+@pytest.mark.parametrize(
+    ("oracle", "tamper", "argv", "line"),
+    [
+        ("class_connection_table", _raise_one_count, "coeffs --n 4 --kind c",
+         "FAIL coeffs/class-algebra n=4"),
+        ("double_coset_table", _raise_one_count, "coeffs --n 3 --kind b",
+         "FAIL coeffs/double-coset n=3: coset sizes verified for 3 types"),
+        ("L_table", _move_one_r1_count, "coeffs --n 5 --kind L",
+         "FAIL coeffs/symmetry n=5"),
+    ],
+    ids=["class-algebra", "double-coset", "symmetry"],
+)
+def test_coeffs_self_check_fails_on_a_tampered_table(oracle, tamper, argv, line, monkeypatch, capsys):
+    original = getattr(hm, oracle)
+    monkeypatch.setattr(hm, oracle, lambda n: tamper(original(n)))
+    code = main(argv.split())
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.splitlines() == [line]
 
 
 def test_expansion_domain_error_exits_3_with_one_line(capsys):

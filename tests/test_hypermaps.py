@@ -13,6 +13,7 @@ from octamoment.hypermaps import (
     Pairing,
     PartitionedHypermap,
     b_from_L,
+    by_pair,
     c_from_L,
     canonical_f1,
     canonical_f2,
@@ -158,6 +159,17 @@ def test_b_and_c_from_L():
     assert c[(Partition([2]), Partition([1, 1]))] == 1
     assert (Partition([2]), Partition([2])) not in c
     assert b_from_L(L_table(1))[(Partition([1]), Partition([1]))] == 2
+    for n in range(1, DEFAULT_PAIRING_BOUND + 1):
+        entries = L_table(n).entries
+        summed = by_pair(entries)
+        scale = 2**n * factorial(n)
+        assert {key: scale * c for key, c in summed.items()} == b_from_L(L_table(n))
+        assert by_pair(entries, 0) == c_from_L(L_table(n))
+        added: dict = {}
+        for r in range(n // 2 + 1):
+            for key, c in by_pair(entries, r).items():
+                added[key] = added.get(key, 0) + c
+        assert added == summed
 
 
 def test_symmetry_of_connection_coefficients():
