@@ -51,7 +51,6 @@ import json
 import sys
 from functools import cache, partial
 from json.encoder import encode_basestring_ascii
-from math import factorial
 
 from . import closedform as cf
 from . import forests as fo
@@ -220,7 +219,7 @@ def cmd_coeffs(args) -> int:
         table = hm.b_from_L(hm.L_table(n))
     else:
         table = hm.c_from_L(hm.L_table(n))
-    scale = 2**n * factorial(n)
+    scale = hm.hyperoctahedral_order(n)
     rows = []
     for key, value in sorted(table.items(), reverse=True):
         row = dict(zip(("lambda", "mu", "r"), key))

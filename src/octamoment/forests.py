@@ -18,14 +18,17 @@ labels: each next label must sit on the leftmost unrecovered slot of a
 vertex that the current slot determines (matched thorn, attributed
 vertex, arrow target, or edge endpoint).
 
-``validate_forest`` is the one statement of the rules above.
+``validate_forest`` is the one statement of the rules above; it reads
+each non-seed root's arrow loop (its rightmost slot) once.
 ``enumerate_forests``, the exhaustive oracle that the bijection is
 checked against stratum by stratum, generates candidate forests of a
 degree array and keeps those it accepts.
 
 Forests are kept in a canonical labeling (vertices numbered by traversal
-order, minimized over reorderings of identical non-seed trees), so
-structural equality of :class:`Forest` values is isomorphism.
+order, the least relabeling over reorderings of identical non-seed
+trees), so structural equality of :class:`Forest` values is isomorphism.
+One order of forests (``_order_key``) picks that least relabeling and
+orders the list ``enumerate_forests`` returns.
 """
 
 from __future__ import annotations
@@ -112,15 +115,6 @@ class Forest:
         return sum(1 for slot in self.slots[v] if slot[0] == LOOP) // 2
 
 
-def _full_slots(f: Forest) -> list[list[Slot]]:
-    """Descendant slots plus the implicit rightmost parent slot."""
-    parent = f.parent_map()
-    full = [list(slots) for slots in f.slots]
-    for child, par in parent.items():
-        full[child].append((EDGE, par))
-    return full
-
-
 def validate_forest(f: Forest) -> list[str]:
     """All violations of the permuted-forest properties (empty iff valid)."""
     problems: list[str] = []
@@ -170,9 +164,13 @@ def validate_forest(f: Forest) -> list[str]:
             problems.append(f"vertex {v} has a loop without exactly two extremities")
         loops_of[v] = ids
 
+    # The loop in a non-seed root's rightmost slot carries its arrow.
+    arrow: dict[int, int] = {}
     for v in non_seed_roots:
         slots = f.slots[v]
-        if not slots or slots[-1][0] != LOOP:
+        if slots and slots[-1][0] == LOOP:
+            arrow[v] = slots[-1][1]
+        else:
             problems.append(f"non-seed root {v} lacks a rightmost descending loop")
 
     attr = {(v, k): (kind, target) for v, k, kind, target in f.loop_attr}
@@ -181,11 +179,6 @@ def validate_forest(f: Forest) -> list[str]:
     arrows_in: dict[int, int] = {}
     greek_named: dict[int, int] = {}
     for v, ids in loops_of.items():
-        maximal = (
-            f.slots[v][-1][1]
-            if v in non_seed_roots and f.slots[v] and f.slots[v][-1][0] == LOOP
-            else None
-        )
         for k in ids:
             if (v, k) not in attr:
                 problems.append(f"loop {k} of vertex {v} has no attribution")
@@ -194,7 +187,7 @@ def validate_forest(f: Forest) -> list[str]:
             if not 0 <= target < V or f.colors[target] == f.colors[v]:
                 problems.append(f"loop {k} of vertex {v} attributed to a bad vertex")
                 continue
-            if v in non_seed_roots and k == maximal:
+            if arrow.get(v) == k:
                 if kind != "arrow":
                     problems.append(f"maximal loop of non-seed root {v} must carry the arrow")
                 arrows_in[target] = arrows_in.get(target, 0) + 1
@@ -239,10 +232,9 @@ def validate_forest(f: Forest) -> list[str]:
 
     # Edges plus arrows must form a single tree rooted at the seed.
     link: dict[int, int] = dict(parent)
-    for v in non_seed_roots:
-        slots = f.slots[v]
-        if slots and slots[-1][0] == LOOP and (v, slots[-1][1]) in attr:
-            link[v] = attr[(v, slots[-1][1])][1]
+    for v, k in arrow.items():
+        if (v, k) in attr:
+            link[v] = attr[(v, k)][1]
     for v in range(V):
         trail = set()
         x = v
@@ -280,8 +272,14 @@ def _structure_keys(f: Forest) -> dict[int, tuple]:
     return keys
 
 
-def _serialize(f: Forest, order: Sequence[int]):
-    """Relabel by ``order`` and return (key, relabeled Forest)."""
+def _order_key(f: Forest) -> tuple:
+    """The order of forests: the canonical labeling is the least relabeling
+    in it, and :func:`enumerate_forests` lists its forests in it."""
+    return (f.colors, f.slots, f.loop_attr, sorted(f.matching))
+
+
+def _relabel(f: Forest, order: Sequence[int]) -> Forest:
+    """Renumber vertex ``order[i]`` as ``i``; the seed must come first."""
     mapping = {old: new for new, old in enumerate(order)}
     colors = tuple(f.colors[v] for v in order)
     new_slots = []
@@ -296,14 +294,12 @@ def _serialize(f: Forest, order: Sequence[int]):
     attr = tuple(
         sorted((mapping[v], k, kind, mapping[t]) for v, k, kind, t in f.loop_attr)
     )
-    match = tuple(
-        sorted(
-            ((mapping[a[0]], a[1]), (mapping[b[0]], b[1])) for a, b in f.matching
-        )
+    # Built from the sorted pairs: validate_forest reports matching
+    # problems in the frozenset's iteration order.
+    match = sorted(
+        ((mapping[a[0]], a[1]), (mapping[b[0]], b[1])) for a, b in f.matching
     )
-    key = (colors, tuple(new_slots), attr, match)
-    forest = Forest(colors, tuple(new_slots), 0, attr, frozenset(match))
-    return key, forest
+    return Forest(colors, tuple(new_slots), 0, attr, frozenset(match))
 
 
 def canonicalize(f: Forest) -> Forest:
@@ -312,8 +308,6 @@ def canonicalize(f: Forest) -> Forest:
     identical shapes (only cross references can distinguish those)."""
     keys = _structure_keys(f)
     parent = f.parent_map()
-    roots = [v for v in range(f.num_vertices) if v not in parent]
-    non_seed = [v for v in roots if v != f.seed]
 
     def dfs(v: int, acc: list[int]) -> None:
         acc.append(v)
@@ -321,23 +315,18 @@ def canonicalize(f: Forest) -> Forest:
             if slot[0] == EDGE:
                 dfs(slot[1], acc)
 
-    groups: dict[tuple, list[int]] = {}
-    for v in non_seed:
-        groups.setdefault(keys[v], []).append(v)
-    group_list = [groups[k] for k in sorted(groups)]
+    def order(perms: tuple[tuple[int, ...], ...]) -> list[int]:
+        acc: list[int] = []
+        for root in (f.seed, *itertools.chain.from_iterable(perms)):
+            dfs(root, acc)
+        return acc
 
-    best = None
-    for perms in itertools.product(*(itertools.permutations(g) for g in group_list)):
-        order: list[int] = []
-        dfs(f.seed, order)
-        for group in perms:
-            for root in group:
-                dfs(root, order)
-        key, forest = _serialize(f, order)
-        if best is None or key < best[0]:
-            best = (key, forest)
-    assert best is not None
-    return best[1]
+    groups: dict[tuple, list[int]] = {}
+    for v in range(f.num_vertices):
+        if v not in parent and v != f.seed:
+            groups.setdefault(keys[v], []).append(v)
+    candidates = itertools.product(*(itertools.permutations(groups[k]) for k in sorted(groups)))
+    return min((_relabel(f, order(perms)) for perms in candidates), key=_order_key)
 
 
 def _same_kind(x: int, y: int, n: int) -> bool:
@@ -354,27 +343,21 @@ def theta_forward(h: PartitionedHypermap) -> Forest:
         raise ValueError("invalid partitioned hypermap: " + "; ".join(problems))
     n = h.f3.n
     f3 = h.f3.image
-    whites = list(h.pi1)
-    blacks = list(h.pi2)
-    V = len(whites) + len(blacks)
-    colors = ["w"] * len(whites) + ["b"] * len(blacks)
+    blocks = list(h.pi1) + list(h.pi2)
+    colors = ["w"] * len(h.pi1) + ["b"] * len(h.pi2)
+    V = len(blocks)
 
-    slot_labels = [sorted(x for x in block if x < n) for block in whites]
-    slot_labels += [sorted(x for x in block if x >= n) for block in blacks]
+    vertex_of: dict[tuple[str, int], int] = {}
     owner: dict[int, SlotRef] = {}
-    for v, labels in enumerate(slot_labels):
-        for idx, x in enumerate(labels):
+    slot_labels: list[list[int]] = []
+    for v, block in enumerate(blocks):
+        for x in block:
+            vertex_of[(colors[v], x)] = v
+        slot_labels.append(sorted(x for x in block if (x < n) == (colors[v] == "w")))
+        for idx, x in enumerate(slot_labels[-1]):
             owner[x] = (v, idx)
-    white_block_of: dict[int, int] = {}
-    for v, block in enumerate(whites):
-        for x in block:
-            white_block_of[x] = v
-    black_block_of: dict[int, int] = {}
-    for v, block in enumerate(blacks):
-        for x in block:
-            black_block_of[x] = len(whites) + v
 
-    seed = white_block_of[0]
+    seed = vertex_of[("w", 0)]
     top = [labels[-1] for labels in slot_labels]
     is_root = [v == seed or _same_kind(top[v], f3[top[v]], n) for v in range(V)]
 
@@ -416,10 +399,7 @@ def theta_forward(h: PartitionedHypermap) -> Forest:
         for loop_id, (pos_a, pos_b, x, y) in enumerate(loops[v]):
             full[v][pos_a] = (LOOP, loop_id)
             full[v][pos_b] = (LOOP, loop_id)
-            if colors[v] == "w":
-                target = black_block_of[x]
-            else:
-                target = white_block_of[x]
+            target = vertex_of[("b" if colors[v] == "w" else "w", x)]
             kind = (
                 "arrow"
                 if v != seed and is_root[v] and top[v] in (x, y)
@@ -462,7 +442,10 @@ def theta_inverse(f: Forest) -> PartitionedHypermap:
     if problems:
         raise MalformedForestError(0, "invalid forest: " + "; ".join(problems))
     V = f.num_vertices
-    full = _full_slots(f)
+    parent = f.parent_map()
+    full = [list(slots) for slots in f.slots]  # plus the implicit parent slot
+    for child, par in parent.items():
+        full[child].append((EDGE, par))
     degree = [len(row) for row in full]
     n = sum(degree[v] for v in range(V) if f.colors[v] == "w")
 
@@ -518,7 +501,6 @@ def theta_inverse(f: Forest) -> PartitionedHypermap:
                 by_loop.setdefault(slot[1], []).append(idx)
         for positions in by_loop.values():
             pairs.append((labels[v][positions[0]], labels[v][positions[1]]))
-    parent = f.parent_map()
     for child, par in parent.items():
         child_label = labels[child][degree[child] - 1]
         idx = next(
@@ -626,7 +608,7 @@ def enumerate_forests(a: ArrayTuple) -> list[Forest]:
                         if not validate_forest(forest):
                             found.add(canonicalize(forest))
 
-    out = sorted(found, key=lambda f: (f.colors, f.slots, f.loop_attr, sorted(f.matching)))
+    out = sorted(found, key=_order_key)
     for f in out:
         if forest_degree(f) != a:
             raise AssertionError("enumerated forest has the wrong degree array")

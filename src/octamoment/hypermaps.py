@@ -55,6 +55,7 @@ __all__ = [
     "by_pair",
     "pairing_power_sum_series",
     "oracle_monomial_expansion",
+    "hyperoctahedral_order",
     "b_from_L",
     "c_from_L",
     "PartitionedHypermap",
@@ -401,9 +402,14 @@ def oracle_monomial_expansion(n: int, kind: str = "real") -> MonomialExpansion:
     return to_monomial(pairing_power_sum_series(n, kind))
 
 
+def hyperoctahedral_order(n: int) -> int:
+    """|B_n| = 2^n n!, the order of the hyperoctahedral group."""
+    return 2**n * factorial(n)
+
+
 def b_from_L(table: ClassTable) -> dict[tuple[Partition, Partition], int]:
-    """Double-coset connection coefficients: 2^n n! times the r-summed counts."""
-    scale = 2**table.n * factorial(table.n)
+    """Double-coset connection coefficients: |B_n| times the r-summed counts."""
+    scale = hyperoctahedral_order(table.n)
     return {key: scale * c for key, c in by_pair(table.entries).items()}
 
 
@@ -642,8 +648,8 @@ def double_coset_connection(n: int, lam, mu) -> int:
 
 
 def expected_coset_size(n: int, lam: Partition) -> int:
-    """|B_n|^2 / (2^{len(lam)} z_lam) with |B_n| = 2^n n!."""
-    bn = 2**n * factorial(n)
+    """|B_n|^2 / (2^{len(lam)} z_lam)."""
+    bn = hyperoctahedral_order(n)
     size, rem = divmod(bn * bn, 2**lam.length * zee(lam))
     if rem:
         raise AssertionError("coset size formula did not divide evenly")

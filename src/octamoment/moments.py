@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import sqrt
+from math import isfinite, sqrt
 from typing import Sequence
 
 import numpy as np
@@ -176,7 +176,7 @@ class MCEstimate:
     def to_json(self, exact: Fraction | None = None) -> dict:
         """JSON-ready record; ``z_score`` is ``None`` (JSON ``null``) when the
         standard error is 0, because JSON has no infinity.  An exact moment
-        beyond the float range raises ``ValueError``."""
+        or an estimate beyond the float range raises ``ValueError``."""
         record = {
             "mean": self.mean,
             "std_error": self.std_error,
@@ -194,6 +194,10 @@ class MCEstimate:
                 ) from None
             record["exact"] = approx
             record["z_score"] = self.z_score(approx) if self.std_error else None
+        if not (isfinite(self.mean) and isfinite(self.std_error)):
+            raise ValueError(
+                f"the Monte Carlo estimate of the order-{self.n} moment overflows a float"
+            )
         return record
 
 
@@ -286,10 +290,12 @@ def _mc_moment(
 
     total = 0.0
     total_sq = 0.0
-    for k, start in enumerate(range(0, samples, SHARD_SIZE)):
-        s, sq = shard_sums(k, min(SHARD_SIZE, samples - start))
-        total += s
-        total_sq += sq
+    # An overflow leaves a non-finite estimate, which to_json rejects.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, start in enumerate(range(0, samples, SHARD_SIZE)):
+            s, sq = shard_sums(k, min(SHARD_SIZE, samples - start))
+            total += s
+            total_sq += sq
     mean = total / samples
     variance = (total_sq - samples * mean * mean) / (samples - 1)
     std_error = sqrt(max(variance, 0.0) / samples)

@@ -1,6 +1,8 @@
 """Forest bijection: round trips, validation, degree preservation,
 exhaustive forest enumeration, and the fully printed 11-edge example."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -228,6 +230,84 @@ def test_inverse_rejects_invalid_forest():
     )
     with pytest.raises(MalformedForestError):
         theta_inverse(f)
+
+
+# Valid n = 2 forests: an edge and a matched thorn pair, the two-loop forest
+# of test_two_loop_forest_structure, a white root with two black leaves, and
+# a white-black-white chain.
+_THORNS = Forest(
+    ("w", "b"), (((EDGE, 1), (THORN,)), ((THORN,),)), 0, (), frozenset({((0, 1), (1, 0))})
+)
+_LOOPS = Forest(
+    ("w", "b"),
+    (((LOOP, 0), (LOOP, 0)), ((LOOP, 0), (LOOP, 0))),
+    0,
+    ((0, 0, "greek", 1), (1, 0, "arrow", 0)),
+    frozenset(),
+)
+_FORK = Forest(("w", "b", "b"), (((EDGE, 1), (EDGE, 2)), (), ()), 0, (), frozenset())
+_CHAIN = Forest(("w", "b", "w"), (((EDGE, 1),), ((EDGE, 2),), ()), 0, (), frozenset())
+
+
+@pytest.mark.parametrize(
+    ("base", "change", "message"),
+    [
+        (_THORNS, {"seed": 5}, "seed index 5 out of range"),
+        (_LOOPS, {"colors": ("b", "w")}, "seed root is not white"),
+        (_THORNS, {"colors": ("w", "x")}, "vertex with unknown color"),
+        (_FORK, {"slots": (((EDGE, 1), (EDGE, 7)), (), ())}, "edge from 0 to unknown vertex 7"),
+        (_CHAIN, {"colors": ("w", "b", "b")}, "edge 1 -> 2 joins equal colors"),
+        (_FORK, {"slots": (((EDGE, 1), (EDGE, 1)), (), ())}, "vertex 1 has two parents"),
+        (_CHAIN, {"slots": (((EDGE, 1),), ((EDGE, 2),), ((EDGE, 1), (EDGE, 0)))},
+         "seed root has a parent edge"),
+        (_FORK, {"slots": (((EDGE, 1), (THORN,)), (), ())}, "root vertex 2 has degree 0"),
+        (_LOOPS, {"slots": (((LOOP, 1), (LOOP, 1)), ((LOOP, 0), (LOOP, 0)))},
+         "vertex 0 loop ids not in first-occurrence order"),
+        (_LOOPS, {"slots": (((LOOP, 0), (THORN,)), ((LOOP, 0), (LOOP, 0)))},
+         "vertex 0 has a loop without exactly two extremities"),
+        (_LOOPS, {"slots": (((LOOP, 0), (LOOP, 0)), ((LOOP, 0), (LOOP, 0), (THORN,)))},
+         "non-seed root 1 lacks a rightmost descending loop"),
+        (_LOOPS, {"loop_attr": _LOOPS.loop_attr + ((1, 0, "greek", 0),)},
+         "duplicate loop attribution"),
+        (_LOOPS, {"loop_attr": ((1, 0, "arrow", 0),)}, "loop 0 of vertex 0 has no attribution"),
+        (_LOOPS, {"loop_attr": ((0, 0, "greek", 0), (1, 0, "arrow", 0))},
+         "loop 0 of vertex 0 attributed to a bad vertex"),
+        (_LOOPS, {"loop_attr": ((0, 0, "greek", 1), (1, 0, "greek", 0))},
+         "maximal loop of non-seed root 1 must carry the arrow"),
+        (_LOOPS, {"loop_attr": ((0, 0, "arrow", 1), (1, 0, "arrow", 0))},
+         "non-maximal loop 0 of vertex 0 cannot carry an arrow"),
+        (_LOOPS, {"loop_attr": _LOOPS.loop_attr + ((0, 1, "greek", 1),)},
+         "attributions for nonexistent loops: [(0, 1)]"),
+        (_THORNS, {"matching": frozenset({((0, 0), (1, 0))})},
+         "matching entry (0, 0) is not a thorn"),
+        (_THORNS, {"matching": frozenset({((0, 1), (1, 0)), ((0, 1), (0, 1))})},
+         "thorn (0, 1) matched twice"),
+        (_THORNS, {"matching": frozenset({((0, 1), (0, 1))})},
+         "matched thorns (0, 1), (0, 1) have equal colors"),
+        (_THORNS, {"matching": frozenset({((1, 0), (0, 1))})},
+         "matching pair ((1, 0), (0, 1)) does not list the white thorn first"),
+        (_THORNS, {"matching": frozenset()}, "thorn matching does not cover every thorn"),
+        (_LOOPS, {"slots": (((LOOP, 0), (LOOP, 0), (LOOP, 1), (LOOP, 1)), ((LOOP, 0), (LOOP, 0)))},
+         "vertex 0 has 2 loops but 1 arrows + 0 named loops"),
+        (_CHAIN, {"slots": (((EDGE, 1),), ((EDGE, 2),), ((EDGE, 1),))},
+         "edge/arrow structure has a cycle through vertex 1"),
+        (_CHAIN, {"slots": (((EDGE, 1),), (), ())}, "vertex 2 is not connected to the seed root"),
+    ],
+    ids=[
+        "seed-out-of-range", "seed-not-white", "unknown-color", "edge-to-unknown-vertex",
+        "edge-equal-colors", "two-parents", "seed-parent-edge", "root-degree-0",
+        "loop-id-order", "loop-extremities", "root-without-loop", "duplicate-attribution",
+        "unattributed-loop", "bad-attribution-target", "maximal-loop-without-arrow",
+        "non-maximal-arrow", "nonexistent-loop", "matching-non-thorn", "thorn-matched-twice",
+        "matched-equal-colors", "white-thorn-not-first", "uncovered-thorn", "loop-balance",
+        "cycle", "disconnected",
+    ],
+)
+def test_validation_states_each_rule(base, change, message):
+    """One change to a valid forest breaks one rule; some faults bring a
+    companion message, so the expected one is looked up among them."""
+    assert validate_forest(base) == []
+    assert message in validate_forest(dataclasses.replace(base, **change))
 
 
 def test_json_round_trip():

@@ -6,6 +6,7 @@ import hashlib
 import json
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
@@ -179,6 +180,29 @@ def test_suite_bijection_reports_an_invalid_forest(monkeypatch):
     first = verify.suite_bijection(1)[0]
     assert first.name == "bijection/hypermap-round-trip n=1" and not first.ok
     assert first.detail.startswith("invalid forest for f3 = ")
+
+
+_TWO_EDGES = next(iter_partitioned_hypermaps(2))
+
+
+@pytest.mark.parametrize(
+    ("target", "replacement", "check", "detail"),
+    [
+        ("forest_degree", lambda forest: hm.degree_array(_TWO_EDGES),
+         "bijection/hypermap-round-trip n=1", "degree mismatch for f3 = "),
+        ("theta_inverse", lambda forest: _TWO_EDGES,
+         "bijection/hypermap-round-trip n=1", "round trip failed for f3 = "),
+        ("enumerate_forests", lambda a, listed=verify.fo.enumerate_forests: listed(a)[1:],
+         "bijection/forest-round-trip n=1", "count mismatch at "),
+    ],
+    ids=["degree", "round-trip", "count"],
+)
+def test_suite_bijection_reports_each_failure(target, replacement, check, detail, monkeypatch):
+    # Only the suite's view of the module is patched: enumerate_forests
+    # itself checks each forest with forest_degree.
+    monkeypatch.setattr(verify, "fo", SimpleNamespace(**{**vars(verify.fo), target: replacement}))
+    result = next(r for r in verify.suite_bijection(1) if r.name == check)
+    assert not result.ok and result.detail.startswith(detail)
 
 
 @pytest.mark.parametrize(
@@ -762,6 +786,20 @@ def test_non_finite_matrix_entry_is_rejected_before_sampling(bad, tmp_path, caps
     argv = ["mc", "--n", "2", "--samples", "10", "--matrix-x", "bad.json", "--dim", "2"]
     line = _one_error_line(argv, {"entries": [[bad, 1], [1, 2]]}, tmp_path, capsys)
     assert line == "octamoment: error: matrix entries must be finite"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize(("n", "entry"), [(30, 1000000), (2, 1e200)], ids=["1e6-n30", "1e200-n2"])
+def test_mc_estimate_beyond_the_float_range_exits_3_with_one_line(
+    n, entry, field, tmp_path, capsys
+):
+    argv = ["mc", "--n", str(n), "--field", field, "--matrix-x", "bad.json",
+            "--matrix-y", "bad.json", "--samples", "2", "--seed", "1"]
+    line = _one_error_line(argv, {"entries": [[entry]]}, tmp_path, capsys)
+    assert line == (
+        f"octamoment: error: the Monte Carlo estimate of the order-{n} moment overflows a float"
+    )
 
 
 def test_hypermap_without_f3_names_the_missing_key(tmp_path, capsys):
