@@ -38,7 +38,6 @@ from .forests import (
 )
 from .hypermaps import (
     BoundExceededError,
-    ClassTable,
     L_table,
     Pairing,
     PartitionedHypermap,
@@ -46,9 +45,9 @@ from .hypermaps import (
     c_from_L,
     canonical_f1,
     canonical_f2,
-    class_connection,
+    class_connection_table,
     degree_array,
-    double_coset_connection,
+    double_coset_table,
     half_cycle_type,
     iter_partitioned_hypermaps,
     lp_by_array,

@@ -214,7 +214,7 @@ def cmd_coeffs(args) -> int:
     if args.kind == "LP":
         table = hm.lp_from_pairings(n)
     elif args.kind == "L":
-        table = hm.L_table(n).entries
+        table = hm.L_table(n)
     elif args.kind == "b":
         table = hm.b_from_L(hm.L_table(n))
     else:

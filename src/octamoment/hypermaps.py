@@ -11,10 +11,13 @@ every pairing ``f3`` yields a unicellular hypermap.
 Internally half edges are the integers ``0..2n-1``: label ``i`` is
 ``i - 1`` and the hat label ``i^`` is ``n + i - 1``.
 
-The pairing tables are keyed (white type, black type, r).
-:func:`by_pair` is the one sum over r and the one slice at r = 0; the
-double-coset coefficients (:func:`b_from_L`), the class-algebra
-coefficients (:func:`c_from_L`) and both power-sum series
+Every oracle table is a cached read-only mapping from its key to an
+integer count: :func:`L_table` and :func:`lp_table` keyed (white type,
+black type, r), :func:`lp_by_array` keyed by degree array, and
+:func:`class_connection_table` and :func:`double_coset_table` keyed
+(type, type).  :func:`by_pair` is the one sum over r and the one slice at
+r = 0; the double-coset coefficients (:func:`b_from_L`), the
+class-algebra coefficients (:func:`c_from_L`) and both power-sum series
 (:func:`pairing_power_sum_series`) are its views.
 
 Everything here is brute force by design; these are the oracles the
@@ -49,7 +52,6 @@ __all__ = [
     "cycle_type",
     "half_cycle_type",
     "iter_pairing_images",
-    "ClassTable",
     "L_table",
     "lp_from_pairings",
     "by_pair",
@@ -63,10 +65,8 @@ __all__ = [
     "lp_table",
     "lp_by_array",
     "degree_array",
-    "class_connection",
     "class_connection_table",
     "double_coset_table",
-    "double_coset_connection",
     "double_coset_data",
     "expected_coset_size",
     "element_name",
@@ -262,25 +262,11 @@ def iter_pairing_images(m: int) -> Iterator[list[int]]:
     yield from rec(0)
 
 
-@dataclass(frozen=True)
-class ClassTable:
-    """Counts of pairings f3 by (white type, black type, hat-pair count);
-    ``entries`` is read-only."""
-
-    n: int
-    entries: Mapping[tuple[Partition, Partition, int], int]
-
-    def total(self) -> int:
-        return sum(self.entries.values())
-
-    def get(self, lam, mu, r) -> int:
-        return self.entries.get((Partition(lam), Partition(mu), r), 0)
-
-
 @lru_cache(maxsize=None)
-def L_table(n: int) -> ClassTable:
+def L_table(n: int) -> Mapping:
     """Exhaustive classification of all (2n-1)!! pairings f3 by the half
-    cycle types of f3∘f1 and f3∘f2 and the hat-pair count r.
+    cycle types of f3∘f1 and f3∘f2 and the hat-pair count r: the counts
+    keyed (white type, black type, r); cached and read-only.
 
     One depth-first walk places the pairs of f3 in the order of
     :func:`iter_pairing_images`.  For each of f1 and f2 it keeps the open
@@ -356,7 +342,7 @@ def L_table(n: int) -> ClassTable:
     expected = odd_double_factorial(n)
     if sum(entries.values()) != expected:
         raise AssertionError(f"pairing count mismatch: {sum(entries.values())} != {expected}")
-    return ClassTable(n, MappingProxyType(entries))
+    return MappingProxyType(entries)
 
 
 def lp_from_pairings(n: int) -> dict[tuple[Partition, Partition, int], int]:
@@ -365,7 +351,7 @@ def lp_from_pairings(n: int) -> dict[tuple[Partition, Partition, int], int]:
     past the partitioned enumeration bound but no further, since it reads
     :func:`L_table`.  Keys are (white type, black type, r)."""
     out: dict[tuple[Partition, Partition, int], int] = {}
-    for (lam, mu, r), c in L_table(n).entries.items():
+    for (lam, mu, r), c in L_table(n).items():
         for nu, r1 in coarsening_counts(lam).items():
             for rho, r2 in coarsening_counts(mu).items():
                 key = (nu, rho, r)
@@ -393,7 +379,7 @@ def pairing_power_sum_series(n: int, kind: str = "real") -> PowerSumExpansion:
     ``kind`` other than "real" or "complex" raises ``ValueError``."""
     if kind not in ("real", "complex"):
         raise ValueError(f"kind must be 'real' or 'complex', got {kind!r}")
-    return PowerSumExpansion(n, by_pair(L_table(n).entries, 0 if kind == "complex" else None))
+    return PowerSumExpansion(n, by_pair(L_table(n), 0 if kind == "complex" else None))
 
 
 def oracle_monomial_expansion(n: int, kind: str = "real") -> MonomialExpansion:
@@ -407,15 +393,16 @@ def hyperoctahedral_order(n: int) -> int:
     return 2**n * factorial(n)
 
 
-def b_from_L(table: ClassTable) -> dict[tuple[Partition, Partition], int]:
-    """Double-coset connection coefficients: |B_n| times the r-summed counts."""
-    scale = hyperoctahedral_order(table.n)
-    return {key: scale * c for key, c in by_pair(table.entries).items()}
+def b_from_L(table: Mapping) -> dict[tuple[Partition, Partition], int]:
+    """Double-coset connection coefficients: |B_n| times the r-summed
+    counts of an :func:`L_table`, whose keys give n."""
+    scale = hyperoctahedral_order(next(iter(table))[0].n)
+    return {key: scale * c for key, c in by_pair(table).items()}
 
 
-def c_from_L(table: ClassTable) -> dict[tuple[Partition, Partition], int]:
+def c_from_L(table: Mapping) -> dict[tuple[Partition, Partition], int]:
     """Class-algebra connection coefficients: the r = 0 slice."""
-    return by_pair(table.entries, 0)
+    return by_pair(table, 0)
 
 
 @dataclass(frozen=True)
@@ -554,7 +541,7 @@ def degree_array(h: PartitionedHypermap) -> ArrayTuple:
     return ArrayTuple.from_vertices(*seed, vertices)
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=None)
 def _lp_data(n: int):
     table: dict[tuple[Partition, Partition, int], int] = {}
     by_array: dict[ArrayTuple, int] = {}
@@ -583,6 +570,8 @@ def class_connection_table(n: int) -> Mapping:
     """For the fixed n-cycle g = (1 2 ... n), the number of ways to write
     g = a∘b with a, b of prescribed cycle types, keyed (type a, type b);
     cached and read-only."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if n > DEFAULT_CLASS_BOUND:
         raise BoundExceededError("class algebra product", n, DEFAULT_CLASS_BOUND)
     gamma = tuple((x + 1) % n for x in range(n))
@@ -595,33 +584,27 @@ def class_connection_table(n: int) -> Mapping:
     return MappingProxyType(table)
 
 
-def class_connection(n: int, lam, mu) -> int:
-    """Oracle for the class-algebra connection coefficient at the full cycle."""
-    return class_connection_table(n).get((Partition(lam), Partition(mu)), 0)
-
-
 @lru_cache(maxsize=None)
 def double_coset_data(n: int):
     """Membership data for the double cosets of the hyperoctahedral group.
 
-    Returns read-only mappings (class_of, members, sizes): the coset type
-    of each permutation of S_{2n} (as an image tuple), the members per type
-    (a tuple), and the coset sizes.  A permutation w lies in the coset of
-    type lam iff fstar∘w∘fstar∘w^{-1} has cycle type lam lam.
+    Returns read-only mappings (class_of, sizes): the coset type of each
+    permutation of S_{2n} (as an image tuple), grouped by type, and the
+    coset sizes.  A permutation w lies in the coset of type lam iff
+    fstar∘w∘fstar∘w^{-1} has cycle type lam lam.
     """
     if n > DEFAULT_COSET_BOUND:
         raise BoundExceededError("double coset product", n, DEFAULT_COSET_BOUND)
     m = 2 * n
     fstar = canonical_f2(n).image
-    raw: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    by_type: dict[Partition, list[tuple[int, ...]]] = {}
     for omega in itertools.permutations(range(m)):
         inv = _inverse(omega)
         conj = tuple(fstar[omega[fstar[inv[x]]]] for x in range(m))
-        raw.setdefault(_half_cycle_lengths(conj), []).append(omega)
-    members = {Partition(half): tuple(ms) for half, ms in raw.items()}
-    class_of = {omega: lam for lam, ms in members.items() for omega in ms}
-    sizes = {lam: len(ms) for lam, ms in members.items()}
-    return MappingProxyType(class_of), MappingProxyType(members), MappingProxyType(sizes)
+        by_type.setdefault(Partition(_half_cycle_lengths(conj)), []).append(omega)
+    class_of = {omega: lam for lam, ms in by_type.items() for omega in ms}
+    sizes = {lam: len(ms) for lam, ms in by_type.items()}
+    return MappingProxyType(class_of), MappingProxyType(sizes)
 
 
 @lru_cache(maxsize=None)
@@ -630,8 +613,8 @@ def double_coset_table(n: int) -> Mapping:
     (type of sigma, type of sigma^{-1}∘rho) for a fixed representative rho
     of the full-cycle coset: one pass over S_{2n}; cached and read-only.
     The double-coset twin of :func:`class_connection_table`."""
-    class_of, members, _ = double_coset_data(n)
-    rho = members[Partition([n])][0]
+    class_of, _ = double_coset_data(n)
+    rho = next(w for w, lam in class_of.items() if lam == (n,))
     m = 2 * n
     counts: dict[tuple[Partition, Partition], int] = {}
     for sigma, lam in class_of.items():
@@ -639,12 +622,6 @@ def double_coset_table(n: int) -> Mapping:
         key = (lam, class_of[tuple(inv[rho[x]] for x in range(m))])
         counts[key] = counts.get(key, 0) + 1
     return MappingProxyType(counts)
-
-
-def double_coset_connection(n: int, lam, mu) -> int:
-    """Coefficient of a fixed representative of the full-cycle coset in the
-    product of the coset sums for ``lam`` and ``mu`` (tiny n only)."""
-    return double_coset_table(n).get((Partition(lam), Partition(mu)), 0)
 
 
 def expected_coset_size(n: int, lam: Partition) -> int:

@@ -6,7 +6,6 @@ nothing in this module ever touches floating point.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -23,7 +22,6 @@ __all__ = [
     "odd_double_factorial",
     "coarsening_counts",
     "set_partitions",
-    "parse_partition",
     "format_partition",
     "parse_rational",
     "format_rational",
@@ -176,30 +174,6 @@ def coarsening_counts(lam: Partition) -> Mapping[Partition, int]:
         nu = Partition(sum(lam[i] for i in block) for block in sp)
         counts[nu] = counts.get(nu, 0) + 1
     return MappingProxyType(counts)
-
-
-_MULT_RE = re.compile(r"^\s*\[(.*)\]\s*$")
-_MULT_TERM_RE = re.compile(r"^(\d+)(?:\^(\d+))?$")
-
-
-def parse_partition(text: str) -> Partition:
-    """Parse either a comma list ``"3,2,1"`` or the multiplicative form
-    ``"[1^2 2^1]"``; ``""`` and ``"[]"`` denote the empty partition."""
-    m = _MULT_RE.match(text)
-    if m is not None:
-        parts: list[int] = []
-        for term in m.group(1).split():
-            tm = _MULT_TERM_RE.match(term)
-            if tm is None:
-                raise ValueError(f"bad partition term {term!r} in {text!r}")
-            size = int(tm.group(1))
-            mult = int(tm.group(2)) if tm.group(2) else 1
-            parts.extend([size] * mult)
-        return Partition(parts)
-    text = text.strip()
-    if not text:
-        return Partition()
-    return Partition(int(tok) for tok in text.split(","))
 
 
 def format_partition(lam: Partition, style: str = "parts") -> str:

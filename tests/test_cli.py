@@ -507,13 +507,13 @@ def _move_one_r1_count(table):
     """Move one r = 1 count to an r = 1 key that is not its transpose: the
     total and the r = 0 slice stay, the r-summed table is no longer
     symmetric."""
-    entries = dict(table.entries)
+    entries = dict(table)
     ones = [key for key in entries if key[2] == 1]
     src = next(key for key in ones if key[0] != key[1])
     dst = next(key for key in ones if key not in (src, (src[1], src[0], 1)))
     entries[src] -= 1
     entries[dst] += 1
-    return hm.ClassTable(table.n, entries)
+    return entries
 
 
 @pytest.mark.parametrize(
@@ -816,6 +816,22 @@ def test_forest_color_other_than_white_or_black_is_rejected(tmp_path, capsys):
             rec["color"] = "red"
     line = _one_error_line(["bijection", "--input", "bad.json"], forest, tmp_path, capsys)
     assert f"vertex {min(red)} " in line and "'red'" in line
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    argv = ["expansion", "--n", "3", "--field", "complex"]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out.encode()
+    result = subprocess.run([sys.executable, "-m", "octamoment", *argv], capture_output=True)
+    assert (result.returncode, result.stdout, result.stderr) == (0, expected, b"")
+    bad = subprocess.run(
+        [sys.executable, "-m", "octamoment", "expansion", "--n", "0", "--field", "complex"],
+        capture_output=True,
+        text=True,
+    )
+    assert bad.returncode == 3
+    assert bad.stdout == ""
+    assert bad.stderr.splitlines() == ["octamoment: error: n must be >= 1"]
 
 
 def test_console_entry_point():

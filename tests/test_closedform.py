@@ -724,7 +724,7 @@ def test_q_real_values_and_identities():
             for m in range(0, 6):
                 via_b = sum(
                     Fraction(c) * l**lam.length * m**mu.length
-                    for (lam, mu, _), c in table.entries.items()
+                    for (lam, mu, _), c in table.items()
                 )
                 assert q_real(n, l, m) == via_b, (n, l, m)
 
@@ -754,7 +754,7 @@ def test_q_compl_against_orientable_slice():
             for m in range(0, 6):
                 via_c = sum(
                     Fraction(c) * l**lam.length * m**mu.length
-                    for (lam, mu, r), c in table.entries.items()
+                    for (lam, mu, r), c in table.items()
                     if r == 0
                 )
                 assert q_compl(n, l, m) == via_c

@@ -17,13 +17,12 @@ from octamoment.hypermaps import (
     c_from_L,
     canonical_f1,
     canonical_f2,
-    class_connection,
     class_connection_table,
     compose,
     cycle_type,
     degree_array,
-    double_coset_connection,
     double_coset_data,
+    double_coset_table,
     expected_coset_size,
     half_cycle_type,
     iter_pairing_images,
@@ -96,20 +95,19 @@ def test_r_statistic():
 
 
 def test_L_table_small():
-    t1 = L_table(1)
-    assert t1.entries == {(Partition([1]), Partition([1]), 0): 1}
+    assert L_table(1) == {(Partition([1]), Partition([1]), 0): 1}
     t2 = L_table(2)
-    assert t2.entries == {
+    assert t2 == {
         (Partition([2]), Partition([1, 1]), 0): 1,
         (Partition([1, 1]), Partition([2]), 0): 1,
         (Partition([2]), Partition([2]), 1): 1,
     }
-    assert t2.total() == 3
+    assert sum(t2.values()) == 3
 
 
 def test_L_table_totals_and_bound():
     for n in range(1, 8):
-        assert L_table(n).total() == odd_double_factorial(n)
+        assert sum(L_table(n).values()) == odd_double_factorial(n)
     with pytest.raises(BoundExceededError):
         L_table(DEFAULT_PAIRING_BOUND + 1)  # guards before enumerating
 
@@ -124,12 +122,12 @@ def test_L_table_matches_the_composition_route():
             f3 = Pairing(n, tuple(image))
             key = (half_cycle_type(f3, f1), half_cycle_type(f3, f2), f3.hat_pair_count())
             ref[key] = ref.get(key, 0) + 1
-        assert L_table(n).entries == ref
+        assert L_table(n) == ref
 
 
 def test_L_table_7_digest():
     # sha256 of the sorted (lam, mu, r, count) rows of the composition-route table
-    rows = sorted((tuple(lam), tuple(mu), r, c) for (lam, mu, r), c in L_table(7).entries.items())
+    rows = sorted((tuple(lam), tuple(mu), r, c) for (lam, mu, r), c in L_table(7).items())
     assert len(rows) == 362
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == (
         "a59c474b2aa7298e48b41de6479f6b77f5953d01252c740d057558e5135fab46"
@@ -160,14 +158,14 @@ def test_b_and_c_from_L():
     assert (Partition([2]), Partition([2])) not in c
     assert b_from_L(L_table(1))[(Partition([1]), Partition([1]))] == 2
     for n in range(1, DEFAULT_PAIRING_BOUND + 1):
-        entries = L_table(n).entries
-        summed = by_pair(entries)
+        table = L_table(n)
+        summed = by_pair(table)
         scale = 2**n * factorial(n)
-        assert {key: scale * c for key, c in summed.items()} == b_from_L(L_table(n))
-        assert by_pair(entries, 0) == c_from_L(L_table(n))
+        assert {key: scale * c for key, c in summed.items()} == b_from_L(table)
+        assert by_pair(table, 0) == c_from_L(table)
         added: dict = {}
         for r in range(n // 2 + 1):
-            for key, c in by_pair(entries, r).items():
+            for key, c in by_pair(table, r).items():
                 added[key] = added.get(key, 0) + c
         assert added == summed
 
@@ -178,16 +176,16 @@ def test_symmetry_of_connection_coefficients():
         for lam in partitions_of(n):
             for mu in partitions_of(n):
                 total = lambda a, b: sum(
-                    table.get(a, b, r) for r in range(n + 1)
+                    table.get((a, b, r), 0) for r in range(n + 1)
                 )
                 assert total(lam, mu) == total(mu, lam)
-                assert table.get(lam, mu, 0) == table.get(mu, lam, 0)
+                assert table.get((lam, mu, 0), 0) == table.get((mu, lam, 0), 0)
 
 
 def test_class_connection_examples():
-    assert class_connection(2, [2], [1, 1]) == 1
-    assert class_connection(2, [2], [2]) == 0
-    assert class_connection(3, [3], [3]) == L_table(3).get([3], [3], 0)
+    assert class_connection_table(2)[((2,), (1, 1))] == 1
+    assert ((2,), (2,)) not in class_connection_table(2)
+    assert class_connection_table(3)[((3,), (3,))] == L_table(3)[((3,), (3,), 0)]
 
 
 def test_class_connection_equals_orientable_slice():
@@ -195,21 +193,21 @@ def test_class_connection_equals_orientable_slice():
         table = L_table(n)
         for lam in partitions_of(n):
             for mu in partitions_of(n):
-                assert class_connection(n, lam, mu) == table.get(lam, mu, 0)
+                assert class_connection_table(n).get((lam, mu), 0) == table.get((lam, mu, 0), 0)
 
 
 def test_double_coset_oracle():
     for n in range(1, 4):
         b = b_from_L(L_table(n))
-        _, _, sizes = double_coset_data(n)
+        _, sizes = double_coset_data(n)
         bn = 2**n * factorial(n)
         assert sum(sizes.values()) == factorial(2 * n)
         for lam in partitions_of(n):
             assert sizes[lam] == expected_coset_size(n, lam)
             for mu in partitions_of(n):
-                assert double_coset_connection(n, lam, mu) == b.get((lam, mu), 0)
-    assert double_coset_connection(2, [2], [1, 1]) == 8
-    assert double_coset_connection(1, [1], [1]) == 2
+                assert double_coset_table(n).get((lam, mu), 0) == b.get((lam, mu), 0)
+    assert double_coset_table(2)[((2,), (1, 1))] == 8
+    assert double_coset_table(1)[((1,), (1,))] == 2
 
 
 def test_partitioned_blocks_are_balanced_and_stable():
@@ -236,7 +234,7 @@ def test_lp_counts_against_refinement_identity():
                         for mu in partitions_of(n):
                             c2 = coarsening_counts(mu).get(rho, 0)
                             if c2:
-                                expected += c1 * c2 * table.get(lam, mu, r)
+                                expected += c1 * c2 * table.get((lam, mu, r), 0)
                     assert lp.get((nu, rho, r), 0) == expected
 
 
@@ -248,7 +246,10 @@ def test_lp_examples_n2():
     assert lp[(oneone, two, 0)] == 1
 
 
-@pytest.mark.parametrize("table", [lp_table, lp_by_array, class_connection_table])
+ORACLE_TABLES = [L_table, lp_table, lp_by_array, class_connection_table, double_coset_table]
+
+
+@pytest.mark.parametrize("table", ORACLE_TABLES)
 def test_cached_tables_are_read_only(table):
     contents = dict(table(3))
     key = next(iter(contents))
@@ -260,24 +261,23 @@ def test_cached_tables_are_read_only(table):
 
 
 def test_oracle_caches_are_read_only():
-    key = next(iter(L_table(2).entries))
-    with pytest.raises(TypeError):
-        L_table(2).entries[key] += 100
-    assert L_table(2).total() == 3
-    class_of, members, sizes = double_coset_data(1)
-    saved = (dict(class_of), {lam: list(ms) for lam, ms in members.items()}, dict(sizes))
+    class_of, sizes = double_coset_data(1)
+    saved = (dict(class_of), dict(sizes))
     lam = Partition([1])
     with pytest.raises(TypeError):
         sizes[lam] = 5
     with pytest.raises(TypeError):
         class_of[(1, 0)] = Partition([2])
-    with pytest.raises(TypeError):
-        members[lam] = ()
-    with pytest.raises(AttributeError):
-        members[lam].append((1, 0))
-    class_of, members, sizes = double_coset_data(1)
-    assert (dict(class_of), {lam: list(ms) for lam, ms in members.items()}, dict(sizes)) == saved
+    class_of, sizes = double_coset_data(1)
+    assert (dict(class_of), dict(sizes)) == saved
     assert sizes == {lam: 2}
+
+
+@pytest.mark.parametrize("table", ORACLE_TABLES + [double_coset_data])
+@pytest.mark.parametrize("n", [0, -1])
+def test_oracle_tables_reject_nonpositive_n(table, n):
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        table(n)
 
 
 def test_degree_array_small_cases():

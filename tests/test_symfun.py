@@ -15,7 +15,6 @@ from octamoment.partitions import (
     Partition,
     aut,
     falling,
-    parse_partition,
     parse_rational,
     partitions_of,
 )
@@ -140,10 +139,11 @@ def test_records_round_trip_and_order():
     # canonical key order: reverse-lex lambda then reverse-lex mu
     keys = [(r["lambda"], r["mu"]) for r in records]
     assert keys == [("2", "2"), ("2", "1,1")]
+    parts = lambda text: Partition(text.split(","))
     back = MonomialExpansion(
         2,
         {
-            (parse_partition(r["lambda"]), parse_partition(r["mu"])): parse_rational(r["coeff"])
+            (parts(r["lambda"]), parts(r["mu"])): parse_rational(r["coeff"])
             for r in records
         },
     )
