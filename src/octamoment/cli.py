@@ -13,8 +13,8 @@ writer, fills one fixed template for the head (``degenerate_strata``,
 ``field``, ``n``) and one per term (canonical order), and
 :func:`_strata_json` one per flagged stratum.  ``expansion --field
 complex`` builds no expansion: :func:`_complex_expansion_json` writes the
-same head and term templates per length block, rendering the terms of
-each length of ``lam`` once from the cached integer length table
+same head and term templates, rendering the terms of each length of
+``lam`` once by indexing the cached ``(k, l)`` coefficient table
 (:func:`~octamoment.closedform.complex_length_coeffs`) and joining their
 pieces with the name of each ``lam``.  ``expansion --field real`` prints
 :func:`~octamoment.closedform.real_expansion`, which includes the flagged
@@ -30,7 +30,8 @@ strata as it writes; no second expansion is built.  A
 read as a hypermap, so a missing key is named, and its ``f3`` must list
 exactly ``n`` pairs.  Exit codes: 0 success, 1
 verification/validation failure, 2 flagged strata under ``--strict``, 3 a
-usage error (including a ``verify`` option the suite does not take), an
+usage error (including a ``verify`` option the suite does not take, and
+``coeffs --per-array`` with a ``--format`` other than json), an
 argument outside the domain of the computation (such as ``n < 1``, an
 enumeration beyond its size bound, an ``mc --dim`` below 1, or a matrix
 with a nonzero imaginary entry under ``mc --field real``) or an
@@ -177,22 +178,19 @@ def _expansion_json(expansion, strata=(), strict: bool = False) -> str:
 def _complex_expansion_json(n: int) -> str:
     """The ``expansion`` record of ``complex_expansion(n)`` without the
     expansion: the terms of every ``lam`` of one length ``k`` differ only
-    in ``lam``, so the row of ``k`` in
-    :func:`~octamoment.closedform.complex_length_coeffs` (``{l: c}``) is
-    rendered once, its integers over the ``mu`` in canonical order, and cut
-    into the pieces between the places of ``lam``; the block of each
-    ``lam`` is its name joining those pieces."""
-    rows: dict[int, dict[int, int]] = {}
-    for k, l, c in cf.complex_length_coeffs(n):
-        rows.setdefault(k, {})[l] = c
-    parts = partitions_of(n)
+    in ``lam``, so they are rendered once per ``k``, from the entries
+    ``(k, len(mu))`` of :func:`~octamoment.closedform.complex_length_coeffs`
+    over the ``mu`` in canonical order, and cut into the pieces between the
+    places of ``lam``; the block of each ``lam`` is its name joining those
+    pieces."""
+    table, parts = cf.complex_length_coeffs(n), partitions_of(n)
     names = {lam: _name(lam) for lam in parts}
     # An encoded name is printable ASCII, so "\0" marks only the places of lam.
     pieces = {
         k: ",".join(
-            [_TERM % (row[len(mu)], "\0", names[mu]) for mu in parts if len(mu) in row]
+            [_TERM % (c, "\0", names[mu]) for mu in parts if (c := table.get((k, len(mu))))]
         ).split("\0")
-        for k, row in rows.items()
+        for k in range(1, n + 1)
     }
     terms = ",".join([names[lam].join(pieces[len(lam)]) for lam in parts])
     return _document(_HEAD % ("[]", '"complex"', n), terms)
@@ -201,6 +199,8 @@ def _complex_expansion_json(n: int) -> str:
 def cmd_coeffs(args) -> int:
     if args.per_array and args.kind != "LP":
         raise ValueError("--per-array needs --kind LP")
+    if args.per_array and args.format not in (None, "json"):
+        raise ValueError("--per-array writes JSON only")
     n = args.n
     for check in coeffs_self_check(n):
         if not check.ok:
@@ -228,7 +228,7 @@ def cmd_coeffs(args) -> int:
             row["b"] = scale * value
             row["c"] = value if row["r"] == 0 else 0
         rows.append(row)
-    _emit(_format_rows(rows, args.format), args.out)
+    _emit(_format_rows(rows, args.format or "pretty"), args.out)
     return 0
 
 
@@ -408,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("coeffs", help="connection coefficient tables")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--kind", choices=["b", "c", "L", "LP"], required=True)
-    p.add_argument("--format", choices=["json", "csv", "pretty"], default="pretty")
+    p.add_argument("--format", choices=["json", "csv", "pretty"], help="default: pretty")
     p.add_argument("--per-array", action="store_true",
                    help="with --kind LP: JSON tallies keyed by serialized degree array")
     p.add_argument("--out")

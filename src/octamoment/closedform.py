@@ -50,6 +50,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 from operator import mul
+from types import MappingProxyType
 
 from .arrays import ArrayTuple, Cells, _sides, _size, black_sides, white_sides
 from .partitions import (
@@ -472,53 +473,47 @@ def real_expansion(n: int) -> MonomialExpansion:
     return MonomialExpansion(n, coeffs)
 
 
-def _complex_length_coeff(n: int, k: int, l: int) -> int:
-    """``c(n, k, l) = n (n-k)! (n-l)! / (n+1-k-l)!`` for lengths ``k, l >=
-    1``, an integer (``(n-l)!/(n+1-k-l)!`` is a falling factorial), and 0
-    when ``k + l > n + 1``."""
-    if k + l > n + 1:
-        return 0
-    return n * factorial(n - k) * (factorial(n - l) // factorial(n + 1 - k - l))
-
-
 @lru_cache(maxsize=None)
-def complex_length_coeffs(n: int) -> tuple[tuple[int, int, int], ...]:
-    """The nonzero coefficients of the order-n complex moment by lengths:
-    ``(k, l, c(n, k, l))`` for ``1 <= k, l <= n`` with ``k + l <= n + 1``,
-    ordered by ``k`` then ``l``.  The coefficient of ``m_lam m_mu`` is
-    ``c(n, len(lam), len(mu))`` (:func:`complex_coeff`).  Memoized and
+def complex_length_coeffs(n: int) -> MappingProxyType:
+    """The one statement of the order-n complex coefficient by lengths:
+    ``(k, l) -> c(n, k, l) = n (n-k)! (n-l)! / (n+1-k-l)!``, a positive
+    integer (``(n-l)!/(n+1-k-l)!`` is a falling factorial), for ``1 <= k,
+    l <= n`` with ``k + l <= n + 1``, keyed by ``k`` then ``l``; every
+    other pair of lengths has coefficient 0.  The coefficient of ``m_lam
+    m_mu`` is the entry of ``(len(lam), len(mu))``.  Memoized and
     read-only."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return tuple(
-        (k, l, _complex_length_coeff(n, k, l)) for k in range(1, n + 1) for l in range(1, n + 2 - k)
-    )
+    table = {
+        (k, l): n * factorial(n - k) * (factorial(n - l) // factorial(n + 1 - k - l))
+        for k in range(1, n + 1)
+        for l in range(1, n + 2 - k)
+    }
+    return MappingProxyType(table)
 
 
 def complex_coeff(n: int, lam, mu) -> Fraction:
-    """Coefficient of m_lam(X) m_mu(Y) in the order-n complex moment:
-    ``n (n-len(lam))! (n-len(mu))! / (n+1-len(lam)-len(mu))!``, which is 0
-    when the lengths exceed n+1 in total."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    """Coefficient of m_lam(X) m_mu(Y) in the order-n complex moment: the
+    entry of ``(len(lam), len(mu))`` in :func:`complex_length_coeffs`
+    (which rejects n < 1), 0 when the lengths exceed n+1 in total."""
+    table = complex_length_coeffs(n)
     lam, mu = Partition(lam), Partition(mu)
     if lam.n != n or mu.n != n:
         raise ValueError("lam and mu must partition n")
-    return Fraction(_complex_length_coeff(n, lam.length, mu.length))
+    return Fraction(table.get((lam.length, mu.length), 0))
 
 
 def complex_expansion(n: int) -> MonomialExpansion:
     """Monomial expansion of the order-n complex moment, filled from the
     length table :func:`complex_length_coeffs`: the coefficient of ``m_lam
-    m_mu`` is the entry of ``(len(lam), len(mu))``, one ``Fraction`` per
-    pair of lengths."""
-    rows: dict[int, dict[int, Fraction]] = {}
-    for k, l, c in complex_length_coeffs(n):
-        rows.setdefault(k, {})[l] = Fraction(c)
-    parts, coeffs = partitions_of(n), {}
-    for lam in parts:
-        row = rows[len(lam)]
-        coeffs.update({(lam, mu): row[len(mu)] for mu in parts if len(mu) in row})
+    m_mu`` is the entry of ``(len(lam), len(mu))``."""
+    table, parts = complex_length_coeffs(n), partitions_of(n)
+    coeffs = {
+        (lam, mu): Fraction(c)
+        for lam in parts
+        for mu in parts
+        if (c := table.get((len(lam), len(mu))))
+    }
     return MonomialExpansion(n, coeffs)
 
 

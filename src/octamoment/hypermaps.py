@@ -345,18 +345,20 @@ def L_table(n: int) -> Mapping:
     return MappingProxyType(entries)
 
 
-def lp_from_pairings(n: int) -> dict[tuple[Partition, Partition, int], int]:
+@lru_cache(maxsize=None)
+def lp_from_pairings(n: int) -> Mapping[tuple[Partition, Partition, int], int]:
     """Partitioned-hypermap counts derived from the pairing classification
     through the refinement identity.  Reaches n = DEFAULT_PAIRING_BOUND,
     past the partitioned enumeration bound but no further, since it reads
-    :func:`L_table`.  Keys are (white type, black type, r)."""
+    :func:`L_table`.  Keys are (white type, black type, r).  Memoized and
+    read-only."""
     out: dict[tuple[Partition, Partition, int], int] = {}
     for (lam, mu, r), c in L_table(n).items():
         for nu, r1 in coarsening_counts(lam).items():
             for rho, r2 in coarsening_counts(mu).items():
                 key = (nu, rho, r)
                 out[key] = out.get(key, 0) + r1 * r2 * c
-    return out
+    return MappingProxyType(out)
 
 
 def by_pair(

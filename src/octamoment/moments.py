@@ -214,14 +214,14 @@ def moment_complex_exact(n: int, x: MatrixSpec, y: MatrixSpec) -> Fraction:
 
     The coefficient of ``m_lam(X) m_mu(Y)`` depends on the two lengths
     alone (:func:`~octamoment.closedform.complex_length_coeffs`), so the
-    moment is ``sum_{k,l} c(n, k, l) M_k(X) M_l(Y)`` with ``M_k`` the sum
-    of the ``m_lam`` of length ``k``: at most ``n^2`` terms over one
-    monomial table per matrix, in integer arithmetic, without building
-    ``complex_expansion(n)``."""
-    coeffs = complex_length_coeffs(n)
+    moment is ``sum c(n, k, l) M_k(X) M_l(Y)`` over the keys ``(k, l)``
+    of that table, with ``M_k`` the sum of the ``m_lam`` of length ``k``:
+    at most ``n^2`` terms over one monomial table per matrix, in integer
+    arithmetic, without building ``complex_expansion(n)``."""
+    table = complex_length_coeffs(n)
     sx, den_x = _length_sums(n, x.exact_eigs())
     sy, den_y = _length_sums(n, y.exact_eigs())
-    total = sum(c * sx[k] * sy[l] for k, l, c in coeffs)
+    total = sum(c * sx[k] * sy[l] for (k, l), c in table.items())
     return Fraction(total, den_x * den_y)
 
 

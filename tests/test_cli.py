@@ -601,6 +601,7 @@ GOLDEN = [
     # Recorded before the degree arrays were built from vertex profiles.
     ("coeffs --n 3 --kind LP --per-array", 0, "b14915e737b3db3bb006dc32228843496620f0c7386c6979cdc5b54573261784"),
     ("coeffs --n 5 --kind LP --per-array", 0, "6b20321bb3d676206c30f9a0a50afadcd080fcaaf62700e4b9a3f09ee38ed0ea"),
+    ("coeffs --n 5 --kind LP --per-array --format json", 0, "6b20321bb3d676206c30f9a0a50afadcd080fcaaf62700e4b9a3f09ee38ed0ea"),
     # Recorded before the coefficient rows were built in one loop and the
     # partition names rendered once per row.
     ("coeffs --n 3 --kind L --format pretty", 0, "a6d32129e25911123ae9292c27471b9d7db2889a79b225b9b59b91d2e410db31"),
@@ -688,12 +689,21 @@ def test_mc_real_field_rejects_a_complex_matrix(tmp_path, capsys):
     assert record["dim"] == 2 and record["std_error"] > 0
 
 
-def test_per_array_without_kind_LP_exits_3_with_one_line(capsys):
-    code = main(["coeffs", "--n", "3", "--kind", "L", "--per-array"])
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("coeffs --n 3 --kind L --per-array", "--per-array needs --kind LP"),
+        ("coeffs --n 5 --kind LP --per-array --format csv", "--per-array writes JSON only"),
+        ("coeffs --n 5 --kind LP --per-array --format pretty", "--per-array writes JSON only"),
+    ],
+    ids=["kind-L", "format-csv", "format-pretty"],
+)
+def test_per_array_without_kind_LP_exits_3_with_one_line(argv, message, capsys):
+    code = main(argv.split())
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""
-    assert captured.err.splitlines() == ["octamoment: error: --per-array needs --kind LP"]
+    assert captured.err.splitlines() == [f"octamoment: error: {message}"]
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 from math import factorial, gamma
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
@@ -652,14 +653,20 @@ def test_complex_expansion_equals_complex_coeff():
 def test_complex_length_coeffs_is_the_nonzero_length_table():
     for n in range(1, 13):
         table = complex_length_coeffs(n)
-        assert table is complex_length_coeffs(n) and isinstance(table, tuple)
-        by_length = {(k, l): c for k, l, c in table}
+        assert table is complex_length_coeffs(n) and isinstance(table, MappingProxyType)
+        with pytest.raises(TypeError):
+            table[1, 1] = 0
+        with pytest.raises(TypeError):
+            table[n + 1, n + 1] = 1
         for lam in partitions_of(n):
             for mu in partitions_of(n):
                 expected = complex_coeff(n, lam, mu)
-                assert by_length.get((len(lam), len(mu)), 0) == expected
-        assert all(type(c) is int and c > 0 for _, _, c in table)
-        assert [kl[:2] for kl in table] == sorted(by_length)
+                assert table.get((len(lam), len(mu)), 0) == expected
+        assert all(type(c) is int and c > 0 for c in table.values())
+        assert list(table) == sorted(table)
+    # lengths 3 + 2 > n + 1: no entry, coefficient 0
+    assert (3, 2) not in complex_length_coeffs(3)
+    assert complex_coeff(3, Partition([1, 1, 1]), Partition([2, 1])) == 0
     for n in (0, -1):
         with pytest.raises(ValueError, match="n must be >= 1"):
             complex_length_coeffs(n)
@@ -680,6 +687,19 @@ def test_complex_length_coeffs_is_the_nonzero_length_table():
 )
 def test_closed_forms_reject_an_order_below_1(closed_form, args):
     with pytest.raises(ValueError, match=r"^n must be >= 1$"):
+        closed_form(*args)
+
+
+@pytest.mark.parametrize(
+    "closed_form, args, message",
+    [
+        (complex_coeff, (3, (2,), (3,)), "lam and mu must partition n"),
+        (complex_coeff, (3, (2, 1), (2, 2)), "lam and mu must partition n"),
+        (coeff_m_lambda_m_n, (3, (2, 2)), "lam must partition n"),
+    ],
+)
+def test_closed_forms_reject_a_partition_of_another_n(closed_form, args, message):
+    with pytest.raises(ValueError, match=rf"^{message}$"):
         closed_form(*args)
 
 

@@ -28,6 +28,7 @@ from octamoment.hypermaps import (
     iter_pairing_images,
     iter_partitioned_hypermaps,
     lp_by_array,
+    lp_from_pairings,
     lp_table,
     _half_cycle_lengths,
     oracle_monomial_expansion,
@@ -246,7 +247,14 @@ def test_lp_examples_n2():
     assert lp[(oneone, two, 0)] == 1
 
 
-ORACLE_TABLES = [L_table, lp_table, lp_by_array, class_connection_table, double_coset_table]
+ORACLE_TABLES = [
+    L_table,
+    lp_table,
+    lp_by_array,
+    lp_from_pairings,
+    class_connection_table,
+    double_coset_table,
+]
 
 
 @pytest.mark.parametrize("table", ORACLE_TABLES)
