@@ -33,8 +33,9 @@ verification/validation failure, 2 flagged strata under ``--strict``, 3 a
 usage error (including a ``verify`` option the suite does not take, and
 ``coeffs --per-array`` with a ``--format`` other than json), an
 argument outside the domain of the computation (such as ``n < 1``, an
-enumeration beyond its size bound, an ``mc --dim`` below 1, or a matrix
-with a nonzero imaginary entry under ``mc --field real``) or an
+enumeration beyond its size bound, an ``mc --dim`` below 1 or other
+than the dimension of a matrix given with it, or a matrix with a nonzero
+imaginary entry under ``mc --field real``) or an
 unreadable input (a missing file, or a file or ``--x-eigs``/``--y-eigs``
 value that its reader rejects with ``ValueError``, such as a matrix entry
 other than a number or an ``[re, im]`` pair, a non-finite matrix entry or
@@ -345,15 +346,22 @@ def cmd_bijection(args) -> int:
     return 0
 
 
-def _matrix_from_args(path: str | None, eigs: str | None, dim_hint: int | None):
-    if path:
+def _matrix_from_args(path: str | None, eigs: str | None, dim: int | None):
+    """One side's matrix: a JSON file, an eigenvalue list, or else the
+    identity of size ``dim``; a file or list whose dimension is not a
+    given ``dim`` raises ``ValueError``."""
+    if path is not None:
         with open(path, "r", encoding="utf-8") as handle:
-            return mo.MatrixSpec.from_json(json.load(handle))
-    if eigs:
-        return mo.MatrixSpec.from_json({"eigs": eigs.split(",")})
-    if dim_hint:
-        return mo.MatrixSpec.identity(dim_hint)
-    raise ValueError("need --x-eigs/--y-eigs, matrix files, or --dim")
+            spec = mo.MatrixSpec.from_json(json.load(handle))
+    elif eigs is not None:
+        spec = mo.MatrixSpec.from_json({"eigs": eigs.split(",")})
+    elif dim is not None:
+        return mo.MatrixSpec.identity(dim)
+    else:
+        raise ValueError("need --x-eigs/--y-eigs, matrix files, or --dim")
+    if dim is not None and spec.dim != dim:
+        raise ValueError(f"--dim {dim} disagrees with the matrix's dimension {spec.dim}")
+    return spec
 
 
 def cmd_mc(args) -> int:

@@ -20,9 +20,12 @@ alternative E|u|^2 = 2 scales the order-n moment by 2^n.
 Sampling is reproducible and bit-stable: samples are drawn in shards of
 ``SHARD_SIZE`` (the last one partial), shard k of a run with seed s uses
 the counter-based Philox generator keyed by ``s + (k << 64)``, and the
-shards are drawn and reduced one after another, in shard order.  Each
-shard is drawn whole (real parts, then imaginary parts) and its traces
-are computed in fixed blocks of ``_BLOCK`` samples, as
+shards are drawn and reduced one after another, in shard order.  A
+shard is drawn and traced in fixed blocks of ``_BLOCK`` samples, through
+block buffers allocated once per estimate, so a real estimate holds one
+block of samples at a time.  The stream gives all of a shard's real
+parts before its imaginary parts, so a complex estimate also holds the
+shard's real parts.  Each block's traces are
 ``T = (X U)(U Y^H)^H`` and ``tr T^n = tr(T^(n - h) T^h)`` with
 ``h = n // 2``; the complex traces are scaled by the exact ``2^-n``
 instead of scaling U.  Estimates are bit-identical from run to run.
@@ -239,19 +242,29 @@ def _shard_rng(seed: int, shard: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=(seed % (1 << 64)) + (shard << 64)))
 
 
-def _block_traces(u: np.ndarray, xd: np.ndarray, yh: np.ndarray, n: int) -> np.ndarray:
+def _block_traces(
+    u: np.ndarray, xd: np.ndarray, yh: np.ndarray, n: int, work: Sequence[np.ndarray]
+) -> np.ndarray:
     """``tr T^n`` for each ``T = X U Y U^H`` of a block ``u`` of shape
-    ``(b, m, m)``, given ``yh = Y^H``."""
+    ``(b, m, m)``, given ``yh = Y^H``.  Every product is written into
+    ``work``, three buffers of at least ``b`` samples in the products'
+    dtype, so a block allocates nothing of size ``m^2``."""
     b, m, _ = u.shape
-    # T = (X U)(U Y^H)^H: one broadcast product, one flat gemm, one batched product.
-    uyh = (u.reshape(b * m, m) @ yh).reshape(b, m, m)
-    t = (xd @ u) @ uyh.conj().transpose(0, 2, 1)
+    uyh, xu, t = (w[:b] for w in work)
+    # T = (X U)(U Y^H)^H: one flat gemm, one broadcast product, one batched product.
+    np.matmul(u.reshape(b * m, m), yh, out=uyh.reshape(b * m, m))
+    if np.iscomplexobj(uyh):
+        np.conjugate(uyh, out=uyh)
+    np.matmul(xd, u, out=xu)
+    np.matmul(xu, uyh.transpose(0, 2, 1), out=t)
     if n == 1:
         return np.einsum("bii->b", t)
+    # T is read by every power, so the powers alternate between the other two buffers.
+    powers = (uyh, xu)
     half = t
-    for _ in range(n // 2 - 1):
-        half = half @ t
-    other = half @ t if n % 2 else half
+    for i in range(n // 2 - 1):
+        half = np.matmul(half, t, out=powers[i % 2])
+    other = np.matmul(half, t, out=powers[(n // 2 - 1) % 2]) if n % 2 else half
     return np.einsum("bij,bji->b", other, half)
 
 
@@ -273,16 +286,26 @@ def _mc_moment(
         yd = yd.astype(np.complex128)
     yh = yd.conj().T
 
-    # One call per shard, so each shard's arrays are freed before the next is drawn.
+    # One set of block buffers serves every block of every shard.
+    block = min(_BLOCK, samples)
+    draw = np.empty((block, m, m))
+    u = np.empty((block, m, m), np.complex128) if complex_field else draw
+    work = [np.empty((block, m, m), np.result_type(xd, yh)) for _ in range(3)]
+
+    # One call per shard, so each shard's real parts are freed before the next is drawn.
     def shard_sums(k: int, count: int) -> tuple[float, float]:
         rng = _shard_rng(seed, k)
-        re = rng.standard_normal((count, m, m))
-        im = rng.standard_normal((count, m, m)) if complex_field else None
+        # The stream gives all of a shard's real parts before its imaginary parts.
+        re = rng.standard_normal((count, m, m)) if complex_field else None
         values = np.empty(count)
         for s in range(0, count, _BLOCK):
             e = min(s + _BLOCK, count)
-            u = re[s:e] + 1j * im[s:e] if complex_field else re[s:e]
-            values[s:e] = _block_traces(u, xd, yh, n).real
+            d, v = draw[: e - s], u[: e - s]
+            rng.standard_normal(out=d)
+            if complex_field:
+                v.real = re[s:e]
+                v.imag = d
+            values[s:e] = _block_traces(v, xd, yh, n, work).real
         if complex_field:
             # U is drawn with unit-variance parts, not N(0, 1/2): scale tr T^n by 2^-n.
             values *= 0.5**n

@@ -669,6 +669,21 @@ def test_mc_without_matrix_source_exits_3_with_one_line(capsys):
     ]
 
 
+@pytest.mark.parametrize(
+    ("source", "dim", "got"),
+    [
+        (["--x-eigs", "1,2", "--y-eigs", "1,2"], 5, 2),
+        (["--y-eigs", "1,2,3"], 2, 3),
+        (["--matrix-x", "bad.json"], 5, 2),
+    ],
+    ids=["eigs-both", "eigs-y-only", "matrix-file"],
+)
+def test_mc_dim_other_than_the_matrix_dimension_exits_3(source, dim, got, tmp_path, capsys):
+    argv = ["mc", "--n", "2", "--samples", "10", "--dim", str(dim), *source]
+    line = _one_error_line(argv, {"eigs": [1, 2]}, tmp_path, capsys)
+    assert line == f"octamoment: error: --dim {dim} disagrees with the matrix's dimension {got}"
+
+
 @pytest.mark.parametrize("dim", ["-1", "0"])
 def test_mc_dim_below_1_exits_3_naming_dim(dim, capsys):
     code = main(["mc", "--n", "2", "--samples", "10", "--dim", dim])
@@ -747,6 +762,8 @@ _VALID_N2 = {"f3": [["1", "2^"], ["2", "1^"]], "pi1": [["1", "2", "1^", "2^"]],
         (["mc", "--n", "2", "--samples", "10", "--matrix-x", "bad.json", "--dim", "2"],
          {"dim": 2}),
         (["mc", "--n", "2", "--samples", "10", "--x-eigs", "1/0", "--y-eigs", "1"], None),
+        (["mc", "--n", "2", "--samples", "10", "--x-eigs", "", "--y-eigs", "1,2", "--dim", "2"],
+         None),
         (["mc", "--n", "2", "--samples", "10", "--matrix-x", "bad.json", "--dim", "2"],
          {"entries": 5}),
         (["mc", "--n", "2", "--samples", "10", "--matrix-x", "bad.json", "--dim", "2"],
@@ -769,6 +786,7 @@ _VALID_N2 = {"f3": [["1", "2^"], ["2", "1^"]], "pi1": [["1", "2", "1^", "2^"]],
     ],
     ids=["hypermap-without-f3", "forest-without-seed", "json-list", "edge-child-x",
          "label-9-at-n2", "n-as-string", "matrix-dim-only", "eigs-zero-denominator",
+         "eigs-empty-string",
          "entries-not-a-list", "eigs-not-a-list", "entries-not-rows", "entry-object",
          "entry-three-numbers", "entry-boolean", "entry-string", "entry-infinite",
          "eigs-empty-both"],

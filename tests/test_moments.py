@@ -1,6 +1,7 @@
 """Exact moment evaluation and Monte Carlo behavior."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -303,6 +304,26 @@ def test_mc_kernel_matches_a_plain_matrix_power(field, dim, samples):
         mean, std_error = _reference_estimate(n, x, y, samples, 13, complex_field)
         assert est.mean == pytest.approx(mean, rel=1e-10, abs=0), n
         assert est.std_error == pytest.approx(std_error, rel=1e-10, abs=0), n
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_mc_peak_memory_is_a_block_beyond_the_real_parts(field):
+    # A shard holds one block of samples at a time, except the complex
+    # field's real parts, which the stream gives before any imaginary part.
+    # At dim 24 a whole shard of real parts is 72 MiB; 17409 samples add a
+    # second shard of one full block and one 1-sample block.  numpy reports
+    # its buffers to tracemalloc.
+    dim = 24
+    real_parts = SHARD_SIZE * dim * dim * 8
+    estimator = mc_moment_complex if field == "complex" else mc_moment_real
+    tracemalloc.start()
+    try:
+        estimator(2, MatrixSpec.identity(dim), MatrixSpec.identity(dim), 17409, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = 1.9 * real_parts if field == "complex" else real_parts / 2
+    assert peak < bound, (peak / 2**20, bound / 2**20)
 
 
 def test_mc_error_scales_with_samples():
