@@ -98,15 +98,6 @@ class StratumValue:
     diagnostics: tuple[str, ...] = ()
 
 
-@lru_cache(maxsize=None)
-def _multinomial2(top: int, j: int, k: int) -> int:
-    """The integer ``top!/(j! k! (top-j-k)!)``, 0 when ``j`` or ``k`` is
-    negative; equal to ``multinomial(top, [j, k])`` for integer ``top``."""
-    if j < 0 or k < 0:
-        return 0
-    return falling(top, j + k) // (factorial(j) * factorial(k))
-
-
 def _factorial_leading(x: int) -> tuple[int, int, int]:
     """The leading Laurent term ``(num/den) eps**v`` of
     ``Gamma(x+1+eps)/Gamma(1+eps)`` as ``(v, num, den)``: ``x!`` for
@@ -149,10 +140,10 @@ def _side_weight(cells: Cells, roots: Cells) -> tuple[int, int]:
     the root cells."""
     num, den = 1, 1
     for i, j, c in cells:
-        num *= _multinomial2(i - 1, j, j) ** c
+        num *= multinomial(i - 1, (j, j)) ** c
         den *= factorial(c)
     for i, j, c in roots:
-        num *= (2 * _multinomial2(i - 1, j, j - 1)) ** c
+        num *= (2 * multinomial(i - 1, (j, j - 1))) ** c
         den *= factorial(c)
     return num, den
 
@@ -169,7 +160,7 @@ def _white_factor(i0: int, j0: int, cells: Cells, roots: Cells, r: int, n: int):
     num, den = _side_weight(cells, roots)
     a = (i0 - 2 * j0) * r * r if r else i0
     s3 = sum((i0 * j - j0 * (i - 1)) * c for i, j, c in cells)
-    return p, num * _multinomial2(i0, j0, j0), den, (a, j0 * (n - p) - r * i0, s3, j0)
+    return p, num * multinomial(i0, (j0, j0)), den, (a, j0 * (n - p) - r * i0, s3, j0)
 
 
 def _black_factor(cells: Cells, roots: Cells, r: int, n: int):
@@ -305,13 +296,20 @@ def alpha(r: int, p: int, q: int, pp: int, qp: int) -> Fraction:
     return Fraction(*_alpha_parts(r, p, q, pp, qp))
 
 
-def _F_counts_parts(p: int, pp: int, q: int, qp: int, r: int, n: int) -> tuple[int, int]:
-    """:func:`F_counts` as an integer ``(num, den)``."""
+def _F_count(p: int, pp: int, q: int, qp: int, r: int, n: int) -> int:
+    """:func:`F_counts` as one integer numerator over one integer
+    denominator, with one exact division.  Raises ``ArithmeticError`` if
+    the count is not an integer."""
     a_num, a_den = _alpha_parts(r, p, q, pp, qp)
     top = n + 2 * r - 1
-    num = factorial(n) * _multinomial2(top, p + 2 * r - 1, q + 2 * r - 1) * 2 ** (2 * r) * a_num
+    num = factorial(n) * multinomial(top, (p + 2 * r - 1, q + 2 * r - 1)) * 4**r * a_num
     den = factorial(p) * factorial(pp) * factorial(q) * factorial(qp)
-    return num, den * _multinomial2(top, r, r) * 2 ** (pp + qp) * a_den
+    den *= multinomial(top, (r, r)) * 2 ** (pp + qp) * a_den
+    count, rest = divmod(num, den)
+    if rest:
+        args = (p, pp, q, qp, r, n)
+        raise ArithmeticError(f"F_counts{args} = {Fraction(num, den)} is not an integer")
+    return count
 
 
 def F_counts(p: int, pp: int, q: int, qp: int, r: int, n: int) -> Fraction:
@@ -319,12 +317,14 @@ def F_counts(p: int, pp: int, q: int, qp: int, r: int, n: int) -> Fraction:
     root counted as internal, so ``p >= 1``), ``pp`` white roots, ``q``
     internal black vertices, ``qp`` black roots and ``r`` loops per side:
     ``n!/(p! pp! q! qp!) C(n+2r-1; p+2r-1, q+2r-1) / C(n+2r-1; r, r)
-    2**(2r-pp-qp) alpha``, from one integer numerator and denominator."""
+    2**(2r-pp-qp) alpha``, from one integer numerator and denominator
+    with one exact division.  Raises ``ArithmeticError`` if the count is
+    not an integer."""
     if p < 1:
         raise ValueError("p counts the seed root, so p >= 1")
     if min(pp, q, qp, r) < 0 or n < 1:
         raise ValueError("arguments out of range")
-    return Fraction(*_F_counts_parts(p, pp, q, qp, r, n))
+    return Fraction(_F_count(p, pp, q, qp, r, n))
 
 
 @dataclass(frozen=True)
@@ -509,7 +509,7 @@ def complex_expansion(n: int) -> MonomialExpansion:
     m_mu`` is the entry of ``(len(lam), len(mu))``."""
     table, parts = complex_length_coeffs(n), partitions_of(n)
     coeffs = {
-        (lam, mu): Fraction(c)
+        (lam, mu): c
         for lam in parts
         for mu in parts
         if (c := table.get((len(lam), len(mu))))
@@ -527,12 +527,14 @@ def q_real(n: int, l: int, m: int) -> Fraction:
     ``q + qp >= 1``.  All ranges close on their own because the falling
     factorials vanish beyond ``p + pp <= l`` and ``q + qp <= m``, and the
     central multinomial of ``F_counts`` vanishes once ``p + q + 2r > n + 1``.
+    The sum is taken in integers; raises ``ArithmeticError`` if an
+    aggregated count is not an integer.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if l < 0 or m < 0:
         raise ValueError("matrix ranks must be >= 0")
-    total = Fraction(0)
+    total = 0
     for p in range(1, l + 1):
         for pp in range(0, l - p + 1):
             white = falling(l, p + pp)
@@ -540,10 +542,8 @@ def q_real(n: int, l: int, m: int) -> Fraction:
                 for qp in range(max(0, 1 - q), m - q + 1):
                     weight = white * falling(m, q + qp)
                     for r in range(0, max(0, (n + 1 - p - q) // 2 + 1)):
-                        num, den = _F_counts_parts(p, pp, q, qp, r, n)
-                        if num:
-                            total += Fraction(weight * num, den)
-    return total
+                        total += weight * _F_count(p, pp, q, qp, r, n)
+    return Fraction(total)
 
 
 def q_compl(n: int, l: int, m: int) -> Fraction:
@@ -553,15 +553,11 @@ def q_compl(n: int, l: int, m: int) -> Fraction:
         raise ValueError("n must be >= 1")
     if l < 0 or m < 0:
         raise ValueError("matrix ranks must be >= 0")
-    total = Fraction(0)
+    total = 0
     for p in range(1, l + 1):
         for q in range(1, m + 1):
-            total += (
-                multinomial(l, [p])
-                * multinomial(m, [q])
-                * multinomial(n - 1, [p - 1, q - 1])
-            )
-    return factorial(n) * total
+            total += comb(l, p) * comb(m, q) * multinomial(n - 1, (p - 1, q - 1))
+    return Fraction(factorial(n) * total)
 
 
 def coeff_m_lambda_m_n(n: int, lam) -> int:
@@ -573,28 +569,26 @@ def coeff_m_lambda_m_n(n: int, lam) -> int:
     lam = Partition(lam)
     if lam.n != n:
         raise ValueError("lam must partition n")
-    value = multinomial(n, list(lam))
+    value = multinomial(n, lam)
     for part in lam:
         value *= odd_double_factorial(part)
-    if value.denominator != 1:
-        raise AssertionError("coefficient must be integral")
-    return value.numerator
+    return value
 
 
 def coeff_hook(n: int, a: int) -> int:
-    """Coefficient of m_(n-a,1^a)(X) m_(n-a,1^a)(Y) in the real expansion;
-    0 unless ``2a <= n - 1``."""
+    """Coefficient of m_(n-a,1^a)(X) m_(n-a,1^a)(Y) in the real expansion:
+    ``n (n-2a) ((n-a-1)!/(n-2a)!)**2 (2(n-2a)-1)!!``, which is ``(2n-1)!!``
+    at ``a = 0``; 0 unless ``2a <= n - 1``."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if a < 0:
         raise ValueError("a must be >= 0")
     if 2 * a > n - 1:
         return 0
-    ratio = Fraction(factorial(n - a - 1), factorial(n - 2 * a))
-    value = n * (n - 2 * a) * ratio**2 * odd_double_factorial(n - 2 * a)
-    if value.denominator != 1:
-        raise AssertionError("coefficient must be integral")
-    return value.numerator
+    if a == 0:
+        return odd_double_factorial(n)
+    ratio = falling(n - a - 1, a - 1)  # (n-a-1)!/(n-2a)!
+    return n * (n - 2 * a) * ratio**2 * odd_double_factorial(n - 2 * a)
 
 
 def remark_identity_check(lam) -> bool:

@@ -127,8 +127,9 @@ class MatrixSpec:
     @classmethod
     def from_json(cls, data: dict) -> "MatrixSpec":
         """Read ``{dim?, eigs | entries}``, each entry a number or an
-        ``[re, im]`` pair; a record without either key, or with any other
-        kind of entry, raises ``ValueError``."""
+        ``[re, im]`` pair; a record without either key, with any other
+        kind of entry, or with a ``dim`` that is not an integer, raises
+        ``ValueError``."""
         if not isinstance(data, dict) or not data.keys() & {"eigs", "entries"}:
             raise ValueError("a matrix is a JSON object with 'eigs' or 'entries'")
         key = "eigs" if "eigs" in data else "entries"
@@ -144,7 +145,10 @@ class MatrixSpec:
                 for i, row in enumerate(data["entries"])
             ]
             spec = cls.from_dense(np.array(rows))
-        if spec.dim != data.get("dim", spec.dim):
+        dim = data.get("dim", spec.dim)
+        if not isinstance(dim, int) or isinstance(dim, bool):
+            raise ValueError(f"declared dim must be an integer, got {dim!r}")
+        if spec.dim != dim:
             raise ValueError("declared dim does not match the matrix")
         return spec
 
@@ -284,6 +288,8 @@ def _mc_moment(
     if complex_field:
         xd = xd.astype(np.complex128)
         yd = yd.astype(np.complex128)
+    else:  # entries written as [x, 0] pairs come in complex; trace them as floats
+        xd, yd = xd.real, yd.real
     yh = yd.conj().T
 
     # One set of block buffers serves every block of every shard.

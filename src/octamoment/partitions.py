@@ -1,14 +1,14 @@
 """Exact integer/partition combinatorics shared by every other module.
 
-All coefficient arithmetic is done with :class:`fractions.Fraction`;
-nothing in this module ever touches floating point.
+Every count here is an integer; :class:`fractions.Fraction` is kept for
+rational values only.  Nothing in this module ever touches floating point.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -110,20 +110,25 @@ def falling(x: int | Fraction, p: int) -> int | Fraction:
     return prod
 
 
-def multinomial(alpha: int | Fraction, ks: Sequence[int]) -> Fraction:
-    """Generalized multinomial ``alpha(alpha-1)...(alpha-sum(ks)+1) / prod ks!``.
+def multinomial(top: int, ks: Sequence[int]) -> int:
+    """Multinomial ``top (top-1) ... (top-sum(ks)+1) / prod ks!``, an
+    integer for every integer ``top``, negative ones included.
 
-    The top argument may be any rational.  Any negative entry in ``ks``
-    makes the value 0 (the reciprocal factorial vanishes at negative
-    integers), which lets formula sums range freely over integer indices.
+    Any negative entry in ``ks`` makes the value 0 (the reciprocal
+    factorial vanishes at negative integers), which lets formula sums
+    range freely over integer indices.  A ``top`` that is not an ``int``
+    raises ``TypeError``.
     """
-    if any(k < 0 for k in ks):
-        return Fraction(0)
-    num = falling(alpha, sum(ks))
-    den = 1
-    for k in ks:
-        den *= factorial(k)
-    return Fraction(num) / den
+    if not isinstance(top, int):
+        raise TypeError(f"the top of a multinomial must be an int, got {top!r}")
+    return _multinomial(top, *ks)
+
+
+@lru_cache(maxsize=None)
+def _multinomial(top: int, *ks: int) -> int:
+    if min(ks, default=0) < 0:
+        return 0
+    return falling(top, sum(ks)) // prod(map(factorial, ks))
 
 
 def odd_double_factorial(k: int) -> int:

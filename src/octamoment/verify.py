@@ -231,11 +231,11 @@ def suite_corollaries(n_max: int | None = None) -> list[CheckResult]:
             for m in ranks:
                 qr = cf.q_real(n, l, m)
                 via_b = sum(
-                    Fraction(c) * l**lam.length * m**mu.length
+                    c * l**lam.length * m**mu.length
                     for (lam, mu), c in summed.items()
                 )
                 via_lp = sum(
-                    Fraction(c) * falling(l, p) * falling(m, q)
+                    c * falling(l, p) * falling(m, q)
                     for (p, q), c in lp_len.items()
                 )
                 if not (qr == via_b == via_lp):
@@ -249,7 +249,7 @@ def suite_corollaries(n_max: int | None = None) -> list[CheckResult]:
         for l in ranks:
             for m in ranks:
                 via_c = sum(
-                    Fraction(c) * l**lam.length * m**mu.length
+                    c * l**lam.length * m**mu.length
                     for (lam, mu), c in c_table.items()
                 )
                 if cf.q_compl(n, l, m) != via_c:

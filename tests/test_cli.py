@@ -783,13 +783,16 @@ _VALID_N2 = {"f3": [["1", "2^"], ["2", "1^"]], "pi1": [["1", "2", "1^", "2^"]],
         (["mc", "--n", "2", "--samples", "10", "--matrix-x", "bad.json",
           "--matrix-y", "bad.json"],
          {"eigs": []}),
+        (["mc", "--n", "2", "--samples", "10", "--matrix-x", "bad.json",
+          "--matrix-y", "bad.json"],
+         {"dim": True, "eigs": [1]}),
     ],
     ids=["hypermap-without-f3", "forest-without-seed", "json-list", "edge-child-x",
          "label-9-at-n2", "n-as-string", "matrix-dim-only", "eigs-zero-denominator",
          "eigs-empty-string",
          "entries-not-a-list", "eigs-not-a-list", "entries-not-rows", "entry-object",
          "entry-three-numbers", "entry-boolean", "entry-string", "entry-infinite",
-         "eigs-empty-both"],
+         "eigs-empty-both", "dim-boolean"],
 )
 def test_malformed_input_exits_3_with_one_line(argv, content, tmp_path, capsys):
     _one_error_line(argv, content, tmp_path, capsys)

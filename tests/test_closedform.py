@@ -574,6 +574,22 @@ def test_degenerate_strata_checks_that_each_count_is_an_integer(monkeypatch):
         degenerate_strata(6)
 
 
+def test_F_counts_and_q_real_check_that_each_count_is_an_integer(monkeypatch):
+    # A loop-placement denominator that no longer divides the counts must
+    # be caught by the one exact division of each aggregated count.
+    exact = cf._alpha_parts
+
+    def off(*args):
+        num, den = exact(*args)
+        return num, den * 1_000_003
+
+    monkeypatch.setattr(cf, "_alpha_parts", off)
+    with pytest.raises(ArithmeticError, match="is not an integer"):
+        F_counts(1, 0, 1, 0, 0, 2)
+    with pytest.raises(ArithmeticError, match="is not an integer"):
+        q_real(3, 2, 2)
+
+
 def test_degenerate_strata_checks_that_no_pole_survives(monkeypatch):
     # A prefactor one order lower makes the count read a bracket row below
     # the one it should: a nonzero row there is a pole that must be caught.
@@ -805,6 +821,17 @@ def test_special_coefficients_against_oracle():
                 assert coeff_hook(n, a) == expected
             else:
                 assert coeff_hook(n, a) == 0
+
+
+def test_special_coefficients_against_real_expansion():
+    # The oracle above stops at n = 6; the real expansion reaches past it.
+    for n in range(7, 11):
+        expansion, full = real_expansion(n), Partition([n])
+        for lam in partitions_of(n):
+            assert coeff_m_lambda_m_n(n, lam) == expansion.coeff(lam, full), (n, lam)
+        for a in range(0, n):  # the zero hooks (2a > n - 1) included
+            hook = Partition([n - a] + [1] * a)
+            assert coeff_hook(n, a) == expansion.coeff(hook, hook), (n, a)
 
 
 def test_remark_identity():

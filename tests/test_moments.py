@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from octamoment.cli import main
 from octamoment.closedform import q_compl, q_real
 from octamoment.hypermaps import pairing_power_sum_series
+from octamoment import moments
 from octamoment.moments import (
     SHARD_SIZE,
     MatrixSpec,
@@ -66,6 +67,11 @@ def test_matrix_spec_json_rejects_a_wrong_dim():
     for data in (
         {"dim": 3, "eigs": ["1", "2"]},
         {"dim": 3, "entries": [[1.0, 0.0], [0.0, 2.0]]},
+        # 1 == True == 1.0, but a declared dim must be an int
+        {"dim": True, "eigs": [1]},
+        {"dim": 1.0, "eigs": [1]},
+        {"dim": "1", "eigs": [1]},
+        {"dim": None, "entries": [[1.0]]},
     ):
         with pytest.raises(ValueError, match="declared dim"):
             MatrixSpec.from_json(data)
@@ -358,3 +364,25 @@ def test_mc_dense_matches_eigenvalue_form():
 def test_mc_rejects_order_below_one(estimator, n):
     with pytest.raises(ValueError, match="n must be >= 1"):
         estimator(n, I2, I2, 100, 1)
+
+
+def test_mc_real_traces_complex_typed_real_entries_as_floats(monkeypatch):
+    # Entries written as [x, 0] pairs arrive as a complex array; the real
+    # moment must still run the trace kernel in float64.
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((4, 4))
+    x = a + a.T
+    floats = MatrixSpec.from_dense(x)
+    pairs = MatrixSpec.from_json({"entries": [[[v, 0] for v in row] for row in x.tolist()]})
+    assert pairs.entries.dtype == np.complex128
+    expect = mc_moment_real(3, floats, floats, 300, 1)
+    dtypes = set()
+    traces = moments._block_traces
+
+    def spy(u, xd, yh, n, work):
+        dtypes.update(arr.dtype for arr in (u, xd, yh, *work))
+        return traces(u, xd, yh, n, work)
+
+    monkeypatch.setattr(moments, "_block_traces", spy)
+    assert mc_moment_real(3, pairs, pairs, 300, 1) == expect
+    assert dtypes == {np.dtype(np.float64)}
