@@ -19,6 +19,7 @@ from .closedform import (
     complex_coeff,
     complex_expansion,
     degenerate_strata,
+    iter_degenerate_strata,
     q_compl,
     q_real,
     real_expansion,

@@ -8,24 +8,33 @@ identical invocations produce byte-identical output.  JSON output is
 a non-finite float raises ``ValueError`` instead of printing ``NaN`` or
 ``Infinity``, and ``mc`` reports a ``z_score`` of ``null`` at zero
 standard error.  ``expansion`` and ``report`` write the same bytes
-without calling ``json.dumps``: :func:`_expansion_json`, the real
-writer, fills one fixed template for the head (``degenerate_strata``,
-``field``, ``n``) and one per term (canonical order), and
-:func:`_strata_json` one per flagged stratum.  ``expansion --field
-complex`` builds no expansion: :func:`_complex_expansion_json` writes the
-same head and term templates, rendering the terms of each length of
-``lam`` once by indexing the cached ``(k, l)`` coefficient table
+without calling ``json.dumps``, and write them as they are generated:
+each writer yields chunks that :func:`_emit` writes at once, so a
+command holds one record at a time next to the cached expansion.  An
+error before the first chunk (``n < 1``) writes nothing and creates no
+``--out`` file; an error after it (a broken pipe, say) leaves the output
+written until then.
+:func:`_expansion_chunks`, the real writer, fills one fixed template for
+the head (``degenerate_strata``, ``field``, ``n``) and one per term
+(canonical order), one chunk per ``lam``, and :func:`_strata_chunks` one
+per flagged stratum, one chunk each.  ``expansion --field complex``
+builds no expansion: :func:`_complex_expansion_chunks` writes the same
+head and term templates, rendering the terms of each length of ``lam``
+once by indexing the cached ``(k, l)`` coefficient table
 (:func:`~octamoment.closedform.complex_length_coeffs`) and joining their
-pieces with the name of each ``lam``.  ``expansion --field real`` prints
+pieces with the name of each ``lam``, one chunk per ``lam``.
+``expansion --field real`` prints
 :func:`~octamoment.closedform.real_expansion`, which includes the flagged
 strata (resolved by continuation in ``n`` for every ``n``: the order of
 each stratum's prefactor picks the one row of the seed bracket that its
-count reads), and lists them from
-:func:`~octamoment.closedform.degenerate_strata`; ``report`` prints
-that list alone and assembles no coefficient.  ``expansion --strict``
-hands the same two results to the same writer, which leaves out the
-(lam, mu) pairs that have a flagged stratum and the counts of the flagged
-strata as it writes; no second expansion is built.  A
+count reads), and lists them as
+:func:`~octamoment.closedform.iter_degenerate_strata` yields them;
+``report`` prints that list alone and assembles no coefficient.
+``expansion --strict`` hands the same two results to the same writer,
+which notes the (lam, mu) pair of each flagged stratum as it writes the
+strata, then leaves out the terms of those pairs and the counts of the
+flagged strata; no second expansion is built, and it exits 2 if and only
+if it wrote a stratum.  A
 ``bijection --input`` record with any of ``f3``, ``pi1`` or ``pi2`` is
 read as a hypermap, so a missing key is named, and its ``f3`` must list
 exactly ``n`` pairs.  Exit codes: 0 success, 1
@@ -51,7 +60,9 @@ import csv
 import io
 import json
 import sys
+from collections.abc import Iterable, Iterator
 from functools import cache, partial
+from itertools import chain, groupby
 from json.encoder import encode_basestring_ascii
 
 from . import closedform as cf
@@ -62,12 +73,20 @@ from .partitions import format_partition, format_rational, partitions_of
 from .verify import SUITES, coeffs_self_check, run_suite
 
 
-def _emit(text: str, out_path: str | None) -> None:
+def _emit(chunks: Iterable[str], out_path: str | None) -> None:
+    """Write ``chunks`` to ``out_path``, or else to ``sys.stdout`` as it is
+    at the call.  The first chunk is taken before the file is opened, so an
+    error raised before any output (such as ``n < 1``) creates no file; an
+    error raised later leaves the chunks written until then."""
+    chunks = iter(chunks)
+    first = next(chunks, "")
     if out_path:
         with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.write(first)
+            handle.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(first)
+        sys.stdout.writelines(chunks)
 
 
 def _json_dumps(data) -> str:
@@ -79,26 +98,41 @@ def _name(lam) -> str:
 
 
 # One term of ``"terms"`` exactly as ``_json_dumps`` lays out a
-# {coeff, lambda, mu} record at depth 2, with its leading separator.
+# {coeff, lambda, mu} record at depth 2, with its leading newline.
 _TERM = '\n    {\n      "coeff": "%s",\n      "lambda": %s,\n      "mu": %s\n    }'
 
-# The head of ``expansion`` exactly as ``_json_dumps`` lays out its keys
-# before ``"terms"``, which sorts last.
-_HEAD = '{\n  "degenerate_strata": %s,\n  "field": %s,\n  "n": %d,\n  "terms": '
+# The head of ``expansion`` exactly as ``_json_dumps`` lays out its keys,
+# around the value of ``"degenerate_strata"``: ``"terms"`` sorts last.
+_HEAD = '{\n  "degenerate_strata": '
+_FIELD = ',\n  "field": %s,\n  "n": %d,\n  "terms": '
 
 
-def _strata_json(strata, depth: int, counts: bool = True) -> str:
+def _list_chunks(items: Iterable[str], close: str) -> Iterator[str]:
+    """A JSON list laid out by ``_json_dumps``, one chunk per item: each
+    item is the text of one or more elements, every element led by its
+    newline and indent, and goes out after its separator; ``close`` ends
+    the list, and an empty one is ``[]``."""
+    sep = "["
+    for item in items:
+        yield sep + item
+        sep = ","
+    yield "[]" if sep == "[" else close
+
+
+def _strata_chunks(
+    strata: Iterable[cf.DegenerateStratum], depth: int, counts: bool = True, flagged=None
+) -> Iterator[str]:
     """``json.dumps([d.to_json() for d in strata], indent=2,
     sort_keys=True)`` as it is laid out at nesting ``depth`` (1 for a
-    top-level list, 2 for the value of a top-level key), leaving out
-    ``"oracle_value"`` unless ``counts``.
+    top-level list, 2 for the value of a top-level key), one chunk per
+    stratum, leaving out ``"oracle_value"`` unless ``counts``.  The
+    (lam, mu) pair of each stratum is added to the set ``flagged``, if one
+    is given, as the stratum is written.
 
     Each :class:`~octamoment.closedform.DegenerateStratum` fills one fixed
     template; each cell list, status and partition name is encoded once
     per call.  No record is built and the indenting encoder is not used.
     """
-    if not strata:
-        return "[]"
     pad, key, cell = ("  " * (depth + k) for k in (0, 2, 3))
     record = (
         f'\n{pad}{{\n{pad}  "A": {{\n'
@@ -122,10 +156,13 @@ def _strata_json(strata, depth: int, counts: bool = True) -> str:
         return encode_basestring_ascii("; ".join(diagnostics) or "degenerate")
 
     name = cache(_name)
-    body = ",".join(
-        [
-            record
-            % (
+
+    def records() -> Iterator[str]:
+        for d in strata:
+            if flagged is not None:
+                flagged.add((d.lam, d.mu))
+            a = d.array
+            yield record % (
                 cells_json(a.black),
                 cells_json(a.black_root),
                 a.seed_degree,
@@ -139,51 +176,45 @@ def _strata_json(strata, depth: int, counts: bool = True) -> str:
                 count % d.oracle_value if counts else "",
                 d.r,
             )
-            for d in strata
-            for a in (d.array,)
-        ]
-    )
-    return "[" + body + "\n" + "  " * (depth - 1) + "]"
+
+    return _list_chunks(records(), "\n" + "  " * (depth - 1) + "]")
 
 
-def _document(head: str, terms: str) -> str:
-    """The ``expansion`` record from its head and its joined terms."""
-    if not terms:
-        return head + "[]\n}\n"
-    return head + "[" + terms + "\n  ]\n}\n"
-
-
-def _expansion_json(expansion, strata=(), strict: bool = False) -> str:
+def _expansion_chunks(expansion, strata=(), strict: bool = False, flagged=None) -> Iterator[str]:
     """``_json_dumps`` of the real ``expansion`` record: ``n``, ``field``,
-    the ``degenerate_strata`` (:func:`_strata_json`) and the ``"terms"``
-    (``expansion.to_records()``), written from fixed templates without a
-    record per term or stratum and without the indenting encoder.  A
-    coefficient is a ``Fraction``, whose ``str`` is ``format_rational``.
-    The ``strict`` view leaves out the counts of the flagged strata and the
-    terms of their (lam, mu) pairs.
+    the ``degenerate_strata`` (:func:`_strata_chunks`, one chunk per
+    stratum) and the ``"terms"`` (``expansion.to_records()``, one chunk per
+    ``lam``), written from fixed templates without a record per term or
+    stratum and without the indenting encoder.  A coefficient is a
+    ``Fraction``, whose ``str`` is ``format_rational``.  The (lam, mu) pair
+    of each stratum goes into ``flagged`` (the caller's set, or a fresh one)
+    as it is written, before ``"terms"``, which sorts last; the ``strict``
+    view leaves out the counts of the flagged strata and the terms of
+    those pairs.
     """
+    flagged = set() if flagged is None else flagged
     n = expansion.n
-    head = _HEAD % (_strata_json(strata, 2, not strict), '"real"', n)
-    flagged = {(d.lam, d.mu) for d in strata} if strict else ()
+    yield _HEAD
+    yield from _strata_chunks(strata, 2, not strict, flagged)
+    yield _FIELD % ('"real"', n)
+    skip = flagged if strict else ()
     names = {lam: _name(lam) for lam in partitions_of(n)}
-    terms = ",".join(
-        [
-            _TERM % (c, names[lam], names[mu])
-            for (lam, mu), c in expansion.items()
-            if (lam, mu) not in flagged
-        ]
+    rows = (
+        ",".join([_TERM % (c, names[lam], names[key[1]]) for key, c in row if key not in skip])
+        for lam, row in groupby(expansion.items(), key=lambda term: term[0][0])
     )
-    return _document(head, terms)
+    yield from _list_chunks(filter(None, rows), "\n  ]")
+    yield "\n}\n"
 
 
-def _complex_expansion_json(n: int) -> str:
+def _complex_expansion_chunks(n: int) -> Iterator[str]:
     """The ``expansion`` record of ``complex_expansion(n)`` without the
-    expansion: the terms of every ``lam`` of one length ``k`` differ only
-    in ``lam``, so they are rendered once per ``k``, from the entries
-    ``(k, len(mu))`` of :func:`~octamoment.closedform.complex_length_coeffs`
-    over the ``mu`` in canonical order, and cut into the pieces between the
-    places of ``lam``; the block of each ``lam`` is its name joining those
-    pieces."""
+    expansion, one chunk per ``lam``: the terms of every ``lam`` of one
+    length ``k`` differ only in ``lam``, so they are rendered once per
+    ``k``, from the entries ``(k, len(mu))`` of
+    :func:`~octamoment.closedform.complex_length_coeffs` over the ``mu`` in
+    canonical order, and cut into the pieces between the places of ``lam``;
+    the block of each ``lam`` is its name joining those pieces."""
     table, parts = cf.complex_length_coeffs(n), partitions_of(n)
     names = {lam: _name(lam) for lam in parts}
     # An encoded name is printable ASCII, so "\0" marks only the places of lam.
@@ -193,8 +224,10 @@ def _complex_expansion_json(n: int) -> str:
         ).split("\0")
         for k in range(1, n + 1)
     }
-    terms = ",".join([names[lam].join(pieces[len(lam)]) for lam in parts])
-    return _document(_HEAD % ("[]", '"complex"', n), terms)
+    yield _HEAD + "[]" + _FIELD % ('"complex"', n)
+    blocks = (names[lam].join(pieces[len(lam)]) for lam in parts)
+    yield from _list_chunks(filter(None, blocks), "\n  ]")
+    yield "\n}\n"
 
 
 def cmd_coeffs(args) -> int:
@@ -209,7 +242,7 @@ def cmd_coeffs(args) -> int:
             return 1
     if args.per_array:
         tallies = hm.lp_by_array(n)
-        _emit(_json_dumps({a.serialize(): c for a, c in tallies.items()}), args.out)
+        _emit([_json_dumps({a.serialize(): c for a, c in tallies.items()})], args.out)
         return 0
     # One keyed table: (lam, mu, r) for L and LP, (lam, mu) for b and c.
     if args.kind == "LP":
@@ -229,7 +262,7 @@ def cmd_coeffs(args) -> int:
             row["b"] = scale * value
             row["c"] = value if row["r"] == 0 else 0
         rows.append(row)
-    _emit(_format_rows(rows, args.format or "pretty"), args.out)
+    _emit([_format_rows(rows, args.format or "pretty")], args.out)
     return 0
 
 
@@ -260,13 +293,12 @@ def _format_rows(rows: list[dict], fmt: str) -> str:
 def cmd_expansion(args) -> int:
     n = args.n
     if args.field == "complex":
-        _emit(_complex_expansion_json(n), args.out)
+        _emit(_complex_expansion_chunks(n), args.out)
         return 0
-    expansion, strata = cf.real_expansion(n), cf.degenerate_strata(n)
-    _emit(_expansion_json(expansion, strata, args.strict), args.out)
-    if args.strict and strata:
-        return 2
-    return 0
+    flagged: set = set()
+    strata = cf.iter_degenerate_strata(n)
+    _emit(_expansion_chunks(cf.real_expansion(n), strata, args.strict, flagged), args.out)
+    return 2 if args.strict and flagged else 0
 
 
 def cmd_verify(args) -> int:
@@ -342,7 +374,7 @@ def cmd_bijection(args) -> int:
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as handle:
             handle.write(fo.forest_to_dot(forest))
-    _emit(_json_dumps(payload), args.out)
+    _emit([_json_dumps(payload)], args.out)
     return 0
 
 
@@ -380,16 +412,15 @@ def cmd_mc(args) -> int:
     payload = estimate.to_json(exact)
     if exact is not None:
         payload["exact_rational"] = format_rational(exact)
-    _emit(_json_dumps(payload), args.out)
+    _emit([_json_dumps(payload)], args.out)
     return 0
 
 
 def cmd_report(args) -> int:
-    strata = cf.degenerate_strata(args.n)
-    _emit(_strata_json(strata, 1) + "\n", args.out)
-    if args.strict and strata:
-        return 2
-    return 0
+    flagged: set = set()
+    strata = cf.iter_degenerate_strata(args.n)
+    _emit(chain(_strata_chunks(strata, 1, flagged=flagged), ["\n"]), args.out)
+    return 2 if args.strict and flagged else 0
 
 
 class _Parser(argparse.ArgumentParser):

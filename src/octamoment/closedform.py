@@ -17,12 +17,14 @@ The per-stratum formula is generic: on boundary strata (``r > 0`` and
 ``n + eps`` as ``eps -> 0``, which on a generic stratum is the formula's
 value, and flags the boundary strata: their :class:`StratumValue` has
 ``well_defined=False`` and diagnostics naming the factorials with a
-negative argument, next to the exact count.  :func:`degenerate_strata`
-lists the flagged strata of one order with their counts, building only
-those.  It reads per-side factors: the factor of each white side is
-computed once per ``(lam, r)`` and that of each black side once per
-``(mu, r)``, and one count core (``_stratum_count``) turns a white and a
-black factor into the count of their stratum.  The order ``v`` of the
+negative argument, next to the exact count.
+:func:`iter_degenerate_strata` yields the flagged strata of one order
+with their counts, one at a time, building only those
+(:func:`degenerate_strata` is their tuple).  It reads per-side factors:
+the factor of each white side is computed once per ``(lam, r)`` and
+that of each black side once per ``(mu, r)``, and one count core
+(``_stratum_count``) turns a white and a black factor into the count of
+their stratum.  The order ``v`` of the
 prefactor of ``(p, q, r, n)`` picks the row ``eps**(-v)`` of the seed
 bracket that the count core and the real assembly read.
 :func:`F_formula` derives the two factors from one array and calls the
@@ -45,6 +47,7 @@ flagged stratum is ``expansion --strict`` in the command line.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -71,6 +74,7 @@ __all__ = [
     "F_counts",
     "alpha",
     "degenerate_strata",
+    "iter_degenerate_strata",
     "real_expansion",
     "complex_coeff",
     "complex_length_coeffs",
@@ -354,23 +358,32 @@ class DegenerateStratum:
 
 
 def degenerate_strata(n: int) -> tuple[DegenerateStratum, ...]:
+    """The strata of :func:`iter_degenerate_strata`, as one tuple."""
+    return tuple(iter_degenerate_strata(n))
+
+
+def iter_degenerate_strata(n: int) -> Iterator[DegenerateStratum]:
     """The strata of the order-n real moment that :func:`F_formula` flags,
-    each with its count, in assembly order: ``lam``, then ``mu`` (both
-    from :func:`~octamoment.partitions.partitions_of`), then ``r``, then
-    the order of :func:`~octamoment.arrays.enumerate_M`.  Only the flagged
-    strata are built.  The factor of each white side is computed once per
-    ``(lam, r)`` and that of each black side once per ``(mu, r)``, so a
-    flagged stratum costs one call of the count core
-    (:func:`_stratum_count`)."""
+    each with its count, one at a time in assembly order: ``lam``, then
+    ``mu`` (both from :func:`~octamoment.partitions.partitions_of`), then
+    ``r``, then the order of :func:`~octamoment.arrays.enumerate_M`.  Only
+    the flagged strata are built, and none is kept.  The factor of each
+    white side is computed once per ``(lam, r)`` and that of each black
+    side once per ``(mu, r)``, so a flagged stratum costs one call of the
+    count core (:func:`_stratum_count`).  ``n < 1`` raises ``ValueError``
+    at the call, before the first stratum is asked for."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    return _flagged_strata(n)
+
+
+def _flagged_strata(n: int) -> Iterator[DegenerateStratum]:
     parts, rs = partitions_of(n), range(1, n // 2 + 1)
     blacks = {
         (mu, r): [(side, _black_factor(*side, r, n)) for side in black_sides(mu, r)]
         for mu in parts
         for r in rs
     }
-    out: list[DegenerateStratum] = []
     for lam in parts:
         # At r > 0 a stratum is flagged when p >= n-2r or q >= n-2r
         # (_diagnostics): a black side whose q flags it meets every white
@@ -389,8 +402,7 @@ def degenerate_strata(n: int) -> tuple[DegenerateStratum, ...]:
                         a = ArrayTuple(white, white_root, black, black_root, i0, j0)
                         diagnostics = _diagnostics(w[0], q, r, n)
                         count = _stratum_count(a, n, r, w, b)
-                        out.append(DegenerateStratum(n, lam, mu, r, a, diagnostics, count))
-    return tuple(out)
+                        yield DegenerateStratum(n, lam, mu, r, a, diagnostics, count)
 
 
 def _white_vector(lam: Partition, n: int) -> list[int]:

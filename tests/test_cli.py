@@ -3,9 +3,11 @@
 import dataclasses
 import functools
 import hashlib
+import io
 import json
 import subprocess
 import sys
+import tracemalloc
 from types import SimpleNamespace
 
 import pytest
@@ -366,15 +368,15 @@ def test_strata_writer_equals_json_dumps_of_records():
         flagged += len(strata)
         for counts in (True, False):
             records = _records(strata, counts)
-            assert cli._strata_json(strata, 1, counts) == json.dumps(
+            assert "".join(cli._strata_chunks(strata, 1, counts)) == json.dumps(
                 records, indent=2, sort_keys=True
             ), (n, counts)
             nested = json.dumps({"degenerate_strata": records}, indent=2, sort_keys=True)
-            assert nested == '{\n  "degenerate_strata": ' + cli._strata_json(
-                strata, 2, counts
+            assert nested == '{\n  "degenerate_strata": ' + "".join(
+                cli._strata_chunks(strata, 2, counts)
             ) + "\n}", (n, counts)
     assert flagged > 0 and not degenerate_strata(1)
-    assert cli._strata_json((), 1) == cli._strata_json((), 2, False) == "[]"
+    assert "".join(cli._strata_chunks((), 1)) == "".join(cli._strata_chunks((), 2, False)) == "[]"
 
 
 def _expansion_cases():
@@ -398,14 +400,14 @@ def test_expansion_writer_equals_json_dumps_of_records():
             "degenerate_strata": _records(strata, not strict),
             "terms": MonomialExpansion(expansion.n, kept).to_records(),
         }
-        text = cli._expansion_json(expansion, strata, strict)
+        text = "".join(cli._expansion_chunks(expansion, strata, strict))
         assert text == json.dumps(reference, indent=2, sort_keys=True) + "\n", (
             expansion.n,
             strict,
         )
         cases += 1
     assert cases == 5 + 6 + 1
-    assert '"terms": []' in cli._expansion_json(MonomialExpansion(3))
+    assert '"terms": []' in "".join(cli._expansion_chunks(MonomialExpansion(3)))
 
 
 def test_complex_writer_equals_json_dumps_of_records(capsys):
@@ -419,9 +421,57 @@ def test_complex_writer_equals_json_dumps_of_records(capsys):
             "terms": complex_expansion(n).to_records(),
         }
         expected = json.dumps(reference, indent=2, sort_keys=True) + "\n"
+        assert "".join(cli._complex_expansion_chunks(n)) == expected, n
         for strict in ([], ["--strict"]):
             code, out = run_cli(["expansion", "--n", str(n), "--field", "complex", *strict], capsys)
             assert (code, out) == (0, expected), (n, strict)
+
+
+class _Sink(io.TextIOBase):
+    """A stdout that counts the characters written to it and keeps none."""
+
+    def __init__(self):
+        self.chars = 0
+
+    def write(self, text):
+        self.chars += len(text)
+        return len(text)
+
+
+def test_expansion_and_report_hold_one_record_at_a_time(monkeypatch):
+    # One untraced run warms every cache the commands read (the expansion and
+    # the per-side tables); a traced run then holds about one record at a
+    # time, not the document it writes.
+    monkeypatch.setattr(sys, "stdout", _Sink())
+    assert main(["expansion", "--n", "10", "--field", "real"]) == 0
+    for argv, expected_code in (
+        ("expansion --n 10 --field real", 0),
+        ("expansion --n 10 --field real --strict", 2),
+        ("report --n 10", 0),
+    ):
+        sink = _Sink()
+        monkeypatch.setattr(sys, "stdout", sink)
+        tracemalloc.start()
+        try:
+            code = main(argv.split())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == expected_code, argv
+        assert peak < sink.chars / 10, (argv, peak, sink.chars)
+
+
+def test_strict_exits_2_iff_a_stratum_is_written(capsys):
+    for argv, expected_code in (
+        ("expansion --n 1 --field real --strict", 0),
+        ("expansion --n 2 --field real --strict", 2),
+        ("report --n 1 --strict", 0),
+        ("report --n 2 --strict", 2),
+    ):
+        code, out = run_cli(argv.split(), capsys)
+        record = json.loads(out)
+        strata = record["degenerate_strata"] if argv.startswith("expansion") else record
+        assert (code, bool(strata)) == (expected_code, expected_code == 2), argv
 
 
 @pytest.mark.parametrize(
@@ -544,6 +594,20 @@ def test_expansion_domain_error_exits_3_with_one_line(capsys):
     assert code == 3
     assert captured.out == ""
     assert captured.err.splitlines() == ["octamoment: error: n must be >= 1"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    ["expansion --n 0 --field real", "expansion --n 0 --field complex", "report --n 0"],
+)
+def test_domain_error_creates_no_out_file(argv, tmp_path, capsys):
+    # The output is streamed, but the n >= 1 check comes before the file.
+    path = tmp_path / "out.json"
+    code = main([*argv.split(), "--out", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert captured.err.splitlines() == ["octamoment: error: n must be >= 1"]
+    assert not path.exists()
 
 
 def test_oracle_bound_error_names_the_fixed_bound(capsys):
@@ -942,6 +1006,9 @@ def test_out_writes_the_stdout_bytes_to_the_file(tmp_path, capsys):
     for argv, expected_code in (
         (["coeffs", "--n", "3", "--kind", "c", "--format", "csv"], 0),
         (["expansion", "--n", "3", "--field", "real", "--strict"], 2),
+        (["expansion", "--n", "6", "--field", "complex"], 0),
+        (["report", "--n", "3"], 0),
+        (["report", "--n", "3", "--strict"], 2),
     ):
         code, out = run_cli(argv, capsys)
         path = tmp_path / "out.txt"

@@ -29,6 +29,7 @@ from octamoment.closedform import (
     complex_expansion,
     complex_length_coeffs,
     degenerate_strata,
+    iter_degenerate_strata,
     q_compl,
     q_real,
     real_expansion,
@@ -699,6 +700,9 @@ def test_complex_length_coeffs_is_the_nonzero_length_table():
         (coeff_m_lambda_m_n, (0, ())),
         (coeff_hook, (-3, 0)),
         (q_real, (0, 1, 1)),
+        # raised at the call, not when the first stratum is asked for
+        (iter_degenerate_strata, (0,)),
+        (degenerate_strata, (-1,)),
     ],
 )
 def test_closed_forms_reject_an_order_below_1(closed_form, args):
