@@ -43,7 +43,8 @@ usage error (including a ``verify`` option the suite does not take, and
 ``coeffs --per-array`` with a ``--format`` other than json), an
 argument outside the domain of the computation (such as ``n < 1``, an
 enumeration beyond its size bound, an ``mc --dim`` below 1 or other
-than the dimension of a matrix given with it, or a matrix with a nonzero
+than the dimension of a matrix given with it, an ``mc`` eigenvalue beyond
+the float range, such as ``1e400``, or a matrix with a nonzero
 imaginary entry under ``mc --field real``) or an
 unreadable input (a missing file, or a file or ``--x-eigs``/``--y-eigs``
 value that its reader rejects with ``ValueError``, such as a matrix entry

@@ -153,9 +153,15 @@ class MatrixSpec:
         return spec
 
     def dense(self) -> np.ndarray:
+        """The matrix as floats; an eigenvalue beyond the float range raises
+        ``ValueError`` (the exact moments take it as it is)."""
         if self.entries is not None:
             return self.entries
-        return np.diag(np.array([float(e) for e in self.eigs], dtype=np.float64))
+        try:
+            floats = [float(e) for e in self.eigs]
+        except OverflowError:
+            raise ValueError("an eigenvalue lies beyond the float range of Monte Carlo") from None
+        return np.diag(np.array(floats, dtype=np.float64))
 
     def exact_eigs(self) -> tuple[Fraction, ...]:
         if self.eigs is None:

@@ -211,10 +211,11 @@ def test_suite_bijection_reports_each_failure(target, replacement, check, detail
     "argv, message",
     [
         ("--suite mc --n-max 0 --samples 2000 --seed 3", "the mc suite takes no n_max"),
+        ("--suite mc --n-max 2", "the mc suite takes no n_max"),
         ("--suite special --n-max 2 --samples 5", "the special suite takes no samples"),
         ("--suite strata --seed 1", "the strata suite takes no seed"),
     ],
-    ids=["mc-n-max", "special-samples", "strata-seed"],
+    ids=["mc-n-max", "mc-n-max-alone", "special-samples", "strata-seed"],
 )
 def test_verify_option_the_suite_does_not_take_exits_3_with_one_line(capsys, argv, message):
     code = main(["verify", *argv.split()])
@@ -850,13 +851,19 @@ _VALID_N2 = {"f3": [["1", "2^"], ["2", "1^"]], "pi1": [["1", "2", "1^", "2^"]],
         (["mc", "--n", "2", "--samples", "10", "--matrix-x", "bad.json",
           "--matrix-y", "bad.json"],
          {"dim": True, "eigs": [1]}),
+        (["mc", "--n", "2", "--samples", "10", "--x-eigs", "1e400", "--y-eigs", "1"], None),
+        (["mc", "--n", "2", "--samples", "10", "--x-eigs", "1e400", "--y-eigs", "1",
+          "--field", "complex"], None),
+        (["mc", "--n", "2", "--samples", "10", "--matrix-x", "bad.json", "--y-eigs", "1"],
+         {"eigs": ["1e400"]}),
     ],
     ids=["hypermap-without-f3", "forest-without-seed", "json-list", "edge-child-x",
          "label-9-at-n2", "n-as-string", "matrix-dim-only", "eigs-zero-denominator",
          "eigs-empty-string",
          "entries-not-a-list", "eigs-not-a-list", "entries-not-rows", "entry-object",
          "entry-three-numbers", "entry-boolean", "entry-string", "entry-infinite",
-         "eigs-empty-both", "dim-boolean"],
+         "eigs-empty-both", "dim-boolean", "eigs-beyond-float-real", "eigs-beyond-float-complex",
+         "matrix-eigs-beyond-float"],
 )
 def test_malformed_input_exits_3_with_one_line(argv, content, tmp_path, capsys):
     _one_error_line(argv, content, tmp_path, capsys)

@@ -1,0 +1,206 @@
+"""Whole CLI commands at sizes past the unit tests: recorded stdout
+digests, exact moments against the projector closed forms, Monte Carlo
+agreement, the JSON layout, the table shapes, the verification suites,
+and the memory of the streamed n = 12 real expansion.
+
+Each check runs through ``cli.main`` in this process, except the memory
+check, which reads a process of its own.  A bound on elapsed time is the
+time the command may take from the shell, interpreter start included."""
+
+import hashlib
+import json
+import subprocess
+import sys
+import time
+
+import pytest
+
+from octamoment.cli import main
+from octamoment.closedform import q_compl, q_real
+
+
+def _run(argv, capsys):
+    code = main(argv)
+    return code, capsys.readouterr().out
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _reject_constant(token):
+    raise ValueError(f"not JSON: {token}")
+
+
+def _strict_json(text: str):
+    """``json.loads`` that rejects ``NaN`` and ``Infinity``."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
+# sha256 of stdout and the exit code of each command, as the workflow's shell
+# checks recorded them before these tests replaced them.
+DIGESTS = [
+    ("report --n 10", 0, "7cc3e81e0c315b9bd078466aeb9592c64b0943452d65e0e37cceafa68f9aef5a"),
+    ("expansion --n 10 --field real --strict", 2, "cbefb3e742d8cb59b25183cedd3245cd93e6df9727b6fdc9ed313f4af6382aeb"),
+    ("expansion --n 10 --field real", 0, "638678b103b3bdf05542a4a043df5c035e1e244499647adfe803ede57ea4017c"),
+    ("verify --suite corollaries", 0, "180de49b68a6647b1690fa3a366ff05b00b5e2d97c683074b6a33ff2f5e5f079"),
+    ("verify --suite bijection", 0, "bfe8b54ffe4ab9e9d403e428deb18ba15998b3dbb9419f3efee324d2ef221b77"),
+    ("coeffs --n 7 --kind b --format json", 0, "a3a8f9d33f350b31cdff32dba8b0e010e55a9c18e511031c620f994ad07d2ead"),
+    ("coeffs --n 7 --kind c --format json", 0, "9ff6bb4175e3e1229b6ada729ba5657d3dba4594854151956a10c10250793c81"),
+    ("coeffs --n 7 --kind L --format json", 0, "feb9e0ca1fef526f8729fb69e4b19dbd0c9d4758952d27b9d5e5f409b0393c02"),
+    ("coeffs --n 7 --kind LP --format json", 0, "913578f988c258b82ed65b78dda9aebedd25e2ce97449b1054d78ca4d783fd8f"),
+]
+
+
+@pytest.mark.parametrize("command, expected_code, expected_digest", DIGESTS,
+                         ids=[command for command, _, _ in DIGESTS])
+def test_stdout_digest_is_unchanged(command, expected_code, expected_digest, capsys):
+    code, out = _run(command.split(), capsys)
+    assert (code, _sha256(out)) == (expected_code, expected_digest)
+
+
+# The printed 11-edge example (``worked_example_11`` in test_bijection) as a
+# ``bijection --input`` record.
+WORKED_HYPERMAP = {
+    "n": 11,
+    "f3": [["1", "4"], ["1^", "8^"], ["2", "9"], ["2^", "3^"], ["3", "11^"], ["4^", "10^"],
+           ["5", "7"], ["5^", "6"], ["6^", "11"], ["7^", "9^"], ["8", "10"]],
+    "pi1": [["11^", "1", "1^", "2", "2^", "3", "3^", "4", "7^", "8", "8^", "9", "9^", "10"],
+            ["4^", "5", "5^", "6", "6^", "7", "10^", "11"]],
+    "pi2": [["2", "2^", "3", "3^", "5", "5^", "6", "6^", "7", "7^", "9", "9^", "11", "11^"],
+            ["1", "1^", "4", "4^", "8", "8^", "10", "10^"]],
+}
+
+
+def _hypermap_key(h):
+    return (h["n"], *(sorted(sorted(block) for block in h[k]) for k in ("f3", "pi1", "pi2")))
+
+
+def test_worked_hypermap_through_the_bijection_and_back(tmp_path, capsys):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(WORKED_HYPERMAP), encoding="utf-8")
+    code, forward = _run(["bijection", "--input", str(path)], capsys)
+    assert (code, _sha256(forward)) == (
+        0, "fe737aa872476a4c094ae8cf4c5be2bff875198e3266fb14b9a0c56539af617c"
+    )
+    path.write_text(json.dumps(json.loads(forward)["forest"]), encoding="utf-8")
+    code, back = _run(["bijection", "--input", str(path)], capsys)
+    assert _hypermap_key(json.loads(back)["hypermap"]) == _hypermap_key(WORKED_HYPERMAP)
+    assert (code, _sha256(back)) == (
+        0, "1cb057bed541a59f9aa44c64ef7ee9c01e12a3369582d882e045e4f47a32a503"
+    )
+
+
+@pytest.mark.parametrize(
+    "command, expected, seconds",
+    [
+        ("mc --n 20 --field complex --x-eigs 1,1,1 --y-eigs 1,1,0 --samples 100 --seed 1",
+         q_compl(20, 3, 2), 30),
+        ("mc --n 9 --field complex --x-eigs 1,-1/2,2 --y-eigs 1/3,1,1 --samples 2 --seed 1",
+         "3970714815665/972", 30),
+        ("mc --n 12 --field real --x-eigs 1,1,1 --y-eigs 1,1,0 --samples 100 --seed 1",
+         47088731289600, 60),
+        ("mc --n 16 --field real --x-eigs 1,1,1,1 --y-eigs 1,1,1,0 --samples 2 --seed 1",
+         703429928878989312000, 120),
+    ],
+    ids=["complex-n20-projectors", "complex-n9", "real-n12-projectors", "real-n16-projectors"],
+)
+def test_mc_prints_the_exact_moment(command, expected, seconds, capsys):
+    start = time.perf_counter()
+    code, out = _run(command.split(), capsys)
+    elapsed = time.perf_counter() - start
+    assert (code, _strict_json(out)["exact_rational"]) == (0, str(expected))
+    assert elapsed < seconds
+
+
+def test_real_projector_closed_form_at_n_12_and_16():
+    assert q_real(12, 3, 2) == 47088731289600
+    assert q_real(16, 4, 3) == 703429928878989312000
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "mc --n 5 --field complex --x-eigs 1,-1/2,2 --y-eigs 1/3,1,1 --samples 20000 --seed 1",
+        "mc --n 4 --field real --x-eigs 1,-1/2,2 --y-eigs 1/3,1,1 --samples 20000 --seed 1",
+        # a second shard of one full block and one 1-sample block
+        "mc --n 3 --field complex --dim 24 --samples 17409 --seed 1",
+        "mc --n 3 --field real --dim 24 --samples 17409 --seed 1",
+    ],
+    ids=["complex-n5", "real-n4", "complex-n3-two-shards", "real-n3-two-shards"],
+)
+def test_mc_estimate_is_within_5_standard_errors(command, capsys):
+    code, out = _run(command.split(), capsys)
+    record = _strict_json(out)
+    assert code == 0 and abs(record["z_score"]) <= 5, record
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["expansion --n 7 --field real", "expansion --n 9 --field real",
+     "expansion --n 11 --field real", "report --n 8"],
+)
+def test_stdout_is_strict_json_in_the_json_dumps_layout(command, capsys):
+    start = time.perf_counter()
+    code, out = _run(command.split(), capsys)
+    elapsed = time.perf_counter() - start
+    assert (code, out) == (0, json.dumps(_strict_json(out), indent=2, sort_keys=True) + "\n")
+    assert elapsed < 120
+
+
+def test_report_resolves_every_flagged_stratum(capsys):
+    code, out = _run(["report", "--n", "8"], capsys)
+    records = _strict_json(out)
+    assert code == 0 and records
+    assert all(type(record.get("oracle_value")) is int for record in records)
+
+
+def test_coeffs_pretty_and_csv_have_a_header_and_one_line_per_row(capsys):
+    rows = len(_strict_json(_run(["coeffs", "--n", "4", "--kind", "L", "--format", "json"], capsys)[1]))
+    pretty = _run(["coeffs", "--n", "4", "--kind", "L"], capsys)[1].splitlines()
+    csv = _run(["coeffs", "--n", "4", "--kind", "L", "--format", "csv"], capsys)[1].splitlines()
+    assert len(pretty) == len(csv) == rows + 1
+    assert csv[0] == "lambda,mu,r,L,b,c"
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["verify --suite corollaries --n-max 6", "verify --suite complex --n-max 8",
+     "verify --suite strata", "verify --suite special"],
+)
+def test_verify_suite_passes(command, capsys):
+    code, out = _run(command.split(), capsys)
+    assert code == 0 and "FAIL" not in out
+
+
+# Runs the n = 12 real expansion in a child of its own and prints its exit
+# code, its peak RSS in KiB (Linux) and the sha256 of its stdout, hashed as
+# it arrives.  The peak is read in this small wrapper, not in the test
+# process: Linux carries a process's high-water RSS across exec, so a
+# child started straight from a large test process would report the
+# parent's size.
+_STREAM_PROBE = """
+import hashlib, resource, subprocess, sys
+proc = subprocess.Popen(
+    [sys.executable, "-m", "octamoment", "expansion", "--n", "12", "--field", "real"],
+    stdout=subprocess.PIPE,
+)
+digest = hashlib.sha256()
+for block in iter(lambda: proc.stdout.read(1 << 16), b""):
+    digest.update(block)
+print(proc.wait(), resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss, digest.hexdigest())
+"""
+
+
+def test_real_expansion_streams_in_bounded_memory_byte_for_byte():
+    # The 33 MB document is written one record at a time: the child's peak
+    # RSS stays far below it (208 MB when the document was built whole).
+    result = subprocess.run(
+        [sys.executable, "-c", _STREAM_PROBE], capture_output=True, text=True, timeout=120
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+    code, peak_kib, digest = result.stdout.split()
+    assert (code, digest) == (
+        "0", "496123c7f22e45f1843b8edd14374c803ab873b38feba1e62e74e3fa0a52f2d1"
+    )
+    assert int(peak_kib) / 1024 < 100

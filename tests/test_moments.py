@@ -339,6 +339,16 @@ def test_mc_error_scales_with_samples():
     assert abs(ratio - 1 / math.sqrt(2)) <= 0.2 / math.sqrt(2)
 
 
+def test_eigenvalue_beyond_the_float_range_is_exact_but_not_sampled():
+    big, one = MatrixSpec.from_eigs(["1e400"]), MatrixSpec.identity(1)
+    # E u^4 = 3 for a real standard normal u, E |u|^4 = 2 for a complex one
+    assert moment_real_exact(2, big, one) == 3 * Fraction(10) ** 800
+    assert moment_complex_exact(2, big, one) == 2 * Fraction(10) ** 800
+    for estimator in (mc_moment_real, mc_moment_complex):
+        with pytest.raises(ValueError, match="beyond the float range"):
+            estimator(2, big, one, 10, seed=1)
+
+
 def test_mc_rejects_asymmetric_input():
     bad = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(ValueError):
