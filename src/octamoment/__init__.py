@@ -18,7 +18,6 @@ from .closedform import (
     coeff_m_lambda_m_n,
     complex_coeff,
     complex_expansion,
-    degenerate_strata,
     iter_degenerate_strata,
     q_compl,
     q_real,

@@ -39,8 +39,9 @@ if it wrote a stratum.  A
 read as a hypermap, so a missing key is named, and its ``f3`` must list
 exactly ``n`` pairs.  Exit codes: 0 success, 1
 verification/validation failure, 2 flagged strata under ``--strict``, 3 a
-usage error (including a ``verify`` option the suite does not take, and
-``coeffs --per-array`` with a ``--format`` other than json), an
+usage error (including a ``verify`` option the suite does not take,
+``coeffs --per-array`` with a ``--format`` other than json, and an
+``mc`` side given both an eigenvalue list and a matrix file), an
 argument outside the domain of the computation (such as ``n < 1``, an
 enumeration beyond its size bound, an ``mc --dim`` below 1 or other
 than the dimension of a matrix given with it, an ``mc`` eigenvalue beyond
@@ -481,10 +482,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=200_000)
     p.add_argument("--seed", type=int, default=20240801)
     p.add_argument("--dim", type=int, help="use identity matrices of this size")
-    p.add_argument("--x-eigs", help="comma list of rational eigenvalues for X")
-    p.add_argument("--y-eigs", help="comma list of rational eigenvalues for Y")
-    p.add_argument("--matrix-x", help="JSON file {dim, eigs|entries}")
-    p.add_argument("--matrix-y", help="JSON file {dim, eigs|entries}")
+    x = p.add_mutually_exclusive_group()  # a list or a file per side, not both
+    x.add_argument("--x-eigs", help="comma list of rational eigenvalues for X")
+    x.add_argument("--matrix-x", help="JSON file {dim, eigs|entries}")
+    y = p.add_mutually_exclusive_group()
+    y.add_argument("--y-eigs", help="comma list of rational eigenvalues for Y")
+    y.add_argument("--matrix-y", help="JSON file {dim, eigs|entries}")
     p.add_argument("--out")
     p.set_defaults(func=cmd_mc)
 

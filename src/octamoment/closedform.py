@@ -15,12 +15,12 @@ The per-stratum formula is generic: on boundary strata (``r > 0`` and
 ``(n-q-2r-1)!`` has a negative argument) it produces 0*inf / 0/0 shapes.
 :func:`F_formula` evaluates every stratum as the limit of the formula at
 ``n + eps`` as ``eps -> 0``, which on a generic stratum is the formula's
-value, and flags the boundary strata: their :class:`StratumValue` has
-``well_defined=False`` and diagnostics naming the factorials with a
-negative argument, next to the exact count.
+value, and flags the boundary strata: their :class:`StratumValue` holds
+diagnostics naming the factorials with a negative argument, next to the
+exact count.
 :func:`iter_degenerate_strata` yields the flagged strata of one order
-with their counts, one at a time, building only those
-(:func:`degenerate_strata` is their tuple).  It reads per-side factors:
+with their counts, one at a time, building only those.  It reads
+per-side factors:
 the factor of each white side is computed once per ``(lam, r)`` and
 that of each black side once per ``(mu, r)``, and one count core
 (``_stratum_count``) turns a white and a black factor into the count of
@@ -51,7 +51,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, prod
 from operator import mul
 from types import MappingProxyType
 
@@ -73,7 +73,6 @@ __all__ = [
     "F_formula",
     "F_counts",
     "alpha",
-    "degenerate_strata",
     "iter_degenerate_strata",
     "real_expansion",
     "complex_coeff",
@@ -91,15 +90,18 @@ __all__ = [
 class StratumValue:
     """A per-stratum count from :func:`F_formula`.
 
-    ``value`` is the exact count.  ``well_defined`` is False iff the
-    generic formula is degenerate on the stratum, so that the value is a
-    limit in ``n``; ``diagnostics`` then names the factorials with a
-    negative argument.
+    ``value`` is the exact count.  ``diagnostics`` names the factorials
+    with a negative argument, and is empty unless the generic formula is
+    degenerate on the stratum, so that the value is a limit in ``n``.
     """
 
-    value: Fraction
-    well_defined: bool = True
+    value: int
     diagnostics: tuple[str, ...] = ()
+
+    @property
+    def well_defined(self) -> bool:
+        """False iff the stratum is flagged (its diagnostics are not empty)."""
+        return not self.diagnostics
 
 
 def _factorial_leading(x: int) -> tuple[int, int, int]:
@@ -239,20 +241,20 @@ def F_formula(a: ArrayTuple, n: int) -> StratumValue:
     product of the leading Laurent terms when their orders add up to 0,
     and 0 when they add up to more; on a generic stratum no factorial has
     a pole, and the count is the formula's value.  A negative factorial
-    argument flags the stratum (``well_defined=False``, diagnostics naming
-    the factor), but its value is still the exact count.  Raises
+    argument flags the stratum (its diagnostics name the factor), but its
+    value is still the exact count.  Raises
     ``ArithmeticError`` if a pole survives or the count is not an integer.
 
     This is the per-stratum route: it derives the two side factors from
     ``a`` and hands them to the count core (:func:`_stratum_count`) that
-    :func:`degenerate_strata` calls with factors computed once per side.
+    :func:`iter_degenerate_strata` calls with factors computed once per
+    side.
     """
     r = a.loop_pairs
     white = _white_factor(a.seed_degree, a.seed_loops, a.white, a.white_root, r, n)
     black = _black_factor(a.black, a.black_root, r, n)
     diagnostics = _diagnostics(white[0], black[0], r, n)
-    count = _stratum_count(a, n, r, white, black)
-    return StratumValue(Fraction(count), not diagnostics, diagnostics)
+    return StratumValue(_stratum_count(a, n, r, white, black), diagnostics)
 
 
 @lru_cache(maxsize=None)
@@ -316,7 +318,7 @@ def _F_count(p: int, pp: int, q: int, qp: int, r: int, n: int) -> int:
     return count
 
 
-def F_counts(p: int, pp: int, q: int, qp: int, r: int, n: int) -> Fraction:
+def F_counts(p: int, pp: int, q: int, qp: int, r: int, n: int) -> int:
     """Total number of forests with ``p`` internal white vertices (the seed
     root counted as internal, so ``p >= 1``), ``pp`` white roots, ``q``
     internal black vertices, ``qp`` black roots and ``r`` loops per side:
@@ -328,12 +330,12 @@ def F_counts(p: int, pp: int, q: int, qp: int, r: int, n: int) -> Fraction:
         raise ValueError("p counts the seed root, so p >= 1")
     if min(pp, q, qp, r) < 0 or n < 1:
         raise ValueError("arguments out of range")
-    return Fraction(_F_count(p, pp, q, qp, r, n))
+    return _F_count(p, pp, q, qp, r, n)
 
 
 @dataclass(frozen=True)
 class DegenerateStratum:
-    """One flagged stratum of a real moment (:func:`degenerate_strata`);
+    """One flagged stratum of a real moment (:func:`iter_degenerate_strata`);
     ``oracle_value`` is its exact count, the limit in ``n`` of the
     formula."""
 
@@ -355,11 +357,6 @@ class DegenerateStratum:
             "formula_status": "; ".join(self.diagnostics) or "degenerate",
             "oracle_value": self.oracle_value,
         }
-
-
-def degenerate_strata(n: int) -> tuple[DegenerateStratum, ...]:
-    """The strata of :func:`iter_degenerate_strata`, as one tuple."""
-    return tuple(iter_degenerate_strata(n))
 
 
 def iter_degenerate_strata(n: int) -> Iterator[DegenerateStratum]:
@@ -504,7 +501,7 @@ def complex_length_coeffs(n: int) -> MappingProxyType:
     return MappingProxyType(table)
 
 
-def complex_coeff(n: int, lam, mu) -> Fraction:
+def complex_coeff(n: int, lam, mu) -> int:
     """Coefficient of m_lam(X) m_mu(Y) in the order-n complex moment: the
     entry of ``(len(lam), len(mu))`` in :func:`complex_length_coeffs`
     (which rejects n < 1), 0 when the lengths exceed n+1 in total."""
@@ -512,7 +509,7 @@ def complex_coeff(n: int, lam, mu) -> Fraction:
     lam, mu = Partition(lam), Partition(mu)
     if lam.n != n or mu.n != n:
         raise ValueError("lam and mu must partition n")
-    return Fraction(table.get((lam.length, mu.length), 0))
+    return table.get((lam.length, mu.length), 0)
 
 
 def complex_expansion(n: int) -> MonomialExpansion:
@@ -529,7 +526,7 @@ def complex_expansion(n: int) -> MonomialExpansion:
     return MonomialExpansion(n, coeffs)
 
 
-def q_real(n: int, l: int, m: int) -> Fraction:
+def q_real(n: int, l: int, m: int) -> int:
     """Order-n real moment of the pair of projectors (I_l, I_m).
 
     The projector sum of the aggregated counts: :func:`F_counts` weighted
@@ -555,10 +552,10 @@ def q_real(n: int, l: int, m: int) -> Fraction:
                     weight = white * falling(m, q + qp)
                     for r in range(0, max(0, (n + 1 - p - q) // 2 + 1)):
                         total += weight * _F_count(p, pp, q, qp, r, n)
-    return Fraction(total)
+    return total
 
 
-def q_compl(n: int, l: int, m: int) -> Fraction:
+def q_compl(n: int, l: int, m: int) -> int:
     """Order-n complex moment of (I_l, I_m):
     ``n! sum_{p,q>=1} C(l;p) C(m;q) C(n-1; p-1, q-1)``."""
     if n < 1:
@@ -569,7 +566,7 @@ def q_compl(n: int, l: int, m: int) -> Fraction:
     for p in range(1, l + 1):
         for q in range(1, m + 1):
             total += comb(l, p) * comb(m, q) * multinomial(n - 1, (p - 1, q - 1))
-    return Fraction(factorial(n) * total)
+    return factorial(n) * total
 
 
 def coeff_m_lambda_m_n(n: int, lam) -> int:
@@ -581,10 +578,7 @@ def coeff_m_lambda_m_n(n: int, lam) -> int:
     lam = Partition(lam)
     if lam.n != n:
         raise ValueError("lam must partition n")
-    value = multinomial(n, lam)
-    for part in lam:
-        value *= odd_double_factorial(part)
-    return value
+    return multinomial(n, lam) * prod(map(odd_double_factorial, lam))
 
 
 def coeff_hook(n: int, a: int) -> int:
@@ -614,9 +608,5 @@ def remark_identity_check(lam) -> bool:
     lam = Partition(lam)
     mult = tuple(sorted(lam.multiplicities().items()))
     lhs = sum(Fraction(*_side_weight(cells, roots)) / 4**w for cells, roots, w in _sides(mult))
-    rhs_num = 1
-    rhs_den = aut(lam)
-    for part in lam:
-        rhs_num *= odd_double_factorial(part)
-        rhs_den *= factorial(part)
-    return lhs == Fraction(rhs_num, rhs_den)
+    rhs_den = aut(lam) * prod(map(factorial, lam))
+    return lhs == Fraction(prod(map(odd_double_factorial, lam)), rhs_den)

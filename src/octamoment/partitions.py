@@ -9,6 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
+from operator import index
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -27,15 +28,25 @@ __all__ = [
     "format_rational",
 ]
 
+
+def _part(p) -> int:
+    try:
+        return index(p)
+    except TypeError:
+        raise ValueError(f"partition parts must be integers, got {p!r}") from None
+
+
 class Partition(tuple):
     """Integer partition stored as a weakly decreasing tuple of positive parts.
 
     Instances are hashable and behave like plain tuples, so they can be used
     directly as dictionary keys.  ``Partition()`` is the empty partition of 0.
+    Parts are read with ``operator.index``, so numpy integers pass and any
+    other part, such as ``2.0`` or ``"3"``, raises ``ValueError`` naming it.
     """
 
     def __new__(cls, parts: Iterable[int] = ()) -> "Partition":
-        ps = tuple(int(p) for p in parts)
+        ps = tuple(map(_part, parts))
         if any(p <= 0 for p in ps):
             raise ValueError(f"partition parts must be positive, got {ps}")
         if any(ps[k] < ps[k + 1] for k in range(len(ps) - 1)):
@@ -85,19 +96,13 @@ def partitions_of(n: int) -> tuple[Partition, ...]:
 
 def aut(lam: Partition) -> int:
     """Product of the factorials of the part multiplicities."""
-    prod = 1
-    for m in lam.multiplicities().values():
-        prod *= factorial(m)
-    return prod
+    return prod(map(factorial, lam.multiplicities().values()))
 
 
 def zee(lam: Partition) -> int:
     """Centralizer order ``prod_i i^{n_i} n_i!`` of a permutation of cycle
     type ``lam``; ``n!/zee(lam)`` is the conjugacy class size."""
-    prod = 1
-    for i, m in lam.multiplicities().items():
-        prod *= i**m * factorial(m)
-    return prod
+    return prod(i**m * factorial(m) for i, m in lam.multiplicities().items())
 
 
 def falling(x: int | Fraction, p: int) -> int | Fraction:

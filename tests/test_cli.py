@@ -15,7 +15,7 @@ import pytest
 from octamoment import cli, verify
 from octamoment import hypermaps as hm
 from octamoment.cli import main
-from octamoment.closedform import complex_expansion, degenerate_strata, real_expansion
+from octamoment.closedform import complex_expansion, iter_degenerate_strata, real_expansion
 from octamoment.forests import forest_to_json, theta_forward
 from octamoment.hypermaps import iter_partitioned_hypermaps
 from octamoment.moments import MatrixSpec, moment_real_exact
@@ -365,7 +365,7 @@ def test_strata_writer_equals_json_dumps_of_records():
     # without the counts, against the encoder on the records.
     flagged = 0
     for n in range(1, 10):
-        strata = degenerate_strata(n)
+        strata = tuple(iter_degenerate_strata(n))
         flagged += len(strata)
         for counts in (True, False):
             records = _records(strata, counts)
@@ -376,16 +376,16 @@ def test_strata_writer_equals_json_dumps_of_records():
             assert nested == '{\n  "degenerate_strata": ' + "".join(
                 cli._strata_chunks(strata, 2, counts)
             ) + "\n}", (n, counts)
-    assert flagged > 0 and not degenerate_strata(1)
+    assert flagged > 0 and not tuple(iter_degenerate_strata(1))
     assert "".join(cli._strata_chunks((), 1)) == "".join(cli._strata_chunks((), 2, False)) == "[]"
 
 
 def _expansion_cases():
     """(expansion, strata, strict) for every branch of the real writer."""
     for n in range(1, 6):
-        yield real_expansion(n), degenerate_strata(n), False
+        yield real_expansion(n), tuple(iter_degenerate_strata(n)), False
     for n in range(2, 8):
-        yield real_expansion(n), degenerate_strata(n), True
+        yield real_expansion(n), tuple(iter_degenerate_strata(n)), True
     yield MonomialExpansion(3), (), False
 
 
@@ -711,8 +711,11 @@ def test_golden_stdout_and_exit_codes(capsys):
         ["expansion", "--n", "2"],
         ["expansion", "--n", "2", "--field", "real", "--oracle-max-n", "5"],
         ["report", "--n", "2", "--oracle-max-n", "5"],
+        ["mc", "--n", "2", "--matrix-x", "m.json", "--x-eigs", "5,7", "--y-eigs", "1,1"],
+        ["mc", "--n", "2", "--x-eigs", "1,1", "--y-eigs", "5,7", "--matrix-y", "m.json"],
     ],
-    ids=["bad-int", "unknown-subcommand", "missing-flag", "no-oracle-bound", "no-report-bound"],
+    ids=["bad-int", "unknown-subcommand", "missing-flag", "no-oracle-bound", "no-report-bound",
+         "mc-x-eigs-and-matrix-x", "mc-y-eigs-and-matrix-y"],
 )
 def test_usage_error_exits_3_with_one_line(argv, capsys):
     with pytest.raises(SystemExit) as exit_info:
@@ -920,27 +923,31 @@ def test_forest_color_other_than_white_or_black_is_rejected(tmp_path, capsys):
     assert f"vertex {min(red)} " in line and "'red'" in line
 
 
-def test_python_dash_m_runs_the_cli(capsys):
+def test_python_dash_m_runs_the_cli(capsys, child_env):
     argv = ["expansion", "--n", "3", "--field", "complex"]
     assert main(argv) == 0
     expected = capsys.readouterr().out.encode()
-    result = subprocess.run([sys.executable, "-m", "octamoment", *argv], capture_output=True)
+    result = subprocess.run(
+        [sys.executable, "-m", "octamoment", *argv], capture_output=True, env=child_env
+    )
     assert (result.returncode, result.stdout, result.stderr) == (0, expected, b"")
     bad = subprocess.run(
         [sys.executable, "-m", "octamoment", "expansion", "--n", "0", "--field", "complex"],
         capture_output=True,
         text=True,
+        env=child_env,
     )
     assert bad.returncode == 3
     assert bad.stdout == ""
     assert bad.stderr.splitlines() == ["octamoment: error: n must be >= 1"]
 
 
-def test_console_entry_point():
+def test_console_entry_point(child_env):
     result = subprocess.run(
         [sys.executable, "-m", "octamoment.cli", "--help"],
         capture_output=True,
         text=True,
+        env=child_env,
     )
     assert result.returncode == 0
     assert "coeffs" in result.stdout

@@ -3,7 +3,7 @@
 import hashlib
 import json
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 from itertools import product
 from math import factorial, gamma
@@ -28,7 +28,6 @@ from octamoment.closedform import (
     DegenerateStratum,
     complex_expansion,
     complex_length_coeffs,
-    degenerate_strata,
     iter_degenerate_strata,
     q_compl,
     q_real,
@@ -42,6 +41,7 @@ from octamoment.hypermaps import (
     lp_table,
     oracle_monomial_expansion,
 )
+from octamoment.moments import MatrixSpec, moment_complex_exact, moment_real_exact
 from octamoment.partitions import (
     Partition,
     aut,
@@ -98,6 +98,36 @@ def test_stratum_completeness_against_oracle():
         assert len(generated) == len(list(all_strata(n)))  # no duplicates
         for a in lp_by_array(n):
             assert a in generated
+
+
+def test_counts_are_int_and_only_rationals_are_fractions():
+    # The closed-form counts are handed out as the integers they are
+    # computed as; the loop-placement coefficient and the moments are
+    # rationals.
+    for n in range(1, 5):
+        for lam, mu, r, a in all_strata(n):
+            assert type(F_formula(a, n).value) is int, (n, str(a))
+        for lam in partitions_of(n):
+            for mu in partitions_of(n):
+                assert type(complex_coeff(n, lam, mu)) is int, (n, lam, mu)
+        for l in range(4):
+            for m in range(4):
+                assert type(q_real(n, l, m)) is int and type(q_compl(n, l, m)) is int
+        for p, pp, q, qp, r in product(range(1, 3), range(2), range(2), range(2), range(2)):
+            assert type(F_counts(p, pp, q, qp, r, n)) is int
+    assert type(alpha(1, 1, 0, 0, 1)) is Fraction
+    x, y = MatrixSpec.from_eigs([1, Fraction(1, 2)]), MatrixSpec.identity(2)
+    assert type(moment_real_exact(3, x, y)) is Fraction
+    assert type(moment_complex_exact(3, x, y)) is Fraction
+    assert type(real_expansion(3).evaluate(x.eigs, y.eigs)) is Fraction
+
+
+def test_stratum_value_holds_its_count_and_diagnostics():
+    assert [f.name for f in fields(StratumValue)] == ["value", "diagnostics"]
+    assert StratumValue(3).well_defined
+    assert not StratumValue(1, ("negative factorial argument (n-q-2r)! = -1",)).well_defined
+    with pytest.raises(AttributeError):
+        StratumValue(3).well_defined = False
 
 
 def test_F_formula_examples():
@@ -194,7 +224,7 @@ def _ref_F_formula(a, n):
         * weight
         / afact
     )
-    return StratumValue(value, well_defined=not diagnostics, diagnostics=tuple(diagnostics))
+    return StratumValue(value, tuple(diagnostics))
 
 
 def _ref_factorial_leading(x):
@@ -350,13 +380,13 @@ def test_real_expansion_carries_its_report(capsys):
     # Within the oracle bound the expansion carries the strata that strict
     # mode flags, in the same order, each with its oracle value.
     for n in range(1, 6):
-        carried = degenerate_strata(n)
+        carried = tuple(iter_degenerate_strata(n))
         code, _, strict = strict_expansion(n, capsys)
         assert code == (2 if carried else 0)
         assert [without_count(d) for d in carried] == strict
         oracle = lp_by_array(n)
         assert all(d.oracle_value == oracle.get(d.array, 0) for d in carried)
-    assert len(degenerate_strata(2)) == 1
+    assert len(tuple(iter_degenerate_strata(2))) == 1
 
 
 def test_alpha_values():
@@ -518,8 +548,8 @@ def test_real_expansion_n6_n7_match_pairing_oracle():
     for n in (6, 7):
         expansion = real_expansion(n)
         assert expansion == oracle_monomial_expansion(n, "real")
-        assert degenerate_strata(n)
-        assert all(isinstance(d.oracle_value, int) for d in degenerate_strata(n))
+        strata = tuple(iter_degenerate_strata(n))
+        assert strata and all(isinstance(d.oracle_value, int) for d in strata)
 
 
 def test_real_expansion_n8_n9_match_q_real_at_projectors():
@@ -552,14 +582,14 @@ def test_degenerate_strata_equals_the_per_stratum_reference():
                         sv = F_formula(a, n)
                         if not sv.well_defined:
                             reference.append(
-                                DegenerateStratum(n, lam, mu, r, a, sv.diagnostics, int(sv.value))
+                                DegenerateStratum(n, lam, mu, r, a, sv.diagnostics, sv.value)
                             )
-        listed = degenerate_strata(n)
+        listed = tuple(iter_degenerate_strata(n))
         assert [(d.array, d.diagnostics, d.oracle_value) for d in listed] == [
             (d.array, d.diagnostics, d.oracle_value) for d in reference
         ], n
         assert listed == tuple(reference), n
-    assert len(degenerate_strata(6)) == 235
+    assert len(tuple(iter_degenerate_strata(6))) == 235
 
 
 def test_degenerate_strata_checks_that_each_count_is_an_integer(monkeypatch):
@@ -572,7 +602,7 @@ def test_degenerate_strata_checks_that_each_count_is_an_integer(monkeypatch):
 
     monkeypatch.setattr(cf, "_prefactor", off)
     with pytest.raises(ArithmeticError, match="is not an integer"):
-        degenerate_strata(6)
+        tuple(iter_degenerate_strata(6))
 
 
 def test_F_counts_and_q_real_check_that_each_count_is_an_integer(monkeypatch):
@@ -603,7 +633,7 @@ def test_degenerate_strata_checks_that_no_pole_survives(monkeypatch):
 
     monkeypatch.setattr(cf, "_prefactor", lower)
     with pytest.raises(ArithmeticError, match="a pole survives"):
-        degenerate_strata(6)
+        tuple(iter_degenerate_strata(6))
 
 
 def test_real_expansion_reaches_past_n10_at_projectors():
@@ -630,7 +660,7 @@ def test_strict_mode_refuses_flagged_pairs(capsys):
     assert code == 2
     assert len(strata) == 235
     full = real_expansion(6)
-    assert [without_count(d) for d in degenerate_strata(6)] == strata
+    assert [without_count(d) for d in iter_degenerate_strata(6)] == strata
     # the partial expansion keeps exactly the pairs without a flagged stratum
     flagged_pairs = {(d["lambda"], d["mu"]) for d in strata}
     for lam in partitions_of(6):
@@ -650,7 +680,7 @@ def test_real_expansion_strict_reports(capsys):
     # strict mode refuses the tainted coefficient entirely
     assert ("2", "2") not in terms
     assert terms[("2", "1,1")] == 2
-    full_report = degenerate_strata(2)
+    full_report = tuple(iter_degenerate_strata(2))
     assert full_report[0].oracle_value == 1
 
 
@@ -702,7 +732,7 @@ def test_complex_length_coeffs_is_the_nonzero_length_table():
         (q_real, (0, 1, 1)),
         # raised at the call, not when the first stratum is asked for
         (iter_degenerate_strata, (0,)),
-        (degenerate_strata, (-1,)),
+        (iter_degenerate_strata, (-1,)),
     ],
 )
 def test_closed_forms_reject_an_order_below_1(closed_form, args):

@@ -192,11 +192,16 @@ print(proc.wait(), resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss, diges
 """
 
 
-def test_real_expansion_streams_in_bounded_memory_byte_for_byte():
+def test_real_expansion_streams_in_bounded_memory_byte_for_byte(child_env):
     # The 33 MB document is written one record at a time: the child's peak
     # RSS stays far below it (208 MB when the document was built whole).
+    # The wrapper's own child inherits its environment, so both run this tree.
     result = subprocess.run(
-        [sys.executable, "-c", _STREAM_PROBE], capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", _STREAM_PROBE],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=child_env,
     )
     assert (result.returncode, result.stderr) == (0, "")
     code, peak_kib, digest = result.stdout.split()

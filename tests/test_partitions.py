@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 from math import factorial
 
+import numpy as np
 import pytest
 
 from octamoment.partitions import (
@@ -52,6 +53,18 @@ def test_partition_normalization_and_validation():
     lam = Partition([2, 2, 1])
     assert lam.n == 5 and lam.length == 3
     assert lam.multiplicities() == {2: 2, 1: 1}
+
+
+@pytest.mark.parametrize("bad", [2.7, 2.0, "3"], ids=["float", "integral-float", "string"])
+def test_partition_rejects_a_part_that_is_not_an_integer(bad):
+    # A part used to go through int(), so 2.7 silently became 2.
+    with pytest.raises(ValueError, match=f"partition parts must be integers, got {bad!r}"):
+        Partition([bad, 1])
+
+
+def test_partition_accepts_numpy_integers():
+    lam = Partition([np.int64(3), 1])
+    assert lam == (3, 1) and all(type(part) is int for part in lam)
 
 
 def test_partitions_of_counts_and_order():

@@ -139,7 +139,7 @@ def test_records_round_trip_and_order():
     # canonical key order: reverse-lex lambda then reverse-lex mu
     keys = [(r["lambda"], r["mu"]) for r in records]
     assert keys == [("2", "2"), ("2", "1,1")]
-    parts = lambda text: Partition(text.split(","))
+    parts = lambda text: Partition(map(int, text.split(",")))
     back = MonomialExpansion(
         2,
         {
