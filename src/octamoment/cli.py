@@ -40,8 +40,9 @@ read as a hypermap, so a missing key is named, and its ``f3`` must list
 exactly ``n`` pairs.  Exit codes: 0 success, 1
 verification/validation failure, 2 flagged strata under ``--strict``, 3 a
 usage error (including a ``verify`` option the suite does not take,
-``coeffs --per-array`` with a ``--format`` other than json, and an
-``mc`` side given both an eigenvalue list and a matrix file), an
+``coeffs --per-array`` with a ``--format`` other than json, an ``mc``
+side given both an eigenvalue list and a matrix file, and a ``--seed``
+outside ``0 <= seed < 2**128``, the keys of a Philox stream), an
 argument outside the domain of the computation (such as ``n < 1``, an
 enumeration beyond its size bound, an ``mc --dim`` below 1 or other
 than the dimension of a matrix given with it, an ``mc`` eigenvalue beyond
@@ -49,8 +50,9 @@ the float range, such as ``1e400``, or a matrix with a nonzero
 imaginary entry under ``mc --field real``) or an
 unreadable input (a missing file, or a file or ``--x-eigs``/``--y-eigs``
 value that its reader rejects with ``ValueError``, such as a matrix entry
-other than a number or an ``[re, im]`` pair, a non-finite matrix entry or
-a matrix of dimension 0), reported as one ``octamoment: error:`` line on
+other than a number or an ``[re, im]`` pair, a non-finite matrix entry, a
+matrix record with both ``eigs`` and ``entries``, or a matrix of
+dimension 0), reported as one ``octamoment: error:`` line on
 stderr.  The argument parser is built once per process, on the first
 :func:`main` call.
 """
@@ -71,7 +73,7 @@ from . import closedform as cf
 from . import forests as fo
 from . import hypermaps as hm
 from . import moments as mo
-from .partitions import format_partition, format_rational, partitions_of
+from .partitions import format_partition, partitions_of
 from .verify import SUITES, coeffs_self_check, run_suite
 
 
@@ -356,7 +358,7 @@ def cmd_bijection(args) -> int:
         forest = fo.forest_from_json(data)
         problems = fo.validate_forest(forest)
     if problems:
-        print(_json_dumps({"valid": False, "violations": problems}), end="")
+        _emit([_json_dumps({"valid": False, "violations": problems})], args.out)
         return 1
     if forward:
         forest = fo.theta_forward(h)
@@ -411,10 +413,7 @@ def cmd_mc(args) -> int:
     exact = None
     if x.eigs is not None and y.eigs is not None:
         exact = exact_moment(args.n, x, y)
-    payload = estimate.to_json(exact)
-    if exact is not None:
-        payload["exact_rational"] = format_rational(exact)
-    _emit([_json_dumps(payload)], args.out)
+    _emit([_json_dumps(estimate.to_json(exact))], args.out)
     return 0
 
 
@@ -423,6 +422,17 @@ def cmd_report(args) -> int:
     strata = cf.iter_degenerate_strata(args.n)
     _emit(chain(_strata_chunks(strata, 1, flagged=flagged), ["\n"]), args.out)
     return 2 if args.strict and flagged else 0
+
+
+def _seed(text: str) -> int:
+    """A ``--seed``: the key of a Philox stream, so ``0 <= seed < 2**128``."""
+    seed = int(text)
+    if not 0 <= seed < 1 << 128:
+        raise argparse.ArgumentTypeError(f"must satisfy 0 <= seed < 2**128, got {seed}")
+    return seed
+
+
+_seed.__name__ = "int"  # a seed that is no integer reads "invalid int value"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -467,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", choices=sorted(SUITES), required=True)
     p.add_argument("--n-max", type=int, help="enumerating suites only")
     p.add_argument("--samples", type=int, help="mc suite only (default 200000)")
-    p.add_argument("--seed", type=int, help="mc suite only (default 20240801)")
+    p.add_argument("--seed", type=_seed, help="mc suite only (default 20240801)")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("bijection", help="map a hypermap JSON to its forest or back")
@@ -480,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--field", choices=["real", "complex"], default="real")
     p.add_argument("--samples", type=int, default=200_000)
-    p.add_argument("--seed", type=int, default=20240801)
+    p.add_argument("--seed", type=_seed, default=20240801)
     p.add_argument("--dim", type=int, help="use identity matrices of this size")
     x = p.add_mutually_exclusive_group()  # a list or a file per side, not both
     x.add_argument("--x-eigs", help="comma list of rational eigenvalues for X")

@@ -17,15 +17,15 @@ N(0, 1/2) real and imaginary parts, so E|u|^2 = 1.  This is the
 convention under which the order-1 moment equals tr(X) tr(Y); the
 alternative E|u|^2 = 2 scales the order-n moment by 2^n.
 
-Sampling is reproducible and bit-stable: samples are drawn in shards of
-``SHARD_SIZE`` (the last one partial), shard k of a run with seed s uses
-the counter-based Philox generator keyed by ``s + (k << 64)``, and the
-shards are drawn and reduced one after another, in shard order.  A
-shard is drawn and traced in fixed blocks of ``_BLOCK`` samples, through
-block buffers allocated once per estimate, so a real estimate holds one
-block of samples at a time.  The stream gives all of a shard's real
-parts before its imaginary parts, so a complex estimate also holds the
-shard's real parts.  Each block's traces are
+Sampling is reproducible and bit-stable: an estimate with seed s draws
+one stream from the counter-based Philox generator keyed by s itself, so
+any ``0 <= s < 2**128`` is its own stream and any other seed raises
+numpy's ``ValueError``.  Each sample reads its ``m^2`` real parts, then,
+for the complex field, its ``m^2`` imaginary parts, so the draws do not
+depend on how the samples are blocked.  Samples are drawn and traced in
+blocks of ``_BLOCK``, through buffers allocated once per estimate, and
+each block adds its sum and its sum of squares to the totals, so an
+estimate holds one block of samples at a time.  Each block's traces are
 ``T = (X U)(U Y^H)^H`` and ``tr T^n = tr(T^(n - h) T^h)`` with
 ``h = n // 2``; the complex traces are scaled by the exact ``2^-n``
 instead of scaling U.  Estimates are bit-identical from run to run.
@@ -41,7 +41,7 @@ from typing import Sequence
 import numpy as np
 
 from .closedform import complex_length_coeffs, real_expansion
-from .partitions import parse_rational, partitions_of
+from .partitions import format_rational, parse_rational, partitions_of
 from .symfun import _monomial_numerators
 
 __all__ = [
@@ -51,11 +51,9 @@ __all__ = [
     "moment_complex_exact",
     "mc_moment_real",
     "mc_moment_complex",
-    "SHARD_SIZE",
 ]
 
-SHARD_SIZE = 1 << 14
-_BLOCK = 1 << 10  # samples per block of trace computation within a shard
+_BLOCK = 1 << 10  # samples drawn and traced together; the draws do not depend on it
 HERMITIAN_TOL = 1e-12
 
 
@@ -127,11 +125,13 @@ class MatrixSpec:
     @classmethod
     def from_json(cls, data: dict) -> "MatrixSpec":
         """Read ``{dim?, eigs | entries}``, each entry a number or an
-        ``[re, im]`` pair; a record without either key, with any other
-        kind of entry, or with a ``dim`` that is not an integer, raises
-        ``ValueError``."""
+        ``[re, im]`` pair; a record with neither key or with both, with any
+        other kind of entry, or with a ``dim`` that is not an integer,
+        raises ``ValueError``."""
         if not isinstance(data, dict) or not data.keys() & {"eigs", "entries"}:
             raise ValueError("a matrix is a JSON object with 'eigs' or 'entries'")
+        if data.keys() >= {"eigs", "entries"}:
+            raise ValueError("a matrix gives 'eigs' or 'entries', not both")
         key = "eigs" if "eigs" in data else "entries"
         if not isinstance(data[key], list):
             raise ValueError(f"'{key}' must be a JSON list")
@@ -187,7 +187,8 @@ class MCEstimate:
         return (self.mean - exact) / self.std_error if self.std_error else float("inf")
 
     def to_json(self, exact: Fraction | None = None) -> dict:
-        """JSON-ready record; ``z_score`` is ``None`` (JSON ``null``) when the
+        """JSON-ready record; an exact moment adds ``exact``, ``z_score`` and
+        ``exact_rational``.  ``z_score`` is ``None`` (JSON ``null``) when the
         standard error is 0, because JSON has no infinity.  An exact moment
         or an estimate beyond the float range raises ``ValueError``."""
         record = {
@@ -207,6 +208,7 @@ class MCEstimate:
                 ) from None
             record["exact"] = approx
             record["z_score"] = self.z_score(approx) if self.std_error else None
+            record["exact_rational"] = format_rational(exact)
         if not (isfinite(self.mean) and isfinite(self.std_error)):
             raise ValueError(
                 f"the Monte Carlo estimate of the order-{self.n} moment overflows a float"
@@ -246,10 +248,6 @@ def _length_sums(n: int, eigs: Sequence[Fraction]) -> tuple[list[int], int]:
     for lam, v in zip(partitions_of(n), nums):
         sums[len(lam)] += v
     return sums, den
-
-
-def _shard_rng(seed: int, shard: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=(seed % (1 << 64)) + (shard << 64)))
 
 
 def _block_traces(
@@ -298,39 +296,29 @@ def _mc_moment(
         xd, yd = xd.real, yd.real
     yh = yd.conj().T
 
-    # One set of block buffers serves every block of every shard.
+    # One set of block buffers serves every block.  Each sample reads its
+    # m^2 real parts, then, for the complex field, its m^2 imaginary parts.
     block = min(_BLOCK, samples)
-    draw = np.empty((block, m, m))
-    u = np.empty((block, m, m), np.complex128) if complex_field else draw
+    draw = np.empty((block, 2 if complex_field else 1, m, m))
+    u = np.empty((block, m, m), np.complex128) if complex_field else draw[:, 0]
     work = [np.empty((block, m, m), np.result_type(xd, yh)) for _ in range(3)]
-
-    # One call per shard, so each shard's real parts are freed before the next is drawn.
-    def shard_sums(k: int, count: int) -> tuple[float, float]:
-        rng = _shard_rng(seed, k)
-        # The stream gives all of a shard's real parts before its imaginary parts.
-        re = rng.standard_normal((count, m, m)) if complex_field else None
-        values = np.empty(count)
-        for s in range(0, count, _BLOCK):
-            e = min(s + _BLOCK, count)
-            d, v = draw[: e - s], u[: e - s]
-            rng.standard_normal(out=d)
-            if complex_field:
-                v.real = re[s:e]
-                v.imag = d
-            values[s:e] = _block_traces(v, xd, yh, n, work).real
-        if complex_field:
-            # U is drawn with unit-variance parts, not N(0, 1/2): scale tr T^n by 2^-n.
-            values *= 0.5**n
-        return float(values.sum()), float(np.square(values).sum())
-
+    rng = np.random.Generator(np.random.Philox(key=seed))
     total = 0.0
     total_sq = 0.0
     # An overflow leaves a non-finite estimate, which to_json rejects.
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, start in enumerate(range(0, samples, SHARD_SIZE)):
-            s, sq = shard_sums(k, min(SHARD_SIZE, samples - start))
-            total += s
-            total_sq += sq
+        for start in range(0, samples, block):
+            b = min(block, samples - start)
+            rng.standard_normal(out=draw[:b])
+            if complex_field:
+                u.real[:b] = draw[:b, 0]
+                u.imag[:b] = draw[:b, 1]
+            values = _block_traces(u[:b], xd, yh, n, work).real
+            if complex_field:
+                # U is drawn with unit-variance parts, not N(0, 1/2): scale tr T^n by 2^-n.
+                values *= 0.5**n
+            total += float(values.sum())
+            total_sq += float(np.square(values).sum())
     mean = total / samples
     variance = (total_sq - samples * mean * mean) / (samples - 1)
     std_error = sqrt(max(variance, 0.0) / samples)

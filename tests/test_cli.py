@@ -19,6 +19,7 @@ from octamoment.closedform import complex_expansion, iter_degenerate_strata, rea
 from octamoment.forests import forest_to_json, theta_forward
 from octamoment.hypermaps import iter_partitioned_hypermaps
 from octamoment.moments import MatrixSpec, moment_real_exact
+from octamoment.partitions import format_rational
 from octamoment.symfun import MonomialExpansion
 
 
@@ -339,7 +340,7 @@ def test_mc_prints_exact_beyond_the_oracle_bound(capsys):
     )
     assert code == 0
     record = json.loads(out)
-    assert record["exact_rational"] == cli.format_rational(
+    assert record["exact_rational"] == format_rational(
         moment_real_exact(6, MatrixSpec.from_eigs([1, "-1/2"]), MatrixSpec.from_eigs([2, 1]))
     )
 
@@ -727,6 +728,18 @@ def test_usage_error_exits_3_with_one_line(argv, capsys):
     assert len(lines) == 1 and lines[0].startswith("octamoment: error: ")
 
 
+@pytest.mark.parametrize("seed", [-1, 2**128])
+@pytest.mark.parametrize("command", ["mc --n 1 --dim 2", "verify --suite mc"])
+def test_seed_outside_the_philox_key_range_exits_3_naming_the_option(command, seed, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main([*command.split(), "--seed", str(seed)])
+    captured = capsys.readouterr()
+    assert (exit_info.value.code, captured.out) == (3, "")
+    assert captured.err == (
+        f"octamoment: error: argument --seed: must satisfy 0 <= seed < 2**128, got {seed}\n"
+    )
+
+
 def test_mc_without_matrix_source_exits_3_with_one_line(capsys):
     code = main(["mc", "--n", "2", "--samples", "10"])
     captured = capsys.readouterr()
@@ -859,6 +872,8 @@ _VALID_N2 = {"f3": [["1", "2^"], ["2", "1^"]], "pi1": [["1", "2", "1^", "2^"]],
           "--field", "complex"], None),
         (["mc", "--n", "2", "--samples", "10", "--matrix-x", "bad.json", "--y-eigs", "1"],
          {"eigs": ["1e400"]}),
+        (["mc", "--n", "2", "--samples", "10", "--matrix-x", "bad.json", "--y-eigs", "1,1"],
+         {"eigs": ["1", "2"], "entries": [[5, 0], [0, 7]]}),
     ],
     ids=["hypermap-without-f3", "forest-without-seed", "json-list", "edge-child-x",
          "label-9-at-n2", "n-as-string", "matrix-dim-only", "eigs-zero-denominator",
@@ -866,7 +881,7 @@ _VALID_N2 = {"f3": [["1", "2^"], ["2", "1^"]], "pi1": [["1", "2", "1^", "2^"]],
          "entries-not-a-list", "eigs-not-a-list", "entries-not-rows", "entry-object",
          "entry-three-numbers", "entry-boolean", "entry-string", "entry-infinite",
          "eigs-empty-both", "dim-boolean", "eigs-beyond-float-real", "eigs-beyond-float-complex",
-         "matrix-eigs-beyond-float"],
+         "matrix-eigs-beyond-float", "eigs-and-entries"],
 )
 def test_malformed_input_exits_3_with_one_line(argv, content, tmp_path, capsys):
     _one_error_line(argv, content, tmp_path, capsys)
@@ -1017,17 +1032,25 @@ def test_golden_bijection_stdout_and_dot(record, stdout_digest, dot_digest, tmp_
 
 
 def test_out_writes_the_stdout_bytes_to_the_file(tmp_path, capsys):
+    # Blocks {1, 2} and {1^, 2^} make an invalid hypermap, whose report
+    # goes to --out as well; its --dot file is not written.
+    invalid, dot = tmp_path / "invalid.json", tmp_path / "out.dot"
+    invalid.write_text(
+        json.dumps({**_VALID_N2, "n": 2, "pi1": [["1", "2"], ["1^", "2^"]]}), encoding="utf-8"
+    )
     for argv, expected_code in (
         (["coeffs", "--n", "3", "--kind", "c", "--format", "csv"], 0),
         (["expansion", "--n", "3", "--field", "real", "--strict"], 2),
         (["expansion", "--n", "6", "--field", "complex"], 0),
         (["report", "--n", "3"], 0),
         (["report", "--n", "3", "--strict"], 2),
+        (["bijection", "--input", str(invalid), "--dot", str(dot)], 1),
     ):
         code, out = run_cli(argv, capsys)
         path = tmp_path / "out.txt"
         assert run_cli([*argv, "--out", str(path)], capsys) == (expected_code, "")
         assert code == expected_code and path.read_bytes() == out.encode()
+    assert not dot.exists()
 
 
 def test_bijection_rejects_invalid_hypermap(tmp_path, capsys):

@@ -123,11 +123,11 @@ def test_real_projector_closed_form_at_n_12_and_16():
     [
         "mc --n 5 --field complex --x-eigs 1,-1/2,2 --y-eigs 1/3,1,1 --samples 20000 --seed 1",
         "mc --n 4 --field real --x-eigs 1,-1/2,2 --y-eigs 1/3,1,1 --samples 20000 --seed 1",
-        # a second shard of one full block and one 1-sample block
+        # 17 full blocks and one 1-sample block
         "mc --n 3 --field complex --dim 24 --samples 17409 --seed 1",
         "mc --n 3 --field real --dim 24 --samples 17409 --seed 1",
     ],
-    ids=["complex-n5", "real-n4", "complex-n3-two-shards", "real-n3-two-shards"],
+    ids=["complex-n5", "real-n4", "complex-n3-last-block-of-one", "real-n3-last-block-of-one"],
 )
 def test_mc_estimate_is_within_5_standard_errors(command, capsys):
     code, out = _run(command.split(), capsys)

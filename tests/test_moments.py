@@ -14,9 +14,7 @@ from octamoment.closedform import q_compl, q_real
 from octamoment.hypermaps import pairing_power_sum_series
 from octamoment import moments
 from octamoment.moments import (
-    SHARD_SIZE,
     MatrixSpec,
-    _shard_rng,
     mc_moment_complex,
     mc_moment_real,
     moment_complex_exact,
@@ -206,28 +204,30 @@ def test_mc_threads_do_not_change_results(monkeypatch, capsys):
 
 
 # repr of (mean, std_error) at seed 11 for X = diag(1/2, -2/3, 3) and Y the
-# rank-one projector diag(1, 0, 0), order 1, recorded while the shards still
-# ran through an optional worker pool.  1, 2, 3 and 10 shards, the last one
-# partial; at 10 shards, summing them in another order changes the last bits
-# of the real mean.  With a diagonal X, a rank-one Y and n = 1, every real
-# product is a single rounding, so the real values do not depend on the
-# BLAS kernel.  A complex |u|^2 sums two products, which kernels with and
-# without fused multiply-add round differently; the real values pin the
+# rank-one projector diag(1, 0, 0), order 1, recorded from one Philox
+# stream per estimate, each sample's real parts then its imaginary parts.
+# 2 and 100 samples fill one partial block, 16384 sixteen full blocks,
+# 16385 end on a 1-sample block, and 40000 and 150000 reduce 40 and 147
+# blocks; at 147 blocks, summing them in another order changes the last
+# bits of the real mean.  With a diagonal X, a rank-one Y and n = 1, every
+# real product is a single rounding, so the real values do not depend on
+# the BLAS kernel.  A complex |u|^2 sums two products, which kernels with
+# and without fused multiply-add round differently; the real values pin the
 # reduction order that both fields share, and the complex ones are pinned
 # to 1e-12.
 MC_PINNED = {
     ("real", 2): (1.2078555024968238, 1.7914245990970505),
     ("real", 100): (2.7972124019649893, 0.4057885061852489),
-    ("real", 16384): (2.805299895079553, 0.03401437136518348),
-    ("real", 16385): (2.8047056042004708, 0.034017486930065566),
-    ("real", 40000): (2.840524244887842, 0.021994462613034987),
-    ("real", 150000): (2.842039851787076, 0.011371553628571876),
-    ("complex", 2): (5.179615096950558, 1.1878832623956257),
-    ("complex", 100): (3.0099315140574014, 0.319842416258259),
-    ("complex", 16384): (2.8268732912365784, 0.024214091840243042),
-    ("complex", 16385): (2.8264737432031466, 0.024215910350581717),
-    ("complex", 40000): (2.829570557099257, 0.015533846459694207),
-    ("complex", 150000): (2.832390535948697, 0.008017175928631768),
+    ("real", 16384): (2.8052998950795534, 0.03401437136518349),
+    ("real", 16385): (2.805263680827207, 0.03401231463544188),
+    ("real", 40000): (2.8327067834983604, 0.021976277745662087),
+    ("real", 150000): (2.8080945159412667, 0.011276232199447444),
+    ("complex", 2): (5.179615096950558, 3.9717595944537347),
+    ("complex", 100): (3.009931514057402, 0.31125754807991723),
+    ("complex", 16384): (2.8268732912365784, 0.02417612481199153),
+    ("complex", 16385): (2.827367669909403, 0.024179703829527936),
+    ("complex", 40000): (2.8045689842382404, 0.015493021233967733),
+    ("complex", 150000): (2.8162311858931464, 0.00799367458350845),
 }
 
 
@@ -244,19 +244,19 @@ def test_mc_estimates_are_pinned():
             assert got == pytest.approx(expected, rel=1e-12, abs=0), (field, samples)
 
 
-# stdout of `verify --suite mc --samples 20000 --seed 3`, recorded with the
-# worker pool still in place; four decimals hide the BLAS kernel's last bits.
+# stdout of `verify --suite mc --samples 20000 --seed 3`; four decimals
+# hide the BLAS kernel's last bits.
 VERIFY_MC_SEED3 = """\
-PASS mc/real n=1 m=2: mean=3.9764 exact=4.0000 z=-1.19
-PASS mc/complex n=1 m=2: mean=3.9931 exact=4.0000 z=-0.48
-PASS mc/real n=2 m=2: mean=19.7827 exact=20.0000 z=-1.00
-PASS mc/complex n=2 m=2: mean=16.0387 exact=16.0000 z=+0.31
-PASS mc/real n=2 m=3: mean=62.7657 exact=63.0000 z=-0.51
-PASS mc/complex n=2 m=3: mean=54.0480 exact=54.0000 z=+0.17
-PASS mc/real n=3 m=2: mean=141.5822 exact=144.0000 z=-0.86
-PASS mc/complex n=3 m=2: mean=85.2060 exact=84.0000 z=+1.04
-PASS mc/real rational eigenvalues n=2: mean=28.1404 exact=28.0000 z=+0.23
-PASS mc/complex rational eigenvalues n=2: mean=17.9273 exact=17.7222 z=+0.75
+PASS mc/real n=1 m=2: mean=3.9652 exact=4.0000 z=-1.76
+PASS mc/complex n=1 m=2: mean=3.9842 exact=4.0000 z=-1.11
+PASS mc/real n=2 m=2: mean=19.6408 exact=20.0000 z=-1.67
+PASS mc/complex n=2 m=2: mean=15.9387 exact=16.0000 z=-0.50
+PASS mc/real n=2 m=3: mean=62.7744 exact=63.0000 z=-0.49
+PASS mc/complex n=2 m=3: mean=53.8841 exact=54.0000 z=-0.43
+PASS mc/real n=3 m=2: mean=139.5834 exact=144.0000 z=-1.58
+PASS mc/complex n=3 m=2: mean=83.9955 exact=84.0000 z=-0.00
+PASS mc/real rational eigenvalues n=2: mean=28.3118 exact=28.0000 z=+0.49
+PASS mc/complex rational eigenvalues n=2: mean=17.7890 exact=17.7222 z=+0.25
 PASS mc/fixed-seed-reproducible
 11/11 checks passed
 """
@@ -280,18 +280,16 @@ def _positive_definite(dim: int, complex_field: bool, seed: int) -> MatrixSpec:
 
 def _reference_estimate(n, x, y, samples, seed, complex_field):
     """mean and std_error of tr (X U Y U^H)^n, one matrix power per sample,
-    over the estimator's Philox shards with N(0, 1/2) complex parts."""
+    over one Philox stream keyed by the seed: per sample its real parts,
+    then its imaginary parts, with N(0, 1/2) complex parts."""
     xd, yd, m = x.dense(), y.dense(), x.dim
-    values = []
-    for k, start in enumerate(range(0, samples, SHARD_SIZE)):
-        count = min(SHARD_SIZE, samples - start)
-        rng = _shard_rng(seed, k)
-        u = rng.standard_normal((count, m, m))
-        if complex_field:
-            u = (u + 1j * rng.standard_normal((count, m, m))) * math.sqrt(0.5)
-        t = xd @ u @ yd @ np.conj(np.transpose(u, (0, 2, 1)))
-        values.append(np.trace(np.linalg.matrix_power(t, n), axis1=1, axis2=2).real)
-    v = np.concatenate(values)
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    parts = rng.standard_normal((samples, 2 if complex_field else 1, m, m))
+    u = parts[:, 0]
+    if complex_field:
+        u = (u + 1j * parts[:, 1]) * math.sqrt(0.5)
+    t = xd @ u @ yd @ np.conj(np.transpose(u, (0, 2, 1)))
+    v = np.trace(np.linalg.matrix_power(t, n), axis1=1, axis2=2).real
     return v.mean(), v.std(ddof=1) / math.sqrt(samples)
 
 
@@ -299,8 +297,8 @@ def _reference_estimate(n, x, y, samples, seed, complex_field):
 @pytest.mark.parametrize("dim", [1, 2, 5])
 @pytest.mark.parametrize("field", ["real", "complex"])
 def test_mc_kernel_matches_a_plain_matrix_power(field, dim, samples):
-    # 1025 samples cross a block of the kernel, 16385 a shard; n = 1..7
-    # covers the trace, odd and even splits of the power.
+    # 1025 and 16385 samples end on a 1-sample block; n = 1..7 covers the
+    # trace, odd and even splits of the power.
     complex_field = field == "complex"
     x = _positive_definite(dim, complex_field, 0)
     y = _positive_definite(dim, complex_field, 1)
@@ -313,14 +311,12 @@ def test_mc_kernel_matches_a_plain_matrix_power(field, dim, samples):
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])
-def test_mc_peak_memory_is_a_block_beyond_the_real_parts(field):
-    # A shard holds one block of samples at a time, except the complex
-    # field's real parts, which the stream gives before any imaginary part.
-    # At dim 24 a whole shard of real parts is 72 MiB; 17409 samples add a
-    # second shard of one full block and one 1-sample block.  numpy reports
-    # its buffers to tracemalloc.
+def test_mc_peak_memory_is_one_block_of_buffers(field):
+    # An estimate holds one block of samples at a time: at dim 24 the real
+    # field's draws and three work buffers take 18 MiB, the complex field's
+    # draws, U and three work buffers 45 MiB.  17409 samples end on a
+    # 1-sample block.  numpy reports its buffers to tracemalloc.
     dim = 24
-    real_parts = SHARD_SIZE * dim * dim * 8
     estimator = mc_moment_complex if field == "complex" else mc_moment_real
     tracemalloc.start()
     try:
@@ -328,8 +324,25 @@ def test_mc_peak_memory_is_a_block_beyond_the_real_parts(field):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    bound = 1.9 * real_parts if field == "complex" else real_parts / 2
+    bound = (54 if field == "complex" else 36) * 2**20
     assert peak < bound, (peak / 2**20, bound / 2**20)
+
+
+@pytest.mark.parametrize("estimator", [mc_moment_real, mc_moment_complex])
+def test_mc_estimate_does_not_depend_on_the_block_size(estimator, monkeypatch):
+    x = _positive_definite(3, estimator is mc_moment_complex, 0)
+    base = estimator(3, x, x, 1000, seed=5)
+    monkeypatch.setattr(moments, "_BLOCK", 7)
+    small = estimator(3, x, x, 1000, seed=5)
+    assert (small.mean, small.std_error) == pytest.approx(
+        (base.mean, base.std_error), rel=1e-12, abs=0
+    )
+
+
+@pytest.mark.parametrize("estimator", [mc_moment_real, mc_moment_complex])
+def test_seeds_that_differ_by_2_to_the_64_draw_different_streams(estimator):
+    x = MatrixSpec.from_eigs([1, 2])
+    assert estimator(2, x, x, 100, seed=1).mean != estimator(2, x, x, 100, seed=1 + 2**64).mean
 
 
 def test_mc_error_scales_with_samples():
