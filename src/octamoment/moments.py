@@ -296,8 +296,8 @@ def _mc_moment(
         xd, yd = xd.real, yd.real
     yh = yd.conj().T
 
-    # One set of block buffers serves every block.  Each sample reads its
-    # m^2 real parts, then, for the complex field, its m^2 imaginary parts.
+    # One set of block buffers serves every block; draw[i] holds sample i's
+    # real parts, then its imaginary parts.
     block = min(_BLOCK, samples)
     draw = np.empty((block, 2 if complex_field else 1, m, m))
     u = np.empty((block, m, m), np.complex128) if complex_field else draw[:, 0]
