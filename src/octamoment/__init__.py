@@ -72,12 +72,6 @@ from .partitions import (
     partitions_of,
     zee,
 )
-from .symfun import (
-    MonomialExpansion,
-    PowerSumExpansion,
-    monomial_table,
-    p_in_m_basis,
-    to_monomial,
-)
+from .symfun import MonomialExpansion, PowerSumExpansion
 
 __version__ = "0.1.0"

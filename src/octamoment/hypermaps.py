@@ -17,8 +17,11 @@ black type, r), :func:`lp_by_array` keyed by degree array, and
 :func:`class_connection_table` and :func:`double_coset_table` keyed
 (type, type).  :func:`by_pair` is the one sum over r and the one slice at
 r = 0; the double-coset coefficients (:func:`b_from_L`), the
-class-algebra coefficients (:func:`c_from_L`) and both power-sum series
-(:func:`pairing_power_sum_series`) are its views.
+class-algebra coefficients (:func:`c_from_L`) and both oracle series are
+its views.  The power-sum series (:func:`pairing_power_sum_series`)
+reads the pairing table; the monomial series
+(:func:`oracle_monomial_expansion`) reads its one p -> m refinement,
+:func:`lp_from_pairings`.
 
 Everything here is brute force by design; these are the oracles the
 closed formulas are checked against.
@@ -36,12 +39,13 @@ from typing import Iterator, Mapping, Sequence
 from .arrays import ArrayTuple
 from .partitions import (
     Partition,
+    aut,
     coarsening_counts,
     odd_double_factorial,
     set_partitions,
     zee,
 )
-from .symfun import MonomialExpansion, PowerSumExpansion, to_monomial
+from .symfun import MonomialExpansion, PowerSumExpansion
 
 __all__ = [
     "BoundExceededError",
@@ -348,7 +352,8 @@ def L_table(n: int) -> Mapping:
 @lru_cache(maxsize=None)
 def lp_from_pairings(n: int) -> Mapping[tuple[Partition, Partition, int], int]:
     """Partitioned-hypermap counts derived from the pairing classification
-    through the refinement identity.  Reaches n = DEFAULT_PAIRING_BOUND,
+    through the one p -> m refinement, :func:`coarsening_counts` in both
+    slots.  Reaches n = DEFAULT_PAIRING_BOUND,
     past the partitioned enumeration bound but no further, since it reads
     :func:`L_table`.  Keys are (white type, black type, r).  Memoized and
     read-only."""
@@ -374,20 +379,35 @@ def by_pair(
     return out
 
 
-def pairing_power_sum_series(n: int, kind: str = "real") -> PowerSumExpansion:
-    """The power-sum series whose basis change reproduces the expansions:
-    pairing counts (real) or their orientable slice (complex) as
-    coefficients of p_lam(X) p_mu(Y).  Oracle route; small n only.
-    ``kind`` other than "real" or "complex" raises ``ValueError``."""
+def _r_slice(kind: str) -> int | None:
+    """The r a series reads: 0 if complex, all (None) if real; ``kind`` checked."""
     if kind not in ("real", "complex"):
         raise ValueError(f"kind must be 'real' or 'complex', got {kind!r}")
-    return PowerSumExpansion(n, by_pair(L_table(n), 0 if kind == "complex" else None))
+    return 0 if kind == "complex" else None
+
+
+def pairing_power_sum_series(n: int, kind: str = "real") -> PowerSumExpansion:
+    """The pairing counts of :func:`L_table` (real) or their orientable
+    slice r = 0 (complex) as coefficients of p_lam(X) p_mu(Y): the
+    power-sum form of the expansions; n <= DEFAULT_PAIRING_BOUND.  A
+    ``kind`` other than "real" or "complex" raises ``ValueError``."""
+    r = _r_slice(kind)
+    return PowerSumExpansion(n, by_pair(L_table(n), r))
 
 
 def oracle_monomial_expansion(n: int, kind: str = "real") -> MonomialExpansion:
-    """Expansion of the oracle power-sum series in monomials; the
-    independent route the closed formulas are compared against."""
-    return to_monomial(pairing_power_sum_series(n, kind))
+    """The oracle series in the monomial basis, the independent route the
+    closed formulas are compared against: p_lam is the sum over its
+    coarsenings nu of Aut_nu times their count times m_nu, so the
+    coefficient of m_lam(X) m_mu(Y) is Aut_lam Aut_mu times the
+    :func:`lp_from_pairings` count, summed over r (real) or at r = 0
+    (complex).  n <= DEFAULT_PAIRING_BOUND; ``kind`` is checked as in
+    :func:`pairing_power_sum_series`."""
+    r = _r_slice(kind)
+    counts = by_pair(lp_from_pairings(n), r)
+    return MonomialExpansion(
+        n, {(lam, mu): aut(lam) * aut(mu) * c for (lam, mu), c in counts.items()}
+    )
 
 
 def hyperoctahedral_order(n: int) -> int:

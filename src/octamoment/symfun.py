@@ -1,5 +1,5 @@
-"""Monomial / power-sum symmetric function evaluation and the p -> m basis
-change for bilinear series in two matrix alphabets.
+"""Monomial and power-sum bilinear series in two matrix alphabets, and
+their one evaluation kernel.
 
 Both bases evaluate through one integer kernel,
 ``_BilinearExpansion.evaluate``.  Each basis names only its table: the
@@ -12,8 +12,7 @@ are the partitions of ``j <= n``, a transition places one exponent on one
 letter); the power-sum table multiplies the integer power sums of the
 scaled letters per partition.  The kernel evaluates each alphabet once,
 sums integer rows over the common denominator of the coefficients, and
-divides once at the end.  :func:`monomial_table` is the public view of
-the placement pass.
+divides once at the end; the p -> m basis change is in ``hypermaps``.
 
 Expansions are stored sparsely: a missing ``(lam, mu)`` key means the
 coefficient is 0.  Canonical key order everywhere is (reverse-lex ``lam``,
@@ -33,22 +32,9 @@ from operator import mul
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
-from .partitions import (
-    Partition,
-    aut,
-    coarsening_counts,
-    format_partition,
-    format_rational,
-    partitions_of,
-)
+from .partitions import Partition, format_partition, format_rational, partitions_of
 
-__all__ = [
-    "MonomialExpansion",
-    "PowerSumExpansion",
-    "p_in_m_basis",
-    "to_monomial",
-    "monomial_table",
-]
+__all__ = ["MonomialExpansion", "PowerSumExpansion"]
 
 Key = tuple[Partition, Partition]
 _Row = tuple[int, tuple[int, ...], tuple[int, ...]]  # lam index, mu indices, numerators
@@ -149,29 +135,6 @@ class PowerSumExpansion(_BilinearExpansion):
         return _power_sum_numerators(self.n, eigs)
 
 
-def p_in_m_basis(lam: Partition) -> dict[Partition, int]:
-    """Expand the power sum p_lam in monomial symmetric functions.
-
-    The coefficient of m_mu is Aut_mu times the number of ways to merge the
-    parts of ``lam`` into the parts of ``mu``; the support consists exactly
-    of the coarsenings of ``lam``.
-    """
-    return {mu: aut(mu) * r for mu, r in coarsening_counts(lam).items()}
-
-
-def to_monomial(series: PowerSumExpansion) -> MonomialExpansion:
-    """Apply the p -> m basis change in both alphabets, exactly."""
-    out: dict[Key, Fraction] = {}
-    for (lam, mu), c in series.items():
-        left = p_in_m_basis(lam)
-        right = p_in_m_basis(mu)
-        for nu, a in left.items():
-            for rho, b in right.items():
-                key = (nu, rho)
-                out[key] = out.get(key, Fraction(0)) + c * a * b
-    return MonomialExpansion(series.n, {k: v for k, v in out.items() if v != 0})
-
-
 @lru_cache(maxsize=None)
 def _placements(n: int) -> tuple[int, tuple[tuple[int, tuple[tuple[int, int], ...]], ...]]:
     """The placement table of degree ``n``: ``(state count, moves)``.
@@ -247,15 +210,3 @@ def _power_sum_numerators(n: int, eigs: Sequence[Fraction]) -> tuple[list[int], 
     sums = [sum(a**k for a in letters) for k in range(n + 1)]
     return [prod(map(sums.__getitem__, lam)) for lam in partitions_of(n)], den**n
 
-
-def monomial_table(n: int, eigs: Sequence[Fraction]) -> dict[Partition, Fraction]:
-    """``m_lam(eigs)`` for every partition ``lam`` of ``n``, in one pass
-    over the letters (:func:`_monomial_numerators`).
-
-    The state after a prefix of the letters is the multiset of exponents
-    placed so far, a partition of some ``j <= n``, so the cost is
-    ``O(d * n * sum_{j<=n} p(j))`` integer operations for ``d`` letters.
-    The result is a new dict on every call.
-    """
-    nums, scale = _monomial_numerators(n, eigs)
-    return {lam: Fraction(v, scale) for lam, v in zip(partitions_of(n), nums)}

@@ -289,7 +289,13 @@ def suite_special(n_max: int = 6) -> list[CheckResult]:
 
 
 def suite_mc(samples: int = 200_000, seed: int = 20240801) -> list[CheckResult]:
-    """Monte Carlo estimates against exact values, |z| <= 5."""
+    """Monte Carlo estimates against exact values, |z| <= 5.  The cases
+    draw from ``seed``, ``seed + 1`` and ``seed + 2``, each a Philox key,
+    so a ``seed`` from ``2**128 - 2`` on raises ``ValueError``."""
+    if seed >= (1 << 128) - 2:
+        raise ValueError(
+            "the mc suite draws from seed, seed + 1 and seed + 2, so --seed must be below 2**128 - 2"
+        )
     results = []
     fields = (
         ("real", mo.moment_real_exact, mo.mc_moment_real),

@@ -740,6 +740,24 @@ def test_seed_outside_the_philox_key_range_exits_3_naming_the_option(command, se
     )
 
 
+@pytest.mark.parametrize("seed", [2**128 - 2, 2**128 - 1])
+def test_verify_mc_seed_without_room_for_its_offsets_exits_3_with_one_line(seed, capsys):
+    """The mc suite also draws from seed + 1 and seed + 2: a seed that
+    ``--seed`` accepts but whose offsets leave the Philox key range."""
+    code = main(["verify", "--suite", "mc", "--seed", str(seed)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert captured.err == (
+        "octamoment: error: the mc suite draws from seed, seed + 1 and seed + 2, "
+        "so --seed must be below 2**128 - 2\n"
+    )
+
+
+def test_verify_mc_at_the_largest_seed_with_room_for_its_offsets():
+    results = verify.run_suite("mc", samples=2, seed=2**128 - 3)
+    assert len(results) == 11
+
+
 def test_mc_without_matrix_source_exits_3_with_one_line(capsys):
     code = main(["mc", "--n", "2", "--samples", "10"])
     captured = capsys.readouterr()

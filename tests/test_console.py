@@ -1,20 +1,25 @@
 """Whole CLI commands at sizes past the unit tests: recorded stdout
 digests, exact moments against the projector closed forms, Monte Carlo
 agreement, the JSON layout, the table shapes, the verification suites,
-and the memory of the streamed n = 12 real expansion.
+and the memory of the streamed n = 12 real expansion; and the package
+names the benchmark harness reads, with every module's ``__all__``.
 
-Each check runs through ``cli.main`` in this process, except the memory
+Each command runs through ``cli.main`` in this process, except the memory
 check, which reads a process of its own.  A bound on elapsed time is the
 time the command may take from the shell, interpreter start included."""
 
 import hashlib
+import importlib
 import json
+import pkgutil
 import subprocess
 import sys
 import time
 
 import pytest
 
+import octamoment
+import octamoment.cli
 from octamoment.cli import main
 from octamoment.closedform import q_compl, q_real
 
@@ -171,6 +176,35 @@ def test_coeffs_pretty_and_csv_have_a_header_and_one_line_per_row(capsys):
 def test_verify_suite_passes(command, capsys):
     code, out = _run(command.split(), capsys)
     assert code == 0 and "FAIL" not in out
+
+
+# The package names the benchmark harness reads: bench/oracle.py computes its
+# reference records from them and bench/worker.py runs its ops through them.
+BENCH_NAMES = [
+    "F_formula", "enumerate_M", "aut", "coeff_hook", "coeff_m_lambda_m_n", "complex_coeff",
+    "odd_double_factorial", "oracle_monomial_expansion", "pairing_power_sum_series",
+    "partitions_of", "q_real", "q_compl", "MatrixSpec", "moment_real_exact",
+    "moment_complex_exact", "__version__",
+]
+
+
+def test_package_exports_the_names_the_benchmark_reads():
+    missing = [name for name in BENCH_NAMES if not hasattr(octamoment, name)]
+    assert missing == []
+    assert callable(octamoment.cli.main)
+
+
+def test_every_all_entry_resolves():
+    names = [info.name for info in pkgutil.iter_modules(octamoment.__path__)]
+    assert "symfun" in names
+    unresolved = []
+    for name in names:
+        if name == "__main__":  # importing it runs the CLI
+            continue
+        module = importlib.import_module(f"octamoment.{name}")
+        unresolved += [f"{name}.{entry}" for entry in getattr(module, "__all__", ())
+                       if not hasattr(module, entry)]
+    assert unresolved == []
 
 
 # Runs the n = 12 real expansion in a child of its own and prints its exit

@@ -9,23 +9,22 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from octamoment.closedform import complex_expansion
-from octamoment.hypermaps import pairing_power_sum_series
+from octamoment.hypermaps import oracle_monomial_expansion, pairing_power_sum_series
 from octamoment.moments import MatrixSpec, moment_complex_exact, moment_real_exact
 from octamoment.partitions import (
     Partition,
     aut,
+    coarsening_counts,
     falling,
     parse_rational,
     partitions_of,
 )
 from octamoment.symfun import (
+    _monomial_numerators,
     _placements,
     _power_sum_numerators,
     MonomialExpansion,
     PowerSumExpansion,
-    monomial_table,
-    p_in_m_basis,
-    to_monomial,
 )
 
 
@@ -51,11 +50,24 @@ def power_sum_product(lam, eigs):
     return total
 
 
+def monomial_values(n, eigs):
+    """``m_lam(eigs)`` for every partition ``lam`` of ``n``, read from the
+    integer numerators of the monomial table."""
+    nums, den = _monomial_numerators(n, eigs)
+    return {lam: Fraction(v, den) for lam, v in zip(partitions_of(n), nums)}
+
+
+def p_in_m(lam):
+    """p_lam in the monomial basis: the coefficient of m_nu is Aut_nu
+    times the number of ways to merge the parts of lam into those of nu."""
+    return {nu: aut(nu) * r for nu, r in coarsening_counts(lam).items()}
+
+
 def test_p_in_m_examples():
-    assert p_in_m_basis(Partition([2])) == {Partition([2]): 1}
-    assert p_in_m_basis(Partition([1, 1])) == {Partition([2]): 1, Partition([1, 1]): 2}
+    assert p_in_m(Partition([2])) == {Partition([2]): 1}
+    assert p_in_m(Partition([1, 1])) == {Partition([2]): 1, Partition([1, 1]): 2}
     for n in range(1, 8):
-        assert p_in_m_basis(Partition([n])) == {Partition([n]): 1}
+        assert p_in_m(Partition([n])) == {Partition([n]): 1}
 
 
 def random_alphabets(rng, max_len=5, count=4):
@@ -68,9 +80,9 @@ def test_p_in_m_matches_direct_evaluation():
     rng = random.Random(2024)
     for n in range(1, 9):
         alphabets = list(random_alphabets(rng))
-        tables = [monomial_table(n, xs) for xs in alphabets]
+        tables = [monomial_values(n, xs) for xs in alphabets]
         for lam in partitions_of(n):
-            expansion = p_in_m_basis(lam)
+            expansion = p_in_m(lam)
             for xs, table in zip(alphabets, tables):
                 direct = power_sum_product(lam, xs)
                 via_m = sum((c * table[mu] for mu, c in expansion.items()), Fraction(0))
@@ -78,63 +90,26 @@ def test_p_in_m_matches_direct_evaluation():
 
 
 def test_eval_monomial_examples():
-    assert monomial_table(2, [1, 1, 1])[Partition([1, 1])] == 3
-    assert monomial_table(2, [1, 1])[Partition([2])] == 2
+    assert monomial_values(2, [1, 1, 1])[Partition([1, 1])] == 3
+    assert monomial_values(2, [1, 1])[Partition([2])] == 2
     a, b = Fraction(2, 3), Fraction(-1, 2)
-    assert monomial_table(3, [a, b])[Partition([2, 1])] == a**2 * b + a * b**2
-    assert monomial_table(3, [1, 2])[Partition([1, 1, 1])] == 0
-    assert monomial_table(0, [1, 2]) == {Partition(): 1}
+    assert monomial_values(3, [a, b])[Partition([2, 1])] == a**2 * b + a * b**2
+    assert monomial_values(3, [1, 2])[Partition([1, 1, 1])] == 0
+    assert monomial_values(0, [1, 2]) == {Partition(): 1}
 
 
 def test_eval_monomial_ones_matches_explicit_alphabet():
     """m_lam at l ones is (l)_{len(lam)} / Aut_lam."""
     for n in range(1, 9):
         for l in range(0, 7):
-            table = monomial_table(n, [1] * l)
+            table = monomial_values(n, [1] * l)
             for lam in partitions_of(n):
                 assert table[lam] == Fraction(falling(l, lam.length), aut(lam))
 
 
-def test_to_monomial_expands_each_slot():
-    p2, p11 = Partition([2]), Partition([1, 1])
-    series = PowerSumExpansion(2, {(p2, p11): Fraction(1)})
-    expanded = to_monomial(series)
-    assert expanded.coeff(p2, p2) == 1
-    assert expanded.coeff(p2, p11) == 2
-    assert expanded.coeff(p11, p2) == 0
-
-    one = Partition([1])
-    series1 = PowerSumExpansion(1, {(one, one): Fraction(1)})
-    assert to_monomial(series1).coeff(one, one) == 1
-
-
-def test_to_monomial_hand_expansion_n2():
-    p2, p11 = Partition([2]), Partition([1, 1])
-    series = PowerSumExpansion(
-        2,
-        {
-            (p2, p11): Fraction(1),
-            (p11, p2): Fraction(1),
-            (p2, p2): Fraction(1),
-        },
-    )
-    expanded = to_monomial(series)
-    assert expanded.coeff(p2, p2) == 3
-    assert expanded.coeff(p2, p11) == 2
-    assert expanded.coeff(p11, p2) == 2
-    assert expanded.coeff(p11, p11) == 0
-    # evaluation equals the power-sum route on a concrete alphabet
-    xs = [Fraction(1, 2), 3]
-    ys = [2, Fraction(-1, 3)]
-    assert expanded.evaluate(xs, ys) == series.evaluate(xs, ys)
-
-
 def test_records_round_trip_and_order():
-    exp = to_monomial(
-        PowerSumExpansion(
-            2, {(Partition([2]), Partition([1, 1])): Fraction(3, 2)}
-        )
-    )
+    p2, p11 = Partition([2]), Partition([1, 1])
+    exp = MonomialExpansion(2, {(p2, p11): 3, (p2, p2): Fraction(3, 2)})
     records = exp.to_records()
     # canonical key order: reverse-lex lambda then reverse-lex mu
     keys = [(r["lambda"], r["mu"]) for r in records]
@@ -166,7 +141,7 @@ LETTERS = st.one_of(
 @example(n=4, xs=[2, 2, 0, 2, Fraction(-1, 3)])
 @example(n=6, xs=[Fraction(-2, 3), 0, 1, 1, -1, Fraction(3, 2), 2])
 def test_monomial_table_matches_placement_walk(n, xs):
-    table = monomial_table(n, xs)
+    table = monomial_values(n, xs)
     assert set(table) == set(partitions_of(n))
     for lam in partitions_of(n):
         assert table[lam] == placement_walk(lam, xs), (lam, xs)
@@ -177,14 +152,17 @@ def test_monomial_table_matches_placement_walk(n, xs):
 
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(
-    n=st.integers(1, 4),
+    n=st.integers(1, 7),
     kind=st.sampled_from(["real", "complex"]),
-    xs=st.lists(LETTERS, max_size=5),
-    ys=st.lists(LETTERS, max_size=5),
+    xs=st.lists(LETTERS, max_size=7),
+    ys=st.lists(LETTERS, max_size=7),
 )
 def test_p_to_m_round_trip_evaluates_equal(n, kind, xs, ys):
-    series = pairing_power_sum_series(n, kind)
-    assert to_monomial(series).evaluate(xs, ys) == series.evaluate(xs, ys)
+    """The oracle series in both bases: the monomial one is built from the
+    partitioned-hypermap refinement, the power-sum one from the pairing
+    table, and they agree at every pair of alphabets."""
+    expected = pairing_power_sum_series(n, kind).evaluate(xs, ys)
+    assert oracle_monomial_expansion(n, kind).evaluate(xs, ys) == expected
 
 
 def test_evaluators_scale_to_large_dimension():
@@ -269,23 +247,24 @@ def test_evaluate_with_non_integer_coefficients():
     once at the end and agrees with the power-sum route and a plain sum."""
     p3, p21, p111 = Partition([3]), Partition([2, 1]), Partition([1, 1, 1])
     series = PowerSumExpansion(3, {(p21, p3): Fraction(1, 3), (p111, p21): Fraction(2, 7)})
-    expanded = to_monomial(series)
+    # p_21 = m_3 + m_21 and p_111 = m_3 + 3 m_21 + 6 m_111, in both slots
+    expanded = MonomialExpansion(
+        3,
+        {
+            (p3, p3): Fraction(13, 21),
+            (p3, p21): Fraction(2, 7),
+            (p21, p3): Fraction(25, 21),
+            (p21, p21): Fraction(6, 7),
+            (p111, p3): Fraction(12, 7),
+            (p111, p21): Fraction(12, 7),
+        },
+    )
     assert {c.denominator for _, c in expanded.items()} == {7, 21}
     xs = [Fraction(1, 2), -3, Fraction(2, 5)]
     ys = [Fraction(-4, 3), 1, 0, Fraction(7, 2)]
-    mx, my = monomial_table(3, xs), monomial_table(3, ys)
+    mx, my = monomial_values(3, xs), monomial_values(3, ys)
     plain = sum((c * mx[lam] * my[mu] for (lam, mu), c in expanded.items()), Fraction(0))
     assert expanded.evaluate(xs, ys) == series.evaluate(xs, ys) == plain
-
-
-def test_monomial_table_is_a_fresh_dict():
-    xs = [Fraction(1, 2), 2, -1]
-    table = monomial_table(4, xs)
-    expected = dict(table)
-    table[Partition([4])] = Fraction(99)
-    del table[Partition([1, 1, 1, 1])]
-    table.clear()
-    assert monomial_table(4, xs) == expected
 
 
 def test_placement_table_size_and_order():
@@ -299,8 +278,9 @@ def test_placement_table_size_and_order():
         assert all(dst < src for src, targets in moves for _, dst in targets)
         assert [src for src, _ in moves] == sorted(src for src, _ in moves)
     assert _placements(4) is _placements(4)
-    table = monomial_table(4, [1, 1, 1, 1])
-    assert list(table) == list(partitions_of(4))
+    nums, den = _monomial_numerators(4, [1, 1, 1, 1])
+    assert den == 1
+    assert nums == [placement_walk(lam, [1, 1, 1, 1]) for lam in partitions_of(4)]
 
 
 @st.composite
