@@ -5,7 +5,7 @@ Monte Carlo estimation on dense matrices.
 The exact layer works in integer and rational arithmetic only:
 ``moment_real_exact`` evaluates the real expansion through the one
 integer evaluation kernel of :mod:`~octamoment.symfun`, and
-``moment_complex_exact`` sums that kernel's monomial table by length;
+``moment_complex_exact`` needs only each list's ``e_j`` and ``h_j``;
 each divides once at the end.  The Monte Carlo layer is double
 precision.  They meet where an estimate is set against the exact value:
 :meth:`MCEstimate.to_json` and :meth:`MCEstimate.z_score` take the exact
@@ -35,14 +35,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isfinite, sqrt
+from math import comb, isfinite, sqrt
 from typing import Sequence
 
 import numpy as np
 
 from .closedform import complex_length_coeffs, real_expansion
-from .partitions import format_rational, parse_rational, partitions_of
-from .symfun import _monomial_numerators
+from .partitions import format_rational, parse_rational
+from .symfun import _scaled_letters
 
 __all__ = [
     "MatrixSpec",
@@ -230,9 +230,9 @@ def moment_complex_exact(n: int, x: MatrixSpec, y: MatrixSpec) -> Fraction:
     The coefficient of ``m_lam(X) m_mu(Y)`` depends on the two lengths
     alone (:func:`~octamoment.closedform.complex_length_coeffs`), so the
     moment is ``sum c(n, k, l) M_k(X) M_l(Y)`` over the keys ``(k, l)``
-    of that table, with ``M_k`` the sum of the ``m_lam`` of length ``k``:
-    at most ``n^2`` terms over one monomial table per matrix, in integer
-    arithmetic, without building ``complex_expansion(n)``."""
+    of that table, with ``M_k`` the sum of the ``m_lam`` of length ``k``
+    (:func:`_length_sums`): at most ``n^2`` terms in integer arithmetic,
+    without building ``complex_expansion(n)``."""
     table = complex_length_coeffs(n)
     sx, den_x = _length_sums(n, x.exact_eigs())
     sy, den_y = _length_sums(n, y.exact_eigs())
@@ -242,12 +242,20 @@ def moment_complex_exact(n: int, x: MatrixSpec, y: MatrixSpec) -> Fraction:
 
 def _length_sums(n: int, eigs: Sequence[Fraction]) -> tuple[list[int], int]:
     """``M_k = sum_{len(lam) = k} m_lam(eigs)`` for ``k = 0..n`` over the
-    common denominator of :func:`~octamoment.symfun._monomial_numerators`."""
-    nums, den = _monomial_numerators(n, eigs)
-    sums = [0] * (n + 1)
-    for lam, v in zip(partitions_of(n), nums):
-        sums[len(lam)] += v
-    return sums, den
+    letters' ``den**n``: as ``sum_k M_k u^k = sum_j (u - 1)^j e_j h_{n-j}``
+    (Macdonald, I §2), ``M_k = sum_{j >= k} (-1)^(j-k) C(j, k) e_j h_{n-j}``,
+    each nonzero scaled letter one pass over the ``e_j`` and one over the ``h_j``."""
+    letters, den = _scaled_letters(eigs)
+    e, h = [1] + [0] * n, [1] + [0] * n
+    for a in filter(None, letters):  # a zero letter changes no e_j or h_j
+        for j in range(n, 0, -1):
+            e[j] += a * e[j - 1]
+        for j in range(1, n + 1):
+            h[j] += a * h[j - 1]
+    terms = [e[j] * h[n - j] for j in range(n + 1)]
+    return [
+        sum((-1) ** (j - k) * comb(j, k) * terms[j] for j in range(k, n + 1)) for k in range(n + 1)
+    ], den**n
 
 
 def _block_traces(

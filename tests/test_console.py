@@ -2,7 +2,8 @@
 digests, exact moments against the projector closed forms, Monte Carlo
 agreement, the JSON layout, the table shapes, the verification suites,
 and the memory of the streamed n = 12 real expansion; and the package
-names the benchmark harness reads, with every module's ``__all__``.
+names the benchmark harness reads, with every module's ``__all__`` and
+the version, which ``pyproject.toml`` states too.
 
 Each command runs through ``cli.main`` in this process, except the memory
 check, which reads a process of its own.  A bound on elapsed time is the
@@ -12,9 +13,11 @@ import hashlib
 import importlib
 import json
 import pkgutil
+import re
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -107,8 +110,11 @@ def test_worked_hypermap_through_the_bijection_and_back(tmp_path, capsys):
          47088731289600, 60),
         ("mc --n 16 --field real --x-eigs 1,1,1,1 --y-eigs 1,1,1,0 --samples 2 --seed 1",
          703429928878989312000, 120),
+        ("mc --n 40 --field complex --x-eigs 1,2 --y-eigs 1,1 --samples 100 --seed 1",
+         "72665775638076362807599694993184305725336114874548224000000000", 5),
     ],
-    ids=["complex-n20-projectors", "complex-n9", "real-n12-projectors", "real-n16-projectors"],
+    ids=["complex-n20-projectors", "complex-n9", "real-n12-projectors", "real-n16-projectors",
+         "complex-n40"],
 )
 def test_mc_prints_the_exact_moment(command, expected, seconds, capsys):
     start = time.perf_counter()
@@ -176,6 +182,27 @@ def test_coeffs_pretty_and_csv_have_a_header_and_one_line_per_row(capsys):
 def test_verify_suite_passes(command, capsys):
     code, out = _run(command.split(), capsys)
     assert code == 0 and "FAIL" not in out
+
+
+@pytest.mark.parametrize("suite", ["bijection", "strata", "complex", "corollaries", "special"])
+def test_every_enumerating_suite_passes_at_n_max_1(suite, capsys):
+    code, out = _run(["verify", "--suite", suite, "--n-max", "1"], capsys)
+    lines = out.splitlines()
+    assert code == 0 and all(line.startswith("PASS") for line in lines[:-1])
+    assert lines[-1] == f"{len(lines) - 1}/{len(lines) - 1} checks passed"
+
+
+def test_strata_checks_its_flagged_set_from_n_max_2(capsys):
+    code, out = _run(["verify", "--suite", "strata", "--n-max", "2"], capsys)
+    assert code == 0
+    assert "PASS strata/flagged-set: 1 flagged strata, documented boundary case present" in out
+
+
+def test_package_version_matches_pyproject():
+    # The benchmark's reference record reports octamoment.__version__.
+    text = (Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    project = re.search(r"^\[project\]$(.*?)(?=^\[|\Z)", text, re.M | re.S).group(1)
+    assert re.search(r'^version = "([^"]+)"$', project, re.M).group(1) == octamoment.__version__
 
 
 # The package names the benchmark harness reads: bench/oracle.py computes its

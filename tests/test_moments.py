@@ -122,13 +122,27 @@ def test_projector_specialization():
                 assert moment_complex_exact(n, x, ident) == q_compl(n, l, m)
 
 
-@pytest.mark.parametrize("n", [12, 16, 20])
+@pytest.mark.parametrize("n", [12, 16, 20, 30, 40])
 def test_complex_projector_specialization_at_large_n(n):
     # Ranks up to 3, and full rank n, where every length k <= n contributes.
     cases = [(l, m, 3) for l in range(0, 4) for m in range(0, 4)] + [(n, n, n), (n, 1, n)]
     for l, m, dim in cases:
         x, y = MatrixSpec.projector(l, dim), MatrixSpec.projector(m, dim)
         assert moment_complex_exact(n, x, y) == q_compl(n, l, m), (l, m)
+
+
+def test_complex_exact_moment_needs_no_partition_table(monkeypatch):
+    """The complex route reads no placement table, which has one state per
+    partition of every j <= n: with the table out of reach, n = 40 still
+    equals the projector closed form."""
+
+    def no_table(n):
+        raise AssertionError(f"placement table of degree {n} requested")
+
+    monkeypatch.setattr("octamoment.symfun._placements", no_table)
+    for l, m, dim in [(2, 1, 3), (3, 3, 3), (40, 40, 40), (40, 1, 40)]:
+        x, y = MatrixSpec.projector(l, dim), MatrixSpec.projector(m, dim)
+        assert moment_complex_exact(40, x, y) == q_compl(40, l, m), (l, m)
 
 
 @pytest.mark.parametrize("n", [0, -1])
