@@ -25,8 +25,12 @@ for the complex field, its ``m^2`` imaginary parts, so the draws do not
 depend on how the samples are blocked.  Samples are drawn and traced in
 blocks of ``_BLOCK``, through buffers allocated once per estimate, and
 each block adds its sum and its sum of squares to the totals, so an
-estimate holds one block of samples at a time.  Each block's traces are
-``T = (X U)(U Y^H)^H`` and ``tr T^n = tr(T^(n - h) T^h)`` with
+estimate holds one block of samples at a time.  While a block is traced,
+one helper thread draws the next block, one fill at a time in block
+order, so the stream is read as one thread would read it; the helper is
+joined before the estimate returns or raises.  Each block's traces are
+``T = (X U)(U Y^H)^H``, with ``U Y^H`` and ``X U = (U^T X^T)^T`` each one
+flat gemm over the block, and ``tr T^n = tr(T^(n - h) T^h)`` with
 ``h = n // 2``; the complex traces are scaled by the exact ``2^-n``
 instead of scaling U.  Estimates are bit-identical from run to run.
 """
@@ -125,9 +129,9 @@ class MatrixSpec:
     @classmethod
     def from_json(cls, data: dict) -> "MatrixSpec":
         """Read ``{dim?, eigs | entries}``, each entry a number or an
-        ``[re, im]`` pair; a record with neither key or with both, with any
-        other kind of entry, or with a ``dim`` that is not an integer,
-        raises ``ValueError``."""
+        ``[re, im]`` pair; a record with neither key or with both, with rows
+        of unequal length, with any other kind of entry, or with a ``dim``
+        that is not an integer, raises ``ValueError``."""
         if not isinstance(data, dict) or not data.keys() & {"eigs", "entries"}:
             raise ValueError("a matrix is a JSON object with 'eigs' or 'entries'")
         if data.keys() >= {"eigs", "entries"}:
@@ -140,6 +144,10 @@ class MatrixSpec:
         else:
             if not all(isinstance(row, list) for row in data["entries"]):
                 raise ValueError("'entries' must be a JSON list of rows")
+            width = len(data["entries"][0]) if data["entries"] else 0
+            for i, row in enumerate(data["entries"]):
+                if len(row) != width:
+                    raise ValueError(f"'entries' row {i} has {len(row)} entries, expected {width}")
             rows = [
                 [_dense_entry(x, i, j) for j, x in enumerate(row)]
                 for i, row in enumerate(data["entries"])
@@ -267,12 +275,15 @@ def _block_traces(
     dtype, so a block allocates nothing of size ``m^2``."""
     b, m, _ = u.shape
     uyh, xu, t = (w[:b] for w in work)
-    # T = (X U)(U Y^H)^H: one flat gemm, one broadcast product, one batched product.
+    # T = (X U)(U Y^H)^H from two flat gemms and one batched product:
+    # U Y^H directly, X U as (U^T X^T)^T through U^T copied into t, and the
+    # batched product reads xu transposed.
     np.matmul(u.reshape(b * m, m), yh, out=uyh.reshape(b * m, m))
     if np.iscomplexobj(uyh):
         np.conjugate(uyh, out=uyh)
-    np.matmul(xd, u, out=xu)
-    np.matmul(xu, uyh.transpose(0, 2, 1), out=t)
+    np.copyto(t, u.transpose(0, 2, 1))
+    np.matmul(t.reshape(b * m, m), xd.T, out=xu.reshape(b * m, m))
+    np.matmul(xu.transpose(0, 2, 1), uyh.transpose(0, 2, 1), out=t)
     if n == 1:
         return np.einsum("bii->b", t)
     # T is read by every power, so the powers alternate between the other two buffers.
@@ -305,22 +316,31 @@ def _mc_moment(
     yh = yd.conj().T
 
     # One set of block buffers serves every block; draw[i] holds sample i's
-    # real parts, then its imaginary parts.
+    # real parts, then its imaginary parts.  U is copied out of the draws,
+    # so a helper thread can fill the next block's draws while this block
+    # is traced.
     block = min(_BLOCK, samples)
     draw = np.empty((block, 2 if complex_field else 1, m, m))
-    u = np.empty((block, m, m), np.complex128) if complex_field else draw[:, 0]
+    u = np.empty((block, m, m), np.complex128 if complex_field else np.float64)
     work = [np.empty((block, m, m), np.result_type(xd, yh)) for _ in range(3)]
     rng = np.random.Generator(np.random.Philox(key=seed))
+    sizes = [min(block, samples - start) for start in range(0, samples, block)]
     total = 0.0
     total_sq = 0.0
+    from concurrent.futures import ThreadPoolExecutor
+
+    # The helper makes one fill at a time, in block order, so the stream is
+    # read as by one thread; leaving the pool joins it, also on an error.
     # An overflow leaves a non-finite estimate, which to_json rejects.
-    with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, samples, block):
-            b = min(block, samples - start)
-            rng.standard_normal(out=draw[:b])
+    with ThreadPoolExecutor(max_workers=1) as helper, np.errstate(over="ignore", invalid="ignore"):
+        fill = helper.submit(rng.standard_normal, out=draw)
+        for b, after in zip(sizes, sizes[1:] + [0]):
+            fill.result()
+            u.real[:b] = draw[:b, 0]
             if complex_field:
-                u.real[:b] = draw[:b, 0]
                 u.imag[:b] = draw[:b, 1]
+            if after:
+                fill = helper.submit(rng.standard_normal, out=draw[:after])
             values = _block_traces(u[:b], xd, yh, n, work).real
             if complex_field:
                 # U is drawn with unit-variance parts, not N(0, 1/2): scale tr T^n by 2^-n.

@@ -870,6 +870,8 @@ _VALID_N2 = {"f3": [["1", "2^"], ["2", "1^"]], "pi1": [["1", "2", "1^", "2^"]],
         (["mc", "--n", "2", "--samples", "10", "--matrix-x", "bad.json", "--dim", "2"],
          {"entries": [1, 2]}),
         (["mc", "--n", "2", "--samples", "10", "--matrix-x", "bad.json", "--dim", "2"],
+         {"entries": [[1, 2], [2]]}),
+        (["mc", "--n", "2", "--samples", "10", "--matrix-x", "bad.json", "--dim", "2"],
          {"entries": [[{}, 1], [1, 2]]}),
         (["mc", "--n", "2", "--samples", "10", "--matrix-x", "bad.json", "--dim", "2"],
          {"entries": [[[2, 0, 5], 1], [1, 2]]}),
@@ -896,13 +898,19 @@ _VALID_N2 = {"f3": [["1", "2^"], ["2", "1^"]], "pi1": [["1", "2", "1^", "2^"]],
     ids=["hypermap-without-f3", "forest-without-seed", "json-list", "edge-child-x",
          "label-9-at-n2", "n-as-string", "matrix-dim-only", "eigs-zero-denominator",
          "eigs-empty-string",
-         "entries-not-a-list", "eigs-not-a-list", "entries-not-rows", "entry-object",
-         "entry-three-numbers", "entry-boolean", "entry-string", "entry-infinite",
+         "entries-not-a-list", "eigs-not-a-list", "entries-not-rows", "entries-ragged",
+         "entry-object", "entry-three-numbers", "entry-boolean", "entry-string", "entry-infinite",
          "eigs-empty-both", "dim-boolean", "eigs-beyond-float-real", "eigs-beyond-float-complex",
          "matrix-eigs-beyond-float", "eigs-and-entries"],
 )
 def test_malformed_input_exits_3_with_one_line(argv, content, tmp_path, capsys):
     _one_error_line(argv, content, tmp_path, capsys)
+
+
+def test_ragged_entries_name_the_row(tmp_path, capsys):
+    argv = ["mc", "--n", "2", "--samples", "10", "--matrix-x", "bad.json", "--dim", "2"]
+    line = _one_error_line(argv, {"entries": [[1, 2], [2]]}, tmp_path, capsys)
+    assert line.endswith("'entries' row 1 has 1 entries, expected 2"), line
 
 
 def _one_error_line(argv, content, tmp_path, capsys) -> str:

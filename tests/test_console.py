@@ -234,6 +234,19 @@ def test_every_all_entry_resolves():
     assert unresolved == []
 
 
+def test_cli_import_loads_no_thread_pool(child_env):
+    # Monte Carlo imports its helper's pool when it samples, so the start-up
+    # of every command stays as it is.
+    probe = (
+        "import sys, octamoment.cli; "
+        "print([m for m in ('concurrent.futures', 'queue') if m in sys.modules])"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=child_env
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")
+
+
 # Runs the n = 12 real expansion in a child of its own and prints its exit
 # code, its peak RSS in KiB (Linux) and the sha256 of its stdout, hashed as
 # it arrives.  The peak is read in this small wrapper, not in the test

@@ -1,6 +1,8 @@
 """Exact moment evaluation and Monte Carlo behavior."""
 
 import math
+import threading
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -327,9 +329,10 @@ def test_mc_kernel_matches_a_plain_matrix_power(field, dim, samples):
 @pytest.mark.parametrize("field", ["real", "complex"])
 def test_mc_peak_memory_is_one_block_of_buffers(field):
     # An estimate holds one block of samples at a time: at dim 24 the real
-    # field's draws and three work buffers take 18 MiB, the complex field's
-    # draws, U and three work buffers 45 MiB.  17409 samples end on a
-    # 1-sample block.  numpy reports its buffers to tracemalloc.
+    # field's draws, U and three work buffers take 22.5 MiB, the complex
+    # field's draws, U and three work buffers 45 MiB.  The helper thread
+    # fills the draws in place.  17409 samples end on a 1-sample block.
+    # numpy reports its buffers to tracemalloc.
     dim = 24
     estimator = mc_moment_complex if field == "complex" else mc_moment_real
     tracemalloc.start()
@@ -351,6 +354,51 @@ def test_mc_estimate_does_not_depend_on_the_block_size(estimator, monkeypatch):
     assert (small.mean, small.std_error) == pytest.approx(
         (base.mean, base.std_error), rel=1e-12, abs=0
     )
+
+
+@pytest.mark.parametrize("estimator", [mc_moment_real, mc_moment_complex])
+def test_mc_estimate_does_not_depend_on_thread_timing(estimator, monkeypatch):
+    # A helper thread draws the next block while this one is traced: a trace
+    # that lags 20 ms on every other block must not change a bit.  40
+    # samples in blocks of 7 end on a 5-sample block.
+    x = _positive_definite(3, estimator is mc_moment_complex, 0)
+    monkeypatch.setattr(moments, "_BLOCK", 7)
+    base = estimator(3, x, x, 40, seed=5)
+    traces = moments._block_traces
+    calls = []
+
+    def lagging(*args):
+        calls.append(None)
+        if len(calls) % 2:
+            time.sleep(0.02)
+        return traces(*args)
+
+    monkeypatch.setattr(moments, "_block_traces", lagging)
+    lagged = estimator(3, x, x, 40, seed=5)
+    assert len(calls) == 6
+    assert (lagged.mean, lagged.std_error) == (base.mean, base.std_error)
+
+
+@pytest.mark.parametrize("estimator", [mc_moment_real, mc_moment_complex])
+def test_mc_leaves_no_thread_behind(estimator, monkeypatch):
+    # 3000 samples are three blocks: the second one raises while the helper
+    # draws the third.
+    before = threading.active_count()
+    estimator(2, I2, I2, 3000, seed=1)
+    assert threading.active_count() == before
+    traces = moments._block_traces
+    calls = []
+
+    def failing(*args):
+        calls.append(None)
+        if len(calls) == 2:
+            raise RuntimeError("the second block fails")
+        return traces(*args)
+
+    monkeypatch.setattr(moments, "_block_traces", failing)
+    with pytest.raises(RuntimeError, match="the second block fails"):
+        estimator(2, I2, I2, 3000, seed=1)
+    assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("estimator", [mc_moment_real, mc_moment_complex])
