@@ -14,27 +14,26 @@ command holds one record at a time next to the cached expansion.  An
 error before the first chunk (``n < 1``) writes nothing and creates no
 ``--out`` file; an error after it (a broken pipe, say) leaves the output
 written until then.
-:func:`_expansion_chunks`, the real writer, fills one fixed template for
-the head (``degenerate_strata``, ``field``, ``n``) and one per term
-(canonical order), one chunk per ``lam``, and :func:`_strata_chunks` one
-per flagged stratum, one chunk each.  ``expansion --field complex``
-builds no expansion: :func:`_complex_expansion_chunks` writes the same
-head and term templates, rendering the terms of each length of ``lam``
-once by indexing the cached ``(k, l)`` coefficient table
-(:func:`~octamoment.closedform.complex_length_coeffs`) and joining their
-pieces with the name of each ``lam``, one chunk per ``lam``.
-``expansion --field real`` prints
-:func:`~octamoment.closedform.real_expansion`, which includes the flagged
-strata (resolved by continuation in ``n`` for every ``n``: the order of
-each stratum's prefactor picks the one row of the seed bracket that its
-count reads), and lists them as
-:func:`~octamoment.closedform.iter_degenerate_strata` yields them;
-``report`` prints that list alone and assembles no coefficient.
-``expansion --strict`` hands the same two results to the same writer,
-which notes the (lam, mu) pair of each flagged stratum as it writes the
-strata, then leaves out the terms of those pairs and the counts of the
-flagged strata; no second expansion is built, and it exits 2 if and only
-if it wrote a stratum.  A
+:func:`_expansion_chunks` is the one writer of the ``expansion`` record
+for both fields: it fills one fixed template for the head
+(``degenerate_strata``, ``field``, ``n``) around the strata chunks it is
+handed and writes the term blocks it is handed, one chunk per ``lam``
+(canonical order); :func:`_strata_chunks` writes one chunk per flagged
+stratum.  ``expansion --field real`` hands it the strata as
+:func:`~octamoment.closedform.iter_degenerate_strata` yields them and the
+rows of :func:`~octamoment.closedform.real_expansion` (:func:`_real_blocks`),
+which includes the flagged strata (resolved by continuation in ``n`` for
+every ``n``: the order of each stratum's prefactor picks the one row of
+the seed bracket that its count reads); ``report`` prints that list of
+strata alone and assembles no coefficient.  Under ``--strict`` the strata
+go out without their counts, noting the (lam, mu) pair of each as it is
+written, and the real blocks leave out the terms of those pairs; no
+second expansion is built, and the command exits 2 if and only if it
+wrote a stratum.  ``expansion --field complex`` hands the writer no
+strata and builds no expansion: :func:`_complex_blocks` renders the terms
+of each length of ``lam`` once by indexing the cached ``(k, l)``
+coefficient table (:func:`~octamoment.closedform.complex_length_coeffs`)
+and joins their pieces with the name of each ``lam``.  A
 ``bijection --input`` record with any of ``f3``, ``pi1`` or ``pi2`` is
 read as a hypermap, so a missing key is named, and its ``f3`` must list
 exactly ``n`` pairs.  Exit codes: 0 success, 1
@@ -108,7 +107,7 @@ _TERM = '\n    {\n      "coeff": "%s",\n      "lambda": %s,\n      "mu": %s\n   
 # The head of ``expansion`` exactly as ``_json_dumps`` lays out its keys,
 # around the value of ``"degenerate_strata"``: ``"terms"`` sorts last.
 _HEAD = '{\n  "degenerate_strata": '
-_FIELD = ',\n  "field": %s,\n  "n": %d,\n  "terms": '
+_FIELD = ',\n  "field": "%s",\n  "n": %d,\n  "terms": '
 
 
 def _list_chunks(items: Iterable[str], close: str) -> Iterator[str]:
@@ -184,41 +183,40 @@ def _strata_chunks(
     return _list_chunks(records(), "\n" + "  " * (depth - 1) + "]")
 
 
-def _expansion_chunks(expansion, strata=(), strict: bool = False, flagged=None) -> Iterator[str]:
-    """``_json_dumps`` of the real ``expansion`` record: ``n``, ``field``,
-    the ``degenerate_strata`` (:func:`_strata_chunks`, one chunk per
-    stratum) and the ``"terms"`` (``expansion.to_records()``, one chunk per
-    ``lam``), written from fixed templates without a record per term or
-    stratum and without the indenting encoder.  A coefficient is a
-    ``Fraction``, whose ``str`` is ``format_rational``.  The (lam, mu) pair
-    of each stratum goes into ``flagged`` (the caller's set, or a fresh one)
-    as it is written, before ``"terms"``, which sorts last; the ``strict``
-    view leaves out the counts of the flagged strata and the terms of
-    those pairs.
-    """
-    flagged = set() if flagged is None else flagged
-    n = expansion.n
+def _expansion_chunks(
+    n: int, field: str, strata: Iterable[str], blocks: Iterable[str]
+) -> Iterator[str]:
+    """``_json_dumps`` of the ``expansion`` record of either field, written
+    from fixed templates without a record per term and without the
+    indenting encoder: the head, the ``degenerate_strata`` chunks
+    ``strata``, ``field`` and ``n``, then ``"terms"``, which sorts last,
+    one chunk per ``lam`` from ``blocks`` (the ``_TERM`` text of its terms,
+    or ``""`` if it has none), and the tail."""
     yield _HEAD
-    yield from _strata_chunks(strata, 2, not strict, flagged)
-    yield _FIELD % ('"real"', n)
-    skip = flagged if strict else ()
-    names = {lam: _name(lam) for lam in partitions_of(n)}
-    rows = (
-        ",".join([_TERM % (c, names[lam], names[key[1]]) for key, c in row if key not in skip])
-        for lam, row in groupby(expansion.items(), key=lambda term: term[0][0])
-    )
-    yield from _list_chunks(filter(None, rows), "\n  ]")
+    yield from strata
+    yield _FIELD % (field, n)
+    yield from _list_chunks(filter(None, blocks), "\n  ]")
     yield "\n}\n"
 
 
-def _complex_expansion_chunks(n: int) -> Iterator[str]:
-    """The ``expansion`` record of ``complex_expansion(n)`` without the
-    expansion, one chunk per ``lam``: the terms of every ``lam`` of one
-    length ``k`` differ only in ``lam``, so they are rendered once per
-    ``k``, from the entries ``(k, len(mu))`` of
-    :func:`~octamoment.closedform.complex_length_coeffs` over the ``mu`` in
-    canonical order, and cut into the pieces between the places of ``lam``;
-    the block of each ``lam`` is its name joining those pieces."""
+def _real_blocks(expansion, skip=()) -> Iterator[str]:
+    """The term block of each ``lam`` of ``expansion.items()`` (canonical
+    order), leaving out the (lam, mu) pairs in ``skip``, which is read as
+    each block is written.  A coefficient is a ``Fraction``, whose ``str``
+    is ``format_rational``."""
+    names = {lam: _name(lam) for lam in partitions_of(expansion.n)}
+    for lam, row in groupby(expansion.items(), key=lambda term: term[0][0]):
+        yield ",".join([_TERM % (c, names[lam], names[k[1]]) for k, c in row if k not in skip])
+
+
+def _complex_blocks(n: int) -> Iterator[str]:
+    """The term block of each ``lam`` of ``complex_expansion(n)`` without
+    the expansion: the terms of every ``lam`` of one length ``k`` differ
+    only in ``lam``, so they are rendered once per ``k``, from the entries
+    ``(k, len(mu))`` of :func:`~octamoment.closedform.complex_length_coeffs`
+    over the ``mu`` in canonical order, and cut into the pieces between the
+    places of ``lam``; the block of each ``lam`` is its name joining those
+    pieces.  They are rendered at the call, so ``n < 1`` raises there."""
     table, parts = cf.complex_length_coeffs(n), partitions_of(n)
     names = {lam: _name(lam) for lam in parts}
     # An encoded name is printable ASCII, so "\0" marks only the places of lam.
@@ -228,10 +226,7 @@ def _complex_expansion_chunks(n: int) -> Iterator[str]:
         ).split("\0")
         for k in range(1, n + 1)
     }
-    yield _HEAD + "[]" + _FIELD % ('"complex"', n)
-    blocks = (names[lam].join(pieces[len(lam)]) for lam in parts)
-    yield from _list_chunks(filter(None, blocks), "\n  ]")
-    yield "\n}\n"
+    return (names[lam].join(pieces[len(lam)]) for lam in parts)
 
 
 def cmd_coeffs(args) -> int:
@@ -295,13 +290,13 @@ def _format_rows(rows: list[dict], fmt: str) -> str:
 
 
 def cmd_expansion(args) -> int:
-    n = args.n
+    n, flagged = args.n, set()
     if args.field == "complex":
-        _emit(_complex_expansion_chunks(n), args.out)
-        return 0
-    flagged: set = set()
-    strata = cf.iter_degenerate_strata(n)
-    _emit(_expansion_chunks(cf.real_expansion(n), strata, args.strict, flagged), args.out)
+        strata, blocks = ["[]"], _complex_blocks(n)
+    else:
+        strata = _strata_chunks(cf.iter_degenerate_strata(n), 2, not args.strict, flagged)
+        blocks = _real_blocks(cf.real_expansion(n), flagged if args.strict else ())
+    _emit(_expansion_chunks(n, args.field, strata, blocks), args.out)
     return 2 if args.strict and flagged else 0
 
 
@@ -317,8 +312,8 @@ def cmd_verify(args) -> int:
 
 def _hypermap_from_json(data: dict) -> hm.PartitionedHypermap:
     """Read the ``_hypermap_to_json`` form; a malformed record raises
-    ``ValueError``.  ``f3`` must list exactly ``n`` pairs, which is checked
-    before the pairing of ``2n`` labels is built."""
+    ``ValueError``.  ``f3`` must list exactly ``n`` pairs of two labels
+    each, which is checked before the pairing of ``2n`` labels is built."""
     try:
         n = data["n"]
         if type(n) is not int or n < 1:
@@ -326,6 +321,9 @@ def _hypermap_from_json(data: dict) -> hm.PartitionedHypermap:
         f3 = data["f3"]
         if len(f3) != n:
             raise ValueError(f"hypermap 'f3' must list n = {n} pairs, got {len(f3)}")
+        for i, pair in enumerate(f3):
+            if not isinstance(pair, list) or len(pair) != 2:
+                raise ValueError(f"hypermap 'f3' pair {i} must hold two labels, got {pair!r}")
         label = lambda x: hm.parse_element(str(x), n)  # noqa: E731
         pairs = [(label(a), label(b)) for a, b in f3]
         blocks1, blocks2 = (
@@ -382,15 +380,16 @@ def cmd_bijection(args) -> int:
     return 0
 
 
-def _matrix_from_args(path: str | None, eigs: str | None, dim: int | None):
-    """One side's matrix: a JSON file, an eigenvalue list, or else the
-    identity of size ``dim``; a file or list whose dimension is not a
-    given ``dim`` raises ``ValueError``."""
+def _matrix_from_args(path: str | None, eigs: str | None, dim: int | None, option: str):
+    """One side's matrix: a JSON file, the eigenvalue list of ``option``,
+    or else the identity of size ``dim``; an entry of the list that does
+    not parse, or a file or list whose dimension is not a given ``dim``,
+    raises ``ValueError``."""
     if path is not None:
         with open(path, "r", encoding="utf-8") as handle:
             spec = mo.MatrixSpec.from_json(json.load(handle))
     elif eigs is not None:
-        spec = mo.MatrixSpec.from_json({"eigs": eigs.split(",")})
+        spec = mo.MatrixSpec.from_eigs(mo._parse_eigs(eigs.split(","), option))
     elif dim is not None:
         return mo.MatrixSpec.identity(dim)
     else:
@@ -403,8 +402,8 @@ def _matrix_from_args(path: str | None, eigs: str | None, dim: int | None):
 def cmd_mc(args) -> int:
     if args.dim is not None and args.dim < 1:
         raise ValueError("--dim must be >= 1")
-    x = _matrix_from_args(args.matrix_x, args.x_eigs, args.dim)
-    y = _matrix_from_args(args.matrix_y, args.y_eigs, args.dim)
+    x = _matrix_from_args(args.matrix_x, args.x_eigs, args.dim, "--x-eigs")
+    y = _matrix_from_args(args.matrix_y, args.y_eigs, args.dim, "--y-eigs")
     if args.field == "real":
         sample, exact_moment = mo.mc_moment_real, mo.moment_real_exact
     else:

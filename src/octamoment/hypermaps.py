@@ -438,7 +438,8 @@ class PartitionedHypermap:
 
     @staticmethod
     def _normalize(blocks) -> tuple[frozenset[int], ...]:
-        return tuple(sorted((frozenset(b) for b in blocks), key=min))
+        # an empty block sorts first, for validate to report
+        return tuple(sorted((frozenset(b) for b in blocks), key=lambda b: min(b, default=-1)))
 
     @classmethod
     def make(cls, f3: Pairing, pi1, pi2) -> "PartitionedHypermap":
@@ -455,6 +456,9 @@ class PartitionedHypermap:
         ):
             covered: set[int] = set()
             for block in blocks:
+                if not block:
+                    problems.append(f"{name} has an empty block")
+                    continue
                 if covered & block:
                     problems.append(f"{name} blocks overlap")
                 covered |= block

@@ -75,6 +75,18 @@ def _dense_entry(x, i: int, j: int) -> float | complex:
     raise ValueError(f"entry ({i}, {j}) must be a number or an [re, im] pair, got {x!r}")
 
 
+def _parse_eigs(entries, source: str) -> list[Fraction]:
+    """Each entry's text read by ``parse_rational``; one that it rejects
+    raises ``ValueError`` naming ``source`` and the entry's 0-based index."""
+    eigs = []
+    for i, entry in enumerate(entries):
+        try:
+            eigs.append(parse_rational(str(entry)))
+        except ValueError as err:
+            raise ValueError(f"{source} entry {i}: {err}") from None
+    return eigs
+
+
 @dataclass(frozen=True)
 class MatrixSpec:
     """A real symmetric or hermitian matrix, given by its eigenvalue list
@@ -140,7 +152,7 @@ class MatrixSpec:
         if not isinstance(data[key], list):
             raise ValueError(f"'{key}' must be a JSON list")
         if key == "eigs":
-            spec = cls.from_eigs([parse_rational(str(e)) for e in data["eigs"]])
+            spec = cls.from_eigs(_parse_eigs(data["eigs"], "'eigs'"))
         else:
             if not all(isinstance(row, list) for row in data["entries"]):
                 raise ValueError("'entries' must be a JSON list of rows")

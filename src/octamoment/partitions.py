@@ -6,6 +6,8 @@ rational values only.  Nothing in this module ever touches floating point.
 
 from __future__ import annotations
 
+import re
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
@@ -198,9 +200,23 @@ def format_partition(lam: Partition, style: str = "parts") -> str:
     raise ValueError(f"unknown partition style {style!r}")
 
 
+# The digits of the exponent of a decimal literal such as "1.5e-3", with the
+# underscores that ``Fraction`` allows between them.
+_EXPONENT = re.compile(r"e[-+]?([\d_]*)\s*\Z", re.IGNORECASE)
+
+
 def parse_rational(text: str) -> Fraction:
-    """Parse ``"num/den"`` or a bare integer string; a zero denominator
-    raises ``ValueError``."""
+    """Parse ``"num/den"``, a bare integer string or a decimal literal such
+    as ``"-0.25"`` or ``"1e400"``; a zero denominator raises ``ValueError``,
+    and so does an exponent beyond the int-string digit limit
+    (``sys.get_int_max_str_digits()``, else 4300) in magnitude, before
+    ``Fraction`` builds its power of 10, as a digit string longer than
+    that limit does."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+    exponent = _EXPONENT.search(text)
+    digits = exponent[1].replace("_", "").lstrip("0") if exponent else ""
+    if len(digits) > len(str(limit)) or int(digits or 0) > limit:
+        raise ValueError(f"rational {text!r} has an exponent beyond {limit} in magnitude")
     try:
         return Fraction(text.strip())
     except ZeroDivisionError:

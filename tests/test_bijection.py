@@ -220,6 +220,20 @@ def test_validation_catches_arrow_cycle():
     assert any("cycle" in msg for msg in issues)
 
 
+def test_an_empty_block_is_a_violation():
+    # n = 1: the labels 1 and 1^ are 0 and 1; pi1 holds {1, 1^} and {}.
+    f3 = Pairing.from_pairs(1, [(0, 1)])
+    full = frozenset({0, 1})
+    h = PartitionedHypermap(f3, (full, frozenset()), (full,))
+    assert h.validate() == ["pi1 has an empty block"]
+    assert PartitionedHypermap.make(f3, [full, set()], [full]).pi1 == (frozenset(), full)
+    assert PartitionedHypermap.make(f3, [full], [set(), full]).validate() == [
+        "pi2 has an empty block"
+    ]
+    with pytest.raises(ValueError, match="pi1 has an empty block"):
+        theta_forward(h)
+
+
 def test_inverse_rejects_invalid_forest():
     f = Forest(
         colors=("w", "b"),

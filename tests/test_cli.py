@@ -402,14 +402,18 @@ def test_expansion_writer_equals_json_dumps_of_records():
             "degenerate_strata": _records(strata, not strict),
             "terms": MonomialExpansion(expansion.n, kept).to_records(),
         }
-        text = "".join(cli._expansion_chunks(expansion, strata, strict))
+        seen: set = set()
+        strata_chunks = cli._strata_chunks(strata, 2, not strict, seen)
+        blocks = cli._real_blocks(expansion, seen if strict else ())
+        text = "".join(cli._expansion_chunks(expansion.n, "real", strata_chunks, blocks))
         assert text == json.dumps(reference, indent=2, sort_keys=True) + "\n", (
             expansion.n,
             strict,
         )
         cases += 1
     assert cases == 5 + 6 + 1
-    assert '"terms": []' in "".join(cli._expansion_chunks(MonomialExpansion(3)))
+    empty = cli._expansion_chunks(3, "real", ["[]"], cli._real_blocks(MonomialExpansion(3)))
+    assert '"terms": []' in "".join(empty)
 
 
 def test_complex_writer_equals_json_dumps_of_records(capsys):
@@ -423,7 +427,8 @@ def test_complex_writer_equals_json_dumps_of_records(capsys):
             "terms": complex_expansion(n).to_records(),
         }
         expected = json.dumps(reference, indent=2, sort_keys=True) + "\n"
-        assert "".join(cli._complex_expansion_chunks(n)) == expected, n
+        chunks = cli._expansion_chunks(n, "complex", ["[]"], cli._complex_blocks(n))
+        assert "".join(chunks) == expected, n
         for strict in ([], ["--strict"]):
             code, out = run_cli(["expansion", "--n", str(n), "--field", "complex", *strict], capsys)
             assert (code, out) == (0, expected), (n, strict)
@@ -894,6 +899,11 @@ _VALID_N2 = {"f3": [["1", "2^"], ["2", "1^"]], "pi1": [["1", "2", "1^", "2^"]],
          {"eigs": ["1e400"]}),
         (["mc", "--n", "2", "--samples", "10", "--matrix-x", "bad.json", "--y-eigs", "1,1"],
          {"eigs": ["1", "2"], "entries": [[5, 0], [0, 7]]}),
+        (["mc", "--n", "2", "--samples", "10", "--x-eigs", "1,", "--y-eigs", "1,2"], None),
+        (["mc", "--n", "2", "--samples", "10", "--matrix-x", "bad.json", "--y-eigs", "1"],
+         {"eigs": [None]}),
+        (["bijection", "--input", "bad.json"],
+         {**_VALID_N2, "n": 2, "f3": [["1", "2^", "1^"], ["2"]]}),
     ],
     ids=["hypermap-without-f3", "forest-without-seed", "json-list", "edge-child-x",
          "label-9-at-n2", "n-as-string", "matrix-dim-only", "eigs-zero-denominator",
@@ -901,10 +911,58 @@ _VALID_N2 = {"f3": [["1", "2^"], ["2", "1^"]], "pi1": [["1", "2", "1^", "2^"]],
          "entries-not-a-list", "eigs-not-a-list", "entries-not-rows", "entries-ragged",
          "entry-object", "entry-three-numbers", "entry-boolean", "entry-string", "entry-infinite",
          "eigs-empty-both", "dim-boolean", "eigs-beyond-float-real", "eigs-beyond-float-complex",
-         "matrix-eigs-beyond-float", "eigs-and-entries"],
+         "matrix-eigs-beyond-float", "eigs-and-entries", "eigs-trailing-comma", "eigs-null",
+         "f3-pair-of-three"],
 )
 def test_malformed_input_exits_3_with_one_line(argv, content, tmp_path, capsys):
     _one_error_line(argv, content, tmp_path, capsys)
+
+
+@pytest.mark.parametrize(
+    "source, content, message",
+    [
+        (["--x-eigs", "1,", "--y-eigs", "1,2"], None,
+         "--x-eigs entry 1: Invalid literal for Fraction: ''"),
+        (["--x-eigs", "1,2", "--y-eigs", "2,1/0"], None,
+         "--y-eigs entry 1: rational '1/0' has a zero denominator"),
+        (["--matrix-x", "bad.json", "--y-eigs", "1,2"], {"eigs": [1, None]},
+         "'eigs' entry 1: Invalid literal for Fraction: 'None'"),
+    ],
+    ids=["x-eigs-empty", "y-eigs-zero-denominator", "matrix-eigs-null"],
+)
+def test_an_eigenvalue_that_does_not_parse_is_named(source, content, message, tmp_path, capsys):
+    argv = ["mc", "--n", "2", "--samples", "10", *source]
+    assert _one_error_line(argv, content, tmp_path, capsys) == f"octamoment: error: {message}"
+
+
+@pytest.mark.parametrize("exponent", ["100000000", "-100000000"])
+@pytest.mark.parametrize("source", ["--x-eigs", "--matrix-x"])
+def test_a_huge_exponent_exits_3_at_once(exponent, source, tmp_path, child_env):
+    # Fraction would build 10**(10**8) first, which takes minutes.
+    text = f"1e{exponent}"
+    if source == "--matrix-x":
+        path = tmp_path / "x.json"
+        path.write_text(json.dumps({"eigs": [text]}), encoding="utf-8")
+        text = str(path)
+    argv = ["mc", "--n", "1", source, text, "--y-eigs", "1", "--samples", "2"]
+    result = subprocess.run(
+        [sys.executable, "-m", "octamoment", *argv],
+        capture_output=True, text=True, env=child_env, timeout=5,
+    )
+    assert (result.returncode, result.stdout) == (3, "")
+    named = "--x-eigs" if source == "--x-eigs" else "'eigs'"
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+    assert result.stderr.splitlines() == [
+        f"octamoment: error: {named} entry 0: "
+        f"rational '1e{exponent}' has an exponent beyond {limit} in magnitude"
+    ]
+
+
+@pytest.mark.parametrize("pair", [["1", "2^", "1^"], ["1"], "12"], ids=["three", "one", "string"])
+def test_an_f3_pair_without_two_labels_is_named(pair, tmp_path, capsys):
+    record = {**_VALID_N2, "n": 2, "f3": [["2", "1^"], pair]}
+    line = _one_error_line(["bijection", "--input", "bad.json"], record, tmp_path, capsys)
+    assert line == f"octamoment: error: hypermap 'f3' pair 1 must hold two labels, got {pair!r}"
 
 
 def test_ragged_entries_name_the_row(tmp_path, capsys):
@@ -1096,6 +1154,16 @@ def test_bijection_rejects_invalid_hypermap(tmp_path, capsys):
         "pi1 block [2, 3] is hat-unbalanced",
     ]
     assert not dot.exists()
+
+
+def test_bijection_reports_an_empty_block(tmp_path, capsys):
+    record = {"n": 1, "f3": [["1", "1^"]], "pi1": [[], ["1", "1^"]], "pi2": [["1", "1^"]]}
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(record), encoding="utf-8")
+    code = main(["bijection", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (1, "")
+    assert json.loads(captured.out) == {"valid": False, "violations": ["pi1 has an empty block"]}
 
 
 def test_hypermap_n_beyond_its_pairs_is_rejected_before_allocation(tmp_path, capsys, monkeypatch):

@@ -1,6 +1,7 @@
 """Kernel combinatorics against independent oracles."""
 
 import random
+import sys
 from fractions import Fraction
 from math import factorial
 
@@ -181,6 +182,17 @@ def test_rational_text_round_trip():
     assert parse_rational("-7") == -7
     assert format_rational(Fraction(6, 4)) == "3/2"
     assert format_rational(Fraction(8, 4)) == "2"
+
+
+def test_parse_rational_rejects_an_exponent_beyond_the_digit_limit():
+    # Fraction would build the power of 10 first; the int-string digit limit
+    # bounds the exponent, as it bounds a digit string.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+    for text in ("1e400", "3/2", "-0.25", " 2.5E-3 ", "1_0e1_0", f"1e{limit}", f"1e-{limit}"):
+        assert parse_rational(text) == Fraction(text.strip()), text
+    for text in (f"1e{limit + 1}", f"1E-{limit + 1}", "2.5e+1_000_000", "1e" + "9" * 5000):
+        with pytest.raises(ValueError, match="exponent beyond"):
+            parse_rational(text)
 
 
 def test_format_rational_of_fractions_ints_and_bools():
