@@ -52,8 +52,10 @@ value that its reader rejects with ``ValueError``, such as a matrix entry
 other than a number or an ``[re, im]`` pair, a non-finite matrix entry, a
 matrix record with both ``eigs`` and ``entries``, or a matrix of
 dimension 0), reported as one ``octamoment: error:`` line on
-stderr.  The argument parser is built once per process, on the first
-:func:`main` call.
+stderr.  The JSON numbers of a matrix file are read exactly: an
+``eigs`` entry from its literal text (:class:`_JSONNumber`), a dense
+entry as the float that the literal rounds to.  The argument parser is
+built once per process, on the first :func:`main` call.
 """
 
 from __future__ import annotations
@@ -380,14 +382,32 @@ def cmd_bijection(args) -> int:
     return 0
 
 
+class _JSONNumber(float):
+    """A JSON number with a fraction or an exponent: the float that ``json``
+    reads, whose ``str`` is its literal text.  So ``MatrixSpec.from_json``
+    reads an eigenvalue exactly from that text, while a dense entry, a
+    declared ``dim`` and every message see the float."""
+
+    __slots__ = ("text",)
+
+    def __new__(cls, text: str) -> "_JSONNumber":
+        number = super().__new__(cls, text)
+        number.text = text
+        return number
+
+    def __str__(self) -> str:
+        return self.text
+
+
 def _matrix_from_args(path: str | None, eigs: str | None, dim: int | None, option: str):
-    """One side's matrix: a JSON file, the eigenvalue list of ``option``,
-    or else the identity of size ``dim``; an entry of the list that does
-    not parse, or a file or list whose dimension is not a given ``dim``,
-    raises ``ValueError``."""
+    """One side's matrix: a JSON file, whose numbers are read as
+    :class:`_JSONNumber`, the eigenvalue list of ``option``, or else the
+    identity of size ``dim``; an entry of the list that does not parse, or
+    a file or list whose dimension is not a given ``dim``, raises
+    ``ValueError``."""
     if path is not None:
         with open(path, "r", encoding="utf-8") as handle:
-            spec = mo.MatrixSpec.from_json(json.load(handle))
+            spec = mo.MatrixSpec.from_json(json.load(handle, parse_float=_JSONNumber))
     elif eigs is not None:
         spec = mo.MatrixSpec.from_eigs(mo._parse_eigs(eigs.split(","), option))
     elif dim is not None:

@@ -127,9 +127,6 @@ class Pairing:
             if y == x or not 0 <= y < m or self.image[y] != x:
                 raise ValueError("image is not a fixed-point-free involution")
 
-    def __call__(self, x: int) -> int:
-        return self.image[x]
-
     def pairs(self) -> list[tuple[int, int]]:
         return [(x, y) for x, y in enumerate(self.image) if x < y]
 

@@ -3,6 +3,13 @@ independent oracle and reports one pass/fail line per check.
 
 The command-line ``verify`` subcommand runs them through :func:`run_suite`,
 and ``coeffs`` runs :func:`coeffs_self_check` before it prints a table.
+The ``complex``, ``corollaries`` and ``special`` suites compare against
+the oracle series of :mod:`~octamoment.hypermaps`
+(``oracle_monomial_expansion``, ``pairing_power_sum_series``), by
+coefficient or evaluated at identity matrices.  ``strata`` and the forest
+half of ``bijection`` walk each order's strata once (:func:`_strata`);
+``strata`` reads its per-stratum checks from one table of stratum values,
+and its whole-expansion check reads :func:`~octamoment.hypermaps.lp_table`.
 The self-check compares whole tables, and every (lambda, mu) view of a
 table keyed (lambda, mu, r) comes from :func:`~octamoment.hypermaps.by_pair`.
 The acceptance tests in ``tests/test_acceptance.py`` do not import this
@@ -21,13 +28,7 @@ from . import forests as fo
 from . import hypermaps as hm
 from . import moments as mo
 from .arrays import enumerate_M
-from .partitions import (
-    Partition,
-    aut,
-    falling,
-    odd_double_factorial,
-    partitions_of,
-)
+from .partitions import Partition, aut, odd_double_factorial, partitions_of
 
 __all__ = ["CheckResult", "run_suite", "SUITES", "coeffs_self_check"]
 
@@ -44,9 +45,21 @@ class CheckResult:
         )
 
 
+def _strata(n: int):
+    """The strata of order ``n`` as ``(lam, mu, r, a)``: for each ``lam``,
+    each ``mu`` and each ``r``, the arrays ``a`` of :func:`enumerate_M`."""
+    parts = partitions_of(n)
+    for lam in parts:
+        for mu in parts:
+            for r in range(n // 2 + 1):
+                for a in enumerate_M(lam, mu, r):
+                    yield lam, mu, r, a
+
+
 def suite_bijection(n_max: int = hm.DEFAULT_PARTITIONED_BOUND) -> list[CheckResult]:
     """Round trips both ways plus forest validity and degree preservation;
-    the forest side stops at the forest enumeration bound."""
+    the forest side stops at the forest enumeration bound.  Each half
+    reports its first failure."""
     results = []
     for n in range(1, n_max + 1):
         count = 0
@@ -78,19 +91,15 @@ def suite_bijection(n_max: int = hm.DEFAULT_PARTITIONED_BOUND) -> list[CheckResu
         oracle = hm.lp_by_array(n)
         checked = 0
         bad = None
-        for lam in partitions_of(n):
-            for mu in partitions_of(n):
-                for r in range(n // 2 + 1):
-                    for a in enumerate_M(lam, mu, r):
-                        forests = fo.enumerate_forests(a)
-                        if len(forests) != oracle.get(a, 0):
-                            bad = f"count mismatch at {a}"
-                            break
-                        for forest in forests:
-                            if fo.theta_forward(fo.theta_inverse(forest)) != forest:
-                                bad = f"reverse round trip failed at {a}"
-                                break
-                        checked += len(forests)
+        for *_, a in _strata(n):
+            forests = fo.enumerate_forests(a)
+            if len(forests) != oracle.get(a, 0):
+                bad = f"count mismatch at {a}"
+                break
+            if any(fo.theta_forward(fo.theta_inverse(f)) != f for f in forests):
+                bad = f"reverse round trip failed at {a}"
+                break
+            checked += len(forests)
         results.append(
             CheckResult(
                 f"bijection/forest-round-trip n={n}",
@@ -104,60 +113,48 @@ def suite_bijection(n_max: int = hm.DEFAULT_PARTITIONED_BOUND) -> list[CheckResu
 def suite_strata(n_max: int = hm.DEFAULT_PARTITIONED_BOUND) -> list[CheckResult]:
     """Per-stratum count, generic and continued, against the enumeration
     oracle, the full expansion assembly, the aggregated counts, and, once
-    ``n_max`` reaches its boundary case at n = 2, the flagged-set sanity."""
+    ``n_max`` reaches its boundary case at n = 2, the flagged-set sanity.
+    Each order's strata are walked once, into one table of their values."""
     results = []
-    flagged_seen = []
+    flagged = 0
+    documented = False
     for n in range(1, n_max + 1):
         oracle = hm.lp_by_array(n)
-        mismatches = 0
-        strata = 0
-        groups: dict[tuple[int, int, int, int, int], list] = {}
-        for lam in partitions_of(n):
-            for mu in partitions_of(n):
-                for r in range(n // 2 + 1):
-                    for a in enumerate_M(lam, mu, r):
-                        strata += 1
-                        key = (
-                            a.num_white + 1,
-                            a.num_white_root,
-                            a.num_black,
-                            a.num_black_root,
-                            r,
-                        )
-                        sv = cf.F_formula(a, n)
-                        groups.setdefault(key, []).append((a, sv.value))
-                        if sv.value != oracle.get(a, 0):
-                            mismatches += 1
-                        if not sv.well_defined:
-                            flagged_seen.append((n, lam, mu, r, a, oracle.get(a, 0)))
+        values = {s: cf.F_formula(s[-1], n) for s in _strata(n)}
+        mismatches = sum(sv.value != oracle.get(a, 0) for (*_, a), sv in values.items())
         results.append(
             CheckResult(
                 f"strata/per-stratum-count n={n}",
                 mismatches == 0,
-                f"{strata} strata, {mismatches} mismatches",
+                f"{len(values)} strata, {mismatches} mismatches",
             )
         )
-        agg_bad = 0
-        for (p, pp, q, qp, r), group in groups.items():
-            fc = cf.F_counts(p, pp, q, qp, r, n)
-            if fc != sum(value for _, value in group):
-                agg_bad += 1
-            if fc != sum(oracle.get(a, 0) for a, _ in group):
-                agg_bad += 1
+        sums: dict[tuple[int, int, int, int, int], tuple[int, int]] = {}
+        for (lam, mu, r, a), sv in values.items():
+            key = (a.num_white + 1, a.num_white_root, a.num_black, a.num_black_root, r)
+            formula, counted = sums.get(key, (0, 0))
+            sums[key] = (formula + sv.value, counted + oracle.get(a, 0))
+            if not sv.well_defined:
+                flagged += 1
+                documented |= (
+                    n == 2 and lam == mu == Partition([2]) and r == 1 and oracle.get(a, 0) == 1
+                )
         results.append(
             CheckResult(
                 f"strata/aggregated-count n={n}",
-                agg_bad == 0,
-                f"{len(groups)} profiles",
+                all(
+                    formula == counted == cf.F_counts(*key, n)
+                    for key, (formula, counted) in sums.items()
+                ),
+                f"{len(sums)} profiles",
             )
         )
         lp = hm.by_pair(hm.lp_table(n))
         expansion = cf.real_expansion(n)
         exp_bad = sum(
-            1
+            expansion.coeff(lam, mu) != aut(lam) * aut(mu) * lp.get((lam, mu), 0)
             for lam in partitions_of(n)
             for mu in partitions_of(n)
-            if expansion.coeff(lam, mu) != aut(lam) * aut(mu) * lp.get((lam, mu), 0)
         )
         symmetric = all(
             expansion.coeff(lam, mu) == expansion.coeff(mu, lam)
@@ -171,44 +168,39 @@ def suite_strata(n_max: int = hm.DEFAULT_PARTITIONED_BOUND) -> list[CheckResult]
                 f"{exp_bad} coefficient mismatches",
             )
         )
-    if n_max < 2:
-        return results
-    documented = any(
-        n == 2 and lam == Partition([2]) and mu == Partition([2]) and r == 1 and lp == 1
-        for n, lam, mu, r, _, lp in flagged_seen
-    )
-    results.append(
-        CheckResult(
-            "strata/flagged-set",
-            documented,
-            f"{len(flagged_seen)} flagged strata, documented boundary case "
-            + ("present" if documented else "MISSING"),
+    if n_max >= 2:
+        results.append(
+            CheckResult(
+                "strata/flagged-set",
+                documented,
+                f"{flagged} flagged strata, documented boundary case "
+                + ("present" if documented else "MISSING"),
+            )
         )
-    )
     return results
 
 
 def suite_complex(n_max: int = hm.DEFAULT_PAIRING_BOUND) -> list[CheckResult]:
-    """Complex coefficients against the orientable slice of the oracle."""
+    """Complex coefficients against the complex oracle series, the
+    orientable slice of the pairing counts."""
     results = []
     for n in range(1, n_max + 1):
-        orientable = hm.by_pair(hm.lp_from_pairings(n), 0)
+        oracle = hm.oracle_monomial_expansion(n, "complex")
         bad = 0
         zero_cases = 0
         for lam in partitions_of(n):
             for mu in partitions_of(n):
                 coeff = cf.complex_coeff(n, lam, mu)
-                if coeff != aut(lam) * aut(mu) * orientable.get((lam, mu), 0):
+                if coeff != oracle.coeff(lam, mu):
                     bad += 1
                 if lam.length + mu.length > n + 1:
                     zero_cases += 1
                     if coeff != 0:
                         bad += 1
-        series_ok = cf.complex_expansion(n) == hm.oracle_monomial_expansion(n, "complex")
         results.append(
             CheckResult(
                 f"complex/coefficients n={n}",
-                bad == 0 and series_ok,
+                bad == 0 and cf.complex_expansion(n) == oracle,
                 f"{zero_cases} zero cases included",
             )
         )
@@ -216,68 +208,45 @@ def suite_complex(n_max: int = hm.DEFAULT_PAIRING_BOUND) -> list[CheckResult]:
 
 
 def suite_corollaries(n_max: int | None = None) -> list[CheckResult]:
-    """Identity-matrix specializations at ranks ``l, m <= 5`` against both
-    oracle routes, for ``n <= n_max``; without ``n_max`` the real half runs
-    to n = 5 and the complex half to n = 7."""
+    """Identity-matrix specializations at ranks ``l, m <= 5`` against the
+    oracle series at ``1^l, 1^m`` (``p_lam(1^l) = l^len(lam)``, ``m_lam(1^l)
+    = (l)_len(lam) / Aut_lam``) for ``n <= n_max``: real against both bases,
+    complex against power sums.  Without ``n_max`` the real half runs to
+    n = 5 and the complex half to n = 7."""
     real_top, complex_top = (5, 7) if n_max is None else (n_max, n_max)
-    ranks = range(6)
+    ranks = [(l, m) for l in range(6) for m in range(6)]
     results = []
     for n in range(1, real_top + 1):
-        summed = hm.by_pair(hm.L_table(n))
-        lp_len: dict[tuple[int, int], int] = {}
-        for (nu, rho), c in hm.by_pair(hm.lp_from_pairings(n)).items():
-            key = (nu.length, rho.length)
-            lp_len[key] = lp_len.get(key, 0) + c
-        bad = 0
-        for l in ranks:
-            for m in ranks:
-                qr = cf.q_real(n, l, m)
-                via_b = sum(
-                    c * l**lam.length * m**mu.length
-                    for (lam, mu), c in summed.items()
-                )
-                via_lp = sum(
-                    c * falling(l, p) * falling(m, q)
-                    for (p, q), c in lp_len.items()
-                )
-                if not (qr == via_b == via_lp):
-                    bad += 1
-        results.append(
-            CheckResult(f"corollaries/real n={n}", bad == 0, "l,m <= 5")
+        power_sums, monomials = hm.pairing_power_sum_series(n), hm.oracle_monomial_expansion(n)
+        ok = all(
+            cf.q_real(n, l, m)
+            == power_sums.evaluate([1] * l, [1] * m)
+            == monomials.evaluate([1] * l, [1] * m)
+            for l, m in ranks
         )
+        results.append(CheckResult(f"corollaries/real n={n}", ok, "l,m <= 5"))
     for n in range(1, complex_top + 1):
-        c_table = hm.c_from_L(hm.L_table(n))
-        bad = 0
-        for l in ranks:
-            for m in ranks:
-                via_c = sum(
-                    c * l**lam.length * m**mu.length
-                    for (lam, mu), c in c_table.items()
-                )
-                if cf.q_compl(n, l, m) != via_c:
-                    bad += 1
-        results.append(
-            CheckResult(f"corollaries/complex n={n}", bad == 0, "l,m <= 5")
-        )
+        series = hm.pairing_power_sum_series(n, "complex")
+        ok = all(cf.q_compl(n, l, m) == series.evaluate([1] * l, [1] * m) for l, m in ranks)
+        results.append(CheckResult(f"corollaries/complex n={n}", ok, "l,m <= 5"))
     return results
 
 
 def suite_special(n_max: int = 6) -> list[CheckResult]:
-    """Single-black-vertex and hook coefficients plus the cell-sum identity."""
+    """Single-black-vertex and hook coefficients against the real oracle
+    series, plus the cell-sum identity."""
     results = []
     for n in range(1, n_max + 1):
-        lp = hm.by_pair(hm.lp_from_pairings(n))
+        oracle = hm.oracle_monomial_expansion(n)
         bad = []
         for lam in partitions_of(n):
-            expect = aut(lam) * lp.get((lam, Partition([n])), 0)
-            if cf.coeff_m_lambda_m_n(n, lam) != expect:
+            if cf.coeff_m_lambda_m_n(n, lam) != oracle.coeff(lam, Partition([n])):
                 bad.append(f"m_{lam} x m_n")
         for a in range(0, n + 1):
             value = cf.coeff_hook(n, a)
             if 2 * a <= n - 1:
                 hook = Partition([n - a] + [1] * a)
-                expect = aut(hook) ** 2 * lp.get((hook, hook), 0)
-                if value != expect:
+                if value != oracle.coeff(hook, hook):
                     bad.append(f"hook a={a}")
             elif value != 0:
                 bad.append(f"hook a={a} should vanish")

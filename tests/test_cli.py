@@ -8,18 +8,21 @@ import json
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from octamoment import cli, verify
 from octamoment import hypermaps as hm
+from octamoment.arrays import enumerate_M
 from octamoment.cli import main
 from octamoment.closedform import complex_expansion, iter_degenerate_strata, real_expansion
 from octamoment.forests import forest_to_json, theta_forward
 from octamoment.hypermaps import iter_partitioned_hypermaps
 from octamoment.moments import MatrixSpec, moment_real_exact
-from octamoment.partitions import format_rational
+from octamoment.partitions import format_rational, partitions_of
 from octamoment.symfun import MonomialExpansion
 
 
@@ -206,6 +209,29 @@ def test_suite_bijection_reports_each_failure(target, replacement, check, detail
     monkeypatch.setattr(verify, "fo", SimpleNamespace(**{**vars(verify.fo), target: replacement}))
     result = next(r for r in verify.suite_bijection(1) if r.name == check)
     assert not result.ok and result.detail.startswith(detail)
+
+
+def test_forest_half_of_bijection_reports_its_first_failure(monkeypatch):
+    strata = [
+        ((lam, mu, r), a)
+        for lam in partitions_of(2)
+        for mu in partitions_of(2)
+        for r in (0, 1)
+        for a in enumerate_M(lam, mu, r)
+    ]
+    (first_group, first), (last_group, last) = strata[0], strata[-1]
+    assert first_group != last_group  # a failure ends the walk, not one group of it
+    original = hm.lp_by_array
+
+    def tampered(n):
+        table = original(n)
+        if n == 2:
+            table = {**table, first: table.get(first, 0) + 1, last: table.get(last, 0) + 1}
+        return table
+
+    monkeypatch.setattr(hm, "lp_by_array", tampered)
+    result = next(r for r in verify.suite_bijection(2) if r.name == "bijection/forest-round-trip n=2")
+    assert (result.ok, result.detail) == (False, f"count mismatch at {first}")
 
 
 @pytest.mark.parametrize(
@@ -593,6 +619,60 @@ def test_coeffs_self_check_fails_on_a_tampered_table(oracle, tamper, argv, line,
     assert code == 1
     assert captured.out == ""
     assert captured.err.splitlines() == [line]
+
+
+def _raise_one_orientable_count(table):
+    key = next(key for key in table if key[2] == 0)
+    return {**table, key: table[key] + 1}
+
+
+@pytest.mark.parametrize(
+    ("oracle", "tamper", "suite", "lines"),
+    [
+        ("lp_by_array", _raise_one_count, "strata", [
+            "FAIL strata/per-stratum-count n=1: 1 strata, 1 mismatches",
+            "FAIL strata/aggregated-count n=1: 1 profiles",
+            "FAIL strata/per-stratum-count n=2: 5 strata, 1 mismatches",
+            "FAIL strata/aggregated-count n=2: 5 profiles",
+            "FAIL strata/per-stratum-count n=3: 21 strata, 1 mismatches",
+            "FAIL strata/aggregated-count n=3: 18 profiles",
+            "FAIL strata/flagged-set: 8 flagged strata, documented boundary case MISSING",
+        ]),
+        ("lp_table", _raise_one_count, "strata", [
+            f"FAIL strata/real-expansion n={n}: 1 coefficient mismatches" for n in (1, 2, 3)
+        ]),
+        ("lp_from_pairings", _raise_one_orientable_count, "complex", [
+            f"FAIL complex/coefficients n={n}: {zeros} zero cases included"
+            for n, zeros in ((1, 0), (2, 1), (3, 3))
+        ]),
+        ("lp_from_pairings", _raise_one_count, "special", [
+            f"FAIL special/coefficients n={n}: m_Partition({n},) x m_n; hook a=0" for n in (1, 2, 3)
+        ]),
+        ("L_table", _raise_one_count, "corollaries", [
+            *(f"FAIL corollaries/real n={n}: l,m <= 5" for n in (1, 2, 3)),
+            "FAIL corollaries/complex n=1: l,m <= 5",
+        ]),
+        ("lp_from_pairings", _raise_one_count, "corollaries", [
+            f"FAIL corollaries/real n={n}: l,m <= 5" for n in (1, 2, 3)
+        ]),
+    ],
+    ids=["strata-by-array", "strata-by-types", "complex", "special", "corollaries-pairings",
+         "corollaries-partitioned"],
+)
+def test_verify_fails_on_a_tampered_oracle(oracle, tamper, suite, lines, monkeypatch, capsys):
+    # L_table feeds the cached lp_from_pairings: its cache is cleared around
+    # the run, so the tampered counts reach it and do not outlive the test.
+    cached = hm.lp_from_pairings
+    original = getattr(hm, oracle)
+    monkeypatch.setattr(hm, oracle, lambda n: tamper(original(n)))
+    cached.cache_clear()
+    try:
+        code = main(["verify", "--suite", suite, "--n-max", "3"])
+    finally:
+        cached.cache_clear()
+    out = capsys.readouterr().out
+    assert code == 1
+    assert [line for line in out.splitlines() if line.startswith("FAIL")] == lines
 
 
 def test_expansion_domain_error_exits_3_with_one_line(capsys):
@@ -983,6 +1063,72 @@ def _one_error_line(argv, content, tmp_path, capsys) -> str:
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("octamoment: error: ")
     return lines[0]
+
+
+def _mc_on_matrix_text(text, tmp_path, capsys):
+    """``mc --n 1`` with X read from ``text`` and Y = I_2: exit code, stdout
+    and stderr."""
+    path = tmp_path / "x.json"
+    path.write_text(text, encoding="utf-8")
+    code = main(["mc", "--n", "1", "--matrix-x", str(path), "--y-eigs", "1,1", "--samples", "2"])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "literal, eig",
+    [
+        ("1e-400", Fraction(1, 10**400)),
+        ("0.30000000000000000001", Fraction(30000000000000000001, 10**20)),
+        ("1.5E-3", Fraction(3, 2000)),
+    ],
+    ids=["below-the-float-range", "more-digits-than-a-double", "capital-exponent"],
+)
+def test_matrix_file_eigenvalues_are_read_from_their_literal_text(literal, eig, tmp_path, capsys):
+    # A float would have read 1e-400 as 0 and the long literal as 0.3.
+    code, out, err = _mc_on_matrix_text(f'{{"eigs": [{literal}, 1]}}', tmp_path, capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["exact_rational"] == format_rational(2 * (eig + 1))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"eigs": [1e400, 1]}', "an eigenvalue lies beyond the float range of Monte Carlo"),
+        ('{"eigs": ["1e400", 1]}', "an eigenvalue lies beyond the float range of Monte Carlo"),
+        ('{"eigs": [1e100000000, 1]}',
+         "'eigs' entry 0: rational '1e100000000' has an exponent beyond "
+         f"{getattr(sys, 'get_int_max_str_digits', lambda: 0)() or 4300} in magnitude"),
+        ('{"dim": 2.0, "eigs": [1, 1]}', "declared dim must be an integer, got 2.0"),
+        ('{"entries": [[1.5, [2.5, 1e-400, 0]], [2.5, 1]]}',
+         "entry (0, 1) must be a number or an [re, im] pair, got [2.5, 0.0, 0]"),
+    ],
+    ids=["number-beyond-the-float-range", "string-beyond-the-float-range", "huge-exponent",
+         "float-dim", "three-numbers-for-a-pair"],
+)
+def test_matrix_file_numbers_keep_their_messages(text, message, tmp_path, capsys):
+    code, out, err = _mc_on_matrix_text(text, tmp_path, capsys)
+    assert (code, out) == (3, "")
+    assert err.splitlines() == [f"octamoment: error: {message}"]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"entries": [[0.1, 0.30000000000000000001], [0.3, 1e-400]]}',
+        '{"entries": [[0.1, [0.30000000000000000001, 1e-400]], [[0.3, -1e-400], 2.5E0]]}',
+    ],
+    ids=["real", "complex"],
+)
+def test_matrix_file_dense_entries_are_the_floats_json_reads(text, tmp_path):
+    path = tmp_path / "x.json"
+    path.write_text(text, encoding="utf-8")
+    spec = cli._matrix_from_args(str(path), None, None, "--x-eigs")
+    rows = json.loads(text)["entries"]
+    expected = np.array([[complex(*x) if isinstance(x, list) else x for x in row] for row in rows])
+    assert spec.entries.dtype == expected.dtype
+    assert spec.entries.dtype in (np.float64, np.complex128)
+    assert spec.entries.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])

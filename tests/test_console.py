@@ -53,6 +53,9 @@ DIGESTS = [
     ("expansion --n 10 --field real", 0, "638678b103b3bdf05542a4a043df5c035e1e244499647adfe803ede57ea4017c"),
     ("verify --suite corollaries", 0, "180de49b68a6647b1690fa3a366ff05b00b5e2d97c683074b6a33ff2f5e5f079"),
     ("verify --suite bijection", 0, "bfe8b54ffe4ab9e9d403e428deb18ba15998b3dbb9419f3efee324d2ef221b77"),
+    ("verify --suite strata", 0, "c44e6b3f5f5d2f65977442e6d90541d7e41c5abcd1d5c5585dddf5c855628b13"),
+    ("verify --suite complex", 0, "5e030deb423e5a48dbc759425be88ab2506b36c4c87022f90c0173671f8b9709"),
+    ("verify --suite special", 0, "8fe60f78cb4ef5503c60e67ffe7ccc265ccbb3cc02a6cabd843930759bcb59d4"),
     ("coeffs --n 7 --kind b --format json", 0, "a3a8f9d33f350b31cdff32dba8b0e010e55a9c18e511031c620f994ad07d2ead"),
     ("coeffs --n 7 --kind c --format json", 0, "9ff6bb4175e3e1229b6ada729ba5657d3dba4594854151956a10c10250793c81"),
     ("coeffs --n 7 --kind L --format json", 0, "feb9e0ca1fef526f8729fb69e4b19dbd0c9d4758952d27b9d5e5f409b0393c02"),
