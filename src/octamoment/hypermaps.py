@@ -23,6 +23,13 @@ reads the pairing table; the monomial series
 (:func:`oracle_monomial_expansion`) reads its one p -> m refinement,
 :func:`lp_from_pairings`.
 
+The partitioned tables :func:`lp_table` and :func:`lp_by_array` come from
+one walk over every pairing f3: the white blocks are any union of the
+orbits of <f1, f3> and the black blocks any union of the orbits of
+<f2, f3>, chosen independently, so the walk tallies every grouping of
+each side once and combines the two sides by count.
+:func:`iter_partitioned_hypermaps` builds the same objects one by one.
+
 Everything here is brute force by design; these are the oracles the
 closed formulas are checked against.
 """
@@ -82,7 +89,7 @@ __all__ = [
 ]
 
 DEFAULT_PAIRING_BOUND = 7       # (2*7-1)!! = 135135 pairings
-DEFAULT_PARTITIONED_BOUND = 5   # 945 pairings x block merges
+DEFAULT_PARTITIONED_BOUND = 5   # 945 pairings, every grouping of each side, combined by count
 DEFAULT_CLASS_BOUND = 8         # iterates over S_n
 DEFAULT_COSET_BOUND = 3         # iterates over S_{2n}
 
@@ -492,7 +499,8 @@ class PartitionedHypermap:
 
 
 def _orbits(a: Sequence[int], b: Sequence[int]) -> list[frozenset[int]]:
-    """Orbits of the group generated by two involutions (as image lists)."""
+    """Orbits of the group generated by two involutions (as image lists),
+    in the order of their least elements."""
     m = len(a)
     seen = bytearray(m)
     orbits: list[frozenset[int]] = []
@@ -535,56 +543,115 @@ def iter_partitioned_hypermaps(n: int) -> Iterator[PartitionedHypermap]:
                 yield PartitionedHypermap.make(f3, pi1, pi2)
 
 
-def degree_array(h: PartitionedHypermap) -> ArrayTuple:
-    """Classify the blocks of a partitioned hypermap into the degree arrays.
+def _block_summary(
+    block: frozenset[int], f3: Sequence[int], n: int, white: bool
+) -> tuple[int, int, tuple[int, bool]]:
+    """The rule that makes a block of one side a vertex of a degree array,
+    as ``(i, j, (top, root))``: the degree ``i`` is half the block's size,
+    the loop count ``j`` its number of same-kind pairs (non-hat/non-hat
+    for a white block, hat/hat for a black one), and ``top`` its largest
+    non-hat label (white) or its largest label (black).  The block is a
+    root iff f3 matches ``top`` to a non-hat (white) or a hat (black)
+    label.  For a union of f3-stable blocks ``i`` and ``j`` add up and the
+    largest ``(top, root)`` is the union's."""
+    if white:
+        j = sum(1 for x in block if x < n and f3[x] < n) // 2
+        top = max(x for x in block if x < n)
+        return len(block) // 2, j, (top, f3[top] < n)
+    j = sum(1 for x in block if x >= n and f3[x] >= n) // 2
+    top = max(block)
+    return len(block) // 2, j, (top, f3[top] >= n)
 
-    A white block not containing label 1 is a root iff its maximum non-hat
-    element is matched to a non-hat element; a black block is a root iff
-    its maximum is matched to a hat element; the block containing 1
-    provides (i0, j0).
-    """
+
+def degree_array(h: PartitionedHypermap) -> ArrayTuple:
+    """Classify the blocks of a partitioned hypermap into the degree arrays
+    by the rule of :func:`_block_summary`; the block of pi1 containing
+    label 1 provides (i0, j0)."""
     n = h.f3.n
     f3 = h.f3.image
     seed = None
     vertices = []
-    for block in h.pi1:
-        i = len(block) // 2
-        j = sum(1 for x in block if x < n and f3[x] < n) // 2
-        if 0 in block:
-            seed = (i, j)
-            continue
-        top = max(x for x in block if x < n)
-        vertices.append(("w", f3[top] < n, i, j))
-    for block in h.pi2:
-        i = len(block) // 2
-        j = sum(1 for x in block if x >= n and f3[x] >= n) // 2
-        vertices.append(("b", f3[max(block)] >= n, i, j))
+    for color, blocks in (("w", h.pi1), ("b", h.pi2)):
+        for block in blocks:
+            i, j, (_, root) = _block_summary(block, f3, n, color == "w")
+            if color == "w" and 0 in block:
+                seed = (i, j)
+            else:
+                vertices.append((color, root, i, j))
     if seed is None:
         raise ValueError("no block of pi1 contains label 1")
     return ArrayTuple.from_vertices(*seed, vertices)
 
 
+def _side_classes(f3: Sequence[int], walk: Sequence[int], n: int, white: bool) -> dict:
+    """Every grouping of the orbits of <walk, f3> into the blocks of one
+    side, tallied by the sorted profiles ``(color, root, i, j)`` of its
+    blocks; on the white side the block holding label 1 is the seed, keyed
+    apart by its ``(i, j)``.  Each orbit is summarized once."""
+    color = "w" if white else "b"
+    # _orbits lists the orbit of label 1 first and set_partitions keeps the
+    # first item in the first block, so that block is the white seed.
+    orbits = [_block_summary(orbit, f3, n, white) for orbit in _orbits(f3, walk)]
+    classes: dict = {}
+    for grouping in set_partitions(orbits):
+        profiles = []
+        for block in grouping:
+            degrees, loops, tops = zip(*block)
+            profiles.append((color, max(tops)[1], sum(degrees), sum(loops)))
+        if white:
+            seed = profiles.pop(0)[2:]
+            key = (seed, tuple(sorted(profiles)))
+        else:
+            key = tuple(sorted(profiles))
+        classes[key] = classes.get(key, 0) + 1
+    return classes
+
+
 @lru_cache(maxsize=None)
 def _lp_data(n: int):
+    """Both partitioned-hypermap tables of order ``n``: (:func:`lp_table`,
+    :func:`lp_by_array`).
+
+    One walk visits every pairing f3.  Its white blocks pi1 are any union
+    of the orbits of <f1, f3> and its black blocks pi2 any union of the
+    orbits of <f2, f3>, chosen independently, so the walk tallies every
+    grouping of each side once (:func:`_side_classes`) and counts each
+    pair of a white and a black class by the product of their tallies.
+    Every (f3, pi1, pi2) is counted once, but none is built.  A pair of
+    classes is one degree array, so each distinct :class:`ArrayTuple` is
+    built once, at the end, and gives its types and r."""
+    if n > DEFAULT_PARTITIONED_BOUND:
+        raise BoundExceededError("partitioned hypermap enumeration", n, DEFAULT_PARTITIONED_BOUND)
+    f1 = canonical_f1(n).image
+    f2 = canonical_f2(n).image
+    pairs: dict = {}
+    for image in iter_pairing_images(2 * n):
+        black = _side_classes(image, f2, n, False)
+        for white, cw in _side_classes(image, f1, n, True).items():
+            for side, cb in black.items():
+                key = (white, side)
+                pairs[key] = pairs.get(key, 0) + cw * cb
     table: dict[tuple[Partition, Partition, int], int] = {}
     by_array: dict[ArrayTuple, int] = {}
-    for h in iter_partitioned_hypermaps(n):
-        key = (h.white_type(), h.black_type(), h.r)
-        table[key] = table.get(key, 0) + 1
-        arr = degree_array(h)
-        by_array[arr] = by_array.get(arr, 0) + 1
+    for ((seed, white), black), count in pairs.items():
+        a = ArrayTuple.from_vertices(*seed, white + black)
+        by_array[a] = count
+        key = (a.white_type(), a.black_type(), a.loop_pairs)
+        table[key] = table.get(key, 0) + count
     return MappingProxyType(table), MappingProxyType(by_array)
 
 
 def lp_table(n: int) -> Mapping:
-    """Counts of partitioned hypermaps keyed (white type, black type, r);
-    cached and read-only."""
+    """Counts of partitioned hypermaps keyed (white type, black type, r),
+    from the one walk of :func:`_lp_data` over every pairing and every
+    grouping of each side, the two sides combined by count; cached and
+    read-only."""
     return _lp_data(n)[0]
 
 
 def lp_by_array(n: int) -> Mapping[ArrayTuple, int]:
-    """Counts of partitioned hypermaps keyed by their degree array; cached
-    and read-only."""
+    """Counts of partitioned hypermaps keyed by their degree array, from
+    the same walk as :func:`lp_table`; cached and read-only."""
     return _lp_data(n)[1]
 
 

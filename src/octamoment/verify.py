@@ -28,7 +28,7 @@ from . import forests as fo
 from . import hypermaps as hm
 from . import moments as mo
 from .arrays import enumerate_M
-from .partitions import Partition, aut, odd_double_factorial, partitions_of
+from .partitions import Partition, aut, format_partition, odd_double_factorial, partitions_of
 
 __all__ = ["CheckResult", "run_suite", "SUITES", "coeffs_self_check"]
 
@@ -241,7 +241,7 @@ def suite_special(n_max: int = 6) -> list[CheckResult]:
         bad = []
         for lam in partitions_of(n):
             if cf.coeff_m_lambda_m_n(n, lam) != oracle.coeff(lam, Partition([n])):
-                bad.append(f"m_{lam} x m_n")
+                bad.append(f"m_{format_partition(lam)} x m_n")
         for a in range(0, n + 1):
             value = cf.coeff_hook(n, a)
             if 2 * a <= n - 1:
@@ -252,7 +252,7 @@ def suite_special(n_max: int = 6) -> list[CheckResult]:
                 bad.append(f"hook a={a} should vanish")
         for lam in partitions_of(n):
             if not cf.remark_identity_check(lam):
-                bad.append(f"cell-sum identity at {lam}")
+                bad.append(f"cell-sum identity at {format_partition(lam)}")
         results.append(
             CheckResult(f"special/coefficients n={n}", not bad, "; ".join(bad))
         )

@@ -344,10 +344,11 @@ def test_dot_export_mentions_every_vertex():
 
 
 @st.composite
-def random_hypermaps(draw):
-    """A partitioned hypermap with 6 to 9 edges, past the enumeration bound:
-    a random pairing f3 and random unions of its white and black orbits."""
-    n = draw(st.integers(DEFAULT_PARTITIONED_BOUND + 1, 9))
+def random_hypermaps(draw, low=DEFAULT_PARTITIONED_BOUND + 1, high=9):
+    """A partitioned hypermap with ``low`` to ``high`` edges (by default 6
+    to 9, past the enumeration bound): a random pairing f3 and random
+    unions of its white and black orbits."""
+    n = draw(st.integers(low, high))
     order = draw(st.permutations(range(2 * n)))
     f3 = Pairing.from_pairs(n, list(zip(order[::2], order[1::2])))
     partitions = []
@@ -371,3 +372,14 @@ def test_round_trip_beyond_the_enumeration_bound(h):
     assert theta_inverse(forest) == h
     assert forest_degree(forest) == degree_array(h)
     assert degree_array(h) in enumerate_M(h.white_type(), h.black_type(), h.r)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(h=random_hypermaps(10, 40))
+def test_round_trip_of_large_random_hypermaps(h):
+    assert h.validate() == []
+    forest = theta_forward(h)
+    assert validate_forest(forest) == []
+    assert theta_inverse(forest) == h
+    assert forest_degree(forest) == degree_array(h)
+    assert degree_array(h).validate() == []

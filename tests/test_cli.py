@@ -646,7 +646,7 @@ def _raise_one_orientable_count(table):
             for n, zeros in ((1, 0), (2, 1), (3, 3))
         ]),
         ("lp_from_pairings", _raise_one_count, "special", [
-            f"FAIL special/coefficients n={n}: m_Partition({n},) x m_n; hook a=0" for n in (1, 2, 3)
+            f"FAIL special/coefficients n={n}: m_{n} x m_n; hook a=0" for n in (1, 2, 3)
         ]),
         ("L_table", _raise_one_count, "corollaries", [
             *(f"FAIL corollaries/real n={n}: l,m <= 5" for n in (1, 2, 3)),
@@ -673,6 +673,19 @@ def test_verify_fails_on_a_tampered_oracle(oracle, tamper, suite, lines, monkeyp
     out = capsys.readouterr().out
     assert code == 1
     assert [line for line in out.splitlines() if line.startswith("FAIL")] == lines
+
+
+def test_special_names_a_failing_partition_by_its_parts(monkeypatch, capsys):
+    original = verify.cf.remark_identity_check
+    monkeypatch.setattr(
+        verify.cf, "remark_identity_check", lambda lam: lam != (2, 1) and original(lam)
+    )
+    code = main(["verify", "--suite", "special", "--n-max", "3"])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert [line for line in out.splitlines() if line.startswith("FAIL")] == [
+        "FAIL special/coefficients n=3: cell-sum identity at 2,1"
+    ]
 
 
 def test_expansion_domain_error_exits_3_with_one_line(capsys):

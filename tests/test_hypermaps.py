@@ -1,6 +1,7 @@
 """Enumeration oracles: pairings, class tables, partitioned hypermaps."""
 
 import hashlib
+from collections import Counter
 from math import factorial
 
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from octamoment.arrays import ArrayTuple
 from octamoment.hypermaps import (
     DEFAULT_PAIRING_BOUND,
+    DEFAULT_PARTITIONED_BOUND,
     BoundExceededError,
     L_table,
     Pairing,
@@ -237,6 +239,28 @@ def test_lp_counts_against_refinement_identity():
                             if c2:
                                 expected += c1 * c2 * table.get((lam, mu, r), 0)
                     assert lp.get((nu, rho, r), 0) == expected
+
+
+@pytest.mark.parametrize("n", range(1, DEFAULT_PARTITIONED_BOUND + 1))
+def test_lp_tables_equal_a_per_object_tally(n):
+    # The tables combine the two sides by count; every object built and
+    # classified one by one must give the same tallies.
+    by_types, by_array = Counter(), Counter()
+    for h in iter_partitioned_hypermaps(n):
+        by_types[h.white_type(), h.black_type(), h.r] += 1
+        by_array[degree_array(h)] += 1
+    assert dict(lp_table(n)) == dict(by_types)
+    assert dict(lp_by_array(n)) == dict(by_array)
+    assert sum(lp_table(n).values()) == sum(lp_by_array(n).values()) == sum(by_types.values())
+
+
+@pytest.mark.parametrize("table", [lp_table, lp_by_array])
+def test_lp_tables_keep_their_bound(table):
+    with pytest.raises(BoundExceededError, match="fixed size bound 5$") as info:
+        table(DEFAULT_PARTITIONED_BOUND + 1)
+    assert (info.value.n, info.value.bound) == (6, 5)
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        table(0)
 
 
 def test_lp_examples_n2():
