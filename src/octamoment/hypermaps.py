@@ -21,7 +21,10 @@ class-algebra coefficients (:func:`c_from_L`) and both oracle series are
 its views.  The power-sum series (:func:`pairing_power_sum_series`)
 reads the pairing table; the monomial series
 (:func:`oracle_monomial_expansion`) reads its one p -> m refinement,
-:func:`lp_from_pairings`.
+:func:`lp_from_pairings`.  :func:`L_table` walks every pairing, keeps
+the closed vertices of each side as one integer code and tallies the
+last two pairs of each pairing in place; it and
+:func:`class_connection_table` build each distinct type once, at the end.
 
 The partitioned tables :func:`lp_table` and :func:`lp_by_array` come from
 one walk over every pairing f3: the white blocks are any union of the
@@ -281,9 +284,15 @@ def L_table(n: int) -> Mapping:
     alternating paths of <f, f3>: ``end[x]`` is the other endpoint of the
     path ending at x and ``size[x]`` its number of f-edges.  A pair
     (lo, b) either closes a path into a vertex of degree k, a part k of
-    the half cycle type (``cnt[k] += 1``), or joins two paths; each change
-    is undone on backtrack.  Every pairing is still visited, so the table
-    stays a brute-force count.
+    the half cycle type, or joins two paths; each change is undone on
+    backtrack.  The closed vertices of a side are one integer code, to
+    which a vertex of degree k adds ``(n+1)**k``.  With two pairs left
+    each side has two open paths, of sizes s and t: the one pairing of
+    the four free labels that follows them closes both (degrees s and t),
+    and the other two join them into one vertex of degree s + t, so the
+    three pairings are tallied in place.  Each distinct code becomes a
+    :class:`Partition` once, at the end.  Every pairing is still visited,
+    so the table stays a brute-force count.
     """
     if n > DEFAULT_PAIRING_BOUND:
         raise BoundExceededError("pairing classification", n, DEFAULT_PAIRING_BOUND)
@@ -292,61 +301,65 @@ def L_table(n: int) -> Mapping:
     end2 = list(canonical_f2(n).image)
     size1 = [1] * m
     size2 = [1] * m
-    cnt1 = [0] * (n + 1)
-    cnt2 = [0] * (n + 1)
     free = [True] * m
-    raw: dict[tuple[tuple[int, ...], tuple[int, ...], int], int] = {}
+    pw = [(n + 1) ** k for k in range(n + 1)]
+    raw: dict[tuple[int, int, int], int] = {}
 
-    def place(lo: int, r: int) -> None:
+    def place(lo: int, left: int, r: int, code1: int, code2: int) -> None:
         while lo < m and not free[lo]:
             lo += 1
-        if lo == m:
-            key = (tuple(cnt1), tuple(cnt2), r)
+        if left < 2:  # n = 1: the single pair closes both paths
+            key = (code1 + pw[1], code2 + pw[1], r + (lo >= n))
             raw[key] = raw.get(key, 0) + 1
             return
-        free[lo] = False
         if lo >= n:
             r += 1
+        if left == 2:
+            b, c, d = [x for x in range(lo + 1, m) if free[x]]
+            a1, a2 = end1[lo], end2[lo]
+            s1, t1 = size1[lo], size1[c if a1 == b else b]
+            s2, t2 = size2[lo], size2[c if a2 == b else b]
+            for x, rx in ((b, r + (c >= n)), (c, r + (b >= n)), (d, r + (b >= n))):
+                key = (
+                    code1 + (pw[s1] + pw[t1] if a1 == x else pw[s1 + t1]),
+                    code2 + (pw[s2] + pw[t2] if a2 == x else pw[s2 + t2]),
+                    rx,
+                )
+                raw[key] = raw.get(key, 0) + 1
+            return
+        free[lo] = False
         for b in range(lo + 1, m):
             if not free[b]:
                 continue
             free[b] = False
             a1, b1, a2, b2 = end1[lo], end1[b], end2[lo], end2[b]
-            if a1 == b:
-                cnt1[size1[lo]] += 1
-            else:
+            if a1 != b:
                 end1[a1], end1[b1] = b1, a1
                 size1[a1] = size1[b1] = size1[lo] + size1[b]
-            if a2 == b:
-                cnt2[size2[lo]] += 1
-            else:
+            if a2 != b:
                 end2[a2], end2[b2] = b2, a2
                 size2[a2] = size2[b2] = size2[lo] + size2[b]
-            place(lo + 1, r)
-            if a1 == b:
-                cnt1[size1[lo]] -= 1
-            else:
+            code1b = code1 + pw[size1[lo]] if a1 == b else code1
+            code2b = code2 + pw[size2[lo]] if a2 == b else code2
+            place(lo + 1, left - 1, r, code1b, code2b)
+            if a1 != b:
                 end1[a1], end1[b1] = lo, b
                 size1[a1], size1[b1] = size1[lo], size1[b]
-            if a2 == b:
-                cnt2[size2[lo]] -= 1
-            else:
+            if a2 != b:
                 end2[a2], end2[b2] = lo, b
                 size2[a2], size2[b2] = size2[lo], size2[b]
             free[b] = True
         free[lo] = True
 
-    place(0, 0)
+    place(0, n, 0, 0, 0)
 
-    def partition(cnt: tuple[int, ...]) -> Partition:
-        return Partition(k for k in range(n, 0, -1) for _ in range(cnt[k]))
-
-    entries: dict[tuple[Partition, Partition, int], int] = {}
-    for (c1, c2, r), count in raw.items():
-        lam, mu = partition(c1), partition(c2)
-        if lam.n != n or mu.n != n:
-            raise AssertionError(f"vertex degrees {lam}, {mu} do not sum to {n}")
-        entries[(lam, mu, r)] = count
+    types: dict[int, Partition] = {}
+    for code in {c for key in raw for c in key[:2]}:
+        lam = Partition(k for k in range(n, 0, -1) for _ in range(code // pw[k] % (n + 1)))
+        if lam.n != n:
+            raise AssertionError(f"vertex degrees {lam} do not sum to {n}")
+        types[code] = lam
+    entries = {(types[c1], types[c2], r): count for (c1, c2, r), count in raw.items()}
     expected = odd_double_factorial(n)
     if sum(entries.values()) != expected:
         raise AssertionError(f"pairing count mismatch: {sum(entries.values())} != {expected}")
@@ -659,19 +672,21 @@ def lp_by_array(n: int) -> Mapping[ArrayTuple, int]:
 def class_connection_table(n: int) -> Mapping:
     """For the fixed n-cycle g = (1 2 ... n), the number of ways to write
     g = a∘b with a, b of prescribed cycle types, keyed (type a, type b);
-    cached and read-only."""
+    cached and read-only.  Every permutation a is visited and tallied by
+    its sorted cycle lengths and those of b; each distinct pair becomes
+    two :class:`Partition` keys once, at the end."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > DEFAULT_CLASS_BOUND:
         raise BoundExceededError("class algebra product", n, DEFAULT_CLASS_BOUND)
     gamma = tuple((x + 1) % n for x in range(n))
-    table: dict[tuple[Partition, Partition], int] = {}
+    raw: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
     for alpha in itertools.permutations(range(n)):
         inv = _inverse(alpha)
-        beta = tuple(inv[gamma[x]] for x in range(n))
-        key = (cycle_type(alpha), cycle_type(beta))
-        table[key] = table.get(key, 0) + 1
-    return MappingProxyType(table)
+        beta = [inv[gamma[x]] for x in range(n)]
+        key = (tuple(_cycle_lengths(alpha)), tuple(_cycle_lengths(beta)))
+        raw[key] = raw.get(key, 0) + 1
+    return MappingProxyType({(Partition(a), Partition(b)): c for (a, b), c in raw.items()})
 
 
 @lru_cache(maxsize=None)

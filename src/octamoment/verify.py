@@ -308,9 +308,12 @@ def suite_mc(samples: int = 200_000, seed: int = 20240801) -> list[CheckResult]:
 
 def coeffs_self_check(n: int) -> list[CheckResult]:
     """Internal cross-checks behind the coefficient tables, each a
-    comparison of whole tables: pairing totals, the class-algebra route
-    (n <= 8), the double-coset route and coset sizes (n <= 3), and the
-    symmetry of the r-summed table and of its r = 0 slice."""
+    comparison of whole tables: pairing totals, the class-algebra route,
+    the double-coset route and coset sizes (n <= 3), and the symmetry of
+    the r-summed table and of its r = 0 slice.  Reachable for n <= 7,
+    the pairing bound: past it :func:`hm.L_table` raises before any
+    check runs, so the class-algebra route (bound 8) runs for every
+    reachable n."""
     results = []
     table = hm.L_table(n)
     total, expected = sum(table.values()), odd_double_factorial(n)

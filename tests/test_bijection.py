@@ -2,6 +2,7 @@
 exhaustive forest enumeration, and the fully printed 11-edge example."""
 
 import dataclasses
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -377,6 +378,45 @@ def test_round_trip_beyond_the_enumeration_bound(h):
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(h=random_hypermaps(10, 40))
 def test_round_trip_of_large_random_hypermaps(h):
+    assert h.validate() == []
+    forest = theta_forward(h)
+    assert validate_forest(forest) == []
+    assert theta_inverse(forest) == h
+    assert forest_degree(forest) == degree_array(h)
+    assert degree_array(h).validate() == []
+
+
+def swapped_hypermap(n, walk, seed):
+    """A partitioned hypermap whose f3 is ``walk(n)`` with k = 1..3 random
+    partner swaps, and that k.  Each swap joins at most two pairs of
+    orbits, so the side of ``walk`` (white for f1, black for f2) keeps at
+    least n - 2k orbits; each stays a block.  The other side's orbits are
+    joined at random."""
+    rng = random.Random(seed)
+    pairs = walk(n).pairs()
+    k = rng.randint(1, 3)
+    for _ in range(k):
+        i, j = rng.sample(range(n), 2)
+        (a, b), (c, d) = pairs[i], pairs[j]
+        pairs[i], pairs[j] = rng.choice([((a, c), (b, d)), ((a, d), (b, c))])
+    f3 = Pairing.from_pairs(n, pairs)
+    partitions = []
+    for side in (canonical_f1, canonical_f2):
+        orbits = _orbits(f3.image, side(n).image)
+        blocks = {}
+        for index, orbit in enumerate(orbits):
+            label = index if side is walk else rng.randrange(len(orbits))
+            blocks[label] = blocks.get(label, frozenset()) | orbit
+        partitions.append(list(blocks.values()))
+    return PartitionedHypermap.make(f3, *partitions), k
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("walk", [canonical_f1, canonical_f2])
+@pytest.mark.parametrize("n", [10, 20, 40])
+def test_round_trip_of_hypermaps_with_many_blocks_on_one_side(n, walk, seed):
+    h, k = swapped_hypermap(n, walk, seed)
+    assert len(h.pi1 if walk is canonical_f1 else h.pi2) >= n - 2 * k
     assert h.validate() == []
     forest = theta_forward(h)
     assert validate_forest(forest) == []

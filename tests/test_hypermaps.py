@@ -192,11 +192,21 @@ def test_class_connection_examples():
 
 
 def test_class_connection_equals_orientable_slice():
-    for n in range(1, 7):
+    for n in range(1, DEFAULT_PAIRING_BOUND + 1):
         table = L_table(n)
         for lam in partitions_of(n):
             for mu in partitions_of(n):
                 assert class_connection_table(n).get((lam, mu), 0) == table.get((lam, mu, 0), 0)
+
+
+@pytest.mark.parametrize("n", range(1, DEFAULT_PAIRING_BOUND + 1))
+def test_pairing_and_class_table_keys_are_partitions_of_n(n):
+    # Partition subclasses tuple, so the equality tests would also pass
+    # on plain-tuple keys
+    keys = [key[:2] for key in L_table(n)] + list(class_connection_table(n))
+    for lam, mu in keys:
+        assert type(lam) is Partition and type(mu) is Partition
+        assert lam.n == mu.n == n
 
 
 def test_double_coset_oracle():
