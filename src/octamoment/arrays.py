@@ -96,7 +96,8 @@ class ArrayTuple:
         for color, root, i, j in vertices:
             cell = tally[color, root]
             cell[i, j] = cell.get((i, j), 0) + 1
-        return cls(*(cells_of(tally[kind]) for kind in _KINDS), seed_degree, seed_loops)
+        cells = (cells_of(cell) if cell else () for cell in tally.values())
+        return cls(*cells, seed_degree, seed_loops)
 
     def vertices(self) -> Iterator[Profile]:
         """The profile of every non-seed vertex, in field order."""

@@ -483,7 +483,7 @@ class PartitionedHypermap:
                     if stab[x] not in block or f3[x] not in block:
                         problems.append(f"{name} block {sorted(block)} is not stable")
                         break
-                hats = sum(1 for x in block if x >= n)
+                hats = len([x for x in block if x >= n])
                 if 2 * hats != len(block):
                     problems.append(f"{name} block {sorted(block)} is hat-unbalanced")
             if covered != ground:

@@ -2,6 +2,9 @@
 exhaustive forest enumeration, and the fully printed 11-edge example."""
 
 import dataclasses
+import hashlib
+import itertools
+import json
 import random
 
 import pytest
@@ -15,6 +18,8 @@ from octamoment.forests import (
     THORN,
     Forest,
     MalformedForestError,
+    _relabel,
+    canonicalize,
     enumerate_forests,
     forest_degree,
     forest_from_json,
@@ -129,6 +134,47 @@ def test_forest_counts_match_oracle():
                         assert len(forests) == oracle.get(a, 0), str(a)
                         for f in forests:
                             assert theta_forward(theta_inverse(f)) == f
+
+
+def test_golden_bijection_digest():
+    """Pins the canonical labeling byte for byte: the sha256 of the JSON of
+    ``theta_forward(h)`` for every ``h`` at n <= 5 and of every stratum's
+    ``enumerate_forests`` list at n <= 4, in enumeration order."""
+    digest = hashlib.sha256()
+    for n in range(1, 6):
+        for h in iter_partitioned_hypermaps(n):
+            f = theta_forward(h)
+            assert theta_inverse(f) == h
+            digest.update(json.dumps(forest_to_json(f)).encode())
+    for n in range(1, 5):
+        for lam in partitions_of(n):
+            for mu in partitions_of(n):
+                for r in range(n // 2 + 1):
+                    for a in enumerate_M(lam, mu, r):
+                        forests = [forest_to_json(f) for f in enumerate_forests(a)]
+                        digest.update(json.dumps(forests).encode())
+    assert digest.hexdigest() == "1726baa7a5a30d47cb51a433f891789552a0fe77a77f0d853b43c9ee9315b366"
+
+
+def _non_seed_roots(f):
+    return sum(1 for v in range(f.num_vertices) if v != f.seed and v not in f.parent_map())
+
+
+def test_canonicalize_is_invariant_under_renumbering():
+    """Every seed-first renumbering of a canonical forest canonicalizes back
+    to it: all forests at n <= 4 (at most one candidate order for most), and
+    the n = 5 forests with two or three non-seed roots (several candidate
+    orders when their trees share a shape).  Those have at most five
+    vertices, so every order is tried."""
+    forests = [theta_forward(h) for n in range(1, 5) for h in iter_partitioned_hypermaps(n)]
+    several = [
+        f for f in map(theta_forward, iter_partitioned_hypermaps(5))
+        if _non_seed_roots(f) in (2, 3)
+    ]
+    assert len(several) == 225 and max(f.num_vertices for f in several) == 5
+    for f in forests + several:
+        for rest in itertools.permutations(range(1, f.num_vertices)):
+            assert canonicalize(_relabel(f, (0, *rest))) == f
 
 
 def test_forest_enumeration_examples():
@@ -323,6 +369,130 @@ def test_validation_states_each_rule(base, change, message):
     companion message, so the expected one is looked up among them."""
     assert validate_forest(base) == []
     assert message in validate_forest(dataclasses.replace(base, **change))
+
+
+# Three non-seed roots whose arrows run 1 -> 2 -> 3 -> 1 (the last to a
+# vertex of its own color), with a leaf hanging off the cycle; and a chain
+# 2 -> 3 -> 4 hanging off a root that does not reach the seed, beside a
+# chain 0 -> 1 -> 5 that does.
+_ARROW_CYCLE = Forest(
+    ("w", "w", "b", "w", "b"),
+    (
+        ((THORN,),),
+        ((EDGE, 4), (LOOP, 0), (LOOP, 0)),
+        ((THORN,), (LOOP, 0), (LOOP, 0)),
+        ((LOOP, 0), (LOOP, 0)),
+        (),
+    ),
+    0,
+    ((1, 0, "arrow", 2), (2, 0, "arrow", 3), (3, 0, "arrow", 1)),
+    frozenset({((0, 0), (2, 0))}),
+)
+_CUT_CHAIN = Forest(
+    ("w", "b", "w", "b", "w", "w"),
+    (((EDGE, 1),), ((EDGE, 5),), ((EDGE, 3),), ((EDGE, 4),), (), ()),
+    0,
+    (),
+    frozenset(),
+)
+
+
+@pytest.mark.parametrize(
+    ("base", "change", "violations"),
+    [
+        (_THORNS, {"seed": 5}, ["seed index 5 out of range"]),
+        (_LOOPS, {"colors": ("b", "w")}, ["seed root is not white"]),
+        (_THORNS, {"colors": ("w", "x")},
+         ["vertex with unknown color", "matched thorns (0, 1), (1, 0) have equal colors"]),
+        (_FORK, {"slots": (((EDGE, 1), (EDGE, 7)), (), ())},
+         ["edge from 0 to unknown vertex 7", "root vertex 2 has degree 0",
+          "non-seed root 2 lacks a rightmost descending loop",
+          "vertex 2 is not connected to the seed root"]),
+        (_CHAIN, {"colors": ("w", "b", "b")}, ["edge 1 -> 2 joins equal colors"]),
+        (_FORK, {"slots": (((EDGE, 1), (EDGE, 1)), (), ())},
+         ["vertex 1 has two parents", "root vertex 2 has degree 0",
+          "non-seed root 2 lacks a rightmost descending loop",
+          "vertex 2 is not connected to the seed root"]),
+        (_CHAIN, {"slots": (((EDGE, 1),), ((EDGE, 2),), ((EDGE, 1), (EDGE, 0)))},
+         ["vertex 1 has two parents", "edge 2 -> 0 joins equal colors",
+          "seed root has a parent edge", "edge/arrow structure has a cycle through vertex 1",
+          "edge/arrow structure has a cycle through vertex 2"]),
+        (_FORK, {"slots": (((EDGE, 1), (THORN,)), (), ())},
+         ["root vertex 2 has degree 0", "non-seed root 2 lacks a rightmost descending loop",
+          "thorn matching does not cover every thorn",
+          "vertex 2 is not connected to the seed root"]),
+        (_LOOPS, {"slots": (((LOOP, 1), (LOOP, 1)), ((LOOP, 0), (LOOP, 0)))},
+         ["vertex 0 loop ids not in first-occurrence order",
+          "loop 1 of vertex 0 has no attribution",
+          "attributions for nonexistent loops: [(0, 0)]",
+          "vertex 1 has 1 loops but 0 arrows + 0 named loops"]),
+        (_LOOPS, {"slots": (((LOOP, 0), (THORN,)), ((LOOP, 0), (LOOP, 0)))},
+         ["vertex 0 has a loop without exactly two extremities",
+          "thorn matching does not cover every thorn"]),
+        (_LOOPS, {"slots": (((LOOP, 0), (LOOP, 0)), ((LOOP, 0), (LOOP, 0), (THORN,)))},
+         ["non-seed root 1 lacks a rightmost descending loop",
+          "non-maximal loop 0 of vertex 1 cannot carry an arrow",
+          "thorn matching does not cover every thorn",
+          "vertex 1 is not connected to the seed root"]),
+        (_LOOPS, {"loop_attr": _LOOPS.loop_attr + ((1, 0, "greek", 0),)},
+         ["duplicate loop attribution", "maximal loop of non-seed root 1 must carry the arrow"]),
+        (_LOOPS, {"loop_attr": ((1, 0, "arrow", 0),)},
+         ["loop 0 of vertex 0 has no attribution",
+          "vertex 1 has 1 loops but 0 arrows + 0 named loops"]),
+        (_LOOPS, {"loop_attr": ((0, 0, "greek", 0), (1, 0, "arrow", 0))},
+         ["loop 0 of vertex 0 attributed to a bad vertex",
+          "vertex 1 has 1 loops but 0 arrows + 0 named loops"]),
+        (_LOOPS, {"loop_attr": ((0, 0, "greek", 1), (1, 0, "greek", 0))},
+         ["maximal loop of non-seed root 1 must carry the arrow"]),
+        (_LOOPS, {"loop_attr": ((0, 0, "arrow", 1), (1, 0, "arrow", 0))},
+         ["non-maximal loop 0 of vertex 0 cannot carry an arrow"]),
+        (_LOOPS, {"loop_attr": _LOOPS.loop_attr + ((0, 1, "greek", 1),)},
+         ["attributions for nonexistent loops: [(0, 1)]"]),
+        (_THORNS, {"matching": frozenset({((0, 0), (1, 0))})},
+         ["matching entry (0, 0) is not a thorn", "thorn matching does not cover every thorn"]),
+        (_THORNS, {"matching": frozenset({((0, 1), (1, 0)), ((0, 1), (0, 1))})},
+         ["thorn (0, 1) matched twice", "thorn (0, 1) matched twice",
+          "matched thorns (0, 1), (0, 1) have equal colors"]),
+        (_THORNS, {"matching": frozenset({((0, 1), (0, 1))})},
+         ["thorn (0, 1) matched twice", "matched thorns (0, 1), (0, 1) have equal colors",
+          "thorn matching does not cover every thorn"]),
+        (_THORNS, {"matching": frozenset({((1, 0), (0, 1))})},
+         ["matching pair ((1, 0), (0, 1)) does not list the white thorn first"]),
+        (_THORNS, {"matching": frozenset()}, ["thorn matching does not cover every thorn"]),
+        (_LOOPS, {"slots": (((LOOP, 0), (LOOP, 0), (LOOP, 1), (LOOP, 1)), ((LOOP, 0), (LOOP, 0)))},
+         ["loop 1 of vertex 0 has no attribution",
+          "vertex 0 has 2 loops but 1 arrows + 0 named loops"]),
+        (_CHAIN, {"slots": (((EDGE, 1),), ((EDGE, 2),), ((EDGE, 1),))},
+         ["vertex 1 has two parents", "edge/arrow structure has a cycle through vertex 1",
+          "edge/arrow structure has a cycle through vertex 2"]),
+        (_CHAIN, {"slots": (((EDGE, 1),), (), ())},
+         ["root vertex 2 has degree 0", "non-seed root 2 lacks a rightmost descending loop",
+          "vertex 2 is not connected to the seed root"]),
+        (_ARROW_CYCLE, {},
+         ["loop 0 of vertex 3 attributed to a bad vertex",
+          "vertex 1 has 1 loops but 0 arrows + 0 named loops",
+          "edge/arrow structure has a cycle through vertex 1",
+          "edge/arrow structure has a cycle through vertex 2",
+          "edge/arrow structure has a cycle through vertex 3",
+          "edge/arrow structure has a cycle through vertex 4"]),
+        (_CUT_CHAIN, {},
+         ["non-seed root 2 lacks a rightmost descending loop"]
+         + ["vertex 2 is not connected to the seed root"] * 3),
+    ],
+    ids=[
+        "seed-out-of-range", "seed-not-white", "unknown-color", "edge-to-unknown-vertex",
+        "edge-equal-colors", "two-parents", "seed-parent-edge", "root-degree-0",
+        "loop-id-order", "loop-extremities", "root-without-loop", "duplicate-attribution",
+        "unattributed-loop", "bad-attribution-target", "maximal-loop-without-arrow",
+        "non-maximal-arrow", "nonexistent-loop", "matching-non-thorn", "thorn-matched-twice",
+        "matched-equal-colors", "white-thorn-not-first", "uncovered-thorn", "loop-balance",
+        "cycle", "disconnected", "three-vertex-arrow-cycle", "chain-off-a-cut-root",
+    ],
+)
+def test_validation_lists_every_violation_in_order(base, change, violations):
+    """The whole list, order and repeats included: each walk toward the
+    seed that fails reports once for the vertex it started from."""
+    assert validate_forest(dataclasses.replace(base, **change)) == violations
 
 
 def test_json_round_trip():

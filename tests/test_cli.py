@@ -1181,6 +1181,24 @@ def test_forest_color_other_than_white_or_black_is_rejected(tmp_path, capsys):
     assert f"vertex {min(red)} " in line and "'red'" in line
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [[[0, 0], [1, 1.0]], [[0, 0], [True, 1]], [[0, 0]]],
+    ids=["float-slot", "boolean-vertex", "one-reference"],
+)
+def test_a_thorn_matching_entry_without_two_integer_references_is_named(
+    entry, tmp_path, capsys
+):
+    # The n = 3 forest of BIJECTION_GOLDEN, whose one matched pair is
+    # [[0, 0], [1, 1]]; a float compares equal to its int and True to 1.
+    forest = {**_LOOP_FOREST, "thorn_matching": [entry]}
+    line = _one_error_line(["bijection", "--input", "bad.json"], forest, tmp_path, capsys)
+    assert line == (
+        "octamoment: error: malformed forest JSON: thorn_matching entry 0 "
+        f"is not two [vertex, slot] pairs of integers: {entry!r}"
+    )
+
+
 def test_python_dash_m_runs_the_cli(capsys, child_env):
     argv = ["expansion", "--n", "3", "--field", "complex"]
     assert main(argv) == 0
@@ -1255,6 +1273,9 @@ BIJECTION_GOLDEN = [
         "8f184c3676dbf3e366baa240af8ffb781514c1fd0dbe6e4493924ea7a5216b7e",
     ),
 ]
+
+
+_LOOP_FOREST = BIJECTION_GOLDEN[3][0]
 
 
 def _sha256(text: str) -> str:
