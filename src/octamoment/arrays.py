@@ -28,7 +28,7 @@ from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
-from math import factorial
+from math import factorial, prod
 
 from .partitions import Partition
 
@@ -49,6 +49,7 @@ Profile = tuple[str, bool, int, int]
 
 # The (color, root) kind of each ArrayTuple field, in field order.
 _KINDS = (("w", False), ("w", True), ("b", False), ("b", True))
+_FIELD = {kind: k for k, kind in enumerate(_KINDS)}
 
 
 def cells_of(entries: Mapping[tuple[int, int], int] | Iterable[tuple[int, int, int]]) -> Cells:
@@ -72,10 +73,7 @@ def _weight(cells: Cells) -> int:
 
 
 def _fact(cells: Cells) -> int:
-    prod = 1
-    for _, _, c in cells:
-        prod *= factorial(c)
-    return prod
+    return prod(factorial(c) for _, _, c in cells)
 
 
 @dataclass(frozen=True)
@@ -91,13 +89,18 @@ class ArrayTuple:
 
     @classmethod
     def from_vertices(cls, seed_degree: int, seed_loops: int, vertices: Iterable[Profile]):
-        """Tally the profiles of the non-seed vertices into the four fields."""
-        tally: dict[tuple[str, bool], dict] = {kind: {} for kind in _KINDS}
-        for color, root, i, j in vertices:
-            cell = tally[color, root]
-            cell[i, j] = cell.get((i, j), 0) + 1
-        cells = (cells_of(cell) if cell else () for cell in tally.values())
-        return cls(*cells, seed_degree, seed_loops)
+        """Tally the profiles of the non-seed vertices into the four fields,
+        sorted once; a bad cell is reported as :func:`cells_of` reports it."""
+        tally: dict[Profile, int] = {}
+        for p in vertices:
+            tally[p] = tally.get(p, 0) + 1
+        fields: tuple[list, ...] = ([], [], [], [])
+        for (color, root, i, j), c in sorted(tally.items()):
+            if i < 1 or j < 0:
+                for kind in _KINDS:
+                    cells_of([(i, j, c) for (*k, i, j), c in tally.items() if tuple(k) == kind])
+            fields[_FIELD[color, root]].append((i, j, c))
+        return cls(*map(tuple, fields), seed_degree, seed_loops)
 
     def vertices(self) -> Iterator[Profile]:
         """The profile of every non-seed vertex, in field order."""
@@ -131,18 +134,11 @@ class ArrayTuple:
 
     @property
     def n(self) -> int:
-        return sum(i * c for i, _, c in self.black) + sum(
-            i * c for i, _, c in self.black_root
-        )
+        return sum(i * c for i, _, c in self.black + self.black_root)
 
     def factorial_product(self) -> int:
         """Product of the factorials of all cell entries."""
-        return (
-            _fact(self.white)
-            * _fact(self.white_root)
-            * _fact(self.black)
-            * _fact(self.black_root)
-        )
+        return _fact(self.white + self.white_root + self.black + self.black_root)
 
     def white_type(self) -> Partition:
         parts = [self.seed_degree]

@@ -10,24 +10,19 @@ vertex of the opposite color, except the maximal loop of a non-seed root,
 which instead sends an arrow to such a vertex.  Tree edges plus arrows
 must form a single tree rooted at the seed root.
 
-``theta_forward`` builds the forest of a partitioned hypermap; the white
-(black) vertices are the blocks of pi1 (pi2) with their non-hat (hat)
-labels laid out in increasing order, and the label structure is then
-erased.  ``theta_inverse`` recovers the unique preimage by replaying the
-labels: each next label must sit on the leftmost unrecovered slot of a
-vertex that the current slot determines (matched thorn, attributed
-vertex, arrow target, or edge endpoint).  Both work on flat tables:
-``theta_forward`` keeps each label's white and black block and the vertex
-and position of the slot it names in lists indexed by label, and
-``theta_inverse`` reads the vertex each slot determines from one table
-built up front and writes the recovered pairing's image directly.
-``verify --suite bijection`` (5168 round trips, then the forests of
-n <= 4) takes about 0.84 s, down from 1.04 s (medians of 7 fresh
-interpreters on a shared 2-vCPU VM).
+``theta_forward`` builds the forest of a partitioned hypermap in one walk
+over the labels: the white (black) vertices are the blocks of pi1 (pi2)
+with their non-hat (hat) labels as slots in increasing order, and the
+label structure is then erased.  ``theta_inverse`` recovers the unique
+preimage by replaying the labels: each next label sits on the leftmost
+unrecovered slot of the vertex that the current slot determines (matched
+thorn, attributed vertex, arrow target, or edge endpoint), and each block
+is built once, the blocks in least-label order.  ``verify --suite
+bijection`` (5168 round trips, then the forests of n <= 4) takes about
+0.60 s, down from 0.79 s: medians of 7 fresh interpreters, each timing
+``cli.main`` on the suite after the import, on a shared 2-vCPU VM.
 
-``validate_forest`` is the one statement of the rules above; it reads
-each non-seed root's arrow loop (its rightmost slot) once, and its walk
-toward the seed stops at a vertex already known to reach it.
+``validate_forest`` is the one statement of the rules above.
 ``enumerate_forests``, the exhaustive oracle that the bijection is
 checked against stratum by stratum, generates candidate forests of a
 degree array and keeps those it accepts.
@@ -96,9 +91,10 @@ class MalformedForestError(ValueError):
 class Forest:
     """Canonical permuted forest.
 
-    ``slots[v]`` lists only the descendants of ``v``; the attachment of a
-    non-root vertex to its parent is implicit (it is the rightmost slot of
-    the vertex, which is how the labeled construction always places it).
+    ``slots[v]`` lists only the descendants of ``v``, each ``(EDGE,
+    child)``, ``(THORN,)`` or ``(LOOP, id)``; the attachment of a non-root
+    vertex to its parent is implicit (it is the rightmost slot of the
+    vertex, which is how the labeled construction always places it).
     ``loop_attr`` holds one ``(vertex, loop, kind, target)`` per loop with
     ``kind`` either ``"greek"`` or ``"arrow"``.
     """
@@ -112,17 +108,6 @@ class Forest:
     @property
     def num_vertices(self) -> int:
         return len(self.colors)
-
-    def parent_map(self) -> dict[int, int]:
-        parent: dict[int, int] = {}
-        for v, slots in enumerate(self.slots):
-            for slot in slots:
-                if slot[0] == EDGE:
-                    parent[slot[1]] = v
-        return parent
-
-    def loops_of(self, v: int) -> int:
-        return [slot[0] for slot in self.slots[v]].count(LOOP) // 2
 
 
 def validate_forest(f: Forest) -> list[str]:
@@ -138,18 +123,21 @@ def validate_forest(f: Forest) -> list[str]:
         problems.append("vertex with unknown color")
 
     # One pass over the slots: parent edges, thorns and loop extremities.
+    # The rules after it read the slots, so a slot that is not (EDGE,
+    # child), (THORN,) or (LOOP, id) ends the check there.
+    unread = False
     parent: dict[int, int] = {}
     thorns: set[SlotRef] = set()
     counts: list[dict[int, int]] = []
     for v, slots in enumerate(f.slots):
         count: dict[int, int] = {}
         for i, slot in enumerate(slots):
-            kind = slot[0]
-            if kind == LOOP:
+            kind = slot[0] if slot else None
+            if kind == LOOP and len(slot) == 2:
                 count[slot[1]] = count.get(slot[1], 0) + 1
             elif kind == THORN:
                 thorns.add((v, i))
-            elif kind == EDGE:
+            elif kind == EDGE and len(slot) == 2:
                 child = slot[1]
                 if not 0 <= child < V:
                     problems.append(f"edge from {v} to unknown vertex {child}")
@@ -159,20 +147,26 @@ def validate_forest(f: Forest) -> list[str]:
                 if child in parent:
                     problems.append(f"vertex {child} has two parents")
                 parent[child] = v
+            else:
+                problems.append(f"slot {i} of vertex {v} is not an edge, thorn or loop: {slot!r}")
+                unread = True
         counts.append(count)
     if seed in parent:
         problems.append("seed root has a parent edge")
+    if unread:
+        return problems
 
     # Loop bookkeeping: ids occur exactly twice, numbered by first extremity.
     loops_of: list[list[int]] = []
     for v, count in enumerate(counts):
-        if not f.slots[v] and v not in parent:
-            problems.append(f"root vertex {v} has degree 0")
         ids = list(count)
-        if ids and ids != list(range(len(ids))):
-            problems.append(f"vertex {v} loop ids not in first-occurrence order")
-        if ids and any(c != 2 for c in count.values()):
-            problems.append(f"vertex {v} has a loop without exactly two extremities")
+        if ids:
+            if ids != list(range(len(ids))):
+                problems.append(f"vertex {v} loop ids not in first-occurrence order")
+            if set(count.values()) != {2}:
+                problems.append(f"vertex {v} has a loop without exactly two extremities")
+        elif not f.slots[v] and v not in parent:
+            problems.append(f"root vertex {v} has degree 0")
         loops_of.append(ids)
 
     # The loop in a non-seed root's rightmost slot carries its arrow.
@@ -198,7 +192,7 @@ def validate_forest(f: Forest) -> list[str]:
                 problems.append(f"loop {k} of vertex {v} has no attribution")
                 continue
             attributed += 1
-            kind, target = attr[(v, k)]
+            kind, target = attr[v, k]
             if not 0 <= target < V or colors[target] == colors[v]:
                 problems.append(f"loop {k} of vertex {v} attributed to a bad vertex")
                 continue
@@ -223,10 +217,11 @@ def validate_forest(f: Forest) -> list[str]:
             if ref in seen:
                 problems.append(f"thorn {ref} matched twice")
             seen.add(ref)
-        if a in thorns and b in thorns and {colors[a[0]], colors[b[0]]} != {"w", "b"}:
-            problems.append(f"matched thorns {a}, {b} have equal colors")
-        if a in thorns and colors[a[0]] != "w":
-            problems.append(f"matching pair {(a, b)} does not list the white thorn first")
+        if a in thorns:
+            if b in thorns and (colors[a[0]], colors[b[0]]) not in (("w", "b"), ("b", "w")):
+                problems.append(f"matched thorns {a}, {b} have equal colors")
+            if colors[a[0]] != "w":
+                problems.append(f"matching pair {(a, b)} does not list the white thorn first")
     if seen != thorns:
         problems.append("thorn matching does not cover every thorn")
 
@@ -247,6 +242,8 @@ def validate_forest(f: Forest) -> list[str]:
             link[v] = attr[(v, k)][1]
     reached = {seed}
     for v in range(V):
+        if v in reached:
+            continue
         trail: list[int] = []
         x = v
         while x not in reached:
@@ -269,15 +266,9 @@ def _structure_keys(f: Forest) -> dict[int, tuple]:
     keys: dict[int, tuple] = {}
 
     def rec(v: int) -> tuple:
-        if v in keys:
-            return keys[v]
-        parts = []
-        for slot in f.slots[v]:
-            if slot[0] == EDGE:
-                parts.append((EDGE, rec(slot[1])))
-            else:
-                parts.append(slot)
-        keys[v] = (f.colors[v], tuple(parts))
+        if v not in keys:
+            row = [(EDGE, rec(s[1])) if s[0] == EDGE else s for s in f.slots[v]]
+            keys[v] = (f.colors[v], tuple(row))
         return keys[v]
 
     for v in range(f.num_vertices):
@@ -306,14 +297,19 @@ def _relabel(f: Forest, order: Sequence[int]) -> Forest:
     return Forest(colors, tuple(slots), 0, tuple(attr), frozenset(match))
 
 
-def canonicalize(f: Forest) -> Forest:
+def canonicalize(
+    f: Forest, children: Sequence[list[int]] | None = None, roots: list[int] | None = None
+) -> Forest:
     """Renumber vertices canonically: depth-first over the seed tree, then
     over the non-seed trees, minimizing over reorderings of trees with
     identical shapes (only cross references can distinguish those).  With
-    at most one non-seed tree there is one order and nothing to minimize."""
-    children = [[s[1] for s in row if s[0] == EDGE] for row in f.slots]
-    below = {child for row in children for child in row}
-    roots = [v for v in range(f.num_vertices) if v not in below and v != f.seed]
+    at most one non-seed tree there is one order and nothing to minimize.
+    :func:`theta_forward` passes the children of each vertex (in slot
+    order) and the non-seed roots (in vertex order) it has built."""
+    if children is None or roots is None:
+        children = [[s[1] for s in row if s[0] == EDGE] for row in f.slots]
+        below = {child for row in children for child in row}
+        roots = [v for v in range(f.num_vertices) if v not in below and v != f.seed]
 
     def order(trees: Sequence[int]) -> list[int]:
         acc: list[int] = []
@@ -350,8 +346,8 @@ def theta_forward(h: PartitionedHypermap) -> Forest:
     colors = ("w",) * len(h.pi1) + ("b",) * len(h.pi2)
     V = len(colors)
 
-    # Per label: its white and black block, and the vertex and position of
-    # the slot it names (non-hat labels on white vertices, hat on black).
+    # Per label: its white and black block, and the vertex whose slot it
+    # names (non-hat labels on white vertices, hat on black).
     white_of = [0] * (2 * n)
     black_of = [0] * (2 * n)
     for v, block in enumerate(h.pi1):
@@ -360,56 +356,58 @@ def theta_forward(h: PartitionedHypermap) -> Forest:
     for v, block in enumerate(h.pi2, len(h.pi1)):
         for x in block:
             black_of[x] = v
-    owner_v = white_of[:n] + black_of[n:]
-    owner_i: list[int] = []
-    size = [0] * V
+    owner = white_of[:n] + black_of[n:]
     top = [0] * V
-    for x, v in enumerate(owner_v):
-        owner_i.append(size[v])
-        size[v] += 1
+    for x, v in enumerate(owner):
         top[v] = x
-    full: list[list[Slot | None]] = [[None] * k for k in size]
     seed = white_of[0]
     is_root = [v == seed or (t < n) == (f3[t] < n) for v, t in enumerate(top)]
 
-    # Visited by increasing x, so each vertex's loops come in the order of
-    # their first extremity, which numbers them.
-    loops: list[list[tuple[int, int, int, int]]] = [[] for _ in range(V)]  # pos, pos, elem, elem
-    matching: set[tuple[SlotRef, SlotRef]] = set()
-    up = ("parent",)
-    for x, y in enumerate(f3):
-        if y < x:
-            continue
-        vx, ix, vy, iy = owner_v[x], owner_i[x], owner_v[y], owner_i[y]
-        if (x < n) == (y < n):
-            if vx != vy:
-                raise AssertionError("in-kind pair crosses blocks despite stability")
-            loops[vx].append((ix, iy, x, y))
-        elif not is_root[vx] and x == top[vx]:  # x < n <= y: vx white, vy black
-            if not is_root[vy] and y == top[vy]:
-                raise AssertionError("two vertices claim the same edge upward")
-            full[vy][iy], full[vx][ix] = (EDGE, vx), up
-        elif not is_root[vy] and y == top[vy]:
-            full[vx][ix], full[vy][iy] = (EDGE, vy), up
-        else:
-            full[vx][ix] = full[vy][iy] = (THORN,)
-            matching.add(((vx, ix), (vy, iy)))
-
+    # Each vertex's slots are its labels in increasing order, so one walk
+    # over the labels appends them in place: loops are numbered by their
+    # first extremity and children come in slot order.  A non-root's top
+    # label, its last, is the implicit parent link.  ``pending`` holds
+    # what the first label of a pair left for the second.
+    rows: list[list[Slot]] = [[] for _ in range(V)]
+    children: list[list[int]] = [[] for _ in range(V)]
+    loops = [0] * V
     loop_attr: list[tuple[int, int, str, int]] = []
-    for v in range(V):
-        other = black_of if colors[v] == "w" else white_of
-        for loop_id, (pos_a, pos_b, x, y) in enumerate(loops[v]):
-            full[v][pos_a] = full[v][pos_b] = (LOOP, loop_id)
+    matching: set[tuple[SlotRef, SlotRef]] = set()
+    pending: list = [None] * (2 * n)
+    thorn = (THORN,)
+    for x, y in enumerate(f3):
+        v = owner[x]
+        row = rows[v]
+        if (x < n) == (y < n):
+            if y < x:
+                row.append(pending[x])
+                continue
+            if owner[y] != v:
+                raise AssertionError("in-kind pair crosses blocks despite stability")
+            slot = pending[y] = (LOOP, loops[v])
             kind = "arrow" if v != seed and is_root[v] and top[v] in (x, y) else "greek"
-            loop_attr.append((v, loop_id, kind, other[x]))
+            loop_attr.append((v, loops[v], kind, (black_of if x < n else white_of)[x]))
+            loops[v] += 1
+            row.append(slot)
+            continue
+        u = owner[y]
+        if x == top[v] and not is_root[v]:
+            if y == top[u] and not is_root[u]:
+                raise AssertionError("two vertices claim the same edge upward")
+        elif y == top[u] and not is_root[u]:
+            row.append((EDGE, u))
+            children[v].append(u)
+        elif y < x:
+            ref = (v, len(row))
+            matching.add((ref, pending[x]) if x < n else (pending[x], ref))
+            row.append(thorn)
+        else:
+            pending[y] = (v, len(row))
+            row.append(thorn)
 
-    for v, row in enumerate(full):
-        if not is_root[v] and row.pop() != up:
-            raise AssertionError("parent link is not the rightmost slot")
-        if None in row or up in row:
-            raise AssertionError("unclassified slot left behind")
-    forest = Forest(colors, tuple(map(tuple, full)), seed, tuple(loop_attr), frozenset(matching))
-    return canonicalize(forest)
+    roots = [v for v in range(V) if is_root[v] and v != seed]
+    forest = Forest(colors, tuple(map(tuple, rows)), seed, tuple(loop_attr), frozenset(matching))
+    return canonicalize(forest, children, roots)
 
 
 def theta_inverse(f: Forest) -> PartitionedHypermap:
@@ -426,10 +424,10 @@ def theta_inverse(f: Forest) -> PartitionedHypermap:
     if problems:
         raise MalformedForestError(0, "invalid forest: " + "; ".join(problems))
     V = f.num_vertices
-    partner: dict[SlotRef, SlotRef] = {}
+    partner: dict[SlotRef, int] = {}
     for a, b in f.matching:
-        partner[a] = b
-        partner[b] = a
+        partner[a] = b[0]
+        partner[b] = a[0]
     attr = {(v, k): t for v, k, _, t in f.loop_attr}
 
     # The vertex each slot determines (None for an unmatched thorn), the
@@ -442,10 +440,9 @@ def theta_inverse(f: Forest) -> PartitionedHypermap:
         for idx, slot in enumerate(slots):
             kind = slot[0]
             if kind == THORN:
-                ref = partner.get((v, idx))
-                row.append(None if ref is None else ref[0])
+                row.append(partner.get((v, idx)))
             elif kind == LOOP:
-                row.append(attr[(v, slot[1])])
+                row.append(attr[v, slot[1]])
                 if slot[1] in first:
                     joined.append((v, first[slot[1]], v, idx))
                 first[slot[1]] = idx
@@ -457,43 +454,48 @@ def theta_inverse(f: Forest) -> PartitionedHypermap:
         if last < 0:
             nxt[child].append(v)
     joined += [(*a, *b) for a, b in f.matching]
-    n = sum([len(row) for v, row in enumerate(nxt) if f.colors[v] == "w"])
+    colors = f.colors
+    n = sum([len(row) for row, color in zip(nxt, colors) if color == "w"])
 
     # Labels 1, 1^, 2, 2^, ... (0, n, 1, n + 1, ...), each on the leftmost
-    # free slot of the vertex that the slot of the one before determines.
+    # free slot of the vertex the slot before determines, so a vertex is
+    # reached first at its least label; a failure is step max(i + hat, 1).
     labels: list[list[int]] = [[] for _ in range(V)]
+    reached: list[int] = []
     v, idx = f.seed, -1
-    for x in [y for i in range(n) for y in (i, n + i)]:
-        step = x - n + 1 if x >= n else max(x, 1)
-        if idx >= 0:
-            u = nxt[v][idx]
-            if u is None:
-                raise MalformedForestError(step, f"unmatched thorn at {(v, idx)}")
-            v = u
-        row = labels[v]
-        if len(row) == len(nxt[v]):
-            raise MalformedForestError(step, f"vertex {v} exhausted while placing label {x}")
-        idx = len(row)
-        row.append(x)
+    for i in range(n):
+        for x in (i, n + i):
+            if idx >= 0:
+                u = nxt[v][idx]
+                if u is None:
+                    raise MalformedForestError(
+                        max(i + (x >= n), 1), f"unmatched thorn at {(v, idx)}")
+                v = u
+            row = labels[v]
+            idx = len(row)
+            if idx == len(nxt[v]):
+                raise MalformedForestError(
+                    max(i + (x >= n), 1), f"vertex {v} exhausted while placing label {x}")
+            if not idx:
+                reached.append(v)
+            row.append(x)
     if nxt[v][idx] is None:
         raise MalformedForestError(n, f"unmatched thorn at {(v, idx)}")
-    if any(len(row) != len(nxt[u]) for u, row in enumerate(labels)):
+    if len(reached) != V or list(map(len, labels)) != list(map(len, nxt)):
         raise MalformedForestError(n, "not all labels were recovered")
 
     image = [-1] * (2 * n)
     for v, i, u, j in joined:
         x, y = labels[v][i], labels[u][j]
         image[x], image[y] = y, x
-    f1 = canonical_f1(n).image
-    f2 = canonical_f2(n).image
-    pi1 = []
-    pi2 = []
-    for v, mine in enumerate(labels):
-        if f.colors[v] == "w":
-            pi1.append(frozenset(mine) | frozenset(map(f1.__getitem__, mine)))
-        else:
-            pi2.append(frozenset(mine) | frozenset(map(f2.__getitem__, mine)))
-    result = PartitionedHypermap.make(Pairing(n, tuple(image)), pi1, pi2)
+    # Each block is its labels and their f1 (white) or f2 (black) images;
+    # the order of reaching is the least-label order of the blocks.
+    walks = {"w": canonical_f1(n).image, "b": canonical_f2(n).image}
+    blocks: dict[str, list[frozenset[int]]] = {"w": [], "b": []}
+    for v in reached:
+        mine, walk = labels[v], walks[colors[v]]
+        blocks[colors[v]].append(frozenset(mine + [walk[x] for x in mine]))
+    result = PartitionedHypermap(Pairing(n, tuple(image)), tuple(blocks["w"]), tuple(blocks["b"]))
     leftover = result.validate()
     if leftover:
         raise MalformedForestError(n, "recovered object invalid: " + "; ".join(leftover))
@@ -502,11 +504,21 @@ def theta_inverse(f: Forest) -> PartitionedHypermap:
 
 def forest_degree(f: Forest) -> ArrayTuple:
     """Tally vertices by (degree, loop count) into the degree arrays; a
-    vertex is a root iff it has no parent edge."""
-    parent = f.parent_map()
+    vertex is a root iff it has no parent edge.  One pass per row counts
+    its loop extremities and marks its children."""
+    below = [False] * f.num_vertices
+    ends: list[int] = []
+    for row in f.slots:
+        k = 0
+        for slot in row:
+            if slot[0] == LOOP:
+                k += 1
+            elif slot[0] == EDGE:
+                below[slot[1]] = True
+        ends.append(k)
     profiles = [
-        (f.colors[v], v not in parent, len(f.slots[v]) + (v in parent), f.loops_of(v))
-        for v in range(f.num_vertices)
+        (color, not up, len(row) + up, k // 2)
+        for color, row, up, k in zip(f.colors, f.slots, below, ends, strict=True)
     ]
     _, _, seed_degree, seed_loops = profiles.pop(f.seed)
     return ArrayTuple.from_vertices(seed_degree, seed_loops, profiles)
@@ -594,13 +606,7 @@ def enumerate_forests(a: ArrayTuple) -> list[Forest]:
 
 def _latin_names(count: int) -> list[str]:
     letters = string.ascii_lowercase
-    names = []
-    k = 0
-    while len(names) < count:
-        q, r = divmod(k, 26)
-        names.append(letters[r] + (str(q) if q else ""))
-        k += 1
-    return names
+    return [letters[k % 26] + (str(k // 26) if k >= 26 else "") for k in range(count)]
 
 
 def _thorn_labels(f: Forest) -> dict[SlotRef, str]:
@@ -630,13 +636,8 @@ def forest_to_json(f: Forest) -> dict:
                 slots_json.append({"kind": "loop", "loop": slot[1]})
             else:
                 slots_json.append({"kind": "thorn", "label": label_of[(v, i)]})
-        vertices.append(
-            {
-                "id": v,
-                "color": "white" if f.colors[v] == "w" else "black",
-                "slots": slots_json,
-            }
-        )
+        color = "white" if f.colors[v] == "w" else "black"
+        vertices.append({"id": v, "color": color, "slots": slots_json})
     return {
         "seed": f.seed,
         "vertices": vertices,
@@ -725,9 +726,7 @@ def forest_to_dot(f: Forest) -> str:
                 lines.append(f"  v{v} -> v{slot[1]} [arrowhead=none];")
             elif slot[0] == THORN:
                 name = label_of[(v, i)]
-                lines.append(
-                    f'  t{v}_{i} [label="{name}", shape=plaintext];'
-                )
+                lines.append(f'  t{v}_{i} [label="{name}", shape=plaintext];')
                 lines.append(f"  v{v} -> t{v}_{i} [arrowhead=none, style=solid];")
     for v, k, kind, t in f.loop_attr:
         if kind == "arrow":

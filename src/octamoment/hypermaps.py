@@ -168,13 +168,7 @@ def canonical_f1(n: int) -> Pairing:
     """The white-vertex walk: (1 n^)(2 1^)(3 2^)...(n n-1^); memoized."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    image = [0] * (2 * n)
-    image[0] = 2 * n - 1
-    image[2 * n - 1] = 0
-    for i in range(1, n):
-        image[i] = n + i - 1
-        image[n + i - 1] = i
-    return Pairing(n, tuple(image))
+    return Pairing(n, (2 * n - 1, *range(n, 2 * n - 1), *range(1, n), 0))
 
 
 @lru_cache(maxsize=None)
@@ -183,11 +177,7 @@ def canonical_f2(n: int) -> Pairing:
     whose centralizer in S_{2n} is the hyperoctahedral group.  Memoized."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    image = [0] * (2 * n)
-    for i in range(n):
-        image[i] = n + i
-        image[n + i] = i
-    return Pairing(n, tuple(image))
+    return Pairing(n, (*range(n, 2 * n), *range(n)))
 
 
 def compose(g: Sequence[int], h: Sequence[int]) -> tuple[int, ...]:
@@ -464,7 +454,8 @@ class PartitionedHypermap:
 
     def validate(self) -> list[str]:
         n = self.f3.n
-        ground = set(range(2 * n))
+        ground = frozenset(range(2 * n))
+        hats = frozenset(range(n, 2 * n))
         problems: list[str] = []
         f3 = self.f3.image
         for name, blocks, stab in (
@@ -479,14 +470,17 @@ class PartitionedHypermap:
                 if covered & block:
                     problems.append(f"{name} blocks overlap")
                 covered |= block
+                if not block <= ground:
+                    problems.append(
+                        f"{name} block {sorted(block)} has a label outside 0..{2 * n - 1}")
+                    continue
                 for x in block:
                     if stab[x] not in block or f3[x] not in block:
                         problems.append(f"{name} block {sorted(block)} is not stable")
                         break
-                hats = len([x for x in block if x >= n])
-                if 2 * hats != len(block):
+                if 2 * len(block & hats) != len(block):
                     problems.append(f"{name} block {sorted(block)} is hat-unbalanced")
-            if covered != ground:
+            if not covered >= ground:
                 problems.append(f"{name} does not cover the ground set")
         return problems
 
@@ -543,17 +537,20 @@ def iter_partitioned_hypermaps(n: int) -> Iterator[PartitionedHypermap]:
     """
     if n > DEFAULT_PARTITIONED_BOUND:
         raise BoundExceededError("partitioned hypermap enumeration", n, DEFAULT_PARTITIONED_BOUND)
-    f1 = canonical_f1(n).image
-    f2 = canonical_f2(n).image
+    walks = (canonical_f1(n).image, canonical_f2(n).image)
     for image in iter_pairing_images(2 * n):
         f3 = Pairing(n, tuple(image))
-        white_orbits = _orbits(image, f1)
-        black_orbits = _orbits(image, f2)
-        for grouping1 in set_partitions(white_orbits):
-            pi1 = tuple(frozenset().union(*g) for g in grouping1)
-            for grouping2 in set_partitions(black_orbits):
-                pi2 = tuple(frozenset().union(*g) for g in grouping2)
-                yield PartitionedHypermap.make(f3, pi1, pi2)
+        # The orbits come least label first and set_partitions keeps that
+        # order within and across blocks, so the blocks come as make
+        # orders them.
+        pi1s, pi2s = (
+            [tuple([frozenset().union(*g) for g in grouping])
+             for grouping in set_partitions(_orbits(image, walk))]
+            for walk in walks
+        )
+        for pi1 in pi1s:
+            for pi2 in pi2s:
+                yield PartitionedHypermap(f3, pi1, pi2)
 
 
 def _block_summary(
@@ -567,13 +564,21 @@ def _block_summary(
     root iff f3 matches ``top`` to a non-hat (white) or a hat (black)
     label.  For a union of f3-stable blocks ``i`` and ``j`` add up and the
     largest ``(top, root)`` is the union's."""
+    j = 0
     if white:
-        j = sum(1 for x in block if x < n and f3[x] < n) // 2
-        top = max(x for x in block if x < n)
-        return len(block) // 2, j, (top, f3[top] < n)
-    j = sum(1 for x in block if x >= n and f3[x] >= n) // 2
+        top = -1
+        for x in block:
+            if x < n:
+                if f3[x] < n:
+                    j += 1
+                if x > top:
+                    top = x
+        return len(block) // 2, j // 2, (top, f3[top] < n)
+    for x in block:
+        if x >= n and f3[x] >= n:
+            j += 1
     top = max(block)
-    return len(block) // 2, j, (top, f3[top] >= n)
+    return len(block) // 2, j // 2, (top, f3[top] >= n)
 
 
 def degree_array(h: PartitionedHypermap) -> ArrayTuple:

@@ -157,7 +157,8 @@ def test_golden_bijection_digest():
 
 
 def _non_seed_roots(f):
-    return sum(1 for v in range(f.num_vertices) if v != f.seed and v not in f.parent_map())
+    below = {slot[1] for row in f.slots for slot in row if slot[0] == EDGE}
+    return sum(1 for v in range(f.num_vertices) if v != f.seed and v not in below)
 
 
 def test_canonicalize_is_invariant_under_renumbering():
@@ -195,8 +196,9 @@ def test_loop_balance_on_constructed_forests():
             for v, k, kind, target in f.loop_attr:
                 bucket = arrows_in if kind == "arrow" else greek_named
                 bucket[target] = bucket.get(target, 0) + 1
-            for v in range(f.num_vertices):
-                assert f.loops_of(v) == arrows_in.get(v, 0) + greek_named.get(v, 0)
+            for v, row in enumerate(f.slots):
+                loops = [slot[0] for slot in row].count(LOOP) // 2
+                assert loops == arrows_in.get(v, 0) + greek_named.get(v, 0)
 
 
 def worked_example_11():
@@ -281,6 +283,41 @@ def test_an_empty_block_is_a_violation():
         theta_forward(h)
 
 
+@pytest.mark.parametrize("slot", [("x", 1), ("x",), (EDGE,), (LOOP,), ()])
+def test_a_slot_of_no_kind_is_reported_before_the_replay(slot):
+    """Only (EDGE, child), (THORN,) and (LOOP, id) are slots; any other is
+    one violation, and the rules that read slots are not checked."""
+    f = Forest(("w", "b"), (((EDGE, 1), slot), ()), 0, (), frozenset())
+    message = f"slot 1 of vertex 0 is not an edge, thorn or loop: {slot!r}"
+    assert validate_forest(f) == [message]
+    with pytest.raises(MalformedForestError, match="invalid forest") as err:
+        theta_inverse(f)
+    assert err.value.step == 0
+    assert message in str(err.value)
+
+
+@pytest.mark.parametrize("label", [7, 2, -1])
+def test_a_label_outside_the_ground_set_is_a_violation(label):
+    # n = 1: the labels 1 and 1^ are 0 and 1.
+    h = PartitionedHypermap(
+        Pairing(1, (1, 0)), (frozenset({0, 1, label}),), (frozenset({0, 1}),)
+    )
+    block = sorted({0, 1, label})
+    assert h.validate() == [f"pi1 block {block} has a label outside 0..1"]
+    with pytest.raises(ValueError, match="invalid partitioned hypermap: pi1 block"):
+        theta_forward(h)
+
+
+def test_blocks_come_in_least_label_order():
+    """The enumeration and theta_inverse build each block directly; they
+    must order the blocks as ``PartitionedHypermap.make`` does."""
+    for n in range(1, DEFAULT_PARTITIONED_BOUND + 1):
+        for h in iter_partitioned_hypermaps(n):
+            assert h == PartitionedHypermap.make(h.f3, h.pi1, h.pi2)
+            back = theta_inverse(theta_forward(h))
+            assert back == PartitionedHypermap.make(back.f3, back.pi1, back.pi2)
+
+
 def test_inverse_rejects_invalid_forest():
     f = Forest(
         colors=("w", "b"),
@@ -353,6 +390,8 @@ _CHAIN = Forest(("w", "b", "w"), (((EDGE, 1),), ((EDGE, 2),), ()), 0, (), frozen
         (_CHAIN, {"slots": (((EDGE, 1),), ((EDGE, 2),), ((EDGE, 1),))},
          "edge/arrow structure has a cycle through vertex 1"),
         (_CHAIN, {"slots": (((EDGE, 1),), (), ())}, "vertex 2 is not connected to the seed root"),
+        (_THORNS, {"slots": (((EDGE, 1), ("x", 1)), ((THORN,),))},
+         "slot 1 of vertex 0 is not an edge, thorn or loop: ('x', 1)"),
     ],
     ids=[
         "seed-out-of-range", "seed-not-white", "unknown-color", "edge-to-unknown-vertex",
@@ -361,7 +400,7 @@ _CHAIN = Forest(("w", "b", "w"), (((EDGE, 1),), ((EDGE, 2),), ()), 0, (), frozen
         "unattributed-loop", "bad-attribution-target", "maximal-loop-without-arrow",
         "non-maximal-arrow", "nonexistent-loop", "matching-non-thorn", "thorn-matched-twice",
         "matched-equal-colors", "white-thorn-not-first", "uncovered-thorn", "loop-balance",
-        "cycle", "disconnected",
+        "cycle", "disconnected", "slot-of-no-kind",
     ],
 )
 def test_validation_states_each_rule(base, change, message):

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import random
 from collections import Counter
 from dataclasses import fields, replace
 from fractions import Fraction
@@ -73,6 +74,48 @@ def test_vertex_profiles_round_trip_every_stratum():
                 a.num_white + a.num_white_root + a.num_black + a.num_black_root
             )
             assert ArrayTuple.from_vertices(a.seed_degree, a.seed_loops, vertices) == a
+
+
+KINDS = (("w", False), ("w", True), ("b", False), ("b", True))
+
+
+def counted_array(seed_degree, seed_loops, vertices):
+    """The four fields of ``ArrayTuple.from_vertices`` by a Counter."""
+    tally = Counter(vertices)
+    cells = [
+        tuple(sorted((i, j, c) for (*k, i, j), c in tally.items() if tuple(k) == kind))
+        for kind in KINDS
+    ]
+    return ArrayTuple(*cells, seed_degree, seed_loops)
+
+
+def test_from_vertices_matches_a_counter():
+    rng = random.Random(20240)
+    cases = [[], [("w", False, 1, 0)], [("b", True, 2, 1)] * 3]
+    cases.append([(color, root, 1 + k, k % 2) for k, (color, root) in enumerate(KINDS)])
+    for _ in range(300):
+        pool = [(*rng.choice(KINDS), rng.randint(1, 4), rng.randint(0, 2)) for _ in range(4)]
+        cases.append([rng.choice(pool) for _ in range(rng.randint(1, 12))])
+    for vertices in cases:
+        seed = (rng.randint(1, 5), rng.randint(0, 2))
+        assert ArrayTuple.from_vertices(*seed, vertices) == counted_array(*seed, vertices)
+        assert ArrayTuple.from_vertices(*seed, iter(vertices)) == counted_array(*seed, vertices)
+
+
+@pytest.mark.parametrize(
+    ("vertices", "message"),
+    [
+        ([("w", False, 0, 0)], "bad cell (0, 0, 1)"),
+        ([("b", True, 2, -1)] * 2, "bad cell (2, -1, 2)"),
+        # the first bad cell in field order, then in order of appearance
+        ([("b", False, 1, -1), ("w", True, 0, 1), ("w", True, -3, 0)], "bad cell (0, 1, 1)"),
+        ([("b", True, 1, 0), ("b", False, 3, -2), ("b", True, 0, 0)], "bad cell (3, -2, 1)"),
+    ],
+)
+def test_from_vertices_reports_a_bad_cell(vertices, message):
+    with pytest.raises(ValueError) as err:
+        ArrayTuple.from_vertices(1, 0, vertices)
+    assert str(err.value) == message
 
 
 def test_enumerate_M_examples():
