@@ -98,7 +98,9 @@ def _json_dumps(data) -> str:
     return json.dumps(data, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
+@cache
 def _name(lam) -> str:
+    """The JSON string of the partition ``lam``, rendered once per process."""
     return encode_basestring_ascii(format_partition(lam))
 
 
@@ -135,8 +137,9 @@ def _strata_chunks(
     is given, as the stratum is written.
 
     Each :class:`~octamoment.closedform.DegenerateStratum` fills one fixed
-    template; each cell list, status and partition name is encoded once
-    per call.  No record is built and the indenting encoder is not used.
+    template; each cell list and status is encoded once per call, and its
+    diagnostics are its status.  No record is built and the indenting
+    encoder is not used.
     """
     pad, key, cell = ("  " * (depth + k) for k in (0, 2, 3))
     record = (
@@ -158,9 +161,7 @@ def _strata_chunks(
 
     @cache
     def status(diagnostics) -> str:
-        return encode_basestring_ascii("; ".join(diagnostics) or "degenerate")
-
-    name = cache(_name)
+        return encode_basestring_ascii("; ".join(diagnostics))
 
     def records() -> Iterator[str]:
         for d in strata:
@@ -175,8 +176,8 @@ def _strata_chunks(
                 cells_json(a.white),
                 cells_json(a.white_root),
                 status(d.diagnostics),
-                name(d.lam),
-                name(d.mu),
+                _name(d.lam),
+                _name(d.mu),
                 d.n,
                 count % d.oracle_value if counts else "",
                 d.r,
@@ -206,9 +207,9 @@ def _real_blocks(expansion, skip=()) -> Iterator[str]:
     order), leaving out the (lam, mu) pairs in ``skip``, which is read as
     each block is written.  A coefficient is a ``Fraction``, whose ``str``
     is ``format_rational``."""
-    names = {lam: _name(lam) for lam in partitions_of(expansion.n)}
     for lam, row in groupby(expansion.items(), key=lambda term: term[0][0]):
-        yield ",".join([_TERM % (c, names[lam], names[k[1]]) for k, c in row if k not in skip])
+        name = _name(lam)
+        yield ",".join([_TERM % (c, name, _name(k[1])) for k, c in row if k not in skip])
 
 
 def _complex_blocks(n: int) -> Iterator[str]:
@@ -220,15 +221,15 @@ def _complex_blocks(n: int) -> Iterator[str]:
     places of ``lam``; the block of each ``lam`` is its name joining those
     pieces.  They are rendered at the call, so ``n < 1`` raises there."""
     table, parts = cf.complex_length_coeffs(n), partitions_of(n)
-    names = {lam: _name(lam) for lam in parts}
+    columns = [(len(mu), _name(mu)) for mu in parts]
     # An encoded name is printable ASCII, so "\0" marks only the places of lam.
     pieces = {
         k: ",".join(
-            [_TERM % (c, "\0", names[mu]) for mu in parts if (c := table.get((k, len(mu))))]
+            [_TERM % (c, "\0", name) for l, name in columns if (c := table.get((k, l)))]
         ).split("\0")
         for k in range(1, n + 1)
     }
-    return (names[lam].join(pieces[len(lam)]) for lam in parts)
+    return (_name(lam).join(pieces[len(lam)]) for lam in parts)
 
 
 def cmd_coeffs(args) -> int:

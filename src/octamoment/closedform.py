@@ -336,6 +336,8 @@ def F_counts(p: int, pp: int, q: int, qp: int, r: int, n: int) -> int:
 @dataclass(frozen=True)
 class DegenerateStratum:
     """One flagged stratum of a real moment (:func:`iter_degenerate_strata`);
+    ``diagnostics`` names at least one negative factorial (:func:`_diagnostics`
+    of a flagged stratum) and is its ``formula_status``, and
     ``oracle_value`` is its exact count, the limit in ``n`` of the
     formula."""
 
@@ -354,7 +356,7 @@ class DegenerateStratum:
             "mu": format_partition(self.mu),
             "r": self.r,
             "A": self.array.to_json(),
-            "formula_status": "; ".join(self.diagnostics) or "degenerate",
+            "formula_status": "; ".join(self.diagnostics),
             "oracle_value": self.oracle_value,
         }
 
@@ -477,8 +479,7 @@ def real_expansion(n: int) -> MonomialExpansion:
                 raise ArithmeticError(
                     f"the stratum sum of ({lam}, {mu}) at n = {n} is not an integer"
                 )
-            if total:
-                coeffs[(lam, mu)] = aut_lam * aut_mu * total
+            coeffs[(lam, mu)] = aut_lam * aut_mu * total
     return MonomialExpansion(n, coeffs)
 
 
@@ -517,12 +518,7 @@ def complex_expansion(n: int) -> MonomialExpansion:
     length table :func:`complex_length_coeffs`: the coefficient of ``m_lam
     m_mu`` is the entry of ``(len(lam), len(mu))``."""
     table, parts = complex_length_coeffs(n), partitions_of(n)
-    coeffs = {
-        (lam, mu): c
-        for lam in parts
-        for mu in parts
-        if (c := table.get((len(lam), len(mu))))
-    }
+    coeffs = {(lam, mu): table.get((len(lam), len(mu)), 0) for lam in parts for mu in parts}
     return MonomialExpansion(n, coeffs)
 
 

@@ -17,12 +17,10 @@ label structure is then erased.  ``theta_inverse`` recovers the unique
 preimage by replaying the labels: each next label sits on the leftmost
 unrecovered slot of the vertex that the current slot determines (matched
 thorn, attributed vertex, arrow target, or edge endpoint), and each block
-is built once, the blocks in least-label order.  ``verify --suite
-bijection`` (5168 round trips, then the forests of n <= 4) takes about
-0.60 s, down from 0.79 s: medians of 7 fresh interpreters, each timing
-``cli.main`` on the suite after the import, on a shared 2-vCPU VM.
+is built once, the blocks in least-label order.
 
-``validate_forest`` is the one statement of the rules above.
+``validate_forest`` is the one statement of the rules above; a forest
+whose ``slots`` and ``colors`` differ in length is one violation.
 ``enumerate_forests``, the exhaustive oracle that the bijection is
 checked against stratum by stratum, generates candidate forests of a
 degree array and keeps those it accepts.
@@ -115,6 +113,8 @@ def validate_forest(f: Forest) -> list[str]:
     problems: list[str] = []
     V = f.num_vertices
     colors, seed = f.colors, f.seed
+    if len(f.slots) != V:
+        return [f"{len(f.slots)} slot lists for {V} vertex colors"]
     if not 0 <= seed < V:
         return [f"seed index {seed} out of range"]
     if colors[seed] != "w":
@@ -446,10 +446,9 @@ def theta_inverse(f: Forest) -> PartitionedHypermap:
                 if slot[1] in first:
                     joined.append((v, first[slot[1]], v, idx))
                 first[slot[1]] = idx
-            else:
+            else:  # an edge, joined to the child's parent slot, its last
                 row.append(slot[1])
-                if kind == EDGE:  # joined to the child's parent slot, its last
-                    joined.append((v, idx, slot[1], -1))
+                joined.append((v, idx, slot[1], -1))
     for v, _, child, last in joined:
         if last < 0:
             nxt[child].append(v)

@@ -17,9 +17,11 @@ divides once at the end; the p -> m basis change is in ``hypermaps``.
 Expansions are stored sparsely: a missing ``(lam, mu)`` key means the
 coefficient is 0.  Canonical key order everywhere is (reverse-lex ``lam``,
 reverse-lex ``mu``), i.e. plain descending tuple order; an expansion
-stores its coefficients in that order once, at construction, keyed by
+keeps its nonzero coefficients once, in that order, in the read-only
+``coeffs``, built at construction and keyed by
 :class:`~octamoment.partitions.Partition` pairs whatever tuples the
-caller passed.  Its order ``n`` must be ``>= 0``.
+caller passed; a zero it is handed is dropped there.  Its order ``n``
+must be ``>= 0``.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from functools import cached_property, lru_cache
 from math import lcm, prod
 from operator import mul
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import ItemsView, Mapping, Sequence
 
 from .partitions import Partition, format_partition, format_rational, partitions_of
 
@@ -54,33 +56,35 @@ class _BilinearExpansion:
                 raise ValueError(f"key ({lam}, {mu}) does not index order {self.n}")
         if self.n < 0:  # with no key to name
             raise ValueError(f"order n = {self.n} must be >= 0")
-        # A private read-only copy in canonical order with Partition keys: the
-        # caller's dict is neither converted nor shared, and a cached
-        # expansion cannot be changed through its coefficients.
+        # A private read-only copy of the nonzero terms in canonical order
+        # with Partition keys: the caller's dict is neither converted nor
+        # shared, and a cached expansion cannot be changed through its
+        # coefficients.
         coeffs = {}
         for key in sorted(self.coeffs, reverse=True):
             c = self.coeffs[key]
+            if not c:
+                continue
             lam, mu = key
             if type(lam) is not Partition or type(mu) is not Partition:
                 key = Partition(lam), Partition(mu)
             coeffs[key] = c if isinstance(c, Fraction) else Fraction(c)
         object.__setattr__(self, "coeffs", MappingProxyType(coeffs))
-        object.__setattr__(self, "_terms", tuple((k, c) for k, c in coeffs.items() if c))
 
     def coeff(self, lam: Partition, mu: Partition) -> Fraction:
         return self.coeffs.get((Partition(lam), Partition(mu)), Fraction(0))
 
-    def items(self) -> tuple[tuple[Key, Fraction], ...]:
-        """Nonzero terms in canonical order, filtered once at construction."""
-        return self._terms
+    def items(self) -> ItemsView[Key, Fraction]:
+        """The nonzero terms ``((lam, mu), coeff)`` in canonical order."""
+        return self.coeffs.items()
 
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):  # the same coefficients differ across bases
             return NotImplemented
-        return self.n == other.n and self._terms == other._terms
+        return self.n == other.n and self.coeffs == other.coeffs
 
     def __hash__(self):  # pragma: no cover - expansions are not dict keys
-        return hash((self.n, self._terms))
+        return hash((self.n, tuple(self.items())))
 
     def to_records(self) -> list[dict[str, str]]:
         """JSON-ready records {lambda, mu, coeff} in canonical order."""
@@ -97,10 +101,10 @@ class _BilinearExpansion:
         ``lam``, indices in ``partitions_of(n)`` order.  Built on the first
         evaluation, so an expansion that is only displayed never pays for
         it."""
-        den = lcm(*{c.denominator for _, c in self._terms})
+        den = lcm(*{c.denominator for c in self.coeffs.values()})
         index = {lam: i for i, lam in enumerate(partitions_of(self.n))}
         rows: dict[int, list[tuple[int, int]]] = {}
-        for (lam, mu), c in self._terms:
+        for (lam, mu), c in self.items():
             scaled = c.numerator * (den // c.denominator)
             rows.setdefault(index[lam], []).append((index[mu], scaled))
         return den, tuple((i, *zip(*row)) for i, row in rows.items())

@@ -325,13 +325,12 @@ def coeffs_self_check(n: int) -> list[CheckResult]:
         )
     )
     orientable = hm.c_from_L(table)
-    if n <= hm.DEFAULT_CLASS_BOUND:
-        results.append(
-            CheckResult(
-                f"coeffs/class-algebra n={n}",
-                dict(hm.class_connection_table(n)) == orientable,
-            )
+    results.append(
+        CheckResult(
+            f"coeffs/class-algebra n={n}",
+            dict(hm.class_connection_table(n)) == orientable,
         )
+    )
     if n <= hm.DEFAULT_COSET_BOUND:
         _, sizes = hm.double_coset_data(n)
         expected_sizes = {lam: hm.expected_coset_size(n, lam) for lam in partitions_of(n)}

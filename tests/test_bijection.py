@@ -296,6 +296,25 @@ def test_a_slot_of_no_kind_is_reported_before_the_replay(slot):
     assert message in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "f",
+    [
+        Forest(("w", "b"), (((EDGE, 1),),), 0, (), frozenset()),
+        Forest(("w",), (((THORN,),), ((THORN,),)), 0, (), frozenset({((0, 0), (1, 0))})),
+    ],
+    ids=["fewer-slot-lists", "more-slot-lists"],
+)
+def test_slot_lists_and_colors_of_different_lengths_are_one_violation(f):
+    """A forest is read by vertex through both tuples, so a length mismatch
+    is one violation, and no rule that reads them is checked."""
+    message = f"{len(f.slots)} slot lists for {len(f.colors)} vertex colors"
+    assert validate_forest(f) == [message]
+    with pytest.raises(MalformedForestError, match="invalid forest") as err:
+        theta_inverse(f)
+    assert err.value.step == 0
+    assert message in str(err.value)
+
+
 @pytest.mark.parametrize("label", [7, 2, -1])
 def test_a_label_outside_the_ground_set_is_a_violation(label):
     # n = 1: the labels 1 and 1^ are 0 and 1.

@@ -628,6 +628,8 @@ def test_degenerate_strata_equals_the_per_stratum_reference():
                                 DegenerateStratum(n, lam, mu, r, a, sv.diagnostics, sv.value)
                             )
         listed = tuple(iter_degenerate_strata(n))
+        # each names a negative factorial, so its formula_status is never empty
+        assert all(d.diagnostics for d in listed), n
         assert [(d.array, d.diagnostics, d.oracle_value) for d in listed] == [
             (d.array, d.diagnostics, d.oracle_value) for d in reference
         ], n

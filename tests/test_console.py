@@ -87,19 +87,48 @@ def _hypermap_key(h):
     return (h["n"], *(sorted(sorted(block) for block in h[k]) for k in ("f3", "pi1", "pi2")))
 
 
+# Two small records: at n = 3 a forest that is its seed tree alone, at n = 4
+# two non-seed trees of one shape, so the canonical labeling minimizes over
+# their orders.
+SMALL_HYPERMAPS = [
+    {"n": 3, "f3": [["1", "1^"], ["2", "3^"], ["3", "2^"]],
+     "pi1": [["1", "2", "1^", "3^"], ["3", "2^"]], "pi2": [["1", "1^"], ["2", "3", "2^", "3^"]]},
+    {"n": 4, "f3": [["1", "2"], ["3", "4"], ["1^", "2^"], ["3^", "4^"]],
+     "pi1": [["1", "2", "3", "4", "1^", "2^", "3^", "4^"]],
+     "pi2": [["1", "2", "1^", "2^"], ["3", "4", "3^", "4^"]]},
+]
+
+
+def _round_trip(hypermap, path, capsys):
+    """The forward and the back record of ``hypermap``, each with its exit
+    code, through ``bijection --input``."""
+    path.write_text(json.dumps(hypermap), encoding="utf-8")
+    forward = _run(["bijection", "--input", str(path)], capsys)
+    path.write_text(json.dumps(json.loads(forward[1])["forest"]), encoding="utf-8")
+    back = _run(["bijection", "--input", str(path)], capsys)
+    assert _hypermap_key(json.loads(back[1])["hypermap"]) == _hypermap_key(hypermap)
+    return forward, back
+
+
 def test_worked_hypermap_through_the_bijection_and_back(tmp_path, capsys):
     path = tmp_path / "in.json"
-    path.write_text(json.dumps(WORKED_HYPERMAP), encoding="utf-8")
-    code, forward = _run(["bijection", "--input", str(path)], capsys)
+    (code, forward), (code_back, back) = _round_trip(WORKED_HYPERMAP, path, capsys)
     assert (code, _sha256(forward)) == (
         0, "fe737aa872476a4c094ae8cf4c5be2bff875198e3266fb14b9a0c56539af617c"
     )
-    path.write_text(json.dumps(json.loads(forward)["forest"]), encoding="utf-8")
-    code, back = _run(["bijection", "--input", str(path)], capsys)
-    assert _hypermap_key(json.loads(back)["hypermap"]) == _hypermap_key(WORKED_HYPERMAP)
-    assert (code, _sha256(back)) == (
+    assert (code_back, _sha256(back)) == (
         0, "1cb057bed541a59f9aa44c64ef7ee9c01e12a3369582d882e045e4f47a32a503"
     )
+    forests = []
+    for hypermap in SMALL_HYPERMAPS:
+        (code, forward), (code_back, back) = _round_trip(hypermap, path, capsys)
+        assert (code, code_back) == (0, 0)
+        assert json.loads(back)["hypermap"] == hypermap  # written in its canonical order
+        forests.append(json.loads(forward)["forest"])
+    # the n = 4 forest has two non-seed roots
+    f = forests[1]
+    below = {s["child"] for v in f["vertices"] for s in v["slots"] if s["kind"] == "edge"}
+    assert len({v["id"] for v in f["vertices"]} - below - {f["seed"]}) == 2
 
 
 @pytest.mark.parametrize(

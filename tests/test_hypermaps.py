@@ -8,6 +8,7 @@ import pytest
 
 from octamoment.arrays import ArrayTuple
 from octamoment.hypermaps import (
+    DEFAULT_CLASS_BOUND,
     DEFAULT_PAIRING_BOUND,
     DEFAULT_PARTITIONED_BOUND,
     BoundExceededError,
@@ -113,6 +114,8 @@ def test_L_table_totals_and_bound():
         assert sum(L_table(n).values()) == odd_double_factorial(n)
     with pytest.raises(BoundExceededError):
         L_table(DEFAULT_PAIRING_BOUND + 1)  # guards before enumerating
+    # coeffs_self_check runs the class-algebra route for every n L_table reaches
+    assert DEFAULT_PAIRING_BOUND <= DEFAULT_CLASS_BOUND
 
 
 def test_L_table_matches_the_composition_route():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from octamoment.closedform import complex_expansion
+from octamoment.closedform import complex_expansion, real_expansion
 from octamoment.hypermaps import oracle_monomial_expansion, pairing_power_sum_series
 from octamoment.moments import MatrixSpec, moment_complex_exact, moment_real_exact
 from octamoment.partitions import (
@@ -190,8 +190,15 @@ def test_constructor_leaves_caller_dict_unchanged():
 def test_items_are_the_nonzero_terms():
     p2, p11 = Partition([2]), Partition([1, 1])
     with_zero = MonomialExpansion(2, {(p11, p2): 0, (p2, p11): 3, (p2, p2): Fraction(0)})
-    assert with_zero.items() == (((p2, p11), Fraction(3)),)
+    assert tuple(with_zero.items()) == (((p2, p11), Fraction(3)),)
+    assert dict(with_zero.coeffs) == {(p2, p11): 3}
+    assert not hasattr(with_zero, "_terms")  # the terms are kept once, in coeffs
     assert with_zero.coeff(p11, p2) == 0
+    # both assemblies hand their zeros to the constructor
+    for n in range(1, 9):
+        for expansion in (real_expansion(n), complex_expansion(n)):
+            assert 0 not in expansion.coeffs.values(), n
+            assert not hasattr(expansion, "_terms"), n
     assert with_zero == MonomialExpansion(2, {(p2, p11): 3})
     assert with_zero != MonomialExpansion(2, {(p2, p11): 3, (p2, p2): 1})
 
