@@ -496,8 +496,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", choices=sorted(SUITES), required=True)
     p.add_argument("--n-max", type=int, help="enumerating suites only")
-    p.add_argument("--samples", type=int, help="mc suite only (default 200000)")
-    p.add_argument("--seed", type=_seed, help="mc suite only (default 20240801)")
+    p.add_argument("--samples", type=int, help=f"mc suite only (default {mo._MC_SAMPLES})")
+    p.add_argument("--seed", type=_seed, help=f"mc suite only (default {mo._MC_SEED})")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("bijection", help="map a hypermap JSON to its forest or back")
@@ -509,8 +509,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mc", help="Monte Carlo moment estimate")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--field", choices=["real", "complex"], default="real")
-    p.add_argument("--samples", type=int, default=200_000)
-    p.add_argument("--seed", type=_seed, default=20240801)
+    p.add_argument("--samples", type=int, default=mo._MC_SAMPLES)
+    p.add_argument("--seed", type=_seed, default=mo._MC_SEED)
     p.add_argument("--dim", type=int, help="use identity matrices of this size")
     x = p.add_mutually_exclusive_group()  # a list or a file per side, not both
     x.add_argument("--x-eigs", help="comma list of rational eigenvalues for X")

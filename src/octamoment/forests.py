@@ -297,19 +297,16 @@ def _relabel(f: Forest, order: Sequence[int]) -> Forest:
     return Forest(colors, tuple(slots), 0, tuple(attr), frozenset(match))
 
 
-def canonicalize(
-    f: Forest, children: Sequence[list[int]] | None = None, roots: list[int] | None = None
-) -> Forest:
+def canonicalize(f: Forest) -> Forest:
     """Renumber vertices canonically: depth-first over the seed tree, then
     over the non-seed trees, minimizing over reorderings of trees with
     identical shapes (only cross references can distinguish those).  With
     at most one non-seed tree there is one order and nothing to minimize.
-    :func:`theta_forward` passes the children of each vertex (in slot
-    order) and the non-seed roots (in vertex order) it has built."""
-    if children is None or roots is None:
-        children = [[s[1] for s in row if s[0] == EDGE] for row in f.slots]
-        below = {child for row in children for child in row}
-        roots = [v for v in range(f.num_vertices) if v not in below and v != f.seed]
+    The children (in slot order) and the non-seed roots (in vertex order)
+    are read from ``f.slots``, so the labeling depends on the forest alone."""
+    children = [[s[1] for s in row if s[0] == EDGE] for row in f.slots]
+    below = {child for row in children for child in row}
+    roots = [v for v in range(f.num_vertices) if v not in below and v != f.seed]
 
     def order(trees: Sequence[int]) -> list[int]:
         acc: list[int] = []
@@ -369,7 +366,6 @@ def theta_forward(h: PartitionedHypermap) -> Forest:
     # label, its last, is the implicit parent link.  ``pending`` holds
     # what the first label of a pair left for the second.
     rows: list[list[Slot]] = [[] for _ in range(V)]
-    children: list[list[int]] = [[] for _ in range(V)]
     loops = [0] * V
     loop_attr: list[tuple[int, int, str, int]] = []
     matching: set[tuple[SlotRef, SlotRef]] = set()
@@ -396,7 +392,6 @@ def theta_forward(h: PartitionedHypermap) -> Forest:
                 raise AssertionError("two vertices claim the same edge upward")
         elif y == top[u] and not is_root[u]:
             row.append((EDGE, u))
-            children[v].append(u)
         elif y < x:
             ref = (v, len(row))
             matching.add((ref, pending[x]) if x < n else (pending[x], ref))
@@ -405,9 +400,8 @@ def theta_forward(h: PartitionedHypermap) -> Forest:
             pending[y] = (v, len(row))
             row.append(thorn)
 
-    roots = [v for v in range(V) if is_root[v] and v != seed]
     forest = Forest(colors, tuple(map(tuple, rows)), seed, tuple(loop_attr), frozenset(matching))
-    return canonicalize(forest, children, roots)
+    return canonicalize(forest)
 
 
 def theta_inverse(f: Forest) -> PartitionedHypermap:

@@ -31,7 +31,8 @@ one walk over every pairing f3: the white blocks are any union of the
 orbits of <f1, f3> and the black blocks any union of the orbits of
 <f2, f3>, chosen independently, so the walk tallies every grouping of
 each side once and combines the two sides by count.
-:func:`iter_partitioned_hypermaps` builds the same objects one by one.
+:func:`iter_partitioned_hypermaps` builds the same objects one by one
+from the same walk, which alone holds both to their size bound.
 
 Everything here is brute force by design; these are the oracles the
 closed formulas are checked against.
@@ -528,29 +529,32 @@ def _orbits(a: Sequence[int], b: Sequence[int]) -> list[frozenset[int]]:
     return orbits
 
 
-def iter_partitioned_hypermaps(n: int) -> Iterator[PartitionedHypermap]:
-    """Every partitioned hypermap with n edges, each exactly once.
-
-    White vertices are the orbits of <f1, f3>, black vertices the orbits of
-    <f2, f3>; the blocks of pi1 (pi2) are arbitrary unions of white (black)
-    orbits, which is exactly the stability constraint.
-    """
+def _pairings_with_orbits(n: int) -> Iterator[tuple]:
+    """The one walk of the partitioned enumeration, held to its bound here:
+    each pairing f3 of order n, as an image tuple, with the orbits of
+    <f1, f3> (white vertices) and of <f2, f3> (black vertices).  The orbits
+    come least label first and set_partitions keeps that order within and
+    across blocks, so a grouping's first block holds label 1 and the blocks
+    of a union come as :meth:`PartitionedHypermap.make` orders them."""
     if n > DEFAULT_PARTITIONED_BOUND:
         raise BoundExceededError("partitioned hypermap enumeration", n, DEFAULT_PARTITIONED_BOUND)
-    walks = (canonical_f1(n).image, canonical_f2(n).image)
+    f1 = canonical_f1(n).image
+    f2 = canonical_f2(n).image
     for image in iter_pairing_images(2 * n):
-        f3 = Pairing(n, tuple(image))
-        # The orbits come least label first and set_partitions keeps that
-        # order within and across blocks, so the blocks come as make
-        # orders them.
-        pi1s, pi2s = (
-            [tuple([frozenset().union(*g) for g in grouping])
-             for grouping in set_partitions(_orbits(image, walk))]
-            for walk in walks
-        )
-        for pi1 in pi1s:
-            for pi2 in pi2s:
-                yield PartitionedHypermap(f3, pi1, pi2)
+        f3 = tuple(image)
+        yield f3, _orbits(f3, f1), _orbits(f3, f2)
+
+
+def iter_partitioned_hypermaps(n: int) -> Iterator[PartitionedHypermap]:
+    """Every partitioned hypermap with n edges, each exactly once: the blocks
+    of pi1 (pi2) are arbitrary unions of the white (black) orbits of
+    :func:`_pairings_with_orbits`, which is exactly the stability constraint."""
+    for image, *sides in _pairings_with_orbits(n):
+        f3 = Pairing(n, image)
+        pis = [[tuple([frozenset().union(*b) for b in g]) for g in set_partitions(orbits)]
+               for orbits in sides]
+        for pi1, pi2 in itertools.product(*pis):
+            yield PartitionedHypermap(f3, pi1, pi2)
 
 
 def _block_summary(
@@ -584,7 +588,9 @@ def _block_summary(
 def degree_array(h: PartitionedHypermap) -> ArrayTuple:
     """Classify the blocks of a partitioned hypermap into the degree arrays
     by the rule of :func:`_block_summary`; the block of pi1 containing
-    label 1 provides (i0, j0)."""
+    label 1 provides (i0, j0).  ``h`` must be valid (``h.validate()``
+    returns no violations, as ``theta_forward`` and ``bijection --input``
+    check); an invalid one is not detected and may raise anything."""
     n = h.f3.n
     f3 = h.f3.image
     seed = None
@@ -601,17 +607,15 @@ def degree_array(h: PartitionedHypermap) -> ArrayTuple:
     return ArrayTuple.from_vertices(*seed, vertices)
 
 
-def _side_classes(f3: Sequence[int], walk: Sequence[int], n: int, white: bool) -> dict:
-    """Every grouping of the orbits of <walk, f3> into the blocks of one
-    side, tallied by the sorted profiles ``(color, root, i, j)`` of its
-    blocks; on the white side the block holding label 1 is the seed, keyed
-    apart by its ``(i, j)``.  Each orbit is summarized once."""
+def _side_classes(f3: Sequence[int], orbits: list[frozenset[int]], n: int, white: bool) -> dict:
+    """Every grouping of one side's orbits into blocks, tallied by the
+    sorted profiles ``(color, root, i, j)`` of its blocks; on the white
+    side the first block, which holds label 1, is the seed, keyed apart by
+    its ``(i, j)``.  Each orbit is summarized once."""
     color = "w" if white else "b"
-    # _orbits lists the orbit of label 1 first and set_partitions keeps the
-    # first item in the first block, so that block is the white seed.
-    orbits = [_block_summary(orbit, f3, n, white) for orbit in _orbits(f3, walk)]
+    summaries = [_block_summary(orbit, f3, n, white) for orbit in orbits]
     classes: dict = {}
-    for grouping in set_partitions(orbits):
+    for grouping in set_partitions(summaries):
         profiles = []
         for block in grouping:
             degrees, loops, tops = zip(*block)
@@ -630,22 +634,18 @@ def _lp_data(n: int):
     """Both partitioned-hypermap tables of order ``n``: (:func:`lp_table`,
     :func:`lp_by_array`).
 
-    One walk visits every pairing f3.  Its white blocks pi1 are any union
-    of the orbits of <f1, f3> and its black blocks pi2 any union of the
-    orbits of <f2, f3>, chosen independently, so the walk tallies every
-    grouping of each side once (:func:`_side_classes`) and counts each
-    pair of a white and a black class by the product of their tallies.
-    Every (f3, pi1, pi2) is counted once, but none is built.  A pair of
-    classes is one degree array, so each distinct :class:`ArrayTuple` is
-    built once, at the end, and gives its types and r."""
-    if n > DEFAULT_PARTITIONED_BOUND:
-        raise BoundExceededError("partitioned hypermap enumeration", n, DEFAULT_PARTITIONED_BOUND)
-    f1 = canonical_f1(n).image
-    f2 = canonical_f2(n).image
+    For each pairing f3 of :func:`_pairings_with_orbits`, the white blocks
+    pi1 are any union of the orbits of <f1, f3> and the black blocks pi2
+    any union of the orbits of <f2, f3>, chosen independently, so the walk
+    tallies every grouping of each side once (:func:`_side_classes`) and
+    counts each pair of a white and a black class by the product of their
+    tallies.  Every (f3, pi1, pi2) is counted once, but none is built.  A
+    pair of classes is one degree array, so each distinct
+    :class:`ArrayTuple` is built once, at the end, and gives its types and r."""
     pairs: dict = {}
-    for image in iter_pairing_images(2 * n):
-        black = _side_classes(image, f2, n, False)
-        for white, cw in _side_classes(image, f1, n, True).items():
+    for f3, white_orbits, black_orbits in _pairings_with_orbits(n):
+        black = _side_classes(f3, black_orbits, n, False)
+        for white, cw in _side_classes(f3, white_orbits, n, True).items():
             for side, cb in black.items():
                 key = (white, side)
                 pairs[key] = pairs.get(key, 0) + cw * cb
@@ -661,9 +661,8 @@ def _lp_data(n: int):
 
 def lp_table(n: int) -> Mapping:
     """Counts of partitioned hypermaps keyed (white type, black type, r),
-    from the one walk of :func:`_lp_data` over every pairing and every
-    grouping of each side, the two sides combined by count; cached and
-    read-only."""
+    tallied by :func:`_lp_data` over every pairing and every grouping of
+    each side, the two sides combined by count; cached and read-only."""
     return _lp_data(n)[0]
 
 

@@ -59,6 +59,7 @@ __all__ = [
 
 _BLOCK = 1 << 10  # samples drawn and traced together; the draws do not depend on it
 HERMITIAN_TOL = 1e-12
+_MC_SAMPLES, _MC_SEED = 200_000, 20240801  # defaults of the mc command and the mc suite
 
 
 def _is_number(x) -> bool:
@@ -110,7 +111,7 @@ class MatrixSpec:
             if not np.isfinite(m).all():
                 raise ValueError("matrix entries must be finite")
             if np.abs(m - m.conj().T).max() > HERMITIAN_TOL:
-                raise ValueError("matrix is not symmetric/hermitian within 1e-12")
+                raise ValueError(f"matrix is not symmetric/hermitian within {HERMITIAN_TOL}")
 
     @classmethod
     def from_eigs(cls, eigs: Sequence) -> "MatrixSpec":

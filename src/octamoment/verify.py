@@ -259,7 +259,7 @@ def suite_special(n_max: int = 6) -> list[CheckResult]:
     return results
 
 
-def suite_mc(samples: int = 200_000, seed: int = 20240801) -> list[CheckResult]:
+def suite_mc(samples: int = mo._MC_SAMPLES, seed: int = mo._MC_SEED) -> list[CheckResult]:
     """Monte Carlo estimates against exact values, |z| <= 5.  The cases
     draw from ``seed``, ``seed + 1`` and ``seed + 2``, each a Philox key,
     so a ``seed`` from ``2**128 - 2`` on raises ``ValueError``."""

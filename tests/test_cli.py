@@ -1318,22 +1318,39 @@ def test_out_writes_the_stdout_bytes_to_the_file(tmp_path, capsys):
 
 
 def test_bijection_rejects_invalid_hypermap(tmp_path, capsys):
-    # Blocks {1, 2} and {1^, 2^} are neither stable nor hat-balanced.
-    record = {**_VALID_N2, "n": 2, "pi1": [["1", "2"], ["1^", "2^"]]}
-    path, dot = tmp_path / "bad.json", tmp_path / "out.dot"
-    path.write_text(json.dumps(record), encoding="utf-8")
-    code = main(["bijection", "--input", str(path), "--dot", str(dot)])
-    captured = capsys.readouterr()
-    assert code == 1 and captured.err == ""
-    payload = json.loads(captured.out)
-    assert payload["valid"] is False
-    assert payload["violations"] == [
-        "pi1 block [0, 1] is not stable",
-        "pi1 block [0, 1] is hat-unbalanced",
-        "pi1 block [2, 3] is not stable",
-        "pi1 block [2, 3] is hat-unbalanced",
+    # Blocks {1, 2} and {1^, 2^} are neither stable nor hat-balanced, and
+    # nor are {1} and {1^}: degree_array would misread either, so the
+    # command validates before it classifies.
+    cases = [
+        (
+            {**_VALID_N2, "n": 2, "pi1": [["1", "2"], ["1^", "2^"]]},
+            [
+                "pi1 block [0, 1] is not stable",
+                "pi1 block [0, 1] is hat-unbalanced",
+                "pi1 block [2, 3] is not stable",
+                "pi1 block [2, 3] is hat-unbalanced",
+            ],
+        ),
+        (
+            {"n": 1, "f3": [["1", "1^"]], "pi1": [["1^"], ["1"]], "pi2": [["1", "1^"]]},
+            [
+                "pi1 block [0] is not stable",
+                "pi1 block [0] is hat-unbalanced",
+                "pi1 block [1] is not stable",
+                "pi1 block [1] is hat-unbalanced",
+            ],
+        ),
     ]
-    assert not dot.exists()
+    for record, violations in cases:
+        path, dot = tmp_path / "bad.json", tmp_path / "out.dot"
+        path.write_text(json.dumps(record), encoding="utf-8")
+        code = main(["bijection", "--input", str(path), "--dot", str(dot)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.err == ""
+        payload = json.loads(captured.out)
+        assert payload["valid"] is False
+        assert payload["violations"] == violations
+        assert not dot.exists()
 
 
 def test_bijection_reports_an_empty_block(tmp_path, capsys):

@@ -267,8 +267,13 @@ def test_lp_tables_equal_a_per_object_tally(n):
     assert sum(lp_table(n).values()) == sum(lp_by_array(n).values()) == sum(by_types.values())
 
 
-@pytest.mark.parametrize("table", [lp_table, lp_by_array])
+def _all_partitioned_hypermaps(n):
+    return list(iter_partitioned_hypermaps(n))
+
+
+@pytest.mark.parametrize("table", [lp_table, lp_by_array, _all_partitioned_hypermaps])
 def test_lp_tables_keep_their_bound(table):
+    # The three readers of the one partitioned walk share its bound.
     with pytest.raises(BoundExceededError, match="fixed size bound 5$") as info:
         table(DEFAULT_PARTITIONED_BOUND + 1)
     assert (info.value.n, info.value.bound) == (6, 5)
