@@ -23,12 +23,19 @@ any ``0 <= s < 2**128`` is its own stream and any other seed raises
 numpy's ``ValueError``.  Each sample reads its ``m^2`` real parts, then,
 for the complex field, its ``m^2`` imaginary parts, so the draws do not
 depend on how the samples are blocked.  Samples are drawn and traced in
-blocks of ``_BLOCK``, through buffers allocated once per estimate, and
-each block adds its sum and its sum of squares to the totals, so an
-estimate holds one block of samples at a time.  While a block is traced,
-one helper thread draws the next block, one fill at a time in block
-order, so the stream is read as one thread would read it; the helper is
-joined before the estimate returns or raises.  Each block's traces are
+blocks, through buffers allocated once per estimate, and each block adds
+its sum and its sum of squares to the totals, so an estimate holds one
+block of samples at a time.  A block has at most ``_BLOCK`` (1024)
+samples and at most ``_BLOCK_BYTES`` (256 KiB) of U, but at least one
+sample (:func:`_block_size`).  The draws, U and the three work buffers
+each hold one block's U, so an estimate holds at most about 1.25 MiB of
+buffers while one sample's U fits in the cap (``m`` up to 181 in the
+real field and 128 in the complex field), and five samples' worth
+beyond.  The blocks are walked lazily, so a run in 1-sample blocks keeps
+no list of them.  While a block is traced, one helper thread draws the
+next block, one fill at a time in block order, so the stream is read as
+one thread would read it; the helper is joined before the estimate
+returns or raises.  Each block's traces are
 ``T = (X U)(U Y^H)^H``, with ``U Y^H`` and ``X U = (U^T X^T)^T`` each one
 flat gemm over the block, and ``tr T^n = tr(T^(n - h) T^h)`` with
 ``h = n // 2``; the complex traces are scaled by the exact ``2^-n``
@@ -57,7 +64,10 @@ __all__ = [
     "mc_moment_complex",
 ]
 
-_BLOCK = 1 << 10  # samples drawn and traced together; the draws do not depend on it
+# A block is at most _BLOCK samples and, above one sample, at most
+# _BLOCK_BYTES of U; the draws do not depend on it.
+_BLOCK = 1 << 10
+_BLOCK_BYTES = 1 << 18
 HERMITIAN_TOL = 1e-12
 _MC_SAMPLES, _MC_SEED = 200_000, 20240801  # defaults of the mc command and the mc suite
 
@@ -308,6 +318,13 @@ def _block_traces(
     return np.einsum("bij,bji->b", other, half)
 
 
+def _block_size(m: int, complex_field: bool) -> int:
+    """Samples per block at dimension ``m``: at most ``_BLOCK``, and at most
+    ``_BLOCK_BYTES`` of U unless one sample alone is larger."""
+    u_bytes = (16 if complex_field else 8) * m * m
+    return min(_BLOCK, max(1, _BLOCK_BYTES // u_bytes))
+
+
 def _mc_moment(
     n: int, x: MatrixSpec, y: MatrixSpec, samples: int, seed: int, complex_field: bool
 ) -> MCEstimate:
@@ -332,12 +349,11 @@ def _mc_moment(
     # real parts, then its imaginary parts.  U is copied out of the draws,
     # so a helper thread can fill the next block's draws while this block
     # is traced.
-    block = min(_BLOCK, samples)
+    block = min(_block_size(m, complex_field), samples)
     draw = np.empty((block, 2 if complex_field else 1, m, m))
     u = np.empty((block, m, m), np.complex128 if complex_field else np.float64)
     work = [np.empty((block, m, m), np.result_type(xd, yh)) for _ in range(3)]
     rng = np.random.Generator(np.random.Philox(key=seed))
-    sizes = [min(block, samples - start) for start in range(0, samples, block)]
     total = 0.0
     total_sq = 0.0
     from concurrent.futures import ThreadPoolExecutor
@@ -347,7 +363,9 @@ def _mc_moment(
     # An overflow leaves a non-finite estimate, which to_json rejects.
     with ThreadPoolExecutor(max_workers=1) as helper, np.errstate(over="ignore", invalid="ignore"):
         fill = helper.submit(rng.standard_normal, out=draw)
-        for b, after in zip(sizes, sizes[1:] + [0]):
+        for start in range(0, samples, block):
+            b = min(block, samples - start)
+            after = min(block, samples - start - b)
             fill.result()
             u.real[:b] = draw[:b, 0]
             if complex_field:

@@ -1,12 +1,13 @@
 """Whole CLI commands at sizes past the unit tests: recorded stdout
 digests, exact moments against the projector closed forms, Monte Carlo
 agreement, the JSON layout, the table shapes, the verification suites,
-and the memory of the streamed n = 12 real expansion; and the package
-names the benchmark harness reads, with every module's ``__all__`` and
-the version, which ``pyproject.toml`` states too.
+and the memory of the streamed n = 12 real expansion and of Monte Carlo
+at a large dimension; and the package names the benchmark harness reads,
+with every module's ``__all__`` and the version, which ``pyproject.toml``
+states too.
 
 Each command runs through ``cli.main`` in this process, except the memory
-check, which reads a process of its own.  A bound on elapsed time is the
+checks, which each read a process of their own.  A bound on elapsed time is the
 time the command may take from the shell, interpreter start included."""
 
 import hashlib
@@ -25,6 +26,7 @@ import octamoment
 import octamoment.cli
 from octamoment.cli import main
 from octamoment.closedform import q_compl, q_real
+from octamoment.moments import _block_size
 
 
 def _run(argv, capsys):
@@ -167,8 +169,8 @@ def test_real_projector_closed_form_at_n_12_and_16():
         "mc --n 5 --field complex --x-eigs 1,-1/2,2 --y-eigs 1/3,1,1 --samples 20000 --seed 1",
         "mc --n 4 --field real --x-eigs 1,-1/2,2 --y-eigs 1/3,1,1 --samples 20000 --seed 1",
         # 17 full blocks and one 1-sample block
-        "mc --n 3 --field complex --dim 24 --samples 17409 --seed 1",
-        "mc --n 3 --field real --dim 24 --samples 17409 --seed 1",
+        f"mc --n 3 --field complex --dim 24 --samples {17 * _block_size(24, True) + 1} --seed 1",
+        f"mc --n 3 --field real --dim 24 --samples {17 * _block_size(24, False) + 1} --seed 1",
     ],
     ids=["complex-n5", "real-n4", "complex-n3-last-block-of-one", "real-n3-last-block-of-one"],
 )
@@ -279,18 +281,15 @@ def test_cli_import_loads_no_thread_pool(child_env):
     assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")
 
 
-# Runs the n = 12 real expansion in a child of its own and prints its exit
-# code, its peak RSS in KiB (Linux) and the sha256 of its stdout, hashed as
-# it arrives.  The peak is read in this small wrapper, not in the test
-# process: Linux carries a process's high-water RSS across exec, so a
+# Runs the command given by its arguments in a child of its own and prints
+# its exit code, its peak RSS in KiB (Linux) and the sha256 of its stdout,
+# hashed as it arrives.  The peak is read in this small wrapper, not in the
+# test process: Linux carries a process's high-water RSS across exec, so a
 # child started straight from a large test process would report the
 # parent's size.
-_STREAM_PROBE = """
+_CHILD_PROBE = """
 import hashlib, resource, subprocess, sys
-proc = subprocess.Popen(
-    [sys.executable, "-m", "octamoment", "expansion", "--n", "12", "--field", "real"],
-    stdout=subprocess.PIPE,
-)
+proc = subprocess.Popen([sys.executable, "-m", "octamoment", *sys.argv[1:]], stdout=subprocess.PIPE)
 digest = hashlib.sha256()
 for block in iter(lambda: proc.stdout.read(1 << 16), b""):
     digest.update(block)
@@ -298,20 +297,36 @@ print(proc.wait(), resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss, diges
 """
 
 
-def test_real_expansion_streams_in_bounded_memory_byte_for_byte(child_env):
-    # The 33 MB document is written one record at a time: the child's peak
-    # RSS stays far below it (208 MB when the document was built whole).
-    # The wrapper's own child inherits its environment, so both run this tree.
+def _probe(command, child_env):
     result = subprocess.run(
-        [sys.executable, "-c", _STREAM_PROBE],
+        [sys.executable, "-c", _CHILD_PROBE, *command.split()],
         capture_output=True,
         text=True,
         timeout=120,
         env=child_env,
     )
     assert (result.returncode, result.stderr) == (0, "")
-    code, peak_kib, digest = result.stdout.split()
+    return result.stdout.split()
+
+
+def test_real_expansion_streams_in_bounded_memory_byte_for_byte(child_env):
+    # The 33 MB document is written one record at a time: the child's peak
+    # RSS stays far below it (208 MB when the document was built whole).
+    # The wrapper's own child inherits its environment, so both run this tree.
+    code, peak_kib, digest = _probe("expansion --n 12 --field real", child_env)
     assert (code, digest) == (
         "0", "496123c7f22e45f1843b8edd14374c803ab873b38feba1e62e74e3fa0a52f2d1"
     )
     assert int(peak_kib) / 1024 < 100
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_mc_at_a_large_dimension_runs_in_bounded_memory(field, child_env):
+    # At dim 96 a block is 3 real or 1 complex sample (256 KiB of U), so the
+    # child peaks near 38 MB in either field; in one block of all 300
+    # samples, under the sample cap alone, it peaked at 143 MB (real) and
+    # 248 MB (complex) with one BLAS thread.
+    command = f"mc --n 2 --field {field} --dim 96 --samples 300 --seed 1"
+    code, peak_kib, _ = _probe(command, child_env)
+    assert code == "0"
+    assert int(peak_kib) / 1024 < 80

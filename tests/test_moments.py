@@ -309,12 +309,8 @@ def _reference_estimate(n, x, y, samples, seed, complex_field):
     return v.mean(), v.std(ddof=1) / math.sqrt(samples)
 
 
-@pytest.mark.parametrize("samples", [2, 1025, 16385])
-@pytest.mark.parametrize("dim", [1, 2, 5])
-@pytest.mark.parametrize("field", ["real", "complex"])
-def test_mc_kernel_matches_a_plain_matrix_power(field, dim, samples):
-    # 1025 and 16385 samples end on a 1-sample block; n = 1..7 covers the
-    # trace, odd and even splits of the power.
+def _assert_kernel_matches_a_plain_matrix_power(field, dim, samples):
+    # n = 1..7 covers the trace, odd and even splits of the power.
     complex_field = field == "complex"
     x = _positive_definite(dim, complex_field, 0)
     y = _positive_definite(dim, complex_field, 1)
@@ -326,34 +322,85 @@ def test_mc_kernel_matches_a_plain_matrix_power(field, dim, samples):
         assert est.std_error == pytest.approx(std_error, rel=1e-10, abs=0), n
 
 
+@pytest.mark.parametrize("samples", [2, 1025, 16385])
+@pytest.mark.parametrize("dim", [1, 2, 5])
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_mc_kernel_matches_a_plain_matrix_power(field, dim, samples):
+    # 1025 and 16385 samples are one and sixteen blocks of _BLOCK samples,
+    # then a 1-sample block.  Where the byte cap makes the blocks smaller
+    # (complex dim 5: 655 samples), the run takes as many blocks of that
+    # size, so it still ends on a 1-sample block.
+    if samples > 2:
+        blocks = (samples - 1) // moments._BLOCK
+        samples = blocks * moments._block_size(dim, field == "complex") + 1
+    _assert_kernel_matches_a_plain_matrix_power(field, dim, samples)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_mc_kernel_matches_a_plain_matrix_power_in_byte_capped_blocks(field):
+    # At dim 24 the byte cap binds (56 real and 28 complex samples a block):
+    # two blocks, then a 1-sample block.
+    dim = 24
+    block = moments._block_size(dim, field == "complex")
+    assert block < moments._BLOCK
+    _assert_kernel_matches_a_plain_matrix_power(field, dim, 2 * block + 1)
+
+
+def test_block_size_caps_samples_and_bytes():
+    # _BLOCK samples while they fit in _BLOCK_BYTES of U: real m <= 5 and
+    # complex m <= 4, where every pinned estimate lies; fewer above, and
+    # one sample once two do not fit (real m >= 129, complex m >= 91), also
+    # when a single U is larger than the cap (real m >= 182).
+    dims = (1, 4, 5, 6, 24, 90, 91, 128, 129, 182)
+    sizes = {
+        field: [moments._block_size(m, field == "complex") for m in dims]
+        for field in ("real", "complex")
+    }
+    assert sizes == {
+        "real": [1024, 1024, 1024, 910, 56, 4, 3, 2, 1, 1],
+        "complex": [1024, 1024, 655, 455, 28, 2, 1, 1, 1, 1],
+    }
+
+
 @pytest.mark.parametrize("field", ["real", "complex"])
 def test_mc_peak_memory_is_one_block_of_buffers(field):
-    # An estimate holds one block of samples at a time: at dim 24 the real
-    # field's draws, U and three work buffers take 22.5 MiB, the complex
-    # field's draws, U and three work buffers 45 MiB.  The helper thread
-    # fills the draws in place.  17409 samples end on a 1-sample block.
-    # numpy reports its buffers to tracemalloc.
+    # An estimate holds one block of samples at a time: at dim 24 a block is
+    # 256 KiB of U (56 real or 28 complex samples), and the draws, U and
+    # three work buffers take 1.2 MiB in either field; a block of 1024
+    # samples would take 22.5 MiB (real) or 45 MiB (complex).  The helper
+    # thread fills the draws in place.  17 full blocks, then a 1-sample
+    # block.  numpy reports its buffers to tracemalloc; a first small run
+    # imports the helper's pool outside the traced one.
     dim = 24
-    estimator = mc_moment_complex if field == "complex" else mc_moment_real
+    complex_field = field == "complex"
+    estimator = mc_moment_complex if complex_field else mc_moment_real
+    samples = 17 * moments._block_size(dim, complex_field) + 1
+    estimator(2, I2, I2, 2, seed=1)
     tracemalloc.start()
     try:
-        estimator(2, MatrixSpec.identity(dim), MatrixSpec.identity(dim), 17409, seed=1)
+        estimator(2, MatrixSpec.identity(dim), MatrixSpec.identity(dim), samples, seed=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    bound = (54 if field == "complex" else 36) * 2**20
+    bound = 2 * 2**20
     assert peak < bound, (peak / 2**20, bound / 2**20)
 
 
 @pytest.mark.parametrize("estimator", [mc_moment_real, mc_moment_complex])
 def test_mc_estimate_does_not_depend_on_the_block_size(estimator, monkeypatch):
-    x = _positive_definite(3, estimator is mc_moment_complex, 0)
+    # Blocks of 7 samples, and blocks capped at 1000 bytes of U (13 real or
+    # 6 complex samples at dim 3).
+    complex_field = estimator is mc_moment_complex
+    x = _positive_definite(3, complex_field, 0)
     base = estimator(3, x, x, 1000, seed=5)
-    monkeypatch.setattr(moments, "_BLOCK", 7)
-    small = estimator(3, x, x, 1000, seed=5)
-    assert (small.mean, small.std_error) == pytest.approx(
-        (base.mean, base.std_error), rel=1e-12, abs=0
-    )
+    for name, value in (("_BLOCK", 7), ("_BLOCK_BYTES", 1000)):
+        with monkeypatch.context() as patch:
+            patch.setattr(moments, name, value)
+            assert moments._block_size(3, complex_field) < 1000
+            small = estimator(3, x, x, 1000, seed=5)
+        assert (small.mean, small.std_error) == pytest.approx(
+            (base.mean, base.std_error), rel=1e-12, abs=0
+        ), name
 
 
 @pytest.mark.parametrize("estimator", [mc_moment_real, mc_moment_complex])
