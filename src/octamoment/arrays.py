@@ -218,8 +218,8 @@ def _sides(mult: tuple[tuple[int, int], ...]) -> tuple[tuple[Cells, Cells, int],
     """Every (non-root cells, root cells, j-weight) distribution of the
     blocks with the sorted multiplicity items ``mult``: the product of the
     per-size distributions, sizes ascending.  Memoized on ``mult`` alone;
-    callers filter by weight, so one list serves every loop count ``r``
-    and every stratum that the side appears in."""
+    callers filter by weight or read it, so one list serves every loop
+    count ``r`` and every stratum that the side appears in."""
     return tuple(
         (sum((s[0] for s in sides), ()), sum((s[1] for s in sides), ()), sum(s[2] for s in sides))
         for sides in product(*(_size_sides(i, c) for i, c in mult))

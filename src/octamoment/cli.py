@@ -36,8 +36,9 @@ coefficient table (:func:`~octamoment.closedform.complex_length_coeffs`)
 and joins their pieces with the name of each ``lam``.  A
 ``bijection --input`` record with any of ``f3``, ``pi1`` or ``pi2`` is
 read as a hypermap, so a missing key is named, and its ``f3`` must list
-exactly ``n`` pairs.  Exit codes: 0 success, 1
-verification/validation failure, 2 flagged strata under ``--strict``, 3 a
+exactly ``n`` pairs and no label twice (the repeated label is named).
+Exit codes: 0 success, 1 verification/validation failure, 2 flagged
+strata under ``--strict``, 3 a
 usage error (including a ``verify`` option the suite does not take,
 ``coeffs --per-array`` with a ``--format`` other than json, an ``mc``
 side given both an eigenvalue list and a matrix file, and a ``--seed``
@@ -316,7 +317,8 @@ def cmd_verify(args) -> int:
 def _hypermap_from_json(data: dict) -> hm.PartitionedHypermap:
     """Read the ``_hypermap_to_json`` form; a malformed record raises
     ``ValueError``.  ``f3`` must list exactly ``n`` pairs of two labels
-    each, which is checked before the pairing of ``2n`` labels is built."""
+    each, and no label twice, which is checked before the pairing of
+    ``2n`` labels is built."""
     try:
         n = data["n"]
         if type(n) is not int or n < 1:
@@ -329,6 +331,11 @@ def _hypermap_from_json(data: dict) -> hm.PartitionedHypermap:
                 raise ValueError(f"hypermap 'f3' pair {i} must hold two labels, got {pair!r}")
         label = lambda x: hm.parse_element(str(x), n)  # noqa: E731
         pairs = [(label(a), label(b)) for a, b in f3]
+        seen: set[int] = set()
+        for x in chain.from_iterable(pairs):
+            if x in seen:
+                raise ValueError(f"hypermap 'f3' uses label {hm.element_name(x, n)!r} twice")
+            seen.add(x)
         blocks1, blocks2 = (
             [{label(x) for x in block} for block in data[key]] for key in ("pi1", "pi2")
         )

@@ -26,7 +26,8 @@ that of each black side once per ``(mu, r)``, and one count core
 (``_stratum_count``) turns a white and a black factor into the count of
 their stratum.  The order ``v`` of the
 prefactor of ``(p, q, r, n)`` picks the row ``eps**(-v)`` of the seed
-bracket that the count core and the real assembly read.
+bracket that the count core and the real assembly read; where the thorn
+factor's zero is not cancelled the prefactor itself is 0.
 :func:`F_formula` derives the two factors from one array and calls the
 same core; it is the per-stratum route that ``verify --suite strata`` and
 the tests use.  The factor ``1/(n-p-q-2r)!`` vanishes at negative
@@ -127,7 +128,10 @@ def _prefactor(p: int, q: int, r: int, n: int) -> tuple[int, int, int]:
     ``n + eps``: ``(n-q-2r-1)! (n-1-p-2r)! / (n-p-q-2r)!`` times
     ``(r-1)!**2 / 4**r`` (1 at ``r = 0``), each ``x!`` continued as
     ``Gamma(x+1+eps)/Gamma(1+eps)``.  Returns its leading term
-    ``(num/den) eps**v`` as ``(v, num, den)``, with ``v`` in ``-2..1``."""
+    ``(num/den) eps**v`` as ``(v, num, den)``, with ``v`` in ``-2..0``:
+    where the orders add up to more than 0 (the thorn factor vanishes and
+    no pole cancels it) the limit is 0, returned as ``(0, 0, 1)``.  This
+    is the one statement of the thorn zero."""
     v, num, den = 0, factorial(max(r - 1, 0)) ** 2, 4**r
     d, e, thorn = n - q - 2 * r, n - 1 - p - 2 * r, n - p - q - 2 * r
     for x, top in ((d - 1, True), (e, True), (thorn, False)):
@@ -137,7 +141,7 @@ def _prefactor(p: int, q: int, r: int, n: int) -> tuple[int, int, int]:
         v += x_v
         num *= x_num
         den *= x_den
-    return v, num, den
+    return (0, 0, 1) if v > 0 else (v, num, den)
 
 
 def _side_weight(cells: Cells, roots: Cells) -> tuple[int, int]:
@@ -207,15 +211,12 @@ def _stratum_count(a: ArrayTuple, n: int, r: int, white, black) -> int:
     sides (:func:`_white_factor`, :func:`_black_factor`).  The order ``v``
     of the prefactor (:func:`_prefactor`) picks the row ``eps**(-v)`` of
     the seed bracket (:func:`_bracket_rows`), and the count is that row
-    times the prefactor and both side weights, in integers.  The count is
-    0 when ``v > 0`` (the thorn zero).  Raises ``ArithmeticError`` if a
-    row below ``-v`` is nonzero (a pole survives) or the count is not an
-    integer."""
+    times the prefactor and both side weights, in integers; a thorn zero
+    is a prefactor of 0.  Raises ``ArithmeticError`` if a row below
+    ``-v`` is nonzero (a pole survives) or the count is not an integer."""
     p, w_num, w_den, terms = white
     q, b_num, b_den, (s1, s2) = black
     v, c_num, c_den = _prefactor(p, q, r, n)
-    if v > 0:
-        return 0
     rows = _bracket_rows(*terms, n - q - 2 * r)[: 1 - v]
     *below, bracket = [c0 + c1 * s1 + c2 * s2 for c0, c1, c2 in rows]
     if any(below):
@@ -239,8 +240,9 @@ def F_formula(a: ArrayTuple, n: int) -> StratumValue:
     has a simple zero there.  The seed bracket over ``(n-q-2r-1)!`` is one
     quadratic in ``eps`` (:func:`_bracket_rows`).  The count is the
     product of the leading Laurent terms when their orders add up to 0,
-    and 0 when they add up to more; on a generic stratum no factorial has
-    a pole, and the count is the formula's value.  A negative factorial
+    and 0 when they add up to more, a limit that :func:`_prefactor`
+    returns as its value; on a generic stratum no factorial has a pole,
+    and the count is the formula's value.  A negative factorial
     argument flags the stratum (its diagnostics name the factor), but its
     value is still the exact count.  Raises
     ``ArithmeticError`` if a pole survives or the count is not an integer.
@@ -408,7 +410,8 @@ def _white_vector(lam: Partition, n: int) -> list[int]:
     """The white factor of every stratum with white type ``lam``, summed
     per ``(r, q)`` and paired with the bracket row that its prefactor
     picks: three entries per ``(r, q)`` (the coefficients of the black
-    sums ``(1, s1, s2)``), over ``n! _denominator(n)``."""
+    sums ``(1, s1, s2)``), over ``n! _denominator(n)``.  Every ``(p, q,
+    r)`` reads row ``-v``; a thorn zero adds 0, its prefactor being 0."""
     out, scale = [], _denominator(n)
     for r in range(n // 2 + 1):
         by_p: dict[int, list[int]] = {}  # p -> weighted sums of (A, B, s3, j0)
@@ -422,30 +425,27 @@ def _white_vector(lam: Partition, n: int) -> list[int]:
             entry = [0, 0, 0]
             for p, sums in by_p.items():
                 v, c_num, c_den = _prefactor(p, q, r, n)
-                if v <= 0:  # v = 1: the thorn zero makes the count 0
-                    c = c_num * scale // c_den
-                    row = _bracket_rows(*sums, n - q - 2 * r)[-v]
-                    for k in range(3):
-                        entry[k] += c * row[k]
+                c = c_num * scale // c_den
+                row = _bracket_rows(*sums, n - q - 2 * r)[-v]
+                for k in range(3):
+                    entry[k] += c * row[k]
             out += entry
     return out
 
 
 def _black_vector(mu: Partition, n: int) -> list[int]:
     """The black factor of every stratum with black type ``mu``, summed per
-    ``(r, q)``: the weighted sums of ``(1, s1, s2)``, over ``n!``."""
-    out = []
-    for r in range(n // 2 + 1):
-        by_q = [[0, 0, 0] for _ in range(n + 1)]
-        for side in black_sides(mu, r):
-            q, num, den, (s1, s2) = _black_factor(*side, r, n)
-            w = num * (factorial(n) // den)
-            entry = by_q[q]
-            entry[0] += w
-            entry[1] += w * s1
-            entry[2] += w * s2
-        for entry in by_q:
-            out += entry
+    ``(r, q)``: the weighted sums of ``(1, s1, s2)``, over ``n!``, at
+    slots ``3 (r (n+1) + q)`` onwards.  One pass over the sides of ``mu``
+    (:func:`~octamoment.arrays._sides`): each side belongs to the one
+    ``r`` that is its loop weight."""
+    out = [0] * (3 * (n // 2 + 1) * (n + 1))
+    for cells, roots, r in _sides(tuple(sorted(mu.multiplicities().items()))):
+        q, num, den, (s1, s2) = _black_factor(cells, roots, r, n)
+        w, k = num * (factorial(n) // den), 3 * (r * (n + 1) + q)
+        out[k] += w
+        out[k + 1] += w * s1
+        out[k + 2] += w * s2
     return out
 
 

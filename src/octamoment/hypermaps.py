@@ -114,10 +114,12 @@ def element_name(x: int, n: int) -> str:
 
 def parse_element(tok: str, n: int) -> int:
     """Inverse of :func:`element_name`; a token that names no label of
-    ``1..n`` or ``1^..n^`` raises ``ValueError``."""
+    ``1..n`` or ``1^..n^`` (a number out of range or no decimal number
+    at all, such as ``"x^"`` or ``"1.0"``) raises ``ValueError``."""
     tok = tok.strip()
     hat = tok.endswith("^")
-    i = int(tok[:-1] if hat else tok)
+    digits = tok[:-1] if hat else tok
+    i = int(digits) if digits.isascii() and digits.isdigit() else 0
     if not 1 <= i <= n:
         raise ValueError(f"label {tok!r} is not one of 1..{n} or 1^..{n}^")
     return n * hat + i - 1

@@ -187,6 +187,14 @@ def test_forest_enumeration_examples():
     assert len(enumerate_forests(plain)) == 2
 
 
+def test_forest_enumeration_rejects_an_inconsistent_degree_array():
+    # a seed of degree 1 with a loop: the white side has one loop pair,
+    # the black side none
+    a = ArrayTuple.from_vertices(1, 1, [("b", False, 1, 0)])
+    with pytest.raises(ValueError, match="^inconsistent degree array: loop pairs disagree"):
+        enumerate_forests(a)
+
+
 def test_loop_balance_on_constructed_forests():
     for n in range(1, 5):
         for h in iter_partitioned_hypermaps(n):

@@ -1058,6 +1058,83 @@ def test_an_f3_pair_without_two_labels_is_named(pair, tmp_path, capsys):
     assert line == f"octamoment: error: hypermap 'f3' pair 1 must hold two labels, got {pair!r}"
 
 
+@pytest.mark.parametrize(
+    "f3", [[["1", "2"], ["1", "1^"]], [["1", "1"], ["2", "2^"]]], ids=["twice", "with-itself"]
+)
+def test_an_f3_label_used_twice_is_named(f3, tmp_path, capsys):
+    record = {**_VALID_N2, "n": 2, "f3": f3}
+    line = _one_error_line(["bijection", "--input", "bad.json"], record, tmp_path, capsys)
+    assert line == "octamoment: error: hypermap 'f3' uses label '1' twice"
+
+
+@pytest.mark.parametrize(
+    "pi1, label",
+    [([["1", "2^"], ["2", "x^"]], "x^"), (["ab"], "a")],
+    ids=["not-a-label", "block-as-string"],
+)
+def test_a_hypermap_token_that_is_not_a_label_is_named(pi1, label, tmp_path, capsys):
+    record = {**_VALID_N2, "n": 2, "pi1": pi1}
+    line = _one_error_line(["bijection", "--input", "bad.json"], record, tmp_path, capsys)
+    assert line == f"octamoment: error: label {label!r} is not one of 1..2 or 1^..2^"
+
+
+_SINGLE_EDGE = {
+    "seed": 0,
+    "vertices": [
+        {"id": 0, "color": "white", "slots": [{"kind": "edge", "child": 1}]},
+        {"id": 1, "color": "black", "slots": []},
+    ],
+    "loops": [],
+    "thorn_matching": [],
+}
+
+
+@pytest.mark.parametrize(
+    "argv, content, message",
+    [
+        (["mc", "--n", "2", "--x-eigs", "1,2", "--y-eigs", "1"], None,
+         "X and Y must have equal dimension"),
+        (["mc", "--n", "2", "--dim", "2", "--samples", "1"], None,
+         "need at least 2 samples for a standard error"),
+        (["mc", "--n", "2", "--samples", "10", "--matrix-x", "bad.json", "--y-eigs", "1"],
+         {"entries": [[1, 2]]}, "entries must be a dim x dim matrix"),
+        (["bijection", "--input", "bad.json"],
+         {**_SINGLE_EDGE, "vertices": [{"id": 0, "color": "white",
+                                        "slots": [{"kind": "bogus"}]}]},
+         "unknown slot kind 'bogus'"),
+        (["bijection", "--input", "bad.json"],
+         {**_SINGLE_EDGE, "vertices": [_SINGLE_EDGE["vertices"][0],
+                                       {**_SINGLE_EDGE["vertices"][1], "id": 2}]},
+         "vertex ids must be 0..V-1"),
+    ],
+    ids=["mc-unequal-dimensions", "mc-one-sample", "entries-one-row", "slot-kind-bogus",
+         "vertex-ids-0-and-2"],
+)
+def test_input_outside_the_domain_exits_3_with_its_message(argv, content, message, tmp_path,
+                                                            capsys):
+    assert _one_error_line(argv, content, tmp_path, capsys) == f"octamoment: error: {message}"
+
+
+@pytest.mark.parametrize(
+    "pi1, violation",
+    [([["1", "2", "1^", "2^"], ["1", "2^"]], "pi1 blocks overlap"),
+     ([["1", "2^"]], "pi1 does not cover the ground set")],
+    ids=["overlap", "label-missing"],
+)
+def test_a_hypermap_whose_pi1_is_not_a_partition_exits_1(pi1, violation, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**_VALID_N2, "n": 2, "pi1": pi1}), encoding="utf-8")
+    code = main(["bijection", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (1, "")
+    assert json.loads(captured.out) == {"valid": False, "violations": [violation]}
+
+
+def test_run_suite_rejects_an_unknown_suite():
+    with pytest.raises(ValueError, match="^unknown suite 'nope'; choose from "):
+        verify.run_suite("nope")
+
+
 def test_ragged_entries_name_the_row(tmp_path, capsys):
     argv = ["mc", "--n", "2", "--samples", "10", "--matrix-x", "bad.json", "--dim", "2"]
     line = _one_error_line(argv, {"entries": [[1, 2], [2]]}, tmp_path, capsys)

@@ -124,6 +124,23 @@ def test_enumerate_M_examples():
     assert enumerate_M(P2, P2, 0) == [ArrayTuple.from_vertices(2, 0, [("b", False, 2, 0)])]
 
 
+@pytest.mark.parametrize(
+    "lam, mu, r, message",
+    [(P1, P2, 0, "lam and mu must partition the same n"), (P2, P2, -1, "r must be >= 0")],
+    ids=["different-n", "negative-r"],
+)
+def test_enumerate_M_rejects_arguments_outside_its_domain(lam, mu, r, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        enumerate_M(lam, mu, r)
+
+
+@pytest.mark.parametrize("l, m", [(-1, 2), (2, -1)])
+@pytest.mark.parametrize("moment", [q_real, q_compl])
+def test_projector_moments_reject_a_negative_rank(moment, l, m):
+    with pytest.raises(ValueError, match="^matrix ranks must be >= 0$"):
+        moment(2, l, m)
+
+
 def test_enumerate_M_keys_are_consistent():
     for n in range(1, 6):
         for lam, mu, r, a in all_strata(n):

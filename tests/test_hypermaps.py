@@ -68,7 +68,7 @@ def test_pairing_from_pairs_rejects_a_label_outside_the_ground_set(pairs):
         Pairing.from_pairs(2, pairs)
 
 
-@pytest.mark.parametrize("tok", ["0", "3", "3^", "0^", "-1"])
+@pytest.mark.parametrize("tok", ["0", "3", "3^", "0^", "-1", "x^", "1.0", "", "^"])
 def test_parse_element_rejects_a_label_outside_1_to_n(tok):
     with pytest.raises(ValueError, match="is not one of 1..2 or 1\\^..2\\^"):
         parse_element(tok, 2)
