@@ -91,9 +91,7 @@ class ArrayTuple:
     def from_vertices(cls, seed_degree: int, seed_loops: int, vertices: Iterable[Profile]):
         """Tally the profiles of the non-seed vertices into the four fields,
         sorted once; a bad cell is reported as :func:`cells_of` reports it."""
-        tally: dict[Profile, int] = {}
-        for p in vertices:
-            tally[p] = tally.get(p, 0) + 1
+        tally = Counter(vertices)
         fields: tuple[list, ...] = ([], [], [], [])
         for (color, root, i, j), c in sorted(tally.items()):
             if i < 1 or j < 0:
@@ -170,11 +168,7 @@ class ArrayTuple:
 
     def __str__(self) -> str:
         def side(cells: Cells) -> str:
-            if not cells:
-                return "0"
-            return "+".join(
-                f"E({i},{j})" + (f"x{c}" if c > 1 else "") for i, j, c in cells
-            )
+            return "+".join(f"E({i},{j})" + (f"x{c}" if c > 1 else "") for i, j, c in cells) or "0"
 
         return (
             f"P={side(self.white)} P'={side(self.white_root)} "
@@ -217,46 +211,45 @@ def _size_sides(i: int, count: int) -> list[tuple[Cells, Cells, int]]:
 def _sides(mult: tuple[tuple[int, int], ...]) -> tuple[tuple[Cells, Cells, int], ...]:
     """Every (non-root cells, root cells, j-weight) distribution of the
     blocks with the sorted multiplicity items ``mult``: the product of the
-    per-size distributions, sizes ascending.  Memoized on ``mult`` alone;
-    callers filter by weight or read it, so one list serves every loop
-    count ``r`` and every stratum that the side appears in."""
+    per-size distributions, sizes ascending.  Memoized on ``mult`` alone,
+    so one list serves every loop count ``r`` and every stratum that the
+    side appears in."""
     return tuple(
         (sum((s[0] for s in sides), ()), sum((s[1] for s in sides), ()), sum(s[2] for s in sides))
         for sides in product(*(_size_sides(i, c) for i, c in mult))
     )
 
 
-def white_sides(lam: Partition, r: int) -> list[tuple[int, int, Cells, Cells]]:
+def white_sides(lam: Partition) -> list[list[tuple[int, int, Cells, Cells]]]:
     """Every white side ``(i0, j0, white, white_root)`` of a stratum with
-    white type ``lam`` and ``r`` same-kind pairs, in stratum order: seed
-    degree ``i0`` ascending, then the sides of the other blocks whose
-    weight leaves the seed ``j0 = r - weight`` loops, ``0 <= j0 <= i0//2``."""
-    lam_mult = lam.multiplicities()
-    out = []
-    for i0 in sorted(lam_mult):
-        reduced = dict(lam_mult)
-        reduced[i0] -= 1
-        rest = tuple(sorted((i, c) for i, c in reduced.items() if c))
-        for white, white_root, wp in _sides(rest):
-            j0 = r - wp
-            if 0 <= j0 <= i0 // 2:
-                out.append((i0, j0, white, white_root))
+    white type ``lam``, at its loop weight: list ``r <= n//2`` holds the
+    sides with ``r`` same-kind pairs in stratum order, seed degree ``i0``
+    ascending, then the sides of the other blocks in :func:`_sides` order.
+    A side of the other blocks of weight ``w`` is listed at every ``w + j0``,
+    ``0 <= j0 <= i0//2``."""
+    mult = sorted(lam.multiplicities().items())
+    out: list[list[tuple[int, int, Cells, Cells]]] = [[] for _ in range(lam.n // 2 + 1)]
+    for i0, _ in mult:
+        rest = tuple((i, c - (i == i0)) for i, c in mult if (i, c) != (i0, 1))
+        for white, white_root, w in _sides(rest):
+            for j0 in range(i0 // 2 + 1):
+                out[w + j0].append((i0, j0, white, white_root))
     return out
 
 
-def black_sides(mu: Partition, r: int) -> list[tuple[Cells, Cells]]:
+def black_sides(mu: Partition) -> list[list[tuple[Cells, Cells]]]:
     """Every black side ``(black, black_root)`` of a stratum with black
-    type ``mu``, in stratum order: the sides of ``mu`` of weight ``r``."""
-    return [
-        (black, black_root)
-        for black, black_root, wq in _sides(tuple(sorted(mu.multiplicities().items())))
-        if wq == r
-    ]
+    type ``mu``, at its loop weight: list ``r <= n//2`` holds the sides of
+    weight ``r``, in stratum order."""
+    out: list[list[tuple[Cells, Cells]]] = [[] for _ in range(mu.n // 2 + 1)]
+    for black, black_root, r in _sides(tuple(sorted(mu.multiplicities().items()))):
+        out[r].append((black, black_root))
+    return out
 
 
 def enumerate_M(lam: Partition, mu: Partition, r: int) -> list[ArrayTuple]:
     """All strata for white type ``lam``, black type ``mu`` and ``r``
-    same-kind pairs: every black side with every white side.
+    same-kind pairs: every black side with every white side; none if ``r > n//2``.
 
     Cells whose binomial weight in the counting formula vanishes are never
     generated: ``j <= (i-1)//2`` for non-root cells, ``1 <= j``,
@@ -266,9 +259,11 @@ def enumerate_M(lam: Partition, mu: Partition, r: int) -> list[ArrayTuple]:
         raise ValueError("lam and mu must partition the same n")
     if r < 0:
         raise ValueError("r must be >= 0")
-    whites = white_sides(lam, r)
+    if r > lam.n // 2:
+        return []
+    whites = white_sides(lam)[r]
     return [
         ArrayTuple(white, white_root, black, black_root, i0, j0)
-        for black, black_root in black_sides(mu, r)
+        for black, black_root in black_sides(mu)[r]
         for i0, j0, white, white_root in whites
     ]

@@ -35,8 +35,8 @@ of each length of ``lam`` once by indexing the cached ``(k, l)``
 coefficient table (:func:`~octamoment.closedform.complex_length_coeffs`)
 and joins their pieces with the name of each ``lam``.  A
 ``bijection --input`` record with any of ``f3``, ``pi1`` or ``pi2`` is
-read as a hypermap, so a missing key is named, and its ``f3`` must list
-exactly ``n`` pairs and no label twice (the repeated label is named).
+read as a hypermap; a missing key, an ``f3`` without exactly ``n`` pairs,
+a label used twice and a ``pi1``/``pi2`` block not a list are named.
 Exit codes: 0 success, 1 verification/validation failure, 2 flagged
 strata under ``--strict``, 3 a
 usage error (including a ``verify`` option the suite does not take,
@@ -284,9 +284,7 @@ def _format_rows(rows: list[dict], fmt: str) -> str:
         writer.writeheader()
         writer.writerows(rows)
         return buffer.getvalue()
-    widths = {
-        h: max(len(h), *(len(str(r[h])) for r in rows)) for h in headers
-    }
+    widths = {h: max(len(h), *(len(str(r[h])) for r in rows)) for h in headers}
     lines = ["  ".join(h.ljust(widths[h]) for h in headers)]
     for row in rows:
         lines.append("  ".join(str(row[h]).ljust(widths[h]) for h in headers))
@@ -317,8 +315,8 @@ def cmd_verify(args) -> int:
 def _hypermap_from_json(data: dict) -> hm.PartitionedHypermap:
     """Read the ``_hypermap_to_json`` form; a malformed record raises
     ``ValueError``.  ``f3`` must list exactly ``n`` pairs of two labels
-    each, and no label twice, which is checked before the pairing of
-    ``2n`` labels is built."""
+    each, and no label twice, checked before the pairing is built; ``pi1``,
+    ``pi2`` and their blocks must be lists, never read through a string."""
     try:
         n = data["n"]
         if type(n) is not int or n < 1:
@@ -336,9 +334,16 @@ def _hypermap_from_json(data: dict) -> hm.PartitionedHypermap:
             if x in seen:
                 raise ValueError(f"hypermap 'f3' uses label {hm.element_name(x, n)!r} twice")
             seen.add(x)
-        blocks1, blocks2 = (
-            [{label(x) for x in block} for block in data[key]] for key in ("pi1", "pi2")
-        )
+        blocks1, blocks2 = [], []
+        for key, blocks in (("pi1", blocks1), ("pi2", blocks2)):
+            if not isinstance(data[key], list):
+                raise ValueError(f"hypermap {key!r} must be a list of blocks, got {data[key]!r}")
+            for i, block in enumerate(data[key]):
+                if not isinstance(block, list):
+                    raise ValueError(
+                        f"hypermap {key!r} block {i} must be a list of labels, got {block!r}"
+                    )
+                blocks.append({label(x) for x in block})
     except (KeyError, TypeError) as err:
         raise ValueError(f"malformed hypermap JSON: {type(err).__name__} {err}") from None
     return hm.PartitionedHypermap.make(hm.Pairing.from_pairs(n, pairs), blocks1, blocks2)

@@ -19,15 +19,13 @@ value, and flags the boundary strata: their :class:`StratumValue` holds
 diagnostics naming the factorials with a negative argument, next to the
 exact count.
 :func:`iter_degenerate_strata` yields the flagged strata of one order
-with their counts, one at a time, building only those.  It reads
-per-side factors:
-the factor of each white side is computed once per ``(lam, r)`` and
-that of each black side once per ``(mu, r)``, and one count core
-(``_stratum_count``) turns a white and a black factor into the count of
-their stratum.  The order ``v`` of the
-prefactor of ``(p, q, r, n)`` picks the row ``eps**(-v)`` of the seed
-bracket that the count core and the real assembly read; where the thorn
-factor's zero is not cancelled the prefactor itself is 0.
+with their counts, one at a time, building only those.  Each side is
+listed once, at its loop weight ``r`` (:mod:`~octamoment.arrays`), and
+its factor computed once; one count core (``_stratum_count``) turns a
+white and a black factor into the count of their stratum.  The order
+``v`` of the prefactor of ``(p, q, r, n)`` picks the row ``eps**(-v)`` of
+the seed bracket that the count core and the real assembly read; where
+the thorn factor's zero is not cancelled the prefactor itself is 0.
 :func:`F_formula` derives the two factors from one array and calls the
 same core; it is the per-stratum route that ``verify --suite strata`` and
 the tests use.  The factor ``1/(n-p-q-2r)!`` vanishes at negative
@@ -56,7 +54,7 @@ from math import comb, factorial, prod
 from operator import mul
 from types import MappingProxyType
 
-from .arrays import ArrayTuple, Cells, _sides, _size, black_sides, white_sides
+from .arrays import ArrayTuple, Cells, _size, black_sides, white_sides
 from .partitions import (
     Partition,
     aut,
@@ -369,10 +367,10 @@ def iter_degenerate_strata(n: int) -> Iterator[DegenerateStratum]:
     ``mu`` (both from :func:`~octamoment.partitions.partitions_of`), then
     ``r``, then the order of :func:`~octamoment.arrays.enumerate_M`.  Only
     the flagged strata are built, and none is kept.  The factor of each
-    white side is computed once per ``(lam, r)`` and that of each black
-    side once per ``(mu, r)``, so a flagged stratum costs one call of the
-    count core (:func:`_stratum_count`).  ``n < 1`` raises ``ValueError``
-    at the call, before the first stratum is asked for."""
+    side is computed once, at its own loop weight ``r > 0`` (``r = 0``
+    flags nothing), so a flagged stratum costs one call of the count core
+    (:func:`_stratum_count`).  ``n < 1`` raises ``ValueError`` at the
+    call, before the first stratum is asked for."""
     if n < 1:
         raise ValueError("n must be >= 1")
     return _flagged_strata(n)
@@ -380,23 +378,19 @@ def iter_degenerate_strata(n: int) -> Iterator[DegenerateStratum]:
 
 def _flagged_strata(n: int) -> Iterator[DegenerateStratum]:
     parts, rs = partitions_of(n), range(1, n // 2 + 1)
-    blacks = {
-        (mu, r): [(side, _black_factor(*side, r, n)) for side in black_sides(mu, r)]
-        for mu in parts
-        for r in rs
-    }
+
+    def factors(sides, factor):  # each side's factor at its own r > 0; r = 0 flags nothing
+        return [[(s, factor(*s, r, n)) for s in sides[r]] for r in rs]
+
+    blacks = {mu: factors(black_sides(mu), _black_factor) for mu in parts}
     for lam in parts:
-        # At r > 0 a stratum is flagged when p >= n-2r or q >= n-2r
-        # (_diagnostics): a black side whose q flags it meets every white
-        # side, any other black side only the white sides whose p flags them.
-        whites = {}
-        for r in rs:
-            every = [(side, _white_factor(*side, r, n)) for side in white_sides(lam, r)]
-            whites[r] = every, [(side, w) for side, w in every if w[0] >= n - 2 * r]
+        # Flagged when p >= n-2r or q >= n-2r (_diagnostics): a black side whose q
+        # flags it meets every white side, any other only the white sides whose p does.
+        whites = factors(white_sides(lam), _white_factor)
+        owns = [[(s, w) for s, w in every if w[0] >= n - 2 * r] for r, every in zip(rs, whites)]
         for mu in parts:
-            for r in rs:
-                every, own = whites[r]
-                for (black, black_root), b in blacks[mu, r]:
+            for r, every, own, black_factors in zip(rs, whites, owns, blacks[mu]):
+                for (black, black_root), b in black_factors:
                     q = b[0]
                     walk = every if q >= n - 2 * r else own
                     for (i0, j0, white, white_root), w in walk:
@@ -410,12 +404,13 @@ def _white_vector(lam: Partition, n: int) -> list[int]:
     """The white factor of every stratum with white type ``lam``, summed
     per ``(r, q)`` and paired with the bracket row that its prefactor
     picks: three entries per ``(r, q)`` (the coefficients of the black
-    sums ``(1, s1, s2)``), over ``n! _denominator(n)``.  Every ``(p, q,
-    r)`` reads row ``-v``; a thorn zero adds 0, its prefactor being 0."""
+    sums ``(1, s1, s2)``), over ``n! _denominator(n)``, in one pass over
+    the white sides of ``lam``, each at its loop weight ``r``.  Every ``(p,
+    q, r)`` reads row ``-v``; a thorn zero adds 0, its prefactor being 0."""
     out, scale = [], _denominator(n)
-    for r in range(n // 2 + 1):
+    for r, sides in enumerate(white_sides(lam)):
         by_p: dict[int, list[int]] = {}  # p -> weighted sums of (A, B, s3, j0)
-        for side in white_sides(lam, r):
+        for side in sides:
             p, num, den, terms = _white_factor(*side, r, n)
             w = num * (factorial(n) // den)
             sums = by_p.setdefault(p, [0, 0, 0, 0])
@@ -436,16 +431,17 @@ def _white_vector(lam: Partition, n: int) -> list[int]:
 def _black_vector(mu: Partition, n: int) -> list[int]:
     """The black factor of every stratum with black type ``mu``, summed per
     ``(r, q)``: the weighted sums of ``(1, s1, s2)``, over ``n!``, at
-    slots ``3 (r (n+1) + q)`` onwards.  One pass over the sides of ``mu``
-    (:func:`~octamoment.arrays._sides`): each side belongs to the one
-    ``r`` that is its loop weight."""
+    slots ``3 (r (n+1) + q)`` onwards.  One pass over the black sides of
+    ``mu`` (:func:`~octamoment.arrays.black_sides`), each at its own loop
+    weight ``r``."""
     out = [0] * (3 * (n // 2 + 1) * (n + 1))
-    for cells, roots, r in _sides(tuple(sorted(mu.multiplicities().items()))):
-        q, num, den, (s1, s2) = _black_factor(cells, roots, r, n)
-        w, k = num * (factorial(n) // den), 3 * (r * (n + 1) + q)
-        out[k] += w
-        out[k + 1] += w * s1
-        out[k + 2] += w * s2
+    for r, sides in enumerate(black_sides(mu)):
+        for side in sides:
+            q, num, den, (s1, s2) = _black_factor(*side, r, n)
+            w, k = num * (factorial(n) // den), 3 * (r * (n + 1) + q)
+            out[k] += w
+            out[k + 1] += w * s1
+            out[k + 2] += w * s2
     return out
 
 
@@ -602,7 +598,7 @@ def remark_identity_check(lam) -> bool:
     :func:`_side_weight` times ``4^{-j}`` for the filling's j-weight.
     """
     lam = Partition(lam)
-    mult = tuple(sorted(lam.multiplicities().items()))
-    lhs = sum(Fraction(*_side_weight(cells, roots)) / 4**w for cells, roots, w in _sides(mult))
+    by_weight = enumerate(black_sides(lam))
+    lhs = sum(Fraction(*_side_weight(*s)) / 4**w for w, sides in by_weight for s in sides)
     rhs_den = aut(lam) * prod(map(factorial, lam))
     return lhs == Fraction(prod(map(odd_double_factorial, lam)), rhs_den)

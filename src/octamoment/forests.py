@@ -664,8 +664,12 @@ def forest_from_json(data) -> Forest:
         colors = tuple(codes[rec["color"]] for rec in vertices)
         slots = []
         for rec in vertices:
-            row = []
-            for slot in rec["slots"]:
+            row, listed = [], rec["slots"]
+            if not isinstance(listed, list) or not all(isinstance(x, dict) for x in listed):
+                raise ValueError(
+                    f"vertex {rec['id']} 'slots' must be a list of slot objects, got {listed!r}"
+                )
+            for slot in listed:
                 kind = slot["kind"]
                 if kind == "edge":
                     row.append((EDGE, slot["child"]))

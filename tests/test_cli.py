@@ -1068,14 +1068,35 @@ def test_an_f3_label_used_twice_is_named(f3, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "pi1, label",
-    [([["1", "2^"], ["2", "x^"]], "x^"), (["ab"], "a")],
-    ids=["not-a-label", "block-as-string"],
+    "pi1, label", [([["1", "2^"], ["2", "x^"]], "x^")], ids=["not-a-label"]
 )
 def test_a_hypermap_token_that_is_not_a_label_is_named(pi1, label, tmp_path, capsys):
     record = {**_VALID_N2, "n": 2, "pi1": pi1}
     line = _one_error_line(["bijection", "--input", "bad.json"], record, tmp_path, capsys)
     assert line == f"octamoment: error: label {label!r} is not one of 1..2 or 1^..2^"
+
+
+@pytest.mark.parametrize(
+    "key, blocks, message",
+    [
+        ("pi1", ["ab"], "block 0 must be a list of labels, got 'ab'"),
+        ("pi1", ["12"], "block 0 must be a list of labels, got '12'"),
+        ("pi1", ["1", "2", "1", "2"], "block 0 must be a list of labels, got '1'"),
+        ("pi2", [["1", "2"], "1^2^"], "block 1 must be a list of labels, got '1^2^'"),
+        ("pi2", [["1", "2"], {"1^": 1, "2^": 2}],
+         "block 1 must be a list of labels, got {'1^': 1, '2^': 2}"),
+        ("pi1", "12", "must be a list of blocks, got '12'"),
+        ("pi1", {"a": 1}, "must be a list of blocks, got {'a': 1}"),
+    ],
+    ids=["block-as-string", "block-of-labels-as-string", "labels-as-blocks",
+         "pi2-block-as-string", "block-as-object", "blocks-as-string", "blocks-as-object"],
+)
+def test_a_hypermap_block_that_is_not_a_list_is_named(key, blocks, message, tmp_path, capsys):
+    # A string or an object would be read through its characters or keys,
+    # so "12" would pass for the labels 1 and 2.
+    record = {**_VALID_N2, "n": 2, key: blocks}
+    line = _one_error_line(["bijection", "--input", "bad.json"], record, tmp_path, capsys)
+    assert line == f"octamoment: error: hypermap {key!r} {message}"
 
 
 _SINGLE_EDGE = {
@@ -1106,9 +1127,16 @@ _SINGLE_EDGE = {
          {**_SINGLE_EDGE, "vertices": [_SINGLE_EDGE["vertices"][0],
                                        {**_SINGLE_EDGE["vertices"][1], "id": 2}]},
          "vertex ids must be 0..V-1"),
+        (["bijection", "--input", "bad.json"],
+         {"seed": 0, "vertices": [{"id": 0, "color": "white", "slots": "ab"}]},
+         "vertex 0 'slots' must be a list of slot objects, got 'ab'"),
+        (["bijection", "--input", "bad.json"],
+         {**_SINGLE_EDGE, "vertices": [_SINGLE_EDGE["vertices"][0],
+                                       {**_SINGLE_EDGE["vertices"][1], "slots": ["thorn"]}]},
+         "vertex 1 'slots' must be a list of slot objects, got ['thorn']"),
     ],
     ids=["mc-unequal-dimensions", "mc-one-sample", "entries-one-row", "slot-kind-bogus",
-         "vertex-ids-0-and-2"],
+         "vertex-ids-0-and-2", "slots-as-string", "slot-as-string"],
 )
 def test_input_outside_the_domain_exits_3_with_its_message(argv, content, message, tmp_path,
                                                             capsys):

@@ -14,7 +14,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from octamoment.arrays import ArrayTuple, _sides, cells_of, enumerate_M
+from octamoment.arrays import (
+    ArrayTuple,
+    _sides,
+    black_sides,
+    cells_of,
+    enumerate_M,
+    white_sides,
+)
 from octamoment import closedform as cf
 from octamoment.cli import main
 from octamoment.closedform import (
@@ -410,6 +417,48 @@ def test_sides_lists_each_distribution_once():
             listed = _sides(tuple(sorted(lam.multiplicities().items())))
             assert len(listed) == len(set(listed)), lam
             assert set(listed) == expected, lam
+
+
+def _ref_white_sides(lam, r):
+    # The white sides of weight r as a filter of every side of the other
+    # blocks, one scan per r.
+    lam_mult = lam.multiplicities()
+    out = []
+    for i0 in sorted(lam_mult):
+        reduced = dict(lam_mult)
+        reduced[i0] -= 1
+        rest = tuple(sorted((i, c) for i, c in reduced.items() if c))
+        for white, white_root, wp in _sides(rest):
+            j0 = r - wp
+            if 0 <= j0 <= i0 // 2:
+                out.append((i0, j0, white, white_root))
+    return out
+
+
+def _ref_black_sides(mu, r):
+    # The black sides of weight r as a filter of every side, one scan per r.
+    return [
+        (black, black_root)
+        for black, black_root, wq in _sides(tuple(sorted(mu.multiplicities().items())))
+        if wq == r
+    ]
+
+
+def test_sides_are_listed_once_at_their_loop_weight():
+    for n in range(1, 11):
+        for lam in partitions_of(n):
+            whites, blacks = white_sides(lam), black_sides(lam)
+            assert len(whites) == len(blacks) == n // 2 + 1, lam
+            for r in range(n // 2 + 1):
+                assert whites[r] == _ref_white_sides(lam, r), (lam, r)
+                assert blacks[r] == _ref_black_sides(lam, r), (lam, r)
+            # no side lies beyond n//2, and none is listed twice
+            assert _ref_white_sides(lam, n // 2 + 1) == [] == _ref_black_sides(lam, n // 2 + 1)
+            for listed in whites, blacks:
+                every = [side for sides in listed for side in sides]
+                assert len(every) == len(set(every)), lam
+            for mu in partitions_of(n):
+                assert enumerate_M(lam, mu, n // 2 + 1) == []
 
 
 def test_enumerate_M_result_is_the_callers_own():
