@@ -91,7 +91,9 @@ class ArrayTuple:
     def from_vertices(cls, seed_degree: int, seed_loops: int, vertices: Iterable[Profile]):
         """Tally the profiles of the non-seed vertices into the four fields,
         sorted once; a bad cell is reported as :func:`cells_of` reports it."""
-        tally = Counter(vertices)
+        tally: dict[Profile, int] = {}
+        for profile in vertices:
+            tally[profile] = tally.get(profile, 0) + 1
         fields: tuple[list, ...] = ([], [], [], [])
         for (color, root, i, j), c in sorted(tally.items()):
             if i < 1 or j < 0:
@@ -261,9 +263,14 @@ def enumerate_M(lam: Partition, mu: Partition, r: int) -> list[ArrayTuple]:
         raise ValueError("r must be >= 0")
     if r > lam.n // 2:
         return []
-    whites = white_sides(lam)[r]
+    return _pair_sides(white_sides(lam)[r], black_sides(mu)[r])
+
+
+def _pair_sides(whites, blacks) -> list[ArrayTuple]:
+    """The strata of one white and one black side list of equal loop
+    weight, in stratum order: each black side with every white side."""
     return [
         ArrayTuple(white, white_root, black, black_root, i0, j0)
-        for black, black_root in black_sides(mu)[r]
+        for black, black_root in blacks
         for i0, j0, white, white_root in whites
     ]

@@ -13,14 +13,18 @@ must form a single tree rooted at the seed root.
 ``theta_forward`` builds the forest of a partitioned hypermap in one walk
 over the labels: the white (black) vertices are the blocks of pi1 (pi2)
 with their non-hat (hat) labels as slots in increasing order, and the
-label structure is then erased.  ``theta_inverse`` recovers the unique
-preimage by replaying the labels: each next label sits on the leftmost
-unrecovered slot of the vertex that the current slot determines (matched
-thorn, attributed vertex, arrow target, or edge endpoint), and each block
-is built once, the blocks in least-label order.
+label structure is then erased.  A pre-pass finds each block's children
+in slot order, so the vertices are numbered in canonical order as they
+are built.  ``theta_inverse`` recovers the unique preimage by replaying
+the labels: each next label sits on the leftmost unrecovered slot of the
+vertex that the current slot determines (matched thorn, attributed
+vertex, arrow target, or edge endpoint), and each block is built once,
+the blocks in least-label order.
 
 ``validate_forest`` is the one statement of the rules above; a forest
-whose ``slots`` and ``colors`` differ in length is one violation.
+whose ``slots`` and ``colors`` differ in length is one violation.  Its
+one pass over the slots also yields what ``theta_inverse`` replays the
+labels from, so a round trip reads each slot once.
 ``enumerate_forests``, the exhaustive oracle that the bijection is
 checked against stratum by stratum, generates candidate forests of a
 degree array and keeps those it accepts.
@@ -29,7 +33,8 @@ Forests are kept in a canonical labeling (vertices numbered by traversal
 order, the least relabeling over reorderings of identical non-seed
 trees), so structural equality of :class:`Forest` values is isomorphism.
 With at most one non-seed tree (4517 of the 4742 forests at n = 5) the
-traversal order is the only candidate and nothing is minimized.
+traversal order is the only candidate: ``theta_forward`` builds it
+directly, and ``canonicalize`` relabels once and minimizes nothing.
 One order of forests (``_order_key``) picks that least relabeling and
 orders the list ``enumerate_forests`` returns.
 """
@@ -110,13 +115,23 @@ class Forest:
 
 def validate_forest(f: Forest) -> list[str]:
     """All violations of the permuted-forest properties (empty iff valid)."""
+    return _read_forest(f)[0]
+
+
+def _read_forest(f: Forest) -> tuple[list[str], tuple]:
+    """The violations of ``f`` and what the one pass over its slots read:
+    ``(parent, edges, ends, attr)``, the parent of each child, each edge as
+    ``(v, slot, child)``, each vertex's loops as ``{id: slot indices}`` and
+    each loop's ``(kind, target)`` keyed ``(v, id)``.  The reading is
+    whole when there are no violations; :func:`theta_inverse` replays the
+    labels from it."""
     problems: list[str] = []
     V = f.num_vertices
     colors, seed = f.colors, f.seed
     if len(f.slots) != V:
-        return [f"{len(f.slots)} slot lists for {V} vertex colors"]
+        return [f"{len(f.slots)} slot lists for {V} vertex colors"], ()
     if not 0 <= seed < V:
-        return [f"seed index {seed} out of range"]
+        return [f"seed index {seed} out of range"], ()
     if colors[seed] != "w":
         problems.append("seed root is not white")
     if colors.count("w") + colors.count("b") != V:
@@ -127,14 +142,18 @@ def validate_forest(f: Forest) -> list[str]:
     # child), (THORN,) or (LOOP, id) ends the check there.
     unread = False
     parent: dict[int, int] = {}
+    edges: list[tuple[int, int, int]] = []
     thorns: set[SlotRef] = set()
-    counts: list[dict[int, int]] = []
+    ends: list[dict[int, list[int]]] = []
     for v, slots in enumerate(f.slots):
-        count: dict[int, int] = {}
+        mine: dict[int, list[int]] = {}
         for i, slot in enumerate(slots):
             kind = slot[0] if slot else None
             if kind == LOOP and len(slot) == 2:
-                count[slot[1]] = count.get(slot[1], 0) + 1
+                if slot[1] in mine:
+                    mine[slot[1]].append(i)
+                else:
+                    mine[slot[1]] = [i]
             elif kind == THORN:
                 thorns.add((v, i))
             elif kind == EDGE and len(slot) == 2:
@@ -147,27 +166,25 @@ def validate_forest(f: Forest) -> list[str]:
                 if child in parent:
                     problems.append(f"vertex {child} has two parents")
                 parent[child] = v
+                edges.append((v, i, child))
             else:
                 problems.append(f"slot {i} of vertex {v} is not an edge, thorn or loop: {slot!r}")
                 unread = True
-        counts.append(count)
+        ends.append(mine)
     if seed in parent:
         problems.append("seed root has a parent edge")
     if unread:
-        return problems
+        return problems, ()
 
     # Loop bookkeeping: ids occur exactly twice, numbered by first extremity.
-    loops_of: list[list[int]] = []
-    for v, count in enumerate(counts):
-        ids = list(count)
-        if ids:
-            if ids != list(range(len(ids))):
+    for v, mine in enumerate(ends):
+        if mine:
+            if list(mine) != list(range(len(mine))):
                 problems.append(f"vertex {v} loop ids not in first-occurrence order")
-            if set(count.values()) != {2}:
+            if set(map(len, mine.values())) != {2}:
                 problems.append(f"vertex {v} has a loop without exactly two extremities")
         elif not f.slots[v] and v not in parent:
             problems.append(f"root vertex {v} has degree 0")
-        loops_of.append(ids)
 
     # The loop in a non-seed root's rightmost slot carries its arrow.
     arrow: dict[int, int] = {}
@@ -186,8 +203,8 @@ def validate_forest(f: Forest) -> list[str]:
     arrows_in = [0] * V
     greek_named = [0] * V
     attributed = 0
-    for v, ids in enumerate(loops_of):
-        for k in ids:
+    for v, mine in enumerate(ends):
+        for k in mine:
             if (v, k) not in attr:
                 problems.append(f"loop {k} of vertex {v} has no attribution")
                 continue
@@ -205,7 +222,7 @@ def validate_forest(f: Forest) -> list[str]:
                     problems.append(f"non-maximal loop {k} of vertex {v} cannot carry an arrow")
                 greek_named[target] += 1
     if attributed != len(attr):
-        extra = set(attr) - {(v, k) for v, ids in enumerate(loops_of) for k in ids}
+        extra = set(attr) - {(v, k) for v, mine in enumerate(ends) for k in mine}
         problems.append(f"attributions for nonexistent loops: {sorted(extra)}")
 
     # Thorn matching is a bijection between the white and black thorns.
@@ -227,7 +244,7 @@ def validate_forest(f: Forest) -> list[str]:
 
     # Loop balance: loops(v) = incoming arrows + loops named after v.
     for v in range(V):
-        loops = len(loops_of[v])
+        loops = len(ends[v])
         if loops != arrows_in[v] + greek_named[v]:
             problems.append(
                 f"vertex {v} has {loops} loops but "
@@ -258,7 +275,7 @@ def validate_forest(f: Forest) -> list[str]:
         else:
             reached.update(trail)
 
-    return problems
+    return problems, (parent, edges, ends, attr)
 
 
 def _structure_keys(f: Forest) -> dict[int, tuple]:
@@ -297,6 +314,18 @@ def _relabel(f: Forest, order: Sequence[int]) -> Forest:
     return Forest(colors, tuple(slots), 0, tuple(attr), frozenset(match))
 
 
+def _depth_first(seed: int, roots: Sequence[int], children: Sequence[Sequence[int]]) -> list[int]:
+    """The canonical vertex order: depth-first, children in slot order,
+    over the seed tree and then over the trees of ``roots`` in turn."""
+    acc: list[int] = []
+    stack = [*reversed(roots), seed]
+    while stack:
+        v = stack.pop()
+        acc.append(v)
+        stack += reversed(children[v])
+    return acc
+
+
 def canonicalize(f: Forest) -> Forest:
     """Renumber vertices canonically: depth-first over the seed tree, then
     over the non-seed trees, minimizing over reorderings of trees with
@@ -307,25 +336,18 @@ def canonicalize(f: Forest) -> Forest:
     children = [[s[1] for s in row if s[0] == EDGE] for row in f.slots]
     below = {child for row in children for child in row}
     roots = [v for v in range(f.num_vertices) if v not in below and v != f.seed]
-
-    def order(trees: Sequence[int]) -> list[int]:
-        acc: list[int] = []
-        stack = [*reversed(trees), f.seed]
-        while stack:
-            v = stack.pop()
-            acc.append(v)
-            stack += reversed(children[v])
-        return acc
-
     if len(roots) < 2:
-        return _relabel(f, order(roots))
+        return _relabel(f, _depth_first(f.seed, roots, children))
     keys = _structure_keys(f)
     groups: dict[tuple, list[int]] = {}
     for v in roots:
         groups.setdefault(keys[v], []).append(v)
     candidates = itertools.product(*(itertools.permutations(groups[k]) for k in sorted(groups)))
     return min(
-        (_relabel(f, order([*itertools.chain.from_iterable(perms)])) for perms in candidates),
+        (
+            _relabel(f, _depth_first(f.seed, [*itertools.chain.from_iterable(perms)], children))
+            for perms in candidates
+        ),
         key=_order_key,
     )
 
@@ -334,23 +356,25 @@ def theta_forward(h: PartitionedHypermap) -> Forest:
     """Image of a partitioned hypermap: blocks become vertices, the matched
     pair of each non-seed block maximum becomes its parent edge or arrow,
     in-block pairs become loops, and the leftover mixed pairs become
-    matched thorns.  Integer labels are erased at the end."""
+    matched thorns.  Integer labels are erased: vertices are numbered in
+    canonical order as they are built, and only a forest with two or more
+    non-seed trees is handed to :func:`canonicalize` for its minimum."""
     problems = h.validate()
     if problems:
         raise ValueError("invalid partitioned hypermap: " + "; ".join(problems))
     n = h.f3.n
     f3 = h.f3.image
-    colors = ("w",) * len(h.pi1) + ("b",) * len(h.pi2)
-    V = len(colors)
+    W = len(h.pi1)
+    V = W + len(h.pi2)
 
-    # Per label: its white and black block, and the vertex whose slot it
-    # names (non-hat labels on white vertices, hat on black).
+    # Per label: its white and black block, and the block whose slot it
+    # names (non-hat labels on white blocks, hat on black).
     white_of = [0] * (2 * n)
     black_of = [0] * (2 * n)
     for v, block in enumerate(h.pi1):
         for x in block:
             white_of[x] = v
-    for v, block in enumerate(h.pi2, len(h.pi1)):
+    for v, block in enumerate(h.pi2, W):
         for x in block:
             black_of[x] = v
     owner = white_of[:n] + black_of[n:]
@@ -360,7 +384,24 @@ def theta_forward(h: PartitionedHypermap) -> Forest:
     seed = white_of[0]
     is_root = [v == seed or (t < n) == (f3[t] < n) for v, t in enumerate(top)]
 
-    # Each vertex's slots are its labels in increasing order, so one walk
+    # A non-root block hangs from the slot that f3 pairs with its top
+    # label, so its parent's children come in slot order when sorted by
+    # that label.  Vertex ``rank[v]`` is block ``v`` in canonical order.
+    children: list[list[int]] = [[] for _ in range(V)]
+    for x, u in sorted([(f3[t], u) for u, t in enumerate(top) if not is_root[u]]):
+        v = owner[x]
+        if x == top[v] and not is_root[v]:
+            raise AssertionError("two vertices claim the same edge upward")
+        children[v].append(u)
+    roots = [v for v in range(V) if is_root[v] and v != seed]
+    order = _depth_first(seed, roots, children)
+    if len(order) != V:
+        raise AssertionError("tree edges leave a vertex unreachable")
+    rank = [0] * V
+    for new, old in enumerate(order):
+        rank[old] = new
+
+    # Each block's slots are its labels in increasing order, so one walk
     # over the labels appends them in place: loops are numbered by their
     # first extremity and children come in slot order.  A non-root's top
     # label, its last, is the implicit parent link.  ``pending`` holds
@@ -368,7 +409,7 @@ def theta_forward(h: PartitionedHypermap) -> Forest:
     rows: list[list[Slot]] = [[] for _ in range(V)]
     loops = [0] * V
     loop_attr: list[tuple[int, int, str, int]] = []
-    matching: set[tuple[SlotRef, SlotRef]] = set()
+    matching: list[tuple[SlotRef, SlotRef]] = []
     pending: list = [None] * (2 * n)
     thorn = (THORN,)
     for x, y in enumerate(f3):
@@ -382,26 +423,32 @@ def theta_forward(h: PartitionedHypermap) -> Forest:
                 raise AssertionError("in-kind pair crosses blocks despite stability")
             slot = pending[y] = (LOOP, loops[v])
             kind = "arrow" if v != seed and is_root[v] and top[v] in (x, y) else "greek"
-            loop_attr.append((v, loops[v], kind, (black_of if x < n else white_of)[x]))
+            target = (black_of if x < n else white_of)[x]
+            loop_attr.append((rank[v], loops[v], kind, rank[target]))
             loops[v] += 1
             row.append(slot)
             continue
         u = owner[y]
         if x == top[v] and not is_root[v]:
-            if y == top[u] and not is_root[u]:
-                raise AssertionError("two vertices claim the same edge upward")
-        elif y == top[u] and not is_root[u]:
-            row.append((EDGE, u))
+            continue
+        if y == top[u] and not is_root[u]:
+            row.append((EDGE, rank[u]))
         elif y < x:
-            ref = (v, len(row))
-            matching.add((ref, pending[x]) if x < n else (pending[x], ref))
+            ref = (rank[v], len(row))
+            matching.append((ref, pending[x]) if x < n else (pending[x], ref))
             row.append(thorn)
         else:
-            pending[y] = (v, len(row))
+            pending[y] = (rank[v], len(row))
             row.append(thorn)
 
-    forest = Forest(colors, tuple(map(tuple, rows)), seed, tuple(loop_attr), frozenset(matching))
-    return canonicalize(forest)
+    # Sorted as _relabel sorts them: validate_forest reports matching
+    # problems in the frozenset's iteration order.
+    loop_attr.sort()
+    matching.sort()
+    colors = tuple(["w" if v < W else "b" for v in order])
+    slots = tuple([tuple(rows[v]) for v in order])
+    forest = Forest(colors, slots, 0, tuple(loop_attr), frozenset(matching))
+    return forest if len(roots) < 2 else canonicalize(forest)
 
 
 def theta_inverse(f: Forest) -> PartitionedHypermap:
@@ -414,39 +461,29 @@ def theta_inverse(f: Forest) -> PartitionedHypermap:
     failure (``step`` above 0) would mean that :func:`validate_forest`
     accepted a forest the replay cannot read.
     """
-    problems = validate_forest(f)
+    problems, reading = _read_forest(f)
     if problems:
         raise MalformedForestError(0, "invalid forest: " + "; ".join(problems))
+    parent, edges, ends, attr = reading
     V = f.num_vertices
-    partner: dict[SlotRef, int] = {}
-    for a, b in f.matching:
-        partner[a] = b[0]
-        partner[b] = a[0]
-    attr = {(v, k): t for v, k, _, t in f.loop_attr}
 
     # The vertex each slot determines (None for an unmatched thorn), the
     # implicit parent slot last; and each pair of slots that f3 joins.
-    nxt: list[list[int | None]] = [[] for _ in range(V)]
+    nxt: list[list[int | None]] = [[None] * len(row) for row in f.slots]
     joined: list[tuple[int, int, int, int]] = []
-    for v, slots in enumerate(f.slots):
-        row = nxt[v]
-        first: dict[int, int] = {}
-        for idx, slot in enumerate(slots):
-            kind = slot[0]
-            if kind == THORN:
-                row.append(partner.get((v, idx)))
-            elif kind == LOOP:
-                row.append(attr[v, slot[1]])
-                if slot[1] in first:
-                    joined.append((v, first[slot[1]], v, idx))
-                first[slot[1]] = idx
-            else:  # an edge, joined to the child's parent slot, its last
-                row.append(slot[1])
-                joined.append((v, idx, slot[1], -1))
-    for v, _, child, last in joined:
-        if last < 0:
-            nxt[child].append(v)
-    joined += [(*a, *b) for a, b in f.matching]
+    for v, idx, child in edges:  # an edge, joined to the child's parent slot
+        nxt[v][idx] = child
+        joined.append((v, idx, child, -1))
+    for child, v in parent.items():
+        nxt[child].append(v)
+    for v, mine in enumerate(ends):
+        for k, (i, j) in mine.items():
+            nxt[v][i] = nxt[v][j] = attr[v, k][1]
+            joined.append((v, i, v, j))
+    for a, b in f.matching:
+        nxt[a[0]][a[1]] = b[0]
+        nxt[b[0]][b[1]] = a[0]
+        joined.append((*a, *b))
     colors = f.colors
     n = sum([len(row) for row, color in zip(nxt, colors) if color == "w"])
 
@@ -483,12 +520,16 @@ def theta_inverse(f: Forest) -> PartitionedHypermap:
         image[x], image[y] = y, x
     # Each block is its labels and their f1 (white) or f2 (black) images;
     # the order of reaching is the least-label order of the blocks.
-    walks = {"w": canonical_f1(n).image, "b": canonical_f2(n).image}
-    blocks: dict[str, list[frozenset[int]]] = {"w": [], "b": []}
+    f1, f2 = canonical_f1(n).image, canonical_f2(n).image
+    pi1: list[frozenset[int]] = []
+    pi2: list[frozenset[int]] = []
     for v in reached:
-        mine, walk = labels[v], walks[colors[v]]
-        blocks[colors[v]].append(frozenset(mine + [walk[x] for x in mine]))
-    result = PartitionedHypermap(Pairing(n, tuple(image)), tuple(blocks["w"]), tuple(blocks["b"]))
+        mine = labels[v]
+        if colors[v] == "w":
+            pi1.append(frozenset(mine + [f1[x] for x in mine]))
+        else:
+            pi2.append(frozenset(mine + [f2[x] for x in mine]))
+    result = PartitionedHypermap(Pairing(n, tuple(image)), tuple(pi1), tuple(pi2))
     leftover = result.validate()
     if leftover:
         raise MalformedForestError(n, "recovered object invalid: " + "; ".join(leftover))
@@ -645,13 +686,26 @@ def forest_to_json(f: Forest) -> dict:
 def forest_from_json(data) -> Forest:
     """Inverse of :func:`forest_to_json`.
 
-    A record not of that shape raises ``ValueError``; a record of that
-    shape that breaks the forest rules is left to :func:`validate_forest`.
+    A record not of that shape raises ``ValueError``; a field that is not
+    a JSON list (of objects, for ``vertices``, ``loops`` and each vertex's
+    ``slots``) is named.  A record of that shape that breaks the forest
+    rules is left to :func:`validate_forest`.
     """
+
+    def objects(listed, field: str, what: str) -> list:
+        if not isinstance(listed, list) or not all(isinstance(x, dict) for x in listed):
+            raise ValueError(f"{field} must be a list of {what} objects, got {listed!r}")
+        return listed
+
     if not isinstance(data, dict) or not {"seed", "vertices"} <= data.keys():
         raise ValueError("a forest is a JSON object with 'seed' and 'vertices'")
+    records = objects(data["vertices"], "forest 'vertices'", "vertex")
+    loops = objects(data.get("loops", []), "forest 'loops'", "loop")
+    refs = data.get("thorn_matching", [])
+    if not isinstance(refs, list):
+        raise ValueError(f"forest 'thorn_matching' must be a list of matched pairs, got {refs!r}")
     try:
-        vertices = sorted(data["vertices"], key=lambda rec: rec["id"])
+        vertices = sorted(records, key=lambda rec: rec["id"])
         if [rec["id"] for rec in vertices] != list(range(len(vertices))):
             raise ValueError("vertex ids must be 0..V-1")
         codes = {"white": "w", "black": "b"}
@@ -664,12 +718,8 @@ def forest_from_json(data) -> Forest:
         colors = tuple(codes[rec["color"]] for rec in vertices)
         slots = []
         for rec in vertices:
-            row, listed = [], rec["slots"]
-            if not isinstance(listed, list) or not all(isinstance(x, dict) for x in listed):
-                raise ValueError(
-                    f"vertex {rec['id']} 'slots' must be a list of slot objects, got {listed!r}"
-                )
-            for slot in listed:
+            row = []
+            for slot in objects(rec["slots"], f"vertex {rec['id']} 'slots'", "slot"):
                 kind = slot["kind"]
                 if kind == "edge":
                     row.append((EDGE, slot["child"]))
@@ -681,12 +731,8 @@ def forest_from_json(data) -> Forest:
                     raise ValueError(f"unknown slot kind {kind!r}")
             slots.append(tuple(row))
         attr = tuple(
-            sorted(
-                (rec["vertex"], rec["loop"], rec["kind"], rec["target"])
-                for rec in data.get("loops", [])
-            )
+            sorted((rec["vertex"], rec["loop"], rec["kind"], rec["target"]) for rec in loops)
         )
-        refs = list(data.get("thorn_matching", []))
         matching = [tuple(map(tuple, entry)) for entry in refs]
     except (KeyError, TypeError) as err:
         raise ValueError(f"malformed forest JSON: {type(err).__name__} {err}") from None

@@ -437,6 +437,12 @@ def c_from_L(table: Mapping) -> dict[tuple[Partition, Partition], int]:
     return by_pair(table, 0)
 
 
+@lru_cache(maxsize=None)
+def _label_sets(n: int) -> tuple[frozenset[int], frozenset[int]]:
+    """All labels ``0..2n-1`` and the hat labels ``n..2n-1``; memoized."""
+    return frozenset(range(2 * n)), frozenset(range(n, 2 * n))
+
+
 @dataclass(frozen=True)
 class PartitionedHypermap:
     """Triple (f3, pi1, pi2): a pairing plus block merges of the white and
@@ -457,8 +463,7 @@ class PartitionedHypermap:
 
     def validate(self) -> list[str]:
         n = self.f3.n
-        ground = frozenset(range(2 * n))
-        hats = frozenset(range(n, 2 * n))
+        ground, hats = _label_sets(n)
         problems: list[str] = []
         f3 = self.f3.image
         for name, blocks, stab in (
@@ -470,7 +475,7 @@ class PartitionedHypermap:
                 if not block:
                     problems.append(f"{name} has an empty block")
                     continue
-                if covered & block:
+                if not covered.isdisjoint(block):
                     problems.append(f"{name} blocks overlap")
                 covered |= block
                 if not block <= ground:

@@ -27,7 +27,7 @@ from . import closedform as cf
 from . import forests as fo
 from . import hypermaps as hm
 from . import moments as mo
-from .arrays import enumerate_M
+from .arrays import _pair_sides, black_sides, white_sides
 from .partitions import Partition, aut, format_partition, odd_double_factorial, partitions_of
 
 __all__ = ["CheckResult", "run_suite", "SUITES", "coeffs_self_check"]
@@ -47,12 +47,16 @@ class CheckResult:
 
 def _strata(n: int):
     """The strata of order ``n`` as ``(lam, mu, r, a)``: for each ``lam``,
-    each ``mu`` and each ``r``, the arrays ``a`` of :func:`enumerate_M`."""
+    each ``mu`` and each ``r``, the arrays ``a`` that
+    :func:`~octamoment.arrays.enumerate_M` lists, paired from side lists
+    built once per partition."""
     parts = partitions_of(n)
+    blacks = [black_sides(mu) for mu in parts]
     for lam in parts:
-        for mu in parts:
+        whites = white_sides(lam)
+        for mu, black in zip(parts, blacks):
             for r in range(n // 2 + 1):
-                for a in enumerate_M(lam, mu, r):
+                for a in _pair_sides(whites[r], black[r]):
                     yield lam, mu, r, a
 
 

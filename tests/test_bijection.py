@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import pickle
 import random
 
 import pytest
@@ -176,6 +177,36 @@ def test_canonicalize_is_invariant_under_renumbering():
     for f in forests + several:
         for rest in itertools.permutations(range(1, f.num_vertices)):
             assert canonicalize(_relabel(f, (0, *rest))) == f
+
+
+def test_theta_forward_builds_its_canonical_labeling():
+    """theta_forward numbers the vertices canonically as it builds them, so
+    canonicalize leaves its output unchanged, byte for byte: every
+    hypermap at n <= 4 and every 50th at n = 5, the forests with two or
+    more non-seed trees among them (those theta_forward minimizes)."""
+    hypermaps = [h for n in range(1, 5) for h in iter_partitioned_hypermaps(n)]
+    hypermaps += list(iter_partitioned_hypermaps(5))[::50]
+    forests = [theta_forward(h) for h in hypermaps]
+    assert len(forests) == 426 + 95
+    assert sum(_non_seed_roots(f) >= 2 for f in forests) >= 10
+    for f in forests:
+        assert canonicalize(f) == f
+        assert pickle.dumps(canonicalize(f)) == pickle.dumps(f)
+
+
+def test_canonicalize_is_idempotent_on_enumerated_forests():
+    """enumerate_forests keeps canonicalize's output, and canonicalize
+    leaves it unchanged: every forest of every stratum at n <= 4."""
+    checked = 0
+    for n in range(1, 5):
+        for lam in partitions_of(n):
+            for mu in partitions_of(n):
+                for r in range(n // 2 + 1):
+                    for a in enumerate_M(lam, mu, r):
+                        for f in enumerate_forests(a):
+                            assert canonicalize(f) == f
+                            checked += 1
+    assert checked == 426
 
 
 def test_forest_enumeration_examples():

@@ -997,6 +997,9 @@ _VALID_N2 = {"f3": [["1", "2^"], ["2", "1^"]], "pi1": [["1", "2", "1^", "2^"]],
          {"eigs": [None]}),
         (["bijection", "--input", "bad.json"],
          {**_VALID_N2, "n": 2, "f3": [["1", "2^", "1^"], ["2"]]}),
+        (["bijection", "--input", "bad.json"], {"seed": 0, "vertices": "ab"}),
+        (["bijection", "--input", "bad.json"], {"seed": 0, "vertices": ["ab"]}),
+        (["bijection", "--input", "bad.json"], {"seed": 0, "vertices": [], "loops": "ab"}),
     ],
     ids=["hypermap-without-f3", "forest-without-seed", "json-list", "edge-child-x",
          "label-9-at-n2", "n-as-string", "matrix-dim-only", "eigs-zero-denominator",
@@ -1005,7 +1008,7 @@ _VALID_N2 = {"f3": [["1", "2^"], ["2", "1^"]], "pi1": [["1", "2", "1^", "2^"]],
          "entry-object", "entry-three-numbers", "entry-boolean", "entry-string", "entry-infinite",
          "eigs-empty-both", "dim-boolean", "eigs-beyond-float-real", "eigs-beyond-float-complex",
          "matrix-eigs-beyond-float", "eigs-and-entries", "eigs-trailing-comma", "eigs-null",
-         "f3-pair-of-three"],
+         "f3-pair-of-three", "vertices-as-string", "vertex-as-string", "loops-as-string"],
 )
 def test_malformed_input_exits_3_with_one_line(argv, content, tmp_path, capsys):
     _one_error_line(argv, content, tmp_path, capsys)
@@ -1134,9 +1137,20 @@ _SINGLE_EDGE = {
          {**_SINGLE_EDGE, "vertices": [_SINGLE_EDGE["vertices"][0],
                                        {**_SINGLE_EDGE["vertices"][1], "slots": ["thorn"]}]},
          "vertex 1 'slots' must be a list of slot objects, got ['thorn']"),
+        (["bijection", "--input", "bad.json"], {"seed": 0, "vertices": "ab"},
+         "forest 'vertices' must be a list of vertex objects, got 'ab'"),
+        (["bijection", "--input", "bad.json"], {"seed": 0, "vertices": ["ab"]},
+         "forest 'vertices' must be a list of vertex objects, got ['ab']"),
+        (["bijection", "--input", "bad.json"], {**_SINGLE_EDGE, "loops": "ab"},
+         "forest 'loops' must be a list of loop objects, got 'ab'"),
+        (["bijection", "--input", "bad.json"], {**_SINGLE_EDGE, "loops": [["ab"]]},
+         "forest 'loops' must be a list of loop objects, got [['ab']]"),
+        (["bijection", "--input", "bad.json"], {**_SINGLE_EDGE, "thorn_matching": 5},
+         "forest 'thorn_matching' must be a list of matched pairs, got 5"),
     ],
     ids=["mc-unequal-dimensions", "mc-one-sample", "entries-one-row", "slot-kind-bogus",
-         "vertex-ids-0-and-2", "slots-as-string", "slot-as-string"],
+         "vertex-ids-0-and-2", "slots-as-string", "slot-as-string", "vertices-as-string",
+         "vertex-as-string", "loops-as-string", "loop-as-list", "thorn-matching-as-number"],
 )
 def test_input_outside_the_domain_exits_3_with_its_message(argv, content, message, tmp_path,
                                                             capsys):

@@ -23,6 +23,7 @@ from octamoment.arrays import (
     white_sides,
 )
 from octamoment import closedform as cf
+from octamoment.verify import _strata
 from octamoment.cli import main
 from octamoment.closedform import (
     _factorial_leading,
@@ -123,6 +124,47 @@ def test_from_vertices_reports_a_bad_cell(vertices, message):
     with pytest.raises(ValueError) as err:
         ArrayTuple.from_vertices(1, 0, vertices)
     assert str(err.value) == message
+
+
+def test_from_vertices_reports_the_bad_cell_that_cells_of_reports():
+    """On random profile lists with bad cells among them, from_vertices
+    raises the message of cells_of on each field's Counter tally, in field
+    order, and otherwise matches the Counter reference."""
+    rng = random.Random(20250)
+    for _ in range(400):
+        pool = [(*rng.choice(KINDS), rng.randint(-1, 3), rng.randint(-1, 2)) for _ in range(4)]
+        vertices = [rng.choice(pool) for _ in range(rng.randint(1, 10))]
+        tally = Counter(vertices)
+        try:
+            expected = ArrayTuple(
+                *(
+                    cells_of([(i, j, c) for (*k, i, j), c in tally.items() if tuple(k) == kind])
+                    for kind in KINDS
+                ),
+                2,
+                1,
+            )
+        except ValueError as err:
+            with pytest.raises(ValueError) as raised:
+                ArrayTuple.from_vertices(2, 1, vertices)
+            assert str(raised.value) == str(err)
+        else:
+            assert ArrayTuple.from_vertices(2, 1, vertices) == expected
+
+
+def test_strata_walk_lists_enumerate_M_in_order():
+    """verify's stratum walk, which builds each side list once per
+    partition, lists exactly the strata of enumerate_M in the order of
+    lambda, mu, r and enumerate_M."""
+    for n in range(1, 8):
+        expected = [
+            (lam, mu, r, a)
+            for lam in partitions_of(n)
+            for mu in partitions_of(n)
+            for r in range(n // 2 + 1)
+            for a in enumerate_M(lam, mu, r)
+        ]
+        assert list(_strata(n)) == expected
 
 
 def test_enumerate_M_examples():
