@@ -18,6 +18,7 @@ from .closedform import (
     coeff_m_lambda_m_n,
     complex_coeff,
     complex_expansion,
+    iter_degenerate_pairs,
     iter_degenerate_strata,
     q_compl,
     q_real,

@@ -16,20 +16,23 @@ error before the first chunk (``n < 1``) writes nothing and creates no
 written until then.
 :func:`_expansion_chunks` is the one writer of the ``expansion`` record
 for both fields: it fills one fixed template for the head
-(``degenerate_strata``, ``field``, ``n``) around the strata chunks it is
-handed and writes the term blocks it is handed, one chunk per ``lam``
-(canonical order); :func:`_strata_chunks` writes one chunk per flagged
-stratum.  ``expansion --field real`` hands it the strata as
-:func:`~octamoment.closedform.iter_degenerate_strata` yields them and the
-rows of :func:`~octamoment.closedform.real_expansion` (:func:`_real_blocks`),
-which includes the flagged strata (resolved by continuation in ``n`` for
-every ``n``: the order of each stratum's prefactor picks the one row of
-the seed bracket that its count reads); ``report`` prints that list of
-strata alone and assembles no coefficient.  Under ``--strict`` the strata
-go out without their counts, noting the (lam, mu) pair of each as it is
+(``degenerate_strata``, ``field``, ``n``) around the chunks of that value
+it is handed and writes the term blocks it is handed, one chunk per
+``lam`` (canonical order).  ``expansion --field real`` hands it the
+per-pair summary, one chunk per flagged (lam, mu) pair as
+:func:`~octamoment.closedform.iter_degenerate_pairs` yields it
+(:func:`_pair_chunks`: its number of flagged strata and the sum of their
+counts), and the rows of :func:`~octamoment.closedform.real_expansion`
+(:func:`_real_blocks`), which includes the flagged strata (resolved by
+continuation in ``n`` for every ``n``: the order of each stratum's
+prefactor picks the one row of the seed bracket that its count reads).
+``report`` prints the per-stratum list instead, one chunk per flagged
+stratum as :func:`~octamoment.closedform.iter_degenerate_strata` yields
+it (:func:`_strata_chunks`), and assembles no coefficient.  Under
+``--strict`` the pairs go out without their counts, each noted as it is
 written, and the real blocks leave out the terms of those pairs; no
 second expansion is built, and the command exits 2 if and only if it
-wrote a stratum.  ``expansion --field complex`` hands the writer no
+wrote a pair.  ``expansion --field complex`` hands the writer no
 strata and builds no expansion: :func:`_complex_blocks` renders the terms
 of each length of ``lam`` once by indexing the cached ``(k, l)``
 coefficient table (:func:`~octamoment.closedform.complex_length_coeffs`)
@@ -119,46 +122,45 @@ def _list_chunks(items: Iterable[str], close: str) -> Iterator[str]:
     """A JSON list laid out by ``_json_dumps``, one chunk per item: each
     item is the text of one or more elements, every element led by its
     newline and indent, and goes out after its separator; ``close`` ends
-    the list, and an empty one is ``[]``."""
-    sep = "["
-    for item in items:
-        yield sep + item
-        sep = ","
-    yield "[]" if sep == "[" else close
+    the list, and an empty one is ``[]``.  No item is held while the next
+    one is made."""
+    items = iter(items)
+    first = next(items, None)
+    if first is None:
+        yield "[]"
+        return
+    yield "[" + first
+    del first
+    yield from map(",".__add__, items)
+    yield close
 
 
-def _strata_chunks(
-    strata: Iterable[cf.DegenerateStratum], depth: int, counts: bool = True, flagged=None
-) -> Iterator[str]:
+def _strata_chunks(strata: Iterable[cf.DegenerateStratum], flagged: set) -> Iterator[str]:
     """``json.dumps([d.to_json() for d in strata], indent=2,
-    sort_keys=True)`` as it is laid out at nesting ``depth`` (1 for a
-    top-level list, 2 for the value of a top-level key), one chunk per
-    stratum, leaving out ``"oracle_value"`` unless ``counts``.  The
-    (lam, mu) pair of each stratum is added to the set ``flagged``, if one
-    is given, as the stratum is written.
+    sort_keys=True)``, the ``report`` list, one chunk per stratum.  The
+    (lam, mu) pair of each stratum is added to the set ``flagged`` as the
+    stratum is written.
 
     Each :class:`~octamoment.closedform.DegenerateStratum` fills one fixed
     template; each cell list and status is encoded once per call, and its
     diagnostics are its status.  No record is built and the indenting
     encoder is not used.
     """
-    pad, key, cell = ("  " * (depth + k) for k in (0, 2, 3))
     record = (
-        f'\n{pad}{{\n{pad}  "A": {{\n'
-        f'{key}"black": %s,\n{key}"black_root": %s,\n'
-        f'{key}"seed_degree": %d,\n{key}"seed_loops": %d,\n'
-        f'{key}"white": %s,\n{key}"white_root": %s\n{pad}  }},\n'
-        f'{pad}  "formula_status": %s,\n{pad}  "lambda": %s,\n{pad}  "mu": %s,\n'
-        f'{pad}  "n": %d,\n%s{pad}  "r": %d\n{pad}}}'
+        '\n  {\n    "A": {\n'
+        '      "black": %s,\n      "black_root": %s,\n'
+        '      "seed_degree": %d,\n      "seed_loops": %d,\n'
+        '      "white": %s,\n      "white_root": %s\n    },\n'
+        '    "formula_status": %s,\n    "lambda": %s,\n    "mu": %s,\n'
+        '    "n": %d,\n    "oracle_value": %d,\n    "r": %d\n  }'
     )
-    count = f'{pad}  "oracle_value": %d,\n'
-    entry = f"{cell}[\n{cell}  %d,\n{cell}  %d,\n{cell}  %d\n{cell}]"
+    entry = "        [\n          %d,\n          %d,\n          %d\n        ]"
 
     @cache
     def cells_json(cells) -> str:
         if not cells:
             return "[]"
-        return "[\n" + ",\n".join([entry % c for c in cells]) + f"\n{key}]"
+        return "[\n" + ",\n".join([entry % c for c in cells]) + "\n      ]"
 
     @cache
     def status(diagnostics) -> str:
@@ -166,8 +168,7 @@ def _strata_chunks(
 
     def records() -> Iterator[str]:
         for d in strata:
-            if flagged is not None:
-                flagged.add((d.lam, d.mu))
+            flagged.add((d.lam, d.mu))
             a = d.array
             yield record % (
                 cells_json(a.black),
@@ -180,11 +181,59 @@ def _strata_chunks(
                 _name(d.lam),
                 _name(d.mu),
                 d.n,
-                count % d.oracle_value if counts else "",
+                d.oracle_value,
                 d.r,
             )
 
-    return _list_chunks(records(), "\n" + "  " * (depth - 1) + "]")
+    return _list_chunks(records(), "\n]")
+
+
+# One ``degenerate_strata`` entry of ``expansion`` exactly as ``_json_dumps``
+# lays out a {lambda, mu, oracle_value, strata} record at depth 2; _COUNT is
+# the ``oracle_value`` line, which ``--strict`` leaves out.
+_PAIR = '\n    {\n      "lambda": %s,\n      "mu": %s,\n%s      "strata": %d\n    }'
+_COUNT = '      "oracle_value": %d,\n'
+
+
+class _PairSet:
+    """A set of (lam, mu) pairs of partitions of ``n`` in one bit per pair
+    of ``partitions_of(n)``.  ``expansion --strict`` keeps its flagged pairs
+    here until their terms are left out: most pairs are flagged, and a set
+    of tuples would outweigh the records written from it."""
+
+    def __init__(self, n: int) -> None:
+        self._index = {lam: i for i, lam in enumerate(partitions_of(n))}
+        self._bits = 0
+
+    def _slot(self, pair) -> int:
+        lam, mu = pair
+        return self._index[lam] * len(self._index) + self._index[mu]
+
+    def add(self, pair) -> None:
+        self._bits |= 1 << self._slot(pair)
+
+    def __contains__(self, pair) -> bool:
+        return self._bits >> self._slot(pair) & 1 == 1
+
+    def __bool__(self) -> bool:
+        return self._bits != 0
+
+
+def _pair_chunks(pairs, flagged: _PairSet | None = None) -> Iterator[str]:
+    """The value of ``degenerate_strata``: one chunk per flagged (lam, mu)
+    pair of :func:`~octamoment.closedform.iter_degenerate_pairs`, with its
+    number of strata and, unless ``flagged`` is given (``--strict``), the
+    sum of their counts.  Each pair is added to ``flagged``, if given, as
+    it is written."""
+
+    def records() -> Iterator[str]:
+        for lam, mu, strata, total in pairs:
+            if flagged is not None:
+                flagged.add((lam, mu))
+            count = "" if flagged is not None else _COUNT % total
+            yield _PAIR % (_name(lam), _name(mu), count, strata)
+
+    return _list_chunks(records(), "\n  ]")
 
 
 def _expansion_chunks(
@@ -292,14 +341,16 @@ def _format_rows(rows: list[dict], fmt: str) -> str:
 
 
 def cmd_expansion(args) -> int:
-    n, flagged = args.n, set()
+    n, flagged = args.n, None
     if args.field == "complex":
         strata, blocks = ["[]"], _complex_blocks(n)
     else:
-        strata = _strata_chunks(cf.iter_degenerate_strata(n), 2, not args.strict, flagged)
+        pairs = cf.iter_degenerate_pairs(n)  # rejects n < 1 before anything is built
+        flagged = _PairSet(n) if args.strict else None
+        strata = _pair_chunks(pairs, flagged)
         blocks = _real_blocks(cf.real_expansion(n), flagged if args.strict else ())
     _emit(_expansion_chunks(n, args.field, strata, blocks), args.out)
-    return 2 if args.strict and flagged else 0
+    return 2 if flagged else 0
 
 
 def cmd_verify(args) -> int:
@@ -452,7 +503,7 @@ def cmd_mc(args) -> int:
 def cmd_report(args) -> int:
     flagged: set = set()
     strata = cf.iter_degenerate_strata(args.n)
-    _emit(chain(_strata_chunks(strata, 1, flagged=flagged), ["\n"]), args.out)
+    _emit(chain(_strata_chunks(strata, flagged), ["\n"]), args.out)
     return 2 if args.strict and flagged else 0
 
 

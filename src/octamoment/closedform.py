@@ -18,11 +18,15 @@ The per-stratum formula is generic: on boundary strata (``r > 0`` and
 value, and flags the boundary strata: their :class:`StratumValue` holds
 diagnostics naming the factorials with a negative argument, next to the
 exact count.
-:func:`iter_degenerate_strata` yields the flagged strata of one order
-with their counts, one at a time, building only those.  Each side is
-listed once, at its loop weight ``r`` (:mod:`~octamoment.arrays`), and
-its factor computed once; one count core (``_stratum_count``) turns a
-white and a black factor into the count of their stratum.  The order
+One walk finds the flagged strata of one order and counts each, and it
+has two readers: :func:`iter_degenerate_strata` yields the strata with
+their counts, one at a time, building only those (the per-stratum list
+that ``report`` prints), and :func:`iter_degenerate_pairs` sums them per
+``(lam, mu)`` pair and builds no stratum (the summary that ``expansion
+--field real`` prints).  Each side is listed once, at its loop weight
+``r`` (:mod:`~octamoment.arrays`), and its factor computed once per
+process; one count core (``_stratum_count``) turns a white and a black
+factor into the count of their stratum.  The order
 ``v`` of the prefactor of ``(p, q, r, n)`` picks the row ``eps**(-v)`` of
 the seed bracket that the count core and the real assembly read; where
 the thorn factor's zero is not cancelled the prefactor itself is 0.
@@ -50,8 +54,9 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import groupby
 from math import comb, factorial, prod
-from operator import mul
+from operator import itemgetter, mul
 from types import MappingProxyType
 
 from .arrays import ArrayTuple, Cells, _size, black_sides, white_sides
@@ -73,6 +78,7 @@ __all__ = [
     "F_counts",
     "alpha",
     "iter_degenerate_strata",
+    "iter_degenerate_pairs",
     "real_expansion",
     "complex_coeff",
     "complex_length_coeffs",
@@ -182,6 +188,32 @@ def _black_factor(cells: Cells, roots: Cells, r: int, n: int):
     return q, num, den, (s1, s2)
 
 
+@lru_cache(maxsize=None)
+def _white_factors(lam: Partition) -> tuple[tuple, ...]:
+    """Every white side of ``lam`` with its factor (:func:`_white_factor`)
+    at the order ``n`` of ``lam``, as ``(side, factor)`` pairs, one tuple
+    per loop weight ``r`` (the lists of
+    :func:`~octamoment.arrays.white_sides`).  The real assembly and the
+    flagged-strata walk both read it, so each factor is computed once per
+    process."""
+    n = lam.n
+    return tuple(
+        tuple([(s, _white_factor(*s, r, n)) for s in sides])
+        for r, sides in enumerate(white_sides(lam))
+    )
+
+
+@lru_cache(maxsize=None)
+def _black_factors(mu: Partition) -> tuple[tuple, ...]:
+    """:func:`_white_factors` for the black sides of ``mu``
+    (:func:`_black_factor`, :func:`~octamoment.arrays.black_sides`)."""
+    n = mu.n
+    return tuple(
+        tuple([(s, _black_factor(*s, r, n)) for s in sides])
+        for r, sides in enumerate(black_sides(mu))
+    )
+
+
 def _bracket_rows(a: int, b: int, s3: int, j0: int, d: int):
     """``r**2`` times the seed bracket at ``n + eps`` over ``(n-q-2r-1)!``,
     one row per power ``eps**0, eps**1, eps**2``.  ``d = n-q-2r`` becomes
@@ -204,24 +236,35 @@ def _diagnostics(p: int, q: int, r: int, n: int) -> tuple[str, ...]:
     return tuple(f"negative factorial argument {name} = {x}" for name, x in named if x < 0)
 
 
-def _stratum_count(a: ArrayTuple, n: int, r: int, white, black) -> int:
-    """The count of stratum ``a`` at order ``n`` from the factors of its
-    sides (:func:`_white_factor`, :func:`_black_factor`).  The order ``v``
-    of the prefactor (:func:`_prefactor`) picks the row ``eps**(-v)`` of
-    the seed bracket (:func:`_bracket_rows`), and the count is that row
-    times the prefactor and both side weights, in integers; a thorn zero
-    is a prefactor of 0.  Raises ``ArithmeticError`` if a row below
-    ``-v`` is nonzero (a pole survives) or the count is not an integer."""
+def _array(white_side, black_side) -> ArrayTuple:
+    """The stratum of a white side ``(i0, j0, white, white_root)`` and a
+    black side ``(black, black_root)``."""
+    i0, j0, white, white_root = white_side
+    return ArrayTuple(white, white_root, *black_side, i0, j0)
+
+
+def _stratum_count(white_side, black_side, n: int, r: int, white, black) -> int:
+    """The count at order ``n`` of the stratum of ``white_side`` and
+    ``black_side`` from the factors of its sides (:func:`_white_factor`,
+    :func:`_black_factor`).  The order ``v`` of the prefactor
+    (:func:`_prefactor`) picks the row ``eps**(-v)`` of the seed bracket
+    (:func:`_bracket_rows`), and the count is that row times the
+    prefactor and both side weights, in integers; a thorn zero is a
+    prefactor of 0.  Raises ``ArithmeticError``, naming the stratum, if a
+    row below ``-v`` is nonzero (a pole survives) or the count is not an
+    integer."""
     p, w_num, w_den, terms = white
     q, b_num, b_den, (s1, s2) = black
     v, c_num, c_den = _prefactor(p, q, r, n)
     rows = _bracket_rows(*terms, n - q - 2 * r)[: 1 - v]
     *below, bracket = [c0 + c1 * s1 + c2 * s2 for c0, c1, c2 in rows]
     if any(below):
+        a = _array(white_side, black_side)
         raise ArithmeticError(f"a pole survives the continuation of {a} at n = {n}")
     num, den = w_num * b_num * bracket * c_num, w_den * b_den * c_den
     count, rest = divmod(num, den)
     if rest:
+        a = _array(white_side, black_side)
         raise ArithmeticError(f"count {Fraction(num, den)} of {a} at n = {n} is not an integer")
     return count
 
@@ -251,10 +294,12 @@ def F_formula(a: ArrayTuple, n: int) -> StratumValue:
     side.
     """
     r = a.loop_pairs
-    white = _white_factor(a.seed_degree, a.seed_loops, a.white, a.white_root, r, n)
-    black = _black_factor(a.black, a.black_root, r, n)
-    diagnostics = _diagnostics(white[0], black[0], r, n)
-    return StratumValue(_stratum_count(a, n, r, white, black), diagnostics)
+    white_side = (a.seed_degree, a.seed_loops, a.white, a.white_root)
+    black_side = (a.black, a.black_root)
+    white = _white_factor(*white_side, r, n)
+    black = _black_factor(*black_side, r, n)
+    count = _stratum_count(white_side, black_side, n, r, white, black)
+    return StratumValue(count, _diagnostics(white[0], black[0], r, n))
 
 
 @lru_cache(maxsize=None)
@@ -369,35 +414,54 @@ def iter_degenerate_strata(n: int) -> Iterator[DegenerateStratum]:
     the flagged strata are built, and none is kept.  The factor of each
     side is computed once, at its own loop weight ``r > 0`` (``r = 0``
     flags nothing), so a flagged stratum costs one call of the count core
-    (:func:`_stratum_count`).  ``n < 1`` raises ``ValueError`` at the
-    call, before the first stratum is asked for."""
+    (:func:`_stratum_count`).  This is the list that ``report`` prints.
+    ``n < 1`` raises ``ValueError`` at the call, before the first stratum
+    is asked for."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return _flagged_strata(n)
+    return (
+        DegenerateStratum(n, lam, mu, r, _array(white, black), _diagnostics(p, q, r, n), count)
+        for lam, mu, r, white, black, p, q, count in _flagged_strata(n)
+    )
 
 
-def _flagged_strata(n: int) -> Iterator[DegenerateStratum]:
-    parts, rs = partitions_of(n), range(1, n // 2 + 1)
+def iter_degenerate_pairs(n: int) -> Iterator[tuple[Partition, Partition, int, int]]:
+    """The ``(lam, mu)`` pairs of the order-n real moment with a flagged
+    stratum, in the order of :func:`iter_degenerate_strata`, each as
+    ``(lam, mu, strata, total)``: the number of its flagged strata and the
+    sum of their counts.  The same walk, each count checked by the count
+    core, but no stratum is built.  This is the summary that ``expansion
+    --field real`` prints.  ``n < 1`` raises ``ValueError`` at the call."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return _flagged_pairs(n)
 
-    def factors(sides, factor):  # each side's factor at its own r > 0; r = 0 flags nothing
-        return [[(s, factor(*s, r, n)) for s in sides[r]] for r in rs]
 
-    blacks = {mu: factors(black_sides(mu), _black_factor) for mu in parts}
+def _flagged_pairs(n: int) -> Iterator[tuple[Partition, Partition, int, int]]:
+    for (lam, mu), strata in groupby(_flagged_strata(n), key=itemgetter(0, 1)):
+        counts = [stratum[-1] for stratum in strata]
+        yield lam, mu, len(counts), sum(counts)
+
+
+def _flagged_strata(n: int) -> Iterator[tuple]:
+    """Every flagged stratum of order ``n`` in assembly order, as ``(lam,
+    mu, r, white side, black side, p, q, count)``: the one walk over the
+    strata that :func:`_diagnostics` flags, read by both
+    :func:`iter_degenerate_strata` and :func:`iter_degenerate_pairs`."""
+    parts, rs = partitions_of(n), range(1, n // 2 + 1)  # r = 0 flags nothing
+    blacks = [(mu, _black_factors(mu)) for mu in parts]
     for lam in parts:
         # Flagged when p >= n-2r or q >= n-2r (_diagnostics): a black side whose q
         # flags it meets every white side, any other only the white sides whose p does.
-        whites = factors(white_sides(lam), _white_factor)
-        owns = [[(s, w) for s, w in every if w[0] >= n - 2 * r] for r, every in zip(rs, whites)]
-        for mu in parts:
-            for r, every, own, black_factors in zip(rs, whites, owns, blacks[mu]):
-                for (black, black_root), b in black_factors:
+        whites = _white_factors(lam)
+        owns = [[(s, w) for s, w in whites[r] if w[0] >= n - 2 * r] for r in rs]
+        for mu, black_factors in blacks:
+            for r, own in zip(rs, owns):
+                for black, b in black_factors[r]:
                     q = b[0]
-                    walk = every if q >= n - 2 * r else own
-                    for (i0, j0, white, white_root), w in walk:
-                        a = ArrayTuple(white, white_root, black, black_root, i0, j0)
-                        diagnostics = _diagnostics(w[0], q, r, n)
-                        count = _stratum_count(a, n, r, w, b)
-                        yield DegenerateStratum(n, lam, mu, r, a, diagnostics, count)
+                    for white, w in whites[r] if q >= n - 2 * r else own:
+                        count = _stratum_count(white, black, n, r, w, b)
+                        yield lam, mu, r, white, black, w[0], q, count
 
 
 def _white_vector(lam: Partition, n: int) -> list[int]:
@@ -405,13 +469,13 @@ def _white_vector(lam: Partition, n: int) -> list[int]:
     per ``(r, q)`` and paired with the bracket row that its prefactor
     picks: three entries per ``(r, q)`` (the coefficients of the black
     sums ``(1, s1, s2)``), over ``n! _denominator(n)``, in one pass over
-    the white sides of ``lam``, each at its loop weight ``r``.  Every ``(p,
+    the white factors of ``lam`` (:func:`_white_factors`), each at its
+    loop weight ``r``.  Every ``(p,
     q, r)`` reads row ``-v``; a thorn zero adds 0, its prefactor being 0."""
     out, scale = [], _denominator(n)
-    for r, sides in enumerate(white_sides(lam)):
+    for r, factors in enumerate(_white_factors(lam)):
         by_p: dict[int, list[int]] = {}  # p -> weighted sums of (A, B, s3, j0)
-        for side in sides:
-            p, num, den, terms = _white_factor(*side, r, n)
+        for _, (p, num, den, terms) in factors:
             w = num * (factorial(n) // den)
             sums = by_p.setdefault(p, [0, 0, 0, 0])
             for k, x in enumerate(terms):
@@ -431,13 +495,11 @@ def _white_vector(lam: Partition, n: int) -> list[int]:
 def _black_vector(mu: Partition, n: int) -> list[int]:
     """The black factor of every stratum with black type ``mu``, summed per
     ``(r, q)``: the weighted sums of ``(1, s1, s2)``, over ``n!``, at
-    slots ``3 (r (n+1) + q)`` onwards.  One pass over the black sides of
-    ``mu`` (:func:`~octamoment.arrays.black_sides`), each at its own loop
-    weight ``r``."""
+    slots ``3 (r (n+1) + q)`` onwards.  One pass over the black factors of
+    ``mu`` (:func:`_black_factors`), each at its own loop weight ``r``."""
     out = [0] * (3 * (n // 2 + 1) * (n + 1))
-    for r, sides in enumerate(black_sides(mu)):
-        for side in sides:
-            q, num, den, (s1, s2) = _black_factor(*side, r, n)
+    for r, factors in enumerate(_black_factors(mu)):
+        for _, (q, num, den, (s1, s2)) in factors:
             w, k = num * (factorial(n) // den), 3 * (r * (n + 1) + q)
             out[k] += w
             out[k + 1] += w * s1

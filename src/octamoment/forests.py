@@ -281,16 +281,19 @@ def _read_forest(f: Forest) -> tuple[list[str], tuple]:
 def _structure_keys(f: Forest) -> dict[int, tuple]:
     """Shape key of the subtree at each vertex, ignoring cross references."""
     keys: dict[int, tuple] = {}
-
-    def rec(v: int) -> tuple:
-        if v not in keys:
-            row = [(EDGE, rec(s[1])) if s[0] == EDGE else s for s in f.slots[v]]
-            keys[v] = (f.colors[v], tuple(row))
-        return keys[v]
-
     for v in range(f.num_vertices):
-        rec(v)
+        _structure_key(f, v, keys)
     return keys
+
+
+def _structure_key(f: Forest, v: int, keys: dict[int, tuple]) -> tuple:
+    """The shape key of the subtree at ``v``, memoized in ``keys``.  A
+    module-level recursion, so that no call leaves a reference cycle
+    behind."""
+    if v not in keys:
+        row = [(EDGE, _structure_key(f, s[1], keys)) if s[0] == EDGE else s for s in f.slots[v]]
+        keys[v] = (f.colors[v], tuple(row))
+    return keys[v]
 
 
 def _order_key(f: Forest) -> tuple:

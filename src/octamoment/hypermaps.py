@@ -247,23 +247,27 @@ def iter_pairing_images(m: int) -> Iterator[list[int]]:
     """
     if m % 2:
         raise ValueError("need an even ground set")
-    image = [-1] * m
+    yield from _pairing_images([-1] * m, 0)
 
-    def rec(lo: int) -> Iterator[list[int]]:
-        while lo < m and image[lo] >= 0:
-            lo += 1
-        if lo == m:
-            yield image
-            return
-        for j in range(lo + 1, m):
-            if image[j] < 0:
-                image[lo] = j
-                image[j] = lo
-                yield from rec(lo + 1)
-                image[j] = -1
-        image[lo] = -1
 
-    yield from rec(0)
+def _pairing_images(image: list[int], lo: int) -> Iterator[list[int]]:
+    """Every completion of the partial involution ``image`` (``-1`` marks
+    an unpaired element, and every element below ``lo`` is paired), in the
+    order of :func:`iter_pairing_images`.  A module-level recursion, so
+    that no call leaves a reference cycle behind."""
+    m = len(image)
+    while lo < m and image[lo] >= 0:
+        lo += 1
+    if lo == m:
+        yield image
+        return
+    for j in range(lo + 1, m):
+        if image[j] < 0:
+            image[lo] = j
+            image[j] = lo
+            yield from _pairing_images(image, lo + 1)
+            image[j] = -1
+    image[lo] = -1
 
 
 @lru_cache(maxsize=None)

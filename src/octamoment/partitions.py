@@ -159,21 +159,25 @@ def set_partitions(items: Sequence) -> Iterator[tuple[tuple, ...]]:
     if not items:
         yield ()
         return
+    yield from _set_partitions(items, 1, [[items[0]]])
 
-    def rec(idx: int, blocks: list[list]) -> Iterator[tuple[tuple, ...]]:
-        if idx == len(items):
-            yield tuple(tuple(b) for b in blocks)
-            return
-        x = items[idx]
-        for b in blocks:
-            b.append(x)
-            yield from rec(idx + 1, blocks)
-            b.pop()
-        blocks.append([x])
-        yield from rec(idx + 1, blocks)
-        blocks.pop()
 
-    yield from rec(1, [[items[0]]])
+def _set_partitions(items: list, idx: int, blocks: list[list]) -> Iterator[tuple[tuple, ...]]:
+    """The set partitions of ``items`` that extend ``blocks``, which hold
+    ``items[:idx]``: ``items[idx]`` joins each block in turn, then a block
+    of its own.  A module-level recursion, so that no call leaves a
+    reference cycle behind."""
+    if idx == len(items):
+        yield tuple(tuple(b) for b in blocks)
+        return
+    x = items[idx]
+    for b in blocks:
+        b.append(x)
+        yield from _set_partitions(items, idx + 1, blocks)
+        b.pop()
+    blocks.append([x])
+    yield from _set_partitions(items, idx + 1, blocks)
+    blocks.pop()
 
 
 @lru_cache(maxsize=None)

@@ -2,6 +2,7 @@
 exhaustive forest enumeration, and the fully printed 11-edge example."""
 
 import dataclasses
+import gc
 import hashlib
 import itertools
 import json
@@ -20,6 +21,7 @@ from octamoment.forests import (
     Forest,
     MalformedForestError,
     _relabel,
+    _structure_keys,
     canonicalize,
     enumerate_forests,
     forest_degree,
@@ -38,11 +40,12 @@ from octamoment.hypermaps import (
     canonical_f1,
     canonical_f2,
     degree_array,
+    iter_pairing_images,
     iter_partitioned_hypermaps,
     lp_by_array,
     parse_element,
 )
-from octamoment.partitions import partitions_of
+from octamoment.partitions import partitions_of, set_partitions
 
 
 def pairing_from_text(n, pairs):
@@ -192,6 +195,72 @@ def test_theta_forward_builds_its_canonical_labeling():
     for f in forests:
         assert canonicalize(f) == f
         assert pickle.dumps(canonicalize(f)) == pickle.dumps(f)
+
+
+def _ref_set_partitions(items):
+    """set_partitions as a closure recursion: the yield order to keep."""
+    items = list(items)
+    if not items:
+        yield ()
+        return
+
+    def rec(idx, blocks):
+        if idx == len(items):
+            yield tuple(tuple(b) for b in blocks)
+            return
+        for b in blocks:
+            b.append(items[idx])
+            yield from rec(idx + 1, blocks)
+            b.pop()
+        blocks.append([items[idx]])
+        yield from rec(idx + 1, blocks)
+        blocks.pop()
+
+    yield from rec(1, [[items[0]]])
+
+
+def _ref_pairing_images(m):
+    """iter_pairing_images as a closure recursion: the yield order to keep."""
+    image = [-1] * m
+
+    def rec(lo):
+        while lo < m and image[lo] >= 0:
+            lo += 1
+        if lo == m:
+            yield list(image)
+            return
+        for j in range(lo + 1, m):
+            if image[j] < 0:
+                image[lo], image[j] = j, lo
+                yield from rec(lo + 1)
+                image[j] = -1
+        image[lo] = -1
+
+    yield from rec(0)
+
+
+def test_recursive_enumerations_keep_their_order():
+    for size in range(8):
+        assert list(set_partitions(range(size))) == list(_ref_set_partitions(range(size))), size
+    assert [list(x) for x in iter_pairing_images(0)] == [[]]
+    for m in range(2, 11, 2):
+        assert [list(x) for x in iter_pairing_images(m)] == list(_ref_pairing_images(m)), m
+
+
+def test_recursive_enumerations_leave_no_reference_cycle():
+    # With the collector off, one call of each recursion, run to the end,
+    # leaves nothing for it to free: no call ties its frames, lists or
+    # frozensets into a cycle.
+    forest = theta_forward(next(iter_partitioned_hypermaps(3)))
+    gc.collect()
+    gc.disable()
+    try:
+        assert sum(1 for _ in set_partitions(range(5))) == 52
+        assert sum(1 for _ in iter_pairing_images(8)) == 105
+        assert len(_structure_keys(forest)) == forest.num_vertices
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_canonicalize_is_idempotent_on_enumerated_forests():

@@ -9,20 +9,28 @@ import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
+from itertools import groupby
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from octamoment import cli, verify
+from octamoment import closedform as cf
 from octamoment import hypermaps as hm
 from octamoment.arrays import enumerate_M
 from octamoment.cli import main
-from octamoment.closedform import complex_expansion, iter_degenerate_strata, real_expansion
+from octamoment.closedform import (
+    F_formula,
+    complex_expansion,
+    iter_degenerate_pairs,
+    iter_degenerate_strata,
+    real_expansion,
+)
 from octamoment.forests import forest_to_json, theta_forward
 from octamoment.hypermaps import iter_partitioned_hypermaps
 from octamoment.moments import MatrixSpec, moment_real_exact
-from octamoment.partitions import format_rational, partitions_of
+from octamoment.partitions import aut, format_partition, format_rational, partitions_of
 from octamoment.symfun import MonomialExpansion
 
 
@@ -377,34 +385,41 @@ def test_json_output_rejects_non_finite_numbers():
             cli._json_dumps({"z_score": value})
 
 
-def _records(strata, counts=True):
-    """The ``DegenerateStratum.to_json()`` records, without the counts
-    unless ``counts``."""
-    records = [d.to_json() for d in strata]
-    if not counts:
-        for record in records:
-            del record["oracle_value"]
+def _pairs(strata):
+    """``strata`` grouped by (lam, mu) in their order, as (lam, mu, number of
+    strata, sum of their counts)."""
+    groups = groupby(strata, key=lambda d: (d.lam, d.mu))
+    return [
+        (lam, mu, len(group), sum(d.oracle_value for d in group))
+        for (lam, mu), group in ((key, list(g)) for key, g in groups)
+    ]
+
+
+def _pair_records(strata, counts=True):
+    """The ``degenerate_strata`` records of ``expansion``: one per (lambda,
+    mu) pair of ``strata``, with its number of strata and, if ``counts``,
+    the sum of their counts."""
+    records = []
+    for lam, mu, number, total in _pairs(strata):
+        record = {"lambda": format_partition(lam), "mu": format_partition(mu), "strata": number}
+        if counts:
+            record["oracle_value"] = total
+        records.append(record)
     return records
 
 
 def test_strata_writer_equals_json_dumps_of_records():
-    # The report list (depth 1) and the expansion value (depth 2), with and
-    # without the counts, against the encoder on the records.
+    # The report list against the encoder on the records.
     flagged = 0
     for n in range(1, 10):
         strata = tuple(iter_degenerate_strata(n))
         flagged += len(strata)
-        for counts in (True, False):
-            records = _records(strata, counts)
-            assert "".join(cli._strata_chunks(strata, 1, counts)) == json.dumps(
-                records, indent=2, sort_keys=True
-            ), (n, counts)
-            nested = json.dumps({"degenerate_strata": records}, indent=2, sort_keys=True)
-            assert nested == '{\n  "degenerate_strata": ' + "".join(
-                cli._strata_chunks(strata, 2, counts)
-            ) + "\n}", (n, counts)
+        seen: set = set()
+        text = "".join(cli._strata_chunks(strata, seen))
+        assert text == json.dumps([d.to_json() for d in strata], indent=2, sort_keys=True), n
+        assert seen == {(d.lam, d.mu) for d in strata}, n
     assert flagged > 0 and not tuple(iter_degenerate_strata(1))
-    assert "".join(cli._strata_chunks((), 1)) == "".join(cli._strata_chunks((), 2, False)) == "[]"
+    assert "".join(cli._strata_chunks((), set())) == "[]"
 
 
 def _expansion_cases():
@@ -425,17 +440,18 @@ def test_expansion_writer_equals_json_dumps_of_records():
         reference = {
             "n": expansion.n,
             "field": "real",
-            "degenerate_strata": _records(strata, not strict),
+            "degenerate_strata": _pair_records(strata, not strict),
             "terms": MonomialExpansion(expansion.n, kept).to_records(),
         }
-        seen: set = set()
-        strata_chunks = cli._strata_chunks(strata, 2, not strict, seen)
+        seen = cli._PairSet(expansion.n) if strict else None
+        pair_chunks = cli._pair_chunks(_pairs(strata), seen)
         blocks = cli._real_blocks(expansion, seen if strict else ())
-        text = "".join(cli._expansion_chunks(expansion.n, "real", strata_chunks, blocks))
+        text = "".join(cli._expansion_chunks(expansion.n, "real", pair_chunks, blocks))
         assert text == json.dumps(reference, indent=2, sort_keys=True) + "\n", (
             expansion.n,
             strict,
         )
+        assert not strict or all(key in seen for key in flagged)
         cases += 1
     assert cases == 5 + 6 + 1
     empty = cli._expansion_chunks(3, "real", ["[]"], cli._real_blocks(MonomialExpansion(3)))
@@ -492,6 +508,83 @@ def test_expansion_and_report_hold_one_record_at_a_time(monkeypatch):
             tracemalloc.stop()
         assert code == expected_code, argv
         assert peak < sink.chars / 10, (argv, peak, sink.chars)
+
+
+def test_expansion_summary_is_the_per_stratum_list_grouped_by_pair(capsys):
+    # expansion lists each flagged (lambda, mu) pair once, in the order of
+    # report's per-stratum list, with its number of strata and their summed
+    # counts (left out under --strict).
+    for n in range(1, 9):
+        strata = tuple(iter_degenerate_strata(n))
+        assert list(iter_degenerate_pairs(n)) == _pairs(strata), n
+        for strict in (False, True):
+            argv = ["expansion", "--n", str(n), "--field", "real"] + ["--strict"] * strict
+            code, out = run_cli(argv, capsys)
+            assert code == (2 if strict and strata else 0), (n, strict)
+            summary = json.loads(out)["degenerate_strata"]
+            assert summary == _pair_records(strata, counts=not strict), (n, strict)
+    assert [(lam, mu) for lam, mu, _, _ in iter_degenerate_pairs(2)] == [((2,), (2,))]
+
+
+def test_expansion_coefficient_is_the_unflagged_sum_plus_the_flagged_counts(capsys):
+    # Each printed coefficient is aut(lam) aut(mu) times the F_formula sum
+    # over the strata that F_formula does not flag plus the oracle_value
+    # of the pair, 0 for a pair with no flagged stratum.
+    for n in range(1, 7):
+        code, out = run_cli(["expansion", "--n", str(n), "--field", "real"], capsys)
+        data = json.loads(out)
+        printed = {(t["lambda"], t["mu"]): Fraction(t["coeff"]) for t in data["terms"]}
+        flagged = {(d["lambda"], d["mu"]): d["oracle_value"] for d in data["degenerate_strata"]}
+        for lam in partitions_of(n):
+            for mu in partitions_of(n):
+                key = (format_partition(lam), format_partition(mu))
+                unflagged = 0
+                for r in range(n // 2 + 1):
+                    for a in enumerate_M(lam, mu, r):
+                        value = F_formula(a, n)
+                        unflagged += value.value if value.well_defined else 0
+                expected = aut(lam) * aut(mu) * (unflagged + flagged.get(key, 0))
+                assert printed.get(key, 0) == expected, (n, key)
+        assert code == 0
+
+
+def _off_prefactor(exact):
+    """A prefactor that no longer divides the counts."""
+
+    def off(p, q, r, n):
+        v, num, den = exact(p, q, r, n)
+        return v, num, den * 1_000_003
+
+    return off
+
+
+def _lower_prefactor(exact):
+    """A prefactor one order lower, so the count reads a bracket row below
+    the one it should; orders -1 and 0 only, so the order stays in the
+    bracket's rows."""
+
+    def lower(p, q, r, n):
+        v, num, den = exact(p, q, r, n)
+        return (v - 1 if v in (-1, 0) else v), num, den
+
+    return lower
+
+
+@pytest.mark.parametrize(
+    "broken, message",
+    [(_off_prefactor, r"count .* is not an integer"), (_lower_prefactor, "a pole survives")],
+    ids=["integrality", "pole"],
+)
+def test_expansion_command_checks_every_flagged_count(broken, message, monkeypatch, capsys):
+    # The per-pair summary still runs the count core on every flagged
+    # stratum, so its checks still guard the command.  The expansion is
+    # cached first, so the error can only come from the walk.
+    real_expansion(6)
+    monkeypatch.setattr(cf, "_prefactor", broken(cf._prefactor))
+    for argv in (["expansion", "--n", "6", "--field", "real"], ["report", "--n", "6"]):
+        with pytest.raises(ArithmeticError, match=message):
+            main(argv)
+    capsys.readouterr()
 
 
 def test_strict_exits_2_iff_a_stratum_is_written(capsys):
@@ -735,14 +828,17 @@ def test_parser_is_built_once_per_process(capsys):
 # real assembly was folded into one entry point.  The mc record drops the
 # sampled fields (mean, std_error, z_score): their last bits depend on the
 # BLAS kernel numpy picks for the CPU.  What is left pins the exact path.
+# The real expansions at n >= 2 were re-recorded when ``degenerate_strata``
+# became one record per flagged (lambda, mu) pair; their ``terms`` lists
+# are byte for byte the earlier ones.
 GOLDEN = [
     ("expansion --n 1 --field real", 0, "ea5551696097350a005af42aabb81750fd3b2aa4367b45d1017e75f30b2a4149"),
-    ("expansion --n 2 --field real", 0, "5658877cac394c85bd6f6f9428671aaaae7dad338b6acfc454c1fe91565cd293"),
-    ("expansion --n 3 --field real", 0, "891d729d0e1ed0b0893f4f4c4764510bcabff1e1db468f4a5d47018ea7780389"),
-    ("expansion --n 4 --field real", 0, "c5d72f0036f22b8f1bb9807342f3d7dd21548df84e720ed5a3d5dea99ea09c5e"),
-    ("expansion --n 5 --field real", 0, "e9865f99374a39afc55c5d42e0d4d802bc664b4aaa7560289e73d07db99b5e83"),
-    ("expansion --n 2 --field real --strict", 2, "2b4cde3d476aaf573a60f025d677dbb426774bd2197e6543b80668adfbc66a18"),
-    ("expansion --n 6 --field real --strict", 2, "cded54b610c4f5a2a314ec2f2cd5c972e945b9f2c2c4cad1eb62a2e0865a457d"),
+    ("expansion --n 2 --field real", 0, "e5b562dbc51e09e8947f904916b2eb15c63639500537591cf7a2211e7d178ba5"),
+    ("expansion --n 3 --field real", 0, "6256c9a77db292c607455ad092d1b7fc9bcf3ae4066b828463829438d13f6fe5"),
+    ("expansion --n 4 --field real", 0, "edab674faea0ece210596795a1ee320258b87894ebf2873a1d3192cf20876136"),
+    ("expansion --n 5 --field real", 0, "99636b9ef2df4d896e661ab842b05f4a52ca57950ec57902fe717839f73d987b"),
+    ("expansion --n 2 --field real --strict", 2, "5f51345b34287fcf2c093868546675e0fac84635745d20d3017b13ee744e52fa"),
+    ("expansion --n 6 --field real --strict", 2, "8859d54b3203605853ec7d95703e5a91e379299436e7d9f576110d540ed0e818"),
     ("report --n 1", 0, "37517e5f3dc66819f61f5a7bb8ace1921282415f10551d2defa5c3eb0985b570"),
     ("report --n 2", 0, "5e0f36d87287a1ef9e24339326366b9ea840542db4c9d884504dc04fa7f16ed7"),
     ("report --n 3", 0, "e7922b402613aeec7acbca2ecf1ab273b4544eaa34601c1a5a83ec545afb61e9"),
@@ -755,12 +851,12 @@ GOLDEN = [
      "6d9f6f093baec4268c19e11aaf92153c0016588ae678961091f11cdcb1a9095c"),
     # Recorded before the expansion terms were written without json.dumps.
     ("expansion --n 12 --field complex", 0, "237cb2c2fad2c5a81eaa7ae531fa50ec09963aec6de4ea3187127d29536258a9"),
-    ("expansion --n 7 --field real --strict", 2, "b37dd33527f56d36fb4cc5728481c0618f16cbfd2aaa7c307a140783d00c2f24"),
-    ("expansion --n 8 --field real --strict", 2, "951c868182f282fa6a6a04a84e0dbe5813885b9f9019df375e8751161fe97818"),
+    ("expansion --n 7 --field real --strict", 2, "dde9fe4bb082b8a3b86199187df2093b4dc228d6c7a4eece417a88c6726f49a1"),
+    ("expansion --n 8 --field real --strict", 2, "c73d550cbfd3b5a4d1f5fb66f6d6ee119dd7a7cff40f470a27fc917ab45129ef"),
     # Re-recorded when flagged strata became resolved by continuation in n
     # (exit 0 for every n); each equals the earlier output with the
     # enumeration oracle's bound raised to 6.
-    ("expansion --n 6 --field real", 0, "01c704c107f69ca0e9463a25d2577c35e0989c4dc5ab96d54515f7f362edd23c"),
+    ("expansion --n 6 --field real", 0, "d4fabe7b9606c28a31a5bf880fa24fff9bc764ab61c42764974421b8c861bc6b"),
     ("report --n 6", 0, "3f3236c1d5cdf80bac54610e4ddb6437737d55e267d8161ef5fefc78c206bc3d"),
     # Recorded before the degree arrays were built from vertex profiles.
     ("coeffs --n 3 --kind LP --per-array", 0, "b14915e737b3db3bb006dc32228843496620f0c7386c6979cdc5b54573261784"),

@@ -6,7 +6,7 @@ import random
 from collections import Counter
 from dataclasses import fields, replace
 from fractions import Fraction
-from itertools import product
+from itertools import groupby, product
 from math import factorial, gamma
 from types import MappingProxyType
 
@@ -513,28 +513,29 @@ def test_enumerate_M_result_is_the_callers_own():
 
 def strict_expansion(n, capsys):
     """``expansion --n n --field real --strict``: its exit code, its terms
-    keyed by (lambda, mu) names, and its flagged-strata records."""
+    keyed by (lambda, mu) names, and its flagged-pair records."""
     code = main(["expansion", "--n", str(n), "--field", "real", "--strict"])
     data = json.loads(capsys.readouterr().out)
     terms = {(t["lambda"], t["mu"]): Fraction(t["coeff"]) for t in data["terms"]}
     return code, terms, data["degenerate_strata"]
 
 
-def without_count(stratum):
-    """The JSON record of a flagged stratum as strict mode prints it."""
-    record = stratum.to_json()
-    del record["oracle_value"]
-    return record
+def strict_pairs(strata):
+    """The flagged-pair records that strict mode prints for ``strata``:
+    one per (lambda, mu) in their order, with its number of strata."""
+    pairs = groupby(strata, key=lambda d: (format_partition(d.lam), format_partition(d.mu)))
+    return [{"lambda": lam, "mu": mu, "strata": len(list(g))} for (lam, mu), g in pairs]
 
 
 def test_real_expansion_carries_its_report(capsys):
-    # Within the oracle bound the expansion carries the strata that strict
-    # mode flags, in the same order, each with its oracle value.
+    # Within the oracle bound the expansion carries the pairs of the strata
+    # that strict mode flags, in the same order, and each flagged stratum
+    # has its oracle value.
     for n in range(1, 6):
         carried = tuple(iter_degenerate_strata(n))
         code, _, strict = strict_expansion(n, capsys)
         assert code == (2 if carried else 0)
-        assert [without_count(d) for d in carried] == strict
+        assert strict_pairs(carried) == strict
         oracle = lp_by_array(n)
         assert all(d.oracle_value == oracle.get(d.array, 0) for d in carried)
     assert len(tuple(iter_degenerate_strata(2))) == 1
@@ -809,13 +810,13 @@ def test_real_expansion_is_cached_and_read_only():
 
 
 def test_strict_mode_refuses_flagged_pairs(capsys):
-    code, terms, strata = strict_expansion(6, capsys)
+    code, terms, pairs = strict_expansion(6, capsys)
     assert code == 2
-    assert len(strata) == 235
+    assert sum(d["strata"] for d in pairs) == 235
     full = real_expansion(6)
-    assert [without_count(d) for d in iter_degenerate_strata(6)] == strata
+    assert strict_pairs(iter_degenerate_strata(6)) == pairs
     # the partial expansion keeps exactly the pairs without a flagged stratum
-    flagged_pairs = {(d["lambda"], d["mu"]) for d in strata}
+    flagged_pairs = {(d["lambda"], d["mu"]) for d in pairs}
     for lam in partitions_of(6):
         for mu in partitions_of(6):
             key = (format_partition(lam), format_partition(mu))
@@ -826,10 +827,7 @@ def test_strict_mode_refuses_flagged_pairs(capsys):
 def test_real_expansion_strict_reports(capsys):
     code, terms, report = strict_expansion(2, capsys)
     assert code == 2
-    assert len(report) == 1
-    stratum = report[0]
-    assert (stratum["lambda"], stratum["mu"], stratum["r"]) == ("2", "2", 1)
-    assert "oracle_value" not in stratum
+    assert report == [{"lambda": "2", "mu": "2", "strata": 1}]
     # strict mode refuses the tainted coefficient entirely
     assert ("2", "2") not in terms
     assert terms[("2", "1,1")] == 2

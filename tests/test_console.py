@@ -48,11 +48,14 @@ def _strict_json(text: str):
 
 
 # sha256 of stdout and the exit code of each command, as the workflow's shell
-# checks recorded them before these tests replaced them.
+# checks recorded them before these tests replaced them.  The two real
+# expansions were re-recorded when ``degenerate_strata`` became one record
+# per flagged (lambda, mu) pair; their ``terms`` lists are byte for byte the
+# earlier ones.
 DIGESTS = [
     ("report --n 10", 0, "7cc3e81e0c315b9bd078466aeb9592c64b0943452d65e0e37cceafa68f9aef5a"),
-    ("expansion --n 10 --field real --strict", 2, "cbefb3e742d8cb59b25183cedd3245cd93e6df9727b6fdc9ed313f4af6382aeb"),
-    ("expansion --n 10 --field real", 0, "638678b103b3bdf05542a4a043df5c035e1e244499647adfe803ede57ea4017c"),
+    ("expansion --n 10 --field real --strict", 2, "667164d007e9c6d8afda84cb4d19eb02f24f6d1edb9881a4ec66f0a477c7ac15"),
+    ("expansion --n 10 --field real", 0, "244450964800a92e2fbf518269f89a70c895db30cc43f98c1d74fa1a1c438eb3"),
     ("verify --suite corollaries", 0, "180de49b68a6647b1690fa3a366ff05b00b5e2d97c683074b6a33ff2f5e5f079"),
     ("verify --suite bijection", 0, "bfe8b54ffe4ab9e9d403e428deb18ba15998b3dbb9419f3efee324d2ef221b77"),
     ("verify --suite strata", 0, "c44e6b3f5f5d2f65977442e6d90541d7e41c5abcd1d5c5585dddf5c855628b13"),
@@ -282,18 +285,19 @@ def test_cli_import_loads_no_thread_pool(child_env):
 
 
 # Runs the command given by its arguments in a child of its own and prints
-# its exit code, its peak RSS in KiB (Linux) and the sha256 of its stdout,
-# hashed as it arrives.  The peak is read in this small wrapper, not in the
+# its exit code, its peak RSS in KiB (Linux), the sha256 of its stdout,
+# hashed as it arrives, and the size of its stdout in bytes.  The peak is read in this small wrapper, not in the
 # test process: Linux carries a process's high-water RSS across exec, so a
 # child started straight from a large test process would report the
 # parent's size.
 _CHILD_PROBE = """
 import hashlib, resource, subprocess, sys
 proc = subprocess.Popen([sys.executable, "-m", "octamoment", *sys.argv[1:]], stdout=subprocess.PIPE)
-digest = hashlib.sha256()
+digest, size = hashlib.sha256(), 0
 for block in iter(lambda: proc.stdout.read(1 << 16), b""):
     digest.update(block)
-print(proc.wait(), resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss, digest.hexdigest())
+    size += len(block)
+print(proc.wait(), resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss, digest.hexdigest(), size)
 """
 
 
@@ -310,12 +314,14 @@ def _probe(command, child_env):
 
 
 def test_real_expansion_streams_in_bounded_memory_byte_for_byte(child_env):
-    # The 33 MB document is written one record at a time: the child's peak
-    # RSS stays far below it (208 MB when the document was built whole).
-    # The wrapper's own child inherits its environment, so both run this tree.
-    code, peak_kib, digest = _probe("expansion --n 12 --field real", child_env)
-    assert (code, digest) == (
-        "0", "496123c7f22e45f1843b8edd14374c803ab873b38feba1e62e74e3fa0a52f2d1"
+    # The document is written one record at a time: the child's peak RSS
+    # stayed far below the 33 MB that one record per flagged stratum made
+    # (208 MB when that document was built whole).  One record per flagged
+    # pair makes it about 1.0 MB.  The wrapper's own child inherits its
+    # environment, so both run this tree.
+    code, peak_kib, digest, size = _probe("expansion --n 12 --field real", child_env)
+    assert (code, digest, size) == (
+        "0", "16bdacd3f838916fb02ec24d44386e02332d26895151e4f50a37b7ef0b41241d", "1040849"
     )
     assert int(peak_kib) / 1024 < 100
 
@@ -327,6 +333,6 @@ def test_mc_at_a_large_dimension_runs_in_bounded_memory(field, child_env):
     # samples, under the sample cap alone, it peaked at 143 MB (real) and
     # 248 MB (complex) with one BLAS thread.
     command = f"mc --n 2 --field {field} --dim 96 --samples 300 --seed 1"
-    code, peak_kib, _ = _probe(command, child_env)
+    code, peak_kib, _, _ = _probe(command, child_env)
     assert code == "0"
     assert int(peak_kib) / 1024 < 80
