@@ -28,14 +28,15 @@ continuation in ``n`` for every ``n``: the order of each stratum's
 prefactor picks the one row of the seed bracket that its count reads).
 ``report`` prints the per-stratum list instead, one chunk per flagged
 stratum as :func:`~octamoment.closedform.iter_degenerate_strata` yields
-it (:func:`_strata_chunks`), and assembles no coefficient.  Under
-``--strict`` the pairs go out without their counts, each noted as it is
-written, and the real blocks leave out the terms of those pairs; no
-second expansion is built, and the command exits 2 if and only if it
-wrote a pair.  ``expansion --field complex`` hands the writer no
-strata and builds no expansion: :func:`_complex_blocks` renders the terms
-of each length of ``lam`` once by indexing the cached ``(k, l)``
-coefficient table (:func:`~octamoment.closedform.complex_length_coeffs`)
+it (:func:`_strata_chunks`), and assembles no coefficient; ``report
+--strict`` exits 2 if and only if that list is not empty.  Under
+``expansion --strict`` the pairs go out without their counts, each
+noted as it is written, and the real blocks leave out the terms of
+those pairs; no second expansion is built, and the command exits 2 if
+and only if it wrote a pair.  ``expansion --field complex`` hands the
+writer no strata and builds no expansion: :func:`_complex_blocks`
+renders the terms of each length of ``lam`` once by indexing the cached
+``(k, l)`` coefficient table (:func:`~octamoment.closedform.complex_length_coeffs`)
 and joins their pieces with the name of each ``lam``.  A
 ``bijection --input`` record with any of ``f3``, ``pi1`` or ``pi2`` is
 read as a hypermap; a missing key, an ``f3`` without exactly ``n`` pairs,
@@ -135,11 +136,9 @@ def _list_chunks(items: Iterable[str], close: str) -> Iterator[str]:
     yield close
 
 
-def _strata_chunks(strata: Iterable[cf.DegenerateStratum], flagged: set) -> Iterator[str]:
+def _strata_chunks(strata: Iterable[cf.DegenerateStratum]) -> Iterator[str]:
     """``json.dumps([d.to_json() for d in strata], indent=2,
-    sort_keys=True)``, the ``report`` list, one chunk per stratum.  The
-    (lam, mu) pair of each stratum is added to the set ``flagged`` as the
-    stratum is written.
+    sort_keys=True)``, the ``report`` list, one chunk per stratum.
 
     Each :class:`~octamoment.closedform.DegenerateStratum` fills one fixed
     template; each cell list and status is encoded once per call, and its
@@ -168,7 +167,6 @@ def _strata_chunks(strata: Iterable[cf.DegenerateStratum], flagged: set) -> Iter
 
     def records() -> Iterator[str]:
         for d in strata:
-            flagged.add((d.lam, d.mu))
             a = d.array
             yield record % (
                 cells_json(a.black),
@@ -501,10 +499,10 @@ def cmd_mc(args) -> int:
 
 
 def cmd_report(args) -> int:
-    flagged: set = set()
-    strata = cf.iter_degenerate_strata(args.n)
-    _emit(chain(_strata_chunks(strata, flagged), ["\n"]), args.out)
-    return 2 if args.strict and flagged else 0
+    chunks = _strata_chunks(cf.iter_degenerate_strata(args.n))
+    first = next(chunks)  # "[]" if and only if no stratum is flagged
+    _emit(chain([first], chunks, ["\n"]), args.out)
+    return 2 if args.strict and first != "[]" else 0
 
 
 def _seed(text: str) -> int:

@@ -83,17 +83,18 @@ def partitions_of(n: int) -> tuple[Partition, ...]:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    out: list[Partition] = []
+    return tuple(_partitions(n, n, ()))
 
-    def rec(remaining: int, cap: int, prefix: tuple[int, ...]) -> None:
-        if remaining == 0:
-            out.append(Partition(prefix))
-            return
-        for part in range(min(cap, remaining), 0, -1):
-            rec(remaining - part, part, prefix + (part,))
 
-    rec(n, n, ())
-    return tuple(out)
+def _partitions(remaining: int, cap: int, prefix: tuple[int, ...]) -> Iterator[Partition]:
+    """The partitions that extend ``prefix`` by parts of at most ``cap``
+    summing to ``remaining``, largest next part first.  A module-level
+    recursion, so that no call leaves a reference cycle behind."""
+    if remaining == 0:
+        yield Partition(prefix)
+        return
+    for part in range(min(cap, remaining), 0, -1):
+        yield from _partitions(remaining - part, part, prefix + (part,))
 
 
 def aut(lam: Partition) -> int:

@@ -256,6 +256,7 @@ def test_recursive_enumerations_leave_no_reference_cycle():
     gc.disable()
     try:
         assert sum(1 for _ in set_partitions(range(5))) == 52
+        assert len(partitions_of.__wrapped__(12)) == 77
         assert sum(1 for _ in iter_pairing_images(8)) == 105
         assert len(_structure_keys(forest)) == forest.num_vertices
         assert gc.collect() == 0
