@@ -32,9 +32,8 @@ degree array and keeps those it accepts.
 Forests are kept in a canonical labeling (vertices numbered by traversal
 order, the least relabeling over reorderings of identical non-seed
 trees), so structural equality of :class:`Forest` values is isomorphism.
-With at most one non-seed tree (4517 of the 4742 forests at n = 5) the
-traversal order is the only candidate: ``theta_forward`` builds it
-directly, and ``canonicalize`` relabels once and minimizes nothing.
+With at most one non-seed tree the traversal order is the only
+candidate, and ``theta_forward`` builds it directly.
 One order of forests (``_order_key``) picks that least relabeling and
 orders the list ``enumerate_forests`` returns.
 """
@@ -332,15 +331,12 @@ def _depth_first(seed: int, roots: Sequence[int], children: Sequence[Sequence[in
 def canonicalize(f: Forest) -> Forest:
     """Renumber vertices canonically: depth-first over the seed tree, then
     over the non-seed trees, minimizing over reorderings of trees with
-    identical shapes (only cross references can distinguish those).  With
-    at most one non-seed tree there is one order and nothing to minimize.
+    identical shapes (only cross references can distinguish those).
     The children (in slot order) and the non-seed roots (in vertex order)
     are read from ``f.slots``, so the labeling depends on the forest alone."""
     children = [[s[1] for s in row if s[0] == EDGE] for row in f.slots]
     below = {child for row in children for child in row}
     roots = [v for v in range(f.num_vertices) if v not in below and v != f.seed]
-    if len(roots) < 2:
-        return _relabel(f, _depth_first(f.seed, roots, children))
     keys = _structure_keys(f)
     groups: dict[tuple, list[int]] = {}
     for v in roots:

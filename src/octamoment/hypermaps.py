@@ -349,6 +349,7 @@ def L_table(n: int) -> Mapping:
         free[lo] = True
 
     place(0, n, 0, 0, 0)
+    del place  # its cell refers to it: a cycle the collector would free
 
     types: dict[int, Partition] = {}
     for code in {c for key in raw for c in key[:2]}:

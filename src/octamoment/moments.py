@@ -125,7 +125,10 @@ class MatrixSpec:
 
     @classmethod
     def from_eigs(cls, eigs: Sequence) -> "MatrixSpec":
-        vals = tuple(Fraction(e) for e in eigs)
+        """Each ``str`` entry read by ``parse_rational``, as the command
+        line reads it; each number by ``Fraction``, so a float keeps its
+        exact binary value."""
+        vals = tuple(parse_rational(e) if isinstance(e, str) else Fraction(e) for e in eigs)
         return cls(len(vals), eigs=vals)
 
     @classmethod

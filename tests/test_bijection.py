@@ -34,6 +34,7 @@ from octamoment.forests import (
 )
 from octamoment.hypermaps import (
     DEFAULT_PARTITIONED_BOUND,
+    L_table,
     Pairing,
     PartitionedHypermap,
     _orbits,
@@ -258,6 +259,7 @@ def test_recursive_enumerations_leave_no_reference_cycle():
         assert sum(1 for _ in set_partitions(range(5))) == 52
         assert len(partitions_of.__wrapped__(12)) == 77
         assert sum(1 for _ in iter_pairing_images(8)) == 105
+        assert sum(L_table.__wrapped__(4).values()) == 105
         assert len(_structure_keys(forest)) == forest.num_vertices
         assert gc.collect() == 0
     finally:

@@ -1413,13 +1413,16 @@ def test_a_thorn_matching_entry_without_two_integer_references_is_named(
 
 
 def test_python_dash_m_runs_the_cli(capsys, child_env):
-    argv = ["expansion", "--n", "3", "--field", "complex"]
-    assert main(argv) == 0
-    expected = capsys.readouterr().out.encode()
-    result = subprocess.run(
-        [sys.executable, "-m", "octamoment", *argv], capture_output=True, env=child_env
-    )
-    assert (result.returncode, result.stdout, result.stderr) == (0, expected, b"")
+    for argv, code in [
+        (["expansion", "--n", "3", "--field", "complex"], 0),
+        (["expansion", "--n", "2", "--field", "real", "--strict"], 2),
+    ]:
+        assert main(argv) == code
+        expected = capsys.readouterr().out.encode()
+        result = subprocess.run(
+            [sys.executable, "-m", "octamoment", *argv], capture_output=True, env=child_env
+        )
+        assert (result.returncode, result.stdout, result.stderr) == (code, expected, b"")
     bad = subprocess.run(
         [sys.executable, "-m", "octamoment", "expansion", "--n", "0", "--field", "complex"],
         capture_output=True,

@@ -54,6 +54,16 @@ def test_matrix_spec_rejects_dimension_zero():
         MatrixSpec.from_dense([])
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [("1e5000", "has an exponent beyond"), ("1/0", "has a zero denominator")],
+)
+def test_from_eigs_reads_text_as_the_command_line_does(text, message):
+    # parse_rational bounds the exponent before Fraction builds 10**5000.
+    with pytest.raises(ValueError, match=f"rational '{text}' {message}"):
+        MatrixSpec.from_eigs([text])
+
+
 def test_matrix_spec_json():
     spec = MatrixSpec.from_json({"dim": 2, "eigs": ["1/2", "3"]})
     assert spec.eigs == (Fraction(1, 2), Fraction(3))
