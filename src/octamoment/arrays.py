@@ -18,6 +18,7 @@ an array cell.
 A cell entry counts the non-seed vertices of one profile ``(color, root,
 i, j)``; :meth:`ArrayTuple.vertices` and :meth:`ArrayTuple.from_vertices`
 are the one translation between profiles and the four fields.
+:func:`enumerate_M` lists the strata of each ``(lam, mu, r)``, for ``verify`` too.
 """
 
 from __future__ import annotations
@@ -263,14 +264,9 @@ def enumerate_M(lam: Partition, mu: Partition, r: int) -> list[ArrayTuple]:
         raise ValueError("r must be >= 0")
     if r > lam.n // 2:
         return []
-    return _pair_sides(white_sides(lam)[r], black_sides(mu)[r])
-
-
-def _pair_sides(whites, blacks) -> list[ArrayTuple]:
-    """The strata of one white and one black side list of equal loop
-    weight, in stratum order: each black side with every white side."""
+    whites = white_sides(lam)[r]
     return [
         ArrayTuple(white, white_root, black, black_root, i0, j0)
-        for black, black_root in blacks
+        for black, black_root in black_sides(mu)[r]
         for i0, j0, white, white_root in whites
     ]

@@ -471,7 +471,7 @@ def _matrix_from_args(path: str | None, eigs: str | None, dim: int | None, optio
         with open(path, "r", encoding="utf-8") as handle:
             spec = mo.MatrixSpec.from_json(json.load(handle, parse_float=_JSONNumber))
     elif eigs is not None:
-        spec = mo.MatrixSpec.from_eigs(mo._parse_eigs(eigs.split(","), option))
+        spec = mo.MatrixSpec.from_eigs(eigs.split(","), option)
     elif dim is not None:
         return mo.MatrixSpec.identity(dim)
     else:

@@ -2,6 +2,7 @@
 Gaussian U): exact evaluation of the expansions at eigenvalue lists, and
 Monte Carlo estimation on dense matrices.
 
+An eigenvalue list has one reader, :meth:`MatrixSpec.from_eigs`.
 The exact layer works in integer and rational arithmetic only:
 ``moment_real_exact`` evaluates the real expansion through the one
 integer evaluation kernel of :mod:`~octamoment.symfun`, and
@@ -52,7 +53,7 @@ from typing import Sequence
 import numpy as np
 
 from .closedform import complex_length_coeffs, real_expansion
-from .partitions import format_rational, parse_rational
+from .partitions import as_rational, format_rational
 from .symfun import _scaled_letters
 
 __all__ = [
@@ -86,18 +87,6 @@ def _dense_entry(x, i: int, j: int) -> float | complex:
     raise ValueError(f"entry ({i}, {j}) must be a number or an [re, im] pair, got {x!r}")
 
 
-def _parse_eigs(entries, source: str) -> list[Fraction]:
-    """Each entry's text read by ``parse_rational``; one that it rejects
-    raises ``ValueError`` naming ``source`` and the entry's 0-based index."""
-    eigs = []
-    for i, entry in enumerate(entries):
-        try:
-            eigs.append(parse_rational(str(entry)))
-        except ValueError as err:
-            raise ValueError(f"{source} entry {i}: {err}") from None
-    return eigs
-
-
 @dataclass(frozen=True)
 class MatrixSpec:
     """A real symmetric or hermitian matrix, given by its eigenvalue list
@@ -124,12 +113,16 @@ class MatrixSpec:
                 raise ValueError(f"matrix is not symmetric/hermitian within {HERMITIAN_TOL}")
 
     @classmethod
-    def from_eigs(cls, eigs: Sequence) -> "MatrixSpec":
-        """Each ``str`` entry read by ``parse_rational``, as the command
-        line reads it; each number by ``Fraction``, so a float keeps its
-        exact binary value."""
-        vals = tuple(parse_rational(e) if isinstance(e, str) else Fraction(e) for e in eigs)
-        return cls(len(vals), eigs=vals)
+    def from_eigs(cls, eigs: Sequence, source: str = "eigs") -> "MatrixSpec":
+        """Each entry read by ``as_rational``; an entry that it rejects
+        raises ``ValueError`` naming ``source`` and its 0-based index."""
+        vals = []
+        for i, entry in enumerate(eigs):
+            try:
+                vals.append(as_rational(entry))
+            except ValueError as err:
+                raise ValueError(f"{source} entry {i}: {err}") from None
+        return cls(len(vals), eigs=tuple(vals))
 
     @classmethod
     def identity(cls, m: int) -> "MatrixSpec":
@@ -166,7 +159,7 @@ class MatrixSpec:
         if not isinstance(data[key], list):
             raise ValueError(f"'{key}' must be a JSON list")
         if key == "eigs":
-            spec = cls.from_eigs(_parse_eigs(data["eigs"], "'eigs'"))
+            spec = cls.from_eigs([str(e) for e in data["eigs"]], "'eigs'")
         else:
             if not all(isinstance(row, list) for row in data["entries"]):
                 raise ValueError("'entries' must be a JSON list of rows")

@@ -27,6 +27,7 @@ __all__ = [
     "set_partitions",
     "format_partition",
     "parse_rational",
+    "as_rational",
     "format_rational",
 ]
 
@@ -226,6 +227,12 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(text.strip())
     except ZeroDivisionError:
         raise ValueError(f"rational {text!r} has a zero denominator") from None
+
+
+def as_rational(value) -> Fraction:
+    """One eigenvalue: text read by :func:`parse_rational`, as the command line
+    reads it, and any other value by ``Fraction`` (a float stays exact)."""
+    return parse_rational(value) if isinstance(value, str) else Fraction(value)
 
 
 def format_rational(x: Fraction | int) -> str:

@@ -34,7 +34,7 @@ from operator import mul
 from types import MappingProxyType
 from typing import ItemsView, Mapping, Sequence
 
-from .partitions import Partition, format_partition, format_rational, partitions_of
+from .partitions import Partition, as_rational, format_partition, format_rational, partitions_of
 
 __all__ = ["MonomialExpansion", "PowerSumExpansion"]
 
@@ -167,10 +167,10 @@ def _placements(n: int) -> tuple[int, tuple[tuple[int, tuple[tuple[int, int], ..
 
 
 def _scaled_letters(eigs: Sequence[Fraction]) -> tuple[list[int], int]:
-    """The letters as integers over their common denominator: ``(a, den)``
-    with ``eigs[i] = a[i] / den``.  A table of degree ``n`` built from
-    these integers is over ``den**n``."""
-    xs = [Fraction(e) for e in eigs]
+    """The letters, read by ``as_rational`` (a ``Fraction`` is taken as it
+    is), as integers over their common denominator: ``(a, den)`` with
+    ``eigs[i] = a[i] / den``; a table of degree ``n`` is over ``den**n``."""
+    xs = [e if type(e) is Fraction else as_rational(e) for e in eigs]
     den = lcm(*(x.denominator for x in xs))
     return [x.numerator * (den // x.denominator) for x in xs], den
 

@@ -7,7 +7,8 @@ The ``complex``, ``corollaries`` and ``special`` suites compare against
 the oracle series of :mod:`~octamoment.hypermaps`
 (``oracle_monomial_expansion``, ``pairing_power_sum_series``), by
 coefficient or evaluated at identity matrices.  ``strata`` and the forest
-half of ``bijection`` walk each order's strata once (:func:`_strata`);
+half of ``bijection`` walk each order's strata once through
+:func:`_strata`, which lists those of :func:`~octamoment.arrays.enumerate_M`;
 ``strata`` reads its per-stratum checks from one table of stratum values,
 and its whole-expansion check reads :func:`~octamoment.hypermaps.lp_table`.
 The self-check compares whole tables, and every (lambda, mu) view of a
@@ -27,7 +28,7 @@ from . import closedform as cf
 from . import forests as fo
 from . import hypermaps as hm
 from . import moments as mo
-from .arrays import _pair_sides, black_sides, white_sides
+from .arrays import enumerate_M
 from .partitions import Partition, aut, format_partition, odd_double_factorial, partitions_of
 
 __all__ = ["CheckResult", "run_suite", "SUITES", "coeffs_self_check"]
@@ -47,16 +48,13 @@ class CheckResult:
 
 def _strata(n: int):
     """The strata of order ``n`` as ``(lam, mu, r, a)``: for each ``lam``,
-    each ``mu`` and each ``r``, the arrays ``a`` that
-    :func:`~octamoment.arrays.enumerate_M` lists, paired from side lists
-    built once per partition."""
+    each ``mu`` and each ``r``, the arrays ``a`` of
+    :func:`~octamoment.arrays.enumerate_M`."""
     parts = partitions_of(n)
-    blacks = [black_sides(mu) for mu in parts]
     for lam in parts:
-        whites = white_sides(lam)
-        for mu, black in zip(parts, blacks):
+        for mu in parts:
             for r in range(n // 2 + 1):
-                for a in _pair_sides(whites[r], black[r]):
+                for a in enumerate_M(lam, mu, r):
                     yield lam, mu, r, a
 
 

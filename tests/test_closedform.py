@@ -23,6 +23,7 @@ from octamoment.arrays import (
     white_sides,
 )
 from octamoment import closedform as cf
+from octamoment import verify
 from octamoment.verify import _strata
 from octamoment.cli import main
 from octamoment.closedform import (
@@ -152,10 +153,20 @@ def test_from_vertices_reports_the_bad_cell_that_cells_of_reports():
             assert ArrayTuple.from_vertices(2, 1, vertices) == expected
 
 
-def test_strata_walk_lists_enumerate_M_in_order():
-    """verify's stratum walk, which builds each side list once per
-    partition, lists exactly the strata of enumerate_M in the order of
-    lambda, mu, r and enumerate_M."""
+def test_strata_walk_lists_enumerate_M_in_order(monkeypatch):
+    """verify's stratum walk lists exactly the strata of enumerate_M in
+    the order of lambda, mu, r and enumerate_M, through one enumerate_M
+    call per (lambda, mu, r): sum_{n <= 3} p(n)^2 (n//2 + 1) = 27 calls
+    for the strata suite at n_max = 3."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return enumerate_M(*args)
+
+    monkeypatch.setattr(verify, "enumerate_M", counted)
+    verify.suite_strata(3)
+    assert len(calls) == 27
     for n in range(1, 8):
         expected = [
             (lam, mu, r, a)

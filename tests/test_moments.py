@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from octamoment.cli import main
-from octamoment.closedform import q_compl, q_real
+from octamoment.closedform import complex_expansion, q_compl, q_real
 from octamoment.hypermaps import pairing_power_sum_series
 from octamoment import moments
 from octamoment.moments import (
@@ -59,9 +59,12 @@ def test_matrix_spec_rejects_dimension_zero():
     [("1e5000", "has an exponent beyond"), ("1/0", "has a zero denominator")],
 )
 def test_from_eigs_reads_text_as_the_command_line_does(text, message):
-    # parse_rational bounds the exponent before Fraction builds 10**5000.
-    with pytest.raises(ValueError, match=f"rational '{text}' {message}"):
+    # parse_rational bounds the exponent before Fraction builds 10**5000;
+    # the evaluation kernel reads each letter by the same rule.
+    with pytest.raises(ValueError, match=f"^eigs entry 0: rational '{text}' {message}"):
         MatrixSpec.from_eigs([text])
+    with pytest.raises(ValueError, match=f"^rational '{text}' {message}"):
+        complex_expansion(1).evaluate([text], [1])
 
 
 def test_matrix_spec_json():
