@@ -18,14 +18,22 @@ an array cell.
 A cell entry counts the non-seed vertices of one profile ``(color, root,
 i, j)``; :meth:`ArrayTuple.vertices` and :meth:`ArrayTuple.from_vertices`
 are the one translation between profiles and the four fields.
-:func:`enumerate_M` lists the strata of each ``(lam, mu, r)``, for ``verify`` too.
+
+A stratum is a white side ``(i0, j0, white, white_root)`` paired with a
+black side ``(black, black_root)`` of the same loop weight ``r``.
+:func:`white_sides` and :func:`black_sides` are the one side table: each
+is memoized per partition and returns read-only tuples, one per ``r``, so
+every stratum reader (:func:`enumerate_M`, the stratum walk of ``verify``,
+the real assembly and the flagged-strata walk of ``closedform``) shares
+them, and :meth:`ArrayTuple.from_sides` builds a stratum from its two
+sides.  :func:`enumerate_M` lists the strata of each ``(lam, mu, r)``.
 """
 
 from __future__ import annotations
 
 import json
 from collections import Counter
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
@@ -48,17 +56,18 @@ Cells = tuple[tuple[int, int, int], ...]
 # A non-seed vertex: (color, root, degree i, loop count j).
 Profile = tuple[str, bool, int, int]
 
+# The two halves of a stratum: (i0, j0, white, white_root) and (black, black_root).
+WhiteSide = tuple[int, int, Cells, Cells]
+BlackSide = tuple[Cells, Cells]
+
 # The (color, root) kind of each ArrayTuple field, in field order.
 _KINDS = (("w", False), ("w", True), ("b", False), ("b", True))
 _FIELD = {kind: k for k, kind in enumerate(_KINDS)}
 
 
-def cells_of(entries: Mapping[tuple[int, int], int] | Iterable[tuple[int, int, int]]) -> Cells:
-    """Normalize a {(i, j): count} mapping or (i, j, count) iterable."""
-    if isinstance(entries, Mapping):
-        items = [(i, j, c) for (i, j), c in entries.items() if c]
-    else:
-        items = [(i, j, c) for (i, j, c) in entries if c]
+def cells_of(entries: Iterable[tuple[int, int, int]]) -> Cells:
+    """Normalize an (i, j, count) iterable: drop the zero counts and sort."""
+    items = [(i, j, c) for (i, j, c) in entries if c]
     for i, j, c in items:
         if i < 1 or j < 0 or c < 0:
             raise ValueError(f"bad cell ({i}, {j}, {c})")
@@ -102,6 +111,13 @@ class ArrayTuple:
                     cells_of([(i, j, c) for (*k, i, j), c in tally.items() if tuple(k) == kind])
             fields[_FIELD[color, root]].append((i, j, c))
         return cls(*map(tuple, fields), seed_degree, seed_loops)
+
+    @classmethod
+    def from_sides(cls, white_side: WhiteSide, black_side: BlackSide):
+        """The stratum of a white side and a black side (:func:`white_sides`,
+        :func:`black_sides`): the one place a stratum is built from its sides."""
+        i0, j0, white, white_root = white_side
+        return cls(white, white_root, *black_side, i0, j0)
 
     def vertices(self) -> Iterator[Profile]:
         """The profile of every non-seed vertex, in field order."""
@@ -215,39 +231,44 @@ def _sides(mult: tuple[tuple[int, int], ...]) -> tuple[tuple[Cells, Cells, int],
     """Every (non-root cells, root cells, j-weight) distribution of the
     blocks with the sorted multiplicity items ``mult``: the product of the
     per-size distributions, sizes ascending.  Memoized on ``mult`` alone,
-    so one list serves every loop count ``r`` and every stratum that the
-    side appears in."""
+    so the black table of a partition and every white table whose other
+    blocks are that partition, one order higher or more, read one list."""
     return tuple(
         (sum((s[0] for s in sides), ()), sum((s[1] for s in sides), ()), sum(s[2] for s in sides))
         for sides in product(*(_size_sides(i, c) for i, c in mult))
     )
 
 
-def white_sides(lam: Partition) -> list[list[tuple[int, int, Cells, Cells]]]:
-    """Every white side ``(i0, j0, white, white_root)`` of a stratum with
-    white type ``lam``, at its loop weight: list ``r <= n//2`` holds the
-    sides with ``r`` same-kind pairs in stratum order, seed degree ``i0``
-    ascending, then the sides of the other blocks in :func:`_sides` order.
-    A side of the other blocks of weight ``w`` is listed at every ``w + j0``,
-    ``0 <= j0 <= i0//2``."""
+@lru_cache(maxsize=None)
+def white_sides(lam: Partition) -> tuple[tuple[WhiteSide, ...], ...]:
+    """The white side table of ``lam``: every white side ``(i0, j0, white,
+    white_root)`` of a stratum with white type ``lam``, at its loop weight.
+    Tuple ``r <= n//2`` holds the sides with ``r`` same-kind pairs in
+    stratum order, seed degree ``i0`` ascending, then the sides of the
+    other blocks in :func:`_sides` order.  A side of the other blocks of
+    weight ``w`` is listed at every ``w + j0``, ``0 <= j0 <= i0//2``.
+    Memoized per partition and read-only, so every stratum reader shares
+    one table."""
     mult = sorted(lam.multiplicities().items())
-    out: list[list[tuple[int, int, Cells, Cells]]] = [[] for _ in range(lam.n // 2 + 1)]
+    out: list[list[WhiteSide]] = [[] for _ in range(lam.n // 2 + 1)]
     for i0, _ in mult:
         rest = tuple((i, c - (i == i0)) for i, c in mult if (i, c) != (i0, 1))
         for white, white_root, w in _sides(rest):
             for j0 in range(i0 // 2 + 1):
                 out[w + j0].append((i0, j0, white, white_root))
-    return out
+    return tuple(map(tuple, out))
 
 
-def black_sides(mu: Partition) -> list[list[tuple[Cells, Cells]]]:
-    """Every black side ``(black, black_root)`` of a stratum with black
-    type ``mu``, at its loop weight: list ``r <= n//2`` holds the sides of
-    weight ``r``, in stratum order."""
-    out: list[list[tuple[Cells, Cells]]] = [[] for _ in range(mu.n // 2 + 1)]
+@lru_cache(maxsize=None)
+def black_sides(mu: Partition) -> tuple[tuple[BlackSide, ...], ...]:
+    """The black side table of ``mu``: every black side ``(black,
+    black_root)`` of a stratum with black type ``mu``, at its loop weight.
+    Tuple ``r <= n//2`` holds the sides of weight ``r``, in stratum order.
+    Memoized per partition and read-only, like :func:`white_sides`."""
+    out: list[list[BlackSide]] = [[] for _ in range(mu.n // 2 + 1)]
     for black, black_root, r in _sides(tuple(sorted(mu.multiplicities().items()))):
         out[r].append((black, black_root))
-    return out
+    return tuple(map(tuple, out))
 
 
 def enumerate_M(lam: Partition, mu: Partition, r: int) -> list[ArrayTuple]:
@@ -264,9 +285,5 @@ def enumerate_M(lam: Partition, mu: Partition, r: int) -> list[ArrayTuple]:
         raise ValueError("r must be >= 0")
     if r > lam.n // 2:
         return []
-    whites = white_sides(lam)[r]
-    return [
-        ArrayTuple(white, white_root, black, black_root, i0, j0)
-        for black, black_root in black_sides(mu)[r]
-        for i0, j0, white, white_root in whites
-    ]
+    whites, stratum = white_sides(lam)[r], ArrayTuple.from_sides
+    return [stratum(white, black) for black in black_sides(mu)[r] for white in whites]

@@ -24,11 +24,12 @@ their counts, one at a time, building only those (the per-stratum list
 that ``report`` prints), and :func:`iter_degenerate_pairs` sums them per
 ``(lam, mu)`` pair and builds no stratum (the summary that ``expansion
 --field real`` prints).  Each side is listed once, at its loop weight
-``r`` (:mod:`~octamoment.arrays`), and its factor computed once per
-process; one count core (``_stratum_count``) turns a white and a black
-factor into the count of their stratum.  The order
-``v`` of the prefactor of ``(p, q, r, n)`` picks the row ``eps**(-v)`` of
-the seed bracket that the count core and the real assembly read; where
+``r``, in the side table of :mod:`~octamoment.arrays`, and its factor is
+computed once per process, in a table aligned with that one; one count
+core (``_stratum_count``) turns a white and a black factor into the
+count of their stratum.  The order ``v`` of the prefactor of ``(p, q,
+r, n)`` picks the row ``eps**(-v)`` of the seed bracket that the count
+core and the real assembly read; where
 the thorn factor's zero is not cancelled the prefactor itself is 0.
 :func:`F_formula` derives the two factors from one array and calls the
 same core; it is the per-stratum route that ``verify --suite strata`` and
@@ -190,28 +191,21 @@ def _black_factor(cells: Cells, roots: Cells, r: int, n: int):
 
 @lru_cache(maxsize=None)
 def _white_factors(lam: Partition) -> tuple[tuple, ...]:
-    """Every white side of ``lam`` with its factor (:func:`_white_factor`)
-    at the order ``n`` of ``lam``, as ``(side, factor)`` pairs, one tuple
-    per loop weight ``r`` (the lists of
-    :func:`~octamoment.arrays.white_sides`).  The real assembly and the
-    flagged-strata walk both read it, so each factor is computed once per
-    process."""
-    n = lam.n
-    return tuple(
-        tuple([(s, _white_factor(*s, r, n)) for s in sides])
-        for r, sides in enumerate(white_sides(lam))
-    )
+    """The factor (:func:`_white_factor`) of every white side of ``lam`` at
+    the order of ``lam``, aligned by position with the side table
+    :func:`~octamoment.arrays.white_sides`: entry ``[r][k]`` is the factor
+    of side ``[r][k]``.  The real assembly and the flagged-strata walk both
+    read it, so each factor is computed once per process."""
+    by_r = enumerate(white_sides(lam))
+    return tuple(tuple([_white_factor(*s, r, lam.n) for s in sides]) for r, sides in by_r)
 
 
 @lru_cache(maxsize=None)
 def _black_factors(mu: Partition) -> tuple[tuple, ...]:
     """:func:`_white_factors` for the black sides of ``mu``
     (:func:`_black_factor`, :func:`~octamoment.arrays.black_sides`)."""
-    n = mu.n
-    return tuple(
-        tuple([(s, _black_factor(*s, r, n)) for s in sides])
-        for r, sides in enumerate(black_sides(mu))
-    )
+    by_r = enumerate(black_sides(mu))
+    return tuple(tuple([_black_factor(*s, r, mu.n) for s in sides]) for r, sides in by_r)
 
 
 def _bracket_rows(a: int, b: int, s3: int, j0: int, d: int):
@@ -236,13 +230,6 @@ def _diagnostics(p: int, q: int, r: int, n: int) -> tuple[str, ...]:
     return tuple(f"negative factorial argument {name} = {x}" for name, x in named if x < 0)
 
 
-def _array(white_side, black_side) -> ArrayTuple:
-    """The stratum of a white side ``(i0, j0, white, white_root)`` and a
-    black side ``(black, black_root)``."""
-    i0, j0, white, white_root = white_side
-    return ArrayTuple(white, white_root, *black_side, i0, j0)
-
-
 def _stratum_count(white_side, black_side, n: int, r: int, white, black) -> int:
     """The count at order ``n`` of the stratum of ``white_side`` and
     ``black_side`` from the factors of its sides (:func:`_white_factor`,
@@ -259,12 +246,12 @@ def _stratum_count(white_side, black_side, n: int, r: int, white, black) -> int:
     rows = _bracket_rows(*terms, n - q - 2 * r)[: 1 - v]
     *below, bracket = [c0 + c1 * s1 + c2 * s2 for c0, c1, c2 in rows]
     if any(below):
-        a = _array(white_side, black_side)
+        a = ArrayTuple.from_sides(white_side, black_side)
         raise ArithmeticError(f"a pole survives the continuation of {a} at n = {n}")
     num, den = w_num * b_num * bracket * c_num, w_den * b_den * c_den
     count, rest = divmod(num, den)
     if rest:
-        a = _array(white_side, black_side)
+        a = ArrayTuple.from_sides(white_side, black_side)
         raise ArithmeticError(f"count {Fraction(num, den)} of {a} at n = {n} is not an integer")
     return count
 
@@ -419,8 +406,9 @@ def iter_degenerate_strata(n: int) -> Iterator[DegenerateStratum]:
     is asked for."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    stratum = ArrayTuple.from_sides
     return (
-        DegenerateStratum(n, lam, mu, r, _array(white, black), _diagnostics(p, q, r, n), count)
+        DegenerateStratum(n, lam, mu, r, stratum(white, black), _diagnostics(p, q, r, n), count)
         for lam, mu, r, white, black, p, q, count in _flagged_strata(n)
     )
 
@@ -449,17 +437,21 @@ def _flagged_strata(n: int) -> Iterator[tuple]:
     strata that :func:`_diagnostics` flags, read by both
     :func:`iter_degenerate_strata` and :func:`iter_degenerate_pairs`."""
     parts, rs = partitions_of(n), range(1, n // 2 + 1)  # r = 0 flags nothing
-    blacks = [(mu, _black_factors(mu)) for mu in parts]
+    blacks = [(mu, black_sides(mu), _black_factors(mu)) for mu in parts]
     for lam in parts:
+        whites, white_factors = white_sides(lam), _white_factors(lam)
         # Flagged when p >= n-2r or q >= n-2r (_diagnostics): a black side whose q
         # flags it meets every white side, any other only the white sides whose p does.
-        whites = _white_factors(lam)
-        owns = [[(s, w) for s, w in whites[r] if w[0] >= n - 2 * r] for r in rs]
-        for mu, black_factors in blacks:
+        owns = [[k for k, w in enumerate(white_factors[r]) if w[0] >= n - 2 * r] for r in rs]
+        for mu, black_sides_mu, black_factors in blacks:
             for r, own in zip(rs, owns):
-                for black, b in black_factors[r]:
+                if not black_factors[r]:  # many (mu, r) have no side: skip their zip
+                    continue
+                sides, factors = whites[r], white_factors[r]
+                for black, b in zip(black_sides_mu[r], black_factors[r]):
                     q = b[0]
-                    for white, w in whites[r] if q >= n - 2 * r else own:
+                    for k in range(len(sides)) if q >= n - 2 * r else own:
+                        white, w = sides[k], factors[k]
                         count = _stratum_count(white, black, n, r, w, b)
                         yield lam, mu, r, white, black, w[0], q, count
 
@@ -475,7 +467,7 @@ def _white_vector(lam: Partition, n: int) -> list[int]:
     out, scale = [], _denominator(n)
     for r, factors in enumerate(_white_factors(lam)):
         by_p: dict[int, list[int]] = {}  # p -> weighted sums of (A, B, s3, j0)
-        for _, (p, num, den, terms) in factors:
+        for p, num, den, terms in factors:
             w = num * (factorial(n) // den)
             sums = by_p.setdefault(p, [0, 0, 0, 0])
             for k, x in enumerate(terms):
@@ -499,7 +491,7 @@ def _black_vector(mu: Partition, n: int) -> list[int]:
     ``mu`` (:func:`_black_factors`), each at its own loop weight ``r``."""
     out = [0] * (3 * (n // 2 + 1) * (n + 1))
     for r, factors in enumerate(_black_factors(mu)):
-        for _, (q, num, den, (s1, s2)) in factors:
+        for q, num, den, (s1, s2) in factors:
             w, k = num * (factorial(n) // den), 3 * (r * (n + 1) + q)
             out[k] += w
             out[k + 1] += w * s1

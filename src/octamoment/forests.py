@@ -50,6 +50,7 @@ from .hypermaps import (
     BoundExceededError,
     Pairing,
     PartitionedHypermap,
+    _inverse,
     canonical_f1,
     canonical_f2,
     iter_pairing_images,
@@ -301,17 +302,9 @@ def _order_key(f: Forest) -> tuple:
     return (f.colors, f.slots, f.loop_attr, sorted(f.matching))
 
 
-def _rank(order: Sequence[int]) -> list[int]:
-    """The inverse of a vertex order: ``rank[order[i]] == i``."""
-    rank = [0] * len(order)
-    for new, old in enumerate(order):
-        rank[old] = new
-    return rank
-
-
 def _relabel(f: Forest, order: Sequence[int]) -> Forest:
     """Renumber vertex ``order[i]`` as ``i``; the seed must come first."""
-    rank = _rank(order)
+    rank = _inverse(order)  # rank[order[i]] == i
     rows = f.slots
     slots = [tuple([(EDGE, rank[s[1]]) if s[0] == EDGE else s for s in rows[v]]) for v in order]
     attr = sorted([(rank[v], k, kind, rank[t]) for v, k, kind, t in f.loop_attr])
@@ -402,7 +395,7 @@ def theta_forward(h: PartitionedHypermap) -> Forest:
     order = _depth_first(seed, roots, children)
     if len(order) != V:
         raise AssertionError("tree edges leave a vertex unreachable")
-    rank = _rank(order)
+    rank = _inverse(order)  # rank[order[i]] == i
 
     # Each block's slots are its labels in increasing order, so one walk
     # over the labels appends them in place: loops are numbered by their

@@ -189,7 +189,8 @@ def compose(g: Sequence[int], h: Sequence[int]) -> tuple[int, ...]:
 
 
 def _inverse(perm: Sequence[int]) -> list[int]:
-    """The inverse of a permutation given by its image list."""
+    """The inverse of a permutation given by its image list, ``inv[perm[x]]
+    == x``; ``forests`` reads the rank of each vertex in an order from it."""
     inv = [0] * len(perm)
     for x, y in enumerate(perm):
         inv[y] = x

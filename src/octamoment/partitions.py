@@ -231,8 +231,15 @@ def parse_rational(text: str) -> Fraction:
 
 def as_rational(value) -> Fraction:
     """One eigenvalue: text read by :func:`parse_rational`, as the command line
-    reads it, and any other value by ``Fraction`` (a float stays exact)."""
-    return parse_rational(value) if isinstance(value, str) else Fraction(value)
+    reads it, and any other value by ``Fraction`` (a float stays exact).  Every
+    value that does not read raises ``ValueError``, an infinity, ``None`` or a
+    complex number too."""
+    if isinstance(value, str):
+        return parse_rational(value)
+    try:
+        return Fraction(value)
+    except (OverflowError, TypeError) as err:
+        raise ValueError(f"cannot read {value!r} as a rational: {err}") from None
 
 
 def format_rational(x: Fraction | int) -> str:

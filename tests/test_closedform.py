@@ -503,8 +503,8 @@ def test_sides_are_listed_once_at_their_loop_weight():
             whites, blacks = white_sides(lam), black_sides(lam)
             assert len(whites) == len(blacks) == n // 2 + 1, lam
             for r in range(n // 2 + 1):
-                assert whites[r] == _ref_white_sides(lam, r), (lam, r)
-                assert blacks[r] == _ref_black_sides(lam, r), (lam, r)
+                assert list(whites[r]) == _ref_white_sides(lam, r), (lam, r)
+                assert list(blacks[r]) == _ref_black_sides(lam, r), (lam, r)
             # no side lies beyond n//2, and none is listed twice
             assert _ref_white_sides(lam, n // 2 + 1) == [] == _ref_black_sides(lam, n // 2 + 1)
             for listed in whites, blacks:
@@ -512,6 +512,16 @@ def test_sides_are_listed_once_at_their_loop_weight():
                 assert len(every) == len(set(every)), lam
             for mu in partitions_of(n):
                 assert enumerate_M(lam, mu, n // 2 + 1) == []
+
+
+def test_side_tables_are_shared_and_read_only():
+    # One table per partition: every call returns the same object, a tuple
+    # of tuples, so no reader can change what the others read.
+    for lam in partitions_of(6):
+        for table in white_sides, black_sides:
+            sides = table(lam)
+            assert table(Partition(list(lam))) is sides, (table, lam)
+            assert type(sides) is tuple and all(type(by_r) is tuple for by_r in sides)
 
 
 def test_enumerate_M_result_is_the_callers_own():
@@ -799,6 +809,26 @@ def test_degenerate_strata_checks_that_no_pole_survives(monkeypatch):
     monkeypatch.setattr(cf, "_prefactor", lower)
     with pytest.raises(ArithmeticError, match="a pole survives"):
         tuple(iter_degenerate_strata(6))
+
+
+def test_real_expansion_checks_that_each_stratum_sum_is_an_integer(monkeypatch):
+    # One black vector entry off by 1: the weight of (r, q) = (1, 0) for
+    # mu = (2, 2). The white vector of lam = (4), the first partition, has an
+    # entry there that the common denominator does not divide, so the first
+    # dot product that reads it is not an integer, and the error names the pair.
+    exact, target = cf._black_vector, Partition([2, 2])
+
+    def off(mu, n):
+        vector = exact(mu, n)
+        if mu == target:
+            vector[3 * (1 * (n + 1) + 0)] += 1
+        return vector
+
+    monkeypatch.setattr(cf, "_black_vector", off)
+    with pytest.raises(ArithmeticError) as caught:
+        real_expansion.__wrapped__(4)
+    lam = Partition([4])
+    assert str(caught.value) == f"the stratum sum of ({lam}, {target}) at n = 4 is not an integer"
 
 
 def test_real_expansion_reaches_past_n10_at_projectors():

@@ -67,6 +67,20 @@ def test_from_eigs_reads_text_as_the_command_line_does(text, message):
         complex_expansion(1).evaluate([text], [1])
 
 
+@pytest.mark.parametrize(
+    "bad, shown",
+    [(math.inf, "inf"), (-math.inf, "-inf"), (None, "None"), (1 + 2j, r"\(1\+2j\)")],
+    ids=["inf", "-inf", "None", "complex"],
+)
+def test_from_eigs_names_an_entry_that_fraction_cannot_read(bad, shown):
+    # Fraction raises OverflowError on an infinity and TypeError on None or a
+    # complex number; each reaches the caller as the ValueError naming the entry.
+    with pytest.raises(ValueError, match=f"^eigs entry 0: cannot read {shown} as a rational: "):
+        MatrixSpec.from_eigs([bad])
+    with pytest.raises(ValueError, match=f"^cannot read {shown} as a rational: "):
+        complex_expansion(1).evaluate([bad], [1])
+
+
 def test_matrix_spec_json():
     spec = MatrixSpec.from_json({"dim": 2, "eigs": ["1/2", "3"]})
     assert spec.eigs == (Fraction(1, 2), Fraction(3))
