@@ -364,8 +364,10 @@ def cmd_verify(args) -> int:
 def _hypermap_from_json(data: dict) -> hm.PartitionedHypermap:
     """Read the ``_hypermap_to_json`` form; a malformed record raises
     ``ValueError``.  ``f3`` must list exactly ``n`` pairs of two labels
-    each, and no label twice, checked before the pairing is built; ``pi1``,
-    ``pi2`` and their blocks must be lists, never read through a string."""
+    each, checked before the pairing is built; ``pi1``, ``pi2`` and their
+    blocks must be lists, never read through a string.  One rule reads
+    every label list, the f3 pairs and each block alike: all its labels
+    are parsed, and a label listed twice is named with its list."""
     try:
         n = data["n"]
         if type(n) is not int or n < 1:
@@ -376,13 +378,18 @@ def _hypermap_from_json(data: dict) -> hm.PartitionedHypermap:
         for i, pair in enumerate(f3):
             if not isinstance(pair, list) or len(pair) != 2:
                 raise ValueError(f"hypermap 'f3' pair {i} must hold two labels, got {pair!r}")
-        label = lambda x: hm.parse_element(str(x), n)  # noqa: E731
-        pairs = [(label(a), label(b)) for a, b in f3]
-        seen: set[int] = set()
-        for x in chain.from_iterable(pairs):
-            if x in seen:
-                raise ValueError(f"hypermap 'f3' uses label {hm.element_name(x, n)!r} twice")
-            seen.add(x)
+
+        def labels(listed, where: str) -> list[int]:
+            read = [hm.parse_element(str(x), n) for x in listed]
+            seen: set[int] = set()
+            for x in read:
+                if x in seen:
+                    raise ValueError(f"hypermap {where} uses label {hm.element_name(x, n)!r} twice")
+                seen.add(x)
+            return read
+
+        ends = labels(chain.from_iterable(f3), "'f3'")
+        pairs = list(zip(ends[::2], ends[1::2]))
         blocks1, blocks2 = [], []
         for key, blocks in (("pi1", blocks1), ("pi2", blocks2)):
             if not isinstance(data[key], list):
@@ -392,7 +399,7 @@ def _hypermap_from_json(data: dict) -> hm.PartitionedHypermap:
                     raise ValueError(
                         f"hypermap {key!r} block {i} must be a list of labels, got {block!r}"
                     )
-                blocks.append({label(x) for x in block})
+                blocks.append(labels(block, f"{key!r} block {i}"))
     except (KeyError, TypeError) as err:
         raise ValueError(f"malformed hypermap JSON: {type(err).__name__} {err}") from None
     return hm.PartitionedHypermap.make(hm.Pairing.from_pairs(n, pairs), blocks1, blocks2)

@@ -527,7 +527,8 @@ def real_expansion(n: int) -> MonomialExpansion:
             total, rest = divmod(sum(map(mul, white, black)), den)
             if rest:
                 raise ArithmeticError(
-                    f"the stratum sum of ({lam}, {mu}) at n = {n} is not an integer"
+                    f"the stratum sum of lambda = {format_partition(lam)}, "
+                    f"mu = {format_partition(mu)} at n = {n} is not an integer"
                 )
             coeffs[(lam, mu)] = aut_lam * aut_mu * total
     return MonomialExpansion(n, coeffs)

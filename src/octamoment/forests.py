@@ -99,14 +99,17 @@ class Forest:
     vertex to its parent is implicit (it is the rightmost slot of the
     vertex, which is how the labeled construction always places it).
     ``loop_attr`` holds one ``(vertex, loop, kind, target)`` per loop with
-    ``kind`` either ``"greek"`` or ``"arrow"``.
+    ``kind`` either ``"greek"`` or ``"arrow"``, and ``matching`` one
+    ``(white thorn, black thorn)`` pair of slot references per matched
+    pair; each is a tuple in ascending order, sorted once by the builder
+    of the forest, so no reader sorts it again.
     """
 
     colors: tuple[str, ...]
     slots: tuple[tuple[Slot, ...], ...]
     seed: int
     loop_attr: tuple[tuple[int, int, str, int], ...]
-    matching: frozenset[tuple[SlotRef, SlotRef]]
+    matching: tuple[tuple[SlotRef, SlotRef], ...]
 
     @property
     def num_vertices(self) -> int:
@@ -278,18 +281,10 @@ def _read_forest(f: Forest) -> tuple[list[str], tuple]:
     return problems, (parent, edges, ends, attr)
 
 
-def _structure_keys(f: Forest) -> dict[int, tuple]:
-    """Shape key of the subtree at each vertex, ignoring cross references."""
-    keys: dict[int, tuple] = {}
-    for v in range(f.num_vertices):
-        _structure_key(f, v, keys)
-    return keys
-
-
 def _structure_key(f: Forest, v: int, keys: dict[int, tuple]) -> tuple:
-    """The shape key of the subtree at ``v``, memoized in ``keys``.  A
-    module-level recursion, so that no call leaves a reference cycle
-    behind."""
+    """The shape key of the subtree at ``v``, ignoring cross references,
+    memoized in ``keys``.  A module-level recursion, so that no call
+    leaves a reference cycle behind."""
     if v not in keys:
         row = [(EDGE, _structure_key(f, s[1], keys)) if s[0] == EDGE else s for s in f.slots[v]]
         keys[v] = (f.colors[v], tuple(row))
@@ -299,7 +294,7 @@ def _structure_key(f: Forest, v: int, keys: dict[int, tuple]) -> tuple:
 def _order_key(f: Forest) -> tuple:
     """The order of forests: the canonical labeling is the least relabeling
     in it, and :func:`enumerate_forests` lists its forests in it."""
-    return (f.colors, f.slots, f.loop_attr, sorted(f.matching))
+    return (f.colors, f.slots, f.loop_attr, f.matching)
 
 
 def _relabel(f: Forest, order: Sequence[int]) -> Forest:
@@ -308,11 +303,9 @@ def _relabel(f: Forest, order: Sequence[int]) -> Forest:
     rows = f.slots
     slots = [tuple([(EDGE, rank[s[1]]) if s[0] == EDGE else s for s in rows[v]]) for v in order]
     attr = sorted([(rank[v], k, kind, rank[t]) for v, k, kind, t in f.loop_attr])
-    # Built from the sorted pairs: validate_forest reports matching
-    # problems in the frozenset's iteration order.
     match = sorted([((rank[a], i), (rank[b], j)) for (a, i), (b, j) in f.matching])
     colors = tuple([f.colors[v] for v in order])
-    return Forest(colors, tuple(slots), 0, tuple(attr), frozenset(match))
+    return Forest(colors, tuple(slots), 0, tuple(attr), tuple(match))
 
 
 def _depth_first(seed: int, roots: Sequence[int], children: Sequence[Sequence[int]]) -> list[int]:
@@ -336,10 +329,10 @@ def canonicalize(f: Forest) -> Forest:
     children = [[s[1] for s in row if s[0] == EDGE] for row in f.slots]
     below = {child for row in children for child in row}
     roots = [v for v in range(f.num_vertices) if v not in below and v != f.seed]
-    keys = _structure_keys(f)
+    keys: dict[int, tuple] = {}
     groups: dict[tuple, list[int]] = {}
     for v in roots:
-        groups.setdefault(keys[v], []).append(v)
+        groups.setdefault(_structure_key(f, v, keys), []).append(v)
     candidates = itertools.product(*(itertools.permutations(groups[k]) for k in sorted(groups)))
     return min(
         (
@@ -437,13 +430,11 @@ def theta_forward(h: PartitionedHypermap) -> Forest:
             pending[y] = (rank[v], len(row))
             row.append(thorn)
 
-    # Sorted as _relabel sorts them: validate_forest reports matching
-    # problems in the frozenset's iteration order.
     loop_attr.sort()
     matching.sort()
     colors = tuple(["w" if v < W else "b" for v in order])
     slots = tuple([tuple(rows[v]) for v in order])
-    forest = Forest(colors, slots, 0, tuple(loop_attr), frozenset(matching))
+    forest = Forest(colors, slots, 0, tuple(loop_attr), tuple(matching))
     return forest if len(roots) < 2 else canonicalize(forest)
 
 
@@ -618,7 +609,7 @@ def enumerate_forests(a: ArrayTuple) -> list[Forest]:
                 for targets in itertools.product(*(opposite[v] for v, _, _ in kinds)):
                     attr = tuple((v, k, kind, t) for (v, k, kind), t in zip(kinds, targets))
                     for tperm in itertools.permutations(black_thorns):
-                        matching = frozenset(zip(white_thorns, tperm))
+                        matching = tuple(zip(white_thorns, tperm))
                         forest = Forest(colors, frozen, 0, attr, matching)
                         if not validate_forest(forest):
                             found.add(canonicalize(forest))
@@ -641,9 +632,9 @@ def _latin_names(count: int) -> list[str]:
 
 def _thorn_labels(f: Forest) -> dict[SlotRef, str]:
     """Latin label of each thorn, shared within a matched pair, in the
-    order of the sorted matching."""
+    order of the matching."""
     label_of: dict[SlotRef, str] = {}
-    for name, (a, b) in zip(_latin_names(len(f.matching)), sorted(f.matching)):
+    for name, (a, b) in zip(_latin_names(len(f.matching)), f.matching):
         label_of[a] = name
         label_of[b] = name
     return label_of
@@ -675,7 +666,7 @@ def forest_to_json(f: Forest) -> dict:
             {"vertex": v, "loop": k, "kind": kind, "target": t}
             for v, k, kind, t in f.loop_attr
         ],
-        "thorn_matching": [[list(a), list(b)] for a, b in sorted(f.matching)],
+        "thorn_matching": [[list(a), list(b)] for a, b in f.matching],
     }
 
 
@@ -685,7 +676,8 @@ def forest_from_json(data) -> Forest:
     A record not of that shape raises ``ValueError``; a field that is not
     a JSON list (of objects, for ``vertices``, ``loops`` and each vertex's
     ``slots``) is named.  A record of that shape that breaks the forest
-    rules is left to :func:`validate_forest`.
+    rules is left to :func:`validate_forest`; the matching is sorted here
+    with every entry kept, so a pair listed twice reaches it too.
     """
 
     def objects(listed, field: str, what: str) -> list:
@@ -743,7 +735,7 @@ def forest_from_json(data) -> Forest:
                 f"malformed forest JSON: thorn_matching entry {k} "
                 f"is not two [vertex, slot] pairs of integers: {refs[k]!r}"
             )
-    return Forest(colors, tuple(slots), data["seed"], attr, frozenset(matching))
+    return Forest(colors, tuple(slots), data["seed"], attr, tuple(sorted(matching)))
 
 
 def forest_to_dot(f: Forest) -> str:

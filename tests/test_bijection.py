@@ -21,7 +21,7 @@ from octamoment.forests import (
     Forest,
     MalformedForestError,
     _relabel,
-    _structure_keys,
+    _structure_key,
     canonicalize,
     enumerate_forests,
     forest_degree,
@@ -62,7 +62,7 @@ def test_single_edge_forest():
     # seed white root with a single child edge to a black leaf
     assert f.colors == ("w", "b")
     assert f.slots == (((EDGE, 1),), ())
-    assert f.matching == frozenset() and f.loop_attr == ()
+    assert f.matching == () and f.loop_attr == ()
     h2 = theta_inverse(f)
     assert h2 == h
     assert str(h2.f3) == "(1 1^)"
@@ -251,8 +251,9 @@ def test_recursive_enumerations_keep_their_order():
 def test_recursive_enumerations_leave_no_reference_cycle():
     # With the collector off, one call of each recursion, run to the end,
     # leaves nothing for it to free: no call ties its frames, lists or
-    # frozensets into a cycle.
-    forest = theta_forward(next(iter_partitioned_hypermaps(3)))
+    # frozensets into a cycle.  The shape key of the seed of the
+    # white-black-white chain recurses through the whole tree.
+    keys = {}
     gc.collect()
     gc.disable()
     try:
@@ -260,10 +261,35 @@ def test_recursive_enumerations_leave_no_reference_cycle():
         assert len(partitions_of.__wrapped__(12)) == 77
         assert sum(1 for _ in iter_pairing_images(8)) == 105
         assert sum(L_table.__wrapped__(4).values()) == 105
-        assert len(_structure_keys(forest)) == forest.num_vertices
+        _structure_key(_CHAIN, _CHAIN.seed, keys)
+        assert len(keys) == _CHAIN.num_vertices
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_every_builder_holds_the_matching_as_an_ascending_tuple():
+    """theta_forward, _relabel (so canonicalize), enumerate_forests and
+    forest_from_json each sort the matching once, so every reader takes it
+    as it is: all forests at n <= 4, each renumbered in reverse, every
+    stratum's list at n <= 3, and each JSON record with its matching
+    listed in reverse."""
+    built = [theta_forward(h) for n in range(1, 5) for h in iter_partitioned_hypermaps(n)]
+    built += [_relabel(f, (0, *range(f.num_vertices - 1, 0, -1))) for f in built]
+    built += [canonicalize(f) for f in built]
+    for n in range(1, 4):
+        for lam in partitions_of(n):
+            for mu in partitions_of(n):
+                for r in range(n // 2 + 1):
+                    for a in enumerate_M(lam, mu, r):
+                        built += enumerate_forests(a)
+    for f in list(built):
+        data = forest_to_json(f)
+        data["thorn_matching"].reverse()
+        built.append(forest_from_json(data))
+    assert max(len(f.matching) for f in built) >= 3
+    for f in built:
+        assert type(f.matching) is tuple and list(f.matching) == sorted(f.matching), f
 
 
 def test_canonicalize_is_idempotent_on_enumerated_forests():

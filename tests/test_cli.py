@@ -1168,6 +1168,21 @@ def test_an_f3_label_used_twice_is_named(f3, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "key, blocks, message",
+    [
+        ("pi1", [["1", "2", "1^", "2^", "1"]], "block 0 uses label '1' twice"),
+        ("pi2", [["1", "2"], ["1^", "2^", "2^"]], "block 1 uses label '2^' twice"),
+    ],
+    ids=["pi1-block-0", "pi2-block-1"],
+)
+def test_a_block_label_used_twice_is_named(key, blocks, message, tmp_path, capsys):
+    # Read as a set, the block would drop the second copy and be accepted.
+    record = {**_VALID_N2, "n": 2, key: blocks}
+    line = _one_error_line(["bijection", "--input", "bad.json"], record, tmp_path, capsys)
+    assert line == f"octamoment: error: hypermap {key!r} {message}"
+
+
+@pytest.mark.parametrize(
     "pi1, label", [([["1", "2^"], ["2", "x^"]], "x^")], ids=["not-a-label"]
 )
 def test_a_hypermap_token_that_is_not_a_label_is_named(pi1, label, tmp_path, capsys):
@@ -1413,6 +1428,28 @@ def test_a_thorn_matching_entry_without_two_integer_references_is_named(
         "octamoment: error: malformed forest JSON: thorn_matching entry 0 "
         f"is not two [vertex, slot] pairs of integers: {entry!r}"
     )
+
+
+def test_a_forest_vertex_without_a_color_is_malformed(tmp_path, capsys):
+    record = {"seed": 0, "vertices": [{"id": 0, "slots": []}]}
+    line = _one_error_line(["bijection", "--input", "bad.json"], record, tmp_path, capsys)
+    assert line == "octamoment: error: malformed forest JSON: KeyError 'color'"
+
+
+def test_a_matched_pair_listed_twice_is_a_violation(tmp_path, capsys):
+    # Read into a set, the second copy would vanish and the forest pass.
+    forest = forest_to_json(theta_forward(next(iter_partitioned_hypermaps(3))))
+    assert forest["thorn_matching"] == [[[0, 2], [1, 0]]]
+    path = tmp_path / "twice.json"
+    record = {**forest, "thorn_matching": [[[0, 2], [1, 0]]] * 2}
+    path.write_text(json.dumps(record), encoding="utf-8")
+    code = main(["bijection", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (1, "")
+    assert json.loads(captured.out) == {
+        "valid": False,
+        "violations": ["thorn (0, 2) matched twice", "thorn (1, 0) matched twice"],
+    }
 
 
 def test_python_dash_m_runs_the_cli(capsys, child_env):

@@ -815,7 +815,8 @@ def test_real_expansion_checks_that_each_stratum_sum_is_an_integer(monkeypatch):
     # One black vector entry off by 1: the weight of (r, q) = (1, 0) for
     # mu = (2, 2). The white vector of lam = (4), the first partition, has an
     # entry there that the common denominator does not divide, so the first
-    # dot product that reads it is not an integer, and the error names the pair.
+    # dot product that reads it is not an integer, and the error names the pair
+    # as the command line names partitions.
     exact, target = cf._black_vector, Partition([2, 2])
 
     def off(mu, n):
@@ -827,8 +828,7 @@ def test_real_expansion_checks_that_each_stratum_sum_is_an_integer(monkeypatch):
     monkeypatch.setattr(cf, "_black_vector", off)
     with pytest.raises(ArithmeticError) as caught:
         real_expansion.__wrapped__(4)
-    lam = Partition([4])
-    assert str(caught.value) == f"the stratum sum of ({lam}, {target}) at n = 4 is not an integer"
+    assert str(caught.value) == "the stratum sum of lambda = 4, mu = 2,2 at n = 4 is not an integer"
 
 
 def test_real_expansion_reaches_past_n10_at_projectors():

@@ -7,8 +7,10 @@ from math import factorial
 import pytest
 
 from octamoment.arrays import ArrayTuple
+from octamoment.forests import DEFAULT_FOREST_BOUND, enumerate_forests
 from octamoment.hypermaps import (
     DEFAULT_CLASS_BOUND,
+    DEFAULT_COSET_BOUND,
     DEFAULT_PAIRING_BOUND,
     DEFAULT_PARTITIONED_BOUND,
     BoundExceededError,
@@ -279,6 +281,27 @@ def test_lp_tables_keep_their_bound(table):
     assert (info.value.n, info.value.bound) == (6, 5)
     with pytest.raises(ValueError, match="n must be >= 1"):
         table(0)
+
+
+@pytest.mark.parametrize(
+    "oracle, bound, what",
+    [
+        (lambda n: enumerate_forests(ArrayTuple.from_vertices(n, 0, [("b", False, n, 0)])),
+         DEFAULT_FOREST_BOUND, "forest enumeration"),
+        (class_connection_table, DEFAULT_CLASS_BOUND, "class algebra product"),
+        (double_coset_data, DEFAULT_COSET_BOUND, "double coset product"),
+    ],
+    ids=["enumerate_forests", "class_connection_table", "double_coset_data"],
+)
+def test_each_oracle_stops_at_its_size_bound(oracle, bound, what):
+    # The bound is checked before any enumeration: S_9 has 362880
+    # permutations and S_8 40320, so a late check would show as a slow test.
+    with pytest.raises(BoundExceededError) as info:
+        oracle(bound + 1)
+    assert (info.value.n, info.value.bound) == (bound + 1, bound)
+    assert str(info.value) == (
+        f"{what}: n = {bound + 1} exceeds the oracle's fixed size bound {bound}"
+    )
 
 
 def test_lp_examples_n2():
