@@ -10,7 +10,13 @@ a non-finite float raises ``ValueError`` instead of printing ``NaN`` or
 standard error.  ``expansion`` and ``report`` write the same bytes
 without calling ``json.dumps``, and write them as they are generated:
 each writer yields chunks that :func:`_emit` writes at once, so a
-command holds one record at a time next to the cached expansion.  An
+command holds one record at a time next to the cached expansion.
+``coeffs --format json`` writes the same bytes without calling
+``json.dumps`` as well: each row of its one sorted row list fills the
+fixed template of its kind (``_ROW``), and ``--per-array`` writes one
+``"key": count`` line per degree array, keys sorted, where ``json.dumps``
+is called only for the compact ``ArrayTuple.serialize`` of each key; the
+csv and pretty tables read the same rows.  An
 error before the first chunk (``n < 1``) writes nothing and creates no
 ``--out`` file; an error after it (a broken pipe, say) leaves the output
 written until then.
@@ -72,7 +78,7 @@ import json
 import sys
 from collections.abc import Iterable, Iterator
 from functools import cache, partial
-from itertools import chain, groupby
+from itertools import chain, groupby, starmap
 from json.encoder import encode_basestring_ascii
 
 from . import closedform as cf
@@ -280,6 +286,27 @@ def _complex_blocks(n: int) -> Iterator[str]:
     return (_name(lam).join(pieces[len(lam)]) for lam in parts)
 
 
+# The columns of each coefficient table, in the order csv and pretty
+# print them: the keys of its rows, then the coefficient (and, for L, the
+# b and c that it gives).
+_COLUMNS = {
+    "L": ("lambda", "mu", "r", "L", "b", "c"),
+    "LP": ("lambda", "mu", "r", "LP"),
+    "b": ("lambda", "mu", "b"),
+    "c": ("lambda", "mu", "c"),
+}
+
+# One row of each table exactly as ``_json_dumps`` lays out its record at
+# depth 1, keys sorted, each field the index of its column in ``_COLUMNS``.
+_ROW = {
+    "L": '\n  {{\n    "L": {3},\n    "b": {4},\n    "c": {5},\n'
+    '    "lambda": {0},\n    "mu": {1},\n    "r": {2}\n  }}',
+    "LP": '\n  {{\n    "LP": {3},\n    "lambda": {0},\n    "mu": {1},\n    "r": {2}\n  }}',
+    "b": '\n  {{\n    "b": {2},\n    "lambda": {0},\n    "mu": {1}\n  }}',
+    "c": '\n  {{\n    "c": {2},\n    "lambda": {0},\n    "mu": {1}\n  }}',
+}
+
+
 def cmd_coeffs(args) -> int:
     if args.per_array and args.kind != "LP":
         raise ValueError("--per-array needs --kind LP")
@@ -291,8 +318,10 @@ def cmd_coeffs(args) -> int:
             print(check.line(), file=sys.stderr)
             return 1
     if args.per_array:
-        tallies = hm.lp_by_array(n)
-        _emit([_json_dumps({a.serialize(): c for a, c in tallies.items()})], args.out)
+        # ``_json_dumps`` of {a.serialize(): count}, one line per array.
+        tallies = sorted((a.serialize(), c) for a, c in hm.lp_by_array(n).items())
+        lines = ['\n  %s: %d' % (encode_basestring_ascii(key), c) for key, c in tallies]
+        _emit(["{" + ",".join(lines) + "\n}\n"], args.out)
         return 0
     # One keyed table: (lam, mu, r) for L and LP, (lam, mu) for b and c.
     if args.kind == "LP":
@@ -304,37 +333,40 @@ def cmd_coeffs(args) -> int:
     else:
         table = hm.c_from_L(hm.L_table(n))
     scale = hm.hyperoctahedral_order(n)
+    fmt = args.format or "pretty"
+    # json names a partition as its JSON string, csv by parts, pretty by
+    # multiplicities; each name is rendered once.
+    if fmt == "json":
+        name = _name
+    else:
+        name = cache(partial(format_partition, style="mult" if fmt == "pretty" else "parts"))
     rows = []
-    for key, value in sorted(table.items(), reverse=True):
-        row = dict(zip(("lambda", "mu", "r"), key))
-        row[args.kind] = value
+    for (lam, mu, *r), value in sorted(table.items(), reverse=True):
+        row = (name(lam), name(mu), *r, value)
         if args.kind == "L":
-            row["b"] = scale * value
-            row["c"] = value if row["r"] == 0 else 0
+            row += (scale * value, value if r[0] == 0 else 0)
         rows.append(row)
-    _emit([_format_rows(rows, args.format or "pretty")], args.out)
+    if fmt == "json":
+        text = "[" + ",".join(starmap(_ROW[args.kind].format, rows)) + "\n]\n"
+    else:
+        text = _format_rows(_COLUMNS[args.kind], rows, fmt)
+    _emit([text], args.out)
     return 0
 
 
-def _format_rows(rows: list[dict], fmt: str) -> str:
-    """Write the coefficient rows (never empty for n >= 1), whose
-    ``lambda`` and ``mu`` are partitions, each name rendered once: json and
-    csv name them by parts, pretty by multiplicities in aligned columns."""
-    name = cache(partial(format_partition, style="mult" if fmt == "pretty" else "parts"))
-    rows = [{**row, "lambda": name(row["lambda"]), "mu": name(row["mu"])} for row in rows]
-    if fmt == "json":
-        return _json_dumps(rows)
-    headers = list(rows[0])
+def _format_rows(headers: tuple[str, ...], rows: list[tuple], fmt: str) -> str:
+    """Write the named coefficient rows (never empty for n >= 1), one
+    entry per header: csv as it is, pretty in aligned columns."""
     if fmt == "csv":
         buffer = io.StringIO()
-        writer = csv.DictWriter(buffer, fieldnames=headers)
-        writer.writeheader()
+        writer = csv.writer(buffer)
+        writer.writerow(headers)
         writer.writerows(rows)
         return buffer.getvalue()
-    widths = {h: max(len(h), *(len(str(r[h])) for r in rows)) for h in headers}
-    lines = ["  ".join(h.ljust(widths[h]) for h in headers)]
+    widths = [max(len(h), *(len(str(row[i])) for row in rows)) for i, h in enumerate(headers)]
+    lines = ["  ".join(h.ljust(w) for h, w in zip(headers, widths))]
     for row in rows:
-        lines.append("  ".join(str(row[h]).ljust(widths[h]) for h in headers))
+        lines.append("  ".join(str(x).ljust(w) for x, w in zip(row, widths)))
     return "\n".join(lines) + "\n"
 
 

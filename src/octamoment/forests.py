@@ -675,7 +675,9 @@ def forest_from_json(data) -> Forest:
 
     A record not of that shape raises ``ValueError``; a field that is not
     a JSON list (of objects, for ``vertices``, ``loops`` and each vertex's
-    ``slots``) is named.  A record of that shape that breaks the forest
+    ``slots``) is named, and so is a number that is not an integer (a
+    bool or a float compares equal to one), vertex ids included.  A
+    record of that shape that breaks the forest
     rules is left to :func:`validate_forest`; the matching is sorted here
     with every entry kept, so a pair listed twice reaches it too.
     """
@@ -724,7 +726,8 @@ def forest_from_json(data) -> Forest:
         matching = [tuple(map(tuple, entry)) for entry in refs]
     except (KeyError, TypeError) as err:
         raise ValueError(f"malformed forest JSON: {type(err).__name__} {err}") from None
-    numbers = [data["seed"], *(slot[1] for row in slots for slot in row if slot[0] != THORN)]
+    numbers = [data["seed"], *(rec["id"] for rec in vertices)]
+    numbers += [slot[1] for row in slots for slot in row if slot[0] != THORN]
     numbers += [x for v, k, _, t in attr for x in (v, k, t)]
     bad = [x for x in numbers if type(x) is not int]
     if bad:

@@ -1,5 +1,6 @@
 """Command-line surface: output shapes, determinism, exit codes."""
 
+import csv
 import dataclasses
 import functools
 import hashlib
@@ -645,6 +646,88 @@ def test_expansion_terms_never_reach_json_dumps(capsys, monkeypatch):
     assert dumped == []
 
 
+def _reference_table(n, kind, fmt):
+    """The text of ``coeffs --kind <kind> --format <fmt>`` as the command
+    wrote it before its rows were tuples: one record per row, encoded by
+    ``_json_dumps`` or written by ``csv.DictWriter`` or in aligned
+    columns."""
+    if kind == "LP":
+        table = hm.lp_from_pairings(n)
+    elif kind == "L":
+        table = hm.L_table(n)
+    elif kind == "b":
+        table = hm.b_from_L(hm.L_table(n))
+    else:
+        table = hm.c_from_L(hm.L_table(n))
+    scale = hm.hyperoctahedral_order(n)
+    style = "mult" if fmt == "pretty" else "parts"
+    rows = []
+    for key, value in sorted(table.items(), reverse=True):
+        row = dict(zip(("lambda", "mu", "r"), key))
+        row[kind] = value
+        if kind == "L":
+            row["b"] = scale * value
+            row["c"] = value if row["r"] == 0 else 0
+        row["lambda"] = format_partition(row["lambda"], style=style)
+        row["mu"] = format_partition(row["mu"], style=style)
+        rows.append(row)
+    if fmt == "json":
+        return cli._json_dumps(rows)
+    headers = list(rows[0])
+    if fmt == "csv":
+        buffer = io.StringIO()
+        writer = csv.DictWriter(buffer, fieldnames=headers)
+        writer.writeheader()
+        writer.writerows(rows)
+        return buffer.getvalue()
+    widths = {h: max(len(h), *(len(str(r[h])) for r in rows)) for h in headers}
+    lines = ["  ".join(h.ljust(widths[h]) for h in headers)]
+    for row in rows:
+        lines.append("  ".join(str(row[h]).ljust(widths[h]) for h in headers))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
+@pytest.mark.parametrize("kind", ["L", "LP", "b", "c"])
+def test_coeffs_writer_equals_the_record_writer(kind, fmt, capsys):
+    for n in range(1, 8):
+        argv = ["coeffs", "--n", str(n), "--kind", kind, "--format", fmt]
+        assert run_cli(argv, capsys) == (0, _reference_table(n, kind, fmt)), n
+
+
+def test_per_array_writer_equals_json_dumps_of_tallies(capsys):
+    for n in range(1, 6):
+        expected = cli._json_dumps({a.serialize(): c for a, c in hm.lp_by_array(n).items()})
+        argv = ["coeffs", "--n", str(n), "--kind", "LP", "--per-array"]
+        assert run_cli(argv, capsys) == (0, expected), n
+
+
+def test_coeffs_json_never_reaches_the_indenting_encoder(capsys, monkeypatch):
+    calls = []
+    real_dumps = json.dumps
+
+    def compact_only(data, **kwargs):
+        calls.append(kwargs)
+        if kwargs.get("indent") is not None:
+            raise AssertionError("json.dumps was called with an indent")
+        return real_dumps(data, **kwargs)
+
+    def unreachable(data):
+        raise AssertionError("_json_dumps was called")
+
+    monkeypatch.setattr(cli.json, "dumps", compact_only)
+    monkeypatch.setattr(cli, "_json_dumps", unreachable)
+    for kind in ("L", "LP", "b", "c"):
+        code, out = run_cli(["coeffs", "--n", "5", "--kind", kind, "--format", "json"], capsys)
+        assert code == 0 and json.loads(out)
+    # A table calls json.dumps not at all.
+    assert calls == []
+    code, out = run_cli(["coeffs", "--n", "4", "--kind", "LP", "--per-array"], capsys)
+    # --per-array calls it once per key, for the compact ArrayTuple.serialize.
+    assert code == 0 and len(calls) == len(json.loads(out)) == len(hm.lp_by_array(4))
+    assert all(kwargs["separators"] == (",", ":") for kwargs in calls)
+
+
 def test_byte_identical_reruns(capsys):
     args = ["expansion", "--n", "3", "--field", "real"]
     _, first = run_cli(args, capsys)
@@ -881,6 +964,12 @@ GOLDEN = [
     ("coeffs --n 5 --kind b", 0, "b2e7a793f5791c95b501eb8bbddb8612ea73bbfd83c58d380fe7c2fac496c3f5"),
     ("coeffs --n 5 --kind c", 0, "1efac8f77ab3c32f02403a861f19d0fb033b621f7206b256cf8ee41eec991496"),
     ("coeffs --n 5 --kind LP", 0, "b3493af82e06d3402aa40ccfc5fb13a5cc06d64ce1dbbbbcd043f14059b01822"),
+    # Recorded before the coefficient tables were written from fixed row
+    # templates instead of json.dumps.
+    ("coeffs --n 7 --kind L --format json", 0, "feb9e0ca1fef526f8729fb69e4b19dbd0c9d4758952d27b9d5e5f409b0393c02"),
+    ("coeffs --n 7 --kind LP --format json", 0, "913578f988c258b82ed65b78dda9aebedd25e2ce97449b1054d78ca4d783fd8f"),
+    ("coeffs --n 6 --kind b --format json", 0, "9b91601c2e1218d806e13a9fc98cbf52c627a6f439a5685b681292250c9e317e"),
+    ("coeffs --n 6 --kind c --format json", 0, "061a359887295d31d993e24d25327ced564a745f24d655ea4f222c47fef1b550"),
 ]
 
 
@@ -1434,6 +1523,24 @@ def test_a_forest_vertex_without_a_color_is_malformed(tmp_path, capsys):
     record = {"seed": 0, "vertices": [{"id": 0, "slots": []}]}
     line = _one_error_line(["bijection", "--input", "bad.json"], record, tmp_path, capsys)
     assert line == "octamoment: error: malformed forest JSON: KeyError 'color'"
+
+
+@pytest.mark.parametrize("ids, named", [((False, 1), "False"), ((0, 1.0), "1.0")],
+                         ids=["boolean", "float"])
+def test_a_forest_vertex_id_that_is_not_an_integer_is_named(ids, named, tmp_path, capsys):
+    # False == 0 and 1.0 == 1, so these ids once read as 0..V-1.
+    white, black = ids
+    record = {
+        "seed": 0,
+        "vertices": [
+            {"id": white, "color": "white", "slots": [{"kind": "edge", "child": 1}]},
+            {"id": black, "color": "black", "slots": []},
+        ],
+        "loops": [],
+        "thorn_matching": [],
+    }
+    line = _one_error_line(["bijection", "--input", "bad.json"], record, tmp_path, capsys)
+    assert line == f"octamoment: error: malformed forest JSON: {named} is not an integer"
 
 
 def test_a_matched_pair_listed_twice_is_a_violation(tmp_path, capsys):
